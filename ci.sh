@@ -56,6 +56,13 @@ echo "==> nfv-net multi-process smoke (3 shard processes, 64-conn pipelined stor
 cargo build -q --release -p nfv-net --bins
 cargo run -q --release -p nfv-net --bin nfv-net-smoke
 
+# nfv-perf smoke: the four end-to-end workloads at 1 % of their ops with
+# every verification on (bit-identity to the layer replay / the in-process
+# engine, efficiency, model versions). Exits non-zero on a failed op or a
+# failed verification; the figures it prints are not gated here.
+echo "==> nfv-perf smoke (benchmark/run.sh --smoke)"
+benchmark/run.sh --smoke > /dev/null
+
 # Perf-regression gate: rerun the timed benches and diff the fresh medians
 # (BENCH_*.json at the workspace root) against the blessed baselines/.
 # Fails if any median regressed by more than 25%. Set NFV_BENCH_GATE=off to

@@ -5,6 +5,7 @@
 //! coalition with values from a background dataset (the *interventional* /
 //! marginal convention used by KernelSHAP and interventional TreeSHAP).
 
+use crate::shapley::tree::TreeShapScratch;
 use crate::XaiError;
 use nfv_data::dataset::Dataset;
 use nfv_ml::model::Regressor;
@@ -71,6 +72,9 @@ pub struct CoalitionWorkspace {
     dedup: DedupScratch,
     /// Parallel fan-out tuning.
     par: ParCoalitionConfig,
+    /// TreeSHAP's path arena. TreeSHAP evaluates no coalitions, but this
+    /// is the scratch every [`crate::explainer::Explainer`] receives.
+    pub(crate) tree: TreeShapScratch,
 }
 
 impl CoalitionWorkspace {

@@ -139,10 +139,11 @@ pub mod prelude {
     pub use crate::report::{humanize_feature, render_report, OperatorReport, PredictionKind};
     pub use crate::sage::{sage, sage_finish, sage_plan, SageConfig, SageImportance, SagePlan};
     pub use crate::shapley::{
-        exact_shapley, exact_shapley_finish, exact_shapley_plan, forest_shap, gbdt_shap,
-        kernel_shap, kernel_shap_finish, kernel_shap_plan, kernel_shap_with, sampling_shapley,
-        sampling_shapley_finish, sampling_shapley_plan, tree_shap, ExactShapPlan, KernelShapConfig,
-        KernelShapPlan, SamplingConfig, SamplingPlan, MAX_EXACT_FEATURES,
+        ensemble_shap, exact_shapley, exact_shapley_finish, exact_shapley_plan, forest_shap,
+        gbdt_shap, kernel_shap, kernel_shap_finish, kernel_shap_plan, kernel_shap_with,
+        sampling_shapley, sampling_shapley_finish, sampling_shapley_plan, tree_shap, ExactShapPlan,
+        KernelShapConfig, KernelShapPlan, SamplingConfig, SamplingPlan, TreeShapConsts,
+        TreeShapScratch, MAX_EXACT_FEATURES,
     };
     pub use crate::surrogate::{global_surrogate, render_rules, Surrogate};
     pub use crate::XaiError;

@@ -67,7 +67,7 @@ use crate::explainer::{
 use crate::explanation::Attribution;
 use crate::grouped::{FeatureGroups, MAX_GROUPS};
 use crate::interactions::{interaction_values, MAX_INTERACTION_FEATURES};
-use crate::shapley::{forest_shap, gbdt_shap, MAX_EXACT_FEATURES};
+use crate::shapley::{ensemble_shap, TreeShapConsts, MAX_EXACT_FEATURES};
 use crate::XaiError;
 use nfv_ml::forest::RandomForest;
 use nfv_ml::gbdt::Gbdt;
@@ -93,13 +93,42 @@ pub const fn method_id(name: &str) -> u64 {
 }
 
 /// A tree-structured model an explainer can walk directly (TreeSHAP needs
-/// model internals, not just a `Regressor` surface).
+/// model internals, not just a `Regressor` surface), paired with the
+/// TreeSHAP constants derived from it — built once per model, so serving a
+/// request re-derives neither.
 #[derive(Debug, Clone)]
-pub enum TreeModel {
-    /// A gradient-boosted ensemble.
+pub struct TreeModel {
+    ensemble: TreeEnsemble,
+    consts: TreeShapConsts,
+}
+
+#[derive(Debug, Clone)]
+enum TreeEnsemble {
     Gbdt(Arc<Gbdt>),
-    /// A bagged random forest.
     Forest(Arc<RandomForest>),
+}
+
+impl TreeModel {
+    /// A gradient-boosted ensemble (explained in margin space).
+    pub fn gbdt(model: Arc<Gbdt>) -> TreeModel {
+        TreeModel {
+            consts: TreeShapConsts::gbdt(&model),
+            ensemble: TreeEnsemble::Gbdt(model),
+        }
+    }
+
+    /// A bagged random forest.
+    pub fn forest(model: Arc<RandomForest>) -> TreeModel {
+        TreeModel {
+            consts: TreeShapConsts::forest(&model),
+            ensemble: TreeEnsemble::Forest(model),
+        }
+    }
+
+    /// The per-model TreeSHAP constants (base value, scale, depth).
+    pub fn consts(&self) -> &TreeShapConsts {
+        &self.consts
+    }
 }
 
 /// Everything a method factory may need to build an [`Explainer`] for one
@@ -302,7 +331,8 @@ impl Default for MethodRegistry {
 
 /// TreeSHAP behind the [`Explainer`] trait: walks the owned tree
 /// structure directly (the `ExplainContext` model — possibly a packed SoA
-/// engine — is ignored; both are bit-identical by the packing contract).
+/// engine — is ignored; both are bit-identical by the packing contract),
+/// on the path arena of the caller's [`CoalitionWorkspace`].
 #[derive(Clone)]
 pub struct TreeShapExplainer {
     /// The tree ensemble to walk.
@@ -329,12 +359,14 @@ impl Explainer for TreeShapExplainer {
     fn direct(
         &self,
         ctx: &ExplainContext<'_>,
-        _ws: &mut CoalitionWorkspace,
+        ws: &mut CoalitionWorkspace,
     ) -> Result<Attribution, XaiError> {
-        match &self.trees {
-            TreeModel::Gbdt(m) => gbdt_shap(m, ctx.x, ctx.names),
-            TreeModel::Forest(m) => forest_shap(m, ctx.x, ctx.names),
-        }
+        let (trees, prediction) = match &self.trees.ensemble {
+            TreeEnsemble::Gbdt(m) => (&m.trees, m.margin(ctx.x)),
+            TreeEnsemble::Forest(m) => (&m.trees, m.output(ctx.x)),
+        };
+        let consts = &self.trees.consts;
+        ensemble_shap(trees, consts, prediction, ctx.x, ctx.names, &mut ws.tree)
     }
 }
 
@@ -659,10 +691,10 @@ mod tests {
         .unwrap();
         let background = Background::from_dataset(&synth.data, 8, 3).unwrap();
         let x = synth.data.row(3).to_vec();
-        let expect = gbdt_shap(&model, &x, &synth.data.names).unwrap();
+        let expect = crate::shapley::gbdt_shap(&model, &x, &synth.data.names).unwrap();
         let model = Arc::new(model);
         let explainer = TreeShapExplainer {
-            trees: TreeModel::Gbdt(Arc::clone(&model)),
+            trees: TreeModel::gbdt(Arc::clone(&model)),
         };
         let ctx = ExplainContext {
             model: model.as_ref(),

@@ -12,4 +12,5 @@ pub use kernel::{kernel_shap, kernel_shap_plan, kernel_shap_with, KernelShapConf
 pub use kernel::{kernel_shap_finish, KernelShapPlan};
 pub use sampling::{sampling_shapley, sampling_shapley_finish, sampling_shapley_plan};
 pub use sampling::{SamplingConfig, SamplingPlan};
-pub use tree::{forest_shap, gbdt_shap, tree_shap};
+pub use tree::{ensemble_shap, forest_shap, gbdt_shap, tree_shap};
+pub use tree::{TreeShapConsts, TreeShapScratch};

@@ -125,6 +125,7 @@ fn direct(f: &Fixture, x: &[f64], method: ExplainMethod, version: u64, grid: f64
         ExplainMethod::Permutation => {
             instance_permutation(&f.packed, x, &f.background, &f.names, base).unwrap()
         }
+        other => unreachable!("{other:?} is not one of this suite's methods"),
     }
 }
 

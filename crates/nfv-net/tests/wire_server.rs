@@ -11,7 +11,9 @@
 //! - `NetCluster::join` is not blocked by a slow in-flight explain (the
 //!   members lock is not held across RPCs);
 //! - pipelining deeper than the server's per-connection limit gets the
-//!   typed `PipelineTooDeep` reject while shallower pipelines complete.
+//!   typed `PipelineTooDeep` reject while shallower pipelines complete;
+//! - accepted sockets run with `TCP_NODELAY`, so pipelined cached replies
+//!   do not queue behind the client's delayed ACKs.
 
 use bytes::BufMut;
 use nfv_data::prelude::*;
@@ -458,10 +460,9 @@ fn register_method_configs_tune_the_shard_anytime_divisor() {
     server.join();
 }
 
-/// Pipelined explains within the depth limit all complete, match the
-/// one-at-a-time answers bit for bit, and leave a clean drain.
-#[test]
-fn pipelined_explains_within_depth_complete_and_drain_clean() {
+/// A default shard with a small GBDT registered as `"m"` over the returned
+/// connection, and the dataset it was fitted on.
+fn shard_serving_gbdt() -> (ShardServer, ShardConn, Dataset) {
     let synth = friedman1(160, 5, 0.1, 11).unwrap();
     let model = Gbdt::fit(
         &synth.data,
@@ -473,7 +474,6 @@ fn pipelined_explains_within_depth_complete_and_drain_clean() {
     )
     .unwrap();
     let background = Background::from_dataset(&synth.data, 16, 1).unwrap();
-
     let (server, addr) = start_server(ShardConfig::default());
     let conn = ShardConn::connect(&addr, MAX_PAYLOAD, Duration::from_secs(30)).unwrap();
     conn.register(
@@ -483,11 +483,19 @@ fn pipelined_explains_within_depth_complete_and_drain_clean() {
         &background,
     )
     .unwrap();
+    (server, conn, synth.data)
+}
+
+/// Pipelined explains within the depth limit all complete, match the
+/// one-at-a-time answers bit for bit, and leave a clean drain.
+#[test]
+fn pipelined_explains_within_depth_complete_and_drain_clean() {
+    let (server, conn, data) = shard_serving_gbdt();
 
     let requests: Vec<ExplainRequest> = (0..16)
         .map(|i| ExplainRequest {
             model_id: "m".into(),
-            features: synth.data.row(i * 9).to_vec(),
+            features: data.row(i * 9).to_vec(),
             method: match i % 3 {
                 0 => ExplainMethod::TreeShap,
                 1 => ExplainMethod::KernelShap { n_coalitions: 16 },
@@ -512,5 +520,45 @@ fn pipelined_explains_within_depth_complete_and_drain_clean() {
     assert_eq!(completed, 32);
     let (final_completed, protocol_errors) = server.join();
     assert_eq!(final_completed, 32);
+    assert_eq!(protocol_errors, 0);
+}
+
+/// Eight cached explains pipelined on one connection answer in well under
+/// a delayed-ACK period. Without `TCP_NODELAY` on the accepted socket the
+/// server's second small write waits for the ACK of its first, and the
+/// round's tail read ~44 ms.
+#[test]
+fn pipelined_cached_replies_do_not_wait_on_delayed_acks() {
+    let (server, conn, data) = shard_serving_gbdt();
+    let requests: Vec<ExplainRequest> = (0..8)
+        .map(|i| ExplainRequest {
+            model_id: "m".into(),
+            features: data.row(i * 7).to_vec(),
+            method: ExplainMethod::TreeShap,
+            budget: Duration::from_secs(30),
+        })
+        .collect();
+    // The first round computes and caches; every later round is all hits.
+    for r in conn.explain_many(&requests) {
+        r.unwrap();
+    }
+    let mut rounds: Vec<Duration> = (0..200)
+        .map(|_| {
+            let t0 = Instant::now();
+            for r in conn.explain_many(&requests) {
+                assert!(r.unwrap().cache_hit);
+            }
+            t0.elapsed()
+        })
+        .collect();
+    rounds.sort();
+    let p99 = rounds[197];
+    assert!(
+        p99 < Duration::from_millis(5),
+        "depth-8 cached round p99 {p99:?} (median {:?})",
+        rounds[100]
+    );
+    conn.drain().unwrap();
+    let (_, protocol_errors) = server.join();
     assert_eq!(protocol_errors, 0);
 }

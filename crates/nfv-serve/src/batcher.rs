@@ -30,9 +30,18 @@ impl Default for BatchPolicy {
 
 /// Collects up to `max_batch` jobs: `first` plus whatever arrives within
 /// the gather window. Drains eagerly (no sleep while jobs are waiting).
+///
+/// The window is for companions to share a fused block with: a `first`
+/// that cannot fuse still takes what is already queued but does not wait,
+/// so later arrivals go to an idle worker instead of behind its walk.
 pub fn gather(rx: &Receiver<Job>, first: Job, policy: &BatchPolicy) -> Vec<Job> {
+    let window = if first.explainer.fusable() {
+        policy.gather_window
+    } else {
+        Duration::ZERO
+    };
+    let deadline = Instant::now() + window;
     let mut jobs = vec![first];
-    let deadline = Instant::now() + policy.gather_window;
     while jobs.len() < policy.max_batch.max(1) {
         match rx.try_recv() {
             Ok(job) => jobs.push(job),
@@ -131,6 +140,7 @@ mod tests {
         std::mem::forget(rx);
         Job {
             request,
+            explainer: entry.explainer(method).expect("method resolves"),
             entry,
             key,
             admitted: std::time::Instant::now(),
@@ -163,7 +173,7 @@ mod tests {
             job_for("a", 1, ExplainMethod::KernelShap { n_coalitions: 16 }),
             job_for("b", 1, ks),
             job_for("a", 2, ks),
-            job_for("a", 1, ExplainMethod::TreeShap),
+            job_for("a", 1, ExplainMethod::Lime { n_samples: 8 }),
         ];
         let groups = group_same_model(jobs);
         assert_eq!(groups.len(), 3, "split on (id, version) only");
@@ -193,14 +203,42 @@ mod tests {
         );
         // Window elapses when the queue runs dry.
         let first = rx.recv().unwrap();
+        let t0 = Instant::now();
         let batch = gather(&rx, first, &policy);
         assert_eq!(batch.len(), 2, "drains the remaining job then times out");
+        assert!(
+            t0.elapsed() >= policy.gather_window,
+            "a fusable first job lingers for companions"
+        );
+    }
+
+    #[test]
+    fn non_fusable_first_job_drains_but_does_not_linger() {
+        let (tx, rx) = crossbeam::channel::bounded::<Job>(16);
+        let lime = ExplainMethod::Lime { n_samples: 8 };
+        let policy = BatchPolicy {
+            max_batch: 8,
+            gather_window: Duration::from_millis(200),
+        };
+        let t0 = Instant::now();
+        let batch = gather(&rx, job_for("a", 1, lime), &policy);
+        assert_eq!(batch.len(), 1);
+        // Already-queued jobs still ride along.
+        let ks = ExplainMethod::KernelShap { n_coalitions: 8 };
+        assert!(tx.send(job_for("a", 1, ks)).is_ok());
+        let batch = gather(&rx, job_for("a", 1, lime), &policy);
+        assert_eq!(batch.len(), 2);
+        assert!(
+            t0.elapsed() < policy.gather_window / 4,
+            "nothing to fuse with: no wait, took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]
     fn zero_window_means_singletons() {
         let (tx, rx) = crossbeam::channel::bounded::<Job>(4);
-        let ks = ExplainMethod::TreeShap;
+        let ks = ExplainMethod::KernelShap { n_coalitions: 8 };
         assert!(tx.send(job_for("a", 1, ks)).is_ok());
         let first = job_for("a", 1, ks);
         let policy = BatchPolicy {

@@ -301,9 +301,13 @@ impl Engine {
             }));
         }
         if let Err(e) = entry.supports(request.method) {
-            self.metrics
-                .rejected_invalid
-                .fetch_add(1, Ordering::Relaxed);
+            let counter = match e {
+                ServeError::Rejected(RejectReason::UnknownMethod { .. }) => {
+                    &self.metrics.rejected_unknown_method
+                }
+                _ => &self.metrics.rejected_invalid,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }
         let Some(key) = CacheKey::build(
@@ -380,18 +384,33 @@ impl Engine {
             }
         }
 
-        // Admission + enqueue.
-        let Some(queue) = self.queue.as_ref() else {
+        // Admission + enqueue. A leader that stops short of the queue
+        // releases its followers itself (they fall through and try alone).
+        let release_flight = || {
             if leads_flight {
                 self.cache.complete_flight(&key, None);
             }
+        };
+        let Some(queue) = self.queue.as_ref() else {
+            release_flight();
             return Err(ServeError::Rejected(RejectReason::ShuttingDown));
+        };
+        // The method resolves to its explainer here, once: the batcher
+        // wants its fusability before any worker runs it.
+        let explainer = match entry.explainer(request.method) {
+            Ok(explainer) => explainer,
+            Err(e) => {
+                release_flight();
+                self.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
+                return Err(e);
+            }
         };
         let (respond_tx, respond_rx) = crossbeam::channel::bounded(1);
         let job = Job {
             request,
             entry,
             key,
+            explainer,
             admitted: t0,
             respond: respond_tx,
         };
@@ -662,6 +681,26 @@ mod tests {
             })
             .unwrap_err();
         assert!(err.is_reject());
+    }
+
+    #[test]
+    fn unknown_method_reject_has_its_own_counter() {
+        let (engine, rows) = engine_with_gbdt(ServeConfig::default());
+        let err = engine
+            .explain(ExplainRequest {
+                model_id: "m".into(),
+                features: rows[0].clone(),
+                method: ExplainMethod::custom("no-such-method-registered", 4),
+                budget: Duration::from_secs(1),
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::Rejected(RejectReason::UnknownMethod { .. })
+        ));
+        let stats = engine.stats();
+        assert_eq!(stats.rejected_unknown_method, 1);
+        assert_eq!(stats.rejected_invalid, 0);
     }
 
     #[test]

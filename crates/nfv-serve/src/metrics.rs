@@ -118,6 +118,8 @@ pub struct Metrics {
     pub rejected_unknown_model: AtomicU64,
     /// Rejects: malformed request.
     pub rejected_invalid: AtomicU64,
+    /// Rejects: method id no registered method answers to.
+    pub rejected_unknown_method: AtomicU64,
     /// Explainer errors surfaced to callers.
     pub explain_errors: AtomicU64,
     /// Cache hits (client fast path + worker recheck).
@@ -404,6 +406,7 @@ impl Metrics {
             rejected_deadline_expired: self.rejected_deadline_expired.load(Ordering::Relaxed),
             rejected_unknown_model: self.rejected_unknown_model.load(Ordering::Relaxed),
             rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
+            rejected_unknown_method: self.rejected_unknown_method.load(Ordering::Relaxed),
             explain_errors: self.explain_errors.load(Ordering::Relaxed),
             cache_hits: hits,
             cache_misses: misses,
@@ -471,6 +474,9 @@ pub struct ServeStats {
     pub rejected_unknown_model: u64,
     /// Rejects: malformed request.
     pub rejected_invalid: u64,
+    /// Rejects: method id no registered method answers to.
+    #[serde(default)]
+    pub rejected_unknown_method: u64,
     /// Explainer errors.
     pub explain_errors: u64,
     /// Cache hits.
@@ -574,6 +580,7 @@ impl ServeStats {
             agg.rejected_deadline_expired += s.rejected_deadline_expired;
             agg.rejected_unknown_model += s.rejected_unknown_model;
             agg.rejected_invalid += s.rejected_invalid;
+            agg.rejected_unknown_method += s.rejected_unknown_method;
             agg.explain_errors += s.explain_errors;
             agg.cache_hits += s.cache_hits;
             agg.cache_misses += s.cache_misses;

@@ -7,6 +7,7 @@ use crate::metrics::Metrics;
 use crate::registry::ModelEntry;
 use crate::request::{service_class_key, ExplainRequest, ExplainResponse};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use nfv_xai::prelude::Explainer;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,6 +21,9 @@ pub struct Job {
     pub entry: Arc<ModelEntry>,
     /// Cache identity (also the seed source).
     pub key: CacheKey,
+    /// The request's method, resolved against `entry` once, at admission:
+    /// the batcher reads its fusability, the worker runs it.
+    pub explainer: Box<dyn Explainer>,
     /// When the job was admitted (queue-wait measurement + deadline base).
     pub admitted: Instant,
     /// Where the worker sends the outcome; capacity 1, never blocks.
@@ -205,6 +209,7 @@ mod tests {
         // Leak the receiver handle so sends would succeed if attempted.
         std::mem::forget(_keep);
         Job {
+            explainer: entry.explainer(request.method).expect("method resolves"),
             request,
             entry,
             key,
@@ -271,11 +276,11 @@ mod tests {
     fn mixed_workloads_are_priced_per_class() {
         let q = JobQueue::new(8, 1);
         let m = Metrics::new();
-        let tree = ExplainMethod::TreeShap;
+        let cheap = ExplainMethod::Permutation;
         let kernel = ExplainMethod::KernelShap { n_coalitions: 8 };
         // Workers have observed the two classes at very different costs:
-        // TreeSHAP ~40µs, KernelSHAP ~10ms (version 1 matches test jobs).
-        m.observe_service_class_ns(service_class_key(1, tree), 40_000);
+        // permutation ~40µs, KernelSHAP ~10ms (version 1 matches test jobs).
+        m.observe_service_class_ns(service_class_key(1, cheap), 40_000);
         m.observe_service_class_ns(service_class_key(1, kernel), 10_000_000);
         // Under a single global EWMA (the blend, here ~1.3ms) both 5ms
         // requests would be admitted — including the KernelSHAP one that
@@ -287,7 +292,7 @@ mod tests {
             "{reason:?}"
         );
         assert!(
-            q.admit(test_job_with(tree, budget), &m).is_ok(),
+            q.admit(test_job_with(cheap, budget), &m).is_ok(),
             "the cheap class must not be punished for the expensive one"
         );
         // A class never observed falls back to the global blend.

@@ -98,8 +98,11 @@ pub struct ModelEntry {
     /// group holding every feature.
     pub groups: FeatureGroups,
     /// The tree structure behind an `Arc`, for structure-walking methods
-    /// (TreeSHAP). `None` for non-tree models. Built once at registration
-    /// so per-request method resolution clones an `Arc`, not an ensemble.
+    /// (TreeSHAP), with the constants its kernel needs per model — the
+    /// ensemble's cover-weighted base value, per-tree scale, and depth.
+    /// `None` for non-tree models. Built once at registration so
+    /// per-request method resolution clones an `Arc`, not an ensemble, and
+    /// no request re-walks the trees for their expected values.
     pub trees: Option<TreeModel>,
 }
 
@@ -244,10 +247,11 @@ impl ModelRegistry {
         });
         // Tree ensembles additionally go behind an `Arc` for the
         // structure-walking methods; one clone at registration time buys
-        // Arc-cheap per-request method resolution.
+        // Arc-cheap per-request method resolution. The constructors also
+        // derive the TreeSHAP constants (one walk of every tree).
         let trees = match &model {
-            ServeModel::Gbdt(m) => Some(TreeModel::Gbdt(Arc::new(m.clone()))),
-            ServeModel::Forest(m) => Some(TreeModel::Forest(Arc::new(m.clone()))),
+            ServeModel::Gbdt(m) => Some(TreeModel::gbdt(Arc::new(m.clone()))),
+            ServeModel::Forest(m) => Some(TreeModel::forest(Arc::new(m.clone()))),
             ServeModel::Linear(_) | ServeModel::Mlp(_) => None,
         };
         let entry = Arc::new(ModelEntry {
@@ -514,6 +518,43 @@ mod tests {
         let e = entry.explainer(ExplainMethod::TreeShap).unwrap();
         assert_eq!(e.tag(), "tree-shap");
         assert!(!e.fusable());
+    }
+
+    #[test]
+    fn tree_shap_base_value_is_cached_bit_identically() {
+        let synth = nfv_data::synth::friedman1(200, 5, 0.1, 17).unwrap();
+        let names = synth.data.names.clone();
+        let bg = Background::from_dataset(&synth.data, 8, 1).unwrap();
+        let gbdt = Gbdt::fit(&synth.data, &GbdtParams::default(), 0).unwrap();
+        let forest = RandomForest::fit(&synth.data, &ForestParams::default(), 0, 1).unwrap();
+        use nfv_xai::shapley::tree::tree_expected_value;
+        // The per-call sums the kernel used to run.
+        let mut gbdt_base = gbdt.base_score;
+        for t in &gbdt.trees {
+            gbdt_base += gbdt.learning_rate * tree_expected_value(t);
+        }
+        let mut forest_base = 0.0;
+        for t in &forest.trees {
+            forest_base += tree_expected_value(t);
+        }
+        forest_base /= forest.trees.len() as f64;
+
+        let reg = ModelRegistry::new();
+        reg.register("g", ServeModel::Gbdt(gbdt), names.clone(), bg.clone())
+            .unwrap();
+        reg.register("f", ServeModel::Forest(forest), names, bg)
+            .unwrap();
+        for (id, expect) in [("g", gbdt_base), ("f", forest_base)] {
+            let entry = reg.get(id).unwrap();
+            let cached = entry.trees.as_ref().unwrap().consts().base_value();
+            assert_eq!(cached.to_bits(), expect.to_bits(), "model `{id}`");
+            // And it is the base value every answer carries.
+            let explainer = entry.explainer(ExplainMethod::TreeShap).unwrap();
+            let mut ws = CoalitionWorkspace::default();
+            let x = synth.data.row(0);
+            let attr = crate::worker::explain_one(&entry, &*explainer, x, 0, &mut ws).unwrap();
+            assert_eq!(attr.base_value.to_bits(), expect.to_bits());
+        }
     }
 
     #[test]

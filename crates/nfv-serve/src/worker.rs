@@ -2,11 +2,11 @@
 //! the cache, and answer the waiting clients.
 //!
 //! Dispatch is generic: a job's method resolves to a `Box<dyn Explainer>`
-//! once (via [`crate::registry::ModelEntry::explainer`]) and everything
-//! after that — direct execution, coalition planning, fused finishing — is
-//! trait dispatch. No per-method `match` exists in this module, so a new
-//! method added to the registry is served, batched, *and fused* with no
-//! scheduler change.
+//! once, at admission (via [`crate::registry::ModelEntry::explainer`]), and
+//! everything after that — the batcher's fusability check, direct
+//! execution, coalition planning, fused finishing — is trait dispatch. No
+//! per-method `match` exists in this module, so a new method added to the
+//! registry is served, batched, *and fused* with no scheduler change.
 //!
 //! Determinism: stochastic explainers get a seed derived from the request's
 //! *content* (cache key hash mixed with the engine seed), never from
@@ -226,8 +226,8 @@ fn deliver(
 }
 
 /// The unfused execution path for one *compatible* group (same model,
-/// version, and method): resolve the group's explainer once, then explain
-/// jobs one by one against the shared entry.
+/// version, and method): explain jobs one by one against the shared entry,
+/// each through the explainer it was admitted with.
 fn execute_compatible(live: Vec<Job>, ctx: &WorkerContext, ws: &mut CoalitionWorkspace) {
     if live.is_empty() {
         return;
@@ -238,23 +238,9 @@ fn execute_compatible(live: Vec<Job>, ctx: &WorkerContext, ws: &mut CoalitionWor
         .cache_misses
         .fetch_add(live.len() as u64, Ordering::Relaxed);
 
-    // Compatibility groups share (model id, version, method), so entry,
-    // explainer, and service class are group-wide constants. Resolution
-    // goes through the open method registry; a miss (method deregistered
-    // after admission, factory refused the config) fails the group's jobs
-    // individually rather than the worker.
+    // Compatibility groups share (model id, version, method), so entry
+    // and service class are group-wide constants.
     let entry = Arc::clone(&live[0].entry);
-    let explainer = match entry.explainer(live[0].key.method) {
-        Ok(e) => e,
-        Err(e) => {
-            for job in live {
-                ctx.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
-                ctx.cache.complete_flight(&job.key, None);
-                let _ = job.respond.send(Err(e.clone()));
-            }
-            return;
-        }
-    };
     let class = service_class_key(live[0].key.model_version, live[0].key.method);
 
     // Explain in admission order, straight off each job's own feature
@@ -266,7 +252,13 @@ fn execute_compatible(live: Vec<Job>, ctx: &WorkerContext, ws: &mut CoalitionWor
         .iter()
         .map(|job| {
             let seed = request_seed(ctx.seed, job.key.stable_hash());
-            explain_one(&entry, &*explainer, &job.request.features, seed, &mut *ws)
+            explain_one(
+                &entry,
+                &*job.explainer,
+                &job.request.features,
+                seed,
+                &mut *ws,
+            )
         })
         .collect();
     let service = t0.elapsed();
@@ -306,29 +298,15 @@ fn process_model_group(
     if live.is_empty() {
         return;
     }
-    let mut fusable: Vec<(Job, Box<dyn Explainer>)> = Vec::with_capacity(live.len());
-    let mut rest: Vec<Job> = Vec::new();
-    for job in live {
-        match job.entry.explainer(job.key.method) {
-            Ok(explainer) if explainer.fusable() => fusable.push((job, explainer)),
-            Ok(_) => rest.push(job),
-            // A resolution failure is scoped to its own request, exactly
-            // like a plan failure below: the rest of the group proceeds.
-            Err(e) => {
-                ctx.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
-                ctx.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                ctx.cache.complete_flight(&job.key, None);
-                let _ = job.respond.send(Err(e));
-            }
-        }
-    }
+    let (fusable, rest): (Vec<Job>, Vec<Job>) =
+        live.into_iter().partition(|job| job.explainer.fusable());
     if fusable.len() >= ctx.fusion.min_jobs.max(1) {
         execute_fused(fusable, ctx, ws, block);
     } else {
         // Too few to amortize anything: the direct path is cheaper. A
         // model group's fusable jobs may still span methods and budgets,
         // so split into compatible (per-method) groups first.
-        for g in group_compatible(fusable.into_iter().map(|(job, _)| job).collect()) {
+        for g in group_compatible(fusable) {
             execute_compatible(g, ctx, ws);
         }
     }
@@ -342,19 +320,19 @@ fn process_model_group(
 /// policy's `max_rows` cap. The cap bounds the arena's high-water mark at
 /// `max_rows` plus one plan's rows (a plan is appended before the check).
 fn execute_fused(
-    jobs: Vec<(Job, Box<dyn Explainer>)>,
+    jobs: Vec<Job>,
     ctx: &WorkerContext,
     ws: &mut CoalitionWorkspace,
     block: &mut FusedBlock,
 ) {
-    let entry = Arc::clone(&jobs[0].0.entry);
+    let entry = Arc::clone(&jobs[0].entry);
     let mut pending: Vec<(Job, Box<dyn ExplainPlan>)> = Vec::with_capacity(jobs.len());
     block.clear();
-    for (job, explainer) in jobs {
+    for job in jobs {
         let planned = {
             let seed = request_seed(ctx.seed, job.key.stable_hash());
             let ectx = explain_context(&entry, &job.request.features, seed);
-            explainer.plan(&ectx, &mut *ws, &mut *block)
+            job.explainer.plan(&ectx, &mut *ws, &mut *block)
         };
         match planned {
             Ok(plan) => pending.push((job, plan)),

@@ -111,6 +111,7 @@ fn main() {
         stats.submitted,
         stats.completed,
         stats.rejected_unknown_model
+            + stats.rejected_unknown_method
             + stats.rejected_invalid
             + stats.rejected_deadline_unmeetable
             + stats.rejected_queue_full,

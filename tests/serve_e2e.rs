@@ -207,6 +207,7 @@ fn ten_thousand_requests_deterministic_with_batching_and_cache_hits() {
             + stats.rejected_deadline_unmeetable
             + stats.rejected_deadline_expired
             + stats.rejected_unknown_model
+            + stats.rejected_unknown_method
             + stats.rejected_invalid,
         0,
         "generous budgets and a deep queue: nothing rejected"
