@@ -24,19 +24,6 @@ done
 echo "==> cargo test -q"
 cargo test -q
 
-# Kernel matrix: the nfv-ml SoA suite once per forced traversal kernel, so
-# a bit-identity bug in any kernel fails CI even on hosts where calibration
-# would never pick it. Kernels needing an ISA the host lacks are skipped
-# (the force-env resolution degrades them to scalar, which arm 1 covers).
-echo "==> nfv-ml kernel matrix (NFV_ML_KERNEL=scalar|avx2|lane[|avx512])"
-kernels="scalar"
-if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then kernels="$kernels avx2 lane"; fi
-if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then kernels="$kernels avx512"; fi
-for k in $kernels; do
-  echo "    --- NFV_ML_KERNEL=$k"
-  NFV_ML_KERNEL="$k" cargo test -q -p nfv-ml soa
-done
-
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 

@@ -1,12 +1,8 @@
-//! SoA traversal kernels head-to-head: the same 64-coalition × 12-row
-//! composite block through every traversal kernel the engine ships
-//! (scalar register-chunked, AVX2 row-major gathers, lane-major, AVX-512),
-//! at d ∈ {8, 14, 20}, plus a fused-replay case with duplicate composite
-//! rows that prices the adjacent-dedup pass.
-//!
-//! Kernels are forced via [`set_force_kernel`]; ISAs the host lacks are
-//! skipped (the force call refuses and reports `false`). Every kernel is
-//! bit-identical — these cases measure time, never accuracy.
+//! The SoA traversal kernel on the serve hot path's block shape: one
+//! 64-coalition × 12-row composite block at d ∈ {8, 14, 20}, plus a
+//! fused-replay case with duplicate composite rows that prices the
+//! adjacent-dedup pass. (The group and the `scalar_*` ids keep the names
+//! they had when the kernel had rivals, so `baselines/` stays comparable.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nfv_bench::SizedTask;
@@ -27,9 +23,9 @@ fn coalitions(d: usize) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Every kernel at every dimension. One 64×12 coalition block per
-/// iteration — the exact shape `coalition_values` hands the engine on the
-/// serve hot path — so these medians are directly comparable with
+/// One 64×12 coalition block per iteration — the exact shape
+/// `coalition_values` hands the engine on the serve hot path — so these
+/// medians are directly comparable with
 /// `coalition_eval_d14_forest50/batched_block_64x12`.
 fn bench_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("soa_kernels");
@@ -39,24 +35,14 @@ fn bench_kernels(c: &mut Criterion) {
         let x = task.data.row(3).to_vec();
         let memberships = coalitions(d);
         let mut ws = CoalitionWorkspace::default();
-        for k in [Kernel::Scalar, Kernel::Avx2, Kernel::Lane, Kernel::Avx512] {
-            if !set_force_kernel(Some(k)) {
-                println!(
-                    "soa_kernels: {} unavailable on this host, skipped",
-                    k.name()
-                );
-                continue;
-            }
-            g.bench_function(format!("{}_d{d}_64x12", k.name()), |b| {
-                b.iter(|| {
-                    task.background
-                        .coalition_values(&task.packed, &x, &memberships, &mut ws)
-                        .iter()
-                        .sum::<f64>()
-                })
-            });
-        }
-        set_force_kernel(None);
+        g.bench_function(format!("scalar_d{d}_64x12"), |b| {
+            b.iter(|| {
+                task.background
+                    .coalition_values(&task.packed, &x, &memberships, &mut ws)
+                    .iter()
+                    .sum::<f64>()
+            })
+        });
     }
     g.finish();
 }
@@ -99,11 +85,10 @@ fn bench_fused_dedup(c: &mut Criterion) {
         })
     });
     println!(
-        "fused dedup: {} of {} rows skipped per evaluate ({:.1}%), kernel={}",
+        "fused dedup: {} of {} rows skipped per evaluate ({:.1}%)",
         block.last_dedup_saved(),
         block.n_rows(),
         100.0 * block.last_dedup_saved() as f64 / block.n_rows() as f64,
-        active_kernel_name(),
     );
     assert_eq!(
         block.preds().len(),

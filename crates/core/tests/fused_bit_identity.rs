@@ -2,9 +2,8 @@
 //! the plan/execute split — many requests stacked into one shared
 //! [`FusedBlock`] and evaluated by a single `predict_block` call — are
 //! **bit-identical** to the direct per-request path, for every method,
-//! every fusion group size, every SoA kernel the host supports (forced
-//! scalar / AVX2 / lane-major / AVX-512), and with the fused block's
-//! adjacent-row dedup both on and off.
+//! every fusion group size, and with the fused block's adjacent-row dedup
+//! both on and off.
 //!
 //! This is the determinism contract the serving layer's fusion scheduler
 //! relies on: fusing changes *which call* evaluates a composite row, never
@@ -251,8 +250,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fused == unfused, bit for bit, across group sizes, mixed methods in
-    /// one block, every SoA kernel the host supports, and with the block's
-    /// dedup pass both on and off.
+    /// one block, and with the block's dedup pass both on and off.
     #[test]
     fn fused_is_bit_identical_to_direct(
         size_idx in 0usize..4,
@@ -260,34 +258,20 @@ proptest! {
     ) {
         let group_size = [1usize, 2, 4, 8][size_idx];
         let reqs = requests(group_size, seed);
-        // The invariant must hold under whichever kernel evaluates the
-        // block — the two paths run the *same* forced kernel per arm, so
-        // fusion (and dedup) are the only variables. ISAs the host lacks
-        // refuse the force and are skipped; scalar always runs.
-        let mut arms = 0;
-        for kernel in [Kernel::Scalar, Kernel::Avx2, Kernel::Lane, Kernel::Avx512] {
-            if !set_force_kernel(Some(kernel)) {
-                continue;
+        let direct: Vec<_> = reqs.iter().map(|(r, q)| explain_direct(*r, q)).collect();
+        for dedup in [true, false] {
+            let fused = explain_fused(&reqs, dedup);
+            prop_assert_eq!(direct.len(), fused.len());
+            for (i, (d, f)) in direct.iter().zip(&fused).enumerate() {
+                prop_assert_eq!(
+                    bits(d),
+                    bits(f),
+                    "request {} of {:?} diverged (dedup={})",
+                    i,
+                    reqs[i],
+                    dedup
+                );
             }
-            arms += 1;
-            let direct: Vec<_> = reqs.iter().map(|(r, q)| explain_direct(*r, q)).collect();
-            for dedup in [true, false] {
-                let fused = explain_fused(&reqs, dedup);
-                prop_assert_eq!(direct.len(), fused.len());
-                for (i, (d, f)) in direct.iter().zip(&fused).enumerate() {
-                    prop_assert_eq!(
-                        bits(d),
-                        bits(f),
-                        "request {} of {:?} diverged (kernel={}, dedup={})",
-                        i,
-                        reqs[i],
-                        kernel.name(),
-                        dedup
-                    );
-                }
-            }
-            set_force_kernel(None); // back to runtime detection
         }
-        prop_assert!(arms >= 1);
     }
 }

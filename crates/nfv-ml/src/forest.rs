@@ -150,7 +150,7 @@ impl Regressor for RandomForest {
         out
     }
     /// Large contiguous blocks pack the forest into the SoA engine on the
-    /// fly ([`crate::soa::SoaForest`], SIMD traversal, bit-identical);
+    /// fly ([`crate::soa::SoaForest`], bit-identical);
     /// small blocks keep the interleaved per-tree path whose setup is
     /// cheaper.
     fn predict_block(&self, flat: &[f64], d: usize, out: &mut [f64]) {

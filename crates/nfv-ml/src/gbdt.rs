@@ -172,7 +172,7 @@ impl Regressor for Gbdt {
             .collect()
     }
     /// Large contiguous blocks pack the rounds into the SoA engine on the
-    /// fly ([`crate::soa::SoaForest`], SIMD traversal, bit-identical);
+    /// fly ([`crate::soa::SoaForest`], bit-identical);
     /// small blocks keep the interleaved per-tree path whose setup is
     /// cheaper.
     fn predict_block(&self, flat: &[f64], d: usize, out: &mut [f64]) {

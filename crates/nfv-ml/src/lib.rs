@@ -18,10 +18,10 @@
 //! - [`model`] — the [`model::Regressor`] / [`model::Classifier`] traits
 //!   every explainer targets;
 //! - [`soa`] — the flattened structure-of-arrays ensemble engine
-//!   ([`soa::SoaForest`]) with runtime-detected AVX2 traversal.
+//!   ([`soa::SoaForest`]) and its blocked traversal kernel.
 
 // `deny`, not `forbid`: the `soa` module opts back in (with a module-level
-// justification) for `std::arch` SIMD intrinsics. Everything else stays
+// justification) for its kernel's unchecked loads. Everything else stays
 // unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,10 +68,7 @@ pub mod prelude {
     pub use crate::metrics;
     pub use crate::mlp::{Mlp, MlpParams};
     pub use crate::model::{Classifier, FnModel, ProbaSurface, Regressor};
-    pub use crate::soa::{
-        active_kernel_name, set_force_kernel, set_force_scalar, set_force_simd, simd_active,
-        EnsemblePost, Kernel, SoaForest, PACK_MIN_ROWS,
-    };
+    pub use crate::soa::{active_kernel_name, EnsemblePost, SoaForest, PACK_MIN_ROWS};
     pub use crate::tree::{DecisionTree, TreeNode, TreeParams};
     pub use crate::MlError;
 }

@@ -121,6 +121,33 @@ impl DecisionTree {
         })
     }
 
+    /// Structural check for a tree that did not come from
+    /// [`DecisionTree::fit`] (a deserialised model): the arena is
+    /// non-empty and every internal node `i` splits on a feature
+    /// `< n_features` with both children in `i + 1..nodes.len()` — the
+    /// preorder layout `fit` produces. Children strictly after their
+    /// parent means every walk ([`DecisionTree::output`],
+    /// [`DecisionTree::depth`], TreeSHAP) terminates and stays in range.
+    pub fn check_structure(&self) -> Result<(), MlError> {
+        let n = self.nodes.len();
+        if n == 0 {
+            return Err(MlError::Shape("tree with no nodes".into()));
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            let after_parent = |c: u32| (c as usize) > i && (c as usize) < n;
+            let ok = node.feature < self.n_features
+                && after_parent(node.left)
+                && after_parent(node.right);
+            if !node.is_leaf && !ok {
+                return Err(MlError::Shape(format!(
+                    "node {i}: feature {} (d = {}) or children {}/{} (of {n} nodes) out of range",
+                    node.feature, self.n_features, node.left, node.right
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Raw tree output for one row (mean / positive fraction of the leaf).
     pub fn output(&self, x: &[f64]) -> f64 {
         let mut i = 0usize;

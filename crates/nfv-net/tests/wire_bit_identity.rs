@@ -2,13 +2,11 @@
 //! explanation computed (1) directly against the library, (2) by a
 //! single-process [`ServeEngine`], (3) by the in-process [`ServeCluster`],
 //! and (4) by a [`NetCluster`] routing over real TCP connections to shard
-//! servers is **bit-identical** (`f64::to_bits`) — under the forced-scalar
-//! SoA kernel and the forced-SIMD one alike.
+//! servers is **bit-identical** (`f64::to_bits`).
 //!
 //! The wire can uphold this because every f64 crosses as its IEEE-754 bit
 //! pattern and every stochastic explainer is seeded from request content.
-//! The SIMD arms share one `#[test]`: the force switches are process-global
-//! (the shard servers here live in this process, listening on loopback).
+//! (The shard servers here live in this process, listening on loopback.)
 
 use nfv_data::prelude::*;
 use nfv_ml::prelude::*;
@@ -137,9 +135,7 @@ fn bits(a: &Attribution) -> (Vec<u64>, u64, u64) {
     )
 }
 
-/// One full pass under whichever SoA kernel is currently forced. All four
-/// serving paths are constructed fresh (no cache entry computed under the
-/// other kernel can leak into this arm).
+/// One full pass; all four serving paths are constructed fresh.
 fn run_arm(f: &Fixture, arm: &str) {
     let cfg = ServeConfig {
         seed: SEED,
@@ -240,16 +236,6 @@ fn run_arm(f: &Fixture, arm: &str) {
 }
 
 #[test]
-fn wire_cluster_engine_and_direct_are_bit_identical_under_both_kernels() {
-    let f = fixture();
-
-    set_force_scalar(true);
-    run_arm(&f, "scalar");
-
-    if set_force_simd(true) {
-        run_arm(&f, "simd");
-    } else {
-        eprintln!("host has no SIMD kernel; scalar arm covered the invariant");
-    }
-    set_force_simd(false); // back to runtime detection
+fn wire_cluster_engine_and_direct_are_bit_identical() {
+    run_arm(&fixture(), "scalar");
 }

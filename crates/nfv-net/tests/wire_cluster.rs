@@ -1,8 +1,7 @@
 //! Cluster-level behaviour over real shard *processes*: spill on shard
 //! death, graceful join/leave with registration replay, and the drain
 //! handshake. The shard binary is the real `nfv-shard` (via
-//! `CARGO_BIN_EXE_nfv-shard`), forced scalar through the environment so
-//! parent and children compute on the same kernel.
+//! `CARGO_BIN_EXE_nfv-shard`).
 
 use nfv_data::prelude::*;
 use nfv_ml::prelude::*;
@@ -25,7 +24,6 @@ fn spawn_shard() -> (Child, String, BufReader<ChildStdout>) {
             "--seed",
             &SEED.to_string(),
         ])
-        .env("NFV_ML_FORCE_SCALAR", "1")
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn nfv-shard");
@@ -86,7 +84,6 @@ fn request(f: &Fixture, n: usize) -> ExplainRequest {
 /// and the spill/net-error counters must record the reroutes.
 #[test]
 fn killing_a_shard_mid_replay_spills_to_the_ring_successor() {
-    nfv_ml::prelude::set_force_scalar(true);
     let f = fixture();
     let mut shards: Vec<(Child, String, BufReader<ChildStdout>)> =
         (0..3).map(|_| spawn_shard()).collect();
@@ -187,7 +184,6 @@ fn killing_a_shard_mid_replay_spills_to_the_ring_successor() {
 /// same model versions; leave() drains gracefully with bounded remap.
 #[test]
 fn join_replays_registrations_and_leave_drains_gracefully() {
-    nfv_ml::prelude::set_force_scalar(true);
     let f = fixture();
 
     // Two in-process shard servers to start with.

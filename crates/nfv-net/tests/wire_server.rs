@@ -43,34 +43,51 @@ fn explain_request(model_id: &str) -> ExplainRequest {
     }
 }
 
-/// A registration the server cannot deserialize must come back as the
-/// typed `RegisterErr` — not as an `ExplainReply` wearing an error. Sent
-/// raw so the assertion is on the wire message itself, not on the
-/// client's (intentionally lenient) decoding.
+/// A registration the server cannot accept must come back as the typed
+/// `RegisterErr` — not as an `ExplainReply` wearing an error — and leave
+/// the shard serving. Two refusals: JSON that is no model, and a forest
+/// whose root names itself as both children (packing it used to overflow
+/// the event loop's stack and abort the process). Sent raw so the
+/// assertions are on the wire messages themselves, not on the client's
+/// (intentionally lenient) decoding.
 #[test]
 fn register_failure_replies_with_typed_register_err() {
+    const CYCLIC_FOREST: &str = r#"{"Forest":{"trees":[{"nodes":[{"feature":0,"threshold":0.0,
+        "left":0,"right":0,"value":0.0,"cover":1.0,"is_leaf":false}],"n_features":1,
+        "task":"Regression"}],"n_features":1,"task":"Regression"}}"#;
     let (server, addr) = start_server(ShardConfig::default());
     let mut stream = TcpStream::connect(&addr).unwrap();
-    let msg = Message::Register(WireRegister {
-        rid: 9,
-        model_id: "broken".into(),
-        model_json: "this is not a model".into(),
-        feature_names: vec!["a".into()],
-        background_rows: vec![vec![0.0]],
-        method_configs: Vec::new(),
-    });
-    write_frame(&mut stream, msg.msg_type(), &msg.encode_payload()).unwrap();
-    let (t, payload) = read_frame(&mut stream, MAX_PAYLOAD).unwrap();
-    let reply = Message::decode_payload(t, payload).unwrap();
-    match reply {
-        Message::RegisterErr { rid, error } => {
-            assert_eq!(rid, 9);
-            assert!(
-                matches!(error, ServeError::Internal(ref m) if m.contains("model json")),
-                "unexpected error: {error:?}"
-            );
+    let mut rpc = |msg: Message| {
+        write_frame(&mut stream, msg.msg_type(), &msg.encode_payload()).unwrap();
+        let (t, payload) = read_frame(&mut stream, MAX_PAYLOAD).unwrap();
+        Message::decode_payload(t, payload).unwrap()
+    };
+    for (model_json, why) in [
+        ("this is not a model", "model json"),
+        (CYCLIC_FOREST, "tree 0"),
+    ] {
+        let reply = rpc(Message::Register(WireRegister {
+            rid: 9,
+            model_id: "broken".into(),
+            model_json: model_json.into(),
+            feature_names: vec!["a".into()],
+            background_rows: vec![vec![0.0]],
+            method_configs: Vec::new(),
+        }));
+        match reply {
+            Message::RegisterErr { rid, error } => {
+                assert_eq!(rid, 9);
+                assert!(
+                    matches!(error, ServeError::Internal(ref m) if m.contains(why)),
+                    "unexpected error: {error:?}"
+                );
+            }
+            other => panic!("expected RegisterErr, got {:?}", other.msg_type()),
         }
-        other => panic!("expected RegisterErr, got {:?}", other.msg_type()),
+    }
+    match rpc(Message::Health { rid: 10 }) {
+        Message::HealthOk(h) => assert_eq!((h.rid, h.protocol_errors), (10, 0)),
+        other => panic!("expected HealthOk, got {:?}", other.msg_type()),
     }
     server.stop();
     server.join();

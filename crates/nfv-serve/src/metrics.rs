@@ -507,9 +507,9 @@ pub struct ServeStats {
     /// (bit-identical to their predecessor; prediction reused).
     #[serde(default)]
     pub dedup_rows_saved: u64,
-    /// The SoA traversal kernel this process has settled on
-    /// (`"scalar"`/`"avx2"`/`"lane"`/`"avx512"`; `"auto"` before the first
-    /// calibration; `"mixed"` in aggregates whose shards disagree).
+    /// The SoA traversal kernel's name, a constant (`"scalar"`); still a
+    /// field so stats JSON from shards built with several kernels decodes.
+    /// An aggregate reports its first shard's value.
     #[serde(default)]
     pub kernel: String,
     /// Requests answered by another request's in-flight computation.
@@ -593,9 +593,7 @@ impl ServeStats {
             fill_weight += s.fused_fill_ratio * s.fused_groups as f64;
             agg.dedup_rows_saved += s.dedup_rows_saved;
             if agg.kernel.is_empty() {
-                agg.kernel = s.kernel.clone();
-            } else if agg.kernel != s.kernel {
-                agg.kernel = "mixed".to_string();
+                agg.kernel.clone_from(&s.kernel);
             }
             agg.single_flight_hits += s.single_flight_hits;
             agg.probe_admits += s.probe_admits;

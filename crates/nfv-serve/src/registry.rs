@@ -222,6 +222,27 @@ impl ModelRegistry {
                 ),
             }));
         }
+        // A model can arrive deserialised off the wire: refuse a tree whose
+        // node graph would send any walk (packing, prediction, TreeSHAP)
+        // into a cycle or out of its arena, before anything walks it.
+        let trees: &[DecisionTree] = match &model {
+            ServeModel::Gbdt(m) => &m.trees,
+            ServeModel::Forest(m) => &m.trees,
+            ServeModel::Linear(_) | ServeModel::Mlp(_) => &[],
+        };
+        let bad_tree = trees.iter().enumerate().find_map(|(t, tree)| {
+            if tree.n_features != d {
+                return Some(format!("tree {t} has {} features", tree.n_features));
+            }
+            tree.check_structure()
+                .err()
+                .map(|e| format!("tree {t}: {e}"))
+        });
+        if let Some(why) = bad_tree {
+            return Err(ServeError::Rejected(RejectReason::InvalidRequest {
+                reason: format!("model `{id}` (d = {d}): {why}"),
+            }));
+        }
         let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
         // Pack tree ensembles into the SoA engine once, here, so no
         // request ever pays the flattening cost. Best-effort: the packer
@@ -365,6 +386,29 @@ mod tests {
             .register("sla", m, vec!["only-one".into()], bg)
             .unwrap_err();
         assert!(err.is_reject());
+    }
+
+    #[test]
+    fn cyclic_tree_model_is_rejected_before_anything_walks_it() {
+        // What a hostile `Register` deserialises into: a root naming itself
+        // as both children, which packing used to recurse on without end.
+        let hostile: ServeModel = serde_json::from_str(
+            r#"{"Forest":{"trees":[{"nodes":[{"feature":0,"threshold":0.0,"left":0,"right":0,
+            "value":0.0,"cover":1.0,"is_leaf":false}],"n_features":2,"task":"Regression"}],
+            "n_features":2,"task":"Regression"}}"#,
+        )
+        .unwrap();
+        let reg = ModelRegistry::new();
+        let (_, names, bg) = linear_entry();
+        let err = reg.register("hostile", hostile, names, bg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServeError::Rejected(RejectReason::InvalidRequest { .. })
+            ),
+            "unexpected error: {err:?}"
+        );
+        assert!(reg.get("hostile").is_none());
     }
 
     #[test]

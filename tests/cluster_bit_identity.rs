@@ -1,16 +1,12 @@
 //! The cluster determinism contract, end to end: for every serve method,
 //! an explanation computed (1) directly against the library, (2) by a
 //! single-shard [`ServeEngine`], and (3) by a multi-shard [`ServeCluster`]
-//! is **bit-identical** (`f64::to_bits`) — under the forced-scalar SoA
-//! kernel and the forced-SIMD one alike.
+//! is **bit-identical** (`f64::to_bits`).
 //!
 //! This is possible because every stochastic explainer is seeded from
 //! request *content* (`request_seed(engine seed, cache-key hash)`), never
 //! from arrival order, worker identity, or shard identity — so the test
 //! can reconstruct the serving layer's exact seeds from public pieces.
-//!
-//! The SIMD arms share one `#[test]` on purpose: the force switches are
-//! process-global, so they must never run concurrently with each other.
 
 use nfv_data::prelude::*;
 use nfv_ml::prelude::*;
@@ -143,9 +139,7 @@ fn bits(a: &Attribution) -> (Vec<u64>, u64, u64) {
     )
 }
 
-/// One full pass under whichever SoA kernel is currently forced: fresh
-/// engine + fresh 3-shard cluster (fresh so no cache entry computed under
-/// the *other* kernel can satisfy a request in this arm).
+/// One full pass: fresh engine + fresh 3-shard cluster.
 fn run_arm(f: &Fixture, arm: &str) {
     let cfg = ServeConfig {
         seed: SEED,
@@ -207,16 +201,6 @@ fn run_arm(f: &Fixture, arm: &str) {
 }
 
 #[test]
-fn cluster_engine_and_direct_are_bit_identical_under_both_kernels() {
-    let f = fixture();
-
-    set_force_scalar(true);
-    run_arm(&f, "scalar");
-
-    if set_force_simd(true) {
-        run_arm(&f, "simd");
-    } else {
-        eprintln!("host has no SIMD kernel; scalar arm covered the invariant");
-    }
-    set_force_simd(false); // back to runtime detection
+fn cluster_engine_and_direct_are_bit_identical() {
+    run_arm(&fixture(), "scalar");
 }
