@@ -10,6 +10,8 @@ use nfv_bench::SizedTask;
 use nfv_net::prelude::*;
 use nfv_serve::prelude::*;
 use nfv_xai::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 fn engine_for(task: &SizedTask, seed: u64) -> ServeEngine {
@@ -128,22 +130,53 @@ fn bench_serve(c: &mut Criterion) {
     });
 
     // Concurrent clients replaying a small telemetry window (high hit
-    // rate): the contended-shard / queue-handoff figure.
-    g.bench_function("hot_replay_8_clients", |b| {
-        b.iter(|| {
-            std::thread::scope(|s| {
-                for c in 0..8 {
-                    let engine = &engine;
-                    let task = &task;
-                    s.spawn(move || {
+    // rate): the contended-shard figure. The eight client threads outlive
+    // the measurement; each iteration releases them through one barrier
+    // and collects them at a second, so no thread is spawned or joined
+    // inside the timed region. Waking eight threads on a small host costs
+    // ~0.1 ms whatever they then do, so a release is PASSES passes over
+    // each client's 16-key window (8 192 hits): the replay is > 90 % of
+    // what is timed and the figure follows the hit path, not the
+    // scheduler.
+    {
+        const CLIENTS: usize = 8;
+        const PASSES: usize = 64;
+        let start = Barrier::new(CLIENTS + 1);
+        let done = Barrier::new(CLIENTS + 1);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for c in 0..CLIENTS {
+                let (engine, task) = (&engine, &task);
+                let (start, done, stop) = (&start, &done, &stop);
+                s.spawn(move || loop {
+                    start.wait();
+                    // Written before the releasing `start.wait()` below;
+                    // the barrier orders it.
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    for _ in 0..PASSES {
                         for i in 0..16 {
                             engine.explain(req(task, c * 16 + i)).unwrap();
                         }
-                    });
-                }
-            })
-        })
-    });
+                    }
+                    done.wait();
+                });
+            }
+            // One untimed round fills the 128 keys, so calibration sizes
+            // the samples on a replay of hits, not on the cold fill.
+            start.wait();
+            done.wait();
+            g.bench_function("hot_replay_8_clients", |b| {
+                b.iter(|| {
+                    start.wait();
+                    done.wait();
+                })
+            });
+            stop.store(true, Ordering::Relaxed);
+            start.wait();
+        });
+    }
 
     let stats = engine.stats();
     println!(

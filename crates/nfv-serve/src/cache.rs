@@ -25,11 +25,25 @@
 //! dying; cold hits dequantize into a fresh attribution (they do *not*
 //! repopulate the hot tier — only a full recompute restores exactness).
 //! Attributions with non-finite values refuse quantization and die on
-//! eviction instead of demoting. Cold entries are keyed by a 128-bit
-//! fingerprint of the cache key (two independently-seeded FNV-1a folds),
-//! not the key itself, so a cold slot costs tens of bytes even when the
-//! key's quantized feature vector is large; feature names and the method
-//! string are interned per (model, method) and shared across entries.
+//! eviction instead of demoting. Cold entries are keyed by the key's
+//! 128-bit fingerprint alone, not the key itself, so a cold slot costs
+//! tens of bytes even when the key's quantized feature vector is large;
+//! feature names and the method string are interned per (model, method)
+//! and shared across entries.
+//!
+//! # One identity per request
+//!
+//! A key is hashed **once**: [`CacheKey::build`] folds a 128-bit lookup
+//! fingerprint in the pass that quantizes the input, and the key carries
+//! it. The fingerprint's high half picks the shard; its low half indexes
+//! the hot map, the cold map and the single-flight table through a
+//! pass-through hasher. The hot tier and the flight table keep the full
+//! key beside the entry and compare it on a fingerprint match, so an exact
+//! answer never rests on the hash. A lookup needs only borrowed parts
+//! (`KeyRef`): the serving hit path quantizes onto its stack and
+//! allocates nothing. The fingerprint is process-local;
+//! [`CacheKey::stable_hash`] (FNV-1a, frozen) remains the cross-process
+//! identity behind seeds and routing and is not computed on a hit.
 //!
 //! Entries carry a fidelity **grade** (coarse anytime answers vs
 //! full-budget answers). Inserts are monotone in the grade: a full-budget
@@ -41,17 +55,25 @@
 //! wait on the leader's result, so N simultaneous copies of a question cost
 //! one model evaluation instead of N.
 
-use crate::request::{fnv1a_bytes, fnv1a_words, fnv1a_words_alt, ExplainMethod, Fidelity};
+use crate::request::{fnv1a_bytes, fnv1a_words, ExplainMethod, Fidelity, Fnv1a, LookupFold};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use nfv_xai::prelude::Attribution;
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Cache identity of one explanation: model, version, method (with
-/// budget), and the quantized input.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// budget), and the quantized input — plus the 128-bit *lookup
+/// fingerprint* folded from exactly those parts while the key was built.
+/// Shard selection, both tiers' maps and the single-flight table read the
+/// carried fingerprint; nothing hashes a key a second time.
+///
+/// The public fields are the identity: build keys with
+/// [`CacheKey::build`] and treat them as read-only (a field edited
+/// afterwards no longer matches the carried fingerprint).
+#[derive(Debug, Clone)]
 pub struct CacheKey {
     /// Registry id of the model.
     pub model_id: String,
@@ -61,6 +83,89 @@ pub struct CacheKey {
     pub method: ExplainMethod,
     /// Grid-quantized feature vector.
     pub qfeatures: Vec<i64>,
+    fp: u128,
+}
+
+/// Two keys are the same request when their parts are: the method
+/// compares by (interned id, budget word), like every other identity in
+/// the serving layer, and the fingerprint — a function of the parts — is
+/// not consulted.
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &CacheKey) -> bool {
+        self.key_ref().same_request(&other.key_ref())
+    }
+}
+
+impl Eq for CacheKey {}
+
+/// The grid a key is quantized on (a non-positive grid means "finest").
+fn effective_grid(grid: f64) -> f64 {
+    if grid > 0.0 {
+        grid
+    } else {
+        1e-9
+    }
+}
+
+/// The grid cell of one feature, `(x / grid).round() as i64`; `None` when
+/// `x` is non-finite or the cell overflows the grid. The one quantizer:
+/// cache keys and [`CacheKey::stable_hash_of`] both call it, so they cannot
+/// disagree on a cell.
+///
+/// Rounds half away from zero through an integer truncation, not
+/// `f64::round` (a libm call per cell on baseline x86-64): `y - t` is the
+/// exact fractional part, and a `y` at or beyond 2^52 is already whole.
+fn quantize_cell(x: f64, grid: f64) -> Option<i64> {
+    let y = x / grid;
+    // False for a NaN `y` too, so non-finite inputs end here.
+    if y.abs() < i64::MAX as f64 {
+        let t = y as i64;
+        let frac = y - t as f64;
+        Some(t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5))
+    } else {
+        None
+    }
+}
+
+/// Quantizes `features`, handing each cell to `push`, and in the same pass
+/// folds the lookup fingerprint over (id, version, method id, budget,
+/// cells).
+fn quantize_and_fold(
+    model_id: &str,
+    model_version: u64,
+    method: ExplainMethod,
+    features: &[f64],
+    grid: f64,
+    mut push: impl FnMut(i64),
+) -> Option<u128> {
+    let grid = effective_grid(grid);
+    let (method_id, budget) = method.hash_parts();
+    let mut fold = LookupFold::new();
+    fold.bytes(model_id.as_bytes());
+    fold.word(model_version);
+    fold.word(method_id);
+    fold.word(budget);
+    for &x in features {
+        let cell = quantize_cell(x, grid)?;
+        fold.word(cell as u64);
+        push(cell);
+    }
+    Some(fold.finish())
+}
+
+/// The stable hash's state after (id hash, version, method id, budget).
+fn stable_hash_prefix(model_id: &str, model_version: u64, method: ExplainMethod) -> Fnv1a {
+    let (method_id, budget) = method.hash_parts();
+    let mut h = Fnv1a::new();
+    for w in [
+        fnv1a_bytes(model_id.as_bytes()),
+        model_version,
+        method_id,
+        budget,
+    ] {
+        h.word(w);
+    }
+    h
 }
 
 impl CacheKey {
@@ -74,85 +179,207 @@ impl CacheKey {
         features: &[f64],
         grid: f64,
     ) -> Option<CacheKey> {
-        let grid = if grid > 0.0 { grid } else { 1e-9 };
-        let mut q = Vec::with_capacity(features.len());
-        for &x in features {
-            if !x.is_finite() {
-                return None;
-            }
-            let cell = (x / grid).round();
-            if cell.abs() >= i64::MAX as f64 {
-                return None;
-            }
-            q.push(cell as i64);
-        }
+        let mut qfeatures = Vec::with_capacity(features.len());
+        let fp = quantize_and_fold(model_id, model_version, method, features, grid, |cell| {
+            qfeatures.push(cell)
+        })?;
         Some(CacheKey {
             model_id: model_id.to_string(),
             model_version,
             method,
-            qfeatures: q,
+            qfeatures,
+            fp,
         })
     }
 
-    /// A run-to-run stable content hash (FNV-1a): shard selection and
-    /// per-request RNG seeds both derive from this, so it must not depend
-    /// on process-local hasher state.
+    /// A run-to-run stable content hash (FNV-1a, frozen — it must never
+    /// change): per-request RNG seeds and ring routing derive from this,
+    /// so it cannot depend on process-local state. Computed on demand
+    /// (the miss path and the router need it; a cache hit does not).
     pub fn stable_hash(&self) -> u64 {
-        let (mtag, mbudget) = self.method.hash_parts();
-        let id_hash = fnv1a_bytes(self.model_id.as_bytes());
-        fnv1a_words(
-            [id_hash, self.model_version, mtag, mbudget]
-                .into_iter()
-                .chain(self.qfeatures.iter().map(|&v| v as u64)),
-        )
+        let mut h = stable_hash_prefix(&self.model_id, self.model_version, self.method);
+        for &v in &self.qfeatures {
+            h.word(v as u64);
+        }
+        h.finish()
     }
 
-    /// The 128-bit cold-tier key: [`CacheKey::stable_hash`] in the low
-    /// half, an independently-seeded second FNV-1a fold in the high half.
-    /// A cold-tier false hit requires both 64-bit hashes to collide at
-    /// once.
+    /// [`CacheKey::stable_hash`] of the key these parts would build,
+    /// without building it (nothing is allocated): the router hashes
+    /// every request and keeps no key. `None` as [`CacheKey::build`].
+    pub(crate) fn stable_hash_of(
+        model_id: &str,
+        model_version: u64,
+        method: ExplainMethod,
+        features: &[f64],
+        grid: f64,
+    ) -> Option<u64> {
+        let grid = effective_grid(grid);
+        let mut h = stable_hash_prefix(model_id, model_version, method);
+        for &x in features {
+            h.word(quantize_cell(x, grid)? as u64);
+        }
+        Some(h.finish())
+    }
+
+    /// The 128-bit lookup fingerprint the key was built with: the cache's
+    /// only hash. The high half picks the shard, the low half indexes the
+    /// shard's maps. Process-local — see `LookupFold` in `request.rs`.
     pub fn fingerprint(&self) -> u128 {
-        let (mtag, mbudget) = self.method.hash_parts();
-        let id_hash = fnv1a_bytes(self.model_id.as_bytes());
-        let hi = fnv1a_words_alt(
-            [id_hash, self.model_version, mtag, mbudget]
-                .into_iter()
-                .chain(self.qfeatures.iter().map(|&v| v as u64)),
-        );
-        ((hi as u128) << 64) | self.stable_hash() as u128
+        self.fp
+    }
+
+    fn key_ref(&self) -> KeyRef<'_> {
+        KeyRef {
+            model_id: &self.model_id,
+            model_version: self.model_version,
+            method: self.method,
+            qfeatures: &self.qfeatures,
+            fp: self.fp,
+        }
+    }
+
+    /// A copy of `self` claiming `fp` as its fingerprint: how tests put
+    /// two different keys on one fingerprint.
+    #[cfg(test)]
+    fn with_fingerprint(mut self, fp: u128) -> CacheKey {
+        self.fp = fp;
+        self
     }
 }
+
+/// Widest input quantized on the stack; wider ones spill to the heap.
+const INLINE_CELLS: usize = 32;
+
+/// Where a [`KeyRef`] keeps its quantized cells: the serving hit path
+/// quantizes into this on the stack and allocates nothing.
+pub(crate) struct CellBuf {
+    inline: [i64; INLINE_CELLS],
+    spill: Vec<i64>,
+}
+
+impl CellBuf {
+    pub(crate) fn new() -> CellBuf {
+        CellBuf {
+            inline: [0; INLINE_CELLS],
+            spill: Vec::new(),
+        }
+    }
+}
+
+/// A [`CacheKey`] by borrowed parts: what a lookup needs. Owning the id
+/// string and the cell vector is only worth it on a miss, where an insert
+/// will keep them ([`KeyRef::to_key`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyRef<'a> {
+    model_id: &'a str,
+    model_version: u64,
+    method: ExplainMethod,
+    qfeatures: &'a [i64],
+    fp: u128,
+}
+
+impl<'a> KeyRef<'a> {
+    /// [`CacheKey::build`] into `buf` instead of the heap.
+    pub(crate) fn quantize(
+        model_id: &'a str,
+        model_version: u64,
+        method: ExplainMethod,
+        features: &[f64],
+        grid: f64,
+        buf: &'a mut CellBuf,
+    ) -> Option<KeyRef<'a>> {
+        let d = features.len();
+        let cells = if d <= INLINE_CELLS {
+            &mut buf.inline[..d]
+        } else {
+            buf.spill.resize(d, 0);
+            &mut buf.spill[..]
+        };
+        let mut filled = 0;
+        let fp = quantize_and_fold(model_id, model_version, method, features, grid, |cell| {
+            cells[filled] = cell;
+            filled += 1;
+        })?;
+        Some(KeyRef {
+            model_id,
+            model_version,
+            method,
+            qfeatures: cells,
+            fp,
+        })
+    }
+
+    pub(crate) fn to_key(self) -> CacheKey {
+        CacheKey {
+            model_id: self.model_id.to_string(),
+            model_version: self.model_version,
+            method: self.method,
+            qfeatures: self.qfeatures.to_vec(),
+            fp: self.fp,
+        }
+    }
+
+    /// Part-by-part identity; never the fingerprint.
+    fn same_request(&self, other: &KeyRef<'_>) -> bool {
+        self.model_version == other.model_version
+            && self.method.hash_parts() == other.method.hash_parts()
+            && self.qfeatures == other.qfeatures
+            && self.model_id == other.model_id
+    }
+}
+
+/// Hasher of the fingerprint-keyed maps: a fingerprint is already
+/// avalanched, so its low half *is* the hash.
+#[derive(Debug, Default)]
+struct FpHasher(u64);
+
+impl Hasher for FpHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("fingerprint maps are keyed by u128 only");
+    }
+
+    fn write_u128(&mut self, fp: u128) {
+        self.0 = fp as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FpMap<V> = HashMap<u128, V, BuildHasherDefault<FpHasher>>;
 
 /// Slab index sentinel.
 const NIL: usize = usize::MAX;
 
 #[derive(Debug)]
-struct Slot<K, V> {
-    key: K,
+struct Slot<V> {
+    fp: u128,
     /// `None` only while the slot sits on the free list.
     value: Option<V>,
     prev: usize,
     next: usize,
 }
 
-/// One LRU: a hash map into a slab whose slots form an intrusive
-/// doubly-linked recency list. All operations are O(1). Generic over key
-/// and value so the hot tier (`CacheKey` → exact entry) and the cold tier
-/// (`u128` fingerprint → quantized entry) share one implementation.
+/// One LRU: a fingerprint map into a slab whose slots form an intrusive
+/// doubly-linked recency list. All operations are O(1). Both tiers share
+/// it; whether a fingerprint match is the entry asked for is the caller's
+/// question (the hot tier stores the full key in its value and compares).
 #[derive(Debug)]
-struct LruShard<K, V> {
-    map: HashMap<K, usize>,
-    slots: Vec<Slot<K, V>>,
+struct LruShard<V> {
+    map: FpMap<usize>,
+    slots: Vec<Slot<V>>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
     capacity: usize,
 }
 
-impl<K: Eq + Hash + Clone, V> LruShard<K, V> {
+impl<V> LruShard<V> {
     fn new(capacity: usize) -> Self {
         LruShard {
-            map: HashMap::with_capacity(capacity),
+            map: FpMap::with_capacity_and_hasher(capacity, Default::default()),
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -187,30 +414,36 @@ impl<K: Eq + Hash + Clone, V> LruShard<K, V> {
         }
     }
 
-    /// Hit lookup: refreshes recency.
-    fn get(&mut self, key: &K) -> Option<&V> {
-        let i = *self.map.get(key)?;
-        self.unlink(i);
-        self.push_front(i);
+    /// Hit lookup: the entry under `fp` if `is_it` accepts it, with its
+    /// recency refreshed.
+    fn get(&mut self, fp: u128, is_it: impl FnOnce(&V) -> bool) -> Option<&V> {
+        let i = *self.map.get(&fp)?;
+        if !self.slots[i].value.as_ref().is_some_and(is_it) {
+            return None;
+        }
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
         self.slots[i].value.as_ref()
     }
 
     /// Recency-neutral lookup (grade checks, stats).
-    fn peek(&self, key: &K) -> Option<&V> {
+    fn peek(&self, fp: u128) -> Option<&V> {
         self.map
-            .get(key)
+            .get(&fp)
             .and_then(|&i| self.slots[i].value.as_ref())
     }
 
-    /// Inserts (or refreshes) `key`. Returns the evicted LRU victim when
-    /// the insert pushed one out — the caller decides its afterlife
-    /// (demotion to a colder tier, or death). A zero-capacity shard
-    /// "evicts" the incoming pair immediately.
-    fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+    /// Inserts (or replaces) the entry under `fp`. Returns the evicted
+    /// LRU victim when the insert pushed one out — the caller decides its
+    /// afterlife (demotion to a colder tier, or death). A zero-capacity
+    /// shard "evicts" the incoming pair immediately.
+    fn insert(&mut self, fp: u128, value: V) -> Option<(u128, V)> {
         if self.capacity == 0 {
-            return Some((key, value));
+            return Some((fp, value));
         }
-        if let Some(&i) = self.map.get(&key) {
+        if let Some(&i) = self.map.get(&fp) {
             self.slots[i].value = Some(value);
             self.unlink(i);
             self.push_front(i);
@@ -219,71 +452,63 @@ impl<K: Eq + Hash + Clone, V> LruShard<K, V> {
         let evicted = if self.map.len() >= self.capacity {
             let victim = self.tail;
             self.unlink(victim);
-            let old_key = self.slots[victim].key.clone();
-            self.map.remove(&old_key);
+            let old_fp = self.slots[victim].fp;
+            self.map.remove(&old_fp);
             self.free.push(victim);
-            self.slots[victim].value.take().map(|v| (old_key, v))
+            self.slots[victim].value.take().map(|v| (old_fp, v))
         } else {
             None
         };
+        let slot = Slot {
+            fp,
+            value: Some(value),
+            prev: NIL,
+            next: NIL,
+        };
         let i = match self.free.pop() {
             Some(i) => {
-                self.slots[i] = Slot {
-                    key: key.clone(),
-                    value: Some(value),
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.slots[i] = slot;
                 i
             }
             None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value: Some(value),
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.slots.push(slot);
                 self.slots.len() - 1
             }
         };
-        self.map.insert(key, i);
+        self.map.insert(fp, i);
         self.push_front(i);
         evicted
     }
 
-    /// Removes `key`, returning its value.
-    fn remove(&mut self, key: &K) -> Option<V> {
-        let i = self.map.remove(key)?;
+    /// Removes the entry under `fp`, returning its value.
+    fn remove(&mut self, fp: u128) -> Option<V> {
+        let i = self.map.remove(&fp)?;
         self.unlink(i);
         self.free.push(i);
         self.slots[i].value.take()
     }
 
     /// Drops every entry failing `keep`.
-    fn retain<F: Fn(&K, &V) -> bool>(&mut self, keep: F) {
+    fn retain<F: Fn(&V) -> bool>(&mut self, keep: F) {
         let victims: Vec<usize> = self
             .map
-            .iter()
-            .filter(|(k, &i)| match self.slots[i].value.as_ref() {
-                Some(v) => !keep(k, v),
-                None => true,
-            })
-            .map(|(_, &i)| i)
+            .values()
+            .copied()
+            .filter(|&i| !self.slots[i].value.as_ref().is_some_and(&keep))
             .collect();
         for i in victims {
             self.unlink(i);
-            let k = self.slots[i].key.clone();
-            self.map.remove(&k);
+            self.map.remove(&self.slots[i].fp);
             self.slots[i].value = None;
             self.free.push(i);
         }
     }
 
     /// Visits every live entry (stats; order unspecified).
-    fn for_each<F: FnMut(&K, &V)>(&self, mut f: F) {
-        for (k, &i) in &self.map {
+    fn for_each<F: FnMut(&V)>(&self, mut f: F) {
+        for &i in self.map.values() {
             if let Some(v) = self.slots[i].value.as_ref() {
-                f(k, v);
+                f(v);
             }
         }
     }
@@ -293,9 +518,12 @@ impl<K: Eq + Hash + Clone, V> LruShard<K, V> {
     }
 }
 
-/// One exact-tier entry: the attribution plus its sampling-budget grade.
+/// One exact-tier entry: the full key (a fingerprint match is checked
+/// against it, so exactness never rests on the hash), the attribution and
+/// its sampling-budget grade.
 #[derive(Debug)]
 struct HotEntry {
+    key: CacheKey,
     attr: Arc<Attribution>,
     /// 0 = full budget; otherwise the coarse anytime budget it was
     /// computed at (surfaced as [`Fidelity::Coarse`] on hits).
@@ -453,26 +681,26 @@ impl CacheUsage {
 /// One shard: a hot exact LRU and a cold quantized LRU behind one mutex.
 #[derive(Debug)]
 struct TierShard {
-    hot: LruShard<CacheKey, HotEntry>,
-    cold: LruShard<u128, ColdEntry>,
+    hot: LruShard<HotEntry>,
+    cold: LruShard<ColdEntry>,
 }
 
 impl TierShard {
     /// Grade (0 = coarse, 1 = full) of whatever the shard currently holds
     /// for `key`, in either tier.
-    fn grade_of(&self, key: &CacheKey, fp: u128) -> Option<u8> {
-        if let Some(e) = self.hot.peek(key) {
-            return Some((e.coarse_budget == 0) as u8);
+    fn grade_of(&self, key: &KeyRef<'_>) -> Option<u8> {
+        match self.hot.peek(key.fp) {
+            Some(e) if e.key.key_ref().same_request(key) => Some((e.coarse_budget == 0) as u8),
+            _ => self.cold.peek(key.fp).map(|e| (e.coarse_budget == 0) as u8),
         }
-        self.cold.peek(&fp).map(|e| (e.coarse_budget == 0) as u8)
     }
 
     /// Demotes an evicted hot entry into the cold tier (monotone: never
     /// clobbers a higher-grade cold entry; non-finite values die here).
-    fn demote(&mut self, key: CacheKey, entry: HotEntry, intern: &MetaIntern) {
-        let fp = key.fingerprint();
+    fn demote(&mut self, entry: HotEntry, intern: &MetaIntern) {
+        let fp = entry.key.fp;
         let victim_grade = (entry.coarse_budget == 0) as u8;
-        if let Some(existing) = self.cold.peek(&fp) {
+        if let Some(existing) = self.cold.peek(fp) {
             if (existing.coarse_budget == 0) as u8 > victim_grade {
                 return;
             }
@@ -491,7 +719,7 @@ impl TierShard {
                 base_value: entry.attr.base_value,
                 prediction: entry.attr.prediction,
                 coarse_budget: entry.coarse_budget,
-                id_hash: fnv1a_bytes(key.model_id.as_bytes()),
+                id_hash: fnv1a_bytes(entry.key.model_id.as_bytes()),
             },
         );
     }
@@ -503,28 +731,27 @@ impl TierShard {
         coarse_budget: u64,
         intern: &MetaIntern,
     ) {
-        let fp = key.fingerprint();
+        let fp = key.fp;
         let new_grade = (coarse_budget == 0) as u8;
-        if let Some(existing) = self.grade_of(&key, fp) {
+        if let Some(existing) = self.grade_of(&key.key_ref()) {
             if existing > new_grade {
                 return; // never downgrade an entry in place
             }
         }
         // The hot copy (inserted below) supersedes any cold copy.
-        self.cold.remove(&fp);
-        if let Some((vk, vv)) = self.hot.insert(
+        self.cold.remove(fp);
+        let entry = HotEntry {
             key,
-            HotEntry {
-                attr,
-                coarse_budget,
-            },
-        ) {
-            self.demote(vk, vv, intern);
+            attr,
+            coarse_budget,
+        };
+        if let Some((_, victim)) = self.hot.insert(fp, entry) {
+            self.demote(victim, intern);
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<(Arc<Attribution>, Fidelity)> {
-        if let Some(e) = self.hot.get(key) {
+    fn get(&mut self, key: &KeyRef<'_>) -> Option<(Arc<Attribution>, Fidelity)> {
+        if let Some(e) = self.hot.get(key.fp, |e| e.key.key_ref().same_request(key)) {
             let fid = if e.coarse_budget == 0 {
                 Fidelity::Exact
             } else {
@@ -534,7 +761,7 @@ impl TierShard {
             };
             return Some((Arc::clone(&e.attr), fid));
         }
-        let e = self.cold.get(&key.fingerprint())?;
+        let e = self.cold.get(key.fp, |_| true)?;
         Some((Arc::new(e.dequantize()), e.fidelity()))
     }
 
@@ -545,9 +772,8 @@ impl TierShard {
             ..CacheUsage::default()
         };
         self.hot
-            .for_each(|k, e| u.hot_bytes += hot_entry_bytes(k, &e.attr));
-        self.cold
-            .for_each(|_, e| u.cold_bytes += cold_entry_bytes(e));
+            .for_each(|e| u.hot_bytes += hot_entry_bytes(&e.key, &e.attr));
+        self.cold.for_each(|e| u.cold_bytes += cold_entry_bytes(e));
         u
     }
 }
@@ -606,8 +832,17 @@ impl std::fmt::Debug for Flight {
     }
 }
 
+/// What a flight's leader hands its followers (`None` = it failed).
+type FlightResult = Option<(Arc<Attribution>, Fidelity)>;
+
+/// The waiters of one in-flight fill, with the key they wait for.
+struct FlightEntry {
+    key: CacheKey,
+    waiters: Vec<Sender<FlightResult>>,
+}
+
 /// The concurrent cache: `n_shards` independent two-tier shards, each
-/// behind its own mutex, selected by the key's stable hash. Lock hold
+/// behind its own mutex, selected by the key's fingerprint. Lock hold
 /// times are a map probe plus two list splices (plus one dequantization
 /// pass on cold hits). A side table tracks in-flight fills for
 /// single-flight deduplication of concurrent identical misses.
@@ -616,8 +851,7 @@ pub struct ShardedCache {
     intern: MetaIntern,
     /// Keys being computed right now → waiting followers. Small (bounded
     /// by in-flight requests), so one mutex suffices.
-    #[allow(clippy::type_complexity)]
-    in_flight: Mutex<HashMap<CacheKey, Vec<Sender<Option<(Arc<Attribution>, Fidelity)>>>>>,
+    in_flight: Mutex<FpMap<FlightEntry>>,
 }
 
 impl ShardedCache {
@@ -643,7 +877,7 @@ impl ShardedCache {
                 })
                 .collect(),
             intern: MetaIntern::default(),
-            in_flight: Mutex::new(HashMap::new()),
+            in_flight: Mutex::new(FpMap::default()),
         }
     }
 
@@ -656,15 +890,20 @@ impl ShardedCache {
     /// releases the followers. A leader that aborts before enqueueing must
     /// call `complete_flight(key, None)` itself.
     pub fn begin_flight(&self, key: &CacheKey) -> Flight {
-        let mut table = self.in_flight.lock();
-        match table.get_mut(key) {
-            Some(waiters) => {
+        match self.in_flight.lock().entry(key.fp) {
+            Entry::Occupied(mut flight) if flight.get().key == *key => {
                 let (tx, rx) = bounded(1);
-                waiters.push(tx);
+                flight.get_mut().waiters.push(tx);
                 Flight::Follower(rx)
             }
-            None => {
-                table.insert(key.clone(), Vec::new());
+            // Another key's flight holds this fingerprint: compute alone
+            // (unregistered, so this key's `complete_flight` is a no-op).
+            Entry::Occupied(_) => Flight::Leader,
+            Entry::Vacant(slot) => {
+                slot.insert(FlightEntry {
+                    key: key.clone(),
+                    waiters: Vec::new(),
+                });
                 Flight::Leader
             }
         }
@@ -675,11 +914,12 @@ impl ShardedCache {
     /// followers fall back to their own computation). A no-op when no
     /// flight is registered, so workers may call it unconditionally.
     pub fn complete_flight(&self, key: &CacheKey, result: Option<(Arc<Attribution>, Fidelity)>) {
-        let waiters = self.in_flight.lock().remove(key);
-        if let Some(waiters) = waiters {
-            for tx in waiters {
-                let _ = tx.send(result.clone());
-            }
+        let flight = match self.in_flight.lock().entry(key.fp) {
+            Entry::Occupied(flight) if flight.get().key == *key => flight.remove(),
+            _ => return,
+        };
+        for tx in flight.waiters {
+            let _ = tx.send(result.clone());
         }
     }
 
@@ -701,19 +941,27 @@ impl std::fmt::Debug for ShardedCache {
 }
 
 impl ShardedCache {
-    fn shard(&self, key: &CacheKey) -> &Mutex<TierShard> {
-        // High bits: FNV's low bits are the most mixed, but keep it simple
-        // and uniform by folding.
-        let h = key.stable_hash();
-        let idx = (h ^ (h >> 32)) as usize % self.shards.len();
-        &self.shards[idx]
+    /// The shard owning `fp`, from the fingerprint's high half (the maps
+    /// inside a shard index by the low half, so the two choices are
+    /// independent).
+    fn shard(&self, fp: u128) -> &Mutex<TierShard> {
+        &self.shards[self.shard_index(fp)]
+    }
+
+    fn shard_index(&self, fp: u128) -> usize {
+        (((fp >> 64) * self.shards.len() as u128) >> 64) as usize
     }
 
     /// Looks `key` up, refreshing its recency on hit. Hot hits return the
     /// shared exact attribution; cold hits dequantize into a fresh one and
     /// carry the entry's measured error bound in the fidelity.
     pub fn get(&self, key: &CacheKey) -> Option<(Arc<Attribution>, Fidelity)> {
-        self.shard(key).lock().get(key)
+        self.get_ref(&key.key_ref())
+    }
+
+    /// [`ShardedCache::get`] by borrowed parts.
+    pub(crate) fn get_ref(&self, key: &KeyRef<'_>) -> Option<(Arc<Attribution>, Fidelity)> {
+        self.shard(key.fp).lock().get(key)
     }
 
     /// Inserts (or refreshes) `key` with a full-budget result.
@@ -726,7 +974,7 @@ impl ShardedCache {
     /// never overwrites a full-budget entry, in either tier; a full-budget
     /// result upgrades a coarse entry in place (same key).
     pub fn insert_graded(&self, key: CacheKey, value: Arc<Attribution>, coarse_budget: u64) {
-        self.shard(&key)
+        self.shard(key.fp)
             .lock()
             .insert(key, value, coarse_budget, &self.intern);
     }
@@ -735,8 +983,7 @@ impl ShardedCache {
     /// full), without refreshing recency. `None` on miss. The refiner uses
     /// this to skip work another path already upgraded.
     pub fn entry_grade(&self, key: &CacheKey) -> Option<u8> {
-        let fp = key.fingerprint();
-        self.shard(key).lock().grade_of(key, fp)
+        self.shard(key.fp).lock().grade_of(&key.key_ref())
     }
 
     /// Eagerly drops every entry belonging to `model_id` (all versions,
@@ -747,8 +994,8 @@ impl ShardedCache {
         let id_hash = fnv1a_bytes(model_id.as_bytes());
         for s in &self.shards {
             let mut s = s.lock();
-            s.hot.retain(|k, _| k.model_id != model_id);
-            s.cold.retain(|_, e| e.id_hash != id_hash);
+            s.hot.retain(|e| e.key.model_id != model_id);
+            s.cold.retain(|e| e.id_hash != id_hash);
         }
     }
 
@@ -801,6 +1048,7 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nfv_data::prelude::*;
     use proptest::prelude::*;
 
     fn attr(v: f64) -> Arc<Attribution> {
@@ -817,43 +1065,52 @@ mod tests {
         CacheKey::build("m", version, ExplainMethod::TreeShap, &[x], 1e-6).unwrap()
     }
 
+    /// Fingerprint of the test key at `x`.
+    fn fp(x: f64) -> u128 {
+        key(1, x).fingerprint()
+    }
+
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut s: LruShard<CacheKey, Arc<Attribution>> = LruShard::new(2);
-        s.insert(key(1, 1.0), attr(1.0));
-        s.insert(key(1, 2.0), attr(2.0));
+        let mut s: LruShard<Arc<Attribution>> = LruShard::new(2);
+        s.insert(fp(1.0), attr(1.0));
+        s.insert(fp(2.0), attr(2.0));
         // Touch 1.0 so 2.0 becomes the LRU victim.
-        assert!(s.get(&key(1, 1.0)).is_some());
-        let evicted = s.insert(key(1, 3.0), attr(3.0));
-        assert_eq!(evicted.unwrap().0, key(1, 2.0), "2.0 evicted and returned");
-        assert!(s.get(&key(1, 2.0)).is_none());
-        assert!(s.get(&key(1, 1.0)).is_some());
-        assert!(s.get(&key(1, 3.0)).is_some());
+        assert!(s.get(fp(1.0), |_| true).is_some());
+        let evicted = s.insert(fp(3.0), attr(3.0));
+        assert_eq!(evicted.unwrap().0, fp(2.0), "2.0 evicted and returned");
+        assert!(s.get(fp(2.0), |_| true).is_none());
+        assert!(s.get(fp(1.0), |_| true).is_some());
+        assert!(s.get(fp(3.0), |_| true).is_some());
         assert_eq!(s.len(), 2);
+        // A refused match is a miss and leaves the recency order alone.
+        assert!(s.get(fp(1.0), |_| false).is_none());
+        let evicted = s.insert(fp(4.0), attr(4.0));
+        assert_eq!(evicted.unwrap().0, fp(1.0), "the refused get did not touch");
     }
 
     #[test]
     fn slab_reuses_freed_slots() {
-        let mut s: LruShard<CacheKey, Arc<Attribution>> = LruShard::new(2);
+        let mut s: LruShard<Arc<Attribution>> = LruShard::new(2);
         for i in 0..100 {
-            s.insert(key(1, i as f64), attr(i as f64));
+            s.insert(fp(i as f64), attr(i as f64));
         }
         assert_eq!(s.len(), 2);
         assert!(s.slots.len() <= 3, "slab bounded: {}", s.slots.len());
         // remove() frees the slot for reuse too.
-        assert!(s.remove(&key(1, 99.0)).is_some());
-        assert!(s.remove(&key(1, 99.0)).is_none());
-        s.insert(key(1, 200.0), attr(200.0));
+        assert!(s.remove(fp(99.0)).is_some());
+        assert!(s.remove(fp(99.0)).is_none());
+        s.insert(fp(200.0), attr(200.0));
         assert_eq!(s.len(), 2);
         assert!(s.slots.len() <= 3);
     }
 
     #[test]
     fn zero_capacity_shard_rejects_inserts() {
-        let mut s: LruShard<u64, u64> = LruShard::new(0);
+        let mut s: LruShard<u64> = LruShard::new(0);
         assert_eq!(s.insert(1, 10), Some((1, 10)), "bounced straight back");
         assert_eq!(s.len(), 0);
-        assert!(s.get(&1).is_none());
+        assert!(s.get(1, |_| true).is_none());
     }
 
     #[test]
@@ -879,6 +1136,63 @@ mod tests {
             CacheKey::build("m", 1, ExplainMethod::TreeShap, &[1e300], 1e-9).is_none(),
             "grid overflow"
         );
+    }
+
+    /// The cell the quantizer replaced: `f64::round`, then the range check.
+    fn reference_cell(x: f64, grid: f64) -> Option<i64> {
+        if !x.is_finite() {
+            return None;
+        }
+        let cell = (x / grid).round();
+        (cell.abs() < i64::MAX as f64).then_some(cell as i64)
+    }
+
+    #[test]
+    fn quantize_cell_rounds_exactly_like_f64_round() {
+        let p52 = (1u64 << 52) as f64;
+        let p63 = (1u64 << 63) as f64;
+        let mut probes = vec![
+            0.0,
+            0.25,
+            0.49999999999999994, // the largest double below one half
+            0.5,
+            0.5000000000000001,
+            1.5,
+            2.5,
+            1e15 + 0.5,
+            p52 - 1.5,
+            p52 - 0.5,
+            p52,
+            p52 + 1.0,
+            2.0 * p52 + 2.0,
+            p63 - 1024.0, // the largest double below 2^63
+            p63,
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        probes.extend(probes.clone().iter().map(|y| -y));
+        for y in probes {
+            assert_eq!(quantize_cell(y, 1.0), reference_cell(y, 1.0), "y = {y:e}");
+        }
+        // Every binade, on its edges, its middle and a scattered mantissa.
+        let mut lcg = 0x5eed_u64;
+        for exponent in 0u64..2047 {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            for mantissa in [0, 1, 1 << 51, (1 << 51) + 1, (1 << 52) - 1, lcg >> 12] {
+                for sign in [0u64, 1 << 63] {
+                    let y = f64::from_bits(sign | (exponent << 52) | mantissa);
+                    assert_eq!(quantize_cell(y, 1.0), reference_cell(y, 1.0), "y = {y:e}");
+                    assert_eq!(quantize_cell(y, 1e-6), reference_cell(y, 1e-6), "x = {y:e}");
+                }
+            }
+        }
+        assert_eq!(quantize_cell(-0.0, 1e-3), Some(0));
+        assert_eq!(quantize_cell(1e300, 1e-9), None, "the quotient overflows");
     }
 
     #[test]
@@ -916,12 +1230,72 @@ mod tests {
 
     #[test]
     fn fingerprint_halves_are_independent() {
-        let k = key(1, 5.0);
-        let fp = k.fingerprint();
-        assert_eq!(fp as u64, k.stable_hash(), "low half is the stable hash");
-        assert_ne!((fp >> 64) as u64, fp as u64);
-        assert_ne!(key(1, 5.0).fingerprint(), key(1, 6.0).fingerprint());
-        assert_ne!(key(1, 5.0).fingerprint(), key(2, 5.0).fingerprint());
+        let halves = |k: CacheKey| {
+            let fp = k.fingerprint();
+            (fp as u64, (fp >> 64) as u64)
+        };
+        let (lo, hi) = halves(key(1, 5.0));
+        assert_eq!((lo, hi), halves(key(1, 5.0)), "carried, deterministic");
+        assert_ne!(lo, hi);
+        assert_ne!(
+            lo,
+            key(1, 5.0).stable_hash(),
+            "the lookup fingerprint is its own hash, not the frozen one"
+        );
+        // Each half separates neighbouring keys on its own: the high half
+        // picks the shard, the low half the slot.
+        for other in [key(1, 6.0), key(2, 5.0)] {
+            let (olo, ohi) = halves(other);
+            assert_ne!(lo, olo);
+            assert_ne!(hi, ohi);
+        }
+    }
+
+    #[test]
+    fn fingerprint_match_on_a_different_key_is_a_miss() {
+        let c = ShardedCache::new(16, 16, 4);
+        let stored = key(1, 5.0);
+        c.insert(stored.clone(), attr(10.0));
+        // A different request that claims the stored key's fingerprint
+        // lands on the stored slot and must not be answered from it.
+        let impostor = key(1, 6.0).with_fingerprint(stored.fingerprint());
+        assert_ne!(impostor, stored);
+        assert!(c.get(&impostor).is_none(), "exactness rests on the key");
+        assert_eq!(c.entry_grade(&impostor), None);
+        assert!(c.get(&stored).is_some());
+        // Nor does it join the stored key's single-flight.
+        assert!(matches!(c.begin_flight(&stored), Flight::Leader));
+        assert!(matches!(c.begin_flight(&impostor), Flight::Leader));
+        c.complete_flight(&impostor, None);
+        assert_eq!(c.flights_in_progress(), 1, "the real flight is untouched");
+        c.complete_flight(&stored, None);
+        assert_eq!(c.flights_in_progress(), 0);
+        // Inserting it takes the slot over; the old key now misses.
+        c.insert(impostor.clone(), attr(20.0));
+        assert_eq!(c.get(&impostor).unwrap().0.prediction, 20.0);
+        assert!(c.get(&stored).is_none());
+    }
+
+    #[test]
+    fn dataset_row_keys_spread_evenly_over_shards() {
+        const KEYS: usize = 4096;
+        const SHARDS: usize = 8;
+        let c = ShardedCache::new(KEYS, 0, SHARDS);
+        let data =
+            generate_fluid(&SweepConfig::secure_web(7), KEYS, Target::LatencyP95LogMs).unwrap();
+        assert_eq!(data.n_features(), 14);
+        let mut per_shard = [0usize; SHARDS];
+        for r in 0..KEYS {
+            let k = CacheKey::build("sla", 3, ExplainMethod::TreeShap, data.row(r), 1e-6).unwrap();
+            per_shard[c.shard_index(k.fingerprint())] += 1;
+        }
+        let mean = (KEYS / SHARDS) as f64;
+        for (i, &n) in per_shard.iter().enumerate() {
+            assert!(
+                (n as f64 - mean).abs() <= 0.2 * mean,
+                "shard {i} holds {n} of {KEYS} keys (mean {mean}): {per_shard:?}"
+            );
+        }
     }
 
     #[test]
@@ -1200,6 +1574,67 @@ mod tests {
             let idx = idx % values.len();
             values[idx] = poison;
             prop_assert!(quantize(&values).is_none());
+        }
+
+        /// Keys that differ in exactly one part — the id, the version,
+        /// the method, its budget, or one grid cell — never share a
+        /// fingerprint, in either half.
+        #[test]
+        fn prop_one_part_apart_means_fingerprints_apart(
+            id in proptest::collection::vec(b'a'..b'{', 1..24),
+            version in 0u64..1_000_000,
+            budget in 1usize..4096,
+            cells in proptest::collection::vec(-1_000_000i64..1_000_000, 14),
+            which in 0usize..14,
+            delta in 1i64..1000,
+        ) {
+            let id = String::from_utf8(id).unwrap();
+            let grid = 1e-3;
+            let x: Vec<f64> = cells.iter().map(|&c| c as f64 * grid).collect();
+            let method = ExplainMethod::KernelShap { n_coalitions: budget };
+            let build = |id: &str, version, method, x: &[f64]| {
+                CacheKey::build(id, version, method, x, grid).unwrap()
+            };
+            let base = build(&id, version, method, &x);
+            let mut moved = x.clone();
+            moved[which] = (cells[which] + delta) as f64 * grid;
+            let neighbours = [
+                build(&format!("{id}x"), version, method, &x),
+                build(&id, version + 1, method, &x),
+                build(&id, version, ExplainMethod::Lime { n_samples: budget }, &x),
+                build(&id, version, ExplainMethod::KernelShap { n_coalitions: budget + 1 }, &x),
+                build(&id, version, method, &moved),
+            ];
+            let (lo, hi) = (base.fingerprint() as u64, (base.fingerprint() >> 64) as u64);
+            for n in &neighbours {
+                prop_assert!(base != *n);
+                prop_assert!(lo != n.fingerprint() as u64, "low halves meet: {:?}", n);
+                prop_assert!(hi != (n.fingerprint() >> 64) as u64, "high halves meet: {:?}", n);
+            }
+            // The same parts are the same fingerprint, whoever builds it.
+            let mut buf = CellBuf::new();
+            let borrowed = KeyRef::quantize(&id, version, method, &x, grid, &mut buf).unwrap();
+            prop_assert_eq!(borrowed.fp, base.fingerprint());
+            prop_assert_eq!(borrowed.to_key(), base);
+        }
+
+        /// The integer-truncation quantizer is `f64::round` bit for bit,
+        /// over every binade and on the half-way points.
+        #[test]
+        fn prop_quantize_cell_matches_f64_round(
+            mantissa in 0u64..(1 << 52),
+            exponent in 0u64..2047,
+            negative in 0u8..2,
+            halves in -1_000_000i64..1_000_000,
+            grid_exp in -9i32..3,
+        ) {
+            let x = f64::from_bits(((negative as u64) << 63) | (exponent << 52) | mantissa);
+            let grid = 10f64.powi(grid_exp);
+            prop_assert_eq!(quantize_cell(x, grid), reference_cell(x, grid));
+            prop_assert_eq!(quantize_cell(x, 1.0), reference_cell(x, 1.0));
+            let tie = halves as f64 + 0.5;
+            prop_assert_eq!(quantize_cell(tie, 1.0), reference_cell(tie, 1.0));
+            prop_assert_eq!(quantize_cell(tie * grid, grid), reference_cell(tie * grid, grid));
         }
 
         /// ±0.0 features build identical keys (hit-key concern: the sign

@@ -140,14 +140,17 @@ impl HashRing {
 ///
 /// This is the **single** placement function: the in-process
 /// [`ServeCluster`] and the `nfv-net` wire router both call it, so a key's
-/// home shard is the same on either transport.
+/// home shard is the same on either transport. The versionless words go
+/// straight through the key quantizer — no key is built, nothing is
+/// allocated — and the value is `CacheKey::build(model_id, 0, ..)`'s
+/// `stable_hash()` bit for bit.
 pub fn route_hash(
     model_id: &str,
     method: crate::request::ExplainMethod,
     features: &[f64],
     grid: f64,
 ) -> Option<u64> {
-    CacheKey::build(model_id, 0, method, features, grid).map(|k| k.stable_hash())
+    CacheKey::stable_hash_of(model_id, 0, method, features, grid)
 }
 
 /// Cluster configuration: N identical shards plus routing policy.

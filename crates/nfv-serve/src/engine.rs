@@ -3,12 +3,12 @@
 //! shared-nothing sharded cluster; a network frontend would wrap either.
 
 use crate::batcher::BatchPolicy;
-use crate::cache::{self, CacheKey, CacheUsage, ShardedCache};
+use crate::cache::{self, CacheKey, CacheUsage, CellBuf, KeyRef, ShardedCache};
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::{Metrics, ServeStats};
 use crate::queue::{Job, JobQueue};
 use crate::registry::{ModelEntry, ModelRegistry};
-use crate::request::{request_seed, ExplainRequest, ExplainResponse, Fidelity};
+use crate::request::{request_seed, ExplainMethod, ExplainRequest, ExplainResponse, Fidelity};
 use crate::worker;
 use nfv_xai::prelude::CoalitionWorkspace;
 use std::sync::atomic::Ordering;
@@ -300,23 +300,21 @@ impl Engine {
                 ),
             }));
         }
-        if let Err(e) = entry.supports(request.method) {
-            let counter = match e {
-                ServeError::Rejected(RejectReason::UnknownMethod { .. }) => {
-                    &self.metrics.rejected_unknown_method
-                }
-                _ => &self.metrics.rejected_invalid,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        let Some(key) = CacheKey::build(
+        // The request's identity, computed once: quantize onto the stack
+        // and fold the lookup fingerprint in the same pass. A hit reads
+        // the cache with it and never owns a key.
+        let mut cells = CellBuf::new();
+        let Some(probe) = KeyRef::quantize(
             &request.model_id,
             entry.version,
             request.method,
             &request.features,
             self.config.quantization_grid,
+            &mut cells,
         ) else {
+            // A refused method outranks unquantizable features, as it did
+            // when method validation ran first.
+            self.check_method(&entry, request.method)?;
             self.metrics
                 .rejected_invalid
                 .fetch_add(1, Ordering::Relaxed);
@@ -328,7 +326,9 @@ impl Engine {
         // Cache fast path. Cold-tier hits carry their dequantization error
         // bound in the fidelity; coarse anytime entries re-arm their
         // background refinement (it may have been dropped under pressure).
-        if let Some((attr, fidelity)) = self.cache.get(&key) {
+        // Method validation waits behind the probe: an entry exists only
+        // for a (version, method) pair that passed it before the fill.
+        if let Some((attr, fidelity)) = self.cache.get_ref(&probe) {
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             if matches!(
                 fidelity,
@@ -337,13 +337,13 @@ impl Engine {
                 self.metrics.quantized_hits.fetch_add(1, Ordering::Relaxed);
             }
             if fidelity.grade() == 0 {
-                self.request_refine(&entry, &key, &request.features);
+                self.request_refine(&entry, probe.to_key(), &request.features);
             }
             self.metrics.completed.fetch_add(1, Ordering::Relaxed);
             self.metrics.total.record(t0.elapsed());
             return Ok(ExplainResponse {
                 attribution: attr,
-                model_version: key.model_version,
+                model_version: entry.version,
                 cache_hit: true,
                 batch_size: 1,
                 queue_wait: Duration::ZERO,
@@ -351,6 +351,10 @@ impl Engine {
                 fidelity,
             });
         }
+
+        // A miss: validate the method, then own the key — the fill keeps it.
+        self.check_method(&entry, request.method)?;
+        let key = probe.to_key();
 
         // Single-flight: collapse concurrent *identical* misses onto one
         // computation. The first miss becomes the leader and proceeds to
@@ -456,6 +460,20 @@ impl Engine {
         }
     }
 
+    /// Rejects a method the registry does not know or whose validator
+    /// refuses this model, counting the reject by its kind.
+    fn check_method(&self, entry: &ModelEntry, method: ExplainMethod) -> Result<(), ServeError> {
+        entry.supports(method).inspect_err(|e| {
+            let counter = match e {
+                ServeError::Rejected(RejectReason::UnknownMethod { .. }) => {
+                    &self.metrics.rejected_unknown_method
+                }
+                _ => &self.metrics.rejected_invalid,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
     /// The anytime path for a queue-full rejection: compute the coarsened
     /// method inline, cache it **under the original key** with a coarse
     /// grade, release any single-flight followers with the marked answer,
@@ -502,7 +520,7 @@ impl Engine {
             self.cache
                 .complete_flight(&job.key, Some((Arc::clone(&attr), fidelity)));
         }
-        self.request_refine(&job.entry, &job.key, &job.request.features);
+        self.request_refine(&job.entry, job.key.clone(), &job.request.features);
         self.metrics.degraded_served.fetch_add(1, Ordering::Relaxed);
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
         self.metrics.completed.fetch_add(1, Ordering::Relaxed);
@@ -522,13 +540,13 @@ impl Engine {
     /// Queues a full-budget in-place upgrade for `key`. Dropped (counted)
     /// when the refine queue is full — the coarse answer stands and the
     /// next request for the key re-arms refinement.
-    fn request_refine(&self, entry: &Arc<ModelEntry>, key: &CacheKey, features: &[f64]) {
+    fn request_refine(&self, entry: &Arc<ModelEntry>, key: CacheKey, features: &[f64]) {
         let Some(tx) = self.refine_tx.as_ref() else {
             return;
         };
         let job = RefineJob {
             entry: Arc::clone(entry),
-            key: key.clone(),
+            key,
             features: features.to_vec(),
         };
         if tx.try_send(job).is_err() {
@@ -701,6 +719,104 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.rejected_unknown_method, 1);
         assert_eq!(stats.rejected_invalid, 0);
+    }
+
+    #[test]
+    fn refused_methods_reject_as_before_and_never_hit() {
+        let (engine, rows) = engine_with_gbdt(ServeConfig::default());
+        // A linear model: registered methods whose validator refuses it.
+        let synth = friedman1(100, 5, 0.1, 3).unwrap();
+        let linear = LinearRegression::fit(&synth.data, 1e-6).unwrap();
+        let bg = Background::from_dataset(&synth.data, 8, 1).unwrap();
+        engine
+            .registry()
+            .register(
+                "lin",
+                ServeModel::Linear(linear),
+                synth.data.names.clone(),
+                bg,
+            )
+            .unwrap();
+        let req = |model_id: &str, method, features: Vec<f64>| ExplainRequest {
+            model_id: model_id.into(),
+            features,
+            method,
+            budget: Duration::from_secs(1),
+        };
+        let unknown = ExplainMethod::custom("no-such-method-registered", 4);
+        // Asked twice: the second ask must not find anything cached.
+        for round in 1..=2u64 {
+            let err = engine
+                .explain(req("lin", ExplainMethod::TreeShap, rows[0].clone()))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ServeError::Rejected(RejectReason::InvalidRequest { .. })
+                ),
+                "{err:?}"
+            );
+            let err = engine
+                .explain(req("m", unknown, rows[0].clone()))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ServeError::Rejected(RejectReason::UnknownMethod { .. })
+                ),
+                "{err:?}"
+            );
+            let stats = engine.stats();
+            assert_eq!(stats.rejected_invalid, round);
+            assert_eq!(stats.rejected_unknown_method, round);
+            assert_eq!((stats.cache_hits, stats.completed), (0, 0));
+            assert_eq!(engine.cache_len(), 0);
+        }
+        // An unknown method outranks unquantizable features, as it did
+        // when validation ran in front of the key build.
+        let err = engine
+            .explain(req("m", unknown, vec![f64::NAN; 5]))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServeError::Rejected(RejectReason::UnknownMethod { .. })
+            ),
+            "{err:?}"
+        );
+        let stats = engine.stats();
+        assert_eq!(stats.rejected_unknown_method, 3);
+        assert_eq!(stats.rejected_invalid, 2);
+        // A warmed key of a supported method does not lend its answer to
+        // a refused method on the same input.
+        engine
+            .explain(req("m", ExplainMethod::TreeShap, rows[0].clone()))
+            .unwrap();
+        assert!(engine.explain(req("m", unknown, rows[0].clone())).is_err());
+        assert_eq!(engine.stats().cache_hits, 0);
+    }
+
+    #[test]
+    fn a_hit_folds_the_key_once_and_runs_no_fnv_pass() {
+        use crate::request::fold_count;
+        let (engine, rows) = engine_with_gbdt(ServeConfig::default());
+        let req = || ExplainRequest {
+            model_id: "m".into(),
+            features: rows[0].clone(),
+            method: ExplainMethod::KernelShap { n_coalitions: 16 },
+            budget: Duration::from_secs(1),
+        };
+        engine.explain(req()).unwrap();
+        let (fnv, lookup) = fold_count::snapshot();
+        let hit = engine.explain(req()).unwrap();
+        assert!(hit.cache_hit && hit.fidelity.is_exact());
+        let (fnv_after, lookup_after) = fold_count::snapshot();
+        assert_eq!(lookup_after - lookup, 1, "one identity per request");
+        assert_eq!(
+            fnv_after - fnv,
+            0,
+            "seeds and routes are not a hit's business"
+        );
     }
 
     #[test]

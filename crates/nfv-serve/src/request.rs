@@ -1,5 +1,6 @@
-//! Request/response types of the in-process serving API, plus the stable
-//! content hash that drives both cache keying and per-request seeding.
+//! Request/response types of the in-process serving API, plus the two
+//! content hashes: the frozen FNV-1a behind per-request seeds and routing,
+//! and the process-local fold behind the cache's lookup fingerprint.
 
 use nfv_xai::prelude::{method_id, Attribution, MethodRegistry};
 use std::sync::Arc;
@@ -375,19 +376,41 @@ pub struct ExplainResponse {
     pub fidelity: Fidelity,
 }
 
-/// FNV-1a over explicit little-endian words: a stable, dependency-free
-/// content hash. Used for cache sharding and per-request seed derivation,
-/// so it must be identical across runs and platforms (`DefaultHasher`
-/// makes no such cross-version promise).
-pub(crate) fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
+/// Incremental FNV-1a over explicit little-endian words: a stable,
+/// dependency-free content hash. [`CacheKey::stable_hash`], per-request
+/// seeds and ring routing derive from it, so its value must be identical
+/// across runs, platforms and releases (`DefaultHasher` makes no such
+/// promise) — frozen by `frozen_stable_hash_seed_and_route_literals`.
+///
+/// [`CacheKey::stable_hash`]: crate::cache::CacheKey::stable_hash
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Fnv1a {
+        #[cfg(test)]
+        fold_count::FNV.with(|n| n.set(n.get() + 1));
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn word(&mut self, w: u64) {
         for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    h
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`Fnv1a`] over a whole word sequence.
+pub(crate) fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = Fnv1a::new();
+    for w in words {
+        h.word(w);
+    }
+    h.finish()
 }
 
 /// Stable identity of a (model-version, method) *service class* — the
@@ -415,31 +438,99 @@ pub fn request_seed(engine_seed: u64, key_hash: u64) -> u64 {
     fnv1a_words([engine_seed, key_hash])
 }
 
-/// FNV-1a over explicit little-endian words, seeded with a *different*
-/// offset basis than [`fnv1a_words`]. Pairing the two yields the 128-bit
-/// cold-tier fingerprint: two independent 64-bit folds of the same words,
-/// so a collision requires both hashes to collide at once.
-pub(crate) fn fnv1a_words_alt(words: impl IntoIterator<Item = u64>) -> u64 {
-    // Second basis: the standard FNV offset basis XOR a fixed constant
-    // (arbitrary but stable; must never change once entries are keyed).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// FNV-1a over raw bytes (for model ids).
 pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+    #[cfg(test)]
+    fold_count::FNV.with(|n| n.set(n.get() + 1));
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The fold behind a request's 128-bit *lookup fingerprint*: two 64-bit
+/// lanes (different multipliers, seeds and rotations), each taking a
+/// whole word per step — xor, odd multiply, rotate — and finished with a
+/// full avalanche. Every step is a bijection of the lane, so two keys
+/// that differ in exactly one word always differ in both lanes.
+///
+/// Unlike [`Fnv1a`] this value is **process-local**: the constants are
+/// fixed, so shard placement repeats run to run, but nothing persists a
+/// fingerprint or sends it over the wire, and the function may change
+/// between releases. Anything that must agree across processes (seeds,
+/// routing) uses [`Fnv1a`].
+pub(crate) struct LookupFold {
+    a: u64,
+    b: u64,
+}
+
+impl LookupFold {
+    const MUL_A: u64 = 0x9e37_79b9_7f4a_7c15;
+    const MUL_B: u64 = 0xd6e8_feb8_6659_fd93;
+
+    pub(crate) fn new() -> LookupFold {
+        #[cfg(test)]
+        fold_count::LOOKUP.with(|n| n.set(n.get() + 1));
+        LookupFold {
+            a: 0x243f_6a88_85a3_08d3,
+            b: 0x1319_8a2e_0370_7344,
+        }
+    }
+
+    /// The rotation brings the product's well-mixed high bits down to
+    /// where the next multiply spreads them again.
+    #[inline]
+    pub(crate) fn word(&mut self, w: u64) {
+        self.a = (self.a ^ w).wrapping_mul(Self::MUL_A).rotate_left(32);
+        self.b = (self.b ^ w).wrapping_mul(Self::MUL_B).rotate_left(29);
+    }
+
+    /// Folds a byte string eight bytes per step (zero-padded tail), then
+    /// its length, so `"ab" + "c"` and `"a" + "bc"` stay apart.
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let last = tail.iter().rev().fold(0, |w, &b| (w << 8) | b as u64);
+            self.word(last);
+        }
+        self.word(bytes.len() as u64);
+    }
+
+    /// Lane `a` avalanched in the low half, lane `b` in the high half.
+    pub(crate) fn finish(&self) -> u128 {
+        // The 64-bit finalizer of MurmurHash3 (a bijection).
+        fn avalanche(mut h: u64) -> u64 {
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            h ^ (h >> 33)
+        }
+        ((avalanche(self.b) as u128) << 64) | avalanche(self.a) as u128
+    }
+}
+
+/// Per-thread counts of hash passes started, so a test can assert what a
+/// cache hit executes: one [`LookupFold`], no FNV pass.
+#[cfg(test)]
+pub(crate) mod fold_count {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub(crate) static FNV: Cell<u64> = const { Cell::new(0) };
+        pub(crate) static LOOKUP: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// (FNV passes, lookup folds) started on this thread so far.
+    pub(crate) fn snapshot() -> (u64, u64) {
+        (FNV.with(Cell::get), LOOKUP.with(Cell::get))
+    }
 }
 
 #[cfg(test)]
@@ -527,6 +618,57 @@ mod tests {
             assert_eq!(m.tag(), name, "frozen name drifted");
             assert_eq!(m.method_id(), id, "frozen id drifted for `{name}`");
             assert_eq!(method_id(name), id, "method_id() drifted for `{name}`");
+        }
+    }
+
+    /// `stable_hash`, `request_seed` (engine seed 7) and `route_hash` of
+    /// one fixed d = 14 key per built-in method, captured at commit
+    /// `a895cb5` before the lookup fingerprint existed. Seeds decide every
+    /// stochastic answer and route hashes every key's home shard, across
+    /// processes and releases: never update the literals.
+    #[test]
+    fn frozen_stable_hash_seed_and_route_literals() {
+        use crate::cache::CacheKey;
+        use crate::cluster::route_hash;
+        const X: [f64; 14] = [
+            0.5, -1.25, 3.0, 0.0, 1e-3, 42.0, -7.5, 0.125, 9.75, 100.0, -0.001, 2.5, 6.0, 0.33,
+        ];
+        #[rustfmt::skip]
+        let frozen: [(ExplainMethod, u64, u64, u64); 8] = [
+            (ExplainMethod::TreeShap,
+             0xdb0a_3598_a6f9_603b, 0x1599_2950_ea36_af56, 0x6cdd_6e89_76f7_ac48),
+            (ExplainMethod::KernelShap { n_coalitions: 64 },
+             0xa9fb_6475_d9e0_5cc4, 0xa417_9c46_eff1_44a4, 0xb1b7_09a8_0242_1677),
+            (ExplainMethod::Lime { n_samples: 256 },
+             0xf7b4_78a7_1393_e576, 0x4fe8_4adf_9f5c_739b, 0x6451_32f7_0348_583d),
+            (ExplainMethod::SamplingShapley { n_permutations: 32, antithetic: true },
+             0xd93e_8232_e631_0806, 0xe835_08c5_ac84_9efa, 0x241b_0bf0_23f8_f2a1),
+            (ExplainMethod::ExactShapley,
+             0x5bb0_7581_18e9_d1fa, 0x584a_5190_3aff_df9d, 0x3590_c170_d333_455d),
+            (ExplainMethod::GroupedShapley,
+             0x846c_74e7_3392_7dff, 0x75c1_9ede_bc80_6d5e, 0x841f_f4be_c0ef_4dd4),
+            (ExplainMethod::Permutation,
+             0x43b8_3c5b_e5bc_d310, 0xd39b_e13c_898c_af36, 0x57d8_4188_aaa1_c923),
+            (ExplainMethod::Interactions,
+             0x5766_6071_31ea_2819, 0x3dc4_de3f_6434_a974, 0xc641_a954_d1ba_7422),
+        ];
+        for (m, hash, seed, route) in frozen {
+            let key = CacheKey::build("sla-gbdt", 3, m, &X, 1e-6).unwrap();
+            let tag = m.tag();
+            assert_eq!(key.stable_hash(), hash, "stable_hash drifted for `{tag}`");
+            assert_eq!(
+                request_seed(7, hash),
+                seed,
+                "request_seed drifted for `{tag}`"
+            );
+            assert_eq!(
+                route_hash("sla-gbdt", m, &X, 1e-6),
+                Some(route),
+                "route_hash drifted for `{tag}`"
+            );
+            // The router folds the words itself; a built key agrees.
+            let versionless = CacheKey::build("sla-gbdt", 0, m, &X, 1e-6).unwrap();
+            assert_eq!(versionless.stable_hash(), route);
         }
     }
 
@@ -627,11 +769,28 @@ mod tests {
     }
 
     #[test]
-    fn alt_hash_is_independent_of_primary() {
-        let words = [1u64, 2, 3];
-        assert_ne!(fnv1a_words(words), fnv1a_words_alt(words));
-        assert_eq!(fnv1a_words_alt(words), fnv1a_words_alt(words));
-        assert_ne!(fnv1a_words_alt([1, 2, 3]), fnv1a_words_alt([1, 2, 4]));
+    fn lookup_fold_lanes_are_deterministic_and_independent() {
+        let fold = |words: &[u64]| {
+            let mut f = LookupFold::new();
+            words.iter().for_each(|&w| f.word(w));
+            f.finish()
+        };
+        let fp = fold(&[1, 2, 3]);
+        assert_eq!(fp, fold(&[1, 2, 3]), "fixed constants: repeats run to run");
+        assert_ne!(fp as u64, (fp >> 64) as u64, "two lanes, not one twice");
+        for other in [fold(&[1, 2, 4]), fold(&[3, 2, 1]), fold(&[1, 2])] {
+            assert_ne!(fp as u64, other as u64);
+            assert_ne!((fp >> 64) as u64, (other >> 64) as u64);
+        }
+        // Byte strings are length-delimited.
+        let bytes = |parts: &[&str]| {
+            let mut f = LookupFold::new();
+            parts.iter().for_each(|p| f.bytes(p.as_bytes()));
+            f.finish()
+        };
+        assert_ne!(bytes(&["ab", "c"]), bytes(&["a", "bc"]));
+        assert_ne!(bytes(&["model-a-long-id"]), bytes(&["model-a-long-ie"]));
+        assert_ne!(bytes(&["m"]), bytes(&["m\0"]));
     }
 
     #[test]
