@@ -21,6 +21,17 @@ for f in crates/nfv-serve/src/worker.rs crates/nfv-serve/src/registry.rs; do
   fi
 done
 
+# No-timer invariant: batches form from backlog, never from a wait. A
+# `recv_timeout` or `sleep` in the gather or the worker loop (outside
+# #[cfg(test)]) puts a timer back on every request's path.
+echo "==> no-timer check (no recv_timeout / sleep on the request path)"
+for f in crates/nfv-serve/src/batcher.rs crates/nfv-serve/src/worker.rs; do
+  if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'recv_timeout\|sleep'; then
+    echo "FAIL: $f waits on a timer; gather what is queued and go"
+    exit 1
+  fi
+done
+
 echo "==> cargo test -q"
 cargo test -q
 

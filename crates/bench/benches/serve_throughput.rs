@@ -21,7 +21,6 @@ fn engine_for(task: &SizedTask, seed: u64) -> ServeEngine {
             workers: 2,
             queue_capacity: 512,
             max_batch: 8,
-            gather_window: Duration::from_micros(200),
             cache_capacity: 8192,
             cache_shards: 8,
             quantization_grid: 1e-6,
@@ -386,7 +385,6 @@ fn bench_fused_replay(c: &mut Criterion) {
         workers: 2,
         queue_capacity: 512,
         max_batch: 16,
-        gather_window: Duration::from_micros(500),
         cache_capacity: 8192,
         cache_shards: 8,
         quantization_grid: 1e-6,
@@ -486,7 +484,6 @@ fn bench_cluster_replay(c: &mut Criterion) {
         workers: 2,
         queue_capacity: 512,
         max_batch: 16,
-        gather_window: Duration::from_micros(500),
         cache_capacity: 8192,
         cache_shards: 8,
         quantization_grid: 1e-6,
@@ -538,7 +535,6 @@ fn bench_wire_replay(c: &mut Criterion) {
         workers: 2,
         queue_capacity: 512,
         max_batch: 16,
-        gather_window: Duration::from_micros(500),
         cache_capacity: 8192,
         cache_shards: 8,
         quantization_grid: 1e-6,

@@ -369,7 +369,6 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
                     workers,
                     queue_capacity: 256,
                     max_batch: 8,
-                    gather_window: Duration::from_micros(200),
                     cache_capacity,
                     cache_shards: 8,
                     quantization_grid: 1e-6,
@@ -491,7 +490,6 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
             workers: 2,
             queue_capacity: 512,
             max_batch: 16,
-            gather_window: Duration::from_micros(500),
             cache_capacity: 8192,
             cache_shards: 8,
             quantization_grid: 1e-6,
@@ -591,7 +589,6 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
                 workers: 1,
                 queue_capacity: 512,
                 max_batch: 16,
-                gather_window: Duration::from_micros(500),
                 cache_capacity: 8192,
                 cache_shards: 8,
                 quantization_grid: 1e-6,
@@ -806,7 +803,6 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
         workers: 1,
         queue_capacity: 512,
         max_batch: 16,
-        gather_window: Duration::from_micros(500),
         cache_capacity: 8192,
         cache_shards: 8,
         quantization_grid: 1e-6,

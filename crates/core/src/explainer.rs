@@ -583,7 +583,7 @@ mod tests {
         let plan = e.plan(&ctx(&f), &mut ws, &mut block).unwrap();
         block.evaluate(&f.model);
         let attr = plan.finish(&block, &f.names).unwrap();
-        assert_eq!(attr.names, vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(*attr.names, ["a".to_string(), "b".to_string()]);
     }
 
     #[test]

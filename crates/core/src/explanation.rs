@@ -1,6 +1,7 @@
 //! The attribution type every explainer produces.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A local feature-attribution explanation for one prediction.
 ///
@@ -9,8 +10,11 @@ use serde::{Deserialize, Serialize};
 /// prediction`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Attribution {
-    /// Feature names, aligned with `values`.
-    pub names: Vec<String>,
+    /// Feature names, aligned with `values`. Shared, not owned: every
+    /// explanation of one model carries the same names, and a holder of
+    /// many attributions (a cache) keeps one copy by pointing them all at
+    /// one allocation.
+    pub names: Arc<[String]>,
     /// Signed per-feature contributions φ.
     pub values: Vec<f64>,
     /// Expected model output over the background (`E[f(X)]`).

@@ -136,7 +136,7 @@ pub fn grouped_shapley(
         &mut v,
     );
     Ok(Attribution {
-        names: groups.names.clone(),
+        names: groups.names.as_slice().into(),
         values: crate::shapley::exact::phi_from_mask_values(&v, g),
         base_value: v[0],
         prediction: v[n_masks - 1],
@@ -215,7 +215,7 @@ pub fn grouped_shapley_finish(
     let mut v = Vec::with_capacity(1usize << plan.g);
     plan.plan.values_into(block, &mut v);
     Ok(Attribution {
-        names: plan.group_names.clone(),
+        names: plan.group_names.as_slice().into(),
         values: crate::shapley::exact::phi_from_mask_values(&v, plan.g),
         base_value: v[0],
         prediction: v[v.len() - 1],

@@ -173,7 +173,7 @@ pub fn lime(
         .map(|((c, xi), mu)| c * (xi - mu))
         .collect();
     let attribution = Attribution {
-        names: names.to_vec(),
+        names: names.into(),
         values,
         base_value: background.expected_output(model),
         prediction: model.predict(x),

@@ -420,7 +420,7 @@ impl Explainer for InteractionsExplainer {
             }
         }
         Ok(Attribution {
-            names,
+            names: names.into(),
             values,
             base_value: m.base_value,
             prediction: m.prediction,

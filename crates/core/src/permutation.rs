@@ -148,7 +148,7 @@ fn ablation_membership(k: usize, members: &mut [bool]) {
 fn ablation_attribution(v: &[f64], base: f64, names: &[String]) -> Attribution {
     let full = v[0];
     Attribution {
-        names: names.to_vec(),
+        names: names.into(),
         values: v[1..].iter().map(|&leave_out| full - leave_out).collect(),
         base_value: base,
         prediction: full,

@@ -113,12 +113,13 @@ mod tests {
 
     fn attr() -> Attribution {
         Attribution {
-            names: vec![
-                "offered_kpps".into(),
+            names: [
+                "offered_kpps".to_string(),
                 "1_ids_cpu".into(),
                 "2_lb_queue".into(),
                 "payload_bytes".into(),
-            ],
+            ]
+            .into(),
             values: vec![0.05, 0.30, -0.10, 0.0],
             base_value: 0.10,
             prediction: 0.35,
@@ -165,7 +166,7 @@ mod tests {
     #[test]
     fn all_zero_attribution_degrades_gracefully() {
         let a = Attribution {
-            names: vec!["a".into()],
+            names: ["a".to_string()].into(),
             values: vec![0.0],
             base_value: 0.5,
             prediction: 0.5,

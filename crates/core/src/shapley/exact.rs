@@ -87,7 +87,7 @@ pub fn exact_shapley(
     );
 
     Ok(Attribution {
-        names: names.to_vec(),
+        names: names.into(),
         values: phi_from_mask_values(&v, d),
         base_value: v[0],
         prediction: v[n_masks - 1],
@@ -170,7 +170,7 @@ pub fn exact_shapley_finish(
     let mut v = Vec::with_capacity(1usize << plan.d);
     plan.plan.values_into(block, &mut v);
     Ok(Attribution {
-        names: names.to_vec(),
+        names: names.into(),
         values: phi_from_mask_values(&v, plan.d),
         base_value: v[0],
         prediction: v[v.len() - 1],

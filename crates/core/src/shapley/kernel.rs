@@ -188,7 +188,7 @@ pub fn kernel_shap_with(
     // One feature: efficiency pins it down completely.
     if d == 1 {
         return Ok(Attribution {
-            names: names.to_vec(),
+            names: names.into(),
             values: vec![fx - base],
             base_value: base,
             prediction: fx,
@@ -258,7 +258,7 @@ fn solve_weighted(
     phi.push(last);
 
     Ok(Attribution {
-        names: names.to_vec(),
+        names: names.into(),
         values: phi,
         base_value: base,
         prediction: fx,
@@ -383,7 +383,7 @@ pub fn kernel_shap_finish(
     }
     if plan.d == 1 {
         return Ok(Attribution {
-            names: names.to_vec(),
+            names: names.into(),
             values: vec![plan.fx - plan.base],
             base_value: plan.base,
             prediction: plan.fx,

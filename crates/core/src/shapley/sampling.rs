@@ -108,7 +108,7 @@ pub fn sampling_shapley(
 
     let base_value = background.expected_output(model);
     Ok(Attribution {
-        names: names.to_vec(),
+        names: names.into(),
         values: phi,
         base_value,
         prediction: model.predict(x),
@@ -243,7 +243,7 @@ pub fn sampling_shapley_finish(
         *p /= plan.orders.len() as f64;
     }
     Ok(Attribution {
-        names: names.to_vec(),
+        names: names.into(),
         values: phi,
         base_value: plan.base,
         prediction: plan.fx,

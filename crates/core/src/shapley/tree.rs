@@ -360,7 +360,7 @@ pub fn ensemble_shap(
         walk.visit(0, 0, 0, usize::MAX, 1.0, true);
     }
     Ok(Attribution {
-        names: names.to_vec(),
+        names: names.into(),
         values: phi,
         base_value: consts.base_value,
         prediction,

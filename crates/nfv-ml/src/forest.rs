@@ -2,7 +2,7 @@
 //! trained in parallel with scoped threads.
 
 use crate::model::{Classifier, Regressor};
-use crate::tree::{DecisionTree, TreeParams};
+use crate::tree::{ColumnRanks, DecisionTree, TreeParams};
 use crate::MlError;
 use nfv_data::dataset::{Dataset, Task};
 use rand::rngs::StdRng;
@@ -82,10 +82,12 @@ impl RandomForest {
         let n = data.n_rows();
         let sample_n = ((n as f64) * params.sample_fraction).round().max(1.0) as usize;
 
+        // Every tree sorts the same feature matrix: rank it once.
+        let ranks = ColumnRanks::of(data);
         let fit_one = |t: usize| -> Result<DecisionTree, MlError> {
             let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
             let idx: Vec<usize> = (0..sample_n).map(|_| rng.gen_range(0..n)).collect();
-            DecisionTree::fit_on(data, &idx, &tree_params, rng.gen())
+            DecisionTree::fit_ranked(data, &ranks, &idx, &tree_params, rng.gen())
         };
 
         let threads = threads.max(1).min(params.n_trees);

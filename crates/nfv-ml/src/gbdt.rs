@@ -4,7 +4,7 @@
 
 use crate::linear::sigmoid;
 use crate::model::{Classifier, Regressor};
-use crate::tree::{DecisionTree, TreeParams};
+use crate::tree::{ColumnRanks, DecisionTree, TreeParams};
 use crate::MlError;
 use nfv_data::dataset::{Dataset, Task};
 use rand::rngs::StdRng;
@@ -84,10 +84,14 @@ impl Gbdt {
                 (p / (1.0 - p)).ln()
             }
         };
-        // Current margin per row, residual targets, and a scratch dataset
-        // whose y we rewrite every round.
+        // Current margin per row, and a scratch dataset whose y we rewrite
+        // every round. Whatever the task, a round's targets are continuous
+        // residuals, so the scratch copy is a regression dataset: its trees
+        // split on variance impurity.
         let mut margin = vec![base_score; n];
         let mut residual_data = data.clone();
+        residual_data.task = Task::Regression;
+        let ranks = ColumnRanks::of(data);
         let mut rng = StdRng::seed_from_u64(seed);
         let sub_n = ((n as f64) * params.subsample).round().max(1.0) as usize;
         let mut all_rows: Vec<usize> = (0..n).collect();
@@ -104,19 +108,15 @@ impl Gbdt {
                     };
                 }
             }
-            // NOTE: residual_data keeps the original Task label but holds
-            // continuous residuals — fit the round's tree with variance
-            // impurity by building on a regression view.
-            let mut view = residual_data.clone();
-            view.task = Task::Regression;
             let idx: &[usize] = if sub_n < n {
                 all_rows.shuffle(&mut rng);
                 &all_rows[..sub_n]
             } else {
                 &all_rows
             };
-            let tree = DecisionTree::fit_on(
-                &view,
+            let tree = DecisionTree::fit_ranked(
+                &residual_data,
+                &ranks,
                 idx,
                 &params.tree,
                 seed ^ (round as u64).wrapping_mul(0x51_7C_C1),

@@ -444,7 +444,7 @@ mod tests {
 
     fn tree(nodes: Vec<TreeNode>, d: usize) -> DecisionTree {
         DecisionTree {
-            nodes,
+            nodes: nodes.into(),
             n_features: d,
             task: Task::Regression,
         }

@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One node of a fitted tree. Internal nodes route on
 /// `x[feature] <= threshold` → left, else right; leaves carry `value`.
@@ -61,8 +62,10 @@ impl Default for TreeParams {
 /// A fitted CART tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTree {
-    /// Node arena; index 0 is the root.
-    pub nodes: Vec<TreeNode>,
+    /// Node arena; index 0 is the root. A fitted tree never changes, so
+    /// the arena is shared: cloning a tree — or the forest holding it, as
+    /// every registration does — copies a pointer, not the nodes.
+    pub nodes: Arc<[TreeNode]>,
     /// Feature count at fit time.
     pub n_features: usize,
     /// Whether values are means (regression) or positive fractions.
@@ -99,8 +102,29 @@ impl DecisionTree {
         params: &TreeParams,
         seed: u64,
     ) -> Result<DecisionTree, MlError> {
+        Self::fit_ranked(data, &ColumnRanks::of(data), idx, params, seed)
+    }
+
+    /// [`DecisionTree::fit_on`] against ranks the caller computed once
+    /// (ensembles fit every tree on the same feature matrix). `ranks` must
+    /// be [`ColumnRanks::of`] a dataset with `data`'s features; targets
+    /// may differ (boosting rewrites them every round).
+    pub(crate) fn fit_ranked(
+        data: &Dataset,
+        ranks: &ColumnRanks,
+        idx: &[usize],
+        params: &TreeParams,
+        seed: u64,
+    ) -> Result<DecisionTree, MlError> {
         if idx.is_empty() {
             return Err(MlError::Shape("empty training subset".into()));
+        }
+        if idx.len() > u32::MAX as usize {
+            return Err(MlError::Shape(format!(
+                "training subset of {} rows exceeds {}",
+                idx.len(),
+                u32::MAX
+            )));
         }
         if let Some(k) = params.max_features {
             if k == 0 || k > data.n_features() {
@@ -110,12 +134,17 @@ impl DecisionTree {
                 )));
             }
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut nodes = Vec::new();
-        let mut work = idx.to_vec();
-        build(data, &mut work, params, &mut rng, 0, &mut nodes);
+        let mut grower = Grower {
+            data,
+            ranks,
+            params,
+            rng: StdRng::seed_from_u64(seed),
+            nodes: Vec::new(),
+            keys: Vec::with_capacity(idx.len()),
+        };
+        grower.build(&mut idx.to_vec(), 0);
         Ok(DecisionTree {
-            nodes,
+            nodes: grower.nodes.into(),
             n_features: data.n_features(),
             task: data.task,
         })
@@ -226,121 +255,176 @@ impl DecisionTree {
     }
 }
 
-/// Recursively builds the subtree over `idx`, returning its arena index.
-fn build(
-    data: &Dataset,
-    idx: &mut [usize],
-    params: &TreeParams,
-    rng: &mut StdRng,
-    depth: usize,
-    nodes: &mut Vec<TreeNode>,
-) -> u32 {
-    let n = idx.len() as f64;
-    let sum: f64 = idx.iter().map(|&i| data.y[i]).sum();
-    let sum_sq: f64 = idx.iter().map(|&i| data.y[i] * data.y[i]).sum();
-    let value = sum / n;
-    let node_impurity = impurity(data.task, sum, sum_sq, n);
+/// Dense per-column ranks of a dataset's feature values, computed once per
+/// fit: within a column, rows order by rank exactly as they order by value,
+/// and equal values (`-0.0 == 0.0` included) share a rank. Split search
+/// sorts integer keys built from these instead of re-comparing floats
+/// through two row indirections at every node.
+pub(crate) struct ColumnRanks {
+    /// Column-major: `ranks[f * n_rows + row]`.
+    ranks: Vec<u32>,
+    n_rows: usize,
+}
 
-    let make_leaf = |nodes: &mut Vec<TreeNode>| -> u32 {
-        nodes.push(TreeNode {
+impl ColumnRanks {
+    pub(crate) fn of(data: &Dataset) -> ColumnRanks {
+        let (n, d) = (data.n_rows(), data.n_features());
+        assert!(n <= u32::MAX as usize, "row ids and ranks are 32-bit");
+        let x = data.x_flat();
+        let mut ranks = vec![0u32; n * d];
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        for (f, column) in ranks.chunks_exact_mut(n.max(1)).enumerate() {
+            let value = |row: u32| x[row as usize * d + f];
+            order.clear();
+            order.extend(0..n as u32);
+            order.sort_unstable_by(|&a, &b| value(a).total_cmp(&value(b)));
+            let mut rank = 0u32;
+            for w in 0..n {
+                if w > 0 && value(order[w - 1]) != value(order[w]) {
+                    rank += 1;
+                }
+                column[order[w] as usize] = rank;
+            }
+        }
+        ColumnRanks { ranks, n_rows: n }
+    }
+
+    fn column(&self, f: usize) -> &[u32] {
+        &self.ranks[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+}
+
+/// One tree's growth state: what every node of the recursion shares.
+struct Grower<'a> {
+    data: &'a Dataset,
+    ranks: &'a ColumnRanks,
+    params: &'a TreeParams,
+    rng: StdRng,
+    nodes: Vec<TreeNode>,
+    /// Split-search scratch, reused by every node: a node's scan is over
+    /// before its children are built.
+    keys: Vec<u64>,
+}
+
+impl Grower<'_> {
+    fn leaf(&mut self, value: f64, cover: f64) -> u32 {
+        self.nodes.push(TreeNode {
             feature: 0,
             threshold: 0.0,
             left: 0,
             right: 0,
             value,
-            cover: n,
+            cover,
             is_leaf: true,
         });
-        (nodes.len() - 1) as u32
-    };
-
-    if depth >= params.max_depth || idx.len() < params.min_samples_split || node_impurity <= 1e-12 {
-        return make_leaf(nodes);
+        (self.nodes.len() - 1) as u32
     }
 
-    // Candidate features (all, or a fresh random subset per node).
-    let d = data.n_features();
-    let features: Vec<usize> = match params.max_features {
-        None => (0..d).collect(),
-        Some(k) => {
-            let mut all: Vec<usize> = (0..d).collect();
-            all.shuffle(rng);
-            all.truncate(k);
-            all
-        }
-    };
+    /// Recursively builds the subtree over `idx`, returning its arena index.
+    fn build(&mut self, idx: &mut [usize], depth: usize) -> u32 {
+        let (data, params) = (self.data, self.params);
+        let n = idx.len() as f64;
+        let sum: f64 = idx.iter().map(|&i| data.y[i]).sum();
+        let sum_sq: f64 = idx.iter().map(|&i| data.y[i] * data.y[i]).sum();
+        let value = sum / n;
+        let node_impurity = impurity(data.task, sum, sum_sq, n);
 
-    // Find the best split: scan each candidate feature in sorted order,
-    // moving rows from right to left accumulator.
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-    let min_leaf = params.min_samples_leaf.max(1);
-    let mut order: Vec<usize> = Vec::with_capacity(idx.len());
-    for &f in &features {
-        order.clear();
-        order.extend_from_slice(idx);
-        order.sort_by(|&a, &b| {
-            data.row(a)[f]
-                .partial_cmp(&data.row(b)[f])
-                .unwrap_or(std::cmp::Ordering::Equal)
+        if depth >= params.max_depth
+            || idx.len() < params.min_samples_split
+            || node_impurity <= 1e-12
+        {
+            return self.leaf(value, n);
+        }
+
+        // Candidate features (all, or a fresh random subset per node).
+        let d = data.n_features();
+        let features: Vec<usize> = match params.max_features {
+            None => (0..d).collect(),
+            Some(k) => {
+                let mut all: Vec<usize> = (0..d).collect();
+                all.shuffle(&mut self.rng);
+                all.truncate(k);
+                all
+            }
+        };
+
+        // Find the best split: scan each candidate feature in sorted order,
+        // moving rows from right to left accumulator. The order is by value,
+        // ties by position in `idx`: a key is `rank << 32 | position`, so
+        // keys are unique and an unstable integer sort yields exactly the
+        // order a stable sort of the values would.
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
+        let min_leaf = params.min_samples_leaf.max(1);
+        let keys = &mut self.keys;
+        for &f in &features {
+            let column = self.ranks.column(f);
+            keys.clear();
+            keys.extend(
+                idx.iter()
+                    .enumerate()
+                    .map(|(pos, &row)| (column[row] as u64) << 32 | pos as u64),
+            );
+            keys.sort_unstable();
+            let row_at = |w: usize| idx[keys[w] as u32 as usize];
+            let mut lsum = 0.0;
+            let mut lsq = 0.0;
+            let mut ln = 0.0;
+            let mut rsum = sum;
+            let mut rsq = sum_sq;
+            let mut rn = n;
+            for w in 0..keys.len() - 1 {
+                let yi = data.y[row_at(w)];
+                lsum += yi;
+                lsq += yi * yi;
+                ln += 1.0;
+                rsum -= yi;
+                rsq -= yi * yi;
+                rn -= 1.0;
+                if keys[w] >> 32 == keys[w + 1] >> 32 {
+                    continue; // can't split between equal values
+                }
+                if (ln as usize) < min_leaf || (rn as usize) < min_leaf {
+                    continue;
+                }
+                let gain = node_impurity
+                    - (ln / n) * impurity(data.task, lsum, lsq, ln)
+                    - (rn / n) * impurity(data.task, rsum, rsq, rn);
+                if gain > best.map_or(1e-12, |(_, _, g)| g) {
+                    let xv = data.row(row_at(w))[f];
+                    let xn = data.row(row_at(w + 1))[f];
+                    best = Some((f, 0.5 * (xv + xn), gain));
+                }
+            }
+        }
+
+        let Some((feature, threshold, _)) = best else {
+            return self.leaf(value, n);
+        };
+
+        // Partition in place.
+        let mid = partition(data, idx, feature, threshold);
+        if mid == 0 || mid == idx.len() {
+            return self.leaf(value, n);
+        }
+
+        // Reserve our slot, then build children.
+        self.nodes.push(TreeNode {
+            feature,
+            threshold,
+            left: 0,
+            right: 0,
+            value,
+            cover: n,
+            is_leaf: false,
         });
-        let mut lsum = 0.0;
-        let mut lsq = 0.0;
-        let mut ln = 0.0;
-        let mut rsum = sum;
-        let mut rsq = sum_sq;
-        let mut rn = n;
-        for w in 0..order.len() - 1 {
-            let yi = data.y[order[w]];
-            lsum += yi;
-            lsq += yi * yi;
-            ln += 1.0;
-            rsum -= yi;
-            rsq -= yi * yi;
-            rn -= 1.0;
-            let xv = data.row(order[w])[f];
-            let xn = data.row(order[w + 1])[f];
-            if xv == xn {
-                continue; // can't split between equal values
-            }
-            if (ln as usize) < min_leaf || (rn as usize) < min_leaf {
-                continue;
-            }
-            let gain = node_impurity
-                - (ln / n) * impurity(data.task, lsum, lsq, ln)
-                - (rn / n) * impurity(data.task, rsum, rsq, rn);
-            if gain > best.map_or(1e-12, |(_, _, g)| g) {
-                best = Some((f, 0.5 * (xv + xn), gain));
-            }
-        }
+        let me = self.nodes.len() - 1;
+        let (lidx, ridx) = idx.split_at_mut(mid);
+        let left = self.build(lidx, depth + 1);
+        let right = self.build(ridx, depth + 1);
+        self.nodes[me].left = left;
+        self.nodes[me].right = right;
+        me as u32
     }
-
-    let Some((feature, threshold, _)) = best else {
-        return make_leaf(nodes);
-    };
-
-    // Partition in place.
-    let mid = partition(data, idx, feature, threshold);
-    if mid == 0 || mid == idx.len() {
-        return make_leaf(nodes);
-    }
-
-    // Reserve our slot, then build children.
-    nodes.push(TreeNode {
-        feature,
-        threshold,
-        left: 0,
-        right: 0,
-        value,
-        cover: n,
-        is_leaf: false,
-    });
-    let me = (nodes.len() - 1) as u32;
-    let (lidx, ridx) = idx.split_at_mut(mid);
-    let left = build(data, lidx, params, rng, depth + 1, nodes);
-    let right = build(data, ridx, params, rng, depth + 1, nodes);
-    nodes[me as usize].left = left;
-    nodes[me as usize].right = right;
-    me
 }
 
 /// Partitions `idx` so rows with `x[f] <= thr` come first; returns the
@@ -461,7 +545,7 @@ mod tests {
         let t = DecisionTree::fit(&s.data, &TreeParams::default(), 0).unwrap();
         // Root cover is n; each internal node's cover equals children's sum.
         assert_eq!(t.nodes[0].cover, 300.0);
-        for node in &t.nodes {
+        for node in t.nodes.iter() {
             if !node.is_leaf {
                 let l = &t.nodes[node.left as usize];
                 let r = &t.nodes[node.right as usize];
@@ -485,6 +569,15 @@ mod tests {
         .unwrap();
         assert!(t.depth() <= 3);
         assert!(t.n_leaves() <= 8);
+    }
+
+    #[test]
+    fn cloning_a_tree_shares_its_node_arena() {
+        let s = friedman1(200, 5, 0.2, 3).unwrap();
+        let t = DecisionTree::fit(&s.data, &TreeParams::default(), 0).unwrap();
+        let copy = t.clone();
+        assert!(Arc::ptr_eq(&t.nodes, &copy.nodes));
+        assert_eq!(t, copy);
     }
 
     #[test]
@@ -526,5 +619,243 @@ mod tests {
         let t = DecisionTree::fit_on(&s.data, &idx, &TreeParams::default(), 0).unwrap();
         assert_eq!(t.nodes[0].cover, 100.0);
         assert!(DecisionTree::fit_on(&s.data, &[], &TreeParams::default(), 0).is_err());
+    }
+
+    /// The split search this module shipped before [`ColumnRanks`]: a stable
+    /// closure sort of the row indices by feature value at every node. Kept
+    /// verbatim as the oracle the rank-keyed builder must reproduce node for
+    /// node.
+    fn reference_build(
+        data: &Dataset,
+        idx: &mut [usize],
+        params: &TreeParams,
+        rng: &mut StdRng,
+        depth: usize,
+        nodes: &mut Vec<TreeNode>,
+    ) -> u32 {
+        let n = idx.len() as f64;
+        let sum: f64 = idx.iter().map(|&i| data.y[i]).sum();
+        let sum_sq: f64 = idx.iter().map(|&i| data.y[i] * data.y[i]).sum();
+        let value = sum / n;
+        let node_impurity = impurity(data.task, sum, sum_sq, n);
+
+        let make_leaf = |nodes: &mut Vec<TreeNode>| -> u32 {
+            nodes.push(TreeNode {
+                feature: 0,
+                threshold: 0.0,
+                left: 0,
+                right: 0,
+                value,
+                cover: n,
+                is_leaf: true,
+            });
+            (nodes.len() - 1) as u32
+        };
+
+        if depth >= params.max_depth
+            || idx.len() < params.min_samples_split
+            || node_impurity <= 1e-12
+        {
+            return make_leaf(nodes);
+        }
+
+        // Candidate features (all, or a fresh random subset per node).
+        let d = data.n_features();
+        let features: Vec<usize> = match params.max_features {
+            None => (0..d).collect(),
+            Some(k) => {
+                let mut all: Vec<usize> = (0..d).collect();
+                all.shuffle(rng);
+                all.truncate(k);
+                all
+            }
+        };
+
+        // Find the best split: scan each candidate feature in sorted order,
+        // moving rows from right to left accumulator.
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
+        let min_leaf = params.min_samples_leaf.max(1);
+        let mut order: Vec<usize> = Vec::with_capacity(idx.len());
+        for &f in &features {
+            order.clear();
+            order.extend_from_slice(idx);
+            order.sort_by(|&a, &b| {
+                data.row(a)[f]
+                    .partial_cmp(&data.row(b)[f])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let mut lsum = 0.0;
+            let mut lsq = 0.0;
+            let mut ln = 0.0;
+            let mut rsum = sum;
+            let mut rsq = sum_sq;
+            let mut rn = n;
+            for w in 0..order.len() - 1 {
+                let yi = data.y[order[w]];
+                lsum += yi;
+                lsq += yi * yi;
+                ln += 1.0;
+                rsum -= yi;
+                rsq -= yi * yi;
+                rn -= 1.0;
+                let xv = data.row(order[w])[f];
+                let xn = data.row(order[w + 1])[f];
+                if xv == xn {
+                    continue; // can't split between equal values
+                }
+                if (ln as usize) < min_leaf || (rn as usize) < min_leaf {
+                    continue;
+                }
+                let gain = node_impurity
+                    - (ln / n) * impurity(data.task, lsum, lsq, ln)
+                    - (rn / n) * impurity(data.task, rsum, rsq, rn);
+                if gain > best.map_or(1e-12, |(_, _, g)| g) {
+                    best = Some((f, 0.5 * (xv + xn), gain));
+                }
+            }
+        }
+
+        let Some((feature, threshold, _)) = best else {
+            return make_leaf(nodes);
+        };
+
+        // Partition in place.
+        let mid = partition(data, idx, feature, threshold);
+        if mid == 0 || mid == idx.len() {
+            return make_leaf(nodes);
+        }
+
+        // Reserve our slot, then build children.
+        nodes.push(TreeNode {
+            feature,
+            threshold,
+            left: 0,
+            right: 0,
+            value,
+            cover: n,
+            is_leaf: false,
+        });
+        let me = (nodes.len() - 1) as u32;
+        let (lidx, ridx) = idx.split_at_mut(mid);
+        let left = reference_build(data, lidx, params, rng, depth + 1, nodes);
+        let right = reference_build(data, ridx, params, rng, depth + 1, nodes);
+        nodes[me as usize].left = left;
+        nodes[me as usize].right = right;
+        me
+    }
+
+    fn reference_fit_on(
+        data: &Dataset,
+        idx: &[usize],
+        params: &TreeParams,
+        seed: u64,
+    ) -> DecisionTree {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut nodes = Vec::new();
+        reference_build(data, &mut idx.to_vec(), params, &mut rng, 0, &mut nodes);
+        DecisionTree {
+            nodes: nodes.into(),
+            n_features: data.n_features(),
+            task: data.task,
+        }
+    }
+
+    #[test]
+    fn ranks_follow_values_and_ties_share_one() {
+        // Column 0 has ties, including the two zeros; column 1 is distinct.
+        let x = vec![0.0, 3.0, -1.5, 2.0, -0.0, 1.0, 7.0, 0.0, -1.5, -1.0];
+        let data = Dataset::new(
+            vec!["a".into(), "b".into()],
+            x,
+            vec![0.0; 5],
+            Task::Regression,
+        )
+        .unwrap();
+        let ranks = ColumnRanks::of(&data);
+        assert_eq!(ranks.column(0), [1, 0, 1, 2, 0]);
+        assert_eq!(ranks.column(1), [4, 3, 2, 1, 0]);
+    }
+
+    mod rank_keyed_builder_matches_the_stable_sort {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::Rng;
+
+        /// The retrain shape: continuous features, a bootstrap sample, a
+        /// per-node feature subset, depth 8.
+        #[test]
+        fn on_a_forest_shaped_fit() {
+            let s = friedman1(600, 14, 0.3, 5).unwrap();
+            let mut rng = StdRng::seed_from_u64(9);
+            let idx: Vec<usize> = (0..600).map(|_| rng.gen_range(0..600)).collect();
+            let params = TreeParams {
+                max_features: Some(5),
+                ..TreeParams::default()
+            };
+            let got = DecisionTree::fit_on(&s.data, &idx, &params, 3).unwrap();
+            assert!(got.depth() == 8 && got.nodes.len() > 100);
+            assert_eq!(got, reference_fit_on(&s.data, &idx, &params, 3));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Few distinct feature values (so most comparisons tie, the
+            /// two zeros among them), bootstrap indices with repeats, a
+            /// per-node feature subset, both impurities.
+            #[test]
+            fn on_tied_bootstrapped_subsampled_data(
+                n in 2usize..120,
+                d in 1usize..7,
+                levels in 1u64..9,
+                classify in 0u8..2,
+                subset in 0usize..7,
+                boot in 1usize..200,
+                seed in 1u64..u64::MAX,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let x: Vec<f64> = (0..n * d)
+                    .map(|_| match rng.gen_range(0..levels + 2) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        v => (v as f64 - 4.0) * 0.37,
+                    })
+                    .collect();
+                let task = if classify == 1 {
+                    Task::BinaryClassification
+                } else {
+                    Task::Regression
+                };
+                let y: Vec<f64> = (0..n)
+                    .map(|_| match task {
+                        Task::BinaryClassification => rng.gen_range(0..2) as f64,
+                        Task::Regression => rng.gen::<f64>(),
+                    })
+                    .collect();
+                let names = (0..d).map(|j| format!("f{j}")).collect();
+                let data = Dataset::new(names, x, y, task).unwrap();
+                let idx: Vec<usize> = (0..boot).map(|_| rng.gen_range(0..n)).collect();
+                let params = TreeParams {
+                    max_depth: 6,
+                    min_samples_split: 2,
+                    min_samples_leaf: 1,
+                    // 0 = every feature; otherwise a subset of 1..=d.
+                    max_features: (subset > 0).then(|| 1 + (subset - 1) % d),
+                };
+                let tree_seed = rng.gen();
+                let want = reference_fit_on(&data, &idx, &params, tree_seed);
+                let got = DecisionTree::fit_on(&data, &idx, &params, tree_seed).unwrap();
+                prop_assert_eq!(&got, &want);
+                // Whole-dataset fit: `idx` is the identity.
+                let want = reference_fit_on(
+                    &data,
+                    &(0..n).collect::<Vec<_>>(),
+                    &TreeParams::default(),
+                    tree_seed,
+                );
+                let got = DecisionTree::fit(&data, &TreeParams::default(), tree_seed).unwrap();
+                prop_assert_eq!(&got, &want);
+            }
+        }
     }
 }

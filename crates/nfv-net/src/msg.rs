@@ -378,7 +378,7 @@ fn get_serve_error(buf: &mut Bytes) -> Result<ServeError, WireError> {
 
 fn put_attribution(buf: &mut BytesMut, a: &Attribution) {
     buf.put_u32_le(a.names.len() as u32);
-    for n in &a.names {
+    for n in a.names.iter() {
         put_string(buf, n);
     }
     wire::put_f64s(buf, &a.values);
@@ -403,7 +403,7 @@ fn get_attribution(buf: &mut Bytes) -> Result<Attribution, WireError> {
     let prediction = wire::get_f64(buf, "prediction").map_err(truncated)?;
     let method = get_string(buf, MAX_STR, "attribution method")?;
     Ok(Attribution {
-        names,
+        names: names.into(),
         values,
         base_value,
         prediction,
@@ -684,7 +684,7 @@ mod tests {
     #[test]
     fn every_message_type_roundtrips() {
         let attribution = Attribution {
-            names: vec!["pps".into(), "q_len".into()],
+            names: ["pps".to_string(), "q_len".into()].into(),
             values: vec![0.25, -1.5e-9],
             base_value: 3.125,
             prediction: 1.875,
@@ -819,7 +819,7 @@ mod tests {
     fn exact_answers_encode_v1_frames_and_legacy_frames_decode() {
         let answer = WireAnswer {
             attribution: Attribution {
-                names: vec!["pps".into()],
+                names: ["pps".to_string()].into(),
                 values: vec![0.5],
                 base_value: 1.0,
                 prediction: 1.5,

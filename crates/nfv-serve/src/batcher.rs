@@ -1,62 +1,20 @@
-//! Micro-batching: opportunistically gather queued jobs so compatible
+//! Micro-batching: a worker takes what is already waiting so compatible
 //! requests share one `nfv-xai` batch call.
 //!
-//! The gather never reorders across compatibility groups and never holds a
-//! lone request longer than the configured window — tail latency is traded
-//! explicitly, not accidentally.
+//! Batches form from backlog, never from a timer: a request that finds an
+//! idle worker starts at once, and a batch is as large as the queue grew
+//! while the workers were busy. The gather never reorders across
+//! compatibility groups.
 
 use crate::queue::Job;
 use crossbeam::channel::Receiver;
-use std::time::{Duration, Instant};
 
-/// How eagerly workers form batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Largest number of jobs one worker takes per cycle.
-    pub max_batch: usize,
-    /// How long a worker lingers for companions after its first job.
-    /// Zero disables gathering (every job is a singleton batch).
-    pub gather_window: Duration,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            max_batch: 16,
-            gather_window: Duration::from_micros(500),
-        }
-    }
-}
-
-/// Collects up to `max_batch` jobs: `first` plus whatever arrives within
-/// the gather window. Drains eagerly (no sleep while jobs are waiting).
-///
-/// The window is for companions to share a fused block with: a `first`
-/// that cannot fuse still takes what is already queued but does not wait,
-/// so later arrivals go to an idle worker instead of behind its walk.
-pub fn gather(rx: &Receiver<Job>, first: Job, policy: &BatchPolicy) -> Vec<Job> {
-    let window = if first.explainer.fusable() {
-        policy.gather_window
-    } else {
-        Duration::ZERO
-    };
-    let deadline = Instant::now() + window;
+/// One worker cycle's batch: `first` plus whatever is already queued behind
+/// it, up to `max_batch` jobs in FIFO order. Never blocks — the queued jobs
+/// are taken under one lock acquisition of the channel.
+pub fn gather(rx: &Receiver<Job>, first: Job, max_batch: usize) -> Vec<Job> {
     let mut jobs = vec![first];
-    while jobs.len() < policy.max_batch.max(1) {
-        match rx.try_recv() {
-            Ok(job) => jobs.push(job),
-            Err(_) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
-                    Ok(job) => jobs.push(job),
-                    Err(_) => break,
-                }
-            }
-        }
-    }
+    rx.try_recv_many(max_batch.saturating_sub(1), &mut jobs);
     jobs
 }
 
@@ -109,6 +67,7 @@ mod tests {
     use nfv_ml::prelude::*;
     use nfv_xai::prelude::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn job_for(model_id: &str, version: u64, method: ExplainMethod) -> Job {
         let data = nfv_data::dataset::Dataset::new(
@@ -122,7 +81,7 @@ mod tests {
         let entry = Arc::new(crate::registry::ModelEntry {
             model: crate::registry::ServeModel::Linear(model),
             version,
-            feature_names: vec!["a".into()],
+            feature_names: ["a".to_string()].into(),
             background: Background::from_rows(vec![vec![0.0]]).unwrap(),
             packed: None,
             expected_output: 0.0,
@@ -183,71 +142,36 @@ mod tests {
     }
 
     #[test]
-    fn gather_respects_max_batch_and_drains_eagerly() {
-        let (tx, rx) = crossbeam::channel::bounded::<Job>(16);
+    fn gather_on_an_empty_channel_is_a_singleton_and_does_not_block() {
+        let (_tx, rx) = crossbeam::channel::bounded::<Job>(4);
         let ks = ExplainMethod::KernelShap { n_coalitions: 8 };
-        for _ in 0..5 {
-            assert!(tx.send(job_for("a", 1, ks)).is_ok());
-        }
-        let first = job_for("a", 1, ks);
-        let policy = BatchPolicy {
-            max_batch: 4,
-            gather_window: Duration::from_millis(50),
-        };
-        let t0 = Instant::now();
-        let batch = gather(&rx, first, &policy);
-        assert_eq!(batch.len(), 4, "capped at max_batch");
-        assert!(
-            t0.elapsed() < Duration::from_millis(40),
-            "no waiting when the queue is non-empty"
-        );
-        // Window elapses when the queue runs dry.
-        let first = rx.recv().unwrap();
-        let t0 = Instant::now();
-        let batch = gather(&rx, first, &policy);
-        assert_eq!(batch.len(), 2, "drains the remaining job then times out");
-        assert!(
-            t0.elapsed() >= policy.gather_window,
-            "a fusable first job lingers for companions"
-        );
-    }
-
-    #[test]
-    fn non_fusable_first_job_drains_but_does_not_linger() {
-        let (tx, rx) = crossbeam::channel::bounded::<Job>(16);
-        let lime = ExplainMethod::Lime { n_samples: 8 };
-        let policy = BatchPolicy {
-            max_batch: 8,
-            gather_window: Duration::from_millis(200),
-        };
-        let t0 = Instant::now();
-        let batch = gather(&rx, job_for("a", 1, lime), &policy);
+        // A fusable first job on an idle queue: nothing to wait for. (A
+        // blocking gather would hang here — the sender is alive.)
+        let batch = gather(&rx, job_for("a", 1, ks), 16);
         assert_eq!(batch.len(), 1);
-        // Already-queued jobs still ride along.
-        let ks = ExplainMethod::KernelShap { n_coalitions: 8 };
-        assert!(tx.send(job_for("a", 1, ks)).is_ok());
-        let batch = gather(&rx, job_for("a", 1, lime), &policy);
-        assert_eq!(batch.len(), 2);
-        assert!(
-            t0.elapsed() < policy.gather_window / 4,
-            "nothing to fuse with: no wait, took {:?}",
-            t0.elapsed()
-        );
+        assert!(rx.is_empty());
     }
 
     #[test]
-    fn zero_window_means_singletons() {
-        let (tx, rx) = crossbeam::channel::bounded::<Job>(4);
+    fn gather_takes_the_backlog_in_fifo_order_up_to_max_batch() {
+        let (tx, rx) = crossbeam::channel::bounded::<Job>(32);
         let ks = ExplainMethod::KernelShap { n_coalitions: 8 };
-        assert!(tx.send(job_for("a", 1, ks)).is_ok());
-        let first = job_for("a", 1, ks);
-        let policy = BatchPolicy {
-            max_batch: 8,
-            gather_window: Duration::ZERO,
-        };
-        let batch = gather(&rx, first, &policy);
-        // try_recv still drains an already-waiting job; the window only
-        // controls how long we *wait* for more.
-        assert!(batch.len() <= 2);
+        // A backlog of 20, tagged by version so order is observable.
+        for v in 1..=20 {
+            assert!(tx.send(job_for("a", v, ks)).is_ok());
+        }
+        let versions =
+            |batch: &[Job]| -> Vec<u64> { batch.iter().map(|j| j.key.model_version).collect() };
+        let batch = gather(&rx, rx.recv().unwrap(), 16);
+        assert_eq!(versions(&batch), (1..=16).collect::<Vec<u64>>());
+        let batch = gather(&rx, rx.recv().unwrap(), 16);
+        assert_eq!(versions(&batch), (17..=20).collect::<Vec<u64>>());
+        assert!(rx.is_empty());
+        // `max_batch` 0 and 1 both mean singletons; the queue keeps the rest.
+        assert!(tx.send(job_for("a", 21, ks)).is_ok());
+        for max_batch in [0, 1] {
+            assert_eq!(gather(&rx, job_for("a", 1, ks), max_batch).len(), 1);
+        }
+        assert_eq!(rx.len(), 1);
     }
 }

@@ -534,14 +534,14 @@ struct HotEntry {
 /// (model, method) pair — interned so a cold slot doesn't pay for them.
 #[derive(Debug, PartialEq, Eq)]
 struct ColdMeta {
-    names: Vec<String>,
+    names: Arc<[String]>,
     method: String,
 }
 
 impl ColdMeta {
-    fn intern_hash(&self) -> u64 {
-        let mut h = fnv1a_bytes(self.method.as_bytes());
-        for n in &self.names {
+    fn intern_hash(names: &[String], method: &str) -> u64 {
+        let mut h = fnv1a_bytes(method.as_bytes());
+        for n in names {
             h = fnv1a_words([h, fnv1a_bytes(n.as_bytes())]);
         }
         h
@@ -571,7 +571,7 @@ impl ColdEntry {
     fn dequantize(&self) -> Attribution {
         let s = self.scale as f64;
         Attribution {
-            names: self.meta.names.clone(),
+            names: Arc::clone(&self.meta.names),
             values: self.values.iter().map(|&q| q as f64 * s).collect(),
             base_value: self.base_value,
             prediction: self.prediction,
@@ -638,9 +638,16 @@ fn quantize(values: &[f64]) -> Option<(Box<[i16]>, f32, f64)> {
 }
 
 /// Approximate heap footprint of one hot entry (key + exact attribution).
+/// Names the attribution shares with another holder — the registry
+/// entry's, for every feature-valued answer the engine serves — are not
+/// this entry's bytes, like the cold tier's interned meta.
 fn hot_entry_bytes(key: &CacheKey, attr: &Attribution) -> usize {
     let key_bytes = key.model_id.len() + key.qfeatures.len() * 8 + 64;
-    let name_bytes: usize = attr.names.iter().map(|n| n.len() + 24).sum();
+    let name_bytes: usize = if Arc::strong_count(&attr.names) == 1 {
+        attr.names.iter().map(|n| n.len() + 24).sum()
+    } else {
+        0
+    };
     key_bytes + name_bytes + attr.method.len() + attr.values.len() * 8 + 96
 }
 
@@ -787,23 +794,25 @@ struct MetaIntern {
 
 impl MetaIntern {
     fn intern(&self, attr: &Attribution) -> Arc<ColdMeta> {
-        let fresh = ColdMeta {
-            names: attr.names.clone(),
-            method: attr.method.clone(),
+        let fresh = || {
+            Arc::new(ColdMeta {
+                names: Arc::clone(&attr.names),
+                method: attr.method.clone(),
+            })
         };
-        let h = fresh.intern_hash();
+        let h = ColdMeta::intern_hash(&attr.names, &attr.method);
         let mut table = self.table.lock();
-        if let Some(m) = table.get(&h) {
-            if **m == fresh {
-                return Arc::clone(m);
-            }
+        match table.get(&h) {
+            Some(m) if m.names == attr.names && m.method == attr.method => Arc::clone(m),
             // Hash collision between distinct metas: serve the fresh one
             // un-interned rather than corrupt either.
-            return Arc::new(fresh);
+            Some(_) => fresh(),
+            None => {
+                let m = fresh();
+                table.insert(h, Arc::clone(&m));
+                m
+            }
         }
-        let m = Arc::new(fresh);
-        table.insert(h, Arc::clone(&m));
-        m
     }
 }
 
@@ -1053,7 +1062,7 @@ mod tests {
 
     fn attr(v: f64) -> Arc<Attribution> {
         Arc::new(Attribution {
-            names: vec!["f".into()],
+            names: ["f".to_string()].into(),
             values: vec![v],
             base_value: 0.0,
             prediction: v,
@@ -1304,7 +1313,7 @@ mod tests {
         let c = ShardedCache::new(1, 8, 1);
         let make = |x: f64| {
             Arc::new(Attribution {
-                names: vec!["a".into(), "b".into()],
+                names: ["a".to_string(), "b".into()].into(),
                 values: vec![x, -x / 3.0],
                 base_value: 1.5,
                 prediction: x,
@@ -1328,7 +1337,7 @@ mod tests {
         }
         assert_eq!(got.base_value, 1.5, "base value stays exact");
         assert_eq!(got.prediction, 0.25, "prediction stays exact");
-        assert_eq!(got.names, vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(*got.names, ["a".to_string(), "b".to_string()]);
         // The hot entry is exact.
         let (_, fid) = c.get(&key(1, 2.0)).unwrap();
         assert!(fid.is_exact());

@@ -2,7 +2,6 @@
 //! queue + worker pool. [`crate::cluster`] composes N of these into a
 //! shared-nothing sharded cluster; a network frontend would wrap either.
 
-use crate::batcher::BatchPolicy;
 use crate::cache::{self, CacheKey, CacheUsage, CellBuf, KeyRef, ShardedCache};
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::{Metrics, ServeStats};
@@ -24,10 +23,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded queue capacity (admission rejects beyond this).
     pub queue_capacity: usize,
-    /// Largest micro-batch a worker forms.
+    /// Largest micro-batch a worker forms (from the backlog it finds;
+    /// workers never wait for companions).
     pub max_batch: usize,
-    /// How long a worker waits for batch companions.
-    pub gather_window: Duration,
     /// Exact-tier (hot) cache entries across shards.
     pub cache_capacity: usize,
     /// Quantized-tier (cold) cache entries across shards. Hot entries
@@ -56,7 +54,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 256,
             max_batch: 16,
-            gather_window: Duration::from_micros(500),
             cache_capacity: 4096,
             cold_capacity: 16_384,
             cache_shards: 8,
@@ -224,10 +221,7 @@ impl Engine {
         let ctx = Arc::new(worker::WorkerContext {
             cache: Arc::clone(&cache),
             metrics: Arc::clone(&metrics),
-            policy: BatchPolicy {
-                max_batch: config.max_batch,
-                gather_window: config.gather_window,
-            },
+            max_batch: config.max_batch,
             seed: config.seed,
             fusion: config.fusion,
             in_flight: queue.in_flight_handle(),
@@ -399,8 +393,8 @@ impl Engine {
             release_flight();
             return Err(ServeError::Rejected(RejectReason::ShuttingDown));
         };
-        // The method resolves to its explainer here, once: the batcher
-        // wants its fusability before any worker runs it.
+        // The method resolves to its explainer here, once, so a factory
+        // failure is answered before the request takes a queue slot.
         let explainer = match entry.explainer(request.method) {
             Ok(explainer) => explainer,
             Err(e) => {

@@ -21,8 +21,8 @@ pub struct Job {
     pub entry: Arc<ModelEntry>,
     /// Cache identity (also the seed source).
     pub key: CacheKey,
-    /// The request's method, resolved against `entry` once, at admission:
-    /// the batcher reads its fusability, the worker runs it.
+    /// The request's method, resolved against `entry` once, at admission;
+    /// the worker routes on its fusability and runs it.
     pub explainer: Box<dyn Explainer>,
     /// When the job was admitted (queue-wait measurement + deadline base).
     pub admitted: Instant,
@@ -191,7 +191,7 @@ mod tests {
         let entry = Arc::new(crate::registry::ModelEntry {
             model: crate::registry::ServeModel::Linear(model),
             version: 1,
-            feature_names: vec!["a".into()],
+            feature_names: ["a".to_string()].into(),
             background: bg,
             packed: None,
             expected_output: 0.0,

@@ -3,7 +3,7 @@
 //!
 //! Dispatch is generic: a job's method resolves to a `Box<dyn Explainer>`
 //! once, at admission (via [`crate::registry::ModelEntry::explainer`]), and
-//! everything after that — the batcher's fusability check, direct
+//! everything after that — the fusion scheduler's fusability check, direct
 //! execution, coalition planning, fused finishing — is trait dispatch. No
 //! per-method `match` exists in this module, so a new method added to the
 //! registry is served, batched, *and fused* with no scheduler change.
@@ -22,7 +22,7 @@
 //! through [`crate::registry::ModelEntry::explain_regressor`], i.e. the
 //! packed SoA engine for tree ensembles.
 
-use crate::batcher::{gather, group_compatible, group_same_model, BatchPolicy};
+use crate::batcher::{gather, group_compatible, group_same_model};
 use crate::cache::ShardedCache;
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::Metrics;
@@ -43,8 +43,8 @@ pub struct WorkerContext {
     pub cache: Arc<ShardedCache>,
     /// Shared metrics.
     pub metrics: Arc<Metrics>,
-    /// Batch formation policy.
-    pub policy: BatchPolicy,
+    /// Largest number of jobs one worker takes per cycle.
+    pub max_batch: usize,
     /// Engine seed mixed into every per-request explainer seed.
     pub seed: u64,
     /// Cross-request coalition fusion policy.
@@ -77,7 +77,7 @@ fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerContext>) {
     let mut ws = CoalitionWorkspace::default();
     let mut block = FusedBlock::default();
     while let Ok(first) = rx.recv() {
-        let batch = gather(&rx, first, &ctx.policy);
+        let batch = gather(&rx, first, ctx.max_batch);
         // Everything gathered is now invisible to the channel length;
         // count it as in-flight until each group's responses are sent, so
         // admission keeps seeing the work.
@@ -126,7 +126,9 @@ pub(crate) fn explain_one(
     seed: u64,
     ws: &mut CoalitionWorkspace,
 ) -> Result<Attribution, XaiError> {
-    explainer.direct(&explain_context(entry, x, seed), ws)
+    explainer
+        .direct(&explain_context(entry, x, seed), ws)
+        .map(|attr| entry.share_names(attr))
 }
 
 /// Drops deadline-expired jobs and answers queue-time cache hits, returning
@@ -384,7 +386,10 @@ fn flush_fused(
         .fetch_add(block.last_dedup_saved() as u64, Ordering::Relaxed);
     let results: Vec<Result<Attribution, XaiError>> = pending
         .iter()
-        .map(|(_, plan)| plan.finish(block, &entry.feature_names))
+        .map(|(_, plan)| {
+            plan.finish(block, &entry.feature_names)
+                .map(|attr| entry.share_names(attr))
+        })
         .collect();
     let service = t0.elapsed();
     let service_ns = service.as_nanos().min(u64::MAX as u128) as u64;

@@ -112,11 +112,10 @@ fn a_cold_tier_get_allocates_only_the_attribution_it_rebuilds() {
         assert!(matches!(fidelity, Fidelity::Quantized { .. }));
         attr
     });
-    // Recorded, not hidden: `dequantize` builds a fresh `Attribution` —
-    // the `Arc`, the values, the method tag, the names vector and one
-    // `String` per name. Sharing the names needs an `Attribution` type
-    // change (DESIGN §7).
-    assert_eq!(made, D as u64 + 4, "cold-hit allocations");
+    // `dequantize` builds a fresh `Attribution`: the `Arc`, the values and
+    // the method tag. The names are the interned `Arc<[String]>` every
+    // cold entry of the (model, method) pair points at.
+    assert_eq!(made, 3, "cold-hit allocations");
 }
 
 #[test]

@@ -186,7 +186,7 @@ impl Explainer for UniformCredit {
         let prediction = ctx.model.predict(ctx.x);
         let share = (prediction - base) / ctx.x.len() as f64;
         Ok(Attribution {
-            names: ctx.names.to_vec(),
+            names: ctx.names.into(),
             values: vec![share; ctx.x.len()],
             base_value: base,
             prediction,

@@ -85,6 +85,95 @@ fn kernel_req(x: &[f64], n_coalitions: usize) -> ExplainRequest {
     }
 }
 
+/// A registry plug-in whose explanation blocks until the test releases it:
+/// it occupies a worker the way any slow request does, for exactly as long
+/// as the test needs a backlog to build behind it.
+struct Plug {
+    entered: crossbeam::channel::Sender<()>,
+    release: crossbeam::channel::Receiver<()>,
+}
+
+impl Explainer for Plug {
+    fn tag(&self) -> &'static str {
+        "plug"
+    }
+    fn fusable(&self) -> bool {
+        false
+    }
+    fn plan(
+        &self,
+        _ctx: &ExplainContext<'_>,
+        _ws: &mut CoalitionWorkspace,
+        _block: &mut FusedBlock,
+    ) -> Result<Box<dyn ExplainPlan>, XaiError> {
+        Err(XaiError::Input("plug does not fuse".into()))
+    }
+    fn direct(
+        &self,
+        ctx: &ExplainContext<'_>,
+        _ws: &mut CoalitionWorkspace,
+    ) -> Result<Attribution, XaiError> {
+        self.entered.send(()).expect("test is waiting for the plug");
+        self.release.recv().expect("test releases the plug");
+        let base = ctx.base_value();
+        Ok(Attribution {
+            names: ctx.names.into(),
+            values: vec![0.0; ctx.x.len()],
+            base_value: base,
+            prediction: base,
+            method: "plug".into(),
+        })
+    }
+}
+
+/// Serves `jobs` as one backlog, built the way production builds one:
+/// a plug request (registered as `plug_name`, unique per test — the method
+/// registry is process-global) holds the engine's only worker, every job
+/// is submitted from its own thread, and the plug is released once all of
+/// them are queued. The worker's next gather therefore finds them all
+/// waiting. Returns the jobs' outcomes in submission order.
+fn serve_as_backlog(
+    engine: &ServeEngine,
+    plug_name: &str,
+    jobs: Vec<ExplainRequest>,
+) -> Vec<Result<ExplainResponse, ServeError>> {
+    assert_eq!(engine.config().workers, 1, "one worker to hold");
+    let (entered_tx, entered_rx) = crossbeam::channel::bounded(1);
+    let (release_tx, release_rx) = crossbeam::channel::bounded(1);
+    MethodRegistry::global().register(plug_name, move |_cfg| {
+        Ok(Box::new(Plug {
+            entered: entered_tx.clone(),
+            release: release_rx.clone(),
+        }))
+    });
+    let plug = ExplainRequest {
+        method: ExplainMethod::custom(plug_name, 1),
+        budget: Duration::from_secs(60),
+        ..jobs[0].clone()
+    };
+    let n = jobs.len();
+    std::thread::scope(|s| {
+        let plug = s.spawn(move || engine.explain(plug));
+        entered_rx.recv().expect("the worker reaches the plug");
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(|job| s.spawn(move || engine.explain(job)))
+            .collect();
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while engine.queue_len() < n {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "only {} of {n} jobs queued behind the plug",
+                engine.queue_len()
+            );
+            std::thread::yield_now();
+        }
+        release_tx.send(()).expect("the plug is waiting");
+        plug.join().unwrap().expect("plug request served");
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
 #[test]
 fn concurrent_identical_misses_evaluate_once() {
     let (model, names, bg, synth) = fitted(21);
@@ -121,28 +210,19 @@ fn concurrent_identical_misses_evaluate_once() {
 #[test]
 fn fused_group_with_failing_job_completes_the_rest() {
     let (model, names, bg, synth) = fitted(23);
-    // One worker with a long gather window, so concurrent submissions land
-    // in one micro-batch and hence one fusion group.
     let engine = ServeEngine::start(ServeConfig {
         workers: 1,
-        gather_window: Duration::from_millis(100),
         ..ServeConfig::default()
     });
     engine
         .registry()
         .register("m", ServeModel::Gbdt(model), names, bg)
         .unwrap();
-    // Rows 0..4 are valid fusable requests; the zero-budget request must
+    // Rows 1..5 are valid fusable requests; the zero-budget request must
     // fail at plan time without poisoning the rest of its fusion group.
-    let engine_ref = &engine;
-    let outcomes: Vec<Result<ExplainResponse, ServeError>> = std::thread::scope(|s| {
-        let mut handles = vec![s.spawn(|| engine.explain(kernel_req(synth.data.row(0), 0)))];
-        handles.extend((1..5).map(|i| {
-            let row = synth.data.row(i);
-            s.spawn(move || engine_ref.explain(kernel_req(row, 64)))
-        }));
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let mut jobs = vec![kernel_req(synth.data.row(0), 0)];
+    jobs.extend((1..5).map(|i| kernel_req(synth.data.row(i), 64)));
+    let outcomes = serve_as_backlog(&engine, "plug-failing-job", jobs);
     assert!(
         matches!(outcomes[0], Err(ServeError::Explain(_))),
         "zero coalition budget errors: {:?}",
@@ -151,9 +231,11 @@ fn fused_group_with_failing_job_completes_the_rest() {
     for (i, o) in outcomes.iter().enumerate().skip(1) {
         let resp = o.as_ref().unwrap_or_else(|e| panic!("job {i}: {e}"));
         assert!(resp.attribution.efficiency_gap().abs() < 1e-6);
+        assert_eq!(resp.batch_size, 4, "job {i}: the survivors share a block");
     }
     let stats = engine.stats();
-    assert_eq!(stats.completed, 4, "{stats:?}");
+    // The four survivors and the plug.
+    assert_eq!(stats.completed, 5, "{stats:?}");
     assert_eq!(stats.explain_errors, 1, "{stats:?}");
     engine.shutdown();
 }
@@ -163,7 +245,6 @@ fn fused_and_unfused_engines_agree_bitwise() {
     let (model, names, bg, synth) = fitted(27);
     let fused = ServeEngine::start(ServeConfig {
         workers: 1,
-        gather_window: Duration::from_millis(100),
         ..ServeConfig::default()
     });
     let unfused = ServeEngine::start(ServeConfig {
@@ -185,27 +266,25 @@ fn fused_and_unfused_engines_agree_bitwise() {
             )
             .unwrap();
     }
-    // Concurrent submission to the fused engine so requests actually share
-    // a block; serial submission to the unfused engine. Seeds derive from
-    // request content, so the execution shape must not matter.
-    let fused_ref = &fused;
-    let fused_resp: Vec<ExplainResponse> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let row = synth.data.row(i);
-                s.spawn(move || engine_explain(fused_ref, row))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    // A backlog on the fused engine so the requests share one block;
+    // serial submission to the unfused engine. Seeds derive from request
+    // content, so the execution shape must not matter.
+    let jobs = (0..8).map(|i| kernel_req(synth.data.row(i), 64)).collect();
+    let fused_resp: Vec<ExplainResponse> = serve_as_backlog(&fused, "plug-bitwise", jobs)
+        .into_iter()
+        .map(|o| o.unwrap())
+        .collect();
     let stats = fused.stats();
-    assert!(
-        stats.fused_groups >= 1 && stats.fused_requests >= 2,
-        "fusion must have actually run: {stats:?}"
+    assert_eq!(
+        (stats.fused_groups, stats.fused_requests),
+        (1, 8),
+        "the backlog fuses into one group: {stats:?}"
     );
     assert!(stats.fused_fill_ratio > 0.0, "{stats:?}");
     for (i, f) in fused_resp.iter().enumerate() {
+        assert_eq!(f.batch_size, 8, "row {i} rode the shared block");
         let u = engine_explain(&unfused, synth.data.row(i));
+        assert_eq!(u.batch_size, 1);
         assert_eq!(
             f.attribution, u.attribution,
             "row {i}: fused serving must be bit-identical to unfused"
@@ -217,6 +296,50 @@ fn fused_and_unfused_engines_agree_bitwise() {
 
 fn engine_explain(engine: &ServeEngine, x: &[f64]) -> ExplainResponse {
     engine.explain(kernel_req(x, 64)).unwrap()
+}
+
+#[test]
+fn answers_share_the_registered_feature_names() {
+    let (model, names, bg, synth) = fitted(37);
+    let engine = ServeEngine::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    engine
+        .registry()
+        .register("m", ServeModel::Gbdt(model), names.clone(), bg)
+        .unwrap();
+    let entry = engine.registry().get("m").unwrap();
+    let shares = |resp: &ExplainResponse| {
+        assert_eq!(*resp.attribution.names, *names);
+        std::sync::Arc::ptr_eq(&resp.attribution.names, &entry.feature_names)
+    };
+    // The direct path (a lone request of each kind) …
+    let lime = ExplainRequest {
+        method: ExplainMethod::Lime { n_samples: 64 },
+        ..tree_req(synth.data.row(0))
+    };
+    for req in [tree_req(synth.data.row(0)), lime] {
+        let resp = engine.explain(req).unwrap();
+        assert!(shares(&resp), "{}", resp.attribution.method);
+    }
+    // … and the fused one: every answer points at the entry's copy, so a
+    // full cache holds the names once per model, not once per entry.
+    let jobs = (1..4).map(|i| kernel_req(synth.data.row(i), 64)).collect();
+    for outcome in serve_as_backlog(&engine, "plug-names", jobs) {
+        let resp = outcome.unwrap();
+        assert_eq!(resp.batch_size, 3);
+        assert!(shares(&resp));
+    }
+    // A group-valued method names its own units; those are left alone.
+    let grouped = engine
+        .explain(ExplainRequest {
+            method: ExplainMethod::GroupedShapley,
+            ..tree_req(synth.data.row(0))
+        })
+        .unwrap();
+    assert_ne!(*grouped.attribution.names, *names);
+    engine.shutdown();
 }
 
 #[test]
@@ -346,7 +469,7 @@ fn queue_full_degrades_to_coarse_then_upgrades_in_place() {
 fn fused_dedup_savings_surface_in_stats() {
     // Exact Shapley enumerates every coalition, including the *full* one
     // whose composite block is x repeated once per background row — a
-    // guaranteed run of bit-identical adjacent rows. Two concurrent exact
+    // guaranteed run of bit-identical adjacent rows. Two queued exact
     // requests fuse into one block; the dedup pass must skip those rows
     // and the engine must surface the savings (and the SoA kernel's
     // name) in its stats snapshot.
@@ -354,7 +477,6 @@ fn fused_dedup_savings_surface_in_stats() {
     let n_bg = bg.rows().len();
     let engine = ServeEngine::start(ServeConfig {
         workers: 1,
-        gather_window: Duration::from_millis(100),
         ..ServeConfig::default()
     });
     engine
@@ -367,21 +489,14 @@ fn fused_dedup_savings_surface_in_stats() {
         method: ExplainMethod::ExactShapley,
         budget: Duration::from_secs(5),
     };
-    let engine_ref = &engine;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..2)
-            .map(|i| {
-                let row = synth.data.row(i);
-                s.spawn(move || engine_ref.explain(exact(row)).unwrap())
-            })
-            .collect();
-        for h in handles {
-            let resp = h.join().unwrap();
-            assert!(resp.attribution.efficiency_gap().abs() < 1e-6);
-        }
-    });
+    let jobs = (0..2).map(|i| exact(synth.data.row(i))).collect();
+    for outcome in serve_as_backlog(&engine, "plug-dedup", jobs) {
+        let resp = outcome.unwrap();
+        assert!(resp.attribution.efficiency_gap().abs() < 1e-6);
+        assert_eq!(resp.batch_size, 2, "the two requests share a block");
+    }
     let stats = engine.stats();
-    assert!(stats.fused_groups >= 1, "requests must fuse: {stats:?}");
+    assert_eq!(stats.fused_groups, 1, "requests must fuse: {stats:?}");
     // Each request's full coalition contributes n_bg - 1 skipped rows at
     // minimum (other coalition rows may coincide too).
     assert!(

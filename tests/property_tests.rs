@@ -375,7 +375,7 @@ proptest! {
         ).unwrap();
         // The cached value records the version it was computed under.
         let attr_of = |version: u64, cell: i64| std::sync::Arc::new(Attribution {
-            names: vec!["f".into()],
+            names: ["f".to_string()].into(),
             values: vec![cell as f64],
             base_value: 0.0,
             prediction: version as f64,

@@ -85,7 +85,6 @@ fn build_engine(seed: u64) -> ServeEngine {
         workers: 2,
         queue_capacity: 512,
         max_batch: 8,
-        gather_window: Duration::from_millis(3),
         cache_capacity: 2048,
         cache_shards: 8,
         quantization_grid: 1e-6,
@@ -253,7 +252,6 @@ fn backpressure_rejects_instead_of_blocking() {
         workers: 1,
         queue_capacity: 4,
         max_batch: 1,
-        gather_window: Duration::ZERO,
         cache_capacity: 64,
         cache_shards: 2,
         quantization_grid: 1e-6,
@@ -332,7 +330,6 @@ fn expired_deadlines_are_dropped_not_served_late() {
         workers: 1,
         queue_capacity: 64,
         max_batch: 1,
-        gather_window: Duration::ZERO,
         cache_capacity: 64,
         cache_shards: 2,
         quantization_grid: 1e-6,
