@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the full test suite.
-# Run from the workspace root before pushing.
+# Local CI gate: formatting, lints, and the full test suite — of every
+# workspace member (the root is itself a package, so without `--workspace`
+# cargo would cover `nfv-xai-repro` alone). Run from the workspace root
+# before pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo fmt --check"
-cargo fmt --check
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Open-dispatch invariant: the serving layer resolves methods through the
 # registry; a `match` on `ExplainMethod::` variants creeping back into the
@@ -32,11 +34,11 @@ for f in crates/nfv-serve/src/batcher.rs crates/nfv-serve/src/worker.rs; do
   fi
 done
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q (unit, integration and doc tests)"
+cargo test --workspace -q
 
-echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> bench smoke (serve_throughput + explain_latency + soa_kernels --test)"
 cargo bench -p nfv-bench --bench serve_throughput -- --test

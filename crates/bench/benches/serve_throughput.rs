@@ -373,12 +373,10 @@ fn replay_shared_trace(engine: &ServeEngine, task: &SizedTask, cell: u64) {
     })
 }
 
-/// Fused vs unfused serving on the shared uncached trace. Both engines run
-/// the identical worker pool, batch policy, and cache; the fused one adds
-/// single-flight dedup (128 concurrent requests collapse to 16 leaders)
-/// and the coalition fusion scheduler (the 16 leaders' coalition matrices
-/// stack into shared `predict_block` calls). Results are bit-identical;
-/// only the evaluation schedule differs.
+/// The shared uncached trace on the default engine: single-flight dedup
+/// collapses the 128 concurrent requests to 16 leaders and the fusion
+/// scheduler stacks co-queued leaders' coalition matrices into shared
+/// `predict_block` calls.
 fn bench_fused_replay(c: &mut Criterion) {
     let task = SizedTask::new(14, 1);
     let base = ServeConfig {
@@ -394,24 +392,7 @@ fn bench_fused_replay(c: &mut Criterion) {
     let mut g = c.benchmark_group("fused_replay_d14");
     g.sample_size(10).measurement_time(Duration::from_secs(3));
 
-    let unfused_cfg = ServeConfig {
-        fusion: FusionPolicy {
-            enabled: false,
-            ..FusionPolicy::default()
-        },
-        single_flight: false,
-        ..base
-    };
-    let unfused = engine_with(&task, unfused_cfg);
     let mut cell = 0u64;
-    g.bench_function("unfused_replay_8_clients", |b| {
-        b.iter(|| {
-            cell += 1;
-            replay_shared_trace(&unfused, &task, cell);
-        })
-    });
-    unfused.shutdown();
-
     let fused = engine_with(&task, base);
     g.bench_function("fused_replay_8_clients", |b| {
         b.iter(|| {

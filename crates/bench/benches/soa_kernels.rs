@@ -6,7 +6,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nfv_bench::SizedTask;
-use nfv_ml::prelude::*;
 use nfv_xai::prelude::*;
 use std::time::Duration;
 

@@ -476,81 +476,62 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
          instances) forces recomputation (low hit %), dragging the frontier left."
     );
 
-    // S2 — the fused frontier: the same engine with and without the
-    // coalition fusion scheduler + single-flight dedup, driven by the
-    // telemetry-burst trace (8 clients concurrently replaying the *same*
-    // 16 uncached KernelSHAP requests — one anomaly, many dashboards).
-    // Attributions are bit-identical across both rows; only the
-    // evaluation schedule differs.
+    // S2 — the fused frontier: the default engine (coalition fusion
+    // scheduler + single-flight dedup) driven by the telemetry-burst trace
+    // (8 clients concurrently replaying the *same* 16 uncached KernelSHAP
+    // requests — one anomaly, many dashboards). EXPERIMENTS §S2 holds the
+    // figures of the unfused engine this was once compared with.
     println!("\nS2 — coalition fusion on the shared telemetry burst\n");
     let rounds: usize = if quick { 3 } else { 12 };
-    let mut rows = Vec::new();
-    for fused_on in [false, true] {
-        let engine = ServeEngine::start(ServeConfig {
-            workers: 2,
-            queue_capacity: 512,
-            max_batch: 16,
-            cache_capacity: 8192,
-            cache_shards: 8,
-            quantization_grid: 1e-6,
-            seed: 7,
-            fusion: nfv_serve::FusionPolicy {
-                enabled: fused_on,
-                ..Default::default()
-            },
-            single_flight: fused_on,
-            ..ServeConfig::default()
+    let engine = ServeEngine::start(ServeConfig {
+        workers: 2,
+        queue_capacity: 512,
+        max_batch: 16,
+        cache_capacity: 8192,
+        cache_shards: 8,
+        quantization_grid: 1e-6,
+        seed: 7,
+        ..ServeConfig::default()
+    });
+    engine
+        .registry()
+        .register(
+            "forest",
+            ServeModel::Forest(task.forest.clone()),
+            task.names.clone(),
+            task.background.clone(),
+        )
+        .expect("register");
+    let start = Instant::now();
+    for round in 0..rounds {
+        std::thread::scope(|s| {
+            for c in 0..clients {
+                let engine = &engine;
+                let task = &task;
+                s.spawn(move || {
+                    for i in 0..16 {
+                        // Two lockstep cohorts at different trace
+                        // offsets: in-cohort duplicates exercise
+                        // single-flight, cross-cohort leaders fuse.
+                        let mut features = task.data.row((i + 8 * (c / 4)) % 16).to_vec();
+                        // Fresh grid cells every round: always uncached.
+                        features[0] += (round + 1) as f64 * 1e-3;
+                        let _ = engine.explain(ExplainRequest {
+                            model_id: "forest".into(),
+                            features,
+                            method: ExplainMethod::KernelShap { n_coalitions: 64 },
+                            budget: Duration::from_secs(5),
+                        });
+                    }
+                });
+            }
         });
-        engine
-            .registry()
-            .register(
-                "forest",
-                ServeModel::Forest(task.forest.clone()),
-                task.names.clone(),
-                task.background.clone(),
-            )
-            .expect("register");
-        let start = Instant::now();
-        for round in 0..rounds {
-            std::thread::scope(|s| {
-                for c in 0..clients {
-                    let engine = &engine;
-                    let task = &task;
-                    s.spawn(move || {
-                        for i in 0..16 {
-                            // Two lockstep cohorts at different trace
-                            // offsets: in-cohort duplicates exercise
-                            // single-flight, cross-cohort leaders fuse.
-                            let mut features = task.data.row((i + 8 * (c / 4)) % 16).to_vec();
-                            // Fresh grid cells every round: always uncached.
-                            features[0] += (round + 1) as f64 * 1e-3;
-                            let _ = engine.explain(ExplainRequest {
-                                model_id: "forest".into(),
-                                features,
-                                method: ExplainMethod::KernelShap { n_coalitions: 64 },
-                                budget: Duration::from_secs(5),
-                            });
-                        }
-                    });
-                }
-            });
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let stats = engine.stats();
-        engine.shutdown();
-        rows.push(vec![
-            if fused_on { "fused" } else { "unfused" }.to_string(),
-            format!("{:.0}", stats.completed as f64 / elapsed),
-            stats.cache_misses.to_string(),
-            stats.fused_groups.to_string(),
-            format!("{:.2}", stats.fused_fill_ratio),
-            stats.single_flight_hits.to_string(),
-            format!("{:.0}", stats.total_p99_us),
-        ]);
     }
+    let elapsed = start.elapsed().as_secs_f64();
+    let stats = engine.stats();
+    engine.shutdown();
     print_table(
         &[
-            "mode",
             "req/s out",
             "evaluations",
             "fused groups",
@@ -558,7 +539,14 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
             "sf hits",
             "p99 µs",
         ],
-        &rows,
+        &[vec![
+            format!("{:.0}", stats.completed as f64 / elapsed),
+            stats.cache_misses.to_string(),
+            stats.fused_groups.to_string(),
+            format!("{:.2}", stats.fused_fill_ratio),
+            stats.single_flight_hits.to_string(),
+            format!("{:.0}", stats.total_p99_us),
+        ]],
     );
     println!(
         "\nFused reading: single-flight collapses the 8-way duplicate burst to one\n\

@@ -21,89 +21,36 @@ pub struct Background {
     pub means: Vec<f64>,
 }
 
-/// Tuning for fanning coalition blocks across scoped worker threads in
-/// [`Background::coalition_values_into`].
+/// Reusable scratch for coalition evaluation and for
+/// [`crate::explainer::Explainer::direct`].
 ///
-/// Determinism: the block size is a pure function of the coalition budget
-/// and background size — never of `threads` — and every coalition's value
-/// is computed entirely within one block with the same arithmetic as the
-/// serial path. Changing `threads` therefore changes *which OS thread*
-/// evaluates a block, not any result bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParCoalitionConfig {
-    /// Scoped worker threads to fan blocks across (1 = stay serial).
-    pub threads: usize,
-    /// Coalition budgets below this stay serial: small budgets fit one or
-    /// two blocks and the spawn overhead would dominate.
-    pub min_coalitions: usize,
-}
-
-impl Default for ParCoalitionConfig {
-    fn default() -> Self {
-        ParCoalitionConfig {
-            threads: 1,
-            min_coalitions: 256,
-        }
-    }
-}
-
-/// Reusable scratch buffers for [`Background::coalition_values_into`].
-///
-/// Every explainer bottoms out in coalition evaluation; the workspace lets
-/// the (coalition × background-row) composite block, the prediction
-/// buffer, and the membership scratch be materialized once and reused
-/// across calls — a steady-state call allocates nothing. One workspace per
-/// thread — it is cheap to create (`Default`) and grows to the largest
-/// block it has seen.
+/// Holds the membership scratch the caller's closure fills and the
+/// [`FusedBlock`] a single request's composite rows are materialized into
+/// and evaluated on, so a steady-state call allocates nothing. One
+/// workspace per thread — it is cheap to create (`Default`) and its block
+/// grows to the largest chunk it has seen
+/// ([`Background::coalition_values_into`] caps a chunk at
+/// `MAX_BLOCK_ROWS` rows).
 #[derive(Debug, Default, Clone)]
 pub struct CoalitionWorkspace {
-    /// Flat `rows × d` composite block handed to `predict_block`.
-    composites: Vec<f64>,
     /// Membership scratch the caller's closure fills per coalition.
     members: Vec<bool>,
-    /// Per-block model outputs (parallel to composite rows).
-    preds: Vec<f64>,
     /// Member feature indices of the coalition being materialized.
     member_idx: Vec<usize>,
-    /// Materialized membership matrix (`n_coalitions × d`) for the
-    /// parallel path.
-    all_members: Vec<bool>,
-    /// Adjacent-dedup buffers for the serial evaluation arm.
-    dedup: DedupScratch,
-    /// Parallel fan-out tuning.
-    par: ParCoalitionConfig,
+    /// The block single-request evaluation runs on: each chunk of
+    /// [`Background::coalition_values_into`] and the whole request of
+    /// [`crate::explainer::Explainer::direct`].
+    pub(crate) block: FusedBlock,
     /// TreeSHAP's path arena. TreeSHAP evaluates no coalitions, but this
     /// is the scratch every [`crate::explainer::Explainer`] receives.
     pub(crate) tree: TreeShapScratch,
 }
 
-impl CoalitionWorkspace {
-    /// A workspace whose coalition evaluations fan out across `threads`
-    /// scoped workers once the budget reaches the default threshold.
-    pub fn parallel(threads: usize) -> CoalitionWorkspace {
-        CoalitionWorkspace {
-            par: ParCoalitionConfig {
-                threads: threads.max(1),
-                ..ParCoalitionConfig::default()
-            },
-            ..CoalitionWorkspace::default()
-        }
-    }
-
-    /// Overrides the parallel fan-out tuning.
-    pub fn set_parallelism(&mut self, cfg: ParCoalitionConfig) {
-        self.par = cfg;
-    }
-
-    /// The current parallel fan-out tuning.
-    pub fn parallelism(&self) -> ParCoalitionConfig {
-        self.par
-    }
-}
-
-/// Cap on composite rows materialized per `predict_batch` call: bounds the
-/// workspace at `MAX_BLOCK_ROWS × d` f64s (~640 KiB at d = 20) while
-/// keeping blocks large enough for the blocked model evaluators to win.
+/// Cap on composite rows [`Background::coalition_values_into`] stacks per
+/// chunk: bounds the workspace block at `MAX_BLOCK_ROWS × d` f64s
+/// (~640 KiB at d = 20) — exact Shapley at d = 20 is `2^20 × n_bg` rows,
+/// GiBs if stacked at once — while keeping chunks large enough for the
+/// blocked model evaluators to win.
 const MAX_BLOCK_ROWS: usize = 4096;
 
 /// Collects the indices of `true` entries of `members` into `member_idx`.
@@ -118,9 +65,7 @@ fn collect_member_idx(members: &[bool], member_idx: &mut Vec<usize>) {
 
 /// Appends one coalition's composite rows (one per background row) to
 /// `out`: the background row copied wholesale, then the coalition's member
-/// features scattered over it. Single materialization routine shared by
-/// the serial, parallel, and planned (fused) evaluation paths — they
-/// cannot drift apart.
+/// features scattered over it.
 fn append_composite_rows(
     bg_rows: &[Vec<f64>],
     x: &[f64],
@@ -191,8 +136,7 @@ impl Default for FusedBlock {
     }
 }
 
-/// Process-wide count of composite rows skipped by adjacent-row dedup
-/// (all paths: fused blocks and direct coalition evaluation).
+/// Process-wide count of composite rows skipped by adjacent-row dedup.
 static DEDUP_ROWS_SAVED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Total composite rows every dedup pass in this process has skipped.
@@ -429,14 +373,21 @@ impl CoalitionPlan {
     }
 
     /// Scatters this plan's coalition values out of the evaluated block:
-    /// per-coalition means over background rows, accumulated in the same
-    /// order (and therefore bit-identical to) the unfused path. Values are
-    /// appended to `out` in coalition order.
+    /// per-coalition means over background rows, accumulated in
+    /// background-row order (the order of the scalar
+    /// [`Background::coalition_value`], so the two agree bit for bit).
+    /// `out` is cleared, then filled in coalition order.
     ///
     /// # Panics
     /// If `block` has not been evaluated since this plan was appended.
     pub fn values_into(&self, block: &FusedBlock, out: &mut Vec<f64>) {
         out.clear();
+        self.extend_values(block, out);
+    }
+
+    /// [`CoalitionPlan::values_into`] without the clear: the one place a
+    /// coalition mean is computed.
+    fn extend_values(&self, block: &FusedBlock, out: &mut Vec<f64>) {
         if self.n_coalitions == 0 {
             return;
         }
@@ -564,27 +515,19 @@ impl Background {
     }
 
     /// Bulk coalition evaluation: computes `v(S)` for `n_coalitions`
-    /// coalitions, materializing all (coalition × background-row)
-    /// composites into the workspace and issuing **one
-    /// [`Regressor::predict_block`] call per block** instead of one scalar
-    /// `predict` per composite row. Composite rows are built by copying
-    /// the background row wholesale and scattering only the coalition's
-    /// member features over it — no per-element branch.
+    /// coalitions by running plan → evaluate → values — the same three
+    /// steps a fused group runs — over chunks of at most `MAX_BLOCK_ROWS`
+    /// composite rows on the workspace's own block, so memory stays
+    /// bounded however many coalitions a method enumerates. A chunk always
+    /// holds whole coalitions, so every mean is computed within one chunk.
     ///
     /// `membership(i, members)` must fill the membership buffer for
     /// coalition `i`; it is invoked exactly once per coalition, in
     /// ascending order, against a buffer that starts all-`false` and
-    /// persists between invocations (so incremental fills — flip one
-    /// feature per call — are supported).
+    /// persists between invocations — across chunks too — so incremental
+    /// fills (flip one feature per call) are supported.
     ///
-    /// When the workspace's [`ParCoalitionConfig`] enables more than one
-    /// thread and the budget reaches `min_coalitions`, blocks fan out
-    /// across scoped workers. The block size never depends on the thread
-    /// count and every coalition's mean is computed entirely within its
-    /// block, so results are **bit-identical across thread counts** (and
-    /// to the serial path).
-    ///
-    /// Values are appended to `out` in coalition order and are
+    /// Values are written to `out` in coalition order and are
     /// bit-identical to looping [`Background::coalition_value`]: the
     /// per-coalition mean accumulates over background rows in the same
     /// order, and every model's `predict_block` preserves scalar `predict`
@@ -599,147 +542,35 @@ impl Background {
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        if n_coalitions == 0 {
-            return;
-        }
-        let d = x.len();
-        let n_bg = self.rows.len();
-        ws.members.clear();
-        ws.members.resize(d, false);
-        let block = (MAX_BLOCK_ROWS / n_bg).clamp(1, n_coalitions);
-        let threads = ws.par.threads.max(1).min(n_coalitions.div_ceil(block));
-        if threads > 1 && n_coalitions >= ws.par.min_coalitions {
-            self.coalition_values_parallel(
-                model,
-                x,
-                n_coalitions,
-                &mut membership,
-                ws,
-                out,
-                block,
-                threads,
-            );
-            return;
-        }
-        out.reserve(n_coalitions);
-        let mut next = 0usize;
-        while next < n_coalitions {
-            let take = block.min(n_coalitions - next);
-            ws.composites.clear();
-            ws.composites.reserve(take * n_bg * d);
-            for c in 0..take {
-                membership(next + c, &mut ws.members);
-                collect_member_idx(&ws.members, &mut ws.member_idx);
-                append_composite_rows(&self.rows, x, &ws.member_idx, &mut ws.composites);
-            }
-            ws.preds.resize(take * n_bg, 0.0);
-            dedup_predict_block(
-                model,
-                &ws.composites,
-                d,
-                &mut ws.preds[..take * n_bg],
-                &mut ws.dedup,
-            );
-            for per_coalition in ws.preds[..take * n_bg].chunks(n_bg) {
-                let mut sum = 0.0;
-                for &p in per_coalition {
-                    sum += p;
-                }
-                out.push(sum / n_bg as f64);
-            }
-            next += take;
+        let per_chunk = (MAX_BLOCK_ROWS / self.rows.len()).max(1);
+        let CoalitionWorkspace {
+            members,
+            member_idx,
+            block,
+            ..
+        } = ws;
+        members.clear();
+        members.resize(x.len(), false);
+        for start in (0..n_coalitions).step_by(per_chunk) {
+            let chunk = start..(start + per_chunk).min(n_coalitions);
+            block.clear();
+            let plan = self.plan_range(x, chunk, &mut membership, members, member_idx, block);
+            block.evaluate(model);
+            plan.extend_values(block, out);
         }
     }
 
-    /// The fan-out arm of [`Background::coalition_values_into`]: memberships
-    /// are materialized sequentially (preserving the closure's incremental
-    /// contract), then disjoint output blocks are assigned round-robin to
-    /// worker slots — block `k` to slot `k % threads` — each evaluating
-    /// with its own scratch. Identical per-block arithmetic to the serial
-    /// path makes the result independent of `threads`.
-    #[allow(clippy::too_many_arguments)]
-    fn coalition_values_parallel(
-        &self,
-        model: &dyn Regressor,
-        x: &[f64],
-        n_coalitions: usize,
-        membership: &mut impl FnMut(usize, &mut [bool]),
-        ws: &mut CoalitionWorkspace,
-        out: &mut Vec<f64>,
-        block: usize,
-        threads: usize,
-    ) {
-        let d = x.len();
-        let n_bg = self.rows.len();
-        ws.all_members.clear();
-        ws.all_members.reserve(n_coalitions * d);
-        for i in 0..n_coalitions {
-            membership(i, &mut ws.members);
-            ws.all_members.extend_from_slice(&ws.members);
-        }
-        out.resize(n_coalitions, 0.0);
-        let all_members = &ws.all_members;
-        let rows = &self.rows;
-        let mut per_slot: Vec<Vec<(usize, &mut [f64])>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (k, chunk) in out.chunks_mut(block).enumerate() {
-            per_slot[k % threads].push((k, chunk));
-        }
-        crossbeam::scope(|s| {
-            for slot in per_slot {
-                s.spawn(move |_| {
-                    let mut composites: Vec<f64> = Vec::new();
-                    let mut preds: Vec<f64> = Vec::new();
-                    let mut member_idx: Vec<usize> = Vec::new();
-                    let mut dedup = DedupScratch::default();
-                    for (k, chunk) in slot {
-                        let first = k * block;
-                        let take = chunk.len();
-                        composites.clear();
-                        composites.reserve(take * n_bg * d);
-                        for c in 0..take {
-                            let members = &all_members[(first + c) * d..(first + c + 1) * d];
-                            collect_member_idx(members, &mut member_idx);
-                            append_composite_rows(rows, x, &member_idx, &mut composites);
-                        }
-                        preds.resize(take * n_bg, 0.0);
-                        dedup_predict_block(
-                            model,
-                            &composites,
-                            d,
-                            &mut preds[..take * n_bg],
-                            &mut dedup,
-                        );
-                        for (o, per_coalition) in
-                            chunk.iter_mut().zip(preds[..take * n_bg].chunks(n_bg))
-                        {
-                            let mut sum = 0.0;
-                            for &p in per_coalition {
-                                sum += p;
-                            }
-                            *o = sum / n_bg as f64;
-                        }
-                    }
-                });
-            }
-        })
-        .expect("coalition block worker panicked");
-    }
-
-    /// The plan half of [`Background::coalition_values_into`]: materializes
-    /// the composite rows for `n_coalitions` coalitions into the shared
-    /// `block` **without evaluating them**, and returns a
-    /// [`CoalitionPlan`] remembering the row range. Several requests'
-    /// plans can stack into one block; a single
-    /// [`FusedBlock::evaluate`] then feeds every plan's
-    /// [`CoalitionPlan::values_into`].
+    /// The plan half of coalition evaluation: materializes the composite
+    /// rows for `n_coalitions` coalitions into the shared `block`
+    /// **without evaluating them**, and returns a [`CoalitionPlan`]
+    /// remembering the row range. Several requests' plans can stack into
+    /// one block; a single [`FusedBlock::evaluate`] then feeds every
+    /// plan's [`CoalitionPlan::values_into`].
     ///
-    /// The membership closure contract is identical to
+    /// The membership closure contract is that of
     /// [`Background::coalition_values_into`] (called once per coalition in
-    /// ascending order against a persistent all-`false` buffer), and the
-    /// rows are built by the same materialization routine, so
-    /// `plan + evaluate + values_into` is bit-identical to the direct
-    /// call.
+    /// ascending order against a persistent all-`false` buffer), which is
+    /// a loop of this, `evaluate` and `values_into`.
     ///
     /// # Panics
     /// If `block` already holds rows of a different feature count.
@@ -747,8 +578,32 @@ impl Background {
         &self,
         x: &[f64],
         n_coalitions: usize,
-        mut membership: impl FnMut(usize, &mut [bool]),
+        membership: impl FnMut(usize, &mut [bool]),
         ws: &mut CoalitionWorkspace,
+        block: &mut FusedBlock,
+    ) -> CoalitionPlan {
+        ws.members.clear();
+        ws.members.resize(x.len(), false);
+        self.plan_range(
+            x,
+            0..n_coalitions,
+            membership,
+            &mut ws.members,
+            &mut ws.member_idx,
+            block,
+        )
+    }
+
+    /// Appends the composite rows of coalitions `range` to `block`. The
+    /// one materializer: `members` is *not* reset, so a caller planning a
+    /// long enumeration chunk by chunk keeps the incremental-fill contract.
+    fn plan_range(
+        &self,
+        x: &[f64],
+        range: std::ops::Range<usize>,
+        mut membership: impl FnMut(usize, &mut [bool]),
+        members: &mut [bool],
+        member_idx: &mut Vec<usize>,
         block: &mut FusedBlock,
     ) -> CoalitionPlan {
         let d = x.len();
@@ -762,17 +617,15 @@ impl Background {
             block.d
         );
         let first_row = block.n_rows();
-        ws.members.clear();
-        ws.members.resize(d, false);
-        block.rows.reserve(n_coalitions * n_bg * d);
-        for c in 0..n_coalitions {
-            membership(c, &mut ws.members);
-            collect_member_idx(&ws.members, &mut ws.member_idx);
-            append_composite_rows(&self.rows, x, &ws.member_idx, &mut block.rows);
+        block.rows.reserve(range.len() * n_bg * d);
+        for c in range.clone() {
+            membership(c, members);
+            collect_member_idx(members, member_idx);
+            append_composite_rows(&self.rows, x, member_idx, &mut block.rows);
         }
         CoalitionPlan {
             first_row,
-            n_coalitions,
+            n_coalitions: range.len(),
             n_bg,
         }
     }
@@ -894,103 +747,49 @@ mod tests {
     }
 
     #[test]
-    fn parallel_blocks_are_thread_count_invariant_bitwise() {
-        // Enough coalitions and background rows to split into many blocks
-        // (block = 4096 / 40 = 102 coalitions), nonlinear model so any
-        // reassociation of the arithmetic would show up in the bits.
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|i| {
-                (0..7)
-                    .map(|j| ((i * 7 + j) as f64 * 0.7130).sin() * 3.0)
-                    .collect()
-            })
+    fn membership_persists_across_chunks() {
+        // 1 500 background rows → two coalitions per chunk, so the six
+        // coalitions of an incremental reveal span three chunks; the
+        // membership buffer must survive each chunk boundary.
+        let rows: Vec<Vec<f64>> = (0..1_500)
+            .map(|i| (0..5).map(|j| ((i * 5 + j) as f64 * 0.713).sin()).collect())
             .collect();
         let b = Background::from_rows(rows).unwrap();
-        let model = FnModel::new(7, |x: &[f64]| {
+        assert_eq!(MAX_BLOCK_ROWS / b.len(), 2);
+        let model = FnModel::new(5, |x: &[f64]| {
             x.iter()
                 .enumerate()
                 .map(|(j, &v)| (v * (j as f64 + 0.5)).sin() * v)
                 .sum::<f64>()
         });
-        let x: Vec<f64> = (0..7).map(|j| j as f64 * 0.31 - 1.0).collect();
-        let n = 512usize;
-        let membership = |i: usize, members: &mut [bool]| {
-            let mut h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            for m in members.iter_mut() {
-                h ^= h << 13;
-                h ^= h >> 7;
-                h ^= h << 17;
-                *m = h & 1 == 1;
+        let x: Vec<f64> = (0..5).map(|j| j as f64 * 0.31 - 1.0).collect();
+        let mut ws = CoalitionWorkspace::default();
+        let mut out = Vec::new();
+        b.coalition_values_into(
+            &model,
+            &x,
+            6,
+            |i, members| {
+                if i > 0 {
+                    members[i - 1] = true;
+                }
+            },
+            &mut ws,
+            &mut out,
+        );
+        assert_eq!(out.len(), 6);
+        assert!(ws.block.n_rows() <= MAX_BLOCK_ROWS, "one chunk at a time");
+        let mut members = vec![false; 5];
+        for (i, v) in out.iter().enumerate() {
+            if i > 0 {
+                members[i - 1] = true;
             }
-        };
-        let run = |threads: usize| {
-            let mut ws = CoalitionWorkspace::parallel(threads);
-            ws.set_parallelism(ParCoalitionConfig {
-                threads,
-                min_coalitions: 64,
-            });
-            let mut out = Vec::new();
-            b.coalition_values_into(&model, &x, n, membership, &mut ws, &mut out);
-            out
-        };
-        let serial = run(1);
-        assert_eq!(serial.len(), n);
-        for threads in [2usize, 3, 5, 8] {
-            let par = run(threads);
-            for (i, (a, p)) in serial.iter().zip(&par).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    p.to_bits(),
-                    "coalition {i} differs at threads={threads}"
-                );
-            }
-        }
-        // And both match the scalar reference evaluator bit-for-bit.
-        let mut members = vec![false; 7];
-        for (i, v) in serial.iter().enumerate().step_by(37) {
-            membership(i, &mut members);
             assert_eq!(
                 v.to_bits(),
-                b.coalition_value(&model, &x, &members).to_bits()
+                b.coalition_value(&model, &x, &members).to_bits(),
+                "coalition {i}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_path_supports_incremental_membership() {
-        // The membership closure's incremental contract (buffer persists
-        // across calls) must survive the parallel arm, which materializes
-        // memberships up front.
-        let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, -(i as f64), 2.0]).collect();
-        let b = Background::from_rows(rows).unwrap();
-        let model = FnModel::new(3, |x: &[f64]| x[0] * 1.5 + x[1] * x[2]);
-        let x = [9.0, -3.0, 4.0];
-        let run = |threads: usize, min: usize| {
-            let mut ws = CoalitionWorkspace::default();
-            ws.set_parallelism(ParCoalitionConfig {
-                threads,
-                min_coalitions: min,
-            });
-            let mut out = Vec::new();
-            // Reveal one more feature per coalition: {}, {0}, {0,1}, {0,1,2}.
-            b.coalition_values_into(
-                &model,
-                &x,
-                4,
-                |i, members| {
-                    if i > 0 {
-                        members[i - 1] = true;
-                    }
-                },
-                &mut ws,
-                &mut out,
-            );
-            out
-        };
-        let serial = run(1, 256);
-        let parallel = run(4, 1); // force the parallel arm even at 4 coalitions
-        assert_eq!(serial, parallel);
-        assert_eq!(serial[3], model.predict(&x), "full coalition = f(x)");
     }
 
     #[test]
@@ -1100,7 +899,7 @@ mod tests {
     fn full_coalition_plans_dedup_their_repeated_x_rows() {
         // A full coalition materializes x once per background row: n_bg
         // adjacent bit-identical composites. Dedup must collapse them to
-        // one evaluation while reproducing the direct path bit-for-bit.
+        // one evaluation, alone on the workspace block as in a shared one.
         let b = bg(); // 3 background rows (see bg())
         let n_bg = b.len();
         let model = FnModel::new(2, |x: &[f64]| (x[0] - x[1]).exp());
@@ -1124,9 +923,9 @@ mod tests {
 
     #[test]
     fn direct_coalition_path_dedups_too() {
-        // The unfused Background::coalition_values_into arm shares the
-        // dedup helper; full coalitions must bump the process counter and
-        // stay bit-identical to the scalar reference.
+        // Background::coalition_values_into evaluates on a FusedBlock;
+        // full coalitions must bump the process counter and stay
+        // bit-identical to the scalar reference.
         let b = bg();
         let model = FnModel::new(2, |x: &[f64]| x[0] * x[0] - 3.0 * x[1]);
         let x = [2.0, -0.5];

@@ -17,32 +17,13 @@ pub fn explain_batch<F>(
 where
     F: Fn(&[f64]) -> Result<Attribution, XaiError> + Sync,
 {
-    if instances.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = threads.max(1).min(instances.len());
-    if threads == 1 {
-        return instances.iter().map(|x| explain(x)).collect();
-    }
-    let mut slots: Vec<Option<Result<Attribution, XaiError>>> =
-        (0..instances.len()).map(|_| None).collect();
-    let chunk = instances.len().div_ceil(threads);
-    crossbeam::scope(|s| {
-        for (w, out_chunk) in slots.chunks_mut(chunk).enumerate() {
-            let explain = &explain;
-            s.spawn(move |_| {
-                for (off, cell) in out_chunk.iter_mut().enumerate() {
-                    let idx = w * chunk + off;
-                    *cell = Some(explain(&instances[idx]));
-                }
-            });
-        }
-    })
-    .map_err(|_| XaiError::Numeric("batch explanation thread panicked".into()))?;
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
+    explain_batch_seeded_ws(
+        instances,
+        &vec![0; instances.len()],
+        threads,
+        || (),
+        |x, _seed, _ws| explain(x),
+    )
 }
 
 /// Like [`explain_batch`], but hands each instance its own RNG seed.

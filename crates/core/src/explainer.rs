@@ -14,9 +14,11 @@
 //! 2. [`FusedBlock::evaluate`] runs a single `predict_block` call over the
 //!    whole arena.
 //! 3. [`ExplainPlan::finish`] reduces the plan's slice of the shared
-//!    prediction buffer with exactly the arithmetic of the direct path, so
-//!    fused results are **bit-identical** to unfused ones (enforced by the
-//!    `fused_bit_identity` property tests).
+//!    prediction buffer. `predict_block` is row-pure, so a plan's answer
+//!    does not depend on what else was stacked beside it: fused results
+//!    are **bit-identical** to a request served alone (enforced by the
+//!    `fused_bit_identity` property tests; `pipeline_scalar_oracle` pins
+//!    the pipeline itself to scalar `predict`).
 //!
 //! Non-fusable methods (TreeSHAP walks tree structure, LIME perturbs in
 //! its own sample space; PDP/counterfactual produce non-attribution
@@ -24,10 +26,12 @@
 //! [`Explainer::direct`] and report [`Explainer::fusable`]` == false`; the
 //! scheduler routes them around the fusion block.
 //!
-//! [`Explainer::direct`] has a default implementation (plan → evaluate →
-//! finish against a private block); the concrete explainers override it
-//! with their legacy single-request entry points, which avoid the block
-//! detour and are proven bit-identical to the planned path.
+//! [`Explainer::direct`] *is* that pipeline for one request: the default
+//! implementation plans into the workspace's own block, evaluates it and
+//! finishes. Only the two enumerating methods override it — exact and
+//! grouped Shapley stack `2^d × n_bg` rows, so alone they run their free
+//! functions, which are the same three steps chunk by chunk
+//! ([`Background::coalition_values_into`]) and keep memory bounded.
 
 use crate::background::{Background, CoalitionWorkspace, FusedBlock};
 use crate::explanation::Attribution;
@@ -35,14 +39,11 @@ use crate::grouped::{
     grouped_shapley, grouped_shapley_finish, grouped_shapley_plan, FeatureGroups, GroupedShapPlan,
 };
 use crate::lime::{lime, LimeConfig};
-use crate::permutation::{
-    instance_permutation_finish, instance_permutation_plan, instance_permutation_with,
-    PermutationPlan,
-};
+use crate::permutation::{instance_permutation_finish, instance_permutation_plan, PermutationPlan};
 use crate::shapley::{
     exact_shapley, exact_shapley_finish, exact_shapley_plan, kernel_shap_finish, kernel_shap_plan,
-    kernel_shap_with, sampling_shapley, sampling_shapley_finish, sampling_shapley_plan,
-    ExactShapPlan, KernelShapConfig, KernelShapPlan, SamplingConfig, SamplingPlan,
+    sampling_shapley_finish, sampling_shapley_plan, ExactShapPlan, KernelShapConfig,
+    KernelShapPlan, SamplingConfig, SamplingPlan,
 };
 use crate::XaiError;
 use nfv_ml::model::Regressor;
@@ -78,7 +79,7 @@ impl ExplainContext<'_> {
 
 /// The deferred half of a planned explanation: knows its row range inside
 /// the shared block and how to reduce those predictions to an
-/// [`Attribution`] with the direct path's exact arithmetic.
+/// [`Attribution`].
 pub trait ExplainPlan: Send {
     /// Composite rows this plan occupies in its block (0 is legal — e.g. a
     /// one-feature KernelSHAP plan resolves fully at finish time).
@@ -165,19 +166,23 @@ pub trait Explainer: Send + Sync {
 
     /// Explains one instance end to end, without cross-request fusion.
     ///
-    /// The default drives the plan/finish pipeline against a private
-    /// block; concrete fusable explainers override it with their direct
-    /// entry points (same arithmetic, no block detour), and non-fusable
+    /// The default runs plan → evaluate → finish on the workspace's block
+    /// — the pipeline a fused group runs, with a group of one. Non-fusable
     /// methods must override it.
     fn direct(
         &self,
         ctx: &ExplainContext<'_>,
         ws: &mut CoalitionWorkspace,
     ) -> Result<Attribution, XaiError> {
-        let mut block = FusedBlock::default();
-        let plan = self.plan(ctx, ws, &mut block)?;
-        block.evaluate(ctx.model);
-        plan.finish(&block, ctx.names)
+        // `plan` borrows the whole workspace, so its block steps out.
+        let mut block = std::mem::take(&mut ws.block);
+        block.clear();
+        let result = self.plan(ctx, ws, &mut block).and_then(|plan| {
+            block.evaluate(ctx.model);
+            plan.finish(&block, ctx.names)
+        });
+        ws.block = block;
+        result
     }
 }
 
@@ -221,20 +226,6 @@ impl Explainer for KernelShapExplainer {
         )
         .map(|p| Box::new(p) as Box<dyn ExplainPlan>)
     }
-    fn direct(
-        &self,
-        ctx: &ExplainContext<'_>,
-        ws: &mut CoalitionWorkspace,
-    ) -> Result<Attribution, XaiError> {
-        kernel_shap_with(
-            ctx.model,
-            ctx.x,
-            ctx.background,
-            ctx.names,
-            &self.config(ctx.seed),
-            ws,
-        )
-    }
 }
 
 /// Permutation-sampling Shapley behind the [`Explainer`] trait.
@@ -276,19 +267,6 @@ impl Explainer for SamplingShapleyExplainer {
         )
         .map(|p| Box::new(p) as Box<dyn ExplainPlan>)
     }
-    fn direct(
-        &self,
-        ctx: &ExplainContext<'_>,
-        _ws: &mut CoalitionWorkspace,
-    ) -> Result<Attribution, XaiError> {
-        sampling_shapley(
-            ctx.model,
-            ctx.x,
-            ctx.background,
-            ctx.names,
-            &self.config(ctx.seed),
-        )
-    }
 }
 
 /// Exact (full-enumeration) Shapley behind the [`Explainer`] trait.
@@ -309,6 +287,7 @@ impl Explainer for ExactShapleyExplainer {
         exact_shapley_plan(ctx.x, ctx.background, ws, block)
             .map(|p| Box::new(p) as Box<dyn ExplainPlan>)
     }
+    /// Chunked: alone, `2^d × n_bg` rows must not be stacked at once.
     fn direct(
         &self,
         ctx: &ExplainContext<'_>,
@@ -340,6 +319,7 @@ impl Explainer for GroupedShapleyExplainer {
         grouped_shapley_plan(ctx.x, ctx.background, &self.groups, ws, block)
             .map(|p| Box::new(p) as Box<dyn ExplainPlan>)
     }
+    /// Chunked: alone, `2^G × n_bg` rows must not be stacked at once.
     fn direct(
         &self,
         ctx: &ExplainContext<'_>,
@@ -366,20 +346,6 @@ impl Explainer for PermutationExplainer {
     ) -> Result<Box<dyn ExplainPlan>, XaiError> {
         instance_permutation_plan(ctx.model, ctx.x, ctx.background, ctx.base_hint, ws, block)
             .map(|p| Box::new(p) as Box<dyn ExplainPlan>)
-    }
-    fn direct(
-        &self,
-        ctx: &ExplainContext<'_>,
-        ws: &mut CoalitionWorkspace,
-    ) -> Result<Attribution, XaiError> {
-        instance_permutation_with(
-            ctx.model,
-            ctx.x,
-            ctx.background,
-            ctx.names,
-            ctx.base_hint,
-            ws,
-        )
     }
 }
 
@@ -479,12 +445,12 @@ mod tests {
         ]
     }
 
-    // Exercises the trait's default `direct` via a wrapper that delegates
-    // `plan` but does NOT override `direct`.
-    struct DefaultDirect(KernelShapExplainer);
-    impl Explainer for DefaultDirect {
+    // Exercises the trait's default `direct` under an explainer that
+    // overrides it: delegates `plan` but does NOT override `direct`.
+    struct DefaultDirect<E>(E);
+    impl<E: Explainer> Explainer for DefaultDirect<E> {
         fn tag(&self) -> &'static str {
-            "kernel-shap-default"
+            self.0.tag()
         }
         fn plan(
             &self,
@@ -544,18 +510,56 @@ mod tests {
     }
 
     #[test]
-    fn default_direct_matches_overridden_direct_bitwise() {
+    fn chunked_overrides_match_the_default_direct_bitwise() {
+        // The two enumerating methods answer alone through their chunked
+        // free functions; the single-block default must give the same bits.
         let f = fixture();
         let mut ws = CoalitionWorkspace::default();
-        let inner = KernelShapExplainer {
+        let same = |a: Attribution, b: Attribution| {
+            assert_eq!(a.method, b.method);
+            assert_eq!(a.base_value.to_bits(), b.base_value.to_bits());
+            assert_eq!(a.prediction.to_bits(), b.prediction.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.values), bits(&b.values), "{}", a.method);
+        };
+        let exact = ExactShapleyExplainer;
+        same(
+            DefaultDirect(exact).direct(&ctx(&f), &mut ws).unwrap(),
+            exact.direct(&ctx(&f), &mut ws).unwrap(),
+        );
+        let grouped = GroupedShapleyExplainer {
+            groups: FeatureGroups::new(vec!["a".into(), "b".into()], vec![0, 0, 0, 1, 1]).unwrap(),
+        };
+        same(
+            DefaultDirect(grouped.clone())
+                .direct(&ctx(&f), &mut ws)
+                .unwrap(),
+            grouped.direct(&ctx(&f), &mut ws).unwrap(),
+        );
+    }
+
+    #[test]
+    fn direct_runs_on_the_workspace_block_with_or_without_a_hint() {
+        let f = fixture();
+        let mut ws = CoalitionWorkspace::default();
+        let kernel = KernelShapExplainer {
             n_coalitions: 24,
             ridge: 0.0,
         };
-        let via_default = DefaultDirect(inner).direct(&ctx(&f), &mut ws).unwrap();
-        let via_override = inner.direct(&ctx(&f), &mut ws).unwrap();
-        for (a, b) in via_default.values.iter().zip(&via_override.values) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let hinted = kernel.direct(&ctx(&f), &mut ws).unwrap();
+        let rows = ws.block.n_rows();
+        assert!(rows > 0, "the request ran on the workspace's own block");
+        let unhinted = kernel
+            .direct(
+                &ExplainContext {
+                    base_hint: None,
+                    ..ctx(&f)
+                },
+                &mut ws,
+            )
+            .unwrap();
+        assert_eq!(hinted, unhinted, "the hint never changes a bit");
+        assert_eq!(ws.block.n_rows(), rows);
     }
 
     #[test]

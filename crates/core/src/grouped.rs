@@ -92,14 +92,9 @@ impl FeatureGroups {
     }
 }
 
-/// Exact Shapley values over feature groups (Owen values with the trivial
-/// within-group allocation — the group total is reported, not split).
-pub fn grouped_shapley(
-    model: &dyn Regressor,
-    x: &[f64],
-    background: &Background,
-    groups: &FeatureGroups,
-) -> Result<Attribution, XaiError> {
+/// Guards; returns the group count `G` (the method enumerates `2^G`
+/// coalitions, coalition index == group mask).
+fn prepare(x: &[f64], background: &Background, groups: &FeatureGroups) -> Result<usize, XaiError> {
     let d = x.len();
     if d == 0 {
         return Err(XaiError::Input("empty instance".into()));
@@ -117,42 +112,61 @@ pub fn grouped_shapley(
             "grouped Shapley enumerates 2^G coalitions; G = {g} is too large"
         )));
     }
+    Ok(g)
+}
 
-    // v(S) over group masks: features of in-coalition groups come from x.
-    // Block-evaluated; the group mask doubles as the coalition index.
-    let n_masks = 1usize << g;
-    let mut v = Vec::with_capacity(n_masks);
-    let mut ws = CoalitionWorkspace::default();
+/// Membership of group mask `mask`: features of in-coalition groups come
+/// from `x`.
+fn group_membership(groups: &FeatureGroups) -> impl Fn(usize, &mut [bool]) + '_ {
+    |mask, members| {
+        for (j, m) in members.iter_mut().enumerate() {
+            *m = (mask >> groups.assignment[j]) & 1 == 1;
+        }
+    }
+}
+
+/// Reduces the group-coalition table `v` (all `2^G` masks) to per-group
+/// attributions.
+fn reduce(v: &[f64], group_names: &[String]) -> Attribution {
+    Attribution {
+        names: group_names.into(),
+        values: crate::shapley::exact::phi_from_mask_values(v, group_names.len()),
+        base_value: v[0],
+        prediction: v[v.len() - 1],
+        method: "grouped-shapley".into(),
+    }
+}
+
+/// Exact Shapley values over feature groups (Owen values with the trivial
+/// within-group allocation — the group total is reported, not split),
+/// evaluating the `2^G` coalitions chunk by chunk
+/// ([`Background::coalition_values_into`]) so memory stays bounded.
+pub fn grouped_shapley(
+    model: &dyn Regressor,
+    x: &[f64],
+    background: &Background,
+    groups: &FeatureGroups,
+) -> Result<Attribution, XaiError> {
+    let g = prepare(x, background, groups)?;
+    let mut v = Vec::with_capacity(1usize << g);
     background.coalition_values_into(
         model,
         x,
-        n_masks,
-        |mask, members| {
-            for (j, m) in members.iter_mut().enumerate() {
-                *m = (mask >> groups.assignment[j]) & 1 == 1;
-            }
-        },
-        &mut ws,
+        1usize << g,
+        group_membership(groups),
+        &mut CoalitionWorkspace::default(),
         &mut v,
     );
-    Ok(Attribution {
-        names: groups.names.as_slice().into(),
-        values: crate::shapley::exact::phi_from_mask_values(&v, g),
-        base_value: v[0],
-        prediction: v[n_masks - 1],
-        method: "grouped-shapley".into(),
-    })
+    Ok(reduce(&v, &groups.names))
 }
 
 /// The plan half of grouped Shapley for cross-request fusion: all `2^G`
-/// group-coalition composites are stacked into the shared block without
-/// evaluating; [`grouped_shapley_finish`] reduces them with the exact
-/// arithmetic of [`grouped_shapley`].
+/// group-coalition composites stacked into the shared block, not yet
+/// evaluated; [`grouped_shapley_finish`] reduces them.
 #[derive(Debug, Clone)]
 pub struct GroupedShapPlan {
     plan: CoalitionPlan,
     group_names: Vec<String>,
-    g: usize,
 }
 
 impl GroupedShapPlan {
@@ -163,7 +177,7 @@ impl GroupedShapPlan {
 }
 
 /// Builds a [`GroupedShapPlan`] for `x`, appending its composite rows to
-/// `block`. Guards mirror [`grouped_shapley`].
+/// `block`. Guards are those of [`grouped_shapley`].
 pub fn grouped_shapley_plan(
     x: &[f64],
     background: &Background,
@@ -171,56 +185,23 @@ pub fn grouped_shapley_plan(
     ws: &mut CoalitionWorkspace,
     block: &mut FusedBlock,
 ) -> Result<GroupedShapPlan, XaiError> {
-    let d = x.len();
-    if d == 0 {
-        return Err(XaiError::Input("empty instance".into()));
-    }
-    if background.n_features() != d || groups.assignment.len() != d {
-        return Err(XaiError::Input(format!(
-            "shape mismatch: x {d}, background {}, assignment {}",
-            background.n_features(),
-            groups.assignment.len()
-        )));
-    }
-    let g = groups.len();
-    if g > MAX_GROUPS {
-        return Err(XaiError::Budget(format!(
-            "grouped Shapley enumerates 2^G coalitions; G = {g} is too large"
-        )));
-    }
-    let plan = background.plan_coalitions(
-        x,
-        1usize << g,
-        |mask, members| {
-            for (j, m) in members.iter_mut().enumerate() {
-                *m = (mask >> groups.assignment[j]) & 1 == 1;
-            }
-        },
-        ws,
-        block,
-    );
+    let g = prepare(x, background, groups)?;
+    let plan = background.plan_coalitions(x, 1usize << g, group_membership(groups), ws, block);
     Ok(GroupedShapPlan {
         plan,
         group_names: groups.names.clone(),
-        g,
     })
 }
 
-/// Completes a [`GroupedShapPlan`] against its evaluated block — results
-/// are bit-identical to [`grouped_shapley`].
+/// Completes a [`GroupedShapPlan`] against its evaluated block with the
+/// reduction of [`grouped_shapley`].
 pub fn grouped_shapley_finish(
     plan: &GroupedShapPlan,
     block: &FusedBlock,
 ) -> Result<Attribution, XaiError> {
-    let mut v = Vec::with_capacity(1usize << plan.g);
+    let mut v = Vec::with_capacity(plan.plan.n_coalitions());
     plan.plan.values_into(block, &mut v);
-    Ok(Attribution {
-        names: plan.group_names.as_slice().into(),
-        values: crate::shapley::exact::phi_from_mask_values(&v, plan.g),
-        base_value: v[0],
-        prediction: v[v.len() - 1],
-        method: "grouped-shapley".into(),
-    })
+    Ok(reduce(&v, &plan.group_names))
 }
 
 #[cfg(test)]

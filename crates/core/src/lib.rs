@@ -26,9 +26,10 @@
 //! object-safe [`explainer::Explainer`] trait: fusable methods (the
 //! Shapley family and per-instance permutation) split into a *plan* half
 //! that stacks composite rows into a shared [`background::FusedBlock`]
-//! and a *finish* half that reduces the evaluated block bit-identically
-//! to the direct path, which is what lets a serving layer batch many
-//! requests — across methods — into single model evaluations.
+//! and a *finish* half that reduces the evaluated block. That pipeline is
+//! the only way those methods are computed — alone it runs with a group
+//! of one — so a serving layer can batch many requests, across methods,
+//! into single model evaluations without changing a bit of any answer.
 //!
 //! ## Evaluation
 //!
@@ -102,7 +103,6 @@ impl std::error::Error for XaiError {}
 pub mod prelude {
     pub use crate::background::{
         dedup_rows_saved, Background, CoalitionPlan, CoalitionWorkspace, FusedBlock,
-        ParCoalitionConfig,
     };
     pub use crate::batch::{explain_batch, explain_batch_seeded, explain_batch_seeded_ws};
     pub use crate::counterfactual::{
@@ -137,7 +137,7 @@ pub mod prelude {
         PermutationImportance, PermutationPlan,
     };
     pub use crate::report::{humanize_feature, render_report, OperatorReport, PredictionKind};
-    pub use crate::sage::{sage, sage_finish, sage_plan, SageConfig, SageImportance, SagePlan};
+    pub use crate::sage::{sage, SageConfig, SageImportance};
     pub use crate::shapley::{
         ensemble_shap, exact_shapley, exact_shapley_finish, exact_shapley_plan, forest_shap,
         gbdt_shap, kernel_shap, kernel_shap_finish, kernel_shap_plan, kernel_shap_with,

@@ -45,7 +45,7 @@
 //!         let pred = ctx.model.predict(ctx.x);
 //!         let d = ctx.x.len() as f64;
 //!         Ok(Attribution {
-//!             names: ctx.names.to_vec(),
+//!             names: ctx.names.into(),
 //!             values: ctx.x.iter().map(|_| (pred - base) / d).collect(),
 //!             base_value: base,
 //!             prediction: pred,

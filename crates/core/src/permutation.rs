@@ -145,15 +145,23 @@ fn ablation_membership(k: usize, members: &mut [bool]) {
     }
 }
 
-fn ablation_attribution(v: &[f64], base: f64, names: &[String]) -> Attribution {
-    let full = v[0];
-    Attribution {
+/// Reduces the `d + 1` ablation values to `phi_j = v(N) - v(N \ {j})`.
+fn ablation_attribution(v: &[f64], base: f64, names: &[String]) -> Result<Attribution, XaiError> {
+    let (full, leave_outs) = (v[0], &v[1..]);
+    if names.len() != leave_outs.len() {
+        return Err(XaiError::Input(format!(
+            "{} names for {} features",
+            names.len(),
+            leave_outs.len()
+        )));
+    }
+    Ok(Attribution {
         names: names.into(),
-        values: v[1..].iter().map(|&leave_out| full - leave_out).collect(),
+        values: leave_outs.iter().map(|&v| full - v).collect(),
         base_value: base,
         prediction: full,
         method: "permutation".into(),
-    }
+    })
 }
 
 /// Per-instance permutation attribution (leave-one-covariate-out):
@@ -176,8 +184,7 @@ pub fn instance_permutation(
     instance_permutation_with(model, x, background, names, base_hint, &mut ws)
 }
 
-/// [`instance_permutation`] against a caller-owned workspace (zero
-/// steady-state allocation on the serve path).
+/// [`instance_permutation`] against a caller-owned workspace.
 pub fn instance_permutation_with(
     model: &dyn Regressor,
     x: &[f64],
@@ -187,26 +194,18 @@ pub fn instance_permutation_with(
     ws: &mut CoalitionWorkspace,
 ) -> Result<Attribution, XaiError> {
     let d = check_instance_shapes(x, background)?;
-    if names.len() != d {
-        return Err(XaiError::Input(format!(
-            "{} names for {d} features",
-            names.len()
-        )));
-    }
     let base = base_hint.unwrap_or_else(|| background.expected_output(model));
     let mut v = Vec::with_capacity(d + 1);
     background.coalition_values_into(model, x, d + 1, ablation_membership, ws, &mut v);
-    Ok(ablation_attribution(&v, base, names))
+    ablation_attribution(&v, base, names)
 }
 
 /// The plan half of [`instance_permutation`] for cross-request fusion:
-/// the `d + 1` ablation composites are stacked into the shared block
-/// without evaluating; [`instance_permutation_finish`] reduces them with
-/// the exact arithmetic of the direct path.
+/// the `d + 1` ablation composites stacked into the shared block, not yet
+/// evaluated; [`instance_permutation_finish`] reduces them.
 #[derive(Debug, Clone)]
 pub struct PermutationPlan {
     plan: CoalitionPlan,
-    d: usize,
     base: f64,
 }
 
@@ -219,9 +218,8 @@ impl PermutationPlan {
 
 /// Builds a [`PermutationPlan`] for `x`, appending its composite rows to
 /// `block`. The model is only touched when `base_hint` is `None` (one
-/// background sweep for the base value); guards mirror
-/// [`instance_permutation_with`], except the names check which moves to
-/// finish time.
+/// background sweep for the base value); guards are those of
+/// [`instance_permutation_with`].
 pub fn instance_permutation_plan(
     model: &dyn Regressor,
     x: &[f64],
@@ -233,26 +231,19 @@ pub fn instance_permutation_plan(
     let d = check_instance_shapes(x, background)?;
     let base = base_hint.unwrap_or_else(|| background.expected_output(model));
     let plan = background.plan_coalitions(x, d + 1, ablation_membership, ws, block);
-    Ok(PermutationPlan { plan, d, base })
+    Ok(PermutationPlan { plan, base })
 }
 
-/// Completes a [`PermutationPlan`] against its evaluated block — results
-/// are bit-identical to [`instance_permutation_with`].
+/// Completes a [`PermutationPlan`] against its evaluated block with the
+/// reduction of [`instance_permutation_with`].
 pub fn instance_permutation_finish(
     plan: &PermutationPlan,
     block: &FusedBlock,
     names: &[String],
 ) -> Result<Attribution, XaiError> {
-    if names.len() != plan.d {
-        return Err(XaiError::Input(format!(
-            "{} names for {} features",
-            names.len(),
-            plan.d
-        )));
-    }
-    let mut v = Vec::with_capacity(plan.d + 1);
+    let mut v = Vec::with_capacity(plan.plan.n_coalitions());
     plan.plan.values_into(block, &mut v);
-    Ok(ablation_attribution(&v, plan.base, names))
+    ablation_attribution(&v, plan.base, names)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! "this feature makes the model *better*" — exactly the question when
 //! deciding which telemetry streams are worth exporting at all.
 
-use crate::background::{Background, CoalitionPlan, CoalitionWorkspace, FusedBlock};
+use crate::background::{Background, CoalitionWorkspace};
 use crate::XaiError;
 use nfv_data::dataset::{Dataset, Task};
 use nfv_ml::model::Regressor;
@@ -144,121 +144,6 @@ pub fn sage(
     })
 }
 
-/// One reveal walk of a [`SagePlan`]: the permutation, the target row's
-/// label, and the coalition rows it reserved in the shared block.
-#[derive(Debug, Clone)]
-struct SageWalk {
-    perm: Vec<usize>,
-    y: f64,
-    plan: CoalitionPlan,
-}
-
-/// The plan half of [`sage`] for deferred/fused evaluation: every reveal
-/// walk's coalition composites are stacked into a [`FusedBlock`] without
-/// evaluating the model; [`sage_finish`] reduces them with the exact
-/// accumulation order of [`sage`], so results are bit-identical.
-#[derive(Debug, Clone)]
-pub struct SagePlan {
-    walks: Vec<SageWalk>,
-    names: Vec<String>,
-    task: Task,
-    d: usize,
-}
-
-impl SagePlan {
-    /// Composite rows this plan occupies in its block.
-    pub fn n_rows(&self) -> usize {
-        self.walks.iter().map(|w| w.plan.n_rows()).sum()
-    }
-}
-
-/// Builds a [`SagePlan`], appending every reveal walk's composite rows to
-/// `block`. Draws the same permutations and row samples as [`sage`] with
-/// the same `cfg` (identical RNG consumption order); guards mirror it.
-pub fn sage_plan(
-    data: &Dataset,
-    background: &Background,
-    cfg: &SageConfig,
-    ws: &mut CoalitionWorkspace,
-    block: &mut FusedBlock,
-) -> Result<SagePlan, XaiError> {
-    let d = data.n_features();
-    if background.n_features() != d {
-        return Err(XaiError::Input(format!(
-            "background has {} features, data {d}",
-            background.n_features()
-        )));
-    }
-    if cfg.n_permutations == 0 || cfg.rows_per_permutation == 0 {
-        return Err(XaiError::Budget(
-            "n_permutations and rows_per_permutation must be positive".into(),
-        ));
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let n = data.n_rows();
-    let mut perm: Vec<usize> = (0..d).collect();
-    let mut walks = Vec::with_capacity(cfg.n_permutations * cfg.rows_per_permutation);
-    for _ in 0..cfg.n_permutations {
-        perm.shuffle(&mut rng);
-        for _ in 0..cfg.rows_per_permutation {
-            let i = rng.gen_range(0..n);
-            let plan = background.plan_coalitions(
-                data.row(i),
-                d + 1,
-                |k, members| {
-                    if k > 0 {
-                        members[perm[k - 1]] = true;
-                    }
-                },
-                ws,
-                block,
-            );
-            walks.push(SageWalk {
-                perm: perm.clone(),
-                y: data.y[i],
-                plan,
-            });
-        }
-    }
-    Ok(SagePlan {
-        walks,
-        names: data.names.clone(),
-        task: data.task,
-        d,
-    })
-}
-
-/// Completes a [`SagePlan`] against its evaluated block — results are
-/// bit-identical to [`sage`] with the same configuration.
-pub fn sage_finish(plan: &SagePlan, block: &FusedBlock) -> Result<SageImportance, XaiError> {
-    let mut values = vec![0.0; plan.d];
-    let mut base_loss_sum = 0.0;
-    let mut full_loss_sum = 0.0;
-    let mut count = 0.0;
-    let mut vals: Vec<f64> = Vec::new();
-    for walk in &plan.walks {
-        walk.plan.values_into(block, &mut vals);
-        let mut prev = loss(plan.task, vals[0], walk.y);
-        base_loss_sum += prev;
-        for (k, &j) in walk.perm.iter().enumerate() {
-            let cur = loss(plan.task, vals[k + 1], walk.y);
-            values[j] += prev - cur;
-            prev = cur;
-        }
-        full_loss_sum += prev;
-        count += 1.0;
-    }
-    for v in &mut values {
-        *v /= count;
-    }
-    Ok(SageImportance {
-        names: plan.names.clone(),
-        values,
-        base_loss: base_loss_sum / count,
-        full_loss: full_loss_sum / count,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,34 +206,6 @@ mod tests {
         let a = sage(&model, &s.data, &bg, &cfg).unwrap();
         let b = sage(&model, &s.data, &bg, &cfg).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn planned_sage_is_bit_identical_to_direct() {
-        let s = linear_gaussian(150, 2, 1, 0.1, 78).unwrap();
-        let coefs = s.coefficients.clone();
-        let model = FnModel::new(3, move |x: &[f64]| {
-            x.iter().zip(&coefs).map(|(a, b)| a * b).sum()
-        });
-        let bg = Background::from_dataset(&s.data, 8, 4).unwrap();
-        let cfg = SageConfig {
-            n_permutations: 8,
-            rows_per_permutation: 4,
-            seed: 9,
-        };
-        let direct = sage(&model, &s.data, &bg, &cfg).unwrap();
-        let mut ws = CoalitionWorkspace::default();
-        let mut block = FusedBlock::default();
-        let plan = sage_plan(&s.data, &bg, &cfg, &mut ws, &mut block).unwrap();
-        assert_eq!(plan.n_rows(), block.n_rows());
-        block.evaluate(&model);
-        let fused = sage_finish(&plan, &block).unwrap();
-        assert_eq!(direct.base_loss.to_bits(), fused.base_loss.to_bits());
-        assert_eq!(direct.full_loss.to_bits(), fused.full_loss.to_bits());
-        for (a, b) in direct.values.iter().zip(&fused.values) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(direct.names, fused.names);
     }
 
     #[test]

@@ -13,8 +13,7 @@ use nfv_ml::model::Regressor;
 pub const MAX_EXACT_FEATURES: usize = 20;
 
 /// Folds the full table of coalition values `v` (indexed by membership
-/// mask) into Shapley values with the factorial weights. Shared by the
-/// direct and planned paths so both reduce with identical arithmetic.
+/// mask) into Shapley values with the factorial weights.
 pub(crate) fn phi_from_mask_values(v: &[f64], d: usize) -> Vec<f64> {
     // Shapley weights w(s) = s!(d−s−1)!/d! indexed by |S| (coalition size
     // before adding the player).
@@ -40,88 +39,9 @@ pub(crate) fn phi_from_mask_values(v: &[f64], d: usize) -> Vec<f64> {
     phi
 }
 
-/// Computes exact Shapley values of `model` at `x` against `background`.
-///
-/// `names` labels the features of the resulting [`Attribution`].
-pub fn exact_shapley(
-    model: &dyn Regressor,
-    x: &[f64],
-    background: &Background,
-    names: &[String],
-) -> Result<Attribution, XaiError> {
-    let d = x.len();
-    if d == 0 {
-        return Err(XaiError::Input(
-            "cannot explain a zero-feature input".into(),
-        ));
-    }
-    if d > MAX_EXACT_FEATURES {
-        return Err(XaiError::Budget(format!(
-            "exact Shapley limited to {MAX_EXACT_FEATURES} features, got {d}"
-        )));
-    }
-    if background.n_features() != d || names.len() != d {
-        return Err(XaiError::Input(format!(
-            "shape mismatch: x has {d}, background {}, names {}",
-            background.n_features(),
-            names.len()
-        )));
-    }
-
-    // v(S) for every coalition mask, evaluated in blocks so each model
-    // call covers many composites (coalition index == mask).
-    let n_masks = 1usize << d;
-    let mut v = Vec::with_capacity(n_masks);
-    let mut ws = CoalitionWorkspace::default();
-    background.coalition_values_into(
-        model,
-        x,
-        n_masks,
-        |mask, members| {
-            for (j, m) in members.iter_mut().enumerate() {
-                *m = (mask >> j) & 1 == 1;
-            }
-        },
-        &mut ws,
-        &mut v,
-    );
-
-    Ok(Attribution {
-        names: names.into(),
-        values: phi_from_mask_values(&v, d),
-        base_value: v[0],
-        prediction: v[n_masks - 1],
-        method: "exact-shapley".into(),
-    })
-}
-
-/// The plan half of exact Shapley for cross-request fusion: materializes
-/// all `2^d` coalition composites into the shared block without
-/// evaluating. The model is not consulted at all — base value and
-/// prediction fall out of the coalition table at finish time.
-#[derive(Debug, Clone, Copy)]
-pub struct ExactShapPlan {
-    plan: CoalitionPlan,
-    d: usize,
-}
-
-impl ExactShapPlan {
-    /// Composite rows this plan occupies in its block.
-    pub fn n_rows(&self) -> usize {
-        self.plan.n_rows()
-    }
-}
-
-/// Builds an [`ExactShapPlan`] for `x`, appending its composite rows to
-/// `block`. Guards mirror [`exact_shapley`]. Note the row cost:
-/// `2^d × background.len()` rows — callers fusing many requests should
-/// budget accordingly.
-pub fn exact_shapley_plan(
-    x: &[f64],
-    background: &Background,
-    ws: &mut CoalitionWorkspace,
-    block: &mut FusedBlock,
-) -> Result<ExactShapPlan, XaiError> {
+/// Guards; returns the feature count `d` (the method enumerates `2^d`
+/// coalitions, coalition index == membership mask).
+fn prepare(x: &[f64], background: &Background) -> Result<usize, XaiError> {
     let d = x.len();
     if d == 0 {
         return Err(XaiError::Input(
@@ -139,43 +59,99 @@ pub fn exact_shapley_plan(
             background.n_features()
         )));
     }
-    let plan = background.plan_coalitions(
+    Ok(d)
+}
+
+fn mask_membership(mask: usize, members: &mut [bool]) {
+    for (j, m) in members.iter_mut().enumerate() {
+        *m = (mask >> j) & 1 == 1;
+    }
+}
+
+/// Reduces the coalition table `v` (all `2^d` masks) to attributions; base
+/// value and prediction fall out of the table's two ends.
+fn reduce(v: &[f64], d: usize, names: &[String]) -> Result<Attribution, XaiError> {
+    if names.len() != d {
+        return Err(XaiError::Input(format!(
+            "shape mismatch: x has {d} features, names {}",
+            names.len()
+        )));
+    }
+    Ok(Attribution {
+        names: names.into(),
+        values: phi_from_mask_values(v, d),
+        base_value: v[0],
+        prediction: v[v.len() - 1],
+        method: "exact-shapley".into(),
+    })
+}
+
+/// Computes exact Shapley values of `model` at `x` against `background`,
+/// evaluating the `2^d` coalitions chunk by chunk
+/// ([`Background::coalition_values_into`]) so memory stays bounded.
+///
+/// `names` labels the features of the resulting [`Attribution`].
+pub fn exact_shapley(
+    model: &dyn Regressor,
+    x: &[f64],
+    background: &Background,
+    names: &[String],
+) -> Result<Attribution, XaiError> {
+    let d = prepare(x, background)?;
+    let mut v = Vec::with_capacity(1usize << d);
+    background.coalition_values_into(
+        model,
         x,
         1usize << d,
-        |mask, members| {
-            for (j, m) in members.iter_mut().enumerate() {
-                *m = (mask >> j) & 1 == 1;
-            }
-        },
-        ws,
-        block,
+        mask_membership,
+        &mut CoalitionWorkspace::default(),
+        &mut v,
     );
+    reduce(&v, d, names)
+}
+
+/// The plan half of exact Shapley for cross-request fusion: all `2^d`
+/// coalition composites materialized into the shared block, not yet
+/// evaluated. The model is not consulted at all — base value and
+/// prediction fall out of the coalition table at finish time.
+#[derive(Debug, Clone, Copy)]
+pub struct ExactShapPlan {
+    plan: CoalitionPlan,
+    d: usize,
+}
+
+impl ExactShapPlan {
+    /// Composite rows this plan occupies in its block.
+    pub fn n_rows(&self) -> usize {
+        self.plan.n_rows()
+    }
+}
+
+/// Builds an [`ExactShapPlan`] for `x`, appending its composite rows to
+/// `block`. Guards are those of [`exact_shapley`]. Note the row cost:
+/// `2^d × background.len()` rows, all stacked at once — callers fusing
+/// many requests should budget accordingly.
+pub fn exact_shapley_plan(
+    x: &[f64],
+    background: &Background,
+    ws: &mut CoalitionWorkspace,
+    block: &mut FusedBlock,
+) -> Result<ExactShapPlan, XaiError> {
+    let d = prepare(x, background)?;
+    let plan = background.plan_coalitions(x, 1usize << d, mask_membership, ws, block);
     Ok(ExactShapPlan { plan, d })
 }
 
 /// Completes an [`ExactShapPlan`] against its evaluated block with the
-/// exact reduction of [`exact_shapley`] — results are bit-identical.
+/// reduction of [`exact_shapley`].
 pub fn exact_shapley_finish(
     plan: &ExactShapPlan,
     block: &FusedBlock,
     names: &[String],
 ) -> Result<Attribution, XaiError> {
-    if names.len() != plan.d {
-        return Err(XaiError::Input(format!(
-            "shape mismatch: plan has {} features, names {}",
-            plan.d,
-            names.len()
-        )));
-    }
     let mut v = Vec::with_capacity(1usize << plan.d);
     plan.plan.values_into(block, &mut v);
-    Ok(Attribution {
-        names: names.into(),
-        values: phi_from_mask_values(&v, plan.d),
-        base_value: v[0],
-        prediction: v[v.len() - 1],
-        method: "exact-shapley".into(),
-    })
+    reduce(&v, plan.d, names)
 }
 
 #[cfg(test)]

@@ -146,6 +146,61 @@ fn select_coalitions(d: usize, cfg: &KernelShapConfig) -> Vec<(Vec<bool>, f64)> 
     coalitions
 }
 
+/// Everything KernelSHAP decides before any coalition is evaluated.
+#[derive(Debug, Clone)]
+struct Prepared {
+    /// Selected coalitions with their kernel weights (empty when `d == 1`:
+    /// efficiency pins the single attribution down completely).
+    coalitions: Vec<(Vec<bool>, f64)>,
+    base: f64,
+    fx: f64,
+    d: usize,
+    ridge: f64,
+}
+
+/// Guards, base value, `f(x)` and the coalition choice. `base_hint`, when
+/// given, must be bit-equal to `background.expected_output(model)`.
+fn prepare(
+    model: &dyn Regressor,
+    x: &[f64],
+    background: &Background,
+    cfg: &KernelShapConfig,
+    base_hint: Option<f64>,
+) -> Result<Prepared, XaiError> {
+    let d = x.len();
+    if d == 0 {
+        return Err(XaiError::Input(
+            "cannot explain a zero-feature input".into(),
+        ));
+    }
+    if background.n_features() != d {
+        return Err(XaiError::Input(format!(
+            "shape mismatch: x has {d}, background {}",
+            background.n_features()
+        )));
+    }
+    let mut coalitions = Vec::new();
+    if d > 1 {
+        if cfg.n_coalitions == 0 {
+            return Err(XaiError::Budget("n_coalitions must be positive".into()));
+        }
+        coalitions = select_coalitions(d, cfg);
+        if coalitions.is_empty() {
+            return Err(XaiError::Budget(format!(
+                "budget {} produced no coalitions for d={d}",
+                cfg.n_coalitions
+            )));
+        }
+    }
+    Ok(Prepared {
+        coalitions,
+        base: base_hint.unwrap_or_else(|| background.expected_output(model)),
+        fx: model.predict(x),
+        d,
+        ridge: cfg.ridge,
+    })
+}
+
 /// Computes KernelSHAP attributions of `model` at `x` (allocates a fresh
 /// evaluation workspace; batch callers should hold one per thread and use
 /// [`kernel_shap_with`]).
@@ -169,117 +224,73 @@ pub fn kernel_shap_with(
     cfg: &KernelShapConfig,
     ws: &mut CoalitionWorkspace,
 ) -> Result<Attribution, XaiError> {
-    let d = x.len();
-    if d == 0 {
-        return Err(XaiError::Input(
-            "cannot explain a zero-feature input".into(),
-        ));
-    }
-    if background.n_features() != d || names.len() != d {
-        return Err(XaiError::Input(format!(
-            "shape mismatch: x has {d}, background {}, names {}",
-            background.n_features(),
-            names.len()
-        )));
-    }
-    let base = background.expected_output(model);
-    let fx = model.predict(x);
-
-    // One feature: efficiency pins it down completely.
-    if d == 1 {
-        return Ok(Attribution {
-            names: names.into(),
-            values: vec![fx - base],
-            base_value: base,
-            prediction: fx,
-            method: "kernel-shap".into(),
-        });
-    }
-    if cfg.n_coalitions == 0 {
-        return Err(XaiError::Budget("n_coalitions must be positive".into()));
-    }
-
-    let coalitions = select_coalitions(d, cfg);
-    if coalitions.is_empty() {
-        return Err(XaiError::Budget(format!(
-            "budget {} produced no coalitions for d={d}",
-            cfg.n_coalitions
-        )));
-    }
-
-    // ---- Coalition evaluation (the hot path, batched) -------------------
-    let mut values = Vec::with_capacity(coalitions.len());
+    let p = prepare(model, x, background, cfg, None)?;
+    let mut values = Vec::with_capacity(p.coalitions.len());
     background.coalition_values_into(
         model,
         x,
-        coalitions.len(),
-        |i, members| members.copy_from_slice(&coalitions[i].0),
+        p.coalitions.len(),
+        |i, members| members.copy_from_slice(&p.coalitions[i].0),
         ws,
         &mut values,
     );
-
-    solve_weighted(&coalitions, &values, base, fx, cfg.ridge, names)
+    solve_weighted(&p, &values, names)
 }
 
-/// The weighted regression with the efficiency constraint, shared by
-/// [`kernel_shap_with`] and [`kernel_shap_finish`] so the fused and
-/// unfused paths solve with byte-for-byte the same arithmetic.
+/// The reduction: the weighted regression over the coalition `values` of
+/// `p`, with the efficiency constraint enforced by elimination.
 ///
 /// Eliminate φ_{d−1}: with Δ = fx − base,
 ///   y − base − z_{d−1}·Δ = Σ_{i<d−1} φ_i (z_i − z_{d−1}).
-fn solve_weighted(
-    coalitions: &[(Vec<bool>, f64)],
-    values: &[f64],
-    base: f64,
-    fx: f64,
-    ridge: f64,
-    names: &[String],
-) -> Result<Attribution, XaiError> {
-    let d = names.len();
-    let n = coalitions.len();
-    let mut xmat = Vec::with_capacity(n * (d - 1));
-    let mut yvec = Vec::with_capacity(n);
-    let mut wvec = Vec::with_capacity(n);
-    let delta = fx - base;
-    for ((members, w), &v) in coalitions.iter().zip(values) {
-        let z_last = if members[d - 1] { 1.0 } else { 0.0 };
-        for &m in &members[..d - 1] {
-            let z_j = if m { 1.0 } else { 0.0 };
-            xmat.push(z_j - z_last);
-        }
-        yvec.push(v - base - z_last * delta);
-        wvec.push(*w);
+fn solve_weighted(p: &Prepared, values: &[f64], names: &[String]) -> Result<Attribution, XaiError> {
+    let d = p.d;
+    if names.len() != d {
+        return Err(XaiError::Input(format!(
+            "shape mismatch: x has {d} features, names {}",
+            names.len()
+        )));
     }
-    let xm = Matrix::from_vec(n, d - 1, xmat).map_err(|e| XaiError::Numeric(e.to_string()))?;
-    let beta =
-        weighted_ridge(&xm, &yvec, &wvec, ridge).map_err(|e| XaiError::Numeric(e.to_string()))?;
-    let mut phi = beta;
-    let last = delta - phi.iter().sum::<f64>();
-    phi.push(last);
-
+    let delta = p.fx - p.base;
+    // One feature: efficiency pins it down completely.
+    let mut phi = vec![delta];
+    if d > 1 {
+        let n = p.coalitions.len();
+        let mut xmat = Vec::with_capacity(n * (d - 1));
+        let mut yvec = Vec::with_capacity(n);
+        let mut wvec = Vec::with_capacity(n);
+        for ((members, w), &v) in p.coalitions.iter().zip(values) {
+            let z_last = if members[d - 1] { 1.0 } else { 0.0 };
+            for &m in &members[..d - 1] {
+                let z_j = if m { 1.0 } else { 0.0 };
+                xmat.push(z_j - z_last);
+            }
+            yvec.push(v - p.base - z_last * delta);
+            wvec.push(*w);
+        }
+        let xm = Matrix::from_vec(n, d - 1, xmat).map_err(|e| XaiError::Numeric(e.to_string()))?;
+        phi = weighted_ridge(&xm, &yvec, &wvec, p.ridge)
+            .map_err(|e| XaiError::Numeric(e.to_string()))?;
+        let last = delta - phi.iter().sum::<f64>();
+        phi.push(last);
+    }
     Ok(Attribution {
         names: names.into(),
         values: phi,
-        base_value: base,
-        prediction: fx,
+        base_value: p.base,
+        prediction: p.fx,
         method: "kernel-shap".into(),
     })
 }
 
-/// The plan half of KernelSHAP for cross-request fusion: selects the
-/// coalitions and materializes their composite rows into the shared
-/// `block` without evaluating the model on them. Several requests' plans
-/// stack into one block; after a single [`FusedBlock::evaluate`],
-/// [`kernel_shap_finish`] completes each request with the exact
-/// arithmetic of [`kernel_shap_with`] — results are bit-identical.
+/// The plan half of KernelSHAP for cross-request fusion: the coalitions
+/// are selected and their composite rows materialized into a shared block,
+/// not yet evaluated. Several requests' plans stack into one block; after
+/// a single [`FusedBlock::evaluate`], [`kernel_shap_finish`] completes
+/// each request.
 #[derive(Debug, Clone)]
 pub struct KernelShapPlan {
-    coalitions: Vec<(Vec<bool>, f64)>,
+    prepared: Prepared,
     plan: CoalitionPlan,
-    base: f64,
-    fx: f64,
-    d: usize,
-    ridge: f64,
 }
 
 impl KernelShapPlan {
@@ -290,7 +301,7 @@ impl KernelShapPlan {
 
     /// Coalitions selected for this request.
     pub fn n_coalitions(&self) -> usize {
-        self.coalitions.len()
+        self.prepared.coalitions.len()
     }
 }
 
@@ -301,9 +312,8 @@ impl KernelShapPlan {
 /// bit. The model is still consulted for `f(x)` — the single row the plan
 /// cannot defer.
 ///
-/// Guards, the `d == 1` short circuit, and error cases mirror
-/// [`kernel_shap_with`] exactly (a `d == 1` plan occupies zero rows and
-/// resolves fully at finish time).
+/// Guards and error cases are those of [`kernel_shap_with`] (a `d == 1`
+/// plan occupies zero rows and resolves fully at finish time).
 pub fn kernel_shap_plan(
     model: &dyn Regressor,
     x: &[f64],
@@ -313,93 +323,28 @@ pub fn kernel_shap_plan(
     ws: &mut CoalitionWorkspace,
     block: &mut FusedBlock,
 ) -> Result<KernelShapPlan, XaiError> {
-    let d = x.len();
-    if d == 0 {
-        return Err(XaiError::Input(
-            "cannot explain a zero-feature input".into(),
-        ));
-    }
-    if background.n_features() != d {
-        return Err(XaiError::Input(format!(
-            "shape mismatch: x has {d}, background {}",
-            background.n_features()
-        )));
-    }
-    let base = base_hint.unwrap_or_else(|| background.expected_output(model));
-    let fx = model.predict(x);
-
-    // One feature: efficiency pins it down completely; nothing to stack.
-    if d == 1 {
-        return Ok(KernelShapPlan {
-            coalitions: Vec::new(),
-            plan: background.plan_coalitions(x, 0, |_, _| {}, ws, block),
-            base,
-            fx,
-            d,
-            ridge: cfg.ridge,
-        });
-    }
-    if cfg.n_coalitions == 0 {
-        return Err(XaiError::Budget("n_coalitions must be positive".into()));
-    }
-    let coalitions = select_coalitions(d, cfg);
-    if coalitions.is_empty() {
-        return Err(XaiError::Budget(format!(
-            "budget {} produced no coalitions for d={d}",
-            cfg.n_coalitions
-        )));
-    }
+    let prepared = prepare(model, x, background, cfg, base_hint)?;
     let plan = background.plan_coalitions(
         x,
-        coalitions.len(),
-        |i, members| members.copy_from_slice(&coalitions[i].0),
+        prepared.coalitions.len(),
+        |i, members| members.copy_from_slice(&prepared.coalitions[i].0),
         ws,
         block,
     );
-    Ok(KernelShapPlan {
-        coalitions,
-        plan,
-        base,
-        fx,
-        d,
-        ridge: cfg.ridge,
-    })
+    Ok(KernelShapPlan { prepared, plan })
 }
 
 /// Completes a [`KernelShapPlan`] against its evaluated block: reduces the
-/// plan's prediction rows to coalition values and runs the same weighted
-/// regression as [`kernel_shap_with`]. Bit-identical to the unfused path.
+/// plan's prediction rows to coalition values and runs the weighted
+/// regression of [`kernel_shap_with`] on them.
 pub fn kernel_shap_finish(
     plan: &KernelShapPlan,
     block: &FusedBlock,
     names: &[String],
 ) -> Result<Attribution, XaiError> {
-    if names.len() != plan.d {
-        return Err(XaiError::Input(format!(
-            "shape mismatch: plan has {} features, names {}",
-            plan.d,
-            names.len()
-        )));
-    }
-    if plan.d == 1 {
-        return Ok(Attribution {
-            names: names.into(),
-            values: vec![plan.fx - plan.base],
-            base_value: plan.base,
-            prediction: plan.fx,
-            method: "kernel-shap".into(),
-        });
-    }
-    let mut values = Vec::with_capacity(plan.coalitions.len());
+    let mut values = Vec::with_capacity(plan.prepared.coalitions.len());
     plan.plan.values_into(block, &mut values);
-    solve_weighted(
-        &plan.coalitions,
-        &values,
-        plan.base,
-        plan.fx,
-        plan.ridge,
-        names,
-    )
+    solve_weighted(&plan.prepared, &values, names)
 }
 
 /// Calls `f` with every size-`s` subset of `0..d` as a membership vector.
@@ -651,47 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_explanations_invariant_to_coalition_thread_count() {
-        // Parallel coalition blocks must not perturb a single seeded
-        // explanation bit-for-bit, whatever the fan-out width.
-        let s = friedman1(150, 10, 0.25, 29).unwrap();
-        let bg = Background::from_dataset(&s.data, 24, 4).unwrap();
-        let f = nfv_ml::forest::RandomForest::fit(
-            &s.data,
-            &nfv_ml::forest::ForestParams {
-                n_trees: 10,
-                ..Default::default()
-            },
-            6,
-            1,
-        )
-        .unwrap();
-        let cfg = KernelShapConfig {
-            n_coalitions: 300,
-            ridge: 0.0,
-            seed: 99,
-        };
-        let x = s.data.row(5).to_vec();
-        let run = |threads: usize| {
-            let mut ws = crate::background::CoalitionWorkspace::default();
-            ws.set_parallelism(crate::background::ParCoalitionConfig {
-                threads,
-                min_coalitions: 32,
-            });
-            kernel_shap_with(&f, &x, &bg, &names(10), &cfg, &mut ws).unwrap()
-        };
-        let serial = run(1);
-        for threads in [2usize, 4, 7] {
-            let par = run(threads);
-            assert_eq!(serial.prediction.to_bits(), par.prediction.to_bits());
-            assert_eq!(serial.base_value.to_bits(), par.base_value.to_bits());
-            for (a, b) in serial.values.iter().zip(&par.values) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn planned_kernel_shap_is_bit_identical_to_direct() {
         use crate::background::FusedBlock;
         let s = friedman1(150, 9, 0.2, 13).unwrap();
@@ -758,7 +662,7 @@ mod tests {
         block.evaluate(&model);
         let a = kernel_shap_finish(&p, &block, &names(1)).unwrap();
         assert!((a.values[0] - (12.0 - 3.0)).abs() < 1e-12);
-        // Zero budget errors at plan time, like the direct path.
+        // Zero budget errors at plan time.
         let bg2 = Background::from_rows(vec![vec![0.0, 0.0]]).unwrap();
         let m2 = FnModel::new(2, |x: &[f64]| x[0]);
         assert!(kernel_shap_plan(

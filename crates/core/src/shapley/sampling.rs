@@ -38,7 +38,9 @@ impl Default for SamplingConfig {
 ///
 /// For each permutation π and a background row b, features are switched
 /// from b's values to x's in π order; the output delta when feature `i`
-/// switches is an unbiased draw of φ_i.
+/// switches is an unbiased draw of φ_i. Every walk's `d + 1` composites go
+/// into one block and one `predict_block` call: plan → evaluate → finish,
+/// the pipeline a fused group runs, on a private block.
 pub fn sampling_shapley(
     model: &dyn Regressor,
     x: &[f64],
@@ -46,86 +48,17 @@ pub fn sampling_shapley(
     names: &[String],
     cfg: &SamplingConfig,
 ) -> Result<Attribution, XaiError> {
-    let d = x.len();
-    if d == 0 {
-        return Err(XaiError::Input(
-            "cannot explain a zero-feature input".into(),
-        ));
-    }
-    if background.n_features() != d || names.len() != d {
-        return Err(XaiError::Input(format!(
-            "shape mismatch: x has {d}, background {}, names {}",
-            background.n_features(),
-            names.len()
-        )));
-    }
-    if cfg.n_permutations == 0 {
-        return Err(XaiError::Budget("n_permutations must be positive".into()));
-    }
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut phi = vec![0.0; d];
-    let mut n_samples = 0usize;
-    let mut perm: Vec<usize> = (0..d).collect();
-    let mut composite = vec![0.0; d];
-    let mut walk_rows: Vec<f64> = Vec::with_capacity((d + 1) * d);
-
-    // One walk = d + 1 composites (background row, then one feature of x
-    // revealed per step). Materialize them all and issue a single
-    // `predict_batch` call; the step deltas are consecutive differences.
-    // Bit-identical to the scalar walk: each composite row is the same, and
-    // `predict_batch` preserves per-row `predict` arithmetic.
-    let mut walk = |order: &[usize], b: &[f64], phi: &mut [f64]| {
-        walk_rows.clear();
-        composite.copy_from_slice(b);
-        walk_rows.extend_from_slice(&composite);
-        for &j in order {
-            composite[j] = x[j];
-            walk_rows.extend_from_slice(&composite);
-        }
-        let refs: Vec<&[f64]> = walk_rows.chunks(d).collect();
-        let preds = model.predict_batch(&refs);
-        for (k, &j) in order.iter().enumerate() {
-            phi[j] += preds[k + 1] - preds[k];
-        }
-    };
-
-    for _ in 0..cfg.n_permutations {
-        perm.shuffle(&mut rng);
-        let b_idx = rng.gen_range(0..background.len());
-        let b = background.row(b_idx).to_vec();
-        walk(&perm, &b, &mut phi);
-        n_samples += 1;
-        if cfg.antithetic {
-            let rev: Vec<usize> = perm.iter().rev().copied().collect();
-            walk(&rev, &b, &mut phi);
-            n_samples += 1;
-        }
-    }
-    for p in &mut phi {
-        *p /= n_samples as f64;
-    }
-
-    let base_value = background.expected_output(model);
-    Ok(Attribution {
-        names: names.into(),
-        values: phi,
-        base_value,
-        prediction: model.predict(x),
-        method: if cfg.antithetic {
-            "sampling-shapley-antithetic".into()
-        } else {
-            "sampling-shapley".into()
-        },
-    })
+    let mut block = FusedBlock::default();
+    let plan = sampling_shapley_plan(model, x, background, cfg, None, &mut block)?;
+    block.evaluate(model);
+    sampling_shapley_finish(&plan, &block, names)
 }
 
-/// The plan half of sampling Shapley for cross-request fusion: draws the
-/// same permutations and background rows as [`sampling_shapley`] (the RNG
-/// stream is identical) and stacks every walk's composite rows into the
-/// shared block. [`sampling_shapley_finish`] then folds the step deltas
-/// out of the evaluated block with the exact arithmetic of the direct
-/// path — results are bit-identical.
+/// The plan half of sampling Shapley: the permutations and background rows
+/// are drawn and every walk's composite rows (the background row, then one
+/// feature of `x` revealed per step) stacked into a shared block, not yet
+/// evaluated. [`sampling_shapley_finish`] folds the step deltas out of the
+/// evaluated block.
 #[derive(Debug, Clone)]
 pub struct SamplingPlan {
     first_row: usize,
@@ -146,8 +79,7 @@ impl SamplingPlan {
 
 /// Builds a [`SamplingPlan`] for `x`, appending its walk rows to `block`.
 /// `base_hint`, when given, must be bit-equal to
-/// `background.expected_output(model)`. Guards mirror
-/// [`sampling_shapley`].
+/// `background.expected_output(model)`.
 pub fn sampling_shapley_plan(
     model: &dyn Regressor,
     x: &[f64],
@@ -207,10 +139,9 @@ pub fn sampling_shapley_plan(
     })
 }
 
-/// Completes a [`SamplingPlan`] against its evaluated block: per-walk step
-/// deltas are accumulated in the same walk and step order as
-/// [`sampling_shapley`], so the result is bit-identical to the direct
-/// path.
+/// Completes a [`SamplingPlan`] against its evaluated block: the step
+/// deltas (consecutive differences along each walk) are accumulated in
+/// walk order, then step order.
 pub fn sampling_shapley_finish(
     plan: &SamplingPlan,
     block: &FusedBlock,

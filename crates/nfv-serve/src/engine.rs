@@ -39,7 +39,7 @@ pub struct ServeConfig {
     pub quantization_grid: f64,
     /// Engine seed mixed into every stochastic explainer's seed.
     pub seed: u64,
-    /// Cross-request coalition fusion policy (the mega-block scheduler).
+    /// The fused-fill statistic's target (see [`FusionPolicy`]).
     pub fusion: FusionPolicy,
     /// Deduplicate concurrent identical cache misses: followers wait for
     /// the leader's result instead of enqueueing their own computation.
@@ -99,39 +99,26 @@ impl Default for AnytimePolicy {
     }
 }
 
-/// Policy for the cross-request coalition fusion scheduler: workers stack
-/// the coalition matrices of several queued same-model plan-capable
-/// requests (the Shapley family and per-instance permutation, methods and
-/// budgets mixed) into one shared evaluation block, so one `predict_block`
-/// call amortizes traversal setup — and clears the SoA row-major repack
-/// breakeven — across the whole group. Results are bit-identical to
-/// unfused serving: fusion changes *which call* evaluates a composite row,
-/// never its arithmetic.
+/// What remains of the fusion scheduler's policy. The rule itself is code
+/// (`worker.rs`): two or more co-queued plan-capable jobs of one model —
+/// the Shapley family and per-instance permutation, methods and budgets
+/// mixed — stack their composite rows into one shared block and one
+/// `predict_block` call; a lone job runs the same plan → evaluate → finish
+/// pipeline on its own. Either way the answer has the same bits: stacking
+/// changes *which call* evaluates a composite row, never its arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionPolicy {
-    /// Master switch. Off = every request evaluates its own coalitions
-    /// (the pre-fusion behaviour, kept for A/B benchmarking).
-    pub enabled: bool,
-    /// Smallest fusable group: below this, fusion is pure overhead and the
-    /// direct path runs instead.
-    pub min_jobs: usize,
-    /// Row budget a group *aims* for (the fill-ratio denominator). Sized
-    /// to the SoA engine's pack breakeven so fused blocks take the
-    /// row-major fast path that single requests rarely reach.
+    /// Row count a fused group *aims* for — the denominator of the
+    /// `fused_fill_ratio` statistic, nothing else. Sized to the SoA
+    /// engine's pack breakeven. A field rather than a constant only
+    /// because `benchmark/` reads it (ROADMAP, leftovers).
     pub target_rows: usize,
-    /// Hard per-block row cap: the scheduler flushes (evaluates and
-    /// finishes the planned jobs so far) before exceeding it, bounding the
-    /// arena's high-water mark.
-    pub max_rows: usize,
 }
 
 impl Default for FusionPolicy {
     fn default() -> Self {
         FusionPolicy {
-            enabled: true,
-            min_jobs: 2,
             target_rows: nfv_ml::soa::PACK_MIN_ROWS,
-            max_rows: 16_384,
         }
     }
 }
@@ -212,18 +199,15 @@ impl Engine {
             config.cache_shards,
         ));
         let metrics = Arc::new(Metrics::new());
-        if config.fusion.enabled {
-            metrics
-                .fused_target_rows
-                .store(config.fusion.target_rows as u64, Ordering::Relaxed);
-        }
+        metrics
+            .fused_target_rows
+            .store(config.fusion.target_rows as u64, Ordering::Relaxed);
         let queue = JobQueue::new(config.queue_capacity, config.workers);
         let ctx = Arc::new(worker::WorkerContext {
             cache: Arc::clone(&cache),
             metrics: Arc::clone(&metrics),
             max_batch: config.max_batch,
             seed: config.seed,
-            fusion: config.fusion,
             in_flight: queue.in_flight_handle(),
         });
         let workers = worker::spawn_workers(config.workers, queue.receiver(), ctx);

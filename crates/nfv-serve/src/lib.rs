@@ -31,8 +31,8 @@
 //! - a **coalition fusion scheduler**: the coalition matrices of several
 //!   queued same-model *plan-capable* requests — methods and budgets mixed
 //!   — are stacked into one shared evaluation block and answered by a
-//!   single `predict_block` call, bit-identical to unfused serving (see
-//!   [`FusionPolicy`]),
+//!   single `predict_block` call; a lone request runs the same pipeline
+//!   by itself, so an answer has the same bits either way,
 //! - **single-flight cache fills**: concurrent identical misses elect one
 //!   leader to compute; followers wait for its result instead of
 //!   duplicating the evaluation,

@@ -77,9 +77,9 @@ pub struct ModelEntry {
     pub model: ServeModel,
     /// Registry-global version assigned at registration.
     pub version: u64,
-    /// Feature names, aligned with model inputs. Shared with every
-    /// feature-valued answer explained against this entry (see
-    /// [`ModelEntry::share_names`]).
+    /// Feature names, aligned with model inputs. Shared (one allocation,
+    /// by reference count) with every feature-valued answer explained
+    /// against this entry.
     pub feature_names: Arc<[String]>,
     /// Background distribution for the sampling explainers.
     pub background: Background,

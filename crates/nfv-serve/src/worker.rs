@@ -14,13 +14,14 @@
 //! same engine therefore yields bit-for-bit the same attribution no matter
 //! how it was batched.
 //!
-//! Allocation: each worker owns one [`CoalitionWorkspace`] for its whole
-//! lifetime. The fused composite-row block — the largest transient buffer
-//! in serving — grows to its high-water mark during the first few requests
-//! and is then reused verbatim, so steady-state serving does not allocate
-//! on the coalition hot path. Model evaluation inside that path goes
-//! through [`crate::registry::ModelEntry::explain_regressor`], i.e. the
-//! packed SoA engine for tree ensembles.
+//! Allocation: each worker owns one [`CoalitionWorkspace`] (whose block a
+//! lone request runs on) and one [`FusedBlock`] (which a group stacks
+//! into) for its whole lifetime. Both grow to their high-water mark during
+//! the first few requests and are then reused verbatim, so steady-state
+//! serving does not allocate on the coalition hot path. Model evaluation
+//! inside that path goes through
+//! [`crate::registry::ModelEntry::explain_regressor`], i.e. the packed SoA
+//! engine for tree ensembles.
 
 use crate::batcher::{gather, group_compatible, group_same_model};
 use crate::cache::ShardedCache;
@@ -29,7 +30,6 @@ use crate::metrics::Metrics;
 use crate::queue::Job;
 use crate::registry::ModelEntry;
 use crate::request::{request_seed, service_class_key, ExplainResponse, Fidelity};
-use crate::FusionPolicy;
 use crossbeam::channel::Receiver;
 use nfv_xai::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +47,6 @@ pub struct WorkerContext {
     pub max_batch: usize,
     /// Engine seed mixed into every per-request explainer seed.
     pub seed: u64,
-    /// Cross-request coalition fusion policy.
-    pub fusion: FusionPolicy,
     /// Dequeued-but-unanswered job count, shared with admission control
     /// (see [`crate::queue::JobQueue::in_flight_handle`]).
     pub in_flight: Arc<AtomicU64>,
@@ -83,21 +81,13 @@ fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerContext>) {
         // admission keeps seeing the work.
         ctx.in_flight
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        if ctx.fusion.enabled {
-            // Fusion groups by model identity only (methods mixed): every
-            // job in a group shares one regressor, so coalition plans can
-            // stack into one shared evaluation block.
-            for group in group_same_model(batch) {
-                let n = group.len() as u64;
-                process_model_group(group, &ctx, &mut ws, &mut block);
-                ctx.in_flight.fetch_sub(n, Ordering::Relaxed);
-            }
-        } else {
-            for group in group_compatible(batch) {
-                let n = group.len() as u64;
-                process_group(group, &ctx, &mut ws);
-                ctx.in_flight.fetch_sub(n, Ordering::Relaxed);
-            }
+        // Grouped by model identity only (methods mixed): every job in a
+        // group shares one regressor, so coalition plans can stack into
+        // one shared evaluation block.
+        for group in group_same_model(batch) {
+            let n = group.len() as u64;
+            process_model_group(group, &ctx, &mut ws, &mut block);
+            ctx.in_flight.fetch_sub(n, Ordering::Relaxed);
         }
     }
 }
@@ -116,7 +106,7 @@ fn explain_context<'a>(entry: &'a ModelEntry, x: &'a [f64], seed: u64) -> Explai
     }
 }
 
-/// Runs one explanation end to end through the trait's direct path. Also
+/// Runs one explanation end to end through the explainer's `direct()`. Also
 /// used by the engine's anytime/refinement paths, which must be
 /// bit-identical to worker execution.
 pub(crate) fn explain_one(
@@ -227,13 +217,11 @@ fn deliver(
     }
 }
 
-/// The unfused execution path for one *compatible* group (same model,
-/// version, and method): explain jobs one by one against the shared entry,
-/// each through the explainer it was admitted with.
+/// Executes one *compatible* group (same model, version, and method) that
+/// is not stacking into a shared block: explain jobs one by one against
+/// the shared entry, each through the `direct()` of the explainer it was
+/// admitted with.
 fn execute_compatible(live: Vec<Job>, ctx: &WorkerContext, ws: &mut CoalitionWorkspace) {
-    if live.is_empty() {
-        return;
-    }
     let now = Instant::now();
     ctx.metrics.record_batch(live.len());
     ctx.metrics
@@ -273,23 +261,25 @@ fn execute_compatible(live: Vec<Job>, ctx: &WorkerContext, ws: &mut CoalitionWor
     }
 }
 
-fn process_group(group: Vec<Job>, ctx: &WorkerContext, ws: &mut CoalitionWorkspace) {
-    let live = prefilter(group, ctx, Instant::now());
-    execute_compatible(live, ctx, ws);
-}
+/// Hard per-block row cap: [`execute_fused`] flushes (evaluates and
+/// finishes the jobs planned so far) on reaching it, bounding the arena's
+/// high-water mark at this plus one plan's rows.
+const MAX_FUSED_ROWS: usize = 16_384;
 
 /// The fusion scheduler: one *model* group (same model id + version,
-/// methods mixed). Every job whose explainer is plan-capable — the whole
-/// Shapley family plus per-instance permutation — is planned into the
-/// shared [`FusedBlock`] and evaluated by a single `predict_block` call
-/// spanning every request's rows; non-fusable methods (TreeSHAP, LIME)
-/// run through the per-method compatible path.
+/// methods mixed). Two or more jobs whose explainers are plan-capable —
+/// the whole Shapley family plus per-instance permutation — are planned
+/// into the shared [`FusedBlock`] and evaluated by a single
+/// `predict_block` call spanning every request's rows. A lone one has
+/// nothing to stack with and runs `direct()`, the same pipeline on the
+/// workspace's block; non-fusable methods (TreeSHAP, LIME) run `direct()`
+/// too.
 ///
-/// Determinism: a plan materializes exactly the composite rows the direct
-/// path would build, the block evaluates them with the same row-pure
-/// kernel, and each finish runs the same reduction on its own slice — so
-/// fused results are bit-identical to unfused ones (enforced by core
-/// property tests and the serve integration tests).
+/// Determinism: a plan's rows and its reduction do not depend on what else
+/// is in the block, and the block evaluates each row with the same
+/// row-pure kernel — so an answer has the same bits however its request
+/// was grouped (enforced by core property tests and the serve integration
+/// tests).
 fn process_model_group(
     group: Vec<Job>,
     ctx: &WorkerContext,
@@ -297,30 +287,23 @@ fn process_model_group(
     block: &mut FusedBlock,
 ) {
     let live = prefilter(group, ctx, Instant::now());
-    if live.is_empty() {
-        return;
-    }
     let (fusable, rest): (Vec<Job>, Vec<Job>) =
         live.into_iter().partition(|job| job.explainer.fusable());
-    if fusable.len() >= ctx.fusion.min_jobs.max(1) {
+    let mut alone = if fusable.len() >= 2 {
         execute_fused(fusable, ctx, ws, block);
+        Vec::new()
     } else {
-        // Too few to amortize anything: the direct path is cheaper. A
-        // model group's fusable jobs may still span methods and budgets,
-        // so split into compatible (per-method) groups first.
-        for g in group_compatible(fusable) {
-            execute_compatible(g, ctx, ws);
-        }
-    }
-    for g in group_compatible(rest) {
+        fusable
+    };
+    alone.extend(rest);
+    for g in group_compatible(alone) {
         execute_compatible(g, ctx, ws);
     }
 }
 
 /// Plans every job in `jobs` into the shared block via its own explainer,
-/// flushing (evaluate + finish) whenever the stacked rows cross the
-/// policy's `max_rows` cap. The cap bounds the arena's high-water mark at
-/// `max_rows` plus one plan's rows (a plan is appended before the check).
+/// flushing (evaluate + finish) whenever the stacked rows reach
+/// [`MAX_FUSED_ROWS`] (a plan is appended before the check).
 fn execute_fused(
     jobs: Vec<Job>,
     ctx: &WorkerContext,
@@ -347,7 +330,7 @@ fn execute_fused(
                 let _ = job.respond.send(Err(ServeError::Explain(e)));
             }
         }
-        if block.n_rows() >= ctx.fusion.max_rows {
+        if block.n_rows() >= MAX_FUSED_ROWS {
             flush_fused(&mut pending, block, &entry, ctx);
         }
     }

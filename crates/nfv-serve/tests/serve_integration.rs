@@ -241,21 +241,13 @@ fn fused_group_with_failing_job_completes_the_rest() {
 }
 
 #[test]
-fn fused_and_unfused_engines_agree_bitwise() {
+fn a_backlog_and_one_at_a_time_agree_bitwise() {
     let (model, names, bg, synth) = fitted(27);
-    let fused = ServeEngine::start(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    });
-    let unfused = ServeEngine::start(ServeConfig {
-        fusion: FusionPolicy {
-            enabled: false,
-            ..FusionPolicy::default()
-        },
-        single_flight: false,
-        ..ServeConfig::default()
-    });
-    for engine in [&fused, &unfused] {
+    let engines = [(); 2].map(|_| {
+        let engine = ServeEngine::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
         engine
             .registry()
             .register(
@@ -265,37 +257,66 @@ fn fused_and_unfused_engines_agree_bitwise() {
                 bg.clone(),
             )
             .unwrap();
-    }
-    // A backlog on the fused engine so the requests share one block;
-    // serial submission to the unfused engine. Seeds derive from request
+        engine
+    });
+    let [stacked, alone] = &engines;
+    // The five fusable methods, mixed: one backlog on the first engine, so
+    // all eight share one block; one request at a time on the second, so
+    // each runs the pipeline on its own. Seeds derive from request
     // content, so the execution shape must not matter.
-    let jobs = (0..8).map(|i| kernel_req(synth.data.row(i), 64)).collect();
-    let fused_resp: Vec<ExplainResponse> = serve_as_backlog(&fused, "plug-bitwise", jobs)
-        .into_iter()
-        .map(|o| o.unwrap())
+    let methods = [
+        ExplainMethod::KernelShap { n_coalitions: 64 },
+        ExplainMethod::SamplingShapley {
+            n_permutations: 8,
+            antithetic: true,
+        },
+        ExplainMethod::ExactShapley,
+        ExplainMethod::GroupedShapley,
+        ExplainMethod::Permutation,
+    ];
+    let jobs: Vec<ExplainRequest> = (0..8)
+        .map(|i| ExplainRequest {
+            method: methods[i % methods.len()],
+            ..kernel_req(synth.data.row(i), 64)
+        })
         .collect();
-    let stats = fused.stats();
+    let stacked_resp: Vec<ExplainResponse> =
+        serve_as_backlog(stacked, "plug-bitwise", jobs.clone())
+            .into_iter()
+            .map(|o| o.unwrap())
+            .collect();
+    let stats = stacked.stats();
     assert_eq!(
         (stats.fused_groups, stats.fused_requests),
         (1, 8),
         "the backlog fuses into one group: {stats:?}"
     );
     assert!(stats.fused_fill_ratio > 0.0, "{stats:?}");
-    for (i, f) in fused_resp.iter().enumerate() {
-        assert_eq!(f.batch_size, 8, "row {i} rode the shared block");
-        let u = engine_explain(&unfused, synth.data.row(i));
-        assert_eq!(u.batch_size, 1);
+    for (i, (s, job)) in stacked_resp.iter().zip(jobs).enumerate() {
+        assert_eq!(s.batch_size, 8, "request {i} rode the shared block");
+        let a = alone.explain(job).unwrap();
+        assert_eq!(a.batch_size, 1);
+        let (s, a) = (&s.attribution, &a.attribution);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            f.attribution, u.attribution,
-            "row {i}: fused serving must be bit-identical to unfused"
+            (
+                bits(&s.values),
+                s.base_value.to_bits(),
+                s.prediction.to_bits()
+            ),
+            (
+                bits(&a.values),
+                a.base_value.to_bits(),
+                a.prediction.to_bits()
+            ),
+            "request {i} ({}): stacking changed a bit",
+            s.method
         );
     }
-    fused.shutdown();
-    unfused.shutdown();
-}
-
-fn engine_explain(engine: &ServeEngine, x: &[f64]) -> ExplainResponse {
-    engine.explain(kernel_req(x, 64)).unwrap()
+    assert_eq!(alone.stats().fused_groups, 0, "nothing to stack with");
+    for engine in engines {
+        engine.shutdown();
+    }
 }
 
 #[test]
