@@ -37,6 +37,14 @@ done
 echo "==> cargo test --workspace -q (unit, integration and doc tests)"
 cargo test --workspace -q
 
+# The TreeSHAP kernel is arithmetic and recursion, and the run above is the
+# debug profile only: its references (2^d brute force, the closed form) and
+# the deep-chain inputs once more as the optimizer compiles them.
+echo "==> cargo test --release: the TreeSHAP kernel, its references, the deep chains"
+cargo test --release -p nfv-xai -q shapley::tree
+cargo test --release -p nfv-ml -q very_deep_chain
+cargo test --release -p nfv-serve -q --lib refused_at_registration
+
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -41,8 +41,8 @@ pub struct CoalitionWorkspace {
     /// [`Background::coalition_values_into`] and the whole request of
     /// [`crate::explainer::Explainer::direct`].
     pub(crate) block: FusedBlock,
-    /// TreeSHAP's path arena. TreeSHAP evaluates no coalitions, but this
-    /// is the scratch every [`crate::explainer::Explainer`] receives.
+    /// TreeSHAP's per-feature path state. TreeSHAP evaluates no coalitions,
+    /// but this is the scratch every [`crate::explainer::Explainer`] receives.
     pub(crate) tree: TreeShapScratch,
 }
 

@@ -125,7 +125,8 @@ impl TreeModel {
         }
     }
 
-    /// The per-model TreeSHAP constants (base value, scale, depth).
+    /// The per-model TreeSHAP constants (base value, scale, depth, the
+    /// quadrature rule).
     pub fn consts(&self) -> &TreeShapConsts {
         &self.consts
     }
@@ -332,7 +333,7 @@ impl Default for MethodRegistry {
 /// TreeSHAP behind the [`Explainer`] trait: walks the owned tree
 /// structure directly (the `ExplainContext` model — possibly a packed SoA
 /// engine — is ignored; both are bit-identical by the packing contract),
-/// on the path arena of the caller's [`CoalitionWorkspace`].
+/// with the per-feature path state of the caller's [`CoalitionWorkspace`].
 #[derive(Clone)]
 pub struct TreeShapExplainer {
     /// The tree ensemble to walk.

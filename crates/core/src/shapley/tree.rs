@@ -3,15 +3,18 @@
 //!
 //! The value function is the tree's own conditional expectation: for
 //! features outside the coalition, the walk splits across both children
-//! weighted by training covers. The kernel computes the exact Shapley
-//! values of that game in `O(L·D²)` per tree; the test suite checks it
-//! against a brute-force `2^d` evaluation of the same game.
+//! weighted by training covers. The test suite checks the kernel against a
+//! brute-force `2^d` evaluation of the same game and, where `2^d` cannot
+//! go, against a closed form per leaf.
 //!
-//! One kernel serves every entry point: path rows in a preallocated arena
-//! ([`TreeShapScratch`]), combinatorial ratios from a table, one shared
-//! unwound sum for all cold (`o = 0`) elements of a leaf — so a call
-//! allocates only its output and its inner loops never divide. See
-//! DESIGN.md, "The TreeSHAP kernel".
+//! One kernel serves every entry point, and it takes the Shapley weights by
+//! quadrature: `k!(m−1−k)!/m! = ∫₀¹ tᵏ(1−t)^{m−1−k} dt` makes a leaf's
+//! credits integrals of polynomials of degree below the number of unique
+//! features on its path, exact under a Gauss–Legendre rule of half as many
+//! nodes. The walk carries one lane vector down (the path product `G`),
+//! returns one up (the subtree's relative sum `R`) and credits a feature
+//! once, at the split that put it on the path — no per-leaf loop, no
+//! unwinding. See DESIGN.md, "The TreeSHAP kernel".
 
 use crate::explanation::Attribution;
 use crate::XaiError;
@@ -19,75 +22,86 @@ use nfv_ml::forest::RandomForest;
 use nfv_ml::gbdt::Gbdt;
 use nfv_ml::tree::{DecisionTree, TreeNode};
 
-/// Hot path elements unwound per pass at a leaf. Their recurrences are
-/// independent, so a pass costs one chain's latency; more than four hot
-/// elements are rare (half the leaves leave x's path at the root).
-const LANES: usize = 4;
+/// Deepest tree the kernel walks: its recursion holds one frame per level,
+/// and 256 of the widest take ~0.45 MB of a worker's 2 MiB stack (~1.2 MB
+/// in a debug build).
+const MAX_TREE_DEPTH: usize = 256;
 
-/// One element of the unique feature path of a recursion level.
-#[derive(Debug, Clone, Copy, Default)]
-struct PathElem {
-    /// Feature that split here (`usize::MAX` for the dummy root element).
-    feat: usize,
-    /// Fraction of paths flowing through when the feature is *excluded*.
-    z: f64,
-    /// Whether x follows this path when the feature is *included* (the
-    /// published `o`, which only ever takes the values 1 and 0).
-    hot: bool,
-    /// Permutation weight accumulated so far.
-    w: f64,
+/// Quadrature lanes per block: one AVX2 register, two SSE2.
+const BLOCK: usize = 4;
+
+/// Most blocks a walk carries: 32 nodes are exact for paths of up to 64
+/// unique features.
+const MAX_BLOCKS: usize = 8;
+
+/// One value per quadrature node.
+type Lanes<const B: usize> = [[f64; BLOCK]; B];
+
+fn map<const B: usize>(a: &Lanes<B>, f: impl Fn(f64) -> f64) -> Lanes<B> {
+    std::array::from_fn(|i| std::array::from_fn(|q| f(a[i][q])))
 }
 
-/// The combinatorial ratios of a path of `l + 1` elements at position
-/// `j < l`.
-#[derive(Debug, Clone, Copy, Default)]
-struct Ratios {
-    /// `(j + 1) / (l + 1)`
-    up: f64,
-    /// `(l − j) / (l + 1)`
-    down: f64,
-    /// `(l + 1) / (j + 1)`
-    inv_up: f64,
-    /// `(l + 1) / (l − j)`
-    inv_down: f64,
+fn zip<const B: usize>(a: &Lanes<B>, b: &Lanes<B>, f: impl Fn(f64, f64) -> f64) -> Lanes<B> {
+    std::array::from_fn(|i| std::array::from_fn(|q| f(a[i][q], b[i][q])))
 }
 
-/// The kernel's reusable memory: one path row per recursion level plus the
-/// ratio table, both `stride × stride`. Grows to the deepest ensemble it
-/// has served and is never read before being written, so reuse across
-/// models cannot change a result bit.
-#[derive(Debug, Default, Clone)]
-pub struct TreeShapScratch {
-    /// Rows, and elements per row: deepest tree depth seen, plus one.
-    stride: usize,
-    /// Row `L` holds the path of the node being visited at depth `L`.
-    path: Vec<PathElem>,
-    /// `ratios[l * stride + j]`.
-    ratios: Vec<Ratios>,
+/// `Σ_q a_q·b_q`, summed in register order: blocks lane-wise, then halves.
+fn dot<const B: usize>(a: &Lanes<B>, b: &Lanes<B>) -> f64 {
+    let mut s = [0.0; BLOCK];
+    for (a, b) in a.iter().zip(b) {
+        s = std::array::from_fn(|q| s[q] + a[q] * b[q]);
+    }
+    (s[0] + s[2]) + (s[1] + s[3])
 }
 
-impl TreeShapScratch {
-    fn reserve(&mut self, max_depth: usize) {
-        let s = max_depth + 1;
-        if s <= self.stride {
-            return;
-        }
-        self.stride = s;
-        self.path.resize(s * s, PathElem::default());
-        self.ratios.resize(s * s, Ratios::default());
-        for l in 0..s {
-            let n = l as f64 + 1.0;
-            for j in 0..l {
-                let (up, down) = (j as f64 + 1.0, (l - j) as f64);
-                self.ratios[l * s + j] = Ratios {
-                    up: up / n,
-                    down: down / n,
-                    inv_up: n / up,
-                    inv_down: n / down,
-                };
+/// The `n`-point Gauss–Legendre rule on [0, 1], exact for polynomials of
+/// degree `≤ 2n − 1`: writes the nodes into `t` and the weights (which sum
+/// to 1) into `w`, both of length `n`.
+fn gauss_legendre(t: &mut [f64], w: &mut [f64]) {
+    let n = t.len();
+    for i in 0..n.div_ceil(2) {
+        // Newton on the Legendre polynomial P_n over [−1, 1] from the
+        // classical guess; its roots come in ± pairs.
+        let mut x = (std::f64::consts::PI * (i as f64 + 0.75) / (n as f64 + 0.5)).cos();
+        let mut slope = 0.0;
+        for _ in 0..64 {
+            let (mut below, mut p) = (1.0, x);
+            for k in 2..=n {
+                let k = k as f64;
+                (below, p) = (p, ((2.0 * k - 1.0) * x * p - (k - 1.0) * below) / k);
+            }
+            slope = n as f64 * (x * p - below) / (x * x - 1.0);
+            let step = p / slope;
+            x -= step;
+            if step.abs() <= f64::EPSILON {
+                break;
             }
         }
+        (t[i], t[n - 1 - i]) = (0.5 - 0.5 * x, 0.5 + 0.5 * x);
+        let weight = 1.0 / ((1.0 - x * x) * slope * slope);
+        (w[i], w[n - 1 - i]) = (weight, weight);
     }
+}
+
+/// Where a feature stands on the path to the node being visited.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+enum OnPath {
+    /// Not split on yet.
+    #[default]
+    Absent,
+    /// x follows every split on it so far; the payload is `z`, the product
+    /// of the cover fractions that flow on when the feature is *excluded*.
+    Hot(f64),
+    /// x left the path at a split on it: including the feature zeroes the
+    /// leaf, so its fraction only ever scales the path product.
+    Cold,
+}
+
+/// The kernel's reusable memory, one entry per feature. Reset at every
+/// call, so reuse across models cannot change a result bit.
+#[derive(Debug, Default, Clone)]
+pub struct TreeShapScratch {
+    on_path: Vec<OnPath>,
 }
 
 /// What the kernel needs to know about an ensemble beyond its trees,
@@ -100,15 +114,35 @@ pub struct TreeShapConsts {
     /// Weight of one tree's attributions in the ensemble's.
     scale: f64,
     max_depth: usize,
+    /// Lane blocks of the quadrature: `4·blocks ≥ ⌈min(depth, d)/2⌉`
+    /// nodes, a function of the model alone.
+    blocks: usize,
+    /// Gauss–Legendre nodes on [0, 1], the first `blocks` in use.
+    nodes: Lanes<MAX_BLOCKS>,
+    /// Their weights.
+    weights: Lanes<MAX_BLOCKS>,
 }
 
 impl TreeShapConsts {
     fn new(n_features: usize, trees: &[DecisionTree], base_value: f64, scale: f64) -> Self {
+        let max_depth = trees.iter().map(DecisionTree::depth).max().unwrap_or(0);
+        // A path has at most min(depth, d) unique features, and a leaf's
+        // integrands one degree less: half as many nodes are exact.
+        let unique = max_depth.min(n_features);
+        let blocks = unique.div_ceil(2 * BLOCK).clamp(1, MAX_BLOCKS);
+        let (mut nodes, mut weights) = ([[0.0; BLOCK]; MAX_BLOCKS], [[0.0; BLOCK]; MAX_BLOCKS]);
+        gauss_legendre(
+            nodes[..blocks].as_flattened_mut(),
+            weights[..blocks].as_flattened_mut(),
+        );
         TreeShapConsts {
             n_features,
             base_value,
             scale,
-            max_depth: trees.iter().map(DecisionTree::depth).max().unwrap_or(0),
+            max_depth,
+            blocks,
+            nodes,
+            weights,
         }
     }
 
@@ -138,156 +172,160 @@ impl TreeShapConsts {
     pub fn base_value(&self) -> f64 {
         self.base_value
     }
-}
 
-/// Removes element `k` from `row` (the inverse of the extension that added
-/// it), leaving the last slot stale. `r` is the ratio row of `row.len()`.
-fn unwind(row: &mut [PathElem], k: usize, r: &[Ratios]) {
-    let l = row.len() - 1;
-    let PathElem { z, hot, .. } = row[k];
-    if hot {
-        let mut n = row[l].w;
-        for j in (0..l).rev() {
-            let w = n * r[j].inv_up;
-            n = row[j].w - w * z * r[j].down;
-            row[j].w = w;
+    /// Whether the kernel can walk the ensemble: no tree deeper than 256
+    /// levels (the recursion's stack) and no path of more than 64 unique
+    /// features (the widest quadrature).
+    pub fn check(&self) -> Result<(), XaiError> {
+        let (depth, d, widest) = (self.max_depth, self.n_features, 2 * BLOCK * MAX_BLOCKS);
+        if depth <= MAX_TREE_DEPTH && depth.min(d) <= widest {
+            return Ok(());
         }
-    } else {
-        let inv_z = 1.0 / z;
-        for j in 0..l {
-            row[j].w *= r[j].inv_down * inv_z;
-        }
-    }
-    for j in k..l {
-        row[j] = PathElem {
-            w: row[j].w,
-            ..row[j + 1]
-        };
+        Err(XaiError::Input(format!(
+            "tree-shap walks trees of at most {MAX_TREE_DEPTH} levels and {widest} unique \
+             features per path; this ensemble has {depth} levels over {d} features"
+        )))
     }
 }
 
-/// The unwound path sums of up to [`LANES`] hot elements with excluded
-/// fractions `zs`: the recurrences are independent, so they advance
-/// together, position-outer / element-inner.
-fn hot_sums(row: &[PathElem], r: &[Ratios], zs: &[f64; LANES]) -> [f64; LANES] {
-    let l = row.len() - 1;
-    let mut n = [row[l].w; LANES];
-    let mut total = [0.0; LANES];
-    for j in (0..l).rev() {
-        let (a, b, w) = (r[j].inv_up, r[j].down, row[j].w);
-        for e in 0..LANES {
-            let t = n[e] * a;
-            total[e] += t;
-            n[e] = w - t * (zs[e] * b);
-        }
-    }
-    total
-}
-
-/// Credits a leaf of (scaled) value `v` to the features on its path.
-fn leaf(row: &[PathElem], r: &[Ratios], v: f64, phi: &mut [f64]) {
-    let l = row.len() - 1;
-    // A cold element's unwound sum is Σ_j w_j·(l+1)/(l−j) over its own z,
-    // and its credit multiplies that by (0 − z): the same for all of them.
-    let cold: f64 = (0..l).map(|j| row[j].w * r[j].inv_down).sum::<f64>() * v;
-    let (mut zs, mut feats, mut lanes) = ([0.0; LANES], [0; LANES], 0);
-    for (i, e) in row.iter().enumerate().skip(1) {
-        if e.hot {
-            (zs[lanes], feats[lanes]) = (e.z, e.feat);
-            lanes += 1;
-        } else {
-            phi[e.feat] -= cold;
-        }
-        if lanes == LANES || (i == l && lanes > 0) {
-            // Lanes past `lanes` hold stale fractions: computed, not read.
-            let total = hot_sums(row, r, &zs);
-            for e in 0..lanes {
-                phi[feats[e]] += total[e] * (1.0 - zs[e]) * v;
-            }
-            lanes = 0;
-        }
-    }
-}
-
-/// The walk of one request, one tree (`nodes`) at a time.
-struct Walk<'a> {
+/// The walk of one request, one tree (`nodes`) at a time, on `4·B`
+/// quadrature nodes.
+struct Walk<'a, const B: usize> {
     nodes: &'a [TreeNode],
     x: &'a [f64],
     /// Leaf values are multiplied by this (the tree's ensemble weight).
     scale: f64,
-    scratch: &'a mut TreeShapScratch,
+    /// The quadrature nodes `t` and their complements `1 − t`.
+    t: Lanes<B>,
+    one_minus_t: Lanes<B>,
+    on_path: &'a mut [OnPath],
     phi: &'a mut [f64],
 }
 
-impl Walk<'_> {
-    /// Visits `node` at depth `level`: extends the parent's `l`-element
-    /// path (the row above) by `(feat, z, hot)` into this level's row,
-    /// then credits the leaf or descends.
-    fn visit(&mut self, node: usize, level: usize, l: usize, feat: usize, z: f64, hot: bool) {
-        let s = self.scratch.stride;
-        let (above, below) = self.scratch.path.split_at_mut(level * s);
-        let parent = &above[level.saturating_sub(1) * s..][..l];
-        let row = &mut below[..=l];
-        let r = &self.scratch.ratios[l * s..][..l];
-        let mut carry = 0.0;
-        for i in 0..l {
-            let p = parent[i];
-            row[i] = p;
-            row[i].w = z * p.w * r[i].down + carry;
-            carry = if hot { p.w * r[i].up } else { 0.0 };
-        }
-        let w = if l == 0 { 1.0 } else { carry };
-        row[l] = PathElem { feat, z, hot, w };
+impl<const B: usize> Walk<'_, B> {
+    /// `t + (1 − t)·z`: the factor of a hot element with excluded fraction
+    /// `z` — included with probability `t`, flowing on with `z` otherwise.
+    fn hot_edge(&self, z: f64) -> Lanes<B> {
+        zip(&self.t, &self.one_minus_t, |t, u| t + u * z)
+    }
 
-        let n = &self.nodes[node];
+    /// Visits `node`, whose path product is `g` (one factor per unique
+    /// feature on the path, times the quadrature weight), and returns the
+    /// subtree's relative sum `R = Σ_leaves v·G(leaf) ⊘ g`.
+    fn visit(&mut self, node: u32, g: &Lanes<B>) -> Lanes<B> {
+        let n = &self.nodes[node as usize];
         if n.is_leaf {
-            leaf(row, r, n.value * self.scale, self.phi);
-            return;
+            return [[n.value * self.scale; BLOCK]; B];
         }
         let f = n.feature;
         let goes_left = self.x.get(f).copied().unwrap_or(0.0) <= n.threshold;
         let (hot_child, cold_child) = if goes_left {
-            (n.left as usize, n.right as usize)
+            (n.left, n.right)
         } else {
-            (n.right as usize, n.left as usize)
+            (n.right, n.left)
         };
         let inv_cover = 1.0 / n.cover;
-        let mut hot_z = self.nodes[hot_child].cover * inv_cover;
-        let mut cold_z = self.nodes[cold_child].cover * inv_cover;
-        let (mut len, mut follows) = (l + 1, true);
-        // A prior split on this feature (the dummy at 0 never matches) is
-        // undone first; the new element inherits its fraction and hotness.
-        if let Some(k) = row[1..].iter().position(|e| e.feat == f).map(|k| k + 1) {
-            hot_z *= row[k].z;
-            cold_z *= row[k].z;
-            follows = row[k].hot;
-            unwind(row, k, r);
-            len = l;
-        }
-        self.visit(hot_child, level + 1, len, f, hot_z, follows);
-        self.visit(cold_child, level + 1, len, f, cold_z, false);
+        let hot_z = self.nodes[hot_child as usize].cover * inv_cover;
+        let cold_z = self.nodes[cold_child as usize].cover * inv_cover;
+        let prior = self.on_path[f];
+        // `base` is the path product without f's factor; the fraction f
+        // holds so far scales both children's.
+        let (base, z_old) = match prior {
+            OnPath::Cold => {
+                // f already zeroes these leaves when included: the split
+                // only thins the flow, and the split that made f cold has
+                // the credit.
+                let r_hot = self.visit(hot_child, &map(g, |g| g * hot_z));
+                let r_cold = self.visit(cold_child, &map(g, |g| g * cold_z));
+                return zip(&r_hot, &r_cold, |h, c| hot_z * h + cold_z * c);
+            }
+            OnPath::Absent => (*g, None),
+            OnPath::Hot(z) => (zip(g, &self.hot_edge(z), |g, a| g / a), Some(z)),
+        };
+        let z = z_old.unwrap_or(1.0);
+        let (hot_z, cold_z) = (z * hot_z, z * cold_z);
+        self.on_path[f] = OnPath::Hot(hot_z);
+        let r_hot = self.visit(hot_child, &zip(&base, &self.hot_edge(hot_z), |g, a| g * a));
+        self.on_path[f] = OnPath::Cold;
+        // A cold element zeroes the leaf when included: its factor is (1 − t)·z.
+        let g_cold = zip(&base, &self.one_minus_t, |g, u| g * u * cold_z);
+        let r_cold = self.visit(cold_child, &g_cold);
+        self.on_path[f] = prior;
+        let (r, credit) = self.join(&r_hot, hot_z, &r_cold, cold_z, z_old);
+        self.phi[f] += dot(&base, &credit);
+        r
+    }
+
+    /// The way back up through a split on a feature that is `z_old`, hot,
+    /// above it: the subtree's relative sum and the feature's credit for its
+    /// leaves per quadrature node (still to be weighted by `base`).
+    fn join(
+        &self,
+        r_hot: &Lanes<B>,
+        hot_z: f64,
+        r_cold: &Lanes<B>,
+        cold_z: f64,
+        z_old: Option<f64>,
+    ) -> (Lanes<B>, Lanes<B>) {
+        let hot = zip(&self.hot_edge(hot_z), r_hot, |a, r| a * r);
+        let cold = zip(&self.one_minus_t, r_cold, |u, r| u * cold_z * r);
+        let r = zip(&hot, &cold, |h, c| h + c);
+        let credit = zip(r_hot, r_cold, |h, c| (1.0 - hot_z) * h - cold_z * c);
+        let Some(z) = z_old else {
+            return (r, credit);
+        };
+        // The split that first put the feature on the path will credit
+        // these leaves as hot with fraction `z`; take that back here, where
+        // their own fractions are known.
+        let r = zip(&r, &self.hot_edge(z), |r, a| r / a);
+        let credit = zip(&credit, &r, |c, r| c - (1.0 - z) * r);
+        (r, credit)
+    }
+}
+
+/// Walks every tree on `4·B` quadrature nodes, accumulating into `phi`.
+fn walk_trees<const B: usize>(
+    trees: &[DecisionTree],
+    consts: &TreeShapConsts,
+    x: &[f64],
+    on_path: &mut [OnPath],
+    phi: &mut [f64],
+) {
+    let t: Lanes<B> = std::array::from_fn(|i| consts.nodes[i]);
+    let mut walk = Walk {
+        nodes: &[],
+        x,
+        scale: consts.scale,
+        t,
+        one_minus_t: map(&t, |t| 1.0 - t),
+        on_path,
+        phi,
+    };
+    // The root's path product is the quadrature weight itself, so a credit
+    // is a plain lane sum.
+    let weights: Lanes<B> = std::array::from_fn(|i| consts.weights[i]);
+    for t in trees.iter().filter(|t| !t.nodes.is_empty()) {
+        walk.nodes = &t.nodes;
+        walk.visit(0, &weights);
     }
 }
 
 /// The tree's path-dependent expected value (the base value of its
 /// attributions): leaf values weighted by training covers.
 pub fn tree_expected_value(tree: &DecisionTree) -> f64 {
-    fn walk(tree: &DecisionTree, i: usize) -> f64 {
-        let n = &tree.nodes[i];
-        if n.is_leaf {
+    // Children sit after their parent (`DecisionTree::check_structure`): a
+    // reverse pass meets both children first, however deep the tree.
+    let nodes = &tree.nodes;
+    let mut expected = vec![0.0; nodes.len()];
+    for (i, n) in nodes.iter().enumerate().rev() {
+        expected[i] = if n.is_leaf {
             n.value
         } else {
-            let l = &tree.nodes[n.left as usize];
-            let r = &tree.nodes[n.right as usize];
-            (l.cover * walk(tree, n.left as usize) + r.cover * walk(tree, n.right as usize))
-                / n.cover
-        }
+            let (l, r) = (n.left as usize, n.right as usize);
+            (nodes[l].cover * expected[l] + nodes[r].cover * expected[r]) / n.cover
+        };
     }
-    if tree.nodes.is_empty() {
-        0.0
-    } else {
-        walk(tree, 0)
-    }
+    expected.first().copied().unwrap_or(0.0)
 }
 
 /// The tree's conditional expectation given coalition `S` (features where
@@ -346,19 +384,21 @@ pub fn ensemble_shap(
     scratch: &mut TreeShapScratch,
 ) -> Result<Attribution, XaiError> {
     check(consts.n_features, x, names)?;
-    scratch.reserve(consts.max_depth);
+    consts.check()?;
+    scratch.on_path.clear();
+    scratch.on_path.resize(x.len(), OnPath::Absent);
     let mut phi = vec![0.0; x.len()];
-    let mut walk = Walk {
-        nodes: &[],
-        x,
-        scale: consts.scale,
-        scratch,
-        phi: &mut phi,
+    let walk = match consts.blocks {
+        1 => walk_trees::<1>,
+        2 => walk_trees::<2>,
+        3 => walk_trees::<3>,
+        4 => walk_trees::<4>,
+        5 => walk_trees::<5>,
+        6 => walk_trees::<6>,
+        7 => walk_trees::<7>,
+        _ => walk_trees::<MAX_BLOCKS>,
     };
-    for t in trees.iter().filter(|t| !t.nodes.is_empty()) {
-        walk.nodes = &t.nodes;
-        walk.visit(0, 0, 0, usize::MAX, 1.0, true);
-    }
+    walk(trees, consts, x, &mut scratch.on_path, &mut phi);
     Ok(Attribution {
         names: names.into(),
         values: phi,
@@ -633,8 +673,8 @@ mod tests {
 
     /// A forest of unpruned trees (`min_samples_leaf = 1`): with few
     /// features and many levels, paths split on a feature repeatedly.
-    fn deep_forest(d: usize, max_depth: usize, seed: u64) -> (Dataset, RandomForest) {
-        let s = friedman1(150, d, 0.2, seed).unwrap();
+    fn deep_forest(rows: usize, d: usize, max_depth: usize, seed: u64) -> (Dataset, RandomForest) {
+        let s = friedman1(rows, d, 0.2, seed).unwrap();
         let params = ForestParams {
             n_trees: 3,
             tree: TreeParams {
@@ -649,6 +689,17 @@ mod tests {
         (s.data, forest)
     }
 
+    /// A forest's reference values: the mean of a per-tree reference.
+    fn forest_mean(forest: &RandomForest, of: impl Fn(&DecisionTree) -> Vec<f64>) -> Vec<f64> {
+        let mut mean = vec![0.0; forest.n_features];
+        for t in &forest.trees {
+            for (s, v) in mean.iter_mut().zip(of(t)) {
+                *s += v / forest.trees.len() as f64;
+            }
+        }
+        mean
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(32))]
 
@@ -661,15 +712,10 @@ mod tests {
             max_depth in 1usize..13,
             row in 0usize..150,
         ) {
-            let (data, forest) = deep_forest(d, max_depth, seed);
+            let (data, forest) = deep_forest(150, d, max_depth, seed);
             let x = data.row(row).to_vec();
             let fast = forest_shap(&forest, &x, &names(d)).unwrap();
-            let mut slow = vec![0.0; d];
-            for t in &forest.trees {
-                for (s, b) in slow.iter_mut().zip(brute_force(t, &x)) {
-                    *s += b / forest.trees.len() as f64;
-                }
-            }
+            let slow = forest_mean(&forest, |t| brute_force(t, &x));
             for (a, b) in fast.values.iter().zip(&slow) {
                 assert!((a - b).abs() < 1e-9, "fast {a} vs brute {b}");
             }
@@ -695,10 +741,11 @@ mod tests {
 
     #[test]
     fn a_used_scratch_gives_the_bits_of_a_fresh_one() {
-        let (data, deep) = deep_forest(10, 12, 61);
-        let (_, shallow) = deep_forest(10, 3, 62);
-        // The row whose own path carries the most hot elements: more than
-        // one pass of `hot_sums` at its leaf.
+        let (data, deep) = deep_forest(150, 10, 12, 61);
+        let (_, shallow) = deep_forest(150, 10, 3, 62);
+        // The row whose own path carries the most unique features — more
+        // than a lane block — on a deep model that runs a block wider than
+        // the shallow one.
         let most_hot = |x: &[f64]| {
             let hot = deep.trees.iter().map(|t| hot_features_on_own_path(t, x));
             hot.max().unwrap()
@@ -707,7 +754,9 @@ mod tests {
             .map(|i| data.row(i).to_vec())
             .max_by_key(|x| most_hot(x))
             .unwrap();
-        assert!(most_hot(&x) > LANES, "need a multi-pass leaf");
+        assert!(most_hot(&x) > BLOCK, "need a path wider than one block");
+        let blocks = |f: &RandomForest| TreeShapConsts::forest(f).blocks;
+        assert!(blocks(&deep) > blocks(&shallow));
         let run = |forest: &RandomForest, scratch: &mut TreeShapScratch| {
             let consts = TreeShapConsts::forest(forest);
             ensemble_shap(&forest.trees, &consts, 0.0, &x, &names(10), scratch).unwrap()
@@ -725,16 +774,257 @@ mod tests {
             for (a, b) in reused.values.iter().zip(&fresh.values) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
+            assert!(scratch.on_path.iter().all(|p| *p == OnPath::Absent));
         }
-        // The deep, multi-pass answer is still the oracle's.
-        let mut slow = vec![0.0; 10];
-        for t in &deep.trees {
-            for (s, b) in slow.iter_mut().zip(brute_force(t, &x)) {
-                *s += b / deep.trees.len() as f64;
-            }
-        }
+        // The deep, two-block answer is still the oracle's.
+        let slow = forest_mean(&deep, |t| brute_force(t, &x));
         for (a, b) in fresh_deep.values.iter().zip(&slow) {
             assert!((a - b).abs() < 1e-9, "fast {a} vs brute {b}");
+        }
+    }
+
+    /// The reference where `2^d` cannot go: path-dependent Shapley values
+    /// in closed form, leaf by leaf. With `h` hot fractions `z`, `c` cold
+    /// ones of product `Z_C` and `m = h + c`, the other hot elements put
+    /// `s` members in a coalition with total fraction `e_{h'−s}` (the
+    /// elementary symmetric polynomials of their `z`), weighted
+    /// `s!(m−1−s)!/m!`. No quadrature, none of the kernel's code.
+    fn closed_form(tree: &DecisionTree, x: &[f64]) -> Vec<f64> {
+        fn leaf(path: &[(usize, f64, bool)], v: f64, phi: &mut [f64]) {
+            let m = path.len();
+            let hot: Vec<f64> = path.iter().filter(|e| e.2).map(|e| e.1).collect();
+            let cold_z: f64 = path.iter().filter(|e| !e.2).map(|e| e.1).product();
+            let h = hot.len();
+            // weight[s] = s!(m−1−s)!/m!
+            let mut weight = vec![1.0 / m as f64; m];
+            for s in 1..m {
+                weight[s] = weight[s - 1] * s as f64 / (m - s) as f64;
+            }
+            // e[k] of the hot fractions but the `skip`-th: Π (1 + z·y) =
+            // Σ e_k y^k, rebuilt per element — sums of positive terms only,
+            // where dividing one factor back out loses every digit by 64.
+            let symmetric = |skip: Option<usize>| {
+                let mut e = vec![1.0];
+                for (_, z) in hot.iter().enumerate().filter(|(i, _)| Some(*i) != skip) {
+                    e.push(0.0);
+                    for k in (1..e.len()).rev() {
+                        e[k] += z * e[k - 1];
+                    }
+                }
+                e
+            };
+            // `others` fractions in play, `s` of them in the coalition.
+            let credit = |e: Vec<f64>| {
+                let others = e.len() - 1;
+                let terms = (0..=others).map(|s| e[others - s] * weight[s]);
+                terms.sum::<f64>() * v * cold_z
+            };
+            let cold = if h < m { credit(symmetric(None)) } else { 0.0 };
+            let mut nth_hot = 0;
+            for &(f, z, is_hot) in path {
+                if is_hot {
+                    phi[f] += (1.0 - z) * credit(symmetric(Some(nth_hot)));
+                    nth_hot += 1;
+                } else {
+                    phi[f] -= cold;
+                }
+            }
+        }
+        fn walk(
+            tree: &DecisionTree,
+            i: usize,
+            x: &[f64],
+            path: &mut Vec<(usize, f64, bool)>,
+            phi: &mut [f64],
+        ) {
+            let n = &tree.nodes[i];
+            if n.is_leaf {
+                if !path.is_empty() {
+                    leaf(path, n.value, phi);
+                }
+                return;
+            }
+            let (hot, cold) = if x[n.feature] <= n.threshold {
+                (n.left as usize, n.right as usize)
+            } else {
+                (n.right as usize, n.left as usize)
+            };
+            let at = path.iter().position(|e| e.0 == n.feature);
+            let (_, z, follows) = at.map_or((0, 1.0, true), |k| path.remove(k));
+            for (child, is_hot) in [(hot, follows), (cold, false)] {
+                path.push((n.feature, z * tree.nodes[child].cover / n.cover, is_hot));
+                walk(tree, child, x, path, phi);
+                path.pop();
+            }
+            if let Some(k) = at {
+                path.insert(k, (n.feature, z, follows));
+            }
+        }
+        let mut phi = vec![0.0; x.len()];
+        walk(tree, 0, x, &mut Vec::new(), &mut phi);
+        phi
+    }
+
+    fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+        let diffs = a.iter().zip(b).map(|(a, b)| (a - b).abs());
+        diffs.fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn closed_form_reference_matches_brute_force() {
+        for (d, max_depth, seed) in [(5, 12, 81), (8, 10, 82), (10, 12, 83)] {
+            let (data, forest) = deep_forest(150, d, max_depth, seed);
+            for row in [0, 57, 149] {
+                let x = data.row(row);
+                for t in &forest.trees {
+                    let gap = max_abs_diff(&closed_form(t, x), &brute_force(t, x));
+                    assert!(gap < 1e-12, "d {d} depth {max_depth} row {row}: {gap}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_and_deep_forests_match_the_closed_form() {
+        for (d, max_depth, blocks) in [(20, 20, 3), (30, 16, 2), (12, 27, 2), (40, 12, 2)] {
+            let (data, forest) = deep_forest(1_500, d, max_depth, 90 + d as u64);
+            let reached = forest.trees.iter().map(DecisionTree::depth).max().unwrap();
+            assert!(reached >= max_depth.min(18), "d {d}: depth {reached}");
+            assert_eq!(TreeShapConsts::forest(&forest).blocks, blocks);
+            for row in [3, 700, 1_499] {
+                let x = data.row(row);
+                let fast = forest_shap(&forest, x, &names(d)).unwrap();
+                let reference = forest_mean(&forest, |t| closed_form(t, x));
+                let gap = max_abs_diff(&fast.values, &reference);
+                assert!(gap < 1e-10, "d {d} depth {max_depth} row {row}: {gap}");
+                assert!(fast.efficiency_gap().abs() < 1e-9);
+            }
+        }
+    }
+
+    /// `levels` splits down the left, every right child a leaf; level `k`
+    /// splits on feature `k % d` at 0, so `x[f] <= 0` stays on the chain.
+    fn left_chain(levels: usize, d: usize) -> DecisionTree {
+        let leaf = |k: usize| TreeNode {
+            feature: 0,
+            threshold: 0.0,
+            left: 0,
+            right: 0,
+            value: (k as f64).sin(),
+            cover: 1.0,
+            is_leaf: true,
+        };
+        let mut nodes = Vec::with_capacity(2 * levels + 1);
+        for k in 0..levels {
+            nodes.push(TreeNode {
+                feature: k % d,
+                left: 2 * k as u32 + 2,
+                right: 2 * k as u32 + 1,
+                cover: (levels - k + 1) as f64,
+                is_leaf: false,
+                ..leaf(k)
+            });
+            nodes.push(leaf(k));
+        }
+        nodes.push(leaf(levels));
+        DecisionTree {
+            nodes: nodes.into(),
+            n_features: d,
+            task: Task::Regression,
+        }
+    }
+
+    /// Inputs that follow the chain to its end, leave it at once, and mix.
+    fn chain_inputs(d: usize) -> [Vec<f64>; 3] {
+        let mixed = (0..d).map(|j| if j % 3 == 1 { 1.0 } else { -1.0 });
+        [vec![-1.0; d], vec![1.0; d], mixed.collect()]
+    }
+
+    #[test]
+    fn paths_on_both_sides_of_a_lane_block_match_the_closed_form() {
+        // 8 | 9 | 16 | 17 unique features: the last path one and two blocks
+        // integrate exactly and the first that needs the next; then one path
+        // per wider walk, so every instantiation of the kernel has run.
+        let shapes = [
+            (8, 1),
+            (9, 2),
+            (16, 2),
+            (17, 3),
+            (25, 4),
+            (33, 5),
+            (41, 6),
+            (49, 7),
+        ];
+        for (unique, blocks) in shapes {
+            let tree = left_chain(unique, unique);
+            assert_eq!(TreeShapConsts::tree(&tree).blocks, blocks);
+            for x in chain_inputs(unique) {
+                let fast = tree_shap(&tree, &x, &names(unique)).unwrap();
+                let gap = max_abs_diff(&fast.values, &closed_form(&tree, &x));
+                assert!(gap < 1e-13, "{unique} unique features: {gap}");
+                assert!(fast.efficiency_gap().abs() < 1e-13);
+            }
+        }
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack of a serve worker.
+    fn on_a_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::Builder::new().stack_size(2 << 20);
+        thread.spawn(f).unwrap().join().unwrap()
+    }
+
+    #[test]
+    fn the_deepest_trees_it_accepts_are_answered() {
+        // 200 levels over 5 features (every path repeats them), and the
+        // bound itself: 256 levels over 64 features, the widest frames.
+        for (levels, d) in [(200, 5), (MAX_TREE_DEPTH, 2 * BLOCK * MAX_BLOCKS)] {
+            on_a_worker_stack(move || {
+                let tree = left_chain(levels, d);
+                for x in chain_inputs(d) {
+                    let fast = tree_shap(&tree, &x, &names(d)).unwrap();
+                    let gap = max_abs_diff(&fast.values, &closed_form(&tree, &x));
+                    assert!(gap < 1e-12, "{levels} levels over {d}: {gap}");
+                    assert!(fast.efficiency_gap().abs() < 1e-12);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn deeper_or_wider_trees_are_typed_errors() {
+        for (levels, d) in [(257, 3), (65, 65), (2_000, 3), (30_000, 3), (60_000, 3)] {
+            let result = on_a_worker_stack(move || {
+                let tree = left_chain(levels, d);
+                let (consts, x) = (TreeShapConsts::tree(&tree), vec![0.0; d]);
+                let mut scratch = TreeShapScratch::default();
+                let trees = std::slice::from_ref(&tree);
+                let result = ensemble_shap(trees, &consts, 0.0, &x, &names(d), &mut scratch);
+                assert_eq!(
+                    scratch.on_path.capacity(),
+                    0,
+                    "no scratch for a refused model"
+                );
+                result
+            });
+            assert!(
+                matches!(result, Err(XaiError::Input(ref m)) if m.contains("levels")),
+                "{levels} levels over {d}: {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn gauss_legendre_integrates_monomials_exactly() {
+        for n in 1..=BLOCK * MAX_BLOCKS {
+            let (mut t, mut w) = (vec![0.0; n], vec![0.0; n]);
+            gauss_legendre(&mut t, &mut w);
+            assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-14, "n = {n}");
+            assert!(t.iter().all(|&t| 0.0 < t && t < 1.0));
+            for k in 0..2 * n {
+                let moment: f64 = t.iter().zip(&w).map(|(t, w)| w * t.powi(k as i32)).sum();
+                let exact = 1.0 / (k as f64 + 1.0);
+                assert!((moment - exact).abs() < 1e-14, "n = {n}, k = {k}: {moment}");
+            }
         }
     }
 }

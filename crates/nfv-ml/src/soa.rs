@@ -688,10 +688,31 @@ mod tests {
         for (what, nodes) in hostile {
             let t = tree(nodes, d);
             assert!(t.check_structure().is_err(), "check_structure: {what}");
+            assert!(t.depth() <= t.nodes.len(), "depth: {what}");
             assert!(
                 SoaForest::from_trees(&[t], EnsemblePost::Mean).is_err(),
                 "from_trees: {what}"
             );
+        }
+    }
+
+    #[test]
+    fn a_very_deep_chain_has_a_depth_without_recursion() {
+        // A valid tree a `Register` frame can carry: `levels` splits down
+        // the left, every right child a leaf. One stack frame per level
+        // overflowed a 2 MiB thread at 60 000; 128 KiB suffice now.
+        for levels in [200usize, 2_000, 30_000, 60_000] {
+            let mut nodes = Vec::with_capacity(2 * levels + 1);
+            for k in 0..levels as u32 {
+                nodes.push(split(0, 0.0, 2 * k + 2, 2 * k + 1));
+                nodes.push(leaf(1.0));
+            }
+            nodes.push(leaf(2.0));
+            let t = tree(nodes, 1);
+            t.check_structure().unwrap();
+            let small = std::thread::Builder::new().stack_size(128 << 10);
+            let depth = small.spawn(move || t.depth()).unwrap().join().unwrap();
+            assert_eq!(depth, levels);
         }
     }
 

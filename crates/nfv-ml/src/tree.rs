@@ -239,19 +239,18 @@ impl DecisionTree {
 
     /// Maximum depth actually reached.
     pub fn depth(&self) -> usize {
-        fn walk(nodes: &[TreeNode], i: usize) -> usize {
-            let n = &nodes[i];
-            if n.is_leaf {
-                0
-            } else {
-                1 + walk(nodes, n.left as usize).max(walk(nodes, n.right as usize))
+        // Children sit after their parent ([`DecisionTree::check_structure`]),
+        // so one reverse pass has both children's heights before the
+        // parent's — no recursion, however deep the tree. A child index
+        // that breaks the rule reads as a leaf.
+        let mut height = vec![0u32; self.nodes.len()];
+        for (i, n) in self.nodes.iter().enumerate().rev() {
+            if !n.is_leaf {
+                let of = |c: u32| height.get(c as usize).copied().unwrap_or(0);
+                height[i] = 1 + of(n.left).max(of(n.right));
             }
         }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            walk(&self.nodes, 0)
-        }
+        height.first().map_or(0, |&h| h as usize)
     }
 }
 

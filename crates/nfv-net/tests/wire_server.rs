@@ -45,16 +45,46 @@ fn explain_request(model_id: &str) -> ExplainRequest {
 
 /// A registration the server cannot accept must come back as the typed
 /// `RegisterErr` — not as an `ExplainReply` wearing an error — and leave
-/// the shard serving. Two refusals: JSON that is no model, and a forest
+/// the shard serving. Three refusals: JSON that is no model, a forest
 /// whose root names itself as both children (packing it used to overflow
-/// the event loop's stack and abort the process). Sent raw so the
-/// assertions are on the wire messages themselves, not on the client's
+/// the event loop's stack and abort the process), and a structurally valid
+/// chain of 30 000 levels, a ~6 MB frame (its first tree-shap request used
+/// to ask for 28.8 GB of path arena and abort the process). Sent raw so
+/// the assertions are on the wire messages themselves, not on the client's
 /// (intentionally lenient) decoding.
 #[test]
 fn register_failure_replies_with_typed_register_err() {
     const CYCLIC_FOREST: &str = r#"{"Forest":{"trees":[{"nodes":[{"feature":0,"threshold":0.0,
         "left":0,"right":0,"value":0.0,"cover":1.0,"is_leaf":false}],"n_features":1,
         "task":"Regression"}],"n_features":1,"task":"Regression"}}"#;
+    let node = |left, right, cover: u32, is_leaf| TreeNode {
+        feature: 0,
+        threshold: 0.0,
+        left,
+        right,
+        value: 1.0,
+        cover: cover as f64,
+        is_leaf,
+    };
+    let levels = 30_000;
+    let mut nodes = Vec::new();
+    for k in 0..levels {
+        nodes.push(node(2 * k + 2, 2 * k + 1, levels - k + 1, false));
+        nodes.push(node(0, 0, 1, true));
+    }
+    nodes.push(node(0, 0, 1, true));
+    let chain = DecisionTree {
+        nodes: nodes.into(),
+        n_features: 1,
+        task: Task::Regression,
+    };
+    chain.check_structure().unwrap();
+    let deep_chain = serde_json::to_string(&ServeModel::Forest(RandomForest {
+        trees: vec![chain],
+        n_features: 1,
+        task: Task::Regression,
+    }))
+    .unwrap();
     let (server, addr) = start_server(ShardConfig::default());
     let mut stream = TcpStream::connect(&addr).unwrap();
     let mut rpc = |msg: Message| {
@@ -65,6 +95,7 @@ fn register_failure_replies_with_typed_register_err() {
     for (model_json, why) in [
         ("this is not a model", "model json"),
         (CYCLIC_FOREST, "tree 0"),
+        (&deep_chain, "levels"),
     ] {
         let reply = rpc(Message::Register(WireRegister {
             rid: 9,

@@ -258,6 +258,23 @@ impl ModelRegistry {
                 reason: format!("model `{id}` (d = {d}): {why}"),
             }));
         }
+        // Tree ensembles additionally go behind an `Arc` for the
+        // structure-walking methods, so per-request method resolution
+        // clones a pointer. The clone here copies the tree headers only —
+        // node arenas are shared (`DecisionTree::nodes`). The constructors
+        // also derive the TreeSHAP constants (one pass over every tree),
+        // which say whether TreeSHAP's recursion can walk the ensemble: one
+        // it cannot is refused here, not at its first tree-shap request.
+        let trees = match &model {
+            ServeModel::Gbdt(m) => Some(TreeModel::gbdt(Arc::new(m.clone()))),
+            ServeModel::Forest(m) => Some(TreeModel::forest(Arc::new(m.clone()))),
+            ServeModel::Linear(_) | ServeModel::Mlp(_) => None,
+        };
+        if let Some(Err(e)) = trees.as_ref().map(|t| t.consts().check()) {
+            return Err(ServeError::Rejected(RejectReason::InvalidRequest {
+                reason: format!("model `{id}`: {e}"),
+            }));
+        }
         let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
         // Pack tree ensembles into the SoA engine once, here, so no
         // request ever pays the flattening cost. Best-effort: the packer
@@ -281,16 +298,6 @@ impl ModelRegistry {
             FeatureGroups::new(vec!["all".into()], vec![0; d])
                 .expect("single-group fallback is valid for d >= 1")
         });
-        // Tree ensembles additionally go behind an `Arc` for the
-        // structure-walking methods, so per-request method resolution
-        // clones a pointer. The clone here copies the tree headers only —
-        // node arenas are shared (`DecisionTree::nodes`). The constructors
-        // also derive the TreeSHAP constants (one walk of every tree).
-        let trees = match &model {
-            ServeModel::Gbdt(m) => Some(TreeModel::gbdt(Arc::new(m.clone()))),
-            ServeModel::Forest(m) => Some(TreeModel::forest(Arc::new(m.clone()))),
-            ServeModel::Linear(_) | ServeModel::Mlp(_) => None,
-        };
         let entry = Arc::new(ModelEntry {
             model,
             version,
@@ -425,6 +432,66 @@ mod tests {
             "unexpected error: {err:?}"
         );
         assert!(reg.get("hostile").is_none());
+    }
+
+    /// A one-tree forest over two features: `levels` splits down the left,
+    /// every right child a leaf — valid for `check_structure` at any depth.
+    fn chain_forest(levels: u32) -> ServeModel {
+        let node = |left, right, cover: u32, is_leaf| TreeNode {
+            feature: 0,
+            threshold: 0.0,
+            left,
+            right,
+            value: 1.0,
+            cover: cover as f64,
+            is_leaf,
+        };
+        let mut nodes = Vec::new();
+        for k in 0..levels {
+            nodes.push(node(2 * k + 2, 2 * k + 1, levels - k + 1, false));
+            nodes.push(node(0, 0, 1, true));
+        }
+        nodes.push(node(0, 0, 1, true));
+        let (n_features, task) = (2, nfv_data::dataset::Task::Regression);
+        let tree = DecisionTree {
+            nodes: nodes.into(),
+            n_features,
+            task,
+        };
+        ServeModel::Forest(RandomForest {
+            trees: vec![tree],
+            n_features,
+            task,
+        })
+    }
+
+    #[test]
+    fn trees_tree_shap_cannot_walk_are_refused_at_registration() {
+        let reg = ModelRegistry::new();
+        let (_, names, bg) = linear_entry();
+        reg.register("deep", chain_forest(200), names.clone(), bg.clone())
+            .unwrap();
+        // What a few MB of `Register` frame can carry. On a worker-sized
+        // stack: 60 000 levels overflowed it inside `DecisionTree::depth`,
+        // 30 000 asked the first tree-shap request for 28.8 GB.
+        for levels in [2_000, 30_000, 60_000] {
+            let worker = std::thread::Builder::new().stack_size(2 << 20);
+            let err = std::thread::scope(|s| {
+                let register =
+                    || reg.register("deeper", chain_forest(levels), names.clone(), bg.clone());
+                worker.spawn_scoped(s, register).unwrap().join().unwrap()
+            })
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ServeError::Rejected(RejectReason::InvalidRequest { ref reason })
+                        if reason.contains("levels")
+                ),
+                "{levels} levels: {err:?}"
+            );
+            assert!(reg.get("deeper").is_none());
+        }
     }
 
     #[test]
