@@ -2,7 +2,8 @@
 //! 64-coalition × 12-row composite block at d ∈ {8, 14, 20}, plus a
 //! fused-replay case with duplicate composite rows that prices the
 //! adjacent-dedup pass. (The group and the `scalar_*` ids keep the names
-//! they had when the kernel had rivals, so `baselines/` stays comparable.)
+//! they had when the kernel had rivals, so EXPERIMENTS' history stays
+//! comparable.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nfv_bench::SizedTask;

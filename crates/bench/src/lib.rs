@@ -8,7 +8,6 @@
 pub mod ablations;
 pub mod extensions;
 pub mod figures;
-pub mod gate;
 pub mod tables;
 
 use nfv_data::prelude::*;
