@@ -36,6 +36,17 @@ for f in crates/nfv-serve/src/batcher.rs crates/nfv-serve/src/worker.rs; do
   fi
 done
 
+# One-router invariant: placement (the ring, the route hash, the spill
+# successor) lives in nfv-serve's `Router`; a second copy of it outside
+# cluster.rs (outside #[cfg(test)]) is a second router that can drift.
+echo "==> one-router check (no placement outside nfv-serve/src/cluster.rs)"
+for f in $(find crates/*/src -name '*.rs' ! -path crates/nfv-serve/src/cluster.rs); do
+  if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'HashRing::\|next_shard(\|route_hash('; then
+    echo "FAIL: $f routes requests itself; use nfv_serve::cluster::Router"
+    exit 1
+  fi
+done
+
 echo "==> cargo test --workspace -q (unit, integration and doc tests)"
 cargo test --workspace -q
 

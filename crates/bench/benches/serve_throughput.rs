@@ -456,11 +456,7 @@ fn bench_cluster_replay(c: &mut Criterion) {
 
     let mut cell = 0u64;
     for shards in [1usize, 4] {
-        let cluster = ServeCluster::start(ClusterConfig {
-            shards,
-            shard,
-            ..ClusterConfig::default()
-        });
+        let cluster = ServeCluster::start(ClusterConfig { shards, shard });
         cluster
             .register(
                 "forest",
@@ -472,7 +468,7 @@ fn bench_cluster_replay(c: &mut Criterion) {
         g.bench_function(format!("shards_{shards}_replay_32_clients"), |b| {
             b.iter(|| {
                 cell += 1;
-                replay_mixed_trace(&|r| cluster.explain(r), &task, cell, 32);
+                replay_mixed_trace(&|r| cluster.explain(&r), &task, cell, 32);
             })
         });
         let stats = cluster.stats();
@@ -517,7 +513,7 @@ fn bench_wire_replay(c: &mut Criterion) {
             })
             .collect();
         let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-        let net = NetCluster::connect(&addrs, NetClusterConfig::default()).unwrap();
+        let net = NetClusterConfig::default().connect(&addrs).unwrap();
         net.register(
             "forest",
             ServeModel::Forest(task.forest.clone()),
@@ -579,8 +575,8 @@ fn bench_wire_replay(c: &mut Criterion) {
         drop(conns);
         let stats = net.stats();
         println!(
-            "wire[{}] stats: {} spills, {} net errors",
-            shards, stats.spills, stats.net_errors
+            "wire[{}] stats: {} spills, {} faults",
+            shards, stats.spills, stats.faults
         );
         net.drain_all().unwrap();
         for s in servers {

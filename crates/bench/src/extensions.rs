@@ -583,7 +583,6 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
                 seed: 7,
                 ..ServeConfig::default()
             },
-            ..ClusterConfig::default()
         });
         cluster
             .register(
@@ -606,7 +605,7 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
                             // A fresh grid cell per (request, epoch):
                             // every request computes, none is cached.
                             features[0] += (1 + n + epoch * 1024) as f64 * 1e-3;
-                            let _ = cluster.explain(ExplainRequest {
+                            let _ = cluster.explain(&ExplainRequest {
                                 model_id: "forest".into(),
                                 features,
                                 method: match n % 4 {
@@ -838,7 +837,6 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
         let cluster = ServeCluster::start(ClusterConfig {
             shards,
             shard: shard_cfg,
-            ..ClusterConfig::default()
         });
         cluster
             .register(
@@ -848,7 +846,7 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
                 task.background.clone(),
             )
             .expect("register");
-        let local_elapsed = drive_mixed(&|r| cluster.explain(r));
+        let local_elapsed = drive_mixed(&|r| cluster.explain(&r));
         let local_rate = (epochs * total) as f64 / local_elapsed;
         cluster.shutdown();
 
@@ -866,13 +864,11 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
         // Generous rpc timeout: on an oversubscribed single-core host the
         // shard's polling threads can be starved behind the 32-thread
         // client pool for seconds at a time.
-        let wire = NetCluster::connect(
-            &addrs,
-            NetClusterConfig {
-                rpc_timeout: Duration::from_secs(120),
-                ..Default::default()
-            },
-        )
+        let wire = NetClusterConfig {
+            rpc_timeout: Duration::from_secs(120),
+            ..Default::default()
+        }
+        .connect(&addrs)
         .expect("connect");
         wire.register(
             "forest",
@@ -900,7 +896,7 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
             format!("{wire_rate:.0}"),
             format!("{:.1}", 100.0 * (1.0 - wire_rate / local_rate)),
             stats.spills.to_string(),
-            stats.net_errors.to_string(),
+            stats.faults.to_string(),
         ]);
     }
     print_table(
@@ -910,7 +906,7 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
             "wire req/s",
             "wire cost %",
             "spills",
-            "net errs",
+            "faults",
         ],
         &rows,
     );

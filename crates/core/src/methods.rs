@@ -15,8 +15,8 @@
 //! is neither hashable-stably nor wire-portable; the FNV-1a id of the
 //! *frozen* built-in name is both. The built-in name → id mapping is
 //! frozen (tested in `frozen_builtin_ids`); renaming a built-in is a
-//! breaking change to every persisted cache fingerprint and blessed
-//! baseline and must never happen silently.
+//! breaking change to every persisted cache fingerprint and
+//! must never happen silently.
 //!
 //! ## Registering your own method
 //!

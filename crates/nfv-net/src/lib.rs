@@ -22,12 +22,13 @@
 //!   machine; shipped as the `nfv-shard` binary.
 //! - [`client`] — one connection, one reader thread, rid demultiplexing,
 //!   pipelined sends (`explain_many`), fail-fast on connection loss.
-//! - [`router`] — [`NetCluster`]: the same content-hash ring placement as
-//!   the in-process cluster ([`nfv_serve::cluster::route_hash`] +
-//!   `HashRing::from_ids`), ordered model-registration fan-out with a
-//!   replay log for joiners, read fan-out over ring successors for hot
-//!   models, graceful join/leave with bounded remap, and spill-on-failure
-//!   load shedding with cluster counters.
+//! - [`router`] — [`NetCluster`]: `nfv_serve`'s one [`Router`] over shard
+//!   connections. Placement, ordered registration fan-out with a replay
+//!   log for joiners, graceful join/leave with bounded remap, spill-once
+//!   (a transport fault spills like a queue-full reject) and the stats
+//!   rollup are the in-process cluster's code, not a copy of it; this
+//!   crate adds the `Shard` impl for [`ShardConn`], dialling and
+//!   [`NetError`].
 //!
 //! Determinism contract: a request's answer depends only on its content
 //! (model, method, features, budget) and the shard seed — never on which
@@ -37,6 +38,9 @@
 //!
 //! [`Engine`]: nfv_serve::Engine
 //! [`NetCluster`]: router::NetCluster
+//! [`Router`]: nfv_serve::cluster::Router
+//! [`ShardConn`]: client::ShardConn
+//! [`NetError`]: router::NetError
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,6 +56,6 @@ pub mod prelude {
     pub use crate::client::{ShardCallError, ShardConn};
     pub use crate::frame::{MsgType, WireError, MAX_PAYLOAD, VERSION};
     pub use crate::msg::{Message, WireHealth, WireRegister, WireRequest, WireResponse};
-    pub use crate::router::{NetCluster, NetClusterConfig, NetClusterStats, NetError};
+    pub use crate::router::{NetCluster, NetClusterConfig, NetError};
     pub use crate::server::{ShardConfig, ShardServer};
 }

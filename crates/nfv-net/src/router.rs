@@ -1,52 +1,25 @@
-//! The cluster router: consistent-hash placement over shard processes.
+//! The wire cluster: `nfv_serve`'s one [`Router`] over shard processes, so
+//! a request routes to the same shard, and gets the same bits, whether
+//! shards are threads or processes. Only the wire-specific parts live
+//! here: [`Shard`] for a [`ShardConn`], dialling, and [`NetError`].
 //!
-//! Placement is the *same function* the in-process [`ServeCluster`] uses —
-//! [`route_hash`] over request content, a [`HashRing`] over stable shard
-//! ids — so an explanation routes to the same logical shard whether the
-//! shards are threads or processes, and answers are bit-identical either
-//! way (content-derived seeds, bit-exact wire encoding).
-//!
-//! Membership: shards get monotonically increasing stable ids. The ring is
-//! rebuilt from the *surviving* ids on join/leave ([`HashRing::from_ids`]),
-//! so only the keys owned by the departed shard move — bounded remap, not
-//! a reshuffle. [`NetCluster::leave`] removes the shard from the ring
-//! *before* the drain handshake: no new requests race the drain.
-//!
-//! Replication: every registration fans out to every shard in id order
-//! (and is logged, so joiners replay it in the same order — versions
-//! match). Since every shard can answer every request identically,
-//! `read_fanout > 1` simply rotates a hot key's reads across its ring
-//! successors, trading cache locality for throughput.
-//!
-//! Spill: on a queue-full reject or any transport fault, the router
-//! retries once on the next distinct ring candidate and counts it —
-//! the wire twin of `ServeCluster`'s spill-to-next-shard.
+//! [`Router`]: nfv_serve::cluster::Router
 
 use crate::client::{ShardCallError, ShardConn};
 use crate::frame::{WireError, MAX_PAYLOAD};
-use crate::msg::WireHealth;
+use nfv_serve::cluster::{ErrorClass, Registration, Shard};
 use nfv_serve::prelude::*;
-use nfv_xai::prelude::Background;
-use parking_lot::{Mutex, RwLock};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Router configuration.
+/// A [`Router`] over shard server connections.
+pub type NetCluster = Router<ShardConn>;
+
+/// How to reach shard processes: the dialler of a [`NetCluster`].
 #[derive(Debug, Clone)]
 pub struct NetClusterConfig {
-    /// Virtual nodes per shard on the ring.
-    pub vnodes: usize,
-    /// Retry once on the next ring shard when the home shard sheds load
-    /// or its connection dies.
-    pub spill: bool,
-    /// Ring candidates a read may be served from (1 = home shard only).
-    pub read_fanout: usize,
     /// Per-RPC response timeout.
     pub rpc_timeout: Duration,
-    /// Frame payload cap.
-    pub max_payload: usize,
     /// Input quantization grid — must match the shards' `ServeConfig` so
     /// router-side hashes agree with shard-side cache keys.
     pub quantization_grid: f64,
@@ -55,25 +28,34 @@ pub struct NetClusterConfig {
 impl Default for NetClusterConfig {
     fn default() -> Self {
         NetClusterConfig {
-            vnodes: 128,
-            spill: true,
-            read_fanout: 1,
             rpc_timeout: Duration::from_secs(30),
-            max_payload: MAX_PAYLOAD,
             quantization_grid: 1e-6,
         }
     }
 }
 
-/// Errors surfaced by the router.
+impl NetClusterConfig {
+    /// Dials one shard, e.g. for [`Router::join`].
+    pub fn dial(&self, addr: &str) -> Result<ShardConn, NetError> {
+        ShardConn::connect(addr, MAX_PAYLOAD, self.rpc_timeout).map_err(NetError::Wire)
+    }
+
+    /// Dials every address; shard ids are assigned in argument order.
+    pub fn connect(&self, addrs: &[String]) -> Result<NetCluster, NetError> {
+        let shards: Result<Vec<_>, _> = addrs.iter().map(|a| self.dial(a)).collect();
+        Router::new(shards?, self.quantization_grid)
+    }
+}
+
+/// Errors surfaced by the wire cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetError {
     /// Transport-level failure after any spill retry was spent.
     Wire(WireError),
     /// The serving engine's own verdict (rejects, explainer errors).
     Serve(ServeError),
-    /// Router misuse (no shards, unknown shard id, config mismatch).
-    Config(String),
+    /// The router refused the operation.
+    Refused(Refusal),
 }
 
 impl fmt::Display for NetError {
@@ -81,7 +63,7 @@ impl fmt::Display for NetError {
         match self {
             NetError::Wire(e) => write!(f, "wire error: {e}"),
             NetError::Serve(e) => write!(f, "serve error: {e}"),
-            NetError::Config(m) => write!(f, "cluster config error: {m}"),
+            NetError::Refused(r) => write!(f, "router refused: {r:?}"),
         }
     }
 }
@@ -97,287 +79,44 @@ impl From<ShardCallError> for NetError {
     }
 }
 
-/// One registration, logged so late joiners replay history in order.
-struct Registration {
-    model_id: String,
-    model: ServeModel,
-    feature_names: Vec<String>,
-    background: Background,
+impl From<Refusal> for NetError {
+    fn from(r: Refusal) -> NetError {
+        NetError::Refused(r)
+    }
 }
 
-struct Member {
-    id: u32,
-    conn: Arc<ShardConn>,
-}
+/// Any wire error is a transport fault, so it spills; only a lost
+/// connection drains as 0. Stats come from the shard's `Health` reply.
+impl Shard for ShardConn {
+    type Error = NetError;
 
-/// Health and traffic counters for the whole cluster.
-#[derive(Debug, Clone)]
-pub struct NetClusterStats {
-    /// Requests retried on a ring successor (queue-full or transport).
-    pub spills: u64,
-    /// Transport faults observed (each also produced a spill attempt or an
-    /// error return).
-    pub net_errors: u64,
-    /// Per-shard `(id, addr, health)`; `None` when the probe failed.
-    pub shards: Vec<(u32, String, Option<WireHealth>)>,
-}
-
-/// A client-side router over shard server processes.
-pub struct NetCluster {
-    cfg: NetClusterConfig,
-    members: RwLock<Vec<Member>>,
-    ring: RwLock<HashRing>,
-    registrations: Mutex<Vec<Registration>>,
-    next_id: AtomicU64,
-    rr: AtomicU64,
-    spills: AtomicU64,
-    net_errors: AtomicU64,
-}
-
-impl NetCluster {
-    /// Dials every address; shard ids are assigned in argument order.
-    pub fn connect(addrs: &[String], cfg: NetClusterConfig) -> Result<NetCluster, NetError> {
-        if addrs.is_empty() {
-            return Err(NetError::Config("need at least one shard address".into()));
-        }
-        if cfg.read_fanout == 0 {
-            return Err(NetError::Config("read_fanout must be at least 1".into()));
-        }
-        let mut members = Vec::with_capacity(addrs.len());
-        for (i, addr) in addrs.iter().enumerate() {
-            let conn = ShardConn::connect(addr, cfg.max_payload, cfg.rpc_timeout)
-                .map_err(NetError::Wire)?;
-            members.push(Member {
-                id: i as u32,
-                conn: Arc::new(conn),
-            });
-        }
-        let ids: Vec<u32> = members.iter().map(|m| m.id).collect();
-        let ring = HashRing::from_ids(&ids, cfg.vnodes);
-        Ok(NetCluster {
-            next_id: AtomicU64::new(members.len() as u64),
-            members: RwLock::new(members),
-            ring: RwLock::new(ring),
-            registrations: Mutex::new(Vec::new()),
-            rr: AtomicU64::new(0),
-            spills: AtomicU64::new(0),
-            net_errors: AtomicU64::new(0),
-            cfg,
-        })
+    fn explain(&self, request: &ExplainRequest) -> Result<ExplainResponse, NetError> {
+        Ok(ShardConn::explain(self, request)?)
     }
 
-    /// Registers a model on **every** shard, in shard-id order, and logs
-    /// the registration for future joiners. All shards must assign the
-    /// same version (they see the same ordered history); a mismatch is a
-    /// deployment bug and is reported as such.
-    pub fn register(
-        &self,
-        model_id: &str,
-        model: ServeModel,
-        feature_names: Vec<String>,
-        background: Background,
-    ) -> Result<u64, NetError> {
-        // Hold the log lock across the fan-out: concurrent registrations
-        // must hit every shard in one global order.
-        let mut log = self.registrations.lock();
-        let members = self.members.read();
-        let mut version = None;
-        for m in members.iter() {
-            let v = m
-                .conn
-                .register(model_id, &model, &feature_names, &background)?;
-            match version {
-                None => version = Some(v),
-                Some(prev) if prev != v => {
-                    return Err(NetError::Config(format!(
-                        "shard {} assigned version {v} for `{model_id}`, others {prev}: \
-                         registration histories diverged",
-                        m.id
-                    )));
-                }
-                Some(_) => {}
-            }
-        }
-        drop(members);
-        log.push(Registration {
-            model_id: model_id.to_string(),
-            model,
-            feature_names,
-            background,
-        });
-        version.ok_or_else(|| NetError::Config("no shards to register on".into()))
+    fn register(&self, r: &Registration) -> Result<u64, NetError> {
+        let (id, model, names) = (&r.model_id, &r.model, &r.feature_names);
+        Ok(ShardConn::register(self, id, model, names, &r.background)?)
     }
 
-    /// Routes one request: content hash → ring → shard RPC, with optional
-    /// read fan-out and one spill retry.
-    ///
-    /// The members lock is only held long enough to clone the target's
-    /// connection handle — never across the RPC itself — so a shard that
-    /// is slow (or timing out) cannot block [`NetCluster::join`] and
-    /// [`NetCluster::leave`] for the duration of the call.
-    pub fn explain(&self, request: &ExplainRequest) -> Result<ExplainResponse, NetError> {
-        let first_conn = {
-            let members = self.members.read();
-            match members.first() {
-                Some(m) => Arc::clone(&m.conn),
-                None => return Err(NetError::Config("cluster has no shards".into())),
-            }
-        };
-        let hash = route_hash(
-            &request.model_id,
-            request.method,
-            &request.features,
-            self.cfg.quantization_grid,
-        );
-        // Unhashable input (non-finite features): let the home-most shard
-        // reject it with a proper InvalidRequest.
-        let Some(hash) = hash else {
-            return first_conn.explain(request).map_err(|e| self.note(e.into()));
-        };
-        let ring = self.ring.read();
-        // The ring yields *stable shard ids* (they survive joins/leaves),
-        // not member positions.
-        let candidates = ring.shards_for(hash, self.cfg.read_fanout.max(1));
-        drop(ring);
-        if candidates.is_empty() {
-            return Err(NetError::Config("hash ring is empty".into()));
-        }
-        // Reads rotate over the candidate set; with read_fanout == 1 this
-        // is always the home shard.
-        let first = if candidates.len() > 1 {
-            self.rr.fetch_add(1, Ordering::Relaxed) as usize % candidates.len()
-        } else {
-            0
-        };
-        let primary = candidates[first];
-        match self.call_shard(primary, request) {
-            Ok(resp) => Ok(resp),
-            Err(e) if self.cfg.spill && spillable(&e) => {
-                // Count the fault now — a successful spill must not hide it.
-                let e = self.note(e);
-                self.spills.fetch_add(1, Ordering::Relaxed);
-                // Spill to the next distinct candidate after the one that
-                // failed (ring successor when fan-out is 1).
-                let fallback = candidates
-                    .iter()
-                    .copied()
-                    .find(|&s| s != primary)
-                    .or_else(|| self.ring.read().next_shard(hash, primary));
-                match fallback {
-                    Some(id) => self.call_shard(id, request).map_err(|e2| self.note(e2)),
-                    None => Err(e),
-                }
-            }
-            Err(e) => Err(self.note(e)),
-        }
+    fn stats(&self) -> Option<ServeStats> {
+        serde_json::from_str(&self.health().ok()?.stats_json).ok()
     }
 
-    /// Clones the connection for a stable shard id under a short-lived
-    /// read lock, then runs the RPC lock-free.
-    fn call_shard(&self, id: usize, request: &ExplainRequest) -> Result<ExplainResponse, NetError> {
-        let conn = {
-            let members = self.members.read();
-            members
-                .iter()
-                .find(|m| m.id as usize == id)
-                .map(|m| Arc::clone(&m.conn))
-                .ok_or_else(|| NetError::Config(format!("ring points at unknown shard id {id}")))?
-        };
-        conn.explain(request).map_err(NetError::from)
-    }
-
-    /// Counts transport faults as they surface.
-    fn note(&self, e: NetError) -> NetError {
-        if matches!(e, NetError::Wire(_)) {
-            self.net_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        e
-    }
-
-    /// Adds a shard: dials it, replays the full registration history in
-    /// order (its versions match the incumbents'), then inserts it into
-    /// the ring — it only starts owning keys once it can answer for them.
-    pub fn join(&self, addr: &str) -> Result<u32, NetError> {
-        let conn = ShardConn::connect(addr, self.cfg.max_payload, self.cfg.rpc_timeout)
-            .map_err(NetError::Wire)?;
-        let log = self.registrations.lock();
-        for r in log.iter() {
-            conn.register(&r.model_id, &r.model, &r.feature_names, &r.background)?;
-        }
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst) as u32;
-        let mut members = self.members.write();
-        members.push(Member {
-            id,
-            conn: Arc::new(conn),
-        });
-        let ids: Vec<u32> = members.iter().map(|m| m.id).collect();
-        *self.ring.write() = HashRing::from_ids(&ids, self.cfg.vnodes);
-        Ok(id)
-    }
-
-    /// Removes a shard: out of the ring first (no new requests can route
-    /// to it), then the drain handshake. Returns the shard's completed
-    /// count; a dead shard (already-lost connection) drains as 0.
-    pub fn leave(&self, id: u32) -> Result<u64, NetError> {
-        let conn = {
-            let mut members = self.members.write();
-            let idx = members
-                .iter()
-                .position(|m| m.id == id)
-                .ok_or_else(|| NetError::Config(format!("no shard with id {id}")))?;
-            if members.len() == 1 {
-                return Err(NetError::Config(
-                    "cannot remove the last shard; drain the cluster instead".into(),
-                ));
-            }
-            let member = members.remove(idx);
-            let ids: Vec<u32> = members.iter().map(|m| m.id).collect();
-            *self.ring.write() = HashRing::from_ids(&ids, self.cfg.vnodes);
-            member.conn
-        };
-        match conn.drain() {
-            Ok(completed) => Ok(completed),
-            // The shard is gone (killed, crashed): removal already
-            // happened, so report a zero-request drain.
+    fn drain(&self) -> Result<u64, NetError> {
+        match ShardConn::drain(self) {
             Err(ShardCallError::Wire(WireError::ConnectionLost(_))) => Ok(0),
-            Err(e) => Err(e.into()),
+            outcome => Ok(outcome?),
         }
     }
 
-    /// Stable ids of the current members, in ring-membership order.
-    pub fn shard_ids(&self) -> Vec<u32> {
-        self.members.read().iter().map(|m| m.id).collect()
-    }
-
-    /// Drains every shard in turn; returns total completed requests.
-    pub fn drain_all(self) -> Result<u64, NetError> {
-        let members = self.members.into_inner();
-        let mut total = 0;
-        for m in members {
-            total += m.conn.drain().map_err(NetError::from)?;
-        }
-        Ok(total)
-    }
-
-    /// Cluster counters plus a live health probe of every member.
-    pub fn stats(&self) -> NetClusterStats {
-        let members = self.members.read();
-        NetClusterStats {
-            spills: self.spills.load(Ordering::Relaxed),
-            net_errors: self.net_errors.load(Ordering::Relaxed),
-            shards: members
-                .iter()
-                .map(|m| (m.id, m.conn.addr().to_string(), m.conn.health().ok()))
-                .collect(),
+    fn classify(error: &NetError) -> ErrorClass {
+        match error {
+            NetError::Wire(_) => ErrorClass::Fault,
+            NetError::Serve(ServeError::Rejected(RejectReason::QueueFull { .. })) => {
+                ErrorClass::QueueFull
+            }
+            NetError::Serve(_) | NetError::Refused(_) => ErrorClass::Final,
         }
     }
-}
-
-/// True for errors that warrant trying the next ring shard: the home shard
-/// shedding load, or its connection failing.
-fn spillable(e: &NetError) -> bool {
-    matches!(
-        e,
-        NetError::Serve(ServeError::Rejected(RejectReason::QueueFull { .. })) | NetError::Wire(_)
-    )
 }

@@ -145,7 +145,6 @@ fn run_arm(f: &Fixture, arm: &str) {
     let cluster = ServeCluster::start(ClusterConfig {
         shards: 3,
         shard: cfg,
-        ..ClusterConfig::default()
     });
     // Three real shard servers on loopback, one router over them.
     let servers: Vec<ShardServer> = (0..3)
@@ -158,7 +157,7 @@ fn run_arm(f: &Fixture, arm: &str) {
         })
         .collect();
     let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    let net = NetCluster::connect(&addrs, NetClusterConfig::default()).unwrap();
+    let net = NetClusterConfig::default().connect(&addrs).unwrap();
 
     let ev = engine
         .registry()
@@ -198,7 +197,7 @@ fn run_arm(f: &Fixture, arm: &str) {
                 budget: Duration::from_secs(30),
             };
             let via_engine = engine.explain(req()).unwrap();
-            let via_cluster = cluster.explain(req()).unwrap();
+            let via_cluster = cluster.explain(&req()).unwrap();
             let via_wire = net.explain(&req()).unwrap();
             assert_eq!(via_wire.model_version, nv);
             assert_eq!(
@@ -220,12 +219,11 @@ fn run_arm(f: &Fixture, arm: &str) {
     }
 
     // No frame was ever rejected, and the drain handshake is clean.
-    let stats = net.stats();
-    assert_eq!(stats.net_errors, 0, "[{arm}] transport faults on loopback");
-    for (id, _, health) in &stats.shards {
-        let h = health.as_ref().expect("health probe");
-        assert_eq!(h.protocol_errors, 0, "[{arm}] shard {id} protocol errors");
-    }
+    assert_eq!(
+        net.stats().faults,
+        0,
+        "[{arm}] transport faults on loopback"
+    );
     net.drain_all().unwrap();
     for s in servers {
         let (_completed, protocol_errors) = s.join();

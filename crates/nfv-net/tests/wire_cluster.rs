@@ -81,7 +81,7 @@ fn request(f: &Fixture, n: usize) -> ExplainRequest {
 
 /// Kill one shard process mid-replay: every subsequent request that hashed
 /// to the dead shard must still complete, served by its ring successor,
-/// and the spill/net-error counters must record the reroutes.
+/// and the spill/fault counters must record the reroutes.
 #[test]
 fn killing_a_shard_mid_replay_spills_to_the_ring_successor() {
     let f = fixture();
@@ -89,7 +89,7 @@ fn killing_a_shard_mid_replay_spills_to_the_ring_successor() {
         (0..3).map(|_| spawn_shard()).collect();
     let addrs: Vec<String> = shards.iter().map(|s| s.1.clone()).collect();
 
-    let net = NetCluster::connect(&addrs, NetClusterConfig::default()).unwrap();
+    let net = NetClusterConfig::default().connect(&addrs).unwrap();
     net.register(
         "m",
         ServeModel::Gbdt(f.model.clone()),
@@ -149,7 +149,7 @@ fn killing_a_shard_mid_replay_spills_to_the_ring_successor() {
         "some of the 16 post-kill requests must have hashed to the dead shard"
     );
     assert!(
-        stats.net_errors > 0,
+        stats.faults > 0,
         "connection loss must be observed and counted"
     );
 
@@ -202,7 +202,7 @@ fn join_replays_registrations_and_leave_drains_gracefully() {
     })
     .unwrap();
     let addrs = vec![s0.local_addr().to_string(), s1.local_addr().to_string()];
-    let net = NetCluster::connect(&addrs, NetClusterConfig::default()).unwrap();
+    let net = NetClusterConfig::default().connect(&addrs).unwrap();
 
     // Two models registered *before* the third shard exists.
     let v1 = net
@@ -225,7 +225,9 @@ fn join_replays_registrations_and_leave_drains_gracefully() {
     // Joiner: a real subprocess shard. Replay must hand it the same
     // history, so answers carry the same versions.
     let (mut child, addr, reader) = spawn_shard();
-    let id = net.join(&addr).unwrap();
+    let id = net
+        .join(NetClusterConfig::default().dial(&addr).unwrap())
+        .unwrap();
     assert_eq!(net.shard_ids(), vec![0, 1, id]);
 
     let mut m2_served = 0;
@@ -256,7 +258,7 @@ fn join_replays_registrations_and_leave_drains_gracefully() {
     // Removing one of two remaining shards is allowed; removing the last
     // is not.
     net.leave(1).unwrap();
-    assert!(matches!(net.leave(0), Err(NetError::Config(_))));
+    assert_eq!(net.leave(0), Err(NetError::Refused(Refusal::LastShard)));
     net.drain_all().unwrap();
     let (_, e0) = s0.join();
     let (_, e1) = s1.join();
@@ -267,13 +269,13 @@ fn join_replays_registrations_and_leave_drains_gracefully() {
 #[test]
 fn config_errors_and_engine_rejects_surface_cleanly() {
     assert!(matches!(
-        NetCluster::connect(&[], NetClusterConfig::default()),
-        Err(NetError::Config(_))
+        NetClusterConfig::default().connect(&[]),
+        Err(NetError::Refused(Refusal::NoShards))
     ));
 
     let server = ShardServer::start(ShardConfig::default()).unwrap();
     let addrs = vec![server.local_addr().to_string()];
-    let net = NetCluster::connect(&addrs, NetClusterConfig::default()).unwrap();
+    let net = NetClusterConfig::default().connect(&addrs).unwrap();
     // No model registered: the shard's admission control answers, and the
     // reject crosses the wire typed, not stringly.
     let err = net
@@ -294,4 +296,27 @@ fn config_errors_and_engine_rejects_surface_cleanly() {
     );
     net.drain_all().unwrap();
     server.join();
+}
+
+/// A one-shard router whose shard is gone has nowhere to spill: the fault
+/// is counted, and no spill is, because no retry was sent.
+#[test]
+fn a_fault_with_no_successor_is_not_a_spill() {
+    let server = ShardServer::start(ShardConfig::default()).unwrap();
+    let net = NetClusterConfig::default()
+        .connect(&[server.local_addr().to_string()])
+        .unwrap();
+    server.stop();
+    server.join();
+    let err = net
+        .explain(&ExplainRequest {
+            model_id: "m".into(),
+            features: vec![0.5; 5],
+            method: ExplainMethod::TreeShap,
+            budget: Duration::from_secs(5),
+        })
+        .unwrap_err();
+    assert!(matches!(err, NetError::Wire(_)), "got {err:?}");
+    let stats = net.stats();
+    assert_eq!((stats.spills, stats.faults), (0, 1));
 }

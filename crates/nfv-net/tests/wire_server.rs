@@ -263,16 +263,11 @@ fn join_is_not_blocked_by_a_slow_explain() {
         }
     });
 
-    let cluster = Arc::new(
-        NetCluster::connect(
-            std::slice::from_ref(&stall_addr),
-            NetClusterConfig {
-                rpc_timeout: Duration::from_secs(3),
-                ..NetClusterConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let cfg = NetClusterConfig {
+        rpc_timeout: Duration::from_secs(3),
+        ..NetClusterConfig::default()
+    };
+    let cluster = Arc::new(cfg.connect(std::slice::from_ref(&stall_addr)).unwrap());
     let slow = {
         let cluster = Arc::clone(&cluster);
         thread::spawn(move || cluster.explain(&explain_request("m")))
@@ -282,7 +277,7 @@ fn join_is_not_blocked_by_a_slow_explain() {
 
     let (server, shard_addr) = start_server(ShardConfig::default());
     let t0 = Instant::now();
-    let id = cluster.join(&shard_addr).unwrap();
+    let id = cluster.join(cfg.dial(&shard_addr).unwrap()).unwrap();
     let join_elapsed = t0.elapsed();
     assert!(
         join_elapsed < Duration::from_millis(1500),
@@ -571,10 +566,12 @@ fn pipelined_explains_within_depth_complete_and_drain_clean() {
     assert_eq!(protocol_errors, 0);
 }
 
-/// Eight cached explains pipelined on one connection answer in well under
-/// a delayed-ACK period. Without `TCP_NODELAY` on the accepted socket the
-/// server's second small write waits for the ACK of its first, and the
-/// round's tail read ~44 ms.
+/// Eight cached explains pipelined on one connection do not wait out a
+/// delayed ACK. Without `TCP_NODELAY` on the accepted socket the server's
+/// second small write waits for the ACK of its first (~40 ms), and 39–144
+/// of 200 rounds took ≥ 30 ms in the debug profile; with it, none did. The
+/// bound counts stalled rounds rather than reading a tail quantile, which a
+/// loaded host's scheduler can push past any few-ms bound on its own.
 #[test]
 fn pipelined_cached_replies_do_not_wait_on_delayed_acks() {
     let (server, conn, data) = shard_serving_gbdt();
@@ -600,10 +597,13 @@ fn pipelined_cached_replies_do_not_wait_on_delayed_acks() {
         })
         .collect();
     rounds.sort();
-    let p99 = rounds[197];
+    let stalled = rounds
+        .iter()
+        .filter(|&&r| r >= Duration::from_millis(30))
+        .count();
     assert!(
-        p99 < Duration::from_millis(5),
-        "depth-8 cached round p99 {p99:?} (median {:?})",
+        stalled < 10,
+        "{stalled} of 200 depth-8 cached rounds took >= 30 ms (median {:?})",
         rounds[100]
     );
     conn.drain().unwrap();

@@ -40,10 +40,12 @@
 //!   per-(model-version, method) service-time EWMAs feeding admission
 //!   control, all serializable for scraping — per shard and rolled up
 //!   cluster-wide,
-//! - a **[`cluster`] module**: N in-process engine shards behind a
-//!   consistent-hash router keyed on request content, with spill-to-next-
-//!   shard on queue-full. Shards share nothing at runtime; the router is
-//!   the only cross-shard component.
+//! - a **[`cluster`] module**: the one router, generic over a shard —
+//!   content-keyed consistent-hash placement, ordered registration
+//!   fan-out, spill-once to the next ring shard, join/leave — with N
+//!   in-process engines as [`cluster::ServeCluster`] (the `nfv-net` wire
+//!   cluster is the same router over connections). Shards share nothing
+//!   at runtime; the router is the only cross-shard component.
 //!
 //! Stochastic explainers are seeded from request *content* (never arrival
 //! order), so results are bit-for-bit reproducible across runs, thread
@@ -102,7 +104,9 @@ pub use engine::Engine as ServeEngine;
 /// One-stop imports.
 pub mod prelude {
     pub use crate::cache::CacheUsage;
-    pub use crate::cluster::{route_hash, ClusterConfig, ClusterStats, HashRing, ServeCluster};
+    pub use crate::cluster::{
+        route_hash, ClusterConfig, ClusterStats, HashRing, Refusal, Router, ServeCluster,
+    };
     pub use crate::error::{RejectReason, ServeError};
     pub use crate::metrics::ServeStats;
     pub use crate::registry::{ModelEntry, ModelRegistry, ServeModel};

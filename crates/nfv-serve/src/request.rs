@@ -568,7 +568,7 @@ mod tests {
     }
 
     /// The frozen built-in name → id mapping, spelled out as literals.
-    /// Cache fingerprints, blessed baselines, and EWMA service-class keys
+    /// Cache fingerprints and EWMA service-class keys
     /// all hash these ids; if this test fails, the migration broke every
     /// persisted key. Never update the literals — register a new name.
     #[test]

@@ -89,7 +89,7 @@ fn interactions_serve_through_engine_and_cluster() {
         .register("m", ServeModel::Gbdt(model), names, bg)
         .unwrap();
     let via_cluster = cluster
-        .explain(req(row, ExplainMethod::Interactions))
+        .explain(&req(row, ExplainMethod::Interactions))
         .unwrap();
     assert_eq!(via_cluster.attribution, first.attribution);
     cluster.shutdown();
@@ -241,7 +241,7 @@ fn a_plugin_registered_by_the_test_serves_end_to_end() {
     cluster
         .register("m", ServeModel::Gbdt(model), names, bg)
         .unwrap();
-    let via_cluster = cluster.explain(req(row, method)).unwrap();
+    let via_cluster = cluster.explain(&req(row, method)).unwrap();
     assert_eq!(via_cluster.attribution, resp.attribution);
     cluster.shutdown();
 }

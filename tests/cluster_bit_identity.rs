@@ -149,7 +149,6 @@ fn run_arm(f: &Fixture, arm: &str) {
     let cluster = ServeCluster::start(ClusterConfig {
         shards: 3,
         shard: cfg,
-        ..ClusterConfig::default()
     });
     let ev = engine
         .registry()
@@ -180,7 +179,7 @@ fn run_arm(f: &Fixture, arm: &str) {
                 budget: Duration::from_secs(30),
             };
             let via_engine = engine.explain(req()).unwrap();
-            let via_cluster = cluster.explain(req()).unwrap();
+            let via_cluster = cluster.explain(&req()).unwrap();
             assert!(!via_engine.cache_hit && !via_cluster.cache_hit);
             assert_eq!(via_engine.model_version, ev);
             assert_eq!(via_cluster.model_version, cv);
