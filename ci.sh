@@ -47,6 +47,22 @@ for f in $(find crates/*/src -name '*.rs' ! -path crates/nfv-serve/src/cluster.r
   fi
 done
 
+# One-layout invariant: each wire message has one encoding per protocol
+# version, and stats JSON has one shape. A `#[serde(default)]` (which the
+# vendored derive refuses to compile anyway) or a second `is_empty()` in
+# msg.rs's codec — an optional tail read "if bytes remain" — guesses at an
+# old layout instead of bumping `frame::VERSION`.
+echo "==> one-layout check (no serde(default), no optional tail in msg.rs)"
+if grep -rn 'serde(default' crates vendor; then
+  echo "FAIL: stats and wire JSON have one shape; bump the version instead"
+  exit 1
+fi
+tails=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/nfv-net/src/msg.rs | grep -c 'is_empty()' || true)
+if [ "$tails" -ne 1 ]; then
+  echo "FAIL: msg.rs has $tails is_empty() calls; only the trailing-bytes rejection may test for remaining bytes"
+  exit 1
+fi
+
 echo "==> cargo test --workspace -q (unit, integration and doc tests)"
 cargo test --workspace -q
 

@@ -77,8 +77,8 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// Interns a method name as its 64-bit FNV-1a hash.
 ///
 /// This is the *only* name → id function in the system: serving cache
-/// keys, admission service-class keys, and wire `#hex` escapes all derive
-/// from it. `const` so frozen built-in ids can live in `const` tables.
+/// keys, admission service-class keys, and the method id on the wire all
+/// derive from it. `const` so frozen built-in ids can live in `const` tables.
 pub const fn method_id(name: &str) -> u64 {
     // FNV-1a, same constants as the serving layer's row hashing.
     let bytes = name.as_bytes();
@@ -150,10 +150,6 @@ pub struct MethodConfig {
     /// The tree structure, when the model is a tree ensemble. TreeSHAP
     /// requires it; other methods ignore it.
     pub trees: Option<TreeModel>,
-    /// Anytime coarsening divisor for this service class (the queue-full
-    /// degradation path divides sampling budgets by this). Informational
-    /// to factories; the serving layer applies it before resolution.
-    pub anytime_divisor: u64,
 }
 
 /// What a model can support, for per-method capability validation.

@@ -232,8 +232,7 @@ impl ShardConn {
 
     /// [`ShardConn::register`] with per-method serving configuration:
     /// `(method name, anytime divisor)` pairs the shard applies to its
-    /// `ModelRegistry` alongside the registration (an empty slice encodes
-    /// a byte-identical v1 `Register` frame).
+    /// `ModelRegistry` alongside the registration.
     pub fn register_with_configs(
         &self,
         model_id: &str,
@@ -255,13 +254,6 @@ impl ShardConn {
         match self.rpc(msg).map_err(ShardCallError::Wire)? {
             Message::RegisterOk { version, .. } => Ok(version),
             Message::RegisterErr { error, .. } => Err(ShardCallError::Serve(error)),
-            // Legacy arm: shards older than the `RegisterErr` message
-            // reported registration failures as an `ExplainReply` error.
-            // Kept for one protocol version so a new client can talk to
-            // an old shard; remove when VERSION bumps.
-            Message::ExplainReply(WireResponse {
-                outcome: Err(e), ..
-            }) => Err(ShardCallError::Serve(e)),
             other => Err(ShardCallError::Wire(WireError::Decode(format!(
                 "expected RegisterOk, got {:?}",
                 other.msg_type()

@@ -8,11 +8,16 @@
 //!
 //! The checksum is FNV-1a 64 over the payload bytes ([`nfv_sim::wire::fnv1a`],
 //! the same hash the serving cache keys use). Decoding is fail-loud: a bad
-//! magic, unsupported version, unknown type, oversized length prefix,
+//! magic, another protocol version, unknown type, oversized length prefix,
 //! truncated body, or checksum mismatch each yield a distinct [`WireError`]
 //! — never a panic, never a partially-decoded message. The length prefix is
 //! validated against [`MAX_PAYLOAD`] *before* any allocation, so a hostile
 //! peer cannot OOM the process with a 4 GiB claim.
+//!
+//! Each message type has exactly one payload layout per [`VERSION`]: there
+//! are no optional fields and no legacy shapes. A layout change bumps
+//! [`VERSION`], and a peer of another version gets [`WireError::BadVersion`]
+//! (a shard closes that connection as a protocol error).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use nfv_sim::wire;
@@ -23,8 +28,10 @@ use std::io::{ErrorKind, Read, Write};
 pub const MAGIC: [u8; 4] = *b"NFVW";
 
 /// Current protocol version. Bump on any layout change; peers reject
-/// mismatches instead of guessing.
-pub const VERSION: u16 = 1;
+/// mismatches instead of guessing. Version 2: a method is its `(id,
+/// budget)` pair, and the fidelity pair and method-config count are always
+/// written.
+pub const VERSION: u16 = 2;
 
 /// Default cap on a frame's payload length. Large enough for a registered
 /// model plus a few thousand background rows, small enough that a corrupt
@@ -55,8 +62,6 @@ pub enum MsgType {
     /// Shard → client: drain complete, carries requests served.
     DrainOk = 8,
     /// Shard → client: registration failed, carries the typed error.
-    /// (Added after v1 shipped; a register failure used to masquerade as
-    /// an `ExplainResponse`, which clients still accept for one version.)
     RegisterErr = 9,
 }
 
@@ -302,6 +307,17 @@ mod tests {
         assert!(matches!(
             decode_frame(&mut Bytes::from_vec(cut), MAX_PAYLOAD),
             Err(WireError::Truncated(_))
+        ));
+    }
+
+    /// A version-1 peer is refused, not decoded under this layout.
+    #[test]
+    fn a_version_1_header_is_bad_version() {
+        let mut v1 = encode_frame(MsgType::Health, &7u64.to_le_bytes());
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            decode_frame(&mut Bytes::from_vec(v1), MAX_PAYLOAD),
+            Err(WireError::BadVersion(1))
         ));
     }
 

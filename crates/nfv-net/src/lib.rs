@@ -9,12 +9,14 @@
 //! The layering, bottom-up:
 //!
 //! - [`frame`] — the frame codec: `MAGIC | version | type | len | payload |
-//!   fnv1a`. Fail-loud on truncation, corruption, and hostile length
-//!   prefixes (cap checked before any allocation).
-//! - [`msg`] — message bodies with request-id correlation on every
-//!   message; responses may arrive out of order. Floats cross as IEEE-754
-//!   bit patterns, so wire answers are **bit-identical** to in-process
-//!   answers.
+//!   fnv1a`. Fail-loud on another protocol version, truncation,
+//!   corruption, and hostile length prefixes (cap checked before any
+//!   allocation).
+//! - [`msg`] — message bodies, one layout each per protocol version, with
+//!   request-id correlation on every message; responses may arrive out of
+//!   order. A method crosses as its `(id, budget)` identity and floats as
+//!   IEEE-754 bit patterns, so wire answers are **bit-identical** to
+//!   in-process answers.
 //! - [`server`] — the shard: one event-driven readiness loop owning
 //!   accept and all connection I/O, a bounded dispatch pool for explains
 //!   (overflow and over-deep pipelines shed as typed rejects),

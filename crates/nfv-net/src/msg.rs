@@ -16,12 +16,12 @@
 
 use crate::frame::{truncated, MsgType, WireError};
 use bytes::{BufMut, Bytes, BytesMut};
-use nfv_serve::prelude::{ExplainMethod, RejectReason, ServeError};
+use nfv_serve::prelude::{ExplainMethod, Refusal, RejectReason, ServeError};
 use nfv_sim::wire;
 use nfv_xai::prelude::Attribution;
 use nfv_xai::XaiError;
 
-/// Cap for short strings (model ids, method tags, error messages).
+/// Cap for short strings (model ids, method names, error messages).
 pub const MAX_STR: usize = 1 << 16;
 /// Cap for serialized model JSON.
 pub const MAX_MODEL_JSON: usize = 32 << 20;
@@ -62,11 +62,10 @@ pub struct WireAnswer {
     /// Explainer compute time, nanoseconds.
     pub service_ns: u64,
     /// Sampling budget of a coarse (anytime) answer; `0` means the
-    /// attribution was computed at the request's full budget. Wire-optional:
-    /// frames from older peers omit it and decode as `0`.
+    /// attribution was computed at the request's full budget.
     pub coarse_budget: u64,
     /// Max-abs dequantization error of a cold-tier hit; `0.0` means the
-    /// attribution is bit-exact. Wire-optional like `coarse_budget`.
+    /// attribution is bit-exact.
     pub max_abs_err: f64,
 }
 
@@ -94,10 +93,7 @@ pub struct WireRegister {
     pub background_rows: Vec<Vec<f64>>,
     /// Per-method serving configuration shipped with the registration:
     /// `(method name, anytime coarsening divisor)` pairs the shard applies
-    /// via `ModelRegistry::set_anytime_divisor`. Wire-optional trailing
-    /// tail (same evolution pattern as [`WireAnswer`]'s fidelity fields):
-    /// empty vectors encode nothing, so a v1 `Register` frame is
-    /// byte-identical and v1 frames decode as "no configs".
+    /// via `ModelRegistry::set_anytime_divisor`.
     pub method_configs: Vec<(String, u64)>,
 }
 
@@ -158,10 +154,8 @@ pub enum Message {
         /// Requests this shard completed over its lifetime.
         completed: u64,
     },
-    /// Shard → client: a [`Message::Register`] failed. Carries the typed
-    /// engine error instead of dressing it up as an explain response
-    /// (which is what protocol v1 servers did — clients keep a legacy
-    /// decode arm for that shape for one version).
+    /// Shard → client: a [`Message::Register`] failed, with the typed
+    /// engine error.
     RegisterErr {
         /// Correlation id.
         rid: u64,
@@ -170,74 +164,20 @@ pub enum Message {
     },
 }
 
-/// Method encoding, two shapes behind one leading tag byte:
-///
-/// * Tags 1–7 are the protocol-v1 *legacy discriminants* of the seven
-///   original built-ins, kept byte-identical so v1 frames decode forever
-///   (proptested in `codec_proptests`). Built-ins still encode this way —
-///   it is both compatible and smaller than a name.
-/// * Tag 0 is the open-registry shape: a length-prefixed method *name*
-///   plus the u64 budget word. Anything beyond the legacy seven —
-///   `interactions`, runtime-registered methods — uses it. Decoding
-///   normalizes built-in names to their canonical variants
-///   ([`ExplainMethod::from_name`]), so a named frame and a legacy frame
-///   for the same request yield identical cache keys and seeds; an
-///   *unknown* name decodes as a `Custom` id and is answered by the
-///   engine's typed `UnknownMethod` reject, never a protocol error.
+/// A method crosses as its identity `(method_id, budget_word)` — the pair
+/// cache keys, seeds and admission classes hash — and decodes through
+/// [`ExplainMethod::from_parts`], so both ends compute the same keys. An id
+/// the shard's registry does not know is answered by the engine's typed
+/// `UnknownMethod` reject, never a protocol error.
 fn put_method(buf: &mut BytesMut, m: ExplainMethod) {
-    match m {
-        ExplainMethod::Interactions | ExplainMethod::Custom { .. } => {
-            buf.put_u8(0);
-            put_string(buf, &m.display_name());
-            buf.put_u64_le(m.budget_word());
-        }
-        ExplainMethod::TreeShap => buf.put_u8(1),
-        ExplainMethod::KernelShap { n_coalitions } => {
-            buf.put_u8(2);
-            buf.put_u64_le(n_coalitions as u64);
-        }
-        ExplainMethod::Lime { n_samples } => {
-            buf.put_u8(3);
-            buf.put_u64_le(n_samples as u64);
-        }
-        ExplainMethod::SamplingShapley {
-            n_permutations,
-            antithetic,
-        } => {
-            buf.put_u8(4);
-            buf.put_u64_le(n_permutations as u64);
-            buf.put_u8(antithetic as u8);
-        }
-        ExplainMethod::ExactShapley => buf.put_u8(5),
-        ExplainMethod::GroupedShapley => buf.put_u8(6),
-        ExplainMethod::Permutation => buf.put_u8(7),
-    }
+    buf.put_u64_le(m.method_id());
+    buf.put_u64_le(m.budget_word());
 }
 
 fn get_method(buf: &mut Bytes) -> Result<ExplainMethod, WireError> {
-    let tag = wire::get_u8(buf, "method tag").map_err(truncated)?;
-    Ok(match tag {
-        0 => {
-            let name = get_string(buf, MAX_STR, "method name")?;
-            let budget = wire::get_u64(buf, "method budget").map_err(truncated)?;
-            ExplainMethod::from_name(&name, budget)
-        }
-        1 => ExplainMethod::TreeShap,
-        2 => ExplainMethod::KernelShap {
-            n_coalitions: wire::get_u64(buf, "n_coalitions").map_err(truncated)? as usize,
-        },
-        3 => ExplainMethod::Lime {
-            n_samples: wire::get_u64(buf, "n_samples").map_err(truncated)? as usize,
-        },
-        4 => ExplainMethod::SamplingShapley {
-            n_permutations: wire::get_u64(buf, "n_permutations").map_err(truncated)? as usize,
-            antithetic: wire::get_u8(buf, "antithetic").map_err(truncated)? != 0,
-        },
-        5 => ExplainMethod::ExactShapley,
-        6 => ExplainMethod::GroupedShapley,
-        7 => ExplainMethod::Permutation,
-        other => return Err(WireError::Decode(format!("unknown method tag {other}"))),
-    })
+    let id = wire::get_u64(buf, "method id").map_err(truncated)?;
+    let budget = wire::get_u64(buf, "method budget").map_err(truncated)?;
+    Ok(ExplainMethod::from_parts(id, budget))
 }
 
 fn put_string(buf: &mut BytesMut, s: &str) {
@@ -323,6 +263,29 @@ fn put_serve_error(buf: &mut BytesMut, e: &ServeError) {
             buf.put_u8(3);
             put_string(buf, m);
         }
+        ServeError::Refused(r) => {
+            buf.put_u8(4);
+            match r {
+                Refusal::NoShards => buf.put_u8(1),
+                Refusal::UnknownShard(id) => {
+                    buf.put_u8(2);
+                    buf.put_u32_le(*id);
+                }
+                Refusal::LastShard => buf.put_u8(3),
+                Refusal::VersionMismatch {
+                    shard,
+                    model_id,
+                    assigned,
+                    expected,
+                } => {
+                    buf.put_u8(4);
+                    buf.put_u32_le(*shard);
+                    put_string(buf, model_id);
+                    buf.put_u64_le(*assigned);
+                    buf.put_u64_le(*expected);
+                }
+            }
+        }
     }
 }
 
@@ -372,6 +335,21 @@ fn get_serve_error(buf: &mut Bytes) -> Result<ServeError, WireError> {
             })
         }
         3 => ServeError::Internal(get_string(buf, MAX_STR, "internal message")?),
+        4 => {
+            let tag = wire::get_u8(buf, "refusal tag").map_err(truncated)?;
+            ServeError::Refused(match tag {
+                1 => Refusal::NoShards,
+                2 => Refusal::UnknownShard(wire::get_u32(buf, "shard").map_err(truncated)?),
+                3 => Refusal::LastShard,
+                4 => Refusal::VersionMismatch {
+                    shard: wire::get_u32(buf, "shard").map_err(truncated)?,
+                    model_id: get_string(buf, MAX_STR, "model_id")?,
+                    assigned: wire::get_u64(buf, "assigned").map_err(truncated)?,
+                    expected: wire::get_u64(buf, "expected").map_err(truncated)?,
+                },
+                other => return Err(WireError::Decode(format!("unknown refusal tag {other}"))),
+            })
+        }
         other => return Err(WireError::Decode(format!("unknown error kind {other}"))),
     })
 }
@@ -465,13 +443,8 @@ impl Message {
                         buf.put_u64_le(a.batch_size);
                         buf.put_u64_le(a.queue_wait_ns);
                         buf.put_u64_le(a.service_ns);
-                        // Fidelity tail (added after the v1 wire freeze).
-                        // Omitted entirely when the answer is exact, so
-                        // exact-only deployments emit v1-identical frames.
-                        if a.coarse_budget != 0 || a.max_abs_err != 0.0 {
-                            buf.put_u64_le(a.coarse_budget);
-                            buf.put_u64_le(a.max_abs_err.to_bits());
-                        }
+                        buf.put_u64_le(a.coarse_budget);
+                        buf.put_u64_le(a.max_abs_err.to_bits());
                     }
                     Err(e) => {
                         buf.put_u8(0);
@@ -491,14 +464,10 @@ impl Message {
                 for row in &r.background_rows {
                     wire::put_f64s(&mut buf, row);
                 }
-                // Wire-optional tail: only encoded when non-empty, so
-                // config-less registrations stay byte-identical to v1.
-                if !r.method_configs.is_empty() {
-                    buf.put_u32_le(r.method_configs.len() as u32);
-                    for (name, divisor) in &r.method_configs {
-                        put_string(&mut buf, name);
-                        buf.put_u64_le(*divisor);
-                    }
+                buf.put_u32_le(r.method_configs.len() as u32);
+                for (name, divisor) in &r.method_configs {
+                    put_string(&mut buf, name);
+                    buf.put_u64_le(*divisor);
                 }
             }
             Message::RegisterOk { rid, version } => {
@@ -555,20 +524,10 @@ impl Message {
                             wire::get_u64(&mut buf, "queue_wait_ns").map_err(truncated)?;
                         let service_ns =
                             wire::get_u64(&mut buf, "service_ns").map_err(truncated)?;
-                        // The fidelity tail is optional: a v1 frame ends at
-                        // `service_ns`, and the frame layer forbids trailing
-                        // garbage, so "bytes remain" is an unambiguous signal
-                        // that the peer wrote the tail.
-                        let (coarse_budget, max_abs_err) = if !buf.is_empty() {
-                            (
-                                wire::get_u64(&mut buf, "coarse_budget").map_err(truncated)?,
-                                f64::from_bits(
-                                    wire::get_u64(&mut buf, "max_abs_err").map_err(truncated)?,
-                                ),
-                            )
-                        } else {
-                            (0, 0.0)
-                        };
+                        let coarse_budget =
+                            wire::get_u64(&mut buf, "coarse_budget").map_err(truncated)?;
+                        let max_abs_err =
+                            wire::get_f64(&mut buf, "max_abs_err").map_err(truncated)?;
                         Ok(WireAnswer {
                             attribution,
                             model_version,
@@ -609,25 +568,18 @@ impl Message {
                 for _ in 0..n_rows {
                     background_rows.push(get_vec_f64(&mut buf, "background row")?);
                 }
-                // Wire-optional tail (absent in v1 frames): per-method
-                // serving configs. The frame layer rejects trailing
-                // garbage, so "bytes remain" unambiguously means the tail
-                // is present.
-                let mut method_configs = Vec::new();
-                if !buf.is_empty() {
-                    let n = wire::get_u32(&mut buf, "method configs").map_err(truncated)? as usize;
-                    if n > MAX_METHOD_CONFIGS {
-                        return Err(WireError::Decode(format!(
-                            "register claims {n} method configs, cap {MAX_METHOD_CONFIGS}"
-                        )));
-                    }
-                    method_configs.reserve(n.min(4096));
-                    for _ in 0..n {
-                        let name = get_string(&mut buf, MAX_STR, "method config name")?;
-                        let divisor =
-                            wire::get_u64(&mut buf, "method config divisor").map_err(truncated)?;
-                        method_configs.push((name, divisor));
-                    }
+                let n = wire::get_u32(&mut buf, "method configs").map_err(truncated)? as usize;
+                if n > MAX_METHOD_CONFIGS {
+                    return Err(WireError::Decode(format!(
+                        "register claims {n} method configs, cap {MAX_METHOD_CONFIGS}"
+                    )));
+                }
+                let mut method_configs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let name = get_string(&mut buf, MAX_STR, "method config name")?;
+                    let divisor =
+                        wire::get_u64(&mut buf, "method config divisor").map_err(truncated)?;
+                    method_configs.push((name, divisor));
                 }
                 Message::Register(WireRegister {
                     rid,
@@ -702,6 +654,19 @@ mod tests {
                 budget_ns: 1_000_000,
             }),
             Message::ExplainReply(WireResponse {
+                rid: 6,
+                outcome: Ok(WireAnswer {
+                    attribution: attribution.clone(),
+                    model_version: 3,
+                    cache_hit: false,
+                    batch_size: 1,
+                    queue_wait_ns: 10,
+                    service_ns: 20,
+                    coarse_budget: 0,
+                    max_abs_err: 0.0,
+                }),
+            }),
+            Message::ExplainReply(WireResponse {
                 rid: 7,
                 outcome: Ok(WireAnswer {
                     attribution,
@@ -726,7 +691,15 @@ mod tests {
                 model_json: "{\"Linear\":{}}".into(),
                 feature_names: vec!["a".into(), "b".into()],
                 background_rows: vec![vec![0.5, 1.5], vec![-2.0, 0.25]],
-                method_configs: vec![("kernel-shap".into(), 4)],
+                method_configs: vec![("kernel-shap".into(), 4), ("lime".into(), 16)],
+            }),
+            Message::Register(WireRegister {
+                rid: 2,
+                model_id: "sla".into(),
+                model_json: "{}".into(),
+                feature_names: vec!["a".into()],
+                background_rows: vec![vec![0.0]],
+                method_configs: Vec::new(),
             }),
             Message::RegisterOk { rid: 1, version: 1 },
             Message::Health { rid: 2 },
@@ -790,6 +763,15 @@ mod tests {
             ServeError::Explain(XaiError::Budget("zero".into())),
             ServeError::Explain(XaiError::Numeric("singular".into())),
             ServeError::Internal("worker died".into()),
+            ServeError::Refused(Refusal::NoShards),
+            ServeError::Refused(Refusal::UnknownShard(7)),
+            ServeError::Refused(Refusal::LastShard),
+            ServeError::Refused(Refusal::VersionMismatch {
+                shard: 2,
+                model_id: "sla".into(),
+                assigned: 5,
+                expected: 4,
+            }),
         ];
         for e in errors {
             let m = Message::ExplainReply(WireResponse {
@@ -815,63 +797,73 @@ mod tests {
         ));
     }
 
+    fn decode(t: MsgType, payload: Vec<u8>) -> Result<Message, WireError> {
+        Message::decode_payload(t, Bytes::from_vec(payload))
+    }
+
+    /// Version-1 payload shapes are typed errors, not guesses: an answer
+    /// ending at `service_ns` (no fidelity pair) and a registration ending
+    /// at its background rows (no config count) are both truncated.
     #[test]
-    fn exact_answers_encode_v1_frames_and_legacy_frames_decode() {
-        let answer = WireAnswer {
-            attribution: Attribution {
-                names: ["pps".to_string()].into(),
-                values: vec![0.5],
-                base_value: 1.0,
-                prediction: 1.5,
-                method: "tree-shap".into(),
-            },
-            model_version: 2,
-            cache_hit: false,
-            batch_size: 1,
-            queue_wait_ns: 10,
-            service_ns: 20,
-            coarse_budget: 0,
-            max_abs_err: 0.0,
-        };
-        let exact = Message::ExplainReply(WireResponse {
-            rid: 9,
-            outcome: Ok(answer.clone()),
-        });
-        // An exact answer omits the fidelity tail entirely — its payload is
-        // byte-identical to what a v1 encoder produced, i.e. any v1 frame a
-        // legacy peer sends is exactly this payload. Decoding it must
-        // default the fidelity fields rather than error on truncation.
-        let payload = exact.encode_payload();
-        let degraded = Message::ExplainReply(WireResponse {
+    fn old_shape_payloads_are_typed_errors() {
+        let mut v1_register = BytesMut::new();
+        v1_register.put_u64_le(4);
+        put_string(&mut v1_register, "sla");
+        put_string(&mut v1_register, "{}");
+        v1_register.put_u32_le(1);
+        put_string(&mut v1_register, "a");
+        v1_register.put_u32_le(1);
+        wire::put_f64s(&mut v1_register, &[0.0]);
+        assert!(matches!(
+            decode(
+                MsgType::RegisterModel,
+                v1_register.freeze().as_ref().to_vec()
+            ),
+            Err(WireError::Truncated(_))
+        ));
+
+        let answer = Message::ExplainReply(WireResponse {
             rid: 9,
             outcome: Ok(WireAnswer {
+                attribution: Attribution {
+                    names: ["pps".to_string()].into(),
+                    values: vec![0.5],
+                    base_value: 1.0,
+                    prediction: 1.5,
+                    method: "tree-shap".into(),
+                },
+                model_version: 2,
+                cache_hit: false,
+                batch_size: 1,
+                queue_wait_ns: 10,
+                service_ns: 20,
                 coarse_budget: 8,
                 max_abs_err: 3.0e-5,
-                ..answer
             }),
         });
-        assert_eq!(
-            degraded.encode_payload().len(),
-            payload.len() + 16,
-            "fidelity tail is exactly two trailing u64 words"
-        );
-        match Message::decode_payload(MsgType::ExplainResponse, Bytes::from_vec(payload)) {
-            Ok(Message::ExplainReply(r)) => {
-                let a = r.outcome.unwrap();
-                assert_eq!(a.coarse_budget, 0);
-                assert_eq!(a.max_abs_err.to_bits(), 0.0f64.to_bits());
-            }
-            other => panic!("wrong shape: {other:?}"),
-        }
-        assert_eq!(roundtrip(&degraded), degraded);
+        let mut payload = answer.encode_payload();
+        payload.truncate(payload.len() - 16);
+        assert!(matches!(
+            decode(MsgType::ExplainResponse, payload),
+            Err(WireError::Truncated(_))
+        ));
     }
 
     #[test]
-    fn named_methods_roundtrip_and_normalize_to_canonical_variants() {
-        // Beyond-the-legacy-seven methods ride tag 0 as (name, budget).
+    fn methods_cross_as_their_identity() {
         for method in [
+            // A built-in's id with a budget it does not take keeps the budget.
+            ExplainMethod::Custom {
+                id: nfv_xai::prelude::method_id("tree-shap"),
+                budget: 5,
+            },
             ExplainMethod::Interactions,
             ExplainMethod::custom("online-sage", 32),
+            // An id no registry knows keeps its id: no name travels.
+            ExplainMethod::Custom {
+                id: 0xfeed_f00d_dead_beef,
+                budget: 2,
+            },
         ] {
             let m = Message::Explain(WireRequest {
                 rid: 3,
@@ -880,56 +872,11 @@ mod tests {
                 method,
                 budget_ns: 5,
             });
-            match roundtrip(&m) {
-                Message::Explain(r) => assert_eq!(r.method, method),
-                other => panic!("wrong shape: {other:?}"),
-            }
+            assert_eq!(roundtrip(&m), m);
+            let mut buf = BytesMut::new();
+            put_method(&mut buf, method);
+            assert_eq!(buf.len(), 16, "a method is one (id, budget) pair");
         }
-        // A hand-built tag-0 frame naming a *built-in* decodes to the
-        // canonical variant, so named and legacy frames produce identical
-        // cache keys and seeds.
-        let mut buf = BytesMut::new();
-        buf.put_u8(0);
-        put_string(&mut buf, "kernel-shap");
-        buf.put_u64_le(64);
-        let mut bytes = Bytes::from_vec(buf.freeze().as_ref().to_vec());
-        assert_eq!(
-            get_method(&mut bytes).unwrap(),
-            ExplainMethod::KernelShap { n_coalitions: 64 }
-        );
-        // An unknown custom id survives the wire via the #hex escape.
-        let c = ExplainMethod::Custom {
-            id: 0xfeed_f00d_dead_beef,
-            budget: 2,
-        };
-        let mut buf = BytesMut::new();
-        put_method(&mut buf, c);
-        let mut bytes = Bytes::from_vec(buf.freeze().as_ref().to_vec());
-        assert_eq!(get_method(&mut bytes).unwrap(), c);
-    }
-
-    #[test]
-    fn configless_registers_encode_v1_frames_and_config_tails_roundtrip() {
-        let bare = WireRegister {
-            rid: 4,
-            model_id: "sla".into(),
-            model_json: "{}".into(),
-            feature_names: vec!["a".into()],
-            background_rows: vec![vec![0.0]],
-            method_configs: Vec::new(),
-        };
-        // No configs → no tail: the payload is byte-identical to a v1
-        // Register frame, so v1 frames decode as "no configs".
-        let payload = Message::Register(bare.clone()).encode_payload();
-        match Message::decode_payload(MsgType::RegisterModel, Bytes::from_vec(payload)) {
-            Ok(Message::Register(r)) => assert_eq!(r, bare),
-            other => panic!("wrong shape: {other:?}"),
-        }
-        let with_configs = Message::Register(WireRegister {
-            method_configs: vec![("kernel-shap".into(), 4), ("lime".into(), 16)],
-            ..bare
-        });
-        assert_eq!(roundtrip(&with_configs), with_configs);
     }
 
     #[test]
@@ -944,9 +891,10 @@ mod tests {
         });
         let mut payload = bare.encode_payload();
         // Claim a hostile config count with no entries behind it.
-        payload.extend_from_slice(&(u32::MAX).to_le_bytes());
+        let count = payload.len() - 4;
+        payload[count..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            Message::decode_payload(MsgType::RegisterModel, Bytes::from_vec(payload)),
+            decode(MsgType::RegisterModel, payload),
             Err(WireError::Decode(_))
         ));
     }

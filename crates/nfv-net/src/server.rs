@@ -31,9 +31,9 @@
 //! flushes all write buffers, and exits. Worker threads exit when the
 //! job queue disconnects.
 //!
-//! Fail-loud: any frame that does not parse — bad magic, bad checksum,
-//! oversized length — increments `protocol_errors` and closes that
-//! connection. The protocol never guesses at resync. A panic inside an
+//! Fail-loud: any frame that does not parse — bad magic, another protocol
+//! version, bad checksum, oversized length — increments `protocol_errors`
+//! and closes that connection. The protocol never guesses at resync. A panic inside an
 //! explain worker is caught and answered as `ServeError::Internal`; a
 //! reply guard ensures the completion is delivered even on an unwind, so
 //! a drain can never wedge on a lost decrement.

@@ -3,7 +3,9 @@
 //! hostile length prefixes — can cause a panic or a silently-wrong decode.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use nfv_net::frame::{decode_frame, encode_frame, MsgType, WireError, HEADER_LEN, MAX_PAYLOAD};
+use nfv_net::frame::{
+    decode_frame, encode_frame, MsgType, WireError, HEADER_LEN, MAX_PAYLOAD, VERSION,
+};
 use nfv_net::msg::{Message, WireHealth, WireRegister, WireRequest, WireResponse};
 use nfv_serve::prelude::{ExplainMethod, RejectReason, ServeError};
 use proptest::prelude::*;
@@ -42,7 +44,6 @@ fn arbitrary_message(
                 4 => ExplainMethod::ExactShapley,
                 5 => ExplainMethod::GroupedShapley,
                 6 => ExplainMethod::Permutation,
-                // Registry-era methods ride the named (tag 0) encoding.
                 7 => ExplainMethod::Interactions,
                 _ => ExplainMethod::custom("prop-plugin", rid),
             },
@@ -137,17 +138,15 @@ proptest! {
     }
 
     #[test]
-    fn protocol_v1_method_frames_decode_forever(
+    fn protocol_v1_method_tags_are_typed_errors(
         tag in 1u8..8,
         n in 1usize..1024,
         antithetic in 0u8..2,
         rid in 0u64..u64::MAX,
     ) {
-        // Hand-build an Explain payload exactly as a protocol-v1 peer
-        // would: the legacy single-byte method discriminants. These must
-        // decode to the canonical variants forever, and — because the
-        // seven original built-ins still *encode* with their legacy tags —
-        // re-encoding the decoded message must be byte-identical.
+        // An Explain payload exactly as a protocol-v1 peer built it: a
+        // one-byte method discriminant, then its budget fields. Under the
+        // one v2 layout it is a typed error, never some other method.
         let mut buf = BytesMut::new();
         buf.put_u64_le(rid);
         nfv_sim::wire::put_str(&mut buf, "m");
@@ -163,26 +162,10 @@ proptest! {
         }
         buf.put_u64_le(77);
         let payload = buf.freeze().as_ref().to_vec();
-        let decoded =
-            Message::decode_payload(MsgType::ExplainRequest, Bytes::from_vec(payload.clone()))
-                .expect("v1 frame decodes");
-        let expected = match tag {
-            1 => ExplainMethod::TreeShap,
-            2 => ExplainMethod::KernelShap { n_coalitions: n },
-            3 => ExplainMethod::Lime { n_samples: n },
-            4 => ExplainMethod::SamplingShapley {
-                n_permutations: n,
-                antithetic: antithetic != 0,
-            },
-            5 => ExplainMethod::ExactShapley,
-            6 => ExplainMethod::GroupedShapley,
-            _ => ExplainMethod::Permutation,
-        };
-        match &decoded {
-            Message::Explain(r) => prop_assert_eq!(r.method, expected),
-            other => prop_assert!(false, "wrong message type: {:?}", other),
-        }
-        prop_assert_eq!(decoded.encode_payload(), payload);
+        prop_assert!(matches!(
+            Message::decode_payload(MsgType::ExplainRequest, Bytes::from_vec(payload)),
+            Err(WireError::Truncated(_))
+        ));
     }
 
     #[test]
@@ -258,7 +241,7 @@ proptest! {
         // A header claiming up to 4 GiB of payload with nothing behind it.
         let mut buf = BytesMut::new();
         buf.put_slice(b"NFVW");
-        buf.put_u16_le(1);
+        buf.put_u16_le(VERSION);
         buf.put_u8(MsgType::Health as u8);
         buf.put_u32_le(claimed as u32);
         let mut frame = Bytes::from_vec(buf.freeze().as_ref().to_vec());

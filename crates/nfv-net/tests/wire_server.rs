@@ -13,7 +13,9 @@
 //! - pipelining deeper than the server's per-connection limit gets the
 //!   typed `PipelineTooDeep` reject while shallower pipelines complete;
 //! - accepted sockets run with `TCP_NODELAY`, so pipelined cached replies
-//!   do not queue behind the client's delayed ACKs.
+//!   do not queue behind the client's delayed ACKs;
+//! - a frame of another protocol version closes its connection as a
+//!   protocol error and leaves the shard serving.
 
 use bytes::BufMut;
 use nfv_data::prelude::*;
@@ -124,9 +126,7 @@ fn register_failure_replies_with_typed_register_err() {
     server.join();
 }
 
-/// The client still understands a registration failure from an old-style
-/// shard (pre-`RegisterErr` protocol) *and* from the typed message; both
-/// surface as `ShardCallError::Serve`.
+/// A registration failure reaches the client as `ShardCallError::Serve`.
 #[test]
 fn client_register_surfaces_typed_failure() {
     let (server, addr) = start_server(ShardConfig::default());
@@ -380,8 +380,7 @@ fn unknown_method_over_the_wire_gets_a_typed_reject() {
     .unwrap();
 
     // Client-side custom method: neither process registered "online-sage",
-    // so it crosses the wire as its interned `#id` and the shard's
-    // registry lookup misses.
+    // so the shard's registry lookup of its interned id misses.
     let err = conn
         .explain(&ExplainRequest {
             model_id: "m".into(),
@@ -400,16 +399,15 @@ fn unknown_method_over_the_wire_gets_a_typed_reject() {
         other => panic!("expected UnknownMethod, got {other:?}"),
     }
 
-    // A foreign client sending the *name* itself over the tag-0 shape
-    // lands in the same place: decoded as a custom id, answered with the
+    // A foreign client hand-building the frame lands in the same place:
+    // any (id, budget) pair decodes, and an id nothing answers to is the
     // typed reject — never a protocol error.
     let mut stream = TcpStream::connect(&addr).unwrap();
     let mut payload = bytes::BytesMut::new();
     payload.put_u64_le(42); // rid
     nfv_sim::wire::put_str(&mut payload, "m");
     nfv_sim::wire::put_f64s(&mut payload, synth.data.row(0));
-    payload.put_u8(0); // named-method tag
-    nfv_sim::wire::put_str(&mut payload, "online-sage");
+    payload.put_u64_le(0xfeed_f00d_dead_beef); // method id
     payload.put_u64_le(8); // budget word
     payload.put_u64_le(30_000_000_000); // budget_ns
     let payload = payload.freeze();
@@ -499,6 +497,30 @@ fn register_method_configs_tune_the_shard_anytime_divisor() {
         );
     }
     assert_eq!(server.protocol_errors(), 0);
+    server.stop();
+    server.join();
+}
+
+/// A version-1 peer's frame is a protocol error: the shard counts it and
+/// closes that connection (the header says the layout is not this one),
+/// then goes on serving clients of this version.
+#[test]
+fn a_version_1_frame_closes_its_connection_and_the_shard_serves_on() {
+    let (server, addr) = start_server(ShardConfig::default());
+    let mut v1 = TcpStream::connect(&addr).unwrap();
+    let mut frame = nfv_net::frame::encode_frame(MsgType::Health, &1u64.to_le_bytes());
+    frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+    std::io::Write::write_all(&mut v1, &frame).unwrap();
+    assert!(
+        matches!(
+            read_frame(&mut v1, MAX_PAYLOAD),
+            Err(WireError::ConnectionLost(_))
+        ),
+        "a v1 frame must be answered by a close, not a reply"
+    );
+    assert_eq!(server.protocol_errors(), 1);
+    let conn = ShardConn::connect(&addr, MAX_PAYLOAD, Duration::from_secs(10)).unwrap();
+    assert_eq!(conn.health().unwrap().protocol_errors, 1);
     server.stop();
     server.join();
 }

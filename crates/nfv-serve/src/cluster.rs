@@ -413,7 +413,7 @@ pub type ServeCluster = Router<Engine>;
 
 impl From<Refusal> for ServeError {
     fn from(r: Refusal) -> ServeError {
-        ServeError::Internal(format!("router refused: {r:?}"))
+        ServeError::Refused(r)
     }
 }
 
@@ -458,7 +458,7 @@ impl Router<Engine> {
     /// shard to surface `QueueFull` (degrading is the lone engine's).
     pub fn start(config: ClusterConfig) -> ServeCluster {
         let (n, mut shard_cfg) = (config.shards.max(1), config.shard);
-        shard_cfg.anytime.enabled = false;
+        shard_cfg.anytime = false;
         let shards = (0..n).map(|_| Engine::start(shard_cfg)).collect();
         Router::new(shards, shard_cfg.quantization_grid).expect("at least one shard")
     }

@@ -41,11 +41,18 @@ pub struct ServeConfig {
     pub seed: u64,
     /// The fused-fill statistic's target (see [`FusionPolicy`]).
     pub fusion: FusionPolicy,
-    /// Deduplicate concurrent identical cache misses: followers wait for
-    /// the leader's result instead of enqueueing their own computation.
-    pub single_flight: bool,
-    /// Anytime (degrade-before-reject) policy for queue-full pressure.
-    pub anytime: AnytimePolicy,
+    /// **Anytime explanations**: when admission would reject a
+    /// sampling-method request with `QueueFull`, the engine instead
+    /// computes a coarse attribution inline (budget cut via
+    /// [`crate::request::ExplainMethod::coarsened_with`]) and returns it
+    /// immediately, tagged [`Fidelity::Coarse`] — then hands the
+    /// full-budget recompute to a background refiner (a bounded queue of
+    /// `REFINE_QUEUE` jobs) that upgrades the cache entry in place (same
+    /// key, monotone: coarse → full, never back). Deterministic methods
+    /// and `DeadlineUnmeetable` still reject. [`crate::cluster::ServeCluster`]
+    /// turns this off on its shards: its spill-to-neighbor policy needs a
+    /// full shard to surface `QueueFull` honestly.
+    pub anytime: bool,
 }
 
 impl Default for ServeConfig {
@@ -60,44 +67,16 @@ impl Default for ServeConfig {
             quantization_grid: 1e-6,
             seed: 0,
             fusion: FusionPolicy::default(),
-            single_flight: true,
-            anytime: AnytimePolicy::default(),
+            anytime: true,
         }
     }
 }
 
-/// Policy for **anytime explanations**: when admission would reject a
-/// sampling-method request with `QueueFull`, the engine instead computes a
-/// coarse attribution inline (budget cut via
-/// [`crate::request::ExplainMethod::coarsened`]) and returns it immediately,
-/// tagged [`Fidelity::Coarse`] — then hands the full-budget recompute to a
-/// background refiner that upgrades the cache entry in place (same key,
-/// monotone: coarse → full, never back). Repeat keys therefore converge to
-/// exact answers without ever rejecting.
-///
-/// Deterministic methods (no budget to cut) and `DeadlineUnmeetable`
-/// rejections still reject: the former can't degrade, the latter means even
-/// the queue-free path would blow the caller's deadline budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnytimePolicy {
-    /// Master switch. [`crate::cluster::ServeCluster`] turns this off on
-    /// its shard engines: the cluster's spill-to-neighbor policy handles
-    /// queue-full first, so a shard must surface `QueueFull` honestly.
-    pub enabled: bool,
-    /// Bounded refine-queue depth. A full queue drops the refinement (the
-    /// coarse answer stands; counted in `refine_dropped`) rather than
-    /// blocking the serving path.
-    pub refine_queue: usize,
-}
-
-impl Default for AnytimePolicy {
-    fn default() -> Self {
-        AnytimePolicy {
-            enabled: true,
-            refine_queue: 64,
-        }
-    }
-}
+/// Depth of the anytime refiner's queue. A full queue drops the
+/// refinement (the coarse answer stands; counted in `refine_dropped`, and
+/// the next hit on the key asks again) rather than blocking the serving
+/// path.
+const REFINE_QUEUE: usize = 64;
 
 /// What remains of the fusion scheduler's policy. The rule itself is code
 /// (`worker.rs`): two or more co-queued plan-capable jobs of one model —
@@ -211,8 +190,8 @@ impl Engine {
             in_flight: queue.in_flight_handle(),
         });
         let workers = worker::spawn_workers(config.workers, queue.receiver(), ctx);
-        let (refine_tx, refiner) = if config.anytime.enabled {
-            let (tx, rx) = crossbeam::channel::bounded(config.anytime.refine_queue.max(1));
+        let (refine_tx, refiner) = if config.anytime {
+            let (tx, rx) = crossbeam::channel::bounded(REFINE_QUEUE);
             let cache = Arc::clone(&cache);
             let metrics = Arc::clone(&metrics);
             let seed = config.seed;
@@ -340,31 +319,29 @@ impl Engine {
         // attribution the moment it lands in the cache — one model
         // evaluation instead of N. A follower whose leader fails or whose
         // budget runs out falls through and computes normally.
-        let mut leads_flight = false;
-        if self.config.single_flight {
-            match self.cache.begin_flight(&key) {
-                cache::Flight::Leader => leads_flight = true,
-                cache::Flight::Follower(rx) => {
-                    let remaining = request.budget.saturating_sub(t0.elapsed());
-                    if let Ok(Some((attr, fidelity))) = rx.recv_timeout(remaining) {
-                        self.metrics
-                            .single_flight_hits
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                        self.metrics.total.record(t0.elapsed());
-                        return Ok(ExplainResponse {
-                            attribution: attr,
-                            model_version: key.model_version,
-                            cache_hit: true,
-                            batch_size: 1,
-                            queue_wait: Duration::ZERO,
-                            service_time: Duration::ZERO,
-                            fidelity,
-                        });
-                    }
+        let leads_flight = match self.cache.begin_flight(&key) {
+            cache::Flight::Leader => true,
+            cache::Flight::Follower(rx) => {
+                let remaining = request.budget.saturating_sub(t0.elapsed());
+                if let Ok(Some((attr, fidelity))) = rx.recv_timeout(remaining) {
+                    self.metrics
+                        .single_flight_hits
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.total.record(t0.elapsed());
+                    return Ok(ExplainResponse {
+                        attribution: attr,
+                        model_version: key.model_version,
+                        cache_hit: true,
+                        batch_size: 1,
+                        queue_wait: Duration::ZERO,
+                        service_time: Duration::ZERO,
+                        fidelity,
+                    });
                 }
+                false
             }
-        }
+        };
 
         // Admission + enqueue. A leader that stops short of the queue
         // releases its followers itself (they fall through and try alone).
@@ -402,7 +379,7 @@ impl Engine {
             // thread (≈⅛ of the full budget), answers immediately with a
             // typed coarse fidelity, and schedules the full-budget
             // refinement in the background.
-            if matches!(reason, RejectReason::QueueFull { .. }) && self.config.anytime.enabled {
+            if matches!(reason, RejectReason::QueueFull { .. }) && self.config.anytime {
                 if let Some(response) = self.serve_anytime(&job, leads_flight, t0) {
                     return Ok(response);
                 }

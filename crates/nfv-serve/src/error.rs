@@ -2,6 +2,7 @@
 //! *working as designed* (admission control shedding load it cannot serve
 //! within contract), while the other [`ServeError`] variants are failures.
 
+use crate::cluster::Refusal;
 use nfv_xai::XaiError;
 use std::fmt;
 
@@ -113,6 +114,9 @@ pub enum ServeError {
     Explain(XaiError),
     /// Engine-internal failure (worker died, response channel broken).
     Internal(String),
+    /// The cluster router refused the operation itself (membership or a
+    /// diverged registration history) — no shard was asked.
+    Refused(Refusal),
 }
 
 impl fmt::Display for ServeError {
@@ -121,6 +125,7 @@ impl fmt::Display for ServeError {
             ServeError::Rejected(r) => write!(f, "rejected: {r}"),
             ServeError::Explain(e) => write!(f, "explainer error: {e}"),
             ServeError::Internal(m) => write!(f, "internal error: {m}"),
+            ServeError::Refused(r) => write!(f, "router refused: {r:?}"),
         }
     }
 }

@@ -20,7 +20,7 @@
 //!   methods answer immediately with a coarse (reduced-budget)
 //!   attribution tagged [`Fidelity::Coarse`](request::Fidelity) while a
 //!   background refiner upgrades the cache entry in place to the
-//!   full-budget result (see [`engine::AnytimePolicy`]),
+//!   full-budget result (see [`ServeConfig::anytime`]),
 //! - a **bounded MPMC queue** with admission control: when the queue is
 //!   full or a deadline is infeasible the request is *rejected with a
 //!   reason*, never silently delayed (backpressure, not buffer bloat),
@@ -96,7 +96,7 @@ pub mod registry;
 pub mod request;
 pub mod worker;
 
-pub use engine::{AnytimePolicy, Engine, FusionPolicy, ServeConfig};
+pub use engine::{Engine, FusionPolicy, ServeConfig};
 
 /// Pre-split name of [`Engine`], kept as the primary public alias.
 pub use engine::Engine as ServeEngine;
@@ -113,5 +113,5 @@ pub mod prelude {
     pub use crate::request::{
         ExplainMethod, ExplainRequest, ExplainResponse, Fidelity, DEFAULT_ANYTIME_DIVISOR,
     };
-    pub use crate::{AnytimePolicy, Engine, FusionPolicy, ServeConfig, ServeEngine};
+    pub use crate::{Engine, FusionPolicy, ServeConfig, ServeEngine};
 }

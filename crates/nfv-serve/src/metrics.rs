@@ -432,7 +432,6 @@ impl Metrics {
                 fused_rows as f64 / (fused_groups * fused_target) as f64
             },
             dedup_rows_saved: self.dedup_rows_saved.load(Ordering::Relaxed),
-            kernel: nfv_ml::soa::active_kernel_name().to_string(),
             single_flight_hits: self.single_flight_hits.load(Ordering::Relaxed),
             probe_admits: self.probe_admits.load(Ordering::Relaxed),
             quantized_hits: self.quantized_hits.load(Ordering::Relaxed),
@@ -475,7 +474,6 @@ pub struct ServeStats {
     /// Rejects: malformed request.
     pub rejected_invalid: u64,
     /// Rejects: method id no registered method answers to.
-    #[serde(default)]
     pub rejected_unknown_method: u64,
     /// Explainer errors.
     pub explain_errors: u64,
@@ -505,42 +503,28 @@ pub struct ServeStats {
     pub fused_fill_ratio: f64,
     /// Composite rows skipped by the fused-block adjacent-dedup pass
     /// (bit-identical to their predecessor; prediction reused).
-    #[serde(default)]
     pub dedup_rows_saved: u64,
-    /// The SoA traversal kernel's name, a constant (`"scalar"`); still a
-    /// field so stats JSON from shards built with several kernels decodes.
-    /// An aggregate reports its first shard's value.
-    #[serde(default)]
-    pub kernel: String,
     /// Requests answered by another request's in-flight computation.
     pub single_flight_hits: u64,
     /// Probe admissions past a possibly-stale class estimate.
     pub probe_admits: u64,
     /// Cache hits served from the quantized cold tier (subset of
     /// `cache_hits`, each with a typed error bound).
-    #[serde(default)]
     pub quantized_hits: u64,
     /// Requests served a coarse anytime attribution instead of a
     /// queue-full rejection.
-    #[serde(default)]
     pub degraded_served: u64,
     /// Coarse cache entries upgraded in place to full-budget results.
-    #[serde(default)]
     pub refined_entries: u64,
     /// Refinement jobs dropped on a full refine queue.
-    #[serde(default)]
     pub refine_dropped: u64,
     /// Live exact-tier cache entries.
-    #[serde(default)]
     pub cache_hot_entries: u64,
     /// Live quantized-tier cache entries.
-    #[serde(default)]
     pub cache_cold_entries: u64,
     /// Estimated exact-tier heap bytes.
-    #[serde(default)]
     pub cache_hot_bytes: u64,
     /// Estimated quantized-tier heap bytes.
-    #[serde(default)]
     pub cache_cold_bytes: u64,
     /// Queue-wait median, microseconds.
     pub queue_wait_p50_us: f64,
@@ -592,9 +576,6 @@ impl ServeStats {
             agg.fused_rows += s.fused_rows;
             fill_weight += s.fused_fill_ratio * s.fused_groups as f64;
             agg.dedup_rows_saved += s.dedup_rows_saved;
-            if agg.kernel.is_empty() {
-                agg.kernel.clone_from(&s.kernel);
-            }
             agg.single_flight_hits += s.single_flight_hits;
             agg.probe_admits += s.probe_admits;
             agg.quantized_hits += s.quantized_hits;
@@ -765,41 +746,6 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: ServeStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn stats_json_from_older_writers_still_parses() {
-        // Fields added after the stats format first shipped are all
-        // `#[serde(default)]`: a document written by an older shard (no
-        // two-tier cache, no anytime counters) must deserialize with those
-        // fields zeroed, not error. Simulate the old writer by stripping
-        // the new keys from a fresh snapshot's JSON tree.
-        let m = Metrics::new();
-        m.submitted.fetch_add(2, Ordering::Relaxed);
-        m.cache_hits.fetch_add(1, Ordering::Relaxed);
-        let mut snap = m.snapshot();
-        snap.quantized_hits = 7; // would survive a round trip; must not here
-        let new_keys = [
-            "quantized_hits",
-            "degraded_served",
-            "refined_entries",
-            "refine_dropped",
-            "cache_hot_entries",
-            "cache_cold_entries",
-            "cache_hot_bytes",
-            "cache_cold_bytes",
-        ];
-        let mut tree = serde::Serialize::to_value(&snap);
-        match &mut tree {
-            serde::Value::Object(fields) => fields.retain(|(k, _)| !new_keys.contains(&k.as_str())),
-            other => panic!("stats must serialize to an object, got {}", other.kind()),
-        }
-        let old_json = serde_json::to_string(&tree).unwrap();
-        let back: ServeStats = serde_json::from_str(&old_json).unwrap();
-        assert_eq!(back.submitted, snap.submitted);
-        assert_eq!(back.cache_hits, snap.cache_hits);
-        assert_eq!(back.quantized_hits, 0, "absent key reads as default");
-        assert_eq!(back.cache_cold_bytes, 0);
     }
 
     #[test]

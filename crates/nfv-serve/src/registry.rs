@@ -152,7 +152,6 @@ impl ModelEntry {
             n_features: self.model.n_features(),
             groups: Some(self.groups.clone()),
             trees: self.trees.clone(),
-            anytime_divisor: DEFAULT_ANYTIME_DIVISOR,
         }
     }
 

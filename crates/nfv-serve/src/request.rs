@@ -147,10 +147,9 @@ impl ExplainMethod {
         (self.method_id(), self.budget_word())
     }
 
-    /// The method's name for humans and the wire: the frozen name for
-    /// built-ins; for [`ExplainMethod::Custom`], the registered name when
-    /// the id resolves, else the `#hex` escape of the raw id (which
-    /// [`ExplainMethod::from_name`] parses back losslessly).
+    /// The method's name for humans: the frozen name for built-ins; for
+    /// [`ExplainMethod::Custom`], the registered name when the id
+    /// resolves, else the `#hex` escape of the raw id.
     pub fn display_name(&self) -> String {
         match self {
             ExplainMethod::Custom { id, .. } => match MethodRegistry::global().name_of(*id) {
@@ -161,47 +160,37 @@ impl ExplainMethod {
         }
     }
 
-    /// Rebuilds a method from a (name, budget word) pair — the wire
-    /// decoding of [`ExplainMethod::display_name`] /
-    /// [`ExplainMethod::budget_word`]. Built-in names normalize to their
-    /// canonical variants so a named frame and a legacy-discriminant frame
-    /// for the same request produce identical cache keys and seeds;
-    /// anything else becomes [`ExplainMethod::Custom`] (validation — not
-    /// decoding — rejects names no registry knows).
-    pub fn from_name(name: &str, budget: u64) -> ExplainMethod {
-        match name {
-            "tree-shap" => ExplainMethod::TreeShap,
-            "kernel-shap" => ExplainMethod::KernelShap {
+    /// Rebuilds a method from its identity `(method_id, budget_word)` —
+    /// the wire decoding of [`ExplainMethod::method_id`] /
+    /// [`ExplainMethod::budget_word`]. A canonical variant comes back only
+    /// when its identity is exactly `(id, budget)`; anything else is
+    /// [`ExplainMethod::Custom`], so the budget word always survives
+    /// (validation — not decoding — rejects ids no registry knows).
+    pub fn from_parts(id: u64, budget: u64) -> ExplainMethod {
+        let custom = ExplainMethod::Custom { id, budget };
+        let canonical = match id {
+            ID_TREE_SHAP => ExplainMethod::TreeShap,
+            ID_KERNEL_SHAP => ExplainMethod::KernelShap {
                 n_coalitions: budget as usize,
             },
-            "lime" => ExplainMethod::Lime {
+            ID_LIME => ExplainMethod::Lime {
                 n_samples: budget as usize,
             },
-            "sampling-shapley" => ExplainMethod::SamplingShapley {
+            ID_SAMPLING_SHAPLEY => ExplainMethod::SamplingShapley {
                 n_permutations: (budget / 2) as usize,
                 antithetic: budget & 1 == 1,
             },
-            "exact-shapley" => ExplainMethod::ExactShapley,
-            "grouped-shapley" => ExplainMethod::GroupedShapley,
-            "permutation" => ExplainMethod::Permutation,
-            "interactions" => ExplainMethod::Interactions,
-            _ => {
-                if let Some(hex) = name.strip_prefix('#') {
-                    if let Ok(id) = u64::from_str_radix(hex, 16) {
-                        return ExplainMethod::Custom { id, budget };
-                    }
-                }
-                ExplainMethod::Custom {
-                    id: method_id(name),
-                    budget,
-                }
-            }
+            ID_EXACT_SHAPLEY => ExplainMethod::ExactShapley,
+            ID_GROUPED_SHAPLEY => ExplainMethod::GroupedShapley,
+            ID_PERMUTATION => ExplainMethod::Permutation,
+            ID_INTERACTIONS => ExplainMethod::Interactions,
+            _ => return custom,
+        };
+        if canonical.budget_word() == budget {
+            canonical
+        } else {
+            custom
         }
-    }
-
-    /// [`ExplainMethod::coarsened_with`] at the default ÷ 8 divisor.
-    pub fn coarsened(&self) -> Option<(ExplainMethod, u64)> {
-        self.coarsened_with(DEFAULT_ANYTIME_DIVISOR)
     }
 
     /// The degraded variant of this method used by the anytime path: same
@@ -694,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn from_name_round_trips_builtins_and_custom() {
+    fn from_parts_round_trips_builtins_and_custom() {
         let methods = [
             ExplainMethod::TreeShap,
             ExplainMethod::KernelShap { n_coalitions: 64 },
@@ -711,22 +700,48 @@ mod tests {
             ExplainMethod::GroupedShapley,
             ExplainMethod::Permutation,
             ExplainMethod::Interactions,
+            ExplainMethod::custom("online-sage", 9),
+            ExplainMethod::Custom {
+                id: 0x1234_5678_9abc_def0,
+                budget: 7,
+            },
         ];
         for m in methods {
-            let back = ExplainMethod::from_name(&m.display_name(), m.budget_word());
-            assert_eq!(back, m, "named round-trip must normalize to canonical");
+            assert_eq!(ExplainMethod::from_parts(m.method_id(), m.budget_word()), m);
         }
-        // An unregistered custom id survives via the #hex escape.
+        // A deterministic built-in with a budget word is not that built-in:
+        // the pair stays a `Custom`, so the budget is not dropped.
         let c = ExplainMethod::Custom {
-            id: 0x1234_5678_9abc_def0,
-            budget: 7,
+            id: method_id("tree-shap"),
+            budget: 5,
         };
-        assert_eq!(c.display_name(), "#123456789abcdef0");
-        let back = ExplainMethod::from_name(&c.display_name(), c.budget_word());
-        assert_eq!(back, c);
-        // A registered name decodes to its interned id.
-        let named = ExplainMethod::from_name("online-sage", 9);
-        assert_eq!(named, ExplainMethod::custom("online-sage", 9));
+        assert_eq!(ExplainMethod::from_parts(c.method_id(), 5), c);
+        assert_eq!(c.display_name(), "tree-shap");
+        let unknown = ExplainMethod::Custom {
+            id: 0xfeed,
+            budget: 0,
+        };
+        assert_eq!(unknown.display_name(), "#000000000000feed");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn from_parts_keeps_every_identity(
+            pick in 0usize..10,
+            raw_id in 0u64..u64::MAX,
+            small in 0u64..1024,
+            big in 0u64..u64::MAX,
+        ) {
+            const BUILTINS: [u64; 8] = [
+                ID_TREE_SHAP, ID_KERNEL_SHAP, ID_LIME, ID_SAMPLING_SHAPLEY,
+                ID_EXACT_SHAPLEY, ID_GROUPED_SHAPLEY, ID_PERMUTATION, ID_INTERACTIONS,
+            ];
+            let id = BUILTINS.get(pick).copied().unwrap_or(raw_id);
+            for budget in [0, 1, small, big, u64::MAX] {
+                let m = ExplainMethod::from_parts(id, budget);
+                proptest::prop_assert_eq!((m.method_id(), m.budget_word()), (id, budget));
+            }
+        }
     }
 
     #[test]
@@ -795,20 +810,16 @@ mod tests {
 
     #[test]
     fn coarsened_cuts_sampling_budgets_only() {
-        let (m, b) = ExplainMethod::KernelShap { n_coalitions: 512 }
-            .coarsened()
-            .unwrap();
+        let coarse = |m: ExplainMethod| m.coarsened_with(DEFAULT_ANYTIME_DIVISOR);
+        let (m, b) = coarse(ExplainMethod::KernelShap { n_coalitions: 512 }).unwrap();
         assert_eq!(m, ExplainMethod::KernelShap { n_coalitions: 64 });
         assert_eq!(b, 64);
         // Floor: already-small budgets have nothing worth cutting.
-        assert!(ExplainMethod::KernelShap { n_coalitions: 8 }
-            .coarsened()
-            .is_none());
-        let (m, b) = ExplainMethod::SamplingShapley {
+        assert!(coarse(ExplainMethod::KernelShap { n_coalitions: 8 }).is_none());
+        let (m, b) = coarse(ExplainMethod::SamplingShapley {
             n_permutations: 32,
             antithetic: true,
-        }
-        .coarsened()
+        })
         .unwrap();
         assert_eq!(
             m,
@@ -819,18 +830,16 @@ mod tests {
             "antithetic pairing survives coarsening"
         );
         assert_eq!(b, 4);
-        let (m, _) = ExplainMethod::Lime { n_samples: 1024 }.coarsened().unwrap();
+        let (m, _) = coarse(ExplainMethod::Lime { n_samples: 1024 }).unwrap();
         assert_eq!(m, ExplainMethod::Lime { n_samples: 128 });
         // Deterministic methods have no sampling budget to degrade.
-        assert!(ExplainMethod::TreeShap.coarsened().is_none());
-        assert!(ExplainMethod::ExactShapley.coarsened().is_none());
-        assert!(ExplainMethod::GroupedShapley.coarsened().is_none());
-        assert!(ExplainMethod::Permutation.coarsened().is_none());
-        assert!(ExplainMethod::Interactions.coarsened().is_none());
+        assert!(coarse(ExplainMethod::TreeShap).is_none());
+        assert!(coarse(ExplainMethod::ExactShapley).is_none());
+        assert!(coarse(ExplainMethod::GroupedShapley).is_none());
+        assert!(coarse(ExplainMethod::Permutation).is_none());
+        assert!(coarse(ExplainMethod::Interactions).is_none());
         // Opaque custom budgets are never scaled by the serving layer.
-        assert!(ExplainMethod::custom("online-sage", 64)
-            .coarsened()
-            .is_none());
+        assert!(coarse(ExplainMethod::custom("online-sage", 64)).is_none());
     }
 
     #[test]
@@ -839,7 +848,7 @@ mod tests {
         let (m, b) = k.coarsened_with(4).unwrap();
         assert_eq!(m, ExplainMethod::KernelShap { n_coalitions: 128 });
         assert_eq!(b, 128);
-        assert_eq!(k.coarsened_with(8), k.coarsened(), "÷ 8 stays the default");
+        assert_eq!(DEFAULT_ANYTIME_DIVISOR, 8, "÷ 8 stays the default");
         // Divisor 1 (and 0, clamped to 1) means "never degrade this class".
         assert!(k.coarsened_with(1).is_none());
         assert!(k.coarsened_with(0).is_none());

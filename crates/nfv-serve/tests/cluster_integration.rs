@@ -223,6 +223,26 @@ fn unroutable_requests_are_rejected_not_lost() {
     cluster.shutdown();
 }
 
+/// The router's own refusals reach an in-process caller typed, as they
+/// reach a wire caller.
+#[test]
+fn leave_refusals_are_typed_serve_errors() {
+    let cluster = ServeCluster::start(ClusterConfig {
+        shards: 2,
+        ..ClusterConfig::default()
+    });
+    assert_eq!(
+        cluster.leave(9),
+        Err(ServeError::Refused(Refusal::UnknownShard(9)))
+    );
+    assert!(cluster.leave(0).is_ok());
+    assert_eq!(
+        cluster.leave(1),
+        Err(ServeError::Refused(Refusal::LastShard))
+    );
+    cluster.shutdown();
+}
+
 /// Saturate tiny home queues from many threads: overflow must retry on
 /// the next ring shard (counted as a spill) instead of failing outright,
 /// and every request must end as either an answer or an explicit
@@ -234,7 +254,6 @@ fn queue_full_spills_to_the_next_shard() {
         shard: ServeConfig {
             workers: 1,
             queue_capacity: 1,
-            single_flight: false,
             ..ServeConfig::default()
         },
     });

@@ -256,10 +256,7 @@ fn backpressure_rejects_instead_of_blocking() {
         cache_shards: 2,
         quantization_grid: 1e-6,
         seed: 17,
-        anytime: AnytimePolicy {
-            enabled: false,
-            ..AnytimePolicy::default()
-        },
+        anytime: false,
         ..ServeConfig::default()
     });
     engine
