@@ -33,6 +33,43 @@ fn bench_simulator(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    // The `pipeline_retrain` epoch's shape (`nfv_data::generate_des`): the
+    // secure-web chain at a fixed payload, a noisy neighbour on every VNF
+    // for the whole run, four 0.25 s windows (the first is warm-up).
+    g.bench_function("des_epoch_secure_web", |b| {
+        let mut scenario = ScenarioBuilder::new()
+            .servers(1, ServerSpec::standard())
+            .chain(
+                ChainSpec::of_kinds(
+                    "secure-web",
+                    &[VnfKind::Firewall, VnfKind::Ids, VnfKind::LoadBalancer],
+                ),
+                Workload::poisson(110_000.0),
+                PacketSizes::Fixed(800.0),
+                Sla::tight(),
+            )
+            .build()
+            .unwrap();
+        scenario.faults = (0..3)
+            .map(|vnf| Fault {
+                chain: 0,
+                vnf,
+                from: SimTime::ZERO,
+                until: SimTime::from_secs_f64(1e9),
+                kind: FaultKind::NoisyNeighbor { factor: 1.3 },
+            })
+            .collect();
+        b.iter(|| {
+            scenario
+                .run_des(&RunConfig {
+                    horizon: SimDuration::from_secs_f64(1.0),
+                    window: SimDuration::from_secs_f64(0.25),
+                    seed: 1,
+                    warmup_windows: 1,
+                })
+                .unwrap()
+        })
+    });
     g.bench_function("fluid_eval_demo_scenario", |b| {
         let sc = Scenario::demo(1);
         b.iter(|| sc.evaluate_fluid(SimTime::ZERO, 0.1, 7).unwrap())

@@ -5,18 +5,29 @@
 //! times are inflated by an interference multiplier computed from the cores
 //! *currently busy* on the same host — so co-location hurts exactly when
 //! neighbours are actually working, the dynamic the ML model has to learn.
+//!
+//! The future-event list is one slot per event source, not a heap: a chain
+//! always has exactly one arrival pending, the window tick is one event, a
+//! single-server VNF has at most one departure pending, and the packets on
+//! the link into a VNF wait in arrival order in that link's pipe. Each slot
+//! holds the `(at, seq)` key of its earliest event and the next event is the
+//! least key, so events fire in the order of [`crate::event::EventQueue`]:
+//! by instant, ties by scheduling order. A chain's slots sit side by side
+//! and only its own events write them, so each chain keeps its least key
+//! and the search runs over those and the tick (DESIGN §18).
 
 use crate::chain::{ChainPlacement, ChainSpec};
-use crate::event::EventQueue;
-use crate::faults::{degradation_at, Fault};
+use crate::faults::{Degradation, Fault};
 use crate::rng::SimRng;
 use crate::server::ServerSpec;
 use crate::sla::Sla;
 use crate::telemetry::{LatencyHistogram, VnfWindowStats, WindowSnapshot};
 use crate::time::{SimDuration, SimTime};
+use crate::vnf::VnfConfig;
 use crate::workload::{ArrivalProcess, PacketSizes, Workload};
 use crate::SimError;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// A packet in flight through a chain.
 #[derive(Debug, Clone, Copy)]
@@ -25,19 +36,49 @@ struct Packet {
     payload_bytes: f64,
 }
 
-/// One VNF instance's runtime state.
+/// The key of a slot with nothing pending: later than any event.
+const IDLE: u128 = u128::MAX;
+
+/// The window tick's slot.
+const TICK: usize = 0;
+
+/// One VNF instance: what the run fixes about it, its runtime state, and
+/// the link into it.
 #[derive(Debug)]
 struct VnfState {
-    queue: VecDeque<Packet>,
-    busy: bool,
+    spec: VnfConfig,
+    chain: usize,
     /// Host server index.
     server: usize,
+    /// The slot of its departure; the next slot keys its link's head.
+    slot: usize,
+    /// The scenario's faults that target this VNF, in scenario order.
+    faults: Vec<Fault>,
+    /// Packets on the link into this VNF, in key order.
+    link: VecDeque<(u128, Packet)>,
+    queue: VecDeque<Packet>,
+    /// The packet in service; `Some` while the server is busy.
+    serving: Option<Packet>,
     /// Time of the last queue-length change (for queue_area integration).
     last_change: SimTime,
     stats: VnfWindowStats,
     /// Sum and count of interference multipliers sampled at service starts.
     interf_sum: f64,
     interf_n: u64,
+}
+
+impl VnfState {
+    fn degradation(&self, now: SimTime) -> Degradation {
+        Degradation::fold(&self.faults, now)
+    }
+
+    /// Integrates the queue area up to `now`.
+    fn settle(&mut self, now: SimTime) {
+        let dt = (now - self.last_change).as_secs_f64();
+        let in_system = self.queue.len() + usize::from(self.serving.is_some());
+        self.stats.queue_area += in_system as f64 * dt;
+        self.last_change = now;
+    }
 }
 
 /// One chain's runtime state.
@@ -51,18 +92,13 @@ struct ChainState {
     payload_sum: f64,
     latency: LatencyHistogram,
     rng: SimRng,
-}
-
-#[derive(Debug)]
-enum Event {
-    /// Next packet of chain `c` arrives at its first VNF.
-    Arrival { c: usize },
-    /// Packet finishes service at (`c`, `v`).
-    Departure { c: usize, v: usize, pkt: Packet },
-    /// Packet reaches the ingress queue of (`c`, `v`) after hop latency.
-    Enqueue { c: usize, v: usize, pkt: Packet },
-    /// Close the current measurement window.
-    WindowTick,
+    /// Flat indices of the chain's VNFs, in chain order.
+    vnfs: Range<usize>,
+    /// The chain's slots: its arrival, then each VNF's departure and link.
+    slots: Range<usize>,
+    /// Hop latency, s, floored at zero, and rounded to a duration.
+    hop_s: f64,
+    hop: SimDuration,
 }
 
 /// Configuration of one engine run.
@@ -171,12 +207,43 @@ impl<'a> Engine<'a> {
             return Err(SimError::Config("zero window or horizon".into()));
         }
         let mut root = SimRng::new(cfg.seed);
-        let mut q: EventQueue<Event> = EventQueue::new();
-        let end = SimTime::ZERO + cfg.horizon;
 
-        // Per-chain state.
-        let mut chains: Vec<ChainState> = Vec::with_capacity(self.chains.len());
+        // Per-chain state, every chain's VNFs in one flat array, and the
+        // slots: the window tick, then each chain's, side by side.
+        let mut chains = Vec::with_capacity(self.chains.len());
+        let mut vnfs = Vec::new();
+        let mut n_slots = TICK + 1;
         for (c, (w, s)) in self.workloads.drain(..).enumerate() {
+            let spec = &self.chains[c];
+            let (first, arrival) = (vnfs.len(), n_slots);
+            n_slots += 1 + 2 * spec.vnfs.len();
+            for (v, (vnf, sid)) in spec
+                .vnfs
+                .iter()
+                .zip(&self.placements[c].servers)
+                .enumerate()
+            {
+                vnfs.push(VnfState {
+                    spec: vnf.clone(),
+                    chain: c,
+                    server: sid.0,
+                    slot: arrival + 1 + 2 * v,
+                    faults: self
+                        .faults
+                        .iter()
+                        .filter(|f| f.chain == c && f.vnf == v)
+                        .cloned()
+                        .collect(),
+                    link: VecDeque::new(),
+                    queue: VecDeque::new(),
+                    serving: None,
+                    last_change: SimTime::ZERO,
+                    stats: VnfWindowStats::default(),
+                    interf_sum: 0.0,
+                    interf_n: 0,
+                });
+            }
+            let hop_s = spec.hop_latency_s.max(0.0);
             chains.push(ChainState {
                 workload: w,
                 sizes: s,
@@ -186,238 +253,326 @@ impl<'a> Engine<'a> {
                 payload_sum: 0.0,
                 latency: LatencyHistogram::new(),
                 rng: root.fork(c as u64 + 1),
+                vnfs: first..vnfs.len(),
+                slots: arrival..n_slots,
+                hop_s,
+                hop: SimDuration::from_secs_f64(hop_s),
             });
         }
 
-        // Per-chain, per-vnf state.
-        let mut vnfs: Vec<Vec<VnfState>> = self
-            .chains
-            .iter()
-            .zip(self.placements)
-            .map(|(c, p)| {
-                c.vnfs
-                    .iter()
-                    .zip(&p.servers)
-                    .map(|(_, sid)| VnfState {
-                        queue: VecDeque::new(),
-                        busy: false,
-                        server: sid.0,
-                        last_change: SimTime::ZERO,
-                        stats: VnfWindowStats::default(),
-                        interf_sum: 0.0,
-                        interf_n: 0,
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Instantaneous busy cores per server (for interference).
-        let mut busy_cores = vec![0.0f64; self.servers.len()];
+        let mut run = Run {
+            servers: self.servers,
+            busy_cores: vec![0.0; self.servers.len()],
+            out: vec![Vec::new(); chains.len()],
+            chains,
+            vnfs,
+            keys: vec![IDLE; n_slots],
+            heads: Vec::with_capacity(self.chains.len()),
+            next_seq: 0,
+            now: SimTime::ZERO,
+            window: cfg.window,
+            end: SimTime::ZERO + cfg.horizon,
+            window_start: SimTime::ZERO,
+            service_rng: root.fork(0xD15E),
+        };
 
         // Seed initial arrivals and the first window tick.
-        for (c, st) in chains.iter_mut().enumerate() {
+        for c in 0..run.chains.len() {
+            let st = &mut run.chains[c];
             let d = st.workload.next_interarrival(SimTime::ZERO, &mut st.rng);
-            q.schedule(SimTime::ZERO + d, Event::Arrival { c });
+            let slot = st.slots.start;
+            run.keys[slot] = run.stamp(SimTime::ZERO + d);
+            run.heads.push((run.keys[slot], slot));
         }
-        q.schedule(SimTime::ZERO + cfg.window, Event::WindowTick);
+        run.keys[TICK] = run.stamp(SimTime::ZERO + cfg.window);
 
-        let mut out: Vec<Vec<WindowSnapshot>> = vec![Vec::new(); self.chains.len()];
-        let mut window_start = SimTime::ZERO;
-        let mut service_rng = root.fork(0xD15E);
-
-        // Helper: integrate queue area up to `now` for one VNF.
-        fn settle(v: &mut VnfState, now: SimTime) {
-            let dt = (now - v.last_change).as_secs_f64();
-            let in_system = v.queue.len() + usize::from(v.busy);
-            v.stats.queue_area += in_system as f64 * dt;
-            v.last_change = now;
-        }
-
-        while let Some((now, ev)) = q.pop() {
-            if now > end {
+        loop {
+            let (chain, key) = run.next();
+            let now = SimTime((key >> 64) as u64);
+            if key == IDLE || now > run.end {
                 break;
             }
-            match ev {
-                Event::Arrival { c } => {
-                    let st = &mut chains[c];
-                    let payload = st.sizes.sample(&mut st.rng);
-                    st.offered += 1;
-                    st.payload_sum += payload;
-                    let pkt = Packet {
-                        born: now,
-                        payload_bytes: payload,
-                    };
-                    // Schedule the next arrival first (keeps the process
-                    // independent of downstream handling).
-                    let d = st.workload.next_interarrival(now, &mut st.rng);
-                    q.schedule(now + d, Event::Arrival { c });
-                    if self.chains[c].vnfs.is_empty() {
-                        chains[c].delivered += 1;
-                        chains[c].latency.record(SimDuration::ZERO);
+            run.now = now;
+            let Some(c) = chain else {
+                run.tick();
+                continue;
+            };
+            // A slot's place in its chain's block is its event's kind.
+            let st = &run.chains[c];
+            match run.heads[c].1 - st.slots.start {
+                0 => run.arrival(c),
+                at => {
+                    let f = st.vnfs.start + (at - 1) / 2;
+                    if at % 2 == 1 {
+                        run.departure(f);
                     } else {
-                        let hop = SimDuration::from_secs_f64(self.chains[c].hop_latency_s.max(0.0));
-                        q.schedule(now + hop, Event::Enqueue { c, v: 0, pkt });
-                    }
-                }
-                Event::Enqueue { c, v, pkt } => {
-                    let deg = degradation_at(self.faults, c, v, now);
-                    let spec = &self.chains[c].vnfs[v];
-                    let cap = ((spec.queue_capacity as f64) * deg.queue_factor).floor() as usize;
-                    let vs = &mut vnfs[c][v];
-                    settle(vs, now);
-                    let in_system = vs.queue.len() + usize::from(vs.busy);
-                    if in_system >= cap.max(1) {
-                        vs.stats.dropped += 1;
-                        chains[c].dropped += 1;
-                    } else if vs.busy {
-                        vs.queue.push_back(pkt);
-                    } else {
-                        // Start service immediately.
-                        vs.busy = true;
-                        let (dur, interf) = self.service_time(
-                            c,
-                            v,
-                            pkt.payload_bytes,
-                            now,
-                            &busy_cores,
-                            &mut service_rng,
-                        );
-                        let vs = &mut vnfs[c][v];
-                        vs.interf_sum += interf;
-                        vs.interf_n += 1;
-                        vs.stats.busy_secs += dur.as_secs_f64();
-                        busy_cores[vs.server] += spec.cpu_share;
-                        q.schedule(now + dur, Event::Departure { c, v, pkt });
-                    }
-                }
-                Event::Departure { c, v, pkt } => {
-                    let spec = &self.chains[c].vnfs[v];
-                    {
-                        let vs = &mut vnfs[c][v];
-                        settle(vs, now);
-                        vs.busy = false;
-                        vs.stats.processed += 1;
-                        vs.stats.bytes += pkt.payload_bytes;
-                        vs.stats.queue_max = vs.stats.queue_max.max(vs.queue.len() + 1);
-                        busy_cores[vs.server] -= spec.cpu_share;
-                        if busy_cores[vs.server] < 0.0 {
-                            busy_cores[vs.server] = 0.0;
-                        }
-                    }
-                    // Pull the next queued packet, if any.
-                    if let Some(next) = vnfs[c][v].queue.pop_front() {
-                        vnfs[c][v].busy = true;
-                        let (dur, interf) = self.service_time(
-                            c,
-                            v,
-                            next.payload_bytes,
-                            now,
-                            &busy_cores,
-                            &mut service_rng,
-                        );
-                        let vs = &mut vnfs[c][v];
-                        vs.interf_sum += interf;
-                        vs.interf_n += 1;
-                        vs.stats.busy_secs += dur.as_secs_f64();
-                        busy_cores[vs.server] += spec.cpu_share;
-                        q.schedule(now + dur, Event::Departure { c, v, pkt: next });
-                    }
-                    // Forward the departing packet.
-                    let deg = degradation_at(self.faults, c, v, now);
-                    let hop = SimDuration::from_secs_f64(
-                        self.chains[c].hop_latency_s.max(0.0) + deg.extra_latency_s,
-                    );
-                    if v + 1 < self.chains[c].vnfs.len() {
-                        q.schedule(now + hop, Event::Enqueue { c, v: v + 1, pkt });
-                    } else {
-                        let st = &mut chains[c];
-                        st.delivered += 1;
-                        st.latency.record((now + hop) - pkt.born);
-                    }
-                }
-                Event::WindowTick => {
-                    let wlen = (now - window_start).as_secs_f64();
-                    for c in 0..self.chains.len() {
-                        let st = &mut chains[c];
-                        let mut per_vnf = Vec::with_capacity(vnfs[c].len());
-                        let mut interference = Vec::with_capacity(vnfs[c].len());
-                        for vs in &mut vnfs[c] {
-                            settle(vs, now);
-                            per_vnf.push(std::mem::take(&mut vs.stats));
-                            interference.push(if vs.interf_n == 0 {
-                                1.0
-                            } else {
-                                vs.interf_sum / vs.interf_n as f64
-                            });
-                            vs.interf_sum = 0.0;
-                            vs.interf_n = 0;
-                        }
-                        let snap = WindowSnapshot {
-                            start_s: window_start.as_secs_f64(),
-                            window_s: wlen,
-                            delivered: st.delivered,
-                            dropped: st.dropped,
-                            offered_pps: if wlen > 0.0 {
-                                st.offered as f64 / wlen
-                            } else {
-                                0.0
-                            },
-                            mean_payload_bytes: if st.offered == 0 {
-                                0.0
-                            } else {
-                                st.payload_sum / st.offered as f64
-                            },
-                            latency: std::mem::take(&mut st.latency),
-                            per_vnf,
-                            interference,
-                        };
-                        out[c].push(snap);
-                        st.delivered = 0;
-                        st.dropped = 0;
-                        st.offered = 0;
-                        st.payload_sum = 0.0;
-                    }
-                    window_start = now;
-                    if now + cfg.window <= end {
-                        q.schedule(now + cfg.window, Event::WindowTick);
+                        run.ingress(f);
                     }
                 }
             }
+            run.refresh(c);
         }
 
         // Drop warmup windows.
+        let mut out = run.out;
         for w in &mut out {
             let keep = w.len().saturating_sub(cfg.warmup_windows);
             w.drain(..w.len() - keep);
         }
         Ok(RunResult { windows: out })
     }
+}
 
-    /// Samples a service time for (`c`, `v`) serving a `payload_bytes`
-    /// packet at `now`, returning the duration and the interference
-    /// multiplier that applied.
-    fn service_time(
-        &self,
-        c: usize,
-        v: usize,
-        payload_bytes: f64,
-        now: SimTime,
-        busy_cores: &[f64],
-        rng: &mut SimRng,
-    ) -> (SimDuration, f64) {
-        let spec = &self.chains[c].vnfs[v];
-        let sid = self.placements[c].servers[v].0;
-        let server = &self.servers[sid];
-        let deg = degradation_at(self.faults, c, v, now);
-        // Neighbour load excludes this VNF's own share.
-        let others = (busy_cores[sid]).max(0.0);
-        let interf = server.interference(others) * deg.interference_factor;
-        let mut eff = spec.clone();
-        eff.cpu_share = spec.cpu_share * deg.cpu_factor;
-        let secs = eff.sample_service_secs(payload_bytes, server.core_ghz, interf, rng);
-        (SimDuration::from_secs_f64(secs.max(1e-9)), interf)
+/// A run in progress: the slot keys and the state their events touch.
+struct Run<'a> {
+    servers: &'a [ServerSpec],
+    chains: Vec<ChainState>,
+    vnfs: Vec<VnfState>,
+    /// One key per slot, [`IDLE`] when empty: the window tick, then per
+    /// chain its arrival and, per VNF, its departure and its link's head.
+    keys: Vec<u128>,
+    /// Each chain's least key and that key's slot.
+    heads: Vec<(u128, usize)>,
+    next_seq: u64,
+    now: SimTime,
+    /// Instantaneous busy cores per server (for interference).
+    busy_cores: Vec<f64>,
+    service_rng: SimRng,
+    window: SimDuration,
+    end: SimTime,
+    window_start: SimTime,
+    out: Vec<Vec<WindowSnapshot>>,
+}
+
+impl Run<'_> {
+    /// The key of an event scheduled now for `at`: the instant, clamped to
+    /// the present, then the scheduling sequence number.
+    fn stamp(&mut self, at: SimTime) -> u128 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        (u128::from(at.max(self.now).0) << 64) | u128::from(seq)
+    }
+
+    /// The least key and its chain, or `None` for the window tick.
+    fn next(&self) -> (Option<usize>, u128) {
+        let mut best = (None, self.keys[TICK]);
+        for (c, &(key, _)) in self.heads.iter().enumerate() {
+            if key < best.1 {
+                best = (Some(c), key);
+            }
+        }
+        best
+    }
+
+    /// Recomputes chain `c`'s head after one of its events: only a chain's
+    /// own events schedule into its slots.
+    fn refresh(&mut self, c: usize) {
+        let slots = self.chains[c].slots.clone();
+        let mut head = (IDLE, slots.start);
+        for (slot, &key) in slots.clone().zip(&self.keys[slots]) {
+            if key < head.0 {
+                head = (key, slot);
+            }
+        }
+        self.heads[c] = head;
+    }
+
+    /// Next packet of chain `c` arrives at its first VNF.
+    fn arrival(&mut self, c: usize) {
+        let now = self.now;
+        let st = &mut self.chains[c];
+        let payload = st.sizes.sample(&mut st.rng);
+        st.offered += 1;
+        st.payload_sum += payload;
+        let pkt = Packet {
+            born: now,
+            payload_bytes: payload,
+        };
+        // Schedule the next arrival first (keeps the process independent of
+        // downstream handling).
+        let d = st.workload.next_interarrival(now, &mut st.rng);
+        let slot = st.slots.start;
+        self.keys[slot] = self.stamp(now + d);
+        let st = &mut self.chains[c];
+        if st.vnfs.is_empty() {
+            st.delivered += 1;
+            st.latency.record(SimDuration::ZERO);
+        } else {
+            let (first, hop) = (st.vnfs.start, st.hop);
+            self.send(first, now + hop, pkt);
+        }
+    }
+
+    /// Puts `pkt` on the link into VNF `f`, to arrive at `at`.
+    fn send(&mut self, f: usize, at: SimTime, pkt: Packet) {
+        let key = self.stamp(at);
+        let vs = &mut self.vnfs[f];
+        let (slot, link) = (vs.slot + 1, &mut vs.link);
+        match link.back() {
+            // Only a `LinkDegrade` ending upstream makes a packet overtake
+            // the ones already on the link.
+            Some(&(tail, _)) if key < tail => {
+                let i = link.partition_point(|&(k, _)| k < key);
+                link.insert(i, (key, pkt));
+            }
+            _ => link.push_back((key, pkt)),
+        }
+        self.keys[slot] = link[0].0;
+    }
+
+    /// The packet at the head of VNF `f`'s link reaches its ingress queue.
+    fn ingress(&mut self, f: usize) {
+        let now = self.now;
+        let vs = &mut self.vnfs[f];
+        let (_, pkt) = vs.link.pop_front().expect("a link's slot keys its head");
+        self.keys[vs.slot + 1] = vs.link.front().map_or(IDLE, |&(key, _)| key);
+        let deg = vs.degradation(now);
+        let cap = ((vs.spec.queue_capacity as f64) * deg.queue_factor).floor() as usize;
+        vs.settle(now);
+        let in_system = vs.queue.len() + usize::from(vs.serving.is_some());
+        if in_system >= cap.max(1) {
+            vs.stats.dropped += 1;
+            self.chains[vs.chain].dropped += 1;
+        } else if vs.serving.is_some() {
+            vs.queue.push_back(pkt);
+        } else {
+            self.serve(f, pkt, &deg);
+        }
+    }
+
+    /// VNF `f` finishes the packet in service, starts the next queued one,
+    /// and forwards the finished one to the next VNF or out of the chain.
+    fn departure(&mut self, f: usize) {
+        let now = self.now;
+        let vs = &mut self.vnfs[f];
+        self.keys[vs.slot] = IDLE;
+        vs.settle(now);
+        let pkt = vs
+            .serving
+            .take()
+            .expect("a departure's slot holds its packet");
+        vs.stats.processed += 1;
+        vs.stats.bytes += pkt.payload_bytes;
+        vs.stats.queue_max = vs.stats.queue_max.max(vs.queue.len() + 1);
+        let cores = &mut self.busy_cores[vs.server];
+        *cores -= vs.spec.cpu_share;
+        if *cores < 0.0 {
+            *cores = 0.0;
+        }
+        let (c, deg) = (vs.chain, vs.degradation(now));
+        if let Some(next) = vs.queue.pop_front() {
+            self.serve(f, next, &deg);
+        }
+        let st = &mut self.chains[c];
+        let hop = if deg.extra_latency_s == 0.0 {
+            st.hop
+        } else {
+            SimDuration::from_secs_f64(st.hop_s + deg.extra_latency_s)
+        };
+        if f + 1 == st.vnfs.end {
+            st.delivered += 1;
+            st.latency.record((now + hop) - pkt.born);
+        } else {
+            self.send(f + 1, now + hop, pkt);
+        }
+    }
+
+    /// Starts serving `pkt` at VNF `f`, whose degradation is `deg`.
+    fn serve(&mut self, f: usize, pkt: Packet, deg: &Degradation) {
+        let vs = &mut self.vnfs[f];
+        let (dur, interf) = service_time(
+            &vs.spec,
+            &self.servers[vs.server],
+            pkt.payload_bytes,
+            deg,
+            self.busy_cores[vs.server],
+            &mut self.service_rng,
+        );
+        vs.serving = Some(pkt);
+        vs.interf_sum += interf;
+        vs.interf_n += 1;
+        vs.stats.busy_secs += dur.as_secs_f64();
+        self.busy_cores[vs.server] += vs.spec.cpu_share;
+        let slot = vs.slot;
+        self.keys[slot] = self.stamp(self.now + dur);
+    }
+
+    /// Closes the current measurement window of every chain.
+    fn tick(&mut self) {
+        let now = self.now;
+        let wlen = (now - self.window_start).as_secs_f64();
+        for (st, out) in self.chains.iter_mut().zip(&mut self.out) {
+            let vnfs = &mut self.vnfs[st.vnfs.clone()];
+            let mut per_vnf = Vec::with_capacity(vnfs.len());
+            let mut interference = Vec::with_capacity(vnfs.len());
+            for vs in vnfs {
+                vs.settle(now);
+                per_vnf.push(std::mem::take(&mut vs.stats));
+                interference.push(if vs.interf_n == 0 {
+                    1.0
+                } else {
+                    vs.interf_sum / vs.interf_n as f64
+                });
+                vs.interf_sum = 0.0;
+                vs.interf_n = 0;
+            }
+            out.push(WindowSnapshot {
+                start_s: self.window_start.as_secs_f64(),
+                window_s: wlen,
+                delivered: st.delivered,
+                dropped: st.dropped,
+                offered_pps: if wlen > 0.0 {
+                    st.offered as f64 / wlen
+                } else {
+                    0.0
+                },
+                mean_payload_bytes: if st.offered == 0 {
+                    0.0
+                } else {
+                    st.payload_sum / st.offered as f64
+                },
+                latency: std::mem::take(&mut st.latency),
+                per_vnf,
+                interference,
+            });
+            st.delivered = 0;
+            st.dropped = 0;
+            st.offered = 0;
+            st.payload_sum = 0.0;
+        }
+        self.window_start = now;
+        self.keys[TICK] = if now + self.window <= self.end {
+            self.stamp(now + self.window)
+        } else {
+            IDLE
+        };
     }
 }
+
+/// Samples a service time for a VNF configured as `spec` on `server`,
+/// serving a `payload_bytes` packet under `deg` while `busy_cores` cores of
+/// the server are busy, returning the duration and the interference
+/// multiplier that applied.
+fn service_time(
+    spec: &VnfConfig,
+    server: &ServerSpec,
+    payload_bytes: f64,
+    deg: &Degradation,
+    busy_cores: f64,
+    rng: &mut SimRng,
+) -> (SimDuration, f64) {
+    // Neighbour load excludes this VNF's own share.
+    let interf = server.interference(busy_cores.max(0.0)) * deg.interference_factor;
+    let eff = VnfConfig {
+        cpu_share: spec.cpu_share * deg.cpu_factor,
+        ..*spec
+    };
+    let secs = eff.sample_service_secs(payload_bytes, server.core_ghz, interf, rng);
+    (SimDuration::from_secs_f64(secs.max(1e-9)), interf)
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -437,16 +592,23 @@ mod tests {
     }
 
     fn run_one(rate: f64, kinds: &[VnfKind], seed: u64) -> RunResult {
+        run_with(
+            rate,
+            kinds,
+            &RunConfig {
+                horizon: SimDuration::from_secs_f64(6.0),
+                window: SimDuration::from_secs_f64(1.0),
+                seed,
+                warmup_windows: 1,
+            },
+        )
+    }
+
+    fn run_with(rate: f64, kinds: &[VnfKind], cfg: &RunConfig) -> RunResult {
         let (chains, placements, servers) = single_chain_setup(rate, kinds);
         let wl = vec![(Workload::poisson(rate), PacketSizes::Fixed(500.0))];
         let eng = Engine::new(&chains, &placements, &servers, wl, &[]).unwrap();
-        eng.run(&RunConfig {
-            horizon: SimDuration::from_secs_f64(6.0),
-            window: SimDuration::from_secs_f64(1.0),
-            seed,
-            warmup_windows: 1,
-        })
-        .unwrap()
+        eng.run(cfg).unwrap()
     }
 
     #[test]
@@ -465,14 +627,20 @@ mod tests {
         let ms = spec.mean_service_secs(500.0, 2.6, 1.0);
         let mu = 1.0 / ms;
         let lambda = 0.7 * mu; // ρ = 0.7 — heavy enough to queue visibly
-        let r = run_one(lambda, &[VnfKind::Firewall], 2);
+        let cfg = RunConfig {
+            horizon: SimDuration::from_secs_f64(0.25),
+            window: SimDuration::from_secs_f64(0.25 / 8.0),
+            seed: 2,
+            warmup_windows: 2,
+        };
+        let r = run_with(lambda, &[VnfKind::Firewall], &cfg);
         let mut h = LatencyHistogram::new();
         for w in &r.windows[0] {
             h.merge(&w.latency);
         }
-        let measured = h.mean_secs();
-        let expect = crate::queueing::mg1_mean_sojourn(lambda, ms, VnfKind::Firewall.service_cv())
-            + 2.0 * 30e-6; // ingress + egress hop
+        // The VNF's sojourn: end-to-end minus the ingress and egress hops.
+        let measured = h.mean_secs() - 2.0 * 30e-6;
+        let expect = crate::queueing::mg1_mean_sojourn(lambda, ms, VnfKind::Firewall.service_cv());
         assert!(
             (measured / expect - 1.0).abs() < 0.15,
             "measured={measured:e} expect={expect:e}"
@@ -542,6 +710,87 @@ mod tests {
             "faulted {} vs clean {}",
             p95(&faulted),
             p95(&no_fault)
+        );
+    }
+
+    #[test]
+    fn link_degrade_delays_the_hop_out_of_its_vnf() {
+        let (chains, placements, servers) =
+            single_chain_setup(0.0, &[VnfKind::Firewall, VnfKind::Router]);
+        let p50 = |faults: &[Fault]| {
+            let wl = vec![(Workload::poisson(20_000.0), PacketSizes::Fixed(500.0))];
+            let r = Engine::new(&chains, &placements, &servers, wl, faults)
+                .unwrap()
+                .run(&RunConfig {
+                    horizon: SimDuration::from_secs_f64(0.5),
+                    window: SimDuration::from_secs_f64(0.125),
+                    seed: 4,
+                    warmup_windows: 1,
+                })
+                .unwrap();
+            let mut h = LatencyHistogram::new();
+            for w in &r.windows[0] {
+                h.merge(&w.latency);
+            }
+            h.quantile_secs(0.5)
+        };
+        let extra = 500e-6;
+        let clean = p50(&[]);
+        let degraded = p50(&[Fault {
+            chain: 0,
+            vnf: 0,
+            from: SimTime::ZERO,
+            until: SimTime::from_secs_f64(100.0),
+            kind: crate::faults::FaultKind::LinkDegrade {
+                extra_latency_s: extra,
+            },
+        }]);
+        assert!(
+            ((degraded - clean) / extra - 1.0).abs() < 0.1,
+            "p50 {clean:e} s clean, {degraded:e} s with {extra:e} s on the link"
+        );
+    }
+
+    #[test]
+    fn memory_leak_drops_more_as_the_queue_shrinks() {
+        let (mut chains, placements, servers) = single_chain_setup(0.0, &[VnfKind::Dpi]);
+        chains[0].vnfs[0].queue_capacity = 64;
+        let ms = VnfConfig::standard(VnfKind::Dpi).mean_service_secs(500.0, 2.6, 1.0);
+        let drop_rates = |faults: &[Fault]| {
+            let wl = vec![(Workload::poisson(0.9 / ms), PacketSizes::Fixed(500.0))];
+            let r = Engine::new(&chains, &placements, &servers, wl, faults)
+                .unwrap()
+                .run(&RunConfig {
+                    horizon: SimDuration::from_secs_f64(0.5),
+                    window: SimDuration::from_secs_f64(0.1),
+                    seed: 8,
+                    warmup_windows: 0,
+                })
+                .unwrap();
+            r.windows[0]
+                .iter()
+                .map(|w| w.drop_rate())
+                .collect::<Vec<_>>()
+        };
+        // Capacity decays from 64 packets to 1 over the run.
+        let leaking = drop_rates(&[Fault {
+            chain: 0,
+            vnf: 0,
+            from: SimTime::ZERO,
+            until: SimTime::from_secs_f64(0.5),
+            kind: crate::faults::FaultKind::MemoryLeak {
+                floor_fraction: 0.01,
+            },
+        }]);
+        let healthy = drop_rates(&[]);
+        let worst_healthy = healthy.iter().copied().fold(0.0, f64::max);
+        assert!(
+            leaking[2] < leaking[3] && leaking[3] < leaking[4],
+            "{leaking:?}"
+        );
+        assert!(
+            leaking[4] > 0.1 && leaking[4] > 10.0 * worst_healthy,
+            "leaking {leaking:?}, healthy {healthy:?}"
         );
     }
 

@@ -30,7 +30,10 @@ pub enum FaultKind {
         /// Final fraction of nominal queue capacity in (0, 1].
         floor_fraction: f64,
     },
-    /// Link degradation before this VNF: adds fixed extra latency.
+    /// Link degradation on the hop *out of* this VNF: a packet that departs
+    /// it while the fault is active takes this much longer to reach the next
+    /// VNF, or to leave the chain after the last one. Nothing is added on
+    /// the hop into a chain's first VNF.
     LinkDegrade {
         /// Added per-packet latency, seconds.
         extra_latency_s: f64,
@@ -98,6 +101,18 @@ impl Degradation {
         }
     }
 
+    /// The combined degradation of the faults in `faults` that are active
+    /// at `now`, folded in order, whatever VNF each targets.
+    pub fn fold<'a>(faults: impl IntoIterator<Item = &'a Fault>, now: SimTime) -> Self {
+        let mut d = Self::none();
+        for f in faults {
+            if f.active_at(now) {
+                d.apply(f, now);
+            }
+        }
+        d
+    }
+
     /// Folds the effect of `fault` (active at `now`) into this state.
     pub fn apply(&mut self, fault: &Fault, now: SimTime) {
         match fault.kind {
@@ -123,13 +138,10 @@ impl Degradation {
 
 /// Computes the combined degradation of chain `chain`, VNF `vnf` at `now`.
 pub fn degradation_at(faults: &[Fault], chain: usize, vnf: usize, now: SimTime) -> Degradation {
-    let mut d = Degradation::none();
-    for f in faults {
-        if f.chain == chain && f.vnf == vnf && f.active_at(now) {
-            d.apply(f, now);
-        }
-    }
-    d
+    Degradation::fold(
+        faults.iter().filter(|f| f.chain == chain && f.vnf == vnf),
+        now,
+    )
 }
 
 #[cfg(test)]
