@@ -52,6 +52,27 @@ fn bench_methods(c: &mut Criterion) {
     });
     g.finish();
 
+    // LIME at the serving shape: 256 samples on the packed forest through
+    // `Explainer::direct` — plan, one block evaluation, finish — with the
+    // base value hinted as a registered model's is.
+    let mut g = c.benchmark_group("explain_latency");
+    g.sample_size(20).measurement_time(Duration::from_secs(3));
+    let base = task.background.expected_output(&task.packed);
+    let ctx = ExplainContext {
+        model: &task.packed,
+        x: &x,
+        background: &task.background,
+        names: &task.names,
+        base_hint: Some(base),
+        seed: 7,
+    };
+    let lime_256 = LimeExplainer { n_samples: 256 };
+    let mut ws = CoalitionWorkspace::default();
+    g.bench_function("lime_256_packed", |b| {
+        b.iter(|| lime_256.direct(&ctx, &mut ws).unwrap())
+    });
+    g.finish();
+
     // Exact Shapley's exponential wall, for the d-sweep plot.
     let mut g = c.benchmark_group("exact_shapley_wall");
     g.sample_size(10).measurement_time(Duration::from_secs(3));

@@ -8,6 +8,7 @@
 use crate::shapley::tree::TreeShapScratch;
 use crate::XaiError;
 use nfv_data::dataset::Dataset;
+use nfv_data::stats;
 use nfv_ml::model::Regressor;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -19,6 +20,9 @@ pub struct Background {
     rows: Vec<Vec<f64>>,
     /// Per-feature means of the background rows.
     pub means: Vec<f64>,
+    /// Per-feature population standard deviations of the background rows
+    /// (LIME's perturbation and distance scale).
+    pub(crate) stds: Vec<f64>,
 }
 
 /// Reusable scratch for coalition evaluation and for
@@ -436,7 +440,13 @@ impl Background {
         for m in &mut means {
             *m /= rows.len() as f64;
         }
-        Ok(Background { rows, means })
+        let stds = (0..d)
+            .map(|j| {
+                let col: Vec<f64> = rows.iter().map(|r| r[j]).collect();
+                stats::std_dev(&col)
+            })
+            .collect();
+        Ok(Background { rows, means, stds })
     }
 
     /// Builds by sampling at most `max_rows` rows of `data` (deterministic
@@ -674,6 +684,13 @@ mod tests {
     fn means_are_columnwise() {
         let b = bg();
         assert_eq!(b.means, vec![2.0, 20.0]);
+        assert_eq!(
+            b.stds,
+            vec![
+                stats::std_dev(&[0.0, 2.0, 4.0]),
+                stats::std_dev(&[10.0, 20.0, 30.0])
+            ]
+        );
         assert_eq!(b.len(), 3);
         assert_eq!(b.n_features(), 2);
         assert_eq!(b.row(4), &[2.0, 20.0], "wraps");

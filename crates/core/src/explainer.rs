@@ -20,11 +20,15 @@
 //!    `fused_bit_identity` property tests; `pipeline_scalar_oracle` pins
 //!    the pipeline itself to scalar `predict`).
 //!
-//! Non-fusable methods (TreeSHAP walks tree structure, LIME perturbs in
-//! its own sample space; PDP/counterfactual produce non-attribution
+//! LIME is fusable too: its Gaussian perturbations are rows like any
+//! composite, so it plans them into the block and fits its surrogate at
+//! finish. Non-fusable methods (TreeSHAP walks tree structure and
+//! evaluates no rows; `interactions` enumerates its `2^d` coalitions
+//! through the chunked [`Background::coalition_values_into`] and has no
+//! plan/finish split; PDP/counterfactual produce non-attribution
 //! artifacts and stay free functions) implement only
-//! [`Explainer::direct`] and report [`Explainer::fusable`]` == false`; the
-//! scheduler routes them around the fusion block.
+//! [`Explainer::direct`] and report [`Explainer::fusable`]` == false`;
+//! the scheduler routes them around the fusion block.
 //!
 //! [`Explainer::direct`] *is* that pipeline for one request: the default
 //! implementation plans into the workspace's own block, evaluates it and
@@ -38,7 +42,7 @@ use crate::explanation::Attribution;
 use crate::grouped::{
     grouped_shapley, grouped_shapley_finish, grouped_shapley_plan, FeatureGroups, GroupedShapPlan,
 };
-use crate::lime::{lime, LimeConfig};
+use crate::lime::{lime_finish, lime_plan, LimeConfig, LimePlan};
 use crate::permutation::{instance_permutation_finish, instance_permutation_plan, PermutationPlan};
 use crate::shapley::{
     exact_shapley, exact_shapley_finish, exact_shapley_plan, kernel_shap_finish, kernel_shap_plan,
@@ -135,6 +139,15 @@ impl ExplainPlan for PermutationPlan {
     }
     fn finish(&self, block: &FusedBlock, names: &[String]) -> Result<Attribution, XaiError> {
         instance_permutation_finish(self, block, names)
+    }
+}
+
+impl ExplainPlan for LimePlan {
+    fn n_rows(&self) -> usize {
+        LimePlan::n_rows(self)
+    }
+    fn finish(&self, block: &FusedBlock, names: &[String]) -> Result<Attribution, XaiError> {
+        lime_finish(self, block, names).map(|e| e.attribution)
     }
 }
 
@@ -349,9 +362,8 @@ impl Explainer for PermutationExplainer {
     }
 }
 
-/// LIME behind the [`Explainer`] trait. LIME perturbs in its own Gaussian
-/// sample space rather than through coalition composites, so it does not
-/// fuse — only [`Explainer::direct`] applies.
+/// LIME behind the [`Explainer`] trait: each Gaussian perturbation is one
+/// row of the shared block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LimeExplainer {
     /// Perturbation-sample budget.
@@ -362,30 +374,19 @@ impl Explainer for LimeExplainer {
     fn tag(&self) -> &'static str {
         "lime"
     }
-    fn fusable(&self) -> bool {
-        false
-    }
     fn plan(
-        &self,
-        _ctx: &ExplainContext<'_>,
-        _ws: &mut CoalitionWorkspace,
-        _block: &mut FusedBlock,
-    ) -> Result<Box<dyn ExplainPlan>, XaiError> {
-        Err(XaiError::Input(
-            "lime does not plan into coalition blocks; use direct()".into(),
-        ))
-    }
-    fn direct(
         &self,
         ctx: &ExplainContext<'_>,
         _ws: &mut CoalitionWorkspace,
-    ) -> Result<Attribution, XaiError> {
+        block: &mut FusedBlock,
+    ) -> Result<Box<dyn ExplainPlan>, XaiError> {
         let cfg = LimeConfig {
             n_samples: self.n_samples,
             seed: ctx.seed,
             ..LimeConfig::default()
         };
-        lime(ctx.model, ctx.x, ctx.background, ctx.names, &cfg).map(|e| e.attribution)
+        lime_plan(ctx.model, ctx.x, ctx.background, &cfg, ctx.base_hint, block)
+            .map(|p| Box::new(p) as Box<dyn ExplainPlan>)
     }
 }
 
@@ -480,9 +481,9 @@ mod tests {
         let mut block = FusedBlock::default();
         let all = explainers();
         let fusable: Vec<&Box<dyn Explainer>> = all.iter().filter(|e| e.fusable()).collect();
-        assert_eq!(fusable.len(), 5, "five fusable Shapley-family methods");
+        assert_eq!(fusable.len(), 6, "the Shapley family, permutation and LIME");
 
-        // All five methods plan into ONE shared block, one evaluation.
+        // All six methods plan into ONE shared block, one evaluation.
         let plans: Vec<Box<dyn ExplainPlan>> = fusable
             .iter()
             .map(|e| e.plan(&ctx(&f), &mut ws, &mut block).unwrap())
@@ -564,16 +565,22 @@ mod tests {
 
     #[test]
     fn non_fusable_methods_refuse_to_plan_but_serve_directly() {
+        use crate::methods::{InteractionsExplainer, TreeModel, TreeShapExplainer};
         let f = fixture();
         let mut ws = CoalitionWorkspace::default();
         let mut block = FusedBlock::default();
-        let lime = LimeExplainer { n_samples: 64 };
-        assert!(!lime.fusable());
-        assert!(lime.plan(&ctx(&f), &mut ws, &mut block).is_err());
-        assert!(block.is_empty(), "failed plan must not leave rows behind");
-        let attr = lime.direct(&ctx(&f), &mut ws).unwrap();
-        assert_eq!(attr.method, "lime");
-        assert_eq!(attr.len(), 5);
+        let tree = TreeShapExplainer {
+            trees: TreeModel::gbdt(std::sync::Arc::new(f.model.clone())),
+        };
+        let non_fusable: [(&dyn Explainer, usize); 2] = [(&tree, 5), (&InteractionsExplainer, 25)];
+        for (e, len) in non_fusable {
+            assert!(!e.fusable(), "{}", e.tag());
+            assert!(e.plan(&ctx(&f), &mut ws, &mut block).is_err());
+            assert!(block.is_empty(), "failed plan must not leave rows behind");
+            let attr = e.direct(&ctx(&f), &mut ws).unwrap();
+            assert_eq!(attr.method, e.tag());
+            assert_eq!(attr.len(), len);
+        }
     }
 
     #[test]

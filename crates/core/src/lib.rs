@@ -24,8 +24,8 @@
 //!
 //! The local attribution methods are additionally unified behind the
 //! object-safe [`explainer::Explainer`] trait: fusable methods (the
-//! Shapley family and per-instance permutation) split into a *plan* half
-//! that stacks composite rows into a shared [`background::FusedBlock`]
+//! Shapley family, per-instance permutation and LIME) split into a *plan*
+//! half that stacks model-input rows into a shared [`background::FusedBlock`]
 //! and a *finish* half that reduces the evaluated block. That pipeline is
 //! the only way those methods are computed — alone it runs with a group
 //! of one — so a serving layer can batch many requests, across methods,
@@ -125,7 +125,7 @@ pub mod prelude {
     pub use crate::interactions::{
         interaction_values, InteractionMatrix, MAX_INTERACTION_FEATURES,
     };
-    pub use crate::lime::{lime, LimeConfig, LimeExplanation};
+    pub use crate::lime::{lime, lime_finish, lime_plan, LimeConfig, LimeExplanation, LimePlan};
     pub use crate::methods::{
         method_id, InteractionsExplainer, MethodConfig, MethodDescriptor, MethodRegistry,
         ModelCaps, TreeModel, TreeShapExplainer,

@@ -71,36 +71,64 @@ enum Req {
     Exact,
     Grouped,
     Permutation,
+    Lime {
+        n_samples: usize,
+        seed: u64,
+    },
 }
 
-/// Derives a mixed-method request list of `n` entries from one seed.
-fn requests(n: usize, seed: u64) -> Vec<(usize, Req)> {
+/// A xorshift stream from one seed.
+fn stream(seed: u64) -> impl FnMut() -> u64 {
     let mut s = seed | 1;
-    let mut next = move || {
+    move || {
         s ^= s << 13;
         s ^= s >> 7;
         s ^= s << 17;
         s
+    }
+}
+
+/// One request of method `kind` (0–5 in `Req` order) on a drawn row.
+fn request(kind: u64, next: &mut impl FnMut() -> u64) -> (usize, Req) {
+    let row = (next() as usize) % fixture().rows.len();
+    let req = match kind {
+        0 => Req::Kernel {
+            n_coalitions: 6 + (next() as usize) % 24,
+            seed: next(),
+        },
+        1 => Req::Sampling {
+            n_permutations: 2 + (next() as usize) % 5,
+            antithetic: next().is_multiple_of(2),
+            seed: next(),
+        },
+        2 => Req::Exact,
+        3 => Req::Grouped,
+        4 => Req::Permutation,
+        _ => Req::Lime {
+            n_samples: D + 2 + (next() as usize) % 60,
+            seed: next(),
+        },
     };
+    (row, req)
+}
+
+/// A mixed-method request list of `n` entries from one seed.
+fn requests(n: usize, seed: u64) -> Vec<(usize, Req)> {
+    let mut next = stream(seed);
     (0..n)
         .map(|_| {
-            let row = (next() as usize) % fixture().rows.len();
-            let req = match next() % 5 {
-                0 => Req::Kernel {
-                    n_coalitions: 6 + (next() as usize) % 24,
-                    seed: next(),
-                },
-                1 => Req::Sampling {
-                    n_permutations: 2 + (next() as usize) % 5,
-                    antithetic: next() % 2 == 0,
-                    seed: next(),
-                },
-                2 => Req::Exact,
-                3 => Req::Grouped,
-                _ => Req::Permutation,
-            };
-            (row, req)
+            let kind = next() % 6;
+            request(kind, &mut next)
         })
+        .collect()
+}
+
+/// One request of each of the six methods, in a seed-rotated order.
+fn every_method(seed: u64) -> Vec<(usize, Req)> {
+    let mut next = stream(seed);
+    let start = next() % 6;
+    (0..6)
+        .map(|k| request((start + k) % 6, &mut next))
         .collect()
 }
 
@@ -142,6 +170,25 @@ fn explain_direct(row: usize, req: &Req) -> Attribution {
         Req::Permutation => {
             instance_permutation(&f.model, x, &f.background, &f.names, None).unwrap()
         }
+        Req::Lime { n_samples, seed } => {
+            lime(
+                &f.model,
+                x,
+                &f.background,
+                &f.names,
+                &lime_config(*n_samples, *seed),
+            )
+            .unwrap()
+            .attribution
+        }
+    }
+}
+
+fn lime_config(n_samples: usize, seed: u64) -> LimeConfig {
+    LimeConfig {
+        n_samples,
+        seed,
+        ..LimeConfig::default()
     }
 }
 
@@ -152,6 +199,7 @@ enum Planned {
     Exact(ExactShapPlan),
     Grouped(GroupedShapPlan),
     Permutation(PermutationPlan),
+    Lime(LimePlan),
 }
 
 /// The fused path: plan every request into one shared block, evaluate the
@@ -220,6 +268,17 @@ fn explain_fused(reqs: &[(usize, Req)], dedup: bool) -> Vec<Attribution> {
                     )
                     .unwrap(),
                 ),
+                Req::Lime { n_samples, seed } => Planned::Lime(
+                    lime_plan(
+                        &f.model,
+                        x,
+                        &f.background,
+                        &lime_config(*n_samples, *seed),
+                        Some(base),
+                        &mut block,
+                    )
+                    .unwrap(),
+                ),
             }
         })
         .collect();
@@ -234,6 +293,7 @@ fn explain_fused(reqs: &[(usize, Req)], dedup: bool) -> Vec<Attribution> {
             Planned::Permutation(plan) => {
                 instance_permutation_finish(plan, &block, &f.names).unwrap()
             }
+            Planned::Lime(plan) => lime_finish(plan, &block, &f.names).unwrap().attribution,
         })
         .collect()
 }
@@ -272,6 +332,20 @@ proptest! {
                     dedup
                 );
             }
+        }
+    }
+
+    /// LIME stacked beside the five other fusable methods, at every
+    /// position in the block, equals LIME run alone (and so does each of
+    /// the others).
+    #[test]
+    fn lime_stacked_with_every_other_method_equals_lime_alone(seed in 1u64..u64::MAX) {
+        let reqs = every_method(seed);
+        prop_assert!(reqs.iter().any(|(_, q)| matches!(q, Req::Lime { .. })));
+        let direct: Vec<_> = reqs.iter().map(|(r, q)| explain_direct(*r, q)).collect();
+        let fused = explain_fused(&reqs, true);
+        for (i, (d, f)) in direct.iter().zip(&fused).enumerate() {
+            prop_assert_eq!(bits(d), bits(f), "request {} of {:?} diverged", i, reqs[i]);
         }
     }
 }

@@ -5,10 +5,12 @@
 //! alone). This file pins it to code that shares nothing with it: scalar
 //! `predict`, one composite row at a time. On a forest (the pipeline runs
 //! the packed SoA engine, the oracle walks the source trees) and a linear
-//! model, for each of the five fusable methods:
+//! model, for each of the six fusable methods:
 //!
 //! * every prediction in the evaluated block equals `predict(row)`;
 //! * sampling Shapley equals a scalar walk over the same RNG stream;
+//! * LIME equals a scalar fit over the same Gaussian draws: one `predict`
+//!   per perturbation, the design matrix, R² and effects written out;
 //! * kernel / exact / grouped / permutation equal their reductions, written
 //!   out here, over [`Background::coalition_value`] of the coalitions found
 //!   in their block rows.
@@ -33,6 +35,13 @@ const SAMPLING: SamplingConfig = SamplingConfig {
     n_permutations: 5,
     antithetic: true,
     seed: 23,
+};
+const LIME: LimeConfig = LimeConfig {
+    n_samples: 48,
+    kernel_width_factor: 0.75,
+    ridge: 1e-3,
+    perturbation_scale: 1.0,
+    seed: 31,
 };
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -63,6 +72,78 @@ fn scalar_sampling_walks(model: &dyn Regressor, x: &[f64], bg: &Background) -> V
         }
     }
     phi.iter().map(|p| p / walks).collect()
+}
+
+/// A LIME fit by scalar `predict`, one perturbation at a time, drawing
+/// exactly what `lime_plan` draws: the perturbed samples (flat), then the
+/// attribution values, coefficients, intercept and weighted R².
+struct ScalarLime {
+    samples: Vec<f64>,
+    values: Vec<f64>,
+    coefficients: Vec<f64>,
+    intercept: f64,
+    local_r2: f64,
+}
+
+fn scalar_lime(model: &dyn Regressor, x: &[f64], bg: &Background) -> ScalarLime {
+    let n_bg = bg.len() as f64;
+    let scale: Vec<f64> = (0..D)
+        .map(|j| {
+            let mean = bg.rows().iter().map(|r| r[j]).sum::<f64>() / n_bg;
+            let var = bg.rows().iter().map(|r| (r[j] - mean).powi(2)).sum::<f64>() / n_bg;
+            let std = var.sqrt();
+            if std > 1e-12 {
+                std
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(LIME.seed);
+    let width2 = (LIME.kernel_width_factor * (D as f64).sqrt()).powi(2);
+    let (mut samples, mut design, mut y, mut w) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for i in 0..LIME.n_samples {
+        let mut sample = [0.0; D];
+        let mut dist2 = 0.0;
+        for j in 0..D {
+            let delta = if i == 0 {
+                0.0
+            } else {
+                let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                let u2: f64 = rng.gen();
+                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                z * LIME.perturbation_scale * scale[j]
+            };
+            sample[j] = x[j] + delta;
+            dist2 += (delta / scale[j]) * (delta / scale[j]);
+        }
+        samples.extend_from_slice(&sample);
+        design.push(1.0);
+        design.extend_from_slice(&sample);
+        y.push(model.predict(&sample));
+        w.push((-dist2 / width2).exp());
+    }
+    let n = LIME.n_samples;
+    let xm = Matrix::from_vec(n, D + 1, design).unwrap();
+    let beta = weighted_ridge(&xm, &y, &w, LIME.ridge).unwrap();
+    let fitted: Vec<f64> = (0..n)
+        .map(|i| xm.row(i).iter().zip(&beta).map(|(a, b)| a * b).sum())
+        .collect();
+    let wsum: f64 = w.iter().sum();
+    let wmean = y.iter().zip(&w).map(|(y, w)| y * w).sum::<f64>() / wsum;
+    let ss_tot: f64 = y.iter().zip(&w).map(|(y, w)| w * (y - wmean).powi(2)).sum();
+    let ss_res: f64 = (0..n).map(|i| w[i] * (y[i] - fitted[i]).powi(2)).sum();
+    ScalarLime {
+        samples,
+        values: (0..D).map(|j| beta[j + 1] * (x[j] - bg.means[j])).collect(),
+        coefficients: beta[1..].to_vec(),
+        intercept: beta[0],
+        local_r2: if ss_tot > 0.0 {
+            1.0 - ss_res / ss_tot
+        } else {
+            0.0
+        },
+    }
 }
 
 /// Shapley values from a full table of coalition values indexed by mask.
@@ -135,7 +216,7 @@ fn members_in_block(
         .collect()
 }
 
-/// Runs the five methods stacked in one block on `block_model` and checks
+/// Runs the six methods stacked in one block on `block_model` and checks
 /// each against its scalar oracle on `scalar_model`.
 fn check(block_model: &dyn Regressor, scalar_model: &dyn Regressor, data: &Dataset, x: &[f64]) {
     let names = &data.names;
@@ -160,6 +241,7 @@ fn check(block_model: &dyn Regressor, scalar_model: &dyn Regressor, data: &Datas
     let exact = exact_shapley_plan(x, &bg, &mut ws, &mut block).unwrap();
     let grouped = grouped_shapley_plan(x, &bg, &groups, &mut ws, &mut block).unwrap();
     let permutation = instance_permutation_plan(m, x, &bg, None, &mut ws, &mut block).unwrap();
+    let lime = lime_plan(m, x, &bg, &LIME, None, &mut block).unwrap();
     block.evaluate(m);
 
     // Every prediction in the block is the scalar prediction of its row.
@@ -220,7 +302,23 @@ fn check(block_model: &dyn Regressor, scalar_model: &dyn Regressor, data: &Datas
     assert_eq!(bits(&got.values), bits(&want), "permutation");
     assert_eq!(got.base_value.to_bits(), base.to_bits());
     assert_eq!(got.prediction.to_bits(), v[0].to_bits());
-    assert_eq!(first_row + permutation.n_rows(), block.n_rows());
+    first_row += permutation.n_rows();
+
+    let got = lime_finish(&lime, &block, names).unwrap();
+    let want = scalar_lime(scalar_model, x, &bg);
+    assert_eq!(lime.n_rows(), LIME.n_samples);
+    assert_eq!(
+        bits(&block.rows()[first_row * D..(first_row + lime.n_rows()) * D]),
+        bits(&want.samples),
+        "lime rows"
+    );
+    assert_eq!(bits(&got.attribution.values), bits(&want.values), "lime");
+    assert_eq!(bits(&got.coefficients), bits(&want.coefficients));
+    assert_eq!(got.intercept.to_bits(), want.intercept.to_bits());
+    assert_eq!(got.local_r2.to_bits(), want.local_r2.to_bits());
+    assert_eq!(got.attribution.base_value.to_bits(), base.to_bits());
+    assert_eq!(got.attribution.prediction.to_bits(), fx.to_bits());
+    assert_eq!(first_row + lime.n_rows(), block.n_rows());
 }
 
 #[test]

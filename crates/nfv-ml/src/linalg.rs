@@ -186,20 +186,23 @@ pub fn weighted_ridge(x: &Matrix, y: &[f64], w: &[f64], lambda: f64) -> Result<V
         return Err(MlError::Numeric("negative or non-finite weight".into()));
     }
     let lambda = lambda.max(0.0);
-    // XᵀWX + λI and XᵀWy accumulated directly (d is small).
+    // XᵀWX + λI and XᵀWy accumulated directly (d is small). Each entry
+    // sums over rows in row order; the upper triangle of row p is one
+    // slice, so the q loop runs without index arithmetic and vectorizes
+    // across independent entries without reordering any sum. `max(1)`
+    // only keeps a zero-column matrix, which has nothing to sum, from
+    // panicking.
     let mut a = Matrix::zeros(d, d);
     let mut b = vec![0.0; d];
-    for i in 0..n {
-        let wi = w[i];
+    for ((row, &wi), &yi) in x.data.chunks_exact(d.max(1)).zip(w).zip(y) {
         if wi == 0.0 {
             continue;
         }
-        let row = x.row(i);
-        for p in 0..d {
+        for (p, a_row) in a.data.chunks_exact_mut(d).enumerate() {
             let wxp = wi * row[p];
-            b[p] += wxp * y[i];
-            for q in p..d {
-                a[(p, q)] += wxp * row[q];
+            b[p] += wxp * yi;
+            for (a_pq, &x_q) in a_row[p..].iter_mut().zip(&row[p..]) {
+                *a_pq += wxp * x_q;
             }
         }
     }
@@ -305,6 +308,101 @@ mod tests {
         assert!((beta[1] - 2.0).abs() < 1e-6, "{beta:?}");
         assert!(weighted_ridge(&x, &y, &[1.0], 0.0).is_err());
         assert!(weighted_ridge(&x, &y, &vec![-1.0; 40], 0.0).is_err());
+    }
+
+    /// `weighted_ridge` as it was before its accumulation went over row
+    /// slices, verbatim: the oracle the slice form must match bit for bit.
+    fn reference_weighted_ridge(
+        x: &Matrix,
+        y: &[f64],
+        w: &[f64],
+        lambda: f64,
+    ) -> Result<Vec<f64>, MlError> {
+        let (n, d) = (x.rows, x.cols);
+        if y.len() != n || w.len() != n {
+            return Err(MlError::Shape(format!(
+                "weighted_ridge: x {}×{}, y {}, w {}",
+                n,
+                d,
+                y.len(),
+                w.len()
+            )));
+        }
+        if w.iter().any(|&wi| wi < 0.0 || !wi.is_finite()) {
+            return Err(MlError::Numeric("negative or non-finite weight".into()));
+        }
+        let lambda = lambda.max(0.0);
+        // XᵀWX + λI and XᵀWy accumulated directly (d is small).
+        let mut a = Matrix::zeros(d, d);
+        let mut b = vec![0.0; d];
+        for i in 0..n {
+            let wi = w[i];
+            if wi == 0.0 {
+                continue;
+            }
+            let row = x.row(i);
+            for p in 0..d {
+                let wxp = wi * row[p];
+                b[p] += wxp * y[i];
+                for q in p..d {
+                    a[(p, q)] += wxp * row[q];
+                }
+            }
+        }
+        for p in 0..d {
+            for q in 0..p {
+                a[(p, q)] = a[(q, p)];
+            }
+            a[(p, p)] += lambda + 1e-10; // jitter keeps Cholesky alive
+        }
+        cholesky_solve(&a, &b)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Same bits as the index-by-index accumulation, zero weights,
+        /// `-0.0` entries and non-finite targets included.
+        #[test]
+        fn weighted_ridge_matches_the_reference_bit_for_bit(
+            n in 1usize..300,
+            d in 1usize..20,
+            seed in 0u64..u64::MAX,
+            lambda in 0.0f64..1.0,
+        ) {
+            let mut s = seed | 1;
+            let mut next = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+            let data: Vec<f64> = (0..n * d)
+                .map(|_| match (unit() * 20.0) as u32 {
+                    0 => -0.0,
+                    1 => 1.0,
+                    _ => unit() * 8.0 - 4.0,
+                })
+                .collect();
+            let y: Vec<f64> = (0..n)
+                .map(|_| match (unit() * 50.0) as u32 {
+                    0 => f64::INFINITY,
+                    _ => unit() * 100.0 - 50.0,
+                })
+                .collect();
+            let w: Vec<f64> = (0..n)
+                .map(|_| if unit() < 0.1 { 0.0 } else { unit() })
+                .collect();
+            let x = Matrix::from_vec(n, d, data).unwrap();
+            let bits = |r: Result<Vec<f64>, MlError>| {
+                r.map(|v| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>())
+            };
+            proptest::prop_assert_eq!(
+                bits(weighted_ridge(&x, &y, &w, lambda)),
+                bits(reference_weighted_ridge(&x, &y, &w, lambda))
+            );
+        }
     }
 
     #[test]

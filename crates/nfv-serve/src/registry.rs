@@ -593,7 +593,7 @@ mod tests {
                 "kernel-shap",
                 true,
             ),
-            (ExplainMethod::Lime { n_samples: 64 }, "lime", false),
+            (ExplainMethod::Lime { n_samples: 64 }, "lime", true),
             (
                 ExplainMethod::SamplingShapley {
                     n_permutations: 4,

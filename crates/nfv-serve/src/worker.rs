@@ -268,12 +268,12 @@ const MAX_FUSED_ROWS: usize = 16_384;
 
 /// The fusion scheduler: one *model* group (same model id + version,
 /// methods mixed). Two or more jobs whose explainers are plan-capable —
-/// the whole Shapley family plus per-instance permutation — are planned
-/// into the shared [`FusedBlock`] and evaluated by a single
+/// the whole Shapley family, per-instance permutation and LIME — are
+/// planned into the shared [`FusedBlock`] and evaluated by a single
 /// `predict_block` call spanning every request's rows. A lone one has
 /// nothing to stack with and runs `direct()`, the same pipeline on the
-/// workspace's block; non-fusable methods (TreeSHAP, LIME) run `direct()`
-/// too.
+/// workspace's block; non-fusable methods (TreeSHAP, `interactions`) run
+/// `direct()` too.
 ///
 /// Determinism: a plan's rows and its reduction do not depend on what else
 /// is in the block, and the block evaluates each row with the same
