@@ -63,6 +63,17 @@ if [ "$tails" -ne 1 ]; then
   exit 1
 fi
 
+# No-ambient-config invariant: the library crates read no environment
+# variable. Behaviour is set through config values and tests inject what
+# they need through public APIs (a plug-in method, a config field) — an
+# `env::var` in `src` is a process-wide switch other tests in the same
+# binary can trip over.
+echo "==> no-env check (no env::var in crates/*/src)"
+if grep -rn 'env::var' crates/*/src; then
+  echo "FAIL: crates read no environment variables; take a config value instead"
+  exit 1
+fi
+
 echo "==> cargo test --workspace -q (unit, integration and doc tests)"
 cargo test --workspace -q
 

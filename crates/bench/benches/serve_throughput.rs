@@ -594,10 +594,10 @@ fn bench_wire_replay(c: &mut Criterion) {
 /// hands the whole block to the pre-packed SoA engine (tree-major,
 /// children-pair layout, register-resident row chunks), which is the form
 /// `nfv-serve` evaluates — the registry packs once at registration. The
-/// `_unpacked` case measures the same block through the generic
-/// `predict_block` entry point on the raw forest — what a caller with no
-/// cached engine pays (below the repack breakeven this stays on the
-/// interleaved path). Results are bit-identical across all cases.
+/// `_unpacked` case measures the same block through the raw forest's own
+/// `predict_block` — what a caller with no cached engine pays: at 768 rows
+/// (past `PACK_MIN_ROWS`) it packs the forest on every call and runs the
+/// same kernel. Results are bit-identical across all cases.
 fn bench_coalition_eval(c: &mut Criterion) {
     let task = SizedTask::new(14, 1);
     let x = task.data.row(3).to_vec();

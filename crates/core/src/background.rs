@@ -54,7 +54,9 @@ pub struct CoalitionWorkspace {
 /// chunk: bounds the workspace block at `MAX_BLOCK_ROWS × d` f64s
 /// (~640 KiB at d = 20) — exact Shapley at d = 20 is `2^20 × n_bg` rows,
 /// GiBs if stacked at once — while keeping chunks large enough for the
-/// blocked model evaluators to win.
+/// blocked model evaluators to win. The enumerating plans
+/// ([`Background::check_stackable`]) refuse to stack more than this into
+/// a shared block.
 const MAX_BLOCK_ROWS: usize = 4096;
 
 /// Collects the indices of `true` entries of `members` into `member_idx`.
@@ -98,16 +100,16 @@ fn append_composite_rows(
 /// fusion loop allocates nothing.
 ///
 /// `evaluate` collapses runs of **adjacent bit-identical rows** before
-/// prediction and scatters the results back (on by default; see
-/// [`FusedBlock::set_dedup`]). Composite-row streams repeat rows far more
-/// often than arbitrary data would: a full coalition materializes `x`
-/// once per background row, a permutation walk re-pushes an unchanged
-/// composite whenever the revealed feature already matches the
-/// background (`x[j] == b[j]`, common for quantized / categorical
-/// telemetry), and degenerate backgrounds repeat whole walks. Because
-/// `predict_block` is row-pure, evaluating one representative per run is
-/// bit-identical to evaluating every copy.
-#[derive(Debug, Clone)]
+/// prediction and scatters the results back, always: the rows it skips
+/// are counted once, in [`FusedBlock::last_dedup_saved`]. Composite-row
+/// streams repeat rows far more often than arbitrary data would: a full
+/// coalition materializes `x` once per background row, a permutation walk
+/// re-pushes an unchanged composite whenever the revealed feature already
+/// matches the background (`x[j] == b[j]`, common for quantized /
+/// categorical telemetry), and degenerate backgrounds repeat whole walks.
+/// Because `predict_block` is row-pure, evaluating one representative per
+/// run is bit-identical to evaluating every copy.
+#[derive(Debug, Default, Clone)]
 pub struct FusedBlock {
     /// Flat `n_rows × d` composite rows from every plan appended so far.
     rows: Vec<f64>,
@@ -115,39 +117,11 @@ pub struct FusedBlock {
     preds: Vec<f64>,
     /// Feature count shared by all stacked rows (0 while empty).
     d: usize,
-    /// Collapse adjacent duplicate rows in `evaluate` (default true).
-    dedup: bool,
     /// Reusable dedup buffers (representatives, their preds, row map).
     scratch: DedupScratch,
-    /// Rows the last `evaluate` skipped as adjacent duplicates.
+    /// Rows the last `evaluate` skipped as adjacent duplicates: the one
+    /// dedup counter (serving sums it into its stats).
     last_dedup_saved: usize,
-    /// Total rows skipped across the block's lifetime (survives `clear`,
-    /// so long-lived worker blocks report cumulative savings).
-    dedup_saved_total: u64,
-}
-
-impl Default for FusedBlock {
-    fn default() -> Self {
-        FusedBlock {
-            rows: Vec::new(),
-            preds: Vec::new(),
-            d: 0,
-            dedup: true,
-            scratch: DedupScratch::default(),
-            last_dedup_saved: 0,
-            dedup_saved_total: 0,
-        }
-    }
-}
-
-/// Process-wide count of composite rows skipped by adjacent-row dedup.
-static DEDUP_ROWS_SAVED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Total composite rows every dedup pass in this process has skipped.
-/// Monotonic; useful for observability and for asserting that dedup
-/// actually engaged on a workload.
-pub fn dedup_rows_saved() -> u64 {
-    DEDUP_ROWS_SAVED.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Reusable buffers for one adjacent-dedup evaluation (see
@@ -230,7 +204,6 @@ fn dedup_predict_block(
     for (p, &m) in preds.iter_mut().zip(&scratch.row_map) {
         *p = scratch.uniq_preds[m as usize];
     }
-    DEDUP_ROWS_SAVED.fetch_add(saved as u64, std::sync::atomic::Ordering::Relaxed);
     saved
 }
 
@@ -284,28 +257,14 @@ impl FusedBlock {
         idx
     }
 
-    /// Enables or disables the adjacent-duplicate collapse in
-    /// [`FusedBlock::evaluate`] (on by default). The off switch exists
-    /// for A/B measurement and for proving bit-identity in tests; both
-    /// settings produce the same bits.
-    pub fn set_dedup(&mut self, on: bool) {
-        self.dedup = on;
-    }
-
     /// Rows the most recent `evaluate` skipped as adjacent duplicates.
     pub fn last_dedup_saved(&self) -> usize {
         self.last_dedup_saved
     }
 
-    /// Total rows skipped across this block's lifetime (survives
-    /// `clear`).
-    pub fn dedup_saved_total(&self) -> u64 {
-        self.dedup_saved_total
-    }
-
     /// Evaluates every stacked row with **one** `predict_block` call,
     /// first collapsing runs of adjacent bit-identical rows (see the
-    /// type docs; disable with [`FusedBlock::set_dedup`]).
+    /// type docs).
     ///
     /// Determinism: `predict_block` is row-pure for every model (each
     /// output depends only on its own row, with the same arithmetic as
@@ -317,25 +276,15 @@ impl FusedBlock {
     /// only when the rows are indistinguishable to any row-pure model.
     pub fn evaluate(&mut self, model: &dyn Regressor) {
         let n = self.n_rows();
-        self.last_dedup_saved = 0;
         self.preds.clear();
         self.preds.resize(n, 0.0);
-        if n == 0 {
-            return;
-        }
-        if !self.dedup {
-            model.predict_block(&self.rows, self.d, &mut self.preds);
-            return;
-        }
-        let saved = dedup_predict_block(
+        self.last_dedup_saved = dedup_predict_block(
             model,
             &self.rows,
             self.d,
             &mut self.preds,
             &mut self.scratch,
         );
-        self.last_dedup_saved = saved;
-        self.dedup_saved_total += saved as u64;
     }
 
     /// Model outputs for the stacked rows (valid after `evaluate`).
@@ -496,12 +445,10 @@ impl Background {
         &self.rows
     }
 
-    /// `E[f(X)]` over the background — the base value of every attribution.
-    /// Routed through `predict_batch` (same accumulation order as the
-    /// scalar loop, so the value is unchanged).
+    /// `E[f(X)]` over the background — the base value of every attribution:
+    /// per-row `predict`, summed in row order.
     pub fn expected_output(&self, model: &dyn Regressor) -> f64 {
-        let refs: Vec<&[f64]> = self.rows.iter().map(Vec::as_slice).collect();
-        model.predict_batch(&refs).iter().sum::<f64>() / self.rows.len() as f64
+        self.rows.iter().map(|r| model.predict(r)).sum::<f64>() / self.rows.len() as f64
     }
 
     /// Estimates `v(S) = E[f(x_S, B_{\bar S})]`: for every background row,
@@ -638,6 +585,26 @@ impl Background {
             n_coalitions: range.len(),
             n_bg,
         }
+    }
+
+    /// Refuses, with [`XaiError::Budget`], an enumeration of `n_coalitions`
+    /// whose composite rows (`× len()`) exceed `MAX_BLOCK_ROWS`: the plan
+    /// of an enumerating method (`method`) checks this before it appends
+    /// anything, so a request that large never stacks whole into a shared
+    /// block. Run alone, the method's own chunked path serves it.
+    pub(crate) fn check_stackable(
+        &self,
+        method: &str,
+        n_coalitions: usize,
+    ) -> Result<(), XaiError> {
+        let rows = n_coalitions.saturating_mul(self.rows.len());
+        if rows > MAX_BLOCK_ROWS {
+            return Err(XaiError::Budget(format!(
+                "{method} enumerates {rows} composite rows, more than the {MAX_BLOCK_ROWS} \
+                 a shared block stacks; explain it alone"
+            )));
+        }
+        Ok(())
     }
 
     /// Convenience wrapper over [`Background::coalition_values_into`] for
@@ -882,26 +849,21 @@ mod tests {
         for r in [&a, &a, &a, &bb, &a, &c, &c] {
             on.push_row(&r[..]);
         }
-        let mut off = on.clone();
-        off.set_dedup(false);
-        let before_global = dedup_rows_saved();
         on.evaluate(&model);
-        off.evaluate(&model);
+        let mut plain = [0.0; 7];
+        model.predict_block(on.rows(), 3, &mut plain);
         assert_eq!(on.preds().len(), 7);
-        for (i, (x, y)) in on.preds().iter().zip(off.preds()).enumerate() {
+        for (i, (x, y)) in on.preds().iter().zip(&plain).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "row {i} drifted under dedup");
         }
         // Runs: aaa saves 2, cc saves 1 → 3 rows skipped.
         assert_eq!(on.last_dedup_saved(), 3);
-        assert_eq!(off.last_dedup_saved(), 0);
-        assert!(dedup_rows_saved() >= before_global + 3);
-        // The cumulative counter survives clear(); the per-call one resets.
+        // The counter is per call: the next evaluate resets it.
         on.clear();
         on.push_row(&a[..]);
         on.push_row(&bb[..]);
         on.evaluate(&model);
         assert_eq!(on.last_dedup_saved(), 0, "no adjacent duplicates left");
-        assert_eq!(on.dedup_saved_total(), 3);
         // Bitwise comparison keeps -0.0 and 0.0 distinct: no collapse.
         let mut zeros = FusedBlock::default();
         zeros.push_row(&[0.0, 1.0]);
@@ -940,15 +902,14 @@ mod tests {
 
     #[test]
     fn direct_coalition_path_dedups_too() {
-        // Background::coalition_values_into evaluates on a FusedBlock;
-        // full coalitions must bump the process counter and stay
+        // Background::coalition_values_into evaluates on the workspace's
+        // FusedBlock; a full coalition must dedup there and stay
         // bit-identical to the scalar reference.
         let b = bg();
         let model = FnModel::new(2, |x: &[f64]| x[0] * x[0] - 3.0 * x[1]);
         let x = [2.0, -0.5];
         let mut ws = CoalitionWorkspace::default();
         let mut out = Vec::new();
-        let before = dedup_rows_saved();
         b.coalition_values_into(
             &model,
             &x,
@@ -957,7 +918,11 @@ mod tests {
             &mut ws,
             &mut out,
         );
-        assert!(dedup_rows_saved() > before, "full coalition must dedup");
+        assert_eq!(
+            ws.block.last_dedup_saved(),
+            b.len() - 1,
+            "full coalition must dedup"
+        );
         let members = vec![true; 2];
         assert_eq!(
             out[0].to_bits(),

@@ -169,7 +169,11 @@ pub trait Explainer: Send + Sync {
     }
 
     /// Reserves this request's composite rows in `block` and returns the
-    /// deferred finish half. Non-fusable methods return an error.
+    /// deferred finish half. Non-fusable methods return an error. A plan
+    /// that refuses appends nothing, and a scheduler serves that request
+    /// through [`Explainer::direct`] instead: the exact and grouped
+    /// enumerations refuse past the workspace chunk, which `direct()`
+    /// evaluates chunk by chunk.
     fn plan(
         &self,
         ctx: &ExplainContext<'_>,

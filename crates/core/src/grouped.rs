@@ -177,7 +177,10 @@ impl GroupedShapPlan {
 }
 
 /// Builds a [`GroupedShapPlan`] for `x`, appending its composite rows to
-/// `block`. Guards are those of [`grouped_shapley`].
+/// `block`. Guards are those of [`grouped_shapley`]; then a plan of more
+/// than the workspace chunk (`2^G × background.len()` > 4 096 rows) is
+/// refused with [`XaiError::Budget`], with nothing appended —
+/// [`grouped_shapley`] serves such a request chunk by chunk.
 pub fn grouped_shapley_plan(
     x: &[f64],
     background: &Background,
@@ -186,6 +189,7 @@ pub fn grouped_shapley_plan(
     block: &mut FusedBlock,
 ) -> Result<GroupedShapPlan, XaiError> {
     let g = prepare(x, background, groups)?;
+    background.check_stackable("grouped Shapley", 1usize << g)?;
     let plan = background.plan_coalitions(x, 1usize << g, group_membership(groups), ws, block);
     Ok(GroupedShapPlan {
         plan,
@@ -297,5 +301,27 @@ mod tests {
         assert!(grouped_shapley(&model, &[], &bg, &groups).is_err());
         let wrong = FeatureGroups::new(vec!["a".into()], vec![0]).unwrap();
         assert!(grouped_shapley(&model, &[1.0, 2.0], &bg, &wrong).is_err());
+    }
+
+    #[test]
+    fn a_plan_past_the_chunk_is_refused_with_nothing_stacked() {
+        // 12 singleton groups → 4 096 group coalitions: one background row
+        // stacks the chunk exactly, two would stack 8 192 rows.
+        let d = 12;
+        let groups = FeatureGroups::new(names(d), (0..d).collect()).unwrap();
+        let x = vec![1.0; d];
+        let one = Background::from_rows(vec![vec![0.0; d]]).unwrap();
+        let two = Background::from_rows(vec![vec![0.0; d], vec![0.5; d]]).unwrap();
+        let mut ws = CoalitionWorkspace::default();
+        let mut block = FusedBlock::default();
+        let plan = grouped_shapley_plan(&x, &one, &groups, &mut ws, &mut block).unwrap();
+        assert_eq!(plan.n_rows(), 4096);
+        block.clear();
+        let err = grouped_shapley_plan(&x, &two, &groups, &mut ws, &mut block).unwrap_err();
+        assert!(matches!(err, XaiError::Budget(_)), "{err:?}");
+        assert!(block.is_empty(), "a refused plan appends nothing");
+        let model = FnModel::new(d, |x: &[f64]| x.iter().sum());
+        let g = grouped_shapley(&model, &x, &two, &groups).unwrap();
+        assert!(g.efficiency_gap().abs() < 1e-9);
     }
 }

@@ -101,9 +101,7 @@ impl std::error::Error for XaiError {}
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::background::{
-        dedup_rows_saved, Background, CoalitionPlan, CoalitionWorkspace, FusedBlock,
-    };
+    pub use crate::background::{Background, CoalitionPlan, CoalitionWorkspace, FusedBlock};
     pub use crate::batch::{explain_batch, explain_batch_seeded, explain_batch_seeded_ws};
     pub use crate::counterfactual::{
         counterfactual, Counterfactual, CounterfactualConfig, CrossingDirection,

@@ -80,11 +80,11 @@ pub fn permutation_importance(
     }
     let n = data.n_rows();
     let d = data.n_features();
-    let base_refs: Vec<&[f64]> = data.rows().collect();
-    let base_preds = model.predict_batch(&base_refs);
-    let baseline_score = score(data.task, &data.y, &base_preds)?;
+    let mut preds = vec![0.0; n];
+    model.predict_block(data.x_flat(), d, &mut preds);
+    let baseline_score = score(data.task, &data.y, &preds)?;
 
-    // Shuffled evaluations go through `predict_batch` in bounded blocks:
+    // Shuffled evaluations go through `predict_block` in bounded blocks:
     // one model call per block of composite rows instead of one per row.
     const BLOCK_ROWS: usize = 4096;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -96,7 +96,6 @@ pub fn permutation_importance(
         let mut drop_sum = 0.0;
         for _ in 0..cfg.n_repeats {
             col_idx.shuffle(&mut rng);
-            let mut preds: Vec<f64> = Vec::with_capacity(n);
             for chunk_start in (0..n).step_by(BLOCK_ROWS) {
                 let chunk_end = (chunk_start + BLOCK_ROWS).min(n);
                 block.clear();
@@ -105,8 +104,7 @@ pub fn permutation_importance(
                     block.extend_from_slice(data.row(i));
                     block[start + j] = col[col_idx[i]];
                 }
-                let refs: Vec<&[f64]> = block.chunks(d).collect();
-                preds.extend_from_slice(&model.predict_batch(&refs));
+                model.predict_block(&block, d, &mut preds[chunk_start..chunk_end]);
             }
             drop_sum += baseline_score - score(data.task, &data.y, &preds)?;
         }

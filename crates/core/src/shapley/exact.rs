@@ -128,9 +128,11 @@ impl ExactShapPlan {
 }
 
 /// Builds an [`ExactShapPlan`] for `x`, appending its composite rows to
-/// `block`. Guards are those of [`exact_shapley`]. Note the row cost:
-/// `2^d × background.len()` rows, all stacked at once — callers fusing
-/// many requests should budget accordingly.
+/// `block`. Guards are those of [`exact_shapley`]; then the row cost,
+/// `2^d × background.len()` rows stacked at once, is refused with
+/// [`XaiError::Budget`] above the workspace chunk (4 096 rows), with
+/// nothing appended — [`exact_shapley`] serves such a request chunk by
+/// chunk.
 pub fn exact_shapley_plan(
     x: &[f64],
     background: &Background,
@@ -138,6 +140,7 @@ pub fn exact_shapley_plan(
     block: &mut FusedBlock,
 ) -> Result<ExactShapPlan, XaiError> {
     let d = prepare(x, background)?;
+    background.check_stackable("exact Shapley", 1usize << d)?;
     let plan = background.plan_coalitions(x, 1usize << d, mask_membership, ws, block);
     Ok(ExactShapPlan { plan, d })
 }
@@ -230,6 +233,28 @@ mod tests {
             attr.efficiency_gap()
         );
         assert!((attr.prediction - nfv_ml::model::Regressor::predict(&t, &x)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_plan_past_the_chunk_is_refused_with_nothing_stacked() {
+        // 2^12 coalitions: one background row stacks 4 096 rows (the
+        // chunk), two would stack 8 192.
+        let d = 12;
+        let model = FnModel::new(d, |x: &[f64]| x.iter().sum());
+        let x = vec![1.0; d];
+        let one = Background::from_rows(vec![vec![0.0; d]]).unwrap();
+        let two = Background::from_rows(vec![vec![0.0; d], vec![0.5; d]]).unwrap();
+        let mut ws = CoalitionWorkspace::default();
+        let mut block = FusedBlock::default();
+        let plan = exact_shapley_plan(&x, &one, &mut ws, &mut block).unwrap();
+        assert_eq!(plan.n_rows(), 4096);
+        block.clear();
+        let err = exact_shapley_plan(&x, &two, &mut ws, &mut block).unwrap_err();
+        assert!(matches!(err, XaiError::Budget(_)), "{err:?}");
+        assert!(block.is_empty(), "a refused plan appends nothing");
+        // Alone, the chunked path serves it.
+        let attr = exact_shapley(&model, &x, &two, &names(d)).unwrap();
+        assert!(attr.efficiency_gap().abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Property tests for the fusion invariant: explanations computed through
 //! the plan/execute split — many requests stacked into one shared
 //! [`FusedBlock`] and evaluated by a single `predict_block` call — are
-//! **bit-identical** to the direct per-request path, for every method,
-//! every fusion group size, and with the fused block's adjacent-row dedup
-//! both on and off.
+//! **bit-identical** to the direct per-request path, for every method and
+//! every fusion group size.
 //!
 //! This is the determinism contract the serving layer's fusion scheduler
 //! relies on: fusing changes *which call* evaluates a composite row, never
@@ -203,14 +202,12 @@ enum Planned {
 }
 
 /// The fused path: plan every request into one shared block, evaluate the
-/// block once, then finish each plan against it. `dedup` toggles the
-/// block's adjacent-duplicate collapse — results must not depend on it.
-fn explain_fused(reqs: &[(usize, Req)], dedup: bool) -> Vec<Attribution> {
+/// block once, then finish each plan against it.
+fn explain_fused(reqs: &[(usize, Req)]) -> Vec<Attribution> {
     let f = fixture();
     let base = f.background.expected_output(&f.model);
     let mut ws = CoalitionWorkspace::default();
     let mut block = FusedBlock::default();
-    block.set_dedup(dedup);
     let plans: Vec<Planned> = reqs
         .iter()
         .map(|(row, req)| {
@@ -309,8 +306,8 @@ fn bits(a: &Attribution) -> (Vec<u64>, u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fused == unfused, bit for bit, across group sizes, mixed methods in
-    /// one block, and with the block's dedup pass both on and off.
+    /// Fused == unfused, bit for bit, across group sizes and mixed methods
+    /// in one block.
     #[test]
     fn fused_is_bit_identical_to_direct(
         size_idx in 0usize..4,
@@ -319,19 +316,10 @@ proptest! {
         let group_size = [1usize, 2, 4, 8][size_idx];
         let reqs = requests(group_size, seed);
         let direct: Vec<_> = reqs.iter().map(|(r, q)| explain_direct(*r, q)).collect();
-        for dedup in [true, false] {
-            let fused = explain_fused(&reqs, dedup);
-            prop_assert_eq!(direct.len(), fused.len());
-            for (i, (d, f)) in direct.iter().zip(&fused).enumerate() {
-                prop_assert_eq!(
-                    bits(d),
-                    bits(f),
-                    "request {} of {:?} diverged (dedup={})",
-                    i,
-                    reqs[i],
-                    dedup
-                );
-            }
+        let fused = explain_fused(&reqs);
+        prop_assert_eq!(direct.len(), fused.len());
+        for (i, (d, f)) in direct.iter().zip(&fused).enumerate() {
+            prop_assert_eq!(bits(d), bits(f), "request {} of {:?} diverged", i, reqs[i]);
         }
     }
 
@@ -343,7 +331,7 @@ proptest! {
         let reqs = every_method(seed);
         prop_assert!(reqs.iter().any(|(_, q)| matches!(q, Req::Lime { .. })));
         let direct: Vec<_> = reqs.iter().map(|(r, q)| explain_direct(*r, q)).collect();
-        let fused = explain_fused(&reqs, true);
+        let fused = explain_fused(&reqs);
         for (i, (d, f)) in direct.iter().zip(&fused).enumerate() {
             prop_assert_eq!(bits(d), bits(f), "request {} of {:?} diverged", i, reqs[i]);
         }

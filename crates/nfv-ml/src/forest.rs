@@ -2,6 +2,7 @@
 //! trained in parallel with scoped threads.
 
 use crate::model::{Classifier, Regressor};
+use crate::soa::SoaForest;
 use crate::tree::{ColumnRanks, DecisionTree, TreeParams};
 use crate::MlError;
 use nfv_data::dataset::{Dataset, Task};
@@ -130,39 +131,9 @@ impl Regressor for RandomForest {
     fn predict(&self, x: &[f64]) -> f64 {
         self.output(x)
     }
-    /// Blocked evaluation: trees outer, rows inner, with each tree walked
-    /// via the interleaved multi-row traversal (see
-    /// [`DecisionTree::output_batch_into`]) so independent rows' descent
-    /// chains overlap. Accumulation order per row matches
-    /// [`RandomForest::output`] (tree order), so results are bit-identical
-    /// to the scalar loop.
-    fn predict_batch(&self, rows: &[&[f64]]) -> Vec<f64> {
-        let mut out = vec![0.0f64; rows.len()];
-        let mut tree_out = vec![0.0f64; rows.len()];
-        for tree in &self.trees {
-            tree.output_batch_into(rows, &mut tree_out);
-            for (acc, v) in out.iter_mut().zip(&tree_out) {
-                *acc += v;
-            }
-        }
-        let n = self.trees.len() as f64;
-        for acc in &mut out {
-            *acc /= n;
-        }
-        out
-    }
-    /// Large contiguous blocks pack the forest into the SoA engine on the
-    /// fly ([`crate::soa::SoaForest`], bit-identical);
-    /// small blocks keep the interleaved per-tree path whose setup is
-    /// cheaper.
+    /// Large blocks pack the forest and run the SoA kernel.
     fn predict_block(&self, flat: &[f64], d: usize, out: &mut [f64]) {
-        if out.len() >= crate::soa::PACK_MIN_ROWS {
-            if let Ok(packed) = crate::soa::SoaForest::from_forest(self) {
-                return packed.predict_block_into(flat, out);
-            }
-        }
-        let refs: Vec<&[f64]> = flat.chunks_exact(d).collect();
-        out.copy_from_slice(&self.predict_batch(&refs));
+        crate::soa::pack_or_walk(self, SoaForest::from_forest, flat, d, out);
     }
     fn n_features(&self) -> usize {
         self.n_features

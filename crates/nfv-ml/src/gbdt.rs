@@ -4,6 +4,7 @@
 
 use crate::linear::sigmoid;
 use crate::model::{Classifier, Regressor};
+use crate::soa::SoaForest;
 use crate::tree::{ColumnRanks, DecisionTree, TreeParams};
 use crate::MlError;
 use nfv_data::dataset::{Dataset, Task};
@@ -148,41 +149,9 @@ impl Regressor for Gbdt {
             Task::BinaryClassification => sigmoid(self.margin(x)),
         }
     }
-    /// Blocked evaluation: boosting rounds outer, rows inner, each round's
-    /// shallow tree walked with the interleaved multi-row traversal (see
-    /// [`DecisionTree::output_batch_into`]). Per-row tree sums accumulate
-    /// in boosting order, matching [`Gbdt::margin`] bit-for-bit.
-    fn predict_batch(&self, rows: &[&[f64]]) -> Vec<f64> {
-        let mut sums = vec![0.0f64; rows.len()];
-        let mut tree_out = vec![0.0f64; rows.len()];
-        for tree in &self.trees {
-            tree.output_batch_into(rows, &mut tree_out);
-            for (acc, v) in sums.iter_mut().zip(&tree_out) {
-                *acc += v;
-            }
-        }
-        sums.into_iter()
-            .map(|s| {
-                let margin = self.base_score + self.learning_rate * s;
-                match self.task {
-                    Task::Regression => margin,
-                    Task::BinaryClassification => sigmoid(margin),
-                }
-            })
-            .collect()
-    }
-    /// Large contiguous blocks pack the rounds into the SoA engine on the
-    /// fly ([`crate::soa::SoaForest`], bit-identical);
-    /// small blocks keep the interleaved per-tree path whose setup is
-    /// cheaper.
+    /// Large blocks pack the rounds and run the SoA kernel.
     fn predict_block(&self, flat: &[f64], d: usize, out: &mut [f64]) {
-        if out.len() >= crate::soa::PACK_MIN_ROWS {
-            if let Ok(packed) = crate::soa::SoaForest::from_gbdt(self) {
-                return packed.predict_block_into(flat, out);
-            }
-        }
-        let refs: Vec<&[f64]> = flat.chunks_exact(d).collect();
-        out.copy_from_slice(&self.predict_batch(&refs));
+        crate::soa::pack_or_walk(self, SoaForest::from_gbdt, flat, d, out);
     }
     fn n_features(&self) -> usize {
         self.n_features

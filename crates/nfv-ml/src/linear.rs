@@ -54,21 +54,6 @@ impl Regressor for LinearRegression {
     fn predict(&self, x: &[f64]) -> f64 {
         self.intercept + dot(&self.coefficients, x)
     }
-    /// Blocked dot products over the coefficient vector (kept resident
-    /// across the batch); identical arithmetic to scalar `predict`.
-    fn predict_batch(&self, rows: &[&[f64]]) -> Vec<f64> {
-        rows.iter()
-            .map(|row| self.intercept + dot(&self.coefficients, row))
-            .collect()
-    }
-    /// Zero-allocation contiguous-block path: one dot product per row
-    /// slice, no intermediate `Vec<&[f64]>`.
-    fn predict_block(&self, flat: &[f64], d: usize, out: &mut [f64]) {
-        assert_eq!(flat.len(), out.len() * d, "flat block shape");
-        for (row, o) in flat.chunks_exact(d).zip(out.iter_mut()) {
-            *o = self.intercept + dot(&self.coefficients, row);
-        }
-    }
     fn n_features(&self) -> usize {
         self.coefficients.len()
     }

@@ -254,20 +254,23 @@ impl Regressor for Mlp {
             Task::BinaryClassification => sigmoid(self.raw(x)),
         }
     }
-    /// Blocked forward passes sharing two activation buffers across the
-    /// whole batch (the scalar path allocates per layer per row).
-    fn predict_batch(&self, rows: &[&[f64]]) -> Vec<f64> {
+    /// Forward passes sharing two activation buffers across the whole
+    /// block (`predict` allocates per layer per row).
+    fn predict_block(&self, flat: &[f64], d: usize, out: &mut [f64]) {
+        assert_eq!(
+            flat.len(),
+            out.len() * d,
+            "flat block must hold out.len() rows of d values"
+        );
         let mut a = Vec::new();
         let mut z = Vec::new();
-        rows.iter()
-            .map(|row| {
-                let raw = self.raw_buffered(row, &mut a, &mut z);
-                match self.task {
-                    Task::Regression => raw,
-                    Task::BinaryClassification => sigmoid(raw),
-                }
-            })
-            .collect()
+        for (row, o) in flat.chunks_exact(d).zip(out.iter_mut()) {
+            let raw = self.raw_buffered(row, &mut a, &mut z);
+            *o = match self.task {
+                Task::Regression => raw,
+                Task::BinaryClassification => sigmoid(raw),
+            };
+        }
     }
     fn n_features(&self) -> usize {
         self.n_features

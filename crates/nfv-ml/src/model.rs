@@ -9,41 +9,40 @@ pub trait Regressor: Send + Sync {
     /// Predicts the target for one feature row.
     fn predict(&self, x: &[f64]) -> f64;
 
-    /// Predicts a batch of rows in one call.
-    ///
-    /// The default loops scalar [`Regressor::predict`]; concrete models
-    /// override it with blocked implementations (tree-major ensemble
-    /// traversal, reused activation buffers) that are **bit-identical** to
-    /// the scalar loop — callers such as `Background::coalition_values`
-    /// rely on that equivalence, so overrides must preserve the per-row
-    /// operation order of `predict`.
-    fn predict_batch(&self, rows: &[&[f64]]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict(r)).collect()
-    }
-
     /// Predicts a **contiguous** row-major block: `flat` holds
     /// `out.len()` rows of `d` values each, `out[i]` receives row `i`'s
-    /// prediction. This is the allocation-free entry the coalition
-    /// evaluator uses — composite rows are materialized flat, so no
-    /// per-row `&[f64]` fan-out is needed.
+    /// prediction. The only batch entry: the coalition evaluator, the
+    /// fused block and every other caller with many rows go through it.
     ///
-    /// The default slices `flat` into rows and delegates to
-    /// [`Regressor::predict_batch`] (one small `Vec<&[f64]>` per call);
-    /// models with packed representations override it to run directly on
-    /// the flat block. Overrides must stay bit-identical to `predict`.
+    /// The default loops [`Regressor::predict`] over the rows. Tree
+    /// ensembles override it to pack and run the SoA kernel on large
+    /// blocks ([`crate::soa::SoaForest`]); every override must stay
+    /// **bit-identical** to `predict` row by row — callers such as
+    /// `Background::coalition_values` rely on that equivalence.
     fn predict_block(&self, flat: &[f64], d: usize, out: &mut [f64]) {
-        assert_eq!(
-            flat.len(),
-            out.len() * d,
-            "flat block must hold out.len() rows of d values"
-        );
-        let refs: Vec<&[f64]> = flat.chunks_exact(d).collect();
-        let vals = self.predict_batch(&refs);
-        out.copy_from_slice(&vals);
+        predict_rows(self, flat, d, out);
     }
 
     /// Number of features the model was trained on.
     fn n_features(&self) -> usize;
+}
+
+/// `out[i] = model.predict(row i of flat)`: the per-row reference walk
+/// behind the default [`Regressor::predict_block`].
+pub(crate) fn predict_rows<M: Regressor + ?Sized>(
+    model: &M,
+    flat: &[f64],
+    d: usize,
+    out: &mut [f64],
+) {
+    assert_eq!(
+        flat.len(),
+        out.len() * d,
+        "flat block must hold out.len() rows of d values"
+    );
+    for (row, o) in flat.chunks_exact(d).zip(out.iter_mut()) {
+        *o = model.predict(row);
+    }
 }
 
 /// A fitted binary classifier. Probabilities refer to the positive class.
@@ -129,7 +128,8 @@ mod tests {
         let m = FnModel::new(2, |x: &[f64]| x[0] + 2.0 * x[1]);
         assert_eq!(m.predict(&[1.0, 3.0]), 7.0);
         assert_eq!(m.n_features(), 2);
-        let batch = m.predict_batch(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        assert_eq!(batch, vec![1.0, 2.0]);
+        let mut block = [0.0; 2];
+        m.predict_block(&[1.0, 0.0, 0.0, 1.0], 2, &mut block);
+        assert_eq!(block, [1.0, 2.0]);
     }
 }

@@ -55,16 +55,18 @@ const PAIR_MASK: u64 = 0xFFFF_FFFF;
 /// the fully-unrolled chunk state stays in registers.
 const SCALAR_CHUNK: usize = 8;
 
-/// Row count above which packing an ensemble on the fly pays for itself
-/// for a one-shot [`Regressor::predict_block`] call: the `O(nodes)` build
-/// amortizes across `rows × trees × depth` traversal steps. Measured on
-/// the d=14, 50-tree reference forest, packing costs ~400µs while blocked
-/// traversal saves ~0.4µs/row over the interleaved path — breakeven near
-/// 1000 rows. Below that, repacking per call is a net loss (it turned the
-/// 64×12-coalition block into a wash). Callers with any reuse should keep
-/// a cached [`SoaForest`] and skip the rebuild entirely, as `nfv-serve`'s
-/// registry does.
-pub const PACK_MIN_ROWS: usize = 1024;
+/// Row count from which a raw ensemble's [`Regressor::predict_block`]
+/// packs it on the fly and runs the kernel: the `O(nodes)` build has to
+/// amortize across `rows × trees × depth` kernel steps. Measured per call
+/// against the per-row reference walk (DESIGN.md §9.2): on the d = 14,
+/// 50-tree depth-8 forest packing costs 400–660 µs (most of it first-touch
+/// page faults on the fresh arrays) and pack + kernel catches the walk
+/// near 256 rows; on the 150-round depth-4 GBDT packing costs 60–80 µs
+/// and the crossover is near 40 rows. One count serves both, and 128
+/// keeps either ensemble within ~2× of the faster path.
+/// Callers with any reuse should keep a packed [`SoaForest`] and skip the
+/// build entirely, as `nfv-serve`'s registry does.
+pub const PACK_MIN_ROWS: usize = 128;
 
 /// How the per-row sum of tree outputs becomes the model prediction.
 /// Mirrors the scalar ensembles bit-for-bit.
@@ -386,19 +388,6 @@ impl Regressor for SoaForest {
         self.post.apply(sum, self.roots.len())
     }
 
-    /// Copies the (possibly scattered) rows into one contiguous block and
-    /// runs the packed traversal.
-    fn predict_batch(&self, rows: &[&[f64]]) -> Vec<f64> {
-        let d = self.n_features;
-        let mut flat = Vec::with_capacity(rows.len() * d);
-        for r in rows {
-            flat.extend_from_slice(&r[..d]);
-        }
-        let mut out = vec![0.0f64; rows.len()];
-        self.predict_block_into(&flat, &mut out);
-        out
-    }
-
     fn predict_block(&self, flat: &[f64], d: usize, out: &mut [f64]) {
         assert_eq!(d, self.n_features, "block width must match n_features");
         self.predict_block_into(flat, out);
@@ -407,6 +396,25 @@ impl Regressor for SoaForest {
     fn n_features(&self) -> usize {
         self.n_features
     }
+}
+
+/// The one batch path of a raw tree ensemble: from [`PACK_MIN_ROWS`] rows
+/// on, pack it with `pack` and run the kernel; below that, or if packing
+/// refuses the ensemble, the per-row reference walk (`model.predict`).
+/// Both are bit-identical to `predict`, so the choice moves time only.
+pub(crate) fn pack_or_walk<M: Regressor + ?Sized>(
+    model: &M,
+    pack: fn(&M) -> Result<SoaForest, MlError>,
+    flat: &[f64],
+    d: usize,
+    out: &mut [f64],
+) {
+    if out.len() >= PACK_MIN_ROWS {
+        if let Ok(packed) = pack(model) {
+            return packed.predict_block(flat, d, out);
+        }
+    }
+    crate::model::predict_rows(model, flat, d, out);
 }
 
 #[cfg(test)]
@@ -717,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_matches_block_and_regressor_contract() {
+    fn predict_block_matches_predict_and_regressor_contract() {
         let s = friedman1(300, 6, 0.2, 51).unwrap();
         let f = RandomForest::fit(
             &s.data,
@@ -733,15 +741,20 @@ mod tests {
         assert_eq!(Regressor::n_features(&soa), 6);
         assert_eq!(soa.n_trees(), 8);
         assert!(soa.n_nodes() >= 8);
-        let xs = rows(21, 6, 13);
-        let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-        let batch = soa.predict_batch(&refs);
-        let flat: Vec<f64> = xs.iter().flatten().copied().collect();
-        let mut block = vec![0.0; xs.len()];
-        soa.predict_block(&flat, 6, &mut block);
-        for ((b, blk), x) in batch.iter().zip(&block).zip(&xs) {
-            assert_eq!(b.to_bits(), blk.to_bits());
-            assert_eq!(b.to_bits(), f.output(x).to_bits());
+        // Both sides of the pack threshold for the raw forest, each with a
+        // ragged tail for the kernel.
+        for n in [21, PACK_MIN_ROWS + 5] {
+            let xs = rows(n, 6, 13);
+            let flat: Vec<f64> = xs.iter().flatten().copied().collect();
+            let mut block = vec![0.0; n];
+            let mut raw = vec![0.0; n];
+            soa.predict_block(&flat, 6, &mut block);
+            f.predict_block(&flat, 6, &mut raw);
+            for ((b, r), x) in block.iter().zip(&raw).zip(&xs) {
+                assert_eq!(b.to_bits(), soa.predict(x).to_bits());
+                assert_eq!(r.to_bits(), f.output(x).to_bits());
+                assert_eq!(b.to_bits(), r.to_bits());
+            }
         }
     }
 

@@ -5,6 +5,7 @@
 //! internals are public.
 
 use crate::model::{Classifier, Regressor};
+use crate::soa::{EnsemblePost, SoaForest};
 use crate::MlError;
 use nfv_data::dataset::{Dataset, Task};
 use rand::rngs::StdRng;
@@ -190,45 +191,6 @@ impl DecisionTree {
             } else {
                 node.right as usize
             };
-        }
-    }
-
-    /// Writes `output(rows[i])` into `out[i]` for a whole block.
-    ///
-    /// Traversals of up to 16 rows are interleaved: a single row's descent
-    /// is one dependent-load chain (node → feature → child index), so the
-    /// CPU stalls on every level; stepping 16 independent chains per pass
-    /// keeps many node loads in flight at once. Per-row results are exactly
-    /// [`DecisionTree::output`] — only the schedule changes, not the
-    /// arithmetic.
-    pub fn output_batch_into(&self, rows: &[&[f64]], out: &mut [f64]) {
-        const LANES: usize = 16;
-        assert_eq!(rows.len(), out.len(), "rows and out must be parallel");
-        // Fixed pass count makes the lane step branch-free: a lane parked
-        // on a leaf re-selects its own index (both `if`s lower to cmov),
-        // so there is no per-lane "done" branch to mispredict.
-        let passes = self.depth();
-        let mut start = 0usize;
-        while start < rows.len() {
-            let n = LANES.min(rows.len() - start);
-            let lane_rows = &rows[start..start + n];
-            let mut idx = [0u32; LANES];
-            for _ in 0..passes {
-                for l in 0..n {
-                    let node = &self.nodes[idx[l] as usize];
-                    let v = lane_rows[l].get(node.feature).copied().unwrap_or(0.0);
-                    let next = if v <= node.threshold {
-                        node.left
-                    } else {
-                        node.right
-                    };
-                    idx[l] = if node.is_leaf { idx[l] } else { next };
-                }
-            }
-            for l in 0..n {
-                out[start + l] = self.nodes[idx[l] as usize].value;
-            }
-            start += n;
         }
     }
 
@@ -446,27 +408,16 @@ impl Regressor for DecisionTree {
     fn predict(&self, x: &[f64]) -> f64 {
         self.output(x)
     }
-    /// Batch traversal of the node arena: interleaved descent over the
-    /// whole block (see [`DecisionTree::output_batch_into`]).
-    fn predict_batch(&self, rows: &[&[f64]]) -> Vec<f64> {
-        let mut out = vec![0.0f64; rows.len()];
-        self.output_batch_into(rows, &mut out);
-        out
-    }
-    /// Large blocks run through the SoA engine (a one-tree "ensemble" with
-    /// mean post-processing divides by 1.0, which is exact); small blocks
-    /// keep the interleaved arena walk.
+    /// A one-tree "ensemble" with mean post-processing divides by 1.0,
+    /// which is exact: large blocks pack and run the SoA kernel.
     fn predict_block(&self, flat: &[f64], d: usize, out: &mut [f64]) {
-        if out.len() >= crate::soa::PACK_MIN_ROWS {
-            if let Ok(packed) = crate::soa::SoaForest::from_trees(
-                std::slice::from_ref(self),
-                crate::soa::EnsemblePost::Mean,
-            ) {
-                return packed.predict_block_into(flat, out);
-            }
-        }
-        let refs: Vec<&[f64]> = flat.chunks_exact(d).collect();
-        self.output_batch_into(&refs, out);
+        crate::soa::pack_or_walk(
+            self,
+            |t| SoaForest::from_trees(std::slice::from_ref(t), EnsemblePost::Mean),
+            flat,
+            d,
+            out,
+        );
     }
     fn n_features(&self) -> usize {
         self.n_features

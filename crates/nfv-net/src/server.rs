@@ -98,11 +98,6 @@ struct ShardInner {
     protocol_errors: AtomicU64,
     max_payload: usize,
     waker: Waker,
-    /// Test seam: a model id the explain worker panics on instead of
-    /// serving, read once from `NFV_NET_TEST_PANIC_MODEL` at start. Lets
-    /// the drain-after-panic regression test inject an unwind without a
-    /// poisonable public API.
-    panic_model: Option<String>,
 }
 
 /// One explain handed to the dispatch pool. Carries only what the worker
@@ -205,7 +200,6 @@ impl ShardServer {
             protocol_errors: AtomicU64::new(0),
             max_payload: cfg.max_payload,
             waker,
-            panic_model: std::env::var("NFV_NET_TEST_PANIC_MODEL").ok(),
         });
 
         let dispatch_threads = if cfg.dispatch_threads == 0 {
@@ -299,9 +293,6 @@ fn worker_loop(jobs: Receiver<Job>, completions: Sender<Completion>, inner: Arc<
         // the explainer stack must not kill the worker or lose the
         // in-flight decrement: catch it and answer `Internal`.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inner.panic_model.as_deref() == Some(job.model_id.as_str()) {
-                panic!("injected test panic for model {}", job.model_id);
-            }
             inner
                 .engine
                 .explain(ExplainRequest {

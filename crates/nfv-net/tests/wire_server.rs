@@ -23,7 +23,7 @@ use nfv_ml::prelude::*;
 use nfv_net::frame::{read_frame, write_frame, MsgType};
 use nfv_net::prelude::*;
 use nfv_serve::prelude::*;
-use nfv_xai::prelude::Background;
+use nfv_xai::prelude::{Background, MethodRegistry, XaiError};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -161,16 +161,43 @@ fn client_register_surfaces_typed_failure() {
 
 /// A worker panic mid-explain must still settle the in-flight count and
 /// answer the request as `Internal`; a subsequent drain completes instead
-/// of busy-waiting forever on the leaked counter.
+/// of busy-waiting forever on the leaked counter. The unwind comes from a
+/// plug-in method whose capability validator panics: `Engine::explain`
+/// runs it on the dispatch thread after the cache miss, before
+/// single-flight, with no lock held.
 #[test]
 fn drain_completes_after_worker_panic() {
-    const PANIC_MODEL: &str = "wire-server-injected-panic";
-    std::env::set_var("NFV_NET_TEST_PANIC_MODEL", PANIC_MODEL);
+    const PANIC_METHOD: &str = "wire-server-panicking-validator";
+    MethodRegistry::global().register_with_validator(
+        PANIC_METHOD,
+        |_cfg| Err(XaiError::Input("never instantiated".into())),
+        |_caps| panic!("injected validator panic"),
+    );
+    let synth = friedman1(80, 5, 0.1, 3).unwrap();
+    let model = Gbdt::fit(
+        &synth.data,
+        &GbdtParams {
+            n_rounds: 3,
+            ..Default::default()
+        },
+        0,
+    )
+    .unwrap();
     let (server, addr) = start_server(ShardConfig::default());
-    std::env::remove_var("NFV_NET_TEST_PANIC_MODEL");
-
     let conn = ShardConn::connect(&addr, MAX_PAYLOAD, Duration::from_secs(10)).unwrap();
-    let err = conn.explain(&explain_request(PANIC_MODEL)).unwrap_err();
+    conn.register(
+        "m",
+        &ServeModel::Gbdt(model),
+        &synth.data.names,
+        &Background::from_dataset(&synth.data, 8, 1).unwrap(),
+    )
+    .unwrap();
+    let err = conn
+        .explain(&ExplainRequest {
+            method: ExplainMethod::custom(PANIC_METHOD, 0),
+            ..explain_request("m")
+        })
+        .unwrap_err();
     assert!(
         matches!(
             err,

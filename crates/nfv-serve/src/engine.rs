@@ -88,17 +88,15 @@ const REFINE_QUEUE: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionPolicy {
     /// Row count a fused group *aims* for — the denominator of the
-    /// `fused_fill_ratio` statistic, nothing else. Sized to the SoA
-    /// engine's pack breakeven. A field rather than a constant only
-    /// because `benchmark/` reads it (ROADMAP, leftovers).
+    /// `fused_fill_ratio` statistic, nothing else (default 1 024, the
+    /// value every recorded fill ratio divides by). A field rather than a
+    /// constant only because `benchmark/` reads it (ROADMAP, leftovers).
     pub target_rows: usize,
 }
 
 impl Default for FusionPolicy {
     fn default() -> Self {
-        FusionPolicy {
-            target_rows: nfv_ml::soa::PACK_MIN_ROWS,
-        }
+        FusionPolicy { target_rows: 1024 }
     }
 }
 

@@ -278,8 +278,9 @@ impl ModelRegistry {
         // Pack tree ensembles into the SoA engine once, here, so no
         // request ever pays the flattening cost. Best-effort: the packer
         // enforces stricter structural invariants than the trainers, and
-        // a model it rejects simply serves through the interleaved path,
-        // which is bit-identical (just slower).
+        // a model it rejects simply serves through the raw model's own
+        // `predict_block` (its per-row reference walk, since packing it
+        // again fails too), which is bit-identical (just slower).
         let packed = match &model {
             ServeModel::Gbdt(m) => SoaForest::from_gbdt(m).ok(),
             ServeModel::Forest(m) => SoaForest::from_forest(m).ok(),

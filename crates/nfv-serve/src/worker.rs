@@ -273,7 +273,9 @@ const MAX_FUSED_ROWS: usize = 16_384;
 /// `predict_block` call spanning every request's rows. A lone one has
 /// nothing to stack with and runs `direct()`, the same pipeline on the
 /// workspace's block; non-fusable methods (TreeSHAP, `interactions`) run
-/// `direct()` too.
+/// `direct()` too, and so does a job whose plan refused to stack (an
+/// exact or grouped enumeration past the workspace chunk, or a malformed
+/// request, which `direct()`'s identical guards answer).
 ///
 /// Determinism: a plan's rows and its reduction do not depend on what else
 /// is in the block, and the block evaluates each row with the same
@@ -290,8 +292,7 @@ fn process_model_group(
     let (fusable, rest): (Vec<Job>, Vec<Job>) =
         live.into_iter().partition(|job| job.explainer.fusable());
     let mut alone = if fusable.len() >= 2 {
-        execute_fused(fusable, ctx, ws, block);
-        Vec::new()
+        execute_fused(fusable, ctx, ws, block)
     } else {
         fusable
     };
@@ -303,15 +304,17 @@ fn process_model_group(
 
 /// Plans every job in `jobs` into the shared block via its own explainer,
 /// flushing (evaluate + finish) whenever the stacked rows reach
-/// [`MAX_FUSED_ROWS`] (a plan is appended before the check).
+/// [`MAX_FUSED_ROWS`] (a plan is appended before the check). Returns the
+/// jobs whose plan refused, appending nothing: the caller runs them alone.
 fn execute_fused(
     jobs: Vec<Job>,
     ctx: &WorkerContext,
     ws: &mut CoalitionWorkspace,
     block: &mut FusedBlock,
-) {
+) -> Vec<Job> {
     let entry = Arc::clone(&jobs[0].entry);
     let mut pending: Vec<(Job, Box<dyn ExplainPlan>)> = Vec::with_capacity(jobs.len());
+    let mut refused = Vec::new();
     block.clear();
     for job in jobs {
         let planned = {
@@ -319,22 +322,18 @@ fn execute_fused(
             let ectx = explain_context(&entry, &job.request.features, seed);
             job.explainer.plan(&ectx, &mut *ws, &mut *block)
         };
+        // A refusal is scoped to its own request: the rest of the group
+        // still fuses.
         match planned {
             Ok(plan) => pending.push((job, plan)),
-            // A plan failure (zero budget, malformed input) is scoped to
-            // its own request: the rest of the group still fuses.
-            Err(e) => {
-                ctx.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
-                ctx.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                ctx.cache.complete_flight(&job.key, None);
-                let _ = job.respond.send(Err(ServeError::Explain(e)));
-            }
+            Err(_) => refused.push(job),
         }
         if block.n_rows() >= MAX_FUSED_ROWS {
             flush_fused(&mut pending, block, &entry, ctx);
         }
     }
     flush_fused(&mut pending, block, &entry, ctx);
+    refused
 }
 
 /// Evaluates the shared block once and finishes every pending plan against

@@ -271,13 +271,79 @@ fn coalition_fixture() -> &'static (Background, ModelZoo) {
     })
 }
 
+/// Every `Regressor` the crate ships over one 5-feature regression task,
+/// plus a GBDT classifier on a 5-feature task, for the `predict_block`
+/// contract test.
+fn block_fixture() -> &'static (ModelZoo, Gbdt) {
+    static FIX: std::sync::OnceLock<(ModelZoo, Gbdt)> = std::sync::OnceLock::new();
+    FIX.get_or_init(|| {
+        let s = friedman1(150, 5, 0.2, 42).unwrap();
+        let forest = RandomForest::fit(
+            &s.data,
+            &ForestParams {
+                n_trees: 10,
+                ..Default::default()
+            },
+            0,
+            1,
+        )
+        .unwrap();
+        let packed = SoaForest::from_forest(&forest).unwrap();
+        let gbdt = |data: &Dataset| {
+            Gbdt::fit(
+                data,
+                &GbdtParams {
+                    n_rounds: 10,
+                    ..Default::default()
+                },
+                0,
+            )
+            .unwrap()
+        };
+        let models: ModelZoo = vec![
+            (
+                "tree",
+                Box::new(DecisionTree::fit(&s.data, &TreeParams::default(), 0).unwrap()),
+            ),
+            ("forest", Box::new(forest)),
+            ("gbdt", Box::new(gbdt(&s.data))),
+            ("soa-forest", Box::new(packed)),
+            (
+                "linear",
+                Box::new(LinearRegression::fit(&s.data, 1e-6).unwrap()),
+            ),
+            (
+                "mlp",
+                Box::new(
+                    Mlp::fit(
+                        &s.data,
+                        &MlpParams {
+                            hidden: vec![8],
+                            epochs: 5,
+                            ..Default::default()
+                        },
+                        0,
+                    )
+                    .unwrap(),
+                ),
+            ),
+            (
+                "fn-model",
+                Box::new(FnModel::new(5, |v: &[f64]| v[0] * v[1] - v[4].sqrt())),
+            ),
+        ];
+        let xor = interaction_xor(150, 3, 42).unwrap();
+        (models, gbdt(&xor.data))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The blocked coalition evaluator is bit-identical to the scalar
     /// `coalition_value` loop for every model type the crate ships —
     /// the invariant that lets every explainer route through
-    /// `predict_batch` without changing a single attribution.
+    /// `predict_block` without changing a single attribution.
     #[test]
     fn batched_coalition_values_match_scalar_for_every_model(
         x in prop::collection::vec(0.0f64..1.0, 5),
@@ -301,19 +367,41 @@ proptest! {
         }
     }
 
-    /// `predict_batch` itself is bit-identical to the scalar `predict`
-    /// loop for every model type (the trait-override contract).
+    /// `predict_block`, the one batch entry, is bit-identical to the scalar
+    /// `predict` loop for every model the crate ships (the trait-override
+    /// contract): raw tree, forest and GBDT (both tasks) on both sides of
+    /// the pack threshold, the packed engine, linear, MLP, a closure and a
+    /// probability surface. Blocks hold `PACK_MIN_ROWS - 1`,
+    /// `PACK_MIN_ROWS` and a ragged `2 * PACK_MIN_ROWS + 5` rows, with
+    /// `-0.0`, `0.0` and NaN features mixed in.
     #[test]
-    fn predict_batch_matches_scalar_predict_for_every_model(
-        rows in prop::collection::vec(prop::collection::vec(0.0f64..1.0, 5), 1..20),
-    ) {
-        let (_, models) = coalition_fixture();
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        for (kind, model) in models {
-            let batch = model.predict_batch(&refs);
-            for (row, b) in refs.iter().zip(&batch) {
-                let s = model.predict(row);
-                prop_assert!(b.to_bits() == s.to_bits(), "{kind}: batch {b} != scalar {s}");
+    fn predict_block_matches_scalar_predict_for_every_model(seed in 0u64..10_000) {
+        let (reg, cls) = block_fixture();
+        let surface = ProbaSurface(cls);
+        let mut models: Vec<(&str, &dyn Regressor)> =
+            reg.iter().map(|(k, m)| (*k, m.as_ref())).collect();
+        models.push(("gbdt-classification", cls));
+        models.push(("proba-surface", &surface));
+        let mut rng = SimRng::new(seed);
+        for n in [PACK_MIN_ROWS - 1, PACK_MIN_ROWS, 2 * PACK_MIN_ROWS + 5] {
+            let flat: Vec<f64> = (0..n * 5)
+                .map(|_| match rng.below(16) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => f64::NAN,
+                    _ => rng.uniform(0.0, 1.0),
+                })
+                .collect();
+            for (kind, model) in &models {
+                let mut block = vec![0.0; n];
+                model.predict_block(&flat, 5, &mut block);
+                for (row, b) in flat.chunks_exact(5).zip(&block) {
+                    let s = model.predict(row);
+                    prop_assert!(
+                        b.to_bits() == s.to_bits(),
+                        "{kind} at {n} rows: block {b} != scalar {s} for {row:?}"
+                    );
+                }
             }
         }
     }
