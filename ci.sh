@@ -63,6 +63,19 @@ if [ "$tails" -ne 1 ]; then
   exit 1
 fi
 
+# One-data-model invariant: JSON streams straight between the text and the
+# Rust type through the vendored serde's `Writer` and `Reader`. A
+# `to_value` / `from_value` pair or the old `__private::field` helper
+# creeping back (outside #[cfg(test)]) is a second JSON path that can drift
+# from the first.
+echo "==> one-data-model check (no to_value / from_value / __private::field)"
+for f in $(find vendor crates/*/src -name '*.rs'); do
+  if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nE '\b(to_value|from_value)\b|__private::field'; then
+    echo "FAIL: $f builds a second JSON data model; serialize to a serde::Writer, deserialize from a serde::Reader"
+    exit 1
+  fi
+done
+
 # No-ambient-config invariant: the library crates read no environment
 # variable. Behaviour is set through config values and tests inject what
 # they need through public APIs (a plug-in method, a config field) — an

@@ -19,10 +19,10 @@
 //! [`VERSION`], and a peer of another version gets [`WireError::BadVersion`]
 //! (a shard closes that connection as a protocol error).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use nfv_sim::wire;
 use std::fmt;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Magic bytes opening every frame ("NFV Wire").
 pub const MAGIC: [u8; 4] = *b"NFVW";
@@ -198,16 +198,23 @@ pub fn verify_checksum(payload: &[u8], tail: &[u8]) -> Result<(), WireError> {
     Ok(())
 }
 
+/// The header of a frame of type `t` carrying `len` payload bytes.
+fn header(t: MsgType, len: usize) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..4].copy_from_slice(&MAGIC);
+    h[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    h[6] = t as u8;
+    h[7..].copy_from_slice(&(len as u32).to_le_bytes());
+    h
+}
+
 /// Assembles one frame into a byte vector (header, payload, checksum).
 pub fn encode_frame(t: MsgType, payload: &[u8]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len() + 8);
-    buf.put_slice(&MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u8(t as u8);
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_slice(payload);
-    buf.put_u64_le(wire::fnv1a(payload));
-    buf.freeze().as_ref().to_vec()
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
+    frame.extend_from_slice(&header(t, payload.len()));
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&wire::fnv1a(payload).to_le_bytes());
+    frame
 }
 
 /// Decodes one frame from an in-memory buffer, advancing past it. The
@@ -226,10 +233,25 @@ pub fn decode_frame(data: &mut Bytes, cap: usize) -> Result<(MsgType, Bytes), Wi
     Ok((t, payload))
 }
 
-/// Writes one frame to a stream (single buffered write + flush).
+/// Writes one frame to a stream, then flushes. Header, payload and
+/// checksum go out as one vectored write (one `writev` on a socket), so the
+/// payload is never copied into a frame buffer.
 pub fn write_frame(w: &mut impl Write, t: MsgType, payload: &[u8]) -> Result<(), WireError> {
-    let frame = encode_frame(t, payload);
-    w.write_all(&frame)?;
+    let (header, tail) = (header(t, payload.len()), wire::fnv1a(payload).to_le_bytes());
+    let mut parts = [
+        IoSlice::new(&header),
+        IoSlice::new(payload),
+        IoSlice::new(&tail),
+    ];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -323,13 +345,8 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_fails_before_allocating() {
-        // Hand-build a header claiming a 3 GiB payload.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u8(MsgType::Health as u8);
-        buf.put_u32_le(3 << 30);
-        let frame = buf.freeze().as_ref().to_vec();
+        // A header claiming a 3 GiB payload, and nothing after it.
+        let frame = header(MsgType::Health, 3 << 30).to_vec();
         assert!(matches!(
             decode_frame(&mut Bytes::from_vec(frame.clone()), MAX_PAYLOAD),
             Err(WireError::Oversized { .. })

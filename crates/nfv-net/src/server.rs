@@ -577,19 +577,23 @@ fn handle_readable(
         if buf.len() < total {
             break;
         }
-        let payload = &buf[HEADER_LEN..HEADER_LEN + len];
-        if verify_checksum(payload, &buf[HEADER_LEN + len..total]).is_err() {
+        if verify_checksum(
+            &buf[HEADER_LEN..HEADER_LEN + len],
+            &buf[HEADER_LEN + len..total],
+        )
+        .is_err()
+        {
             fate = ConnFate::Protocol;
             break;
         }
-        let msg = match Message::decode_payload(t, bytes::Bytes::from_vec(payload.to_vec())) {
+        let payload = take_payload(&mut conn.read_buf, &mut consumed, len);
+        let msg = match Message::decode_payload(t, payload) {
             Ok(m) => m,
             Err(_) => {
                 fate = ConnFate::Protocol;
                 break;
             }
         };
-        consumed += total;
         match handle_message(id, conn, inner, job_tx, queue_capacity, max_pipeline, msg) {
             HandleResult::Continue => {}
             HandleResult::Drain { rid } => {
@@ -605,9 +609,40 @@ fn handle_readable(
     if consumed > 0 {
         conn.read_buf.drain(..consumed);
     }
+    // One large frame must not pin its capacity for the connection's life.
+    if conn.read_buf.is_empty() && conn.read_buf.capacity() > READ_BUF_KEEP {
+        conn.read_buf = Vec::new();
+    }
     // EOF with dangling bytes means the peer died mid-frame; that is a
     // connection loss, not a protocol error (matches the old reader).
     fate
+}
+
+/// A read buffer keeps at most this much capacity once it drains.
+const READ_BUF_KEEP: usize = 1 << 20;
+
+/// Frames with payloads at least this large are handed to the decoder in
+/// the read buffer's own allocation instead of a copy.
+const TAKE_PAYLOAD_MIN: usize = 64 * 1024;
+
+/// Takes the payload of the complete, checked frame at `read_buf[*consumed..]`
+/// (`len` payload bytes) and advances `consumed` past the frame. A small
+/// payload is copied out. A large one — a model registration — is not:
+/// the bytes after the frame move to a fresh read buffer, and the old
+/// allocation becomes the payload, its cursor past everything before it.
+fn take_payload(read_buf: &mut Vec<u8>, consumed: &mut usize, len: usize) -> bytes::Bytes {
+    let start = *consumed + HEADER_LEN;
+    if len < TAKE_PAYLOAD_MIN {
+        *consumed += HEADER_LEN + len + 8;
+        return bytes::Bytes::from_vec(read_buf[start..start + len].to_vec());
+    }
+    let rest = read_buf.split_off(start + len + 8);
+    let mut frame = std::mem::replace(read_buf, rest);
+    frame.truncate(start + len);
+    *consumed = 0;
+    let mut payload = bytes::Bytes::from_vec(frame);
+    bytes::Buf::advance(&mut payload, start);
+    payload
 }
 
 enum HandleResult {

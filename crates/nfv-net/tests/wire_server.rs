@@ -47,18 +47,28 @@ fn explain_request(model_id: &str) -> ExplainRequest {
 
 /// A registration the server cannot accept must come back as the typed
 /// `RegisterErr` — not as an `ExplainReply` wearing an error — and leave
-/// the shard serving. Three refusals: JSON that is no model, a forest
+/// the shard serving. Five refusals: JSON that is no model; a forest
 /// whose root names itself as both children (packing it used to overflow
-/// the event loop's stack and abort the process), and a structurally valid
+/// the event loop's stack and abort the process); a structurally valid
 /// chain of 30 000 levels, a ~6 MB frame (its first tree-shap request used
-/// to ask for 28.8 GB of path arena and abort the process). Sent raw so
-/// the assertions are on the wire messages themselves, not on the client's
-/// (intentionally lenient) decoding.
+/// to ask for 28.8 GB of path arena and abort the process); 100 000 `[`,
+/// which the recursive JSON parser followed until the event loop's stack
+/// overflowed; and a node without its `threshold`, which used to read as
+/// a NaN split. A good model registered afterwards is explained. Sent raw
+/// so the assertions are on the wire messages themselves, not on the
+/// client's (intentionally lenient) decoding.
 #[test]
 fn register_failure_replies_with_typed_register_err() {
     const CYCLIC_FOREST: &str = r#"{"Forest":{"trees":[{"nodes":[{"feature":0,"threshold":0.0,
         "left":0,"right":0,"value":0.0,"cover":1.0,"is_leaf":false}],"n_features":1,
         "task":"Regression"}],"n_features":1,"task":"Regression"}}"#;
+    const NO_THRESHOLD: &str = r#"{"Forest":{"trees":[{"nodes":[{"feature":0,
+        "left":1,"right":2,"value":0.0,"cover":2.0,"is_leaf":false},{"feature":0,
+        "threshold":0.0,"left":0,"right":0,"value":1.0,"cover":1.0,"is_leaf":true},
+        {"feature":0,"threshold":0.0,"left":0,"right":0,"value":2.0,"cover":1.0,
+        "is_leaf":true}],"n_features":1,"task":"Regression"}],"n_features":1,
+        "task":"Regression"}}"#;
+    let brackets = "[".repeat(100_000);
     let node = |left, right, cover: u32, is_leaf| TreeNode {
         feature: 0,
         threshold: 0.0,
@@ -98,6 +108,8 @@ fn register_failure_replies_with_typed_register_err() {
         ("this is not a model", "model json"),
         (CYCLIC_FOREST, "tree 0"),
         (&deep_chain, "levels"),
+        (&brackets, "nesting deeper than 128"),
+        (NO_THRESHOLD, "missing field `threshold`"),
     ] {
         let reply = rpc(Message::Register(WireRegister {
             rid: 9,
@@ -121,6 +133,42 @@ fn register_failure_replies_with_typed_register_err() {
     match rpc(Message::Health { rid: 10 }) {
         Message::HealthOk(h) => assert_eq!((h.rid, h.protocol_errors), (10, 0)),
         other => panic!("expected HealthOk, got {:?}", other.msg_type()),
+    }
+    let synth = friedman1(80, 5, 0.1, 3).unwrap();
+    let good = Gbdt::fit(
+        &synth.data,
+        &GbdtParams {
+            n_rounds: 3,
+            ..Default::default()
+        },
+        0,
+    )
+    .unwrap();
+    let reply = rpc(Message::Register(WireRegister {
+        rid: 11,
+        model_id: "good".into(),
+        model_json: serde_json::to_string(&ServeModel::Gbdt(good)).unwrap(),
+        feature_names: synth.data.names.clone(),
+        background_rows: (0..8).map(|i| synth.data.row(i).to_vec()).collect(),
+        method_configs: Vec::new(),
+    }));
+    assert!(
+        matches!(reply, Message::RegisterOk { rid: 11, .. }),
+        "expected RegisterOk, got {:?}",
+        reply.msg_type()
+    );
+    match rpc(Message::Explain(WireRequest {
+        rid: 12,
+        model_id: "good".into(),
+        features: synth.data.row(0).to_vec(),
+        method: ExplainMethod::TreeShap,
+        budget_ns: 30_000_000_000,
+    })) {
+        Message::ExplainReply(r) => {
+            assert_eq!(r.rid, 12);
+            assert!(r.outcome.is_ok(), "explain failed: {:?}", r.outcome.err());
+        }
+        other => panic!("expected ExplainReply, got {:?}", other.msg_type()),
     }
     server.stop();
     server.join();
