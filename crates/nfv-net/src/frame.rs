@@ -208,12 +208,11 @@ fn header(t: MsgType, len: usize) -> [u8; HEADER_LEN] {
     h
 }
 
-/// Assembles one frame into a byte vector (header, payload, checksum).
+/// Assembles one frame into a byte vector (header, payload, checksum): the
+/// bytes [`write_frame`] sends, written by it.
 pub fn encode_frame(t: MsgType, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
-    frame.extend_from_slice(&header(t, payload.len()));
-    frame.extend_from_slice(payload);
-    frame.extend_from_slice(&wire::fnv1a(payload).to_le_bytes());
+    write_frame(&mut frame, t, payload).expect("Vec write is infallible");
     frame
 }
 

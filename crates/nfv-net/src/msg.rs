@@ -423,23 +423,7 @@ impl Message {
     /// Encodes the payload bytes (frame header and checksum are added by
     /// [`crate::frame::write_frame`]).
     pub fn encode_payload(&self) -> Vec<u8> {
-        // A registration carries a multi-MB model: size the buffer for it
-        // once rather than doubling through it.
-        let mut buf = match self {
-            Message::Register(r) => BytesMut::with_capacity(
-                64 + r.model_json.len()
-                    + r.feature_names.iter().map(|n| 4 + n.len()).sum::<usize>()
-                    + r.background_rows
-                        .iter()
-                        .map(|row| 4 + 8 * row.len())
-                        .sum::<usize>()
-                    + r.method_configs
-                        .iter()
-                        .map(|(n, _)| 12 + n.len())
-                        .sum::<usize>(),
-            ),
-            _ => BytesMut::new(),
-        };
+        let mut buf = BytesMut::new();
         match self {
             Message::Explain(r) => {
                 buf.put_u64_le(r.rid);

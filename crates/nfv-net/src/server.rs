@@ -609,20 +609,14 @@ fn handle_readable(
     if consumed > 0 {
         conn.read_buf.drain(..consumed);
     }
-    // One large frame must not pin its capacity for the connection's life.
-    if conn.read_buf.is_empty() && conn.read_buf.capacity() > READ_BUF_KEEP {
-        conn.read_buf = Vec::new();
-    }
     // EOF with dangling bytes means the peer died mid-frame; that is a
     // connection loss, not a protocol error (matches the old reader).
     fate
 }
 
-/// A read buffer keeps at most this much capacity once it drains.
-const READ_BUF_KEEP: usize = 1 << 20;
-
 /// Frames with payloads at least this large are handed to the decoder in
-/// the read buffer's own allocation instead of a copy.
+/// the read buffer's own allocation instead of a copy. An explain frame is
+/// a few hundred bytes and a registration megabytes (DESIGN §19.5).
 const TAKE_PAYLOAD_MIN: usize = 64 * 1024;
 
 /// Takes the payload of the complete, checked frame at `read_buf[*consumed..]`
