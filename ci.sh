@@ -29,9 +29,19 @@ done
 # `recv_timeout` or `sleep` in the gather or the worker loop (outside
 # #[cfg(test)]) puts a timer back on every request's path.
 echo "==> no-timer check (no recv_timeout / sleep on the request path)"
-for f in crates/nfv-serve/src/batcher.rs crates/nfv-serve/src/worker.rs; do
-  if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'recv_timeout\|sleep'; then
-    echo "FAIL: $f waits on a timer; gather what is queued and go"
+f=crates/nfv-serve/src/worker.rs
+if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'recv_timeout\|sleep'; then
+  echo "FAIL: $f waits on a timer; gather what is queued and go"
+  exit 1
+fi
+
+# One-routing-signal invariant: a worker plans every job into its block and
+# runs alone the ones whose plan refuses. A `.fusable()` call in the serving
+# crate (outside #[cfg(test)]) is a second routing rule beside the refusal.
+echo "==> one-routing-signal check (no .fusable() in nfv-serve/src)"
+for f in crates/nfv-serve/src/*.rs; do
+  if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n '\.fusable()'; then
+    echo "FAIL: $f routes on fusable(); a plan refusal is the only routing signal"
     exit 1
   fi
 done

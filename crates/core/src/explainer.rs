@@ -26,9 +26,9 @@
 //! evaluates no rows; `interactions` enumerates its `2^d` coalitions
 //! through the chunked [`Background::coalition_values_into`] and has no
 //! plan/finish split; PDP/counterfactual produce non-attribution
-//! artifacts and stay free functions) implement only
-//! [`Explainer::direct`] and report [`Explainer::fusable`]` == false`;
-//! the scheduler routes them around the fusion block.
+//! artifacts and stay free functions) refuse in [`Explainer::plan`] and
+//! implement [`Explainer::direct`]; a scheduler serves a request whose plan
+//! refuses through `direct()`, alone.
 //!
 //! [`Explainer::direct`] *is* that pipeline for one request: the default
 //! implementation plans into the workspace's own block, evaluates it and
@@ -162,8 +162,9 @@ pub trait Explainer: Send + Sync {
     /// [`Attribution`] family, e.g. `"kernel-shap"`).
     fn tag(&self) -> &'static str;
 
-    /// Whether this method can plan into a shared [`FusedBlock`]. The
-    /// scheduler only calls [`Explainer::plan`] when this is `true`.
+    /// Whether this method can plan into a shared [`FusedBlock`]. No
+    /// scheduler reads it: the serving worker plans every request and runs
+    /// alone the ones whose [`Explainer::plan`] refuses.
     fn fusable(&self) -> bool {
         true
     }

@@ -79,12 +79,11 @@ impl Default for ServeConfig {
 const REFINE_QUEUE: usize = 64;
 
 /// What remains of the fusion scheduler's policy. The rule itself is code
-/// (`worker.rs`): two or more co-queued plan-capable jobs of one model —
-/// the Shapley family and per-instance permutation, methods and budgets
-/// mixed — stack their composite rows into one shared block and one
-/// `predict_block` call; a lone job runs the same plan → evaluate → finish
-/// pipeline on its own. Either way the answer has the same bits: stacking
-/// changes *which call* evaluates a composite row, never its arithmetic.
+/// (`worker.rs`): every co-queued job of one model plans into the worker's
+/// block — methods and budgets mixed, a lone job included — and one
+/// `predict_block` call evaluates it; a job whose plan refuses runs alone.
+/// Stacking changes *which call* evaluates a composite row, never its
+/// arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionPolicy {
     /// Row count a fused group *aims* for — the denominator of the

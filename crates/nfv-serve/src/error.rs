@@ -112,7 +112,8 @@ pub enum ServeError {
     Rejected(RejectReason),
     /// The underlying explainer failed.
     Explain(XaiError),
-    /// Engine-internal failure (worker died, response channel broken).
+    /// Engine-internal failure (an explainer panicked, a response channel
+    /// broke).
     Internal(String),
     /// The cluster router refused the operation itself (membership or a
     /// diverged registration history) — no shard was asked.

@@ -24,15 +24,14 @@
 //! - a **bounded MPMC queue** with admission control: when the queue is
 //!   full or a deadline is infeasible the request is *rejected with a
 //!   reason*, never silently delayed (backpressure, not buffer bloat),
-//! - a **worker pool** that micro-batches compatible requests and runs the
-//!   explainers with a persistent per-worker coalition arena (steady-state
-//!   serving does not allocate on the hot path) against the registry's
-//!   packed SoA tree engine,
-//! - a **coalition fusion scheduler**: the coalition matrices of several
-//!   queued same-model *plan-capable* requests — methods and budgets mixed
-//!   — are stacked into one shared evaluation block and answered by a
-//!   single `predict_block` call; a lone request runs the same pipeline
-//!   by itself, so an answer has the same bits either way,
+//! - a **worker pool** with one pipeline: a worker takes the backlog it
+//!   finds, plans every request of a model — methods and budgets mixed, a
+//!   lone request included — into its persistent shared block, evaluates
+//!   the block with one `predict_block` call against the registry's packed
+//!   SoA tree engine and finishes each plan; a request whose plan refuses
+//!   (TreeSHAP, `interactions`) runs alone. Where a request's rows were
+//!   stacked never changes its bits, and steady-state serving does not
+//!   allocate on the hot path,
 //! - **single-flight cache fills**: concurrent identical misses elect one
 //!   leader to compute; followers wait for its result instead of
 //!   duplicating the evaluation,
@@ -85,16 +84,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod cache;
 pub mod cluster;
 pub mod engine;
 pub mod error;
 pub mod metrics;
-pub mod queue;
+mod queue;
 pub mod registry;
 pub mod request;
-pub mod worker;
+mod worker;
 
 pub use engine::{Engine, FusionPolicy, ServeConfig};
 

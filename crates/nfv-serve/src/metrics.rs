@@ -120,15 +120,16 @@ pub struct Metrics {
     pub rejected_invalid: AtomicU64,
     /// Rejects: method id no registered method answers to.
     pub rejected_unknown_method: AtomicU64,
-    /// Explainer errors surfaced to callers.
+    /// Explainer errors surfaced to callers, contained explainer panics
+    /// included.
     pub explain_errors: AtomicU64,
     /// Cache hits (client fast path + worker recheck).
     pub cache_hits: AtomicU64,
     /// Cache misses that went to the explainers.
     pub cache_misses: AtomicU64,
-    /// Worker batches executed (compatible groups, size ≥ 1).
+    /// Batches workers took off the queue (one per gather, size ≥ 1).
     pub batches: AtomicU64,
-    /// Requests explained inside those batches.
+    /// Jobs those batches held (queue-time hits and expiries included).
     pub batched_requests: AtomicU64,
     /// Largest batch observed.
     pub max_batch: AtomicU64,
@@ -144,9 +145,10 @@ pub struct Metrics {
     /// The fusion row target configured at engine start (denominator of
     /// the fill ratio; 0 when fusion is disabled).
     pub fused_target_rows: AtomicU64,
-    /// Composite rows the fused-block adjacent-dedup pass skipped (rows
+    /// Composite rows the worker block's adjacent-dedup pass skipped (rows
     /// that were bit-identical to their predecessor and reused its
-    /// prediction instead of being evaluated).
+    /// prediction instead of being evaluated) — a lone request's plan
+    /// included, only `direct()` runs excluded.
     pub dedup_rows_saved: AtomicU64,
     /// Requests answered by another request's in-flight computation
     /// (single-flight dedup followers).
@@ -475,7 +477,7 @@ pub struct ServeStats {
     pub rejected_invalid: u64,
     /// Rejects: method id no registered method answers to.
     pub rejected_unknown_method: u64,
-    /// Explainer errors.
+    /// Explainer errors, contained explainer panics included.
     pub explain_errors: u64,
     /// Cache hits.
     pub cache_hits: u64,
@@ -483,9 +485,9 @@ pub struct ServeStats {
     pub cache_misses: u64,
     /// hits / (hits + misses), 0 when no lookups.
     pub cache_hit_rate: f64,
-    /// Batches executed.
+    /// Batches workers took off the queue (one per gather).
     pub batches: u64,
-    /// Requests explained inside batches.
+    /// Jobs those batches held (queue-time hits and expiries included).
     pub batched_requests: u64,
     /// batched_requests / batches.
     pub mean_batch_size: f64,
@@ -501,8 +503,9 @@ pub struct ServeStats {
     /// fused blocks fill toward the SoA pack breakeven (0 when fusion is
     /// off or no group has run).
     pub fused_fill_ratio: f64,
-    /// Composite rows skipped by the fused-block adjacent-dedup pass
-    /// (bit-identical to their predecessor; prediction reused).
+    /// Composite rows skipped by the worker block's adjacent-dedup pass
+    /// (bit-identical to their predecessor; prediction reused), a lone
+    /// request's plan included.
     pub dedup_rows_saved: u64,
     /// Requests answered by another request's in-flight computation.
     pub single_flight_hits: u64,

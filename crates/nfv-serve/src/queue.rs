@@ -22,7 +22,7 @@ pub struct Job {
     /// Cache identity (also the seed source).
     pub key: CacheKey,
     /// The request's method, resolved against `entry` once, at admission;
-    /// the worker routes on its fusability and runs it.
+    /// the worker plans it into its block or runs it alone.
     pub explainer: Box<dyn Explainer>,
     /// When the job was admitted (queue-wait measurement + deadline base).
     pub admitted: Instant,
@@ -74,11 +74,6 @@ impl JobQueue {
     /// admission sees dequeued-but-unfinished work.
     pub fn in_flight_handle(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.in_flight)
-    }
-
-    /// Jobs dequeued by workers but not yet answered.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
     }
 
     /// Admission: feasibility check, then a non-blocking enqueue.
@@ -153,16 +148,6 @@ impl JobQueue {
     /// Jobs currently queued.
     pub fn len(&self) -> usize {
         self.tx.len()
-    }
-
-    /// True when no jobs are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -256,8 +241,7 @@ mod tests {
         // backlog saw 0 queued and wrongly admitted.
         m.observe_service_ns(10_000_000);
         q.in_flight_handle().store(3, Ordering::Relaxed);
-        assert_eq!(q.in_flight(), 3);
-        assert!(q.is_empty(), "nothing queued; pressure is all in-flight");
+        assert_eq!(q.len(), 0, "nothing queued; pressure is all in-flight");
         let (reason, _) = q
             .admit(test_job(Duration::from_millis(25)), &m)
             .unwrap_err();

@@ -354,12 +354,13 @@ pub struct ExplainResponse {
     pub model_version: u64,
     /// True when served from the cache without touching the queue/workers.
     pub cache_hit: bool,
-    /// Size of the worker batch this request was explained in (1 for cache
-    /// hits and singleton batches).
+    /// Requests that shared this answer's evaluation block; 1 when the
+    /// request ran alone (its plan refused) and for cache hits.
     pub batch_size: usize,
     /// Time spent queued before a worker picked the request up.
     pub queue_wait: Duration,
-    /// Explainer compute time attributed to this request's batch group.
+    /// Compute time attributed to this request: its share, by rows, of its
+    /// block's evaluation and finish, or its own run when it ran alone.
     pub service_time: Duration,
     /// How faithful this answer is to the exact full-budget result.
     pub fidelity: Fidelity,

@@ -1,29 +1,41 @@
-//! Worker threads: pull jobs, micro-batch them, run the explainers, fill
-//! the cache, and answer the waiting clients.
+//! Worker threads: take what is queued, plan it into one shared block, run
+//! the explainers, fill the cache, and answer the waiting clients.
 //!
-//! Dispatch is generic: a job's method resolves to a `Box<dyn Explainer>`
-//! once, at admission (via [`crate::registry::ModelEntry::explainer`]), and
-//! everything after that — the fusion scheduler's fusability check, direct
-//! execution, coalition planning, fused finishing — is trait dispatch. No
-//! per-method `match` exists in this module, so a new method added to the
-//! registry is served, batched, *and fused* with no scheduler change.
+//! One pipeline. A worker takes the backlog it finds (never waiting for
+//! companions) and splits it by model. Every live job of a model group —
+//! methods and budgets mixed, a group of one included — plans into the
+//! worker's [`FusedBlock`] through its own [`Explainer::plan`]; the block is
+//! evaluated by one `predict_block` call and each plan is finished. A job
+//! whose plan refuses (TreeSHAP, `interactions`, an exact or grouped
+//! enumeration past the workspace chunk, a malformed request) runs alone
+//! through `direct()` on the worker's workspace. That refusal is the only
+//! routing signal: a job's method resolves to a `Box<dyn Explainer>` once,
+//! at admission (via [`crate::registry::ModelEntry::explainer`]), and no
+//! per-method `match` exists here, so a method added to the registry is
+//! served and fused with no scheduler change.
 //!
 //! Determinism: stochastic explainers get a seed derived from the request's
 //! *content* (cache key hash mixed with the engine seed), never from
-//! arrival order, thread id, or batch composition. The same request on the
-//! same engine therefore yields bit-for-bit the same attribution no matter
-//! how it was batched.
+//! arrival order, thread id, or batch composition; a plan's rows and its
+//! reduction do not depend on what else is in the block, and the default
+//! `direct()` is plan → evaluate → finish on a block of one. The same
+//! request therefore has the same bits however it was batched.
 //!
-//! Allocation: each worker owns one [`CoalitionWorkspace`] (whose block a
-//! lone request runs on) and one [`FusedBlock`] (which a group stacks
-//! into) for its whole lifetime. Both grow to their high-water mark during
-//! the first few requests and are then reused verbatim, so steady-state
-//! serving does not allocate on the coalition hot path. Model evaluation
-//! inside that path goes through
-//! [`crate::registry::ModelEntry::explain_regressor`], i.e. the packed SoA
-//! engine for tree ensembles.
+//! Exits: every gathered job leaves through [`deliver`] exactly once — a
+//! deadline drop, a queue-time hit, a computed answer or an error — which
+//! resolves its single-flight entry, settles the in-flight count and
+//! replies. A panic in explainer code is contained and answers the jobs it
+//! took down with [`ServeError::Internal`]; a job dropped unanswered (an
+//! unwind nothing contained) is answered the same way by its [`Owed`]
+//! guard, so no exit strands a single-flight follower.
+//!
+//! Allocation: each worker owns one [`CoalitionWorkspace`] and one
+//! [`FusedBlock`] for its whole lifetime, reused verbatim once grown (and
+//! reset only after a contained panic), so steady-state serving does not
+//! allocate on the coalition hot path. Models are evaluated through
+//! [`crate::registry::ModelEntry::explain_regressor`] (the packed SoA
+//! engine for tree ensembles).
 
-use crate::batcher::{gather, group_compatible, group_same_model};
 use crate::cache::ShardedCache;
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::Metrics;
@@ -32,6 +44,8 @@ use crate::registry::ModelEntry;
 use crate::request::{request_seed, service_class_key, ExplainResponse, Fidelity};
 use crossbeam::channel::Receiver;
 use nfv_xai::prelude::*;
+use std::ops::Deref;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -68,28 +82,57 @@ pub fn spawn_workers(n: usize, rx: Receiver<Job>, ctx: Arc<WorkerContext>) -> Ve
 }
 
 fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerContext>) {
-    // The worker's arenas: persist across every micro-batch this thread
-    // ever serves (not per-group), which is what makes steady state
-    // allocation-free. Seeding keeps results independent of which worker
-    // got the job, so reuse is invisible to callers.
+    // The worker's arenas persist across every batch this thread serves,
+    // which is what makes steady state allocation-free. Seeding keeps
+    // results independent of which worker got the job.
     let mut ws = CoalitionWorkspace::default();
     let mut block = FusedBlock::default();
     while let Ok(first) = rx.recv() {
         let batch = gather(&rx, first, ctx.max_batch);
         // Everything gathered is now invisible to the channel length;
-        // count it as in-flight until each group's responses are sent, so
-        // admission keeps seeing the work.
+        // count it as in-flight until `deliver` answers it, so admission
+        // keeps seeing the work.
         ctx.in_flight
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        // Grouped by model identity only (methods mixed): every job in a
-        // group shares one regressor, so coalition plans can stack into
-        // one shared evaluation block.
-        for group in group_same_model(batch) {
-            let n = group.len() as u64;
+        ctx.metrics.record_batch(batch.len());
+        // From here on every job is owed an answer, whatever unwinds.
+        let groups: Vec<Vec<Owed<'_>>> = group_same_model(batch)
+            .into_iter()
+            .map(|group| group.into_iter().map(|job| Owed::new(job, &ctx)).collect())
+            .collect();
+        for group in groups {
             process_model_group(group, &ctx, &mut ws, &mut block);
-            ctx.in_flight.fetch_sub(n, Ordering::Relaxed);
         }
     }
+}
+
+/// One worker cycle's batch: `first` plus whatever is already queued behind
+/// it, up to `max_batch` jobs in FIFO order. Batches form from backlog,
+/// never from a timer: this never blocks — the queued jobs are taken under
+/// one lock acquisition of the channel — so a request that finds an idle
+/// worker starts at once.
+fn gather(rx: &Receiver<Job>, first: Job, max_batch: usize) -> Vec<Job> {
+    let mut jobs = vec![first];
+    rx.try_recv_many(max_batch.saturating_sub(1), &mut jobs);
+    jobs
+}
+
+/// Splits a gathered batch by model identity — same model id and version,
+/// methods mixed — preserving first-seen order. Every job in a group shares
+/// one `Regressor`, so their plans can stack into one block.
+fn group_same_model(jobs: Vec<Job>) -> Vec<Vec<Job>> {
+    let mut groups: Vec<Vec<Job>> = Vec::new();
+    for job in jobs {
+        let slot = groups.iter_mut().find(|g| {
+            let k = &g[0].key;
+            k.model_id == job.key.model_id && k.model_version == job.key.model_version
+        });
+        match slot {
+            Some(g) => g.push(job),
+            None => groups.push(vec![job]),
+        }
+    }
+    groups
 }
 
 /// Builds the [`ExplainContext`] for one job against its resolved entry:
@@ -121,32 +164,150 @@ pub(crate) fn explain_one(
         .map(|attr| entry.share_names(attr))
 }
 
+/// Runs explainer code — a `plan`, `finish` or `direct`, or the model
+/// under `evaluate` — with its unwind contained: a panic becomes
+/// [`ServeError::Internal`] for the job it took down, and the worker lives
+/// on. An explainer's own error stays [`ServeError::Explain`].
+fn contain<T>(f: impl FnOnce() -> Result<T, XaiError>) -> Result<T, ServeError> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(result) => result.map_err(ServeError::Explain),
+        Err(payload) => {
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            Err(ServeError::Internal(format!("explainer panicked: {what}")))
+        }
+    }
+}
+
+/// A gathered job the worker still owes an answer. [`Owed::answer`] hands
+/// it to [`deliver`]; one dropped unanswered is answered `Internal` through
+/// the same `deliver` on the way out.
+struct Owed<'a> {
+    /// `None` once answered.
+    job: Option<Job>,
+    ctx: &'a WorkerContext,
+}
+
+impl<'a> Owed<'a> {
+    fn new(job: Job, ctx: &'a WorkerContext) -> Self {
+        Owed {
+            job: Some(job),
+            ctx,
+        }
+    }
+
+    fn answer(mut self, outcome: Result<ExplainResponse, ServeError>) {
+        if let Some(job) = self.job.take() {
+            deliver(job, outcome, self.ctx);
+        }
+    }
+
+    /// Answers a job its explainer ran for and feeds its service time to
+    /// its class estimate. A computed attribution fills the cache first:
+    /// workers always run the full budget, so this is a full-grade write
+    /// that upgrades any coarse anytime entry in place.
+    fn computed(
+        self,
+        result: Result<Attribution, ServeError>,
+        batch_size: usize,
+        service: Duration,
+        now: Instant,
+    ) {
+        let class = service_class_key(self.key.model_version, self.key.method);
+        self.ctx
+            .metrics
+            .observe_service_class_ns(class, nanos(service));
+        let outcome = result.map(|attr| {
+            let attr = Arc::new(attr);
+            self.ctx.cache.insert(self.key.clone(), Arc::clone(&attr));
+            ExplainResponse {
+                attribution: attr,
+                model_version: self.key.model_version,
+                cache_hit: false,
+                batch_size,
+                queue_wait: now.duration_since(self.admitted),
+                service_time: service,
+                fidelity: Fidelity::Exact,
+            }
+        });
+        self.answer(outcome);
+    }
+}
+
+impl Deref for Owed<'_> {
+    type Target = Job;
+    fn deref(&self) -> &Job {
+        self.job
+            .as_ref()
+            .expect("an owed job is read before it is answered")
+    }
+}
+
+impl Drop for Owed<'_> {
+    fn drop(&mut self) {
+        if let Some(job) = self.job.take() {
+            let dropped = ServeError::Internal("the worker dropped the job unanswered".into());
+            deliver(job, Err(dropped), self.ctx);
+        }
+    }
+}
+
+/// The one exit of a gathered job: resolves its single-flight entry (the
+/// followers get the answer, or `None` and compute on their own), books
+/// the outcome, settles the in-flight count and replies.
+fn deliver(job: Job, outcome: Result<ExplainResponse, ServeError>, ctx: &WorkerContext) {
+    let m = &ctx.metrics;
+    match &outcome {
+        Ok(resp) => {
+            let shared = (Arc::clone(&resp.attribution), resp.fidelity);
+            ctx.cache.complete_flight(&job.key, Some(shared));
+            m.completed.fetch_add(1, Ordering::Relaxed);
+            m.queue_wait.record(resp.queue_wait);
+            if !resp.cache_hit {
+                m.service.record(resp.service_time);
+            }
+            m.total.record(resp.queue_wait + resp.service_time);
+        }
+        Err(e) => {
+            ctx.cache.complete_flight(&job.key, None);
+            let counter = if e.is_reject() {
+                &m.rejected_deadline_expired
+            } else {
+                &m.explain_errors
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    ctx.in_flight.fetch_sub(1, Ordering::Relaxed);
+    let _ = job.respond.send(outcome);
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
 /// Drops deadline-expired jobs and answers queue-time cache hits, returning
-/// the jobs that still need computing. Every job that exits here resolves
-/// its single-flight entry (expired → `None`, hit → the attribution), so
-/// followers are never left waiting on a job that will not run.
-fn prefilter(group: Vec<Job>, ctx: &WorkerContext, now: Instant) -> Vec<Job> {
-    let mut live: Vec<Job> = Vec::with_capacity(group.len());
+/// the jobs that still need computing.
+fn prefilter<'a>(group: Vec<Owed<'a>>, ctx: &WorkerContext, now: Instant) -> Vec<Owed<'a>> {
+    let mut live = Vec::with_capacity(group.len());
     for job in group {
         // Drop requests whose budget burned away in the queue: answering
         // late is worse than answering "no" (the caller's deadline passed).
         let waited = now.duration_since(job.admitted);
-        if waited > job.request.budget {
-            ctx.metrics
-                .rejected_deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
-            ctx.cache.complete_flight(&job.key, None);
-            let _ = job
-                .respond
-                .send(Err(ServeError::Rejected(RejectReason::DeadlineExpired {
-                    waited_us: waited.as_micros().min(u64::MAX as u128) as u64,
-                    budget_us: job.request.budget.as_micros().min(u64::MAX as u128) as u64,
-                })));
+        let budget = job.request.budget;
+        if waited > budget {
+            job.answer(Err(ServeError::Rejected(RejectReason::DeadlineExpired {
+                waited_us: nanos(waited) / 1_000,
+                budget_us: nanos(budget) / 1_000,
+            })));
             continue;
         }
         // Re-check the cache: an identical request may have been explained
         // while this one sat in the queue.
-        if let Some((attr, fidelity)) = ctx.cache.get(&job.key) {
+        if let Some((attribution, fidelity)) = ctx.cache.get(&job.key) {
             ctx.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             if matches!(
                 fidelity,
@@ -154,14 +315,10 @@ fn prefilter(group: Vec<Job>, ctx: &WorkerContext, now: Instant) -> Vec<Job> {
             ) {
                 ctx.metrics.quantized_hits.fetch_add(1, Ordering::Relaxed);
             }
-            ctx.metrics.completed.fetch_add(1, Ordering::Relaxed);
-            ctx.metrics.queue_wait.record(waited);
-            ctx.metrics.total.record(waited);
-            ctx.cache
-                .complete_flight(&job.key, Some((Arc::clone(&attr), fidelity)));
-            let _ = job.respond.send(Ok(ExplainResponse {
-                attribution: attr,
-                model_version: job.key.model_version,
+            let model_version = job.key.model_version;
+            job.answer(Ok(ExplainResponse {
+                attribution,
+                model_version,
                 cache_hit: true,
                 batch_size: 1,
                 queue_wait: waited,
@@ -175,216 +332,251 @@ fn prefilter(group: Vec<Job>, ctx: &WorkerContext, now: Instant) -> Vec<Job> {
     live
 }
 
-/// Answers one job that produced `result`: fills the cache, resolves the
-/// job's single-flight entry, records latency metrics, and responds.
-fn deliver(
-    job: Job,
-    result: Result<Attribution, XaiError>,
-    batch_size: usize,
-    service: Duration,
-    now: Instant,
-    ctx: &WorkerContext,
-) {
-    match result {
-        Ok(attr) => {
-            let attr = Arc::new(attr);
-            // Workers always run the full budget, so this insert is a
-            // full-grade write: it upgrades any coarse anytime entry for
-            // the same key in place.
-            ctx.cache.insert(job.key.clone(), Arc::clone(&attr));
-            ctx.cache
-                .complete_flight(&job.key, Some((Arc::clone(&attr), Fidelity::Exact)));
-            let waited = now.duration_since(job.admitted);
-            ctx.metrics.queue_wait.record(waited);
-            ctx.metrics.service.record(service);
-            ctx.metrics.total.record(waited + service);
-            ctx.metrics.completed.fetch_add(1, Ordering::Relaxed);
-            let _ = job.respond.send(Ok(ExplainResponse {
-                attribution: attr,
-                model_version: job.key.model_version,
-                cache_hit: false,
-                batch_size,
-                queue_wait: waited,
-                service_time: service,
-                fidelity: Fidelity::Exact,
-            }));
-        }
-        Err(e) => {
-            ctx.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
-            ctx.cache.complete_flight(&job.key, None);
-            let _ = job.respond.send(Err(ServeError::Explain(e)));
-        }
-    }
-}
-
-/// Executes one *compatible* group (same model, version, and method) that
-/// is not stacking into a shared block: explain jobs one by one against
-/// the shared entry, each through the `direct()` of the explainer it was
-/// admitted with.
-fn execute_compatible(live: Vec<Job>, ctx: &WorkerContext, ws: &mut CoalitionWorkspace) {
-    let now = Instant::now();
-    ctx.metrics.record_batch(live.len());
-    ctx.metrics
-        .cache_misses
-        .fetch_add(live.len() as u64, Ordering::Relaxed);
-
-    // Compatibility groups share (model id, version, method), so entry
-    // and service class are group-wide constants.
-    let entry = Arc::clone(&live[0].entry);
-    let class = service_class_key(live[0].key.model_version, live[0].key.method);
-
-    // Explain in admission order, straight off each job's own feature
-    // buffer — no instance/name/seed staging vectors. The worker arena is
-    // threaded through, and a failure is scoped to its own request instead
-    // of failing the whole group.
-    let t0 = Instant::now();
-    let results: Vec<Result<Attribution, XaiError>> = live
-        .iter()
-        .map(|job| {
-            let seed = request_seed(ctx.seed, job.key.stable_hash());
-            explain_one(
-                &entry,
-                &*job.explainer,
-                &job.request.features,
-                seed,
-                &mut *ws,
-            )
-        })
-        .collect();
-    let service = t0.elapsed();
-    let per_request_ns = (service.as_nanos() / live.len() as u128).min(u64::MAX as u128) as u64;
-    ctx.metrics.observe_service_class_ns(class, per_request_ns);
-
-    let batch_size = live.len();
-    for (job, result) in live.into_iter().zip(results) {
-        deliver(job, result, batch_size, service, now, ctx);
-    }
-}
-
-/// Hard per-block row cap: [`execute_fused`] flushes (evaluates and
-/// finishes the jobs planned so far) on reaching it, bounding the arena's
-/// high-water mark at this plus one plan's rows.
+/// Hard per-block row cap: a group flushes (evaluates and finishes the jobs
+/// planned so far) on reaching it, bounding the arena's high-water mark at
+/// this plus one plan's rows.
 const MAX_FUSED_ROWS: usize = 16_384;
 
-/// The fusion scheduler: one *model* group (same model id + version,
-/// methods mixed). Two or more jobs whose explainers are plan-capable —
-/// the whole Shapley family, per-instance permutation and LIME — are
-/// planned into the shared [`FusedBlock`] and evaluated by a single
-/// `predict_block` call spanning every request's rows. A lone one has
-/// nothing to stack with and runs `direct()`, the same pipeline on the
-/// workspace's block; non-fusable methods (TreeSHAP, `interactions`) run
-/// `direct()` too, and so does a job whose plan refused to stack (an
-/// exact or grouped enumeration past the workspace chunk, or a malformed
-/// request, which `direct()`'s identical guards answer).
-///
-/// Determinism: a plan's rows and its reduction do not depend on what else
-/// is in the block, and the block evaluates each row with the same
-/// row-pure kernel — so an answer has the same bits however its request
-/// was grouped (enforced by core property tests and the serve integration
-/// tests).
+/// Serves one model group (same model id + version, methods mixed): plans
+/// every live job into the shared block, flushing whenever the stacked rows
+/// reach [`MAX_FUSED_ROWS`] (a plan is appended before the check), then
+/// runs the jobs whose plan refused alone. A refusal, an error or a panic
+/// is scoped to its own request: the rest of the group still stacks.
 fn process_model_group(
-    group: Vec<Job>,
+    group: Vec<Owed<'_>>,
     ctx: &WorkerContext,
     ws: &mut CoalitionWorkspace,
     block: &mut FusedBlock,
 ) {
     let live = prefilter(group, ctx, Instant::now());
-    let (fusable, rest): (Vec<Job>, Vec<Job>) =
-        live.into_iter().partition(|job| job.explainer.fusable());
-    let mut alone = if fusable.len() >= 2 {
-        execute_fused(fusable, ctx, ws, block)
-    } else {
-        fusable
+    let Some(first) = live.first() else {
+        return;
     };
-    alone.extend(rest);
-    for g in group_compatible(alone) {
-        execute_compatible(g, ctx, ws);
-    }
-}
-
-/// Plans every job in `jobs` into the shared block via its own explainer,
-/// flushing (evaluate + finish) whenever the stacked rows reach
-/// [`MAX_FUSED_ROWS`] (a plan is appended before the check). Returns the
-/// jobs whose plan refused, appending nothing: the caller runs them alone.
-fn execute_fused(
-    jobs: Vec<Job>,
-    ctx: &WorkerContext,
-    ws: &mut CoalitionWorkspace,
-    block: &mut FusedBlock,
-) -> Vec<Job> {
-    let entry = Arc::clone(&jobs[0].entry);
-    let mut pending: Vec<(Job, Box<dyn ExplainPlan>)> = Vec::with_capacity(jobs.len());
-    let mut refused = Vec::new();
+    let entry = Arc::clone(&first.entry);
+    ctx.metrics
+        .cache_misses
+        .fetch_add(live.len() as u64, Ordering::Relaxed);
+    let mut pending: Vec<(Owed<'_>, Box<dyn ExplainPlan>)> = Vec::with_capacity(live.len());
+    let mut alone = Vec::new();
     block.clear();
-    for job in jobs {
-        let planned = {
-            let seed = request_seed(ctx.seed, job.key.stable_hash());
+    for job in live {
+        let seed = request_seed(ctx.seed, job.key.stable_hash());
+        let planned = contain(|| {
             let ectx = explain_context(&entry, &job.request.features, seed);
-            job.explainer.plan(&ectx, &mut *ws, &mut *block)
-        };
-        // A refusal is scoped to its own request: the rest of the group
-        // still fuses.
+            job.explainer.plan(&ectx, ws, block)
+        });
         match planned {
             Ok(plan) => pending.push((job, plan)),
-            Err(_) => refused.push(job),
+            Err(ServeError::Explain(_)) => alone.push(job),
+            Err(panic) => {
+                // The panicking plan may have left rows behind. The plans
+                // before it own intact row ranges and rows are evaluated
+                // row-purely, so they finish as usual; the flush clears the
+                // block and the workspace starts afresh.
+                job.answer(Err(panic));
+                flush(&mut pending, block, &entry, ctx);
+                *ws = CoalitionWorkspace::default();
+            }
         }
         if block.n_rows() >= MAX_FUSED_ROWS {
-            flush_fused(&mut pending, block, &entry, ctx);
+            flush(&mut pending, block, &entry, ctx);
         }
     }
-    flush_fused(&mut pending, block, &entry, ctx);
-    refused
+    flush(&mut pending, block, &entry, ctx);
+    for job in alone {
+        run_alone(job, &entry, ctx, ws);
+    }
 }
 
-/// Evaluates the shared block once and finishes every pending plan against
-/// it, then delivers. Service time is attributed to each request in
-/// proportion to its share of the block's rows (its actual footprint in
-/// the fused evaluation), keeping per-class EWMAs honest when budgets mix.
-fn flush_fused(
-    pending: &mut Vec<(Job, Box<dyn ExplainPlan>)>,
+/// Evaluates the shared block once (an empty one too: it costs nothing),
+/// finishes every pending plan against it and answers each job, then clears
+/// the block. Service time is attributed
+/// to each request in proportion to its share of the block's rows (its
+/// footprint in the evaluation), keeping per-class EWMAs honest when
+/// budgets mix.
+fn flush(
+    pending: &mut Vec<(Owed<'_>, Box<dyn ExplainPlan>)>,
     block: &mut FusedBlock,
     entry: &ModelEntry,
     ctx: &WorkerContext,
 ) {
-    if pending.is_empty() {
-        block.clear();
-        return;
-    }
-    let now = Instant::now();
     let n = pending.len();
     let total_rows = block.n_rows();
-    ctx.metrics.record_batch(n);
-    ctx.metrics
-        .cache_misses
-        .fetch_add(n as u64, Ordering::Relaxed);
     if n >= 2 {
         ctx.metrics.record_fused_group(n, total_rows);
     }
-
-    let t0 = Instant::now();
-    block.evaluate(entry.explain_regressor());
-    ctx.metrics
-        .dedup_rows_saved
-        .fetch_add(block.last_dedup_saved() as u64, Ordering::Relaxed);
-    let results: Vec<Result<Attribution, XaiError>> = pending
-        .iter()
-        .map(|(_, plan)| {
-            plan.finish(block, &entry.feature_names)
-                .map(|attr| entry.share_names(attr))
-        })
-        .collect();
-    let service = t0.elapsed();
-    let service_ns = service.as_nanos().min(u64::MAX as u128) as u64;
-
+    let now = Instant::now();
+    let evaluated = contain(|| {
+        block.evaluate(entry.explain_regressor());
+        Ok(())
+    });
+    let results: Vec<Result<Attribution, ServeError>> = match evaluated {
+        Ok(()) => {
+            ctx.metrics
+                .dedup_rows_saved
+                .fetch_add(block.last_dedup_saved() as u64, Ordering::Relaxed);
+            pending
+                .iter()
+                .map(|(_, plan)| {
+                    contain(|| plan.finish(block, &entry.feature_names))
+                        .map(|attr| entry.share_names(attr))
+                })
+                .collect()
+        }
+        // The model itself panicked: every plan in the block went down,
+        // and the block starts afresh.
+        Err(panic) => {
+            *block = FusedBlock::default();
+            vec![Err(panic); n]
+        }
+    };
+    let service_ns = nanos(now.elapsed());
     for ((job, plan), result) in pending.drain(..).zip(results) {
         let job_ns = if total_rows > 0 {
             (service_ns as u128 * plan.n_rows() as u128 / total_rows as u128) as u64
         } else {
             service_ns / n as u64
         };
-        let class = service_class_key(job.key.model_version, job.key.method);
-        ctx.metrics.observe_service_class_ns(class, job_ns);
-        deliver(job, result, n, Duration::from_nanos(job_ns), now, ctx);
+        job.computed(result, n, Duration::from_nanos(job_ns), now);
     }
     block.clear();
+}
+
+/// Explains a job whose plan refused through its explainer's `direct()` on
+/// the worker's workspace: alone, `batch_size` 1, timed alone.
+fn run_alone(job: Owed<'_>, entry: &ModelEntry, ctx: &WorkerContext, ws: &mut CoalitionWorkspace) {
+    let now = Instant::now();
+    let seed = request_seed(ctx.seed, job.key.stable_hash());
+    let result = contain(|| explain_one(entry, &*job.explainer, &job.request.features, seed, ws));
+    if matches!(result, Err(ServeError::Internal(_))) {
+        // The unwind may have left the workspace mid-write.
+        *ws = CoalitionWorkspace::default();
+    }
+    job.computed(result, 1, now.elapsed(), now);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::CacheKey;
+    use crate::request::{ExplainMethod, ExplainRequest};
+    use nfv_ml::prelude::*;
+
+    fn job_for(model_id: &str, version: u64, method: ExplainMethod) -> Job {
+        let data = nfv_data::dataset::Dataset::new(
+            vec!["a".into()],
+            vec![0.0, 1.0],
+            vec![0.0, 1.0],
+            nfv_data::dataset::Task::Regression,
+        )
+        .unwrap();
+        let model = LinearRegression::fit(&data, 1e-6).unwrap();
+        let entry = Arc::new(crate::registry::ModelEntry {
+            model: crate::registry::ServeModel::Linear(model),
+            version,
+            feature_names: ["a".to_string()].into(),
+            background: Background::from_rows(vec![vec![0.0]]).unwrap(),
+            packed: None,
+            expected_output: 0.0,
+            groups: FeatureGroups::new(vec!["all".into()], vec![0]).unwrap(),
+            trees: None,
+        });
+        let request = ExplainRequest {
+            model_id: model_id.into(),
+            features: vec![0.5],
+            method,
+            budget: Duration::from_secs(1),
+        };
+        let key = CacheKey::build(model_id, version, method, &request.features, 1e-6).unwrap();
+        let (respond, rx) = crossbeam::channel::bounded(1);
+        std::mem::forget(rx);
+        Job {
+            request,
+            explainer: entry.explainer(method).expect("method resolves"),
+            entry,
+            key,
+            admitted: Instant::now(),
+            respond,
+        }
+    }
+
+    #[test]
+    fn a_job_dropped_unanswered_still_answers_and_releases_its_flight() {
+        use crate::cache::{Flight, ShardedCache};
+        let ctx = WorkerContext {
+            cache: Arc::new(ShardedCache::new(16, 0, 1)),
+            metrics: Arc::new(Metrics::new()),
+            max_batch: 16,
+            seed: 0,
+            in_flight: Arc::new(AtomicU64::new(1)),
+        };
+        let mut job = job_for("a", 1, ExplainMethod::Permutation);
+        let (respond, reply) = crossbeam::channel::bounded(1);
+        job.respond = respond;
+        assert!(matches!(ctx.cache.begin_flight(&job.key), Flight::Leader));
+        let Flight::Follower(follower) = ctx.cache.begin_flight(&job.key) else {
+            panic!("an identical miss follows the leader");
+        };
+        // What an unwind through the worker does to a job it holds.
+        drop(Owed::new(job, &ctx));
+        assert!(matches!(reply.try_recv(), Ok(Err(ServeError::Internal(_)))));
+        assert!(
+            matches!(follower.try_recv(), Ok(None)),
+            "the follower is released to compute on its own"
+        );
+        assert_eq!(ctx.cache.flights_in_progress(), 0);
+        assert_eq!(ctx.in_flight.load(Ordering::Relaxed), 0);
+        assert_eq!(ctx.metrics.explain_errors.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn model_grouping_merges_methods() {
+        let ks = ExplainMethod::KernelShap { n_coalitions: 8 };
+        let jobs = vec![
+            job_for("a", 1, ks),
+            job_for("a", 1, ExplainMethod::KernelShap { n_coalitions: 16 }),
+            job_for("b", 1, ks),
+            job_for("a", 2, ks),
+            job_for("a", 1, ExplainMethod::Lime { n_samples: 8 }),
+        ];
+        let groups = group_same_model(jobs);
+        assert_eq!(groups.len(), 3, "split on (id, version) only");
+        assert_eq!(groups[0].len(), 3, "methods fuse within a model group");
+        assert_eq!(groups[1][0].request.model_id, "b");
+        assert_eq!(groups[2][0].key.model_version, 2);
+    }
+
+    #[test]
+    fn gather_on_an_empty_channel_is_a_singleton_and_does_not_block() {
+        let (_tx, rx) = crossbeam::channel::bounded::<Job>(4);
+        let ks = ExplainMethod::KernelShap { n_coalitions: 8 };
+        // A fusable first job on an idle queue: nothing to wait for. (A
+        // blocking gather would hang here — the sender is alive.)
+        let batch = gather(&rx, job_for("a", 1, ks), 16);
+        assert_eq!(batch.len(), 1);
+        assert!(rx.is_empty());
+    }
+
+    #[test]
+    fn gather_takes_the_backlog_in_fifo_order_up_to_max_batch() {
+        let (tx, rx) = crossbeam::channel::bounded::<Job>(32);
+        let ks = ExplainMethod::KernelShap { n_coalitions: 8 };
+        // A backlog of 20, tagged by version so order is observable.
+        for v in 1..=20 {
+            assert!(tx.send(job_for("a", v, ks)).is_ok());
+        }
+        let versions =
+            |batch: &[Job]| -> Vec<u64> { batch.iter().map(|j| j.key.model_version).collect() };
+        let batch = gather(&rx, rx.recv().unwrap(), 16);
+        assert_eq!(versions(&batch), (1..=16).collect::<Vec<u64>>());
+        let batch = gather(&rx, rx.recv().unwrap(), 16);
+        assert_eq!(versions(&batch), (17..=20).collect::<Vec<u64>>());
+        assert!(rx.is_empty());
+        // `max_batch` 0 and 1 both mean singletons; the queue keeps the rest.
+        assert!(tx.send(job_for("a", 21, ks)).is_ok());
+        for max_batch in [0, 1] {
+            assert_eq!(gather(&rx, job_for("a", 1, ks), max_batch).len(), 1);
+        }
+        assert_eq!(rx.len(), 1);
+    }
 }

@@ -3,8 +3,10 @@
 //! rather than the legacy enum) serves via engine and cluster; a custom
 //! explainer registered *by this test* — no `nfv-serve` source touched —
 //! serves through the same path; capability misses and unknown method
-//! ids surface as typed rejects at admission; and the anytime coarsening
-//! divisor is per-(model, method) configuration, not a crate constant.
+//! ids surface as typed rejects at admission; the anytime coarsening
+//! divisor is per-(model, method) configuration, not a crate constant;
+//! and a plug-in that panics answers `Internal` without taking its worker
+//! down.
 
 use nfv_data::prelude::*;
 use nfv_ml::prelude::*;
@@ -318,4 +320,93 @@ fn anytime_divisors_degrade_per_service_class() {
         );
     }
     engine.shutdown();
+}
+
+/// A test-local explainer that panics: in `plan()` when `in_plan`, else in
+/// `direct()` (its plan refuses, so the worker runs it alone).
+struct Panicky {
+    in_plan: bool,
+}
+
+impl Explainer for Panicky {
+    fn tag(&self) -> &'static str {
+        "panicky"
+    }
+    fn plan(
+        &self,
+        _ctx: &ExplainContext<'_>,
+        _ws: &mut CoalitionWorkspace,
+        _block: &mut FusedBlock,
+    ) -> Result<Box<dyn ExplainPlan>, XaiError> {
+        if self.in_plan {
+            panic!("panicky plan()");
+        }
+        Err(XaiError::Input("panicky runs alone".into()))
+    }
+    fn direct(
+        &self,
+        _ctx: &ExplainContext<'_>,
+        _ws: &mut CoalitionWorkspace,
+    ) -> Result<Attribution, XaiError> {
+        panic!("panicky direct()");
+    }
+}
+
+/// A plug-in that panics takes down its own request, not the worker: the
+/// request and its identical retry both answer `Internal` (the first one's
+/// single-flight entry is resolved, so the retry does not wait out its
+/// budget on it), the lone worker then serves TreeSHAP, and every panic is
+/// an explain error. Each call runs on its own thread behind a bounded
+/// wait, so an engine that loses its worker fails here instead of hanging.
+#[test]
+fn a_panicking_plugin_answers_internal_and_the_worker_keeps_serving() {
+    MethodRegistry::global().register("panics-in-direct", |_cfg| {
+        Ok(Box::new(Panicky { in_plan: false }))
+    });
+    MethodRegistry::global().register("panics-in-plan", |_cfg| {
+        Ok(Box::new(Panicky { in_plan: true }))
+    });
+    let (model, names, bg, synth) = fitted(43);
+    let engine = std::sync::Arc::new(ServeEngine::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    }));
+    engine
+        .registry()
+        .register("m", ServeModel::Gbdt(model), names, bg)
+        .unwrap();
+    let within_bound = |request: ExplainRequest| -> Result<ExplainResponse, ServeError> {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let engine = std::sync::Arc::clone(&engine);
+        let caller = std::thread::spawn(move || {
+            let _ = tx.send(engine.explain(request));
+        });
+        let answer = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the engine answers within 10 s");
+        caller.join().expect("the caller thread returns");
+        answer
+    };
+    let row = synth.data.row(5);
+    let mut panics = 0;
+    for name in ["panics-in-direct", "panics-in-plan"] {
+        let request = ExplainRequest {
+            budget: Duration::from_millis(300),
+            ..req(row, ExplainMethod::custom(name, 1))
+        };
+        for attempt in ["first call", "identical retry"] {
+            match within_bound(request.clone()) {
+                Err(ServeError::Internal(_)) => panics += 1,
+                other => panic!("{name}, {attempt}: expected Internal, got {other:?}"),
+            }
+        }
+    }
+    let tree = within_bound(req(row, ExplainMethod::TreeShap)).expect("TreeSHAP after the panics");
+    assert!(tree.attribution.efficiency_gap().abs() < 1e-8);
+    assert_eq!(
+        engine.stats().explain_errors,
+        panics,
+        "{:?}",
+        engine.stats()
+    );
 }

@@ -174,10 +174,11 @@ fn a_backlog_and_one_at_a_time_agree_bitwise() {
         engine
     });
     let [stacked, alone] = &engines;
-    // The five fusable methods, mixed: one backlog on the first engine, so
-    // all eight share one block; one request at a time on the second, so
-    // each runs the pipeline on its own. Seeds derive from request
-    // content, so the execution shape must not matter.
+    // The six fusable methods and the two whose plan refuses, mixed: one
+    // backlog on the first engine, so the eight fusable requests share one
+    // block and the two refused ones run alone beside it; one request at a
+    // time on the second, so each runs the pipeline on its own. Seeds
+    // derive from request content, so the execution shape must not matter.
     let methods = [
         ExplainMethod::KernelShap { n_coalitions: 64 },
         ExplainMethod::SamplingShapley {
@@ -187,8 +188,13 @@ fn a_backlog_and_one_at_a_time_agree_bitwise() {
         ExplainMethod::ExactShapley,
         ExplainMethod::GroupedShapley,
         ExplainMethod::Permutation,
+        ExplainMethod::Lime { n_samples: 64 },
+        ExplainMethod::TreeShap,
+        ExplainMethod::Interactions,
     ];
-    let jobs: Vec<ExplainRequest> = (0..8)
+    let refused =
+        |m: ExplainMethod| matches!(m, ExplainMethod::TreeShap | ExplainMethod::Interactions);
+    let jobs: Vec<ExplainRequest> = (0..10)
         .map(|i| ExplainRequest {
             method: methods[i % methods.len()],
             ..kernel_req(synth.data.row(i), 64)
@@ -207,7 +213,11 @@ fn a_backlog_and_one_at_a_time_agree_bitwise() {
     );
     assert!(stats.fused_fill_ratio > 0.0, "{stats:?}");
     for (i, (s, job)) in stacked_resp.iter().zip(jobs).enumerate() {
-        assert_eq!(s.batch_size, 8, "request {i} rode the shared block");
+        if refused(job.method) {
+            assert_eq!(s.batch_size, 1, "request {i} ran alone");
+        } else {
+            assert_eq!(s.batch_size, 8, "request {i} rode the shared block");
+        }
         let a = alone.explain(job).unwrap();
         assert_eq!(a.batch_size, 1);
         let (s, a) = (&s.attribution, &a.attribution);
