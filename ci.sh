@@ -46,6 +46,20 @@ for f in crates/nfv-serve/src/*.rs; do
   fi
 done
 
+# One-thread-owner invariant: the worker pool is the serving crate's only
+# compute loop, and `worker.rs` owns its threads. A `thread::Builder` or
+# `thread::spawn` in another nfv-serve/src file (outside #[cfg(test)]) is a
+# second loop beside it, with its own panics and its own shutdown; queue the
+# work as a job instead.
+echo "==> one-thread-owner check (threads spawn only in nfv-serve/src/worker.rs)"
+for f in crates/nfv-serve/src/*.rs; do
+  [ "$f" = crates/nfv-serve/src/worker.rs ] && continue
+  if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'thread::Builder\|thread::spawn'; then
+    echo "FAIL: $f spawns a thread; serving work is a job on the worker pool"
+    exit 1
+  fi
+done
+
 # One-router invariant: placement (the ring, the route hash, the spill
 # successor) lives in nfv-serve's `Router`; a second copy of it outside
 # cluster.rs (outside #[cfg(test)]) is a second router that can drift.

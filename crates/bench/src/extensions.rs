@@ -471,8 +471,8 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
         "\nFrontier reading: under capacity, rejections stay ~0 and p99 tracks the\n\
          explainer; past capacity, admission sheds load — but queue-full pressure\n\
          on sampling methods now degrades to coarse anytime answers (degr %)\n\
-         before rejecting outright, and a background refiner upgrades those cache\n\
-         entries in place. A cache smaller than the working set ({distinct}\n\
+         before rejecting outright, and a full-budget worker job upgrades those\n\
+         cache entries in place. A cache smaller than the working set ({distinct}\n\
          instances) forces recomputation (low hit %), dragging the frontier left."
     );
 

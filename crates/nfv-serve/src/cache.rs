@@ -918,6 +918,23 @@ impl ShardedCache {
         }
     }
 
+    /// Takes `key`'s flight for a computation nobody waits on (an anytime
+    /// refinement): `false`, joining nothing, when the key is already
+    /// being computed. Like [`ShardedCache::begin_flight`], another key's
+    /// flight on this fingerprint leaves the computation unregistered.
+    pub fn lead_flight(&self, key: &CacheKey) -> bool {
+        match self.in_flight.lock().entry(key.fp) {
+            Entry::Occupied(flight) => flight.get().key != *key,
+            Entry::Vacant(slot) => {
+                slot.insert(FlightEntry {
+                    key: key.clone(),
+                    waiters: Vec::new(),
+                });
+                true
+            }
+        }
+    }
+
     /// Resolves an in-flight fill: removes `key` from the flight table and
     /// sends `result` to every waiting follower (`None` = compute failed;
     /// followers fall back to their own computation). A no-op when no
@@ -986,13 +1003,6 @@ impl ShardedCache {
         self.shard(key.fp)
             .lock()
             .insert(key, value, coarse_budget, &self.intern);
-    }
-
-    /// Grade of the entry currently cached for `key` (0 = coarse, 1 =
-    /// full), without refreshing recency. `None` on miss. The refiner uses
-    /// this to skip work another path already upgraded.
-    pub fn entry_grade(&self, key: &CacheKey) -> Option<u8> {
-        self.shard(key.fp).lock().grade_of(&key.key_ref())
     }
 
     /// Eagerly drops every entry belonging to `model_id` (all versions,
@@ -1270,11 +1280,12 @@ mod tests {
         let impostor = key(1, 6.0).with_fingerprint(stored.fingerprint());
         assert_ne!(impostor, stored);
         assert!(c.get(&impostor).is_none(), "exactness rests on the key");
-        assert_eq!(c.entry_grade(&impostor), None);
         assert!(c.get(&stored).is_some());
         // Nor does it join the stored key's single-flight.
         assert!(matches!(c.begin_flight(&stored), Flight::Leader));
         assert!(matches!(c.begin_flight(&impostor), Flight::Leader));
+        assert!(c.lead_flight(&impostor), "nor does a refinement");
+        assert!(!c.lead_flight(&stored), "a refinement joins no flight");
         c.complete_flight(&impostor, None);
         assert_eq!(c.flights_in_progress(), 1, "the real flight is untouched");
         c.complete_flight(&stored, None);
@@ -1405,13 +1416,11 @@ mod tests {
         c.insert_graded(k.clone(), attr(0.9), 64); // coarse anytime answer
         let (_, fid) = c.get(&k).unwrap();
         assert_eq!(fid, Fidelity::Coarse { sample_budget: 64 });
-        assert_eq!(c.entry_grade(&k), Some(0));
         // Full-budget refinement upgrades in place…
         c.insert(k.clone(), attr(1.0));
         let (got, fid) = c.get(&k).unwrap();
         assert!(fid.is_exact());
         assert_eq!(got.prediction, 1.0);
-        assert_eq!(c.entry_grade(&k), Some(1));
         // …and a late coarse result can never downgrade it back.
         c.insert_graded(k.clone(), attr(0.9), 64);
         let (got, fid) = c.get(&k).unwrap();

@@ -45,11 +45,13 @@ pub struct ServeConfig {
     /// sampling-method request with `QueueFull`, the engine instead
     /// computes a coarse attribution inline (budget cut via
     /// [`crate::request::ExplainMethod::coarsened_with`]) and returns it
-    /// immediately, tagged [`Fidelity::Coarse`] — then hands the
-    /// full-budget recompute to a background refiner (a bounded queue of
-    /// `REFINE_QUEUE` jobs) that upgrades the cache entry in place (same
-    /// key, monotone: coarse → full, never back). Deterministic methods
-    /// and `DeadlineUnmeetable` still reject. [`crate::cluster::ServeCluster`]
+    /// immediately, tagged [`Fidelity::Coarse`] — then queues the
+    /// full-budget recompute as a worker job that answers nobody, one per
+    /// key, which upgrades the cache entry in place (same key, monotone:
+    /// coarse → full, never back). It needs room in the same queue as
+    /// client requests (a full queue drops it; the next coarse hit asks
+    /// again). Deterministic methods and `DeadlineUnmeetable` still
+    /// reject. [`crate::cluster::ServeCluster`]
     /// turns this off on its shards: its spill-to-neighbor policy needs a
     /// full shard to surface `QueueFull` honestly.
     pub anytime: bool,
@@ -71,12 +73,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-/// Depth of the anytime refiner's queue. A full queue drops the
-/// refinement (the coarse answer stands; counted in `refine_dropped`, and
-/// the next hit on the key asks again) rather than blocking the serving
-/// path.
-const REFINE_QUEUE: usize = 64;
 
 /// What remains of the fusion scheduler's policy. The rule itself is code
 /// (`worker.rs`): every co-queued job of one model plans into the worker's
@@ -110,59 +106,7 @@ pub struct Engine {
     // which is what tells workers to drain and exit.
     queue: Option<JobQueue>,
     workers: Vec<JoinHandle<()>>,
-    // Anytime refinement: `None` when anytime is disabled or after
-    // shutdown. Dropping the sender is what tells the refiner to exit.
-    refine_tx: Option<crossbeam::channel::Sender<RefineJob>>,
-    refiner: Option<JoinHandle<()>>,
     config: ServeConfig,
-}
-
-/// One pending in-place upgrade: recompute `key` at its full budget and
-/// overwrite the coarse cache entry.
-struct RefineJob {
-    entry: Arc<ModelEntry>,
-    key: CacheKey,
-    features: Vec<f64>,
-}
-
-/// The background refiner: full-budget recomputes of keys the anytime path
-/// answered coarsely. Seeds derive from the *original* key's content hash —
-/// exactly what a worker would have used — so the upgraded entry is
-/// bit-identical to the answer a non-degraded request would have received.
-fn refiner_loop(
-    rx: crossbeam::channel::Receiver<RefineJob>,
-    cache: Arc<ShardedCache>,
-    metrics: Arc<Metrics>,
-    engine_seed: u64,
-) {
-    let mut ws = CoalitionWorkspace::default();
-    while let Ok(job) = rx.recv() {
-        // Another path (a worker fill, or an earlier refinement) may have
-        // already upgraded this key.
-        if cache.entry_grade(&job.key) == Some(1) {
-            continue;
-        }
-        let explainer = match job.entry.explainer(job.key.method) {
-            Ok(e) => e,
-            Err(_) => {
-                // The coarse answer stands (see the explain-error arm).
-                metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        };
-        let seed = request_seed(engine_seed, job.key.stable_hash());
-        match worker::explain_one(&job.entry, &*explainer, &job.features, seed, &mut ws) {
-            Ok(attr) => {
-                cache.insert(job.key, Arc::new(attr));
-                metrics.refined_entries.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                // The coarse answer stands; the next full-path request for
-                // this key will surface the error through normal serving.
-                metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
 }
 
 impl Engine {
@@ -187,27 +131,12 @@ impl Engine {
             in_flight: queue.in_flight_handle(),
         });
         let workers = worker::spawn_workers(config.workers, queue.receiver(), ctx);
-        let (refine_tx, refiner) = if config.anytime {
-            let (tx, rx) = crossbeam::channel::bounded(REFINE_QUEUE);
-            let cache = Arc::clone(&cache);
-            let metrics = Arc::clone(&metrics);
-            let seed = config.seed;
-            let handle = std::thread::Builder::new()
-                .name("nfv-serve-refiner".into())
-                .spawn(move || refiner_loop(rx, cache, metrics, seed))
-                .expect("spawn refiner thread");
-            (Some(tx), Some(handle))
-        } else {
-            (None, None)
-        };
         Engine {
             registry,
             cache,
             metrics,
             queue: Some(queue),
             workers,
-            refine_tx,
-            refiner,
             config,
         }
     }
@@ -278,8 +207,8 @@ impl Engine {
         };
 
         // Cache fast path. Cold-tier hits carry their dequantization error
-        // bound in the fidelity; coarse anytime entries re-arm their
-        // background refinement (it may have been dropped under pressure).
+        // bound in the fidelity; a coarse anytime entry asks for its
+        // refinement again (an earlier ask may have been dropped).
         // Method validation waits behind the probe: an entry exists only
         // for a (version, method) pair that passed it before the fill.
         if let Some((attr, fidelity)) = self.cache.get_ref(&probe) {
@@ -290,14 +219,15 @@ impl Engine {
             ) {
                 self.metrics.quantized_hits.fetch_add(1, Ordering::Relaxed);
             }
+            let model_version = entry.version;
             if fidelity.grade() == 0 {
-                self.request_refine(&entry, probe.to_key(), &request.features);
+                self.request_refine(entry, probe.to_key(), request);
             }
             self.metrics.completed.fetch_add(1, Ordering::Relaxed);
             self.metrics.total.record(t0.elapsed());
             return Ok(ExplainResponse {
                 attribution: attr,
-                model_version: entry.version,
+                model_version,
                 cache_hit: true,
                 batch_size: 1,
                 queue_wait: Duration::ZERO,
@@ -306,8 +236,18 @@ impl Engine {
             });
         }
 
-        // A miss: validate the method, then own the key — the fill keeps it.
+        // A miss: validate the method and resolve it to its explainer, then
+        // own the key — the fill keeps it. The validator and the factory
+        // are plug-in code on this thread; they run before the request
+        // takes a single-flight entry, so an unwind out of them leaves none
+        // behind.
         self.check_method(&entry, request.method)?;
+        let Some(queue) = self.queue.as_ref() else {
+            return Err(ServeError::Rejected(RejectReason::ShuttingDown));
+        };
+        let explainer = entry.explainer(request.method).inspect_err(|_| {
+            self.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
+        })?;
         let key = probe.to_key();
 
         // Single-flight: collapse concurrent *identical* misses onto one
@@ -340,27 +280,7 @@ impl Engine {
             }
         };
 
-        // Admission + enqueue. A leader that stops short of the queue
-        // releases its followers itself (they fall through and try alone).
-        let release_flight = || {
-            if leads_flight {
-                self.cache.complete_flight(&key, None);
-            }
-        };
-        let Some(queue) = self.queue.as_ref() else {
-            release_flight();
-            return Err(ServeError::Rejected(RejectReason::ShuttingDown));
-        };
-        // The method resolves to its explainer here, once, so a factory
-        // failure is answered before the request takes a queue slot.
-        let explainer = match entry.explainer(request.method) {
-            Ok(explainer) => explainer,
-            Err(e) => {
-                release_flight();
-                self.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
-        };
+        // Admission + enqueue.
         let (respond_tx, respond_rx) = crossbeam::channel::bounded(1);
         let job = Job {
             request,
@@ -368,17 +288,14 @@ impl Engine {
             key,
             explainer,
             admitted: t0,
-            respond: respond_tx,
+            respond: Some(respond_tx),
         };
         if let Err((reason, job)) = queue.admit(job, &self.metrics) {
             // Queue-full pressure on a sampling method: degrade before
-            // rejecting. The coarse compute runs inline on this caller's
-            // thread (≈⅛ of the full budget), answers immediately with a
-            // typed coarse fidelity, and schedules the full-budget
-            // refinement in the background.
+            // rejecting.
             if matches!(reason, RejectReason::QueueFull { .. }) && self.config.anytime {
-                if let Some(response) = self.serve_anytime(&job, leads_flight, t0) {
-                    return Ok(response);
+                if let Some(outcome) = self.serve_anytime(&job, leads_flight, t0) {
+                    return outcome;
                 }
             }
             // An admitted leader's flight is resolved by the worker; a
@@ -427,12 +344,20 @@ impl Engine {
     }
 
     /// The anytime path for a queue-full rejection: compute the coarsened
-    /// method inline, cache it **under the original key** with a coarse
-    /// grade, release any single-flight followers with the marked answer,
-    /// and schedule the full-budget refinement. `None` when the method has
-    /// no coarse variant or the coarse compute itself fails — the caller
-    /// falls back to the original rejection.
-    fn serve_anytime(&self, job: &Job, leads_flight: bool, t0: Instant) -> Option<ExplainResponse> {
+    /// method inline on the caller's thread (≈⅛ of the full budget), cache
+    /// it **under the original key** with a coarse grade, release any
+    /// single-flight followers with the marked answer, and queue the
+    /// full-budget refinement. The coarse factory and explainer run under
+    /// the worker's containment: a panic answers [`ServeError::Internal`]
+    /// (an explain error) and releases the flight. `None` when the method
+    /// has no coarse variant or the coarse compute returns an error — the
+    /// caller falls back to the original rejection.
+    fn serve_anytime(
+        &self,
+        job: &Job,
+        leads_flight: bool,
+        t0: Instant,
+    ) -> Option<Result<ExplainResponse, ServeError>> {
         // The coarsening divisor is per-(model, method) service-class
         // configuration (default ÷ 8): a latency-critical class can be
         // configured to degrade harder, an accuracy-critical one gentler
@@ -452,19 +377,25 @@ impl Engine {
             self.config.quantization_grid,
         )?;
         let seed = request_seed(self.config.seed, coarse_key.stable_hash());
-        let explainer = job.entry.explainer(coarse_method).ok()?;
         let t_run = Instant::now();
-        let mut ws = CoalitionWorkspace::default();
-        let attr = worker::explain_one(
-            &job.entry,
-            &*explainer,
-            &job.request.features,
-            seed,
-            &mut ws,
-        )
-        .ok()?;
+        let coarse = worker::contain(|| {
+            let explainer = job.entry.explainer(coarse_method)?;
+            let mut ws = CoalitionWorkspace::default();
+            let x = &job.request.features;
+            worker::explain_one(&job.entry, &*explainer, x, seed, &mut ws).map_err(ServeError::from)
+        });
+        let attr = match coarse {
+            Ok(attr) => Arc::new(attr),
+            Err(panic @ ServeError::Internal(_)) => {
+                if leads_flight {
+                    self.cache.complete_flight(&job.key, None);
+                }
+                self.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
+                return Some(Err(panic));
+            }
+            Err(_) => return None,
+        };
         let service = t_run.elapsed();
-        let attr = Arc::new(attr);
         let fidelity = Fidelity::Coarse { sample_budget };
         self.cache
             .insert_graded(job.key.clone(), Arc::clone(&attr), sample_budget);
@@ -472,13 +403,13 @@ impl Engine {
             self.cache
                 .complete_flight(&job.key, Some((Arc::clone(&attr), fidelity)));
         }
-        self.request_refine(&job.entry, job.key.clone(), &job.request.features);
+        self.request_refine(Arc::clone(&job.entry), job.key.clone(), job.request.clone());
         self.metrics.degraded_served.fetch_add(1, Ordering::Relaxed);
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
         self.metrics.completed.fetch_add(1, Ordering::Relaxed);
         self.metrics.service.record(service);
         self.metrics.total.record(t0.elapsed());
-        Some(ExplainResponse {
+        Some(Ok(ExplainResponse {
             attribution: attr,
             model_version: job.key.model_version,
             cache_hit: false,
@@ -486,22 +417,45 @@ impl Engine {
             queue_wait: Duration::ZERO,
             service_time: service,
             fidelity,
-        })
+        }))
     }
 
-    /// Queues a full-budget in-place upgrade for `key`. Dropped (counted)
-    /// when the refine queue is full — the coarse answer stands and the
-    /// next request for the key re-arms refinement.
-    fn request_refine(&self, entry: &Arc<ModelEntry>, key: CacheKey, features: &[f64]) {
-        let Some(tx) = self.refine_tx.as_ref() else {
+    /// Queues the full-budget upgrade of `key`'s coarse entry as an
+    /// ordinary worker job that answers nobody: no deadline, no
+    /// feasibility check (nobody waits on it), one queue slot. It holds the
+    /// key's single-flight entry, so a key has at most one refinement in
+    /// flight and an identical client miss follows it to the full answer.
+    /// A full or closed queue drops it (counted in `refine_dropped`): the
+    /// coarse answer stands and the next coarse hit asks again. The worker
+    /// seeds it from the key like any job, so the upgraded bits are those
+    /// of a request that never degraded.
+    fn request_refine(&self, entry: Arc<ModelEntry>, key: CacheKey, request: ExplainRequest) {
+        let Some(queue) = self.queue.as_ref() else {
             return;
         };
-        let job = RefineJob {
-            entry: Arc::clone(entry),
-            key,
-            features: features.to_vec(),
+        // The factory is plug-in code: it runs before the flight is taken.
+        let Ok(explainer) = entry.explainer(request.method) else {
+            // The coarse answer stands; a full-path miss surfaces the error.
+            self.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
+            return;
         };
-        if tx.try_send(job).is_err() {
+        // A refinement or a client miss already computes this key.
+        if !self.cache.lead_flight(&key) {
+            return;
+        }
+        let job = Job {
+            request: ExplainRequest {
+                budget: Duration::MAX,
+                ..request
+            },
+            entry,
+            key,
+            explainer,
+            admitted: Instant::now(),
+            respond: None,
+        };
+        if let Err((_, job)) = queue.try_send(job) {
+            self.cache.complete_flight(&job.key, None);
             self.metrics.refine_dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -547,12 +501,6 @@ impl Engine {
         // backlog and exit.
         self.queue = None;
         for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        // Same deal for the refiner: dropping the sender ends its loop
-        // after it drains pending upgrades.
-        self.refine_tx = None;
-        if let Some(h) = self.refiner.take() {
             let _ = h.join();
         }
     }

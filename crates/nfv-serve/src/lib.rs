@@ -18,9 +18,9 @@
 //!   [`Fidelity::Quantized`](request::Fidelity) error bound,
 //! - **anytime explanations**: under queue-full pressure, sampling
 //!   methods answer immediately with a coarse (reduced-budget)
-//!   attribution tagged [`Fidelity::Coarse`](request::Fidelity) while a
-//!   background refiner upgrades the cache entry in place to the
-//!   full-budget result (see [`ServeConfig::anytime`]),
+//!   attribution tagged [`Fidelity::Coarse`](request::Fidelity), and a
+//!   full-budget worker job that answers nobody upgrades the cache entry
+//!   in place (see [`ServeConfig::anytime`]),
 //! - a **bounded MPMC queue** with admission control: when the queue is
 //!   full or a deadline is infeasible the request is *rejected with a
 //!   reason*, never silently delayed (backpressure, not buffer bloat),

@@ -162,11 +162,13 @@ pub struct Metrics {
     /// Requests served a coarse (reduced-budget) anytime attribution
     /// instead of a queue-full rejection.
     pub degraded_served: AtomicU64,
-    /// Coarse cache entries upgraded in place to the full-budget result by
-    /// the background refiner.
+    /// Refinements computed: full-budget worker jobs, queued for a coarse
+    /// entry and answering nobody, that wrote the full-grade entry over it
+    /// in place. Counted apart from `completed` and the latency histograms,
+    /// which count client requests only.
     pub refined_entries: AtomicU64,
-    /// Refinement jobs dropped because the refine queue was full (the
-    /// coarse answer stands until the key is requested again).
+    /// Refinements not queued because the engine's queue was full or
+    /// closed (the coarse answer stands; the next coarse hit asks again).
     pub refine_dropped: AtomicU64,
     /// Queue wait of worker-served requests.
     pub queue_wait: LatencyHistogram,
@@ -517,9 +519,9 @@ pub struct ServeStats {
     /// Requests served a coarse anytime attribution instead of a
     /// queue-full rejection.
     pub degraded_served: u64,
-    /// Coarse cache entries upgraded in place to full-budget results.
+    /// Coarse cache entries upgraded in place by a refinement worker job.
     pub refined_entries: u64,
-    /// Refinement jobs dropped on a full refine queue.
+    /// Refinements not queued: the engine's queue was full or closed.
     pub refine_dropped: u64,
     /// Live exact-tier cache entries.
     pub cache_hot_entries: u64,

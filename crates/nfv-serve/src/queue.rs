@@ -27,7 +27,9 @@ pub struct Job {
     /// When the job was admitted (queue-wait measurement + deadline base).
     pub admitted: Instant,
     /// Where the worker sends the outcome; capacity 1, never blocks.
-    pub respond: Sender<Result<ExplainResponse, ServeError>>,
+    /// `None` for an anytime refinement, which answers nobody: the worker
+    /// only writes its full-grade entry over the coarse one.
+    pub respond: Option<Sender<Result<ExplainResponse, ServeError>>>,
 }
 
 /// Consecutive deadline-unmeetable rejects of one service class before
@@ -76,7 +78,7 @@ impl JobQueue {
         Arc::clone(&self.in_flight)
     }
 
-    /// Admission: feasibility check, then a non-blocking enqueue.
+    /// Admission: feasibility check, then [`JobQueue::try_send`].
     ///
     /// Feasibility model: the backlog ahead of this request — everything
     /// still queued *plus* jobs workers have dequeued but not finished —
@@ -131,6 +133,13 @@ impl JobQueue {
                 metrics.note_class_admit(class);
             }
         }
+        self.try_send(job)
+    }
+
+    /// The non-blocking enqueue behind [`JobQueue::admit`], with no
+    /// feasibility check: an anytime refinement, which nobody waits on,
+    /// enters here directly.
+    pub fn try_send(&self, job: Job) -> Result<(), (RejectReason, Box<Job>)> {
         match self.tx.try_send(job) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(job)) => Err((
@@ -199,7 +208,7 @@ mod tests {
             entry,
             key,
             admitted: Instant::now(),
-            respond,
+            respond: Some(respond),
         }
     }
 

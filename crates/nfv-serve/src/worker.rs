@@ -1,5 +1,7 @@
 //! Worker threads: take what is queued, plan it into one shared block, run
-//! the explainers, fill the cache, and answer the waiting clients.
+//! the explainers, fill the cache, and answer the waiting clients. These
+//! are the serving crate's only threads: an anytime refinement is a queued
+//! job like any other, one that answers nobody.
 //!
 //! One pipeline. A worker takes the backlog it finds (never waiting for
 //! companions) and splits it by model. Every live job of a model group —
@@ -24,10 +26,11 @@
 //! Exits: every gathered job leaves through [`deliver`] exactly once — a
 //! deadline drop, a queue-time hit, a computed answer or an error — which
 //! resolves its single-flight entry, settles the in-flight count and
-//! replies. A panic in explainer code is contained and answers the jobs it
-//! took down with [`ServeError::Internal`]; a job dropped unanswered (an
-//! unwind nothing contained) is answered the same way by its [`Owed`]
-//! guard, so no exit strands a single-flight follower.
+//! replies (a refinement has nobody to reply to). A panic in explainer
+//! code is contained and answers the jobs it took down with
+//! [`ServeError::Internal`]; a job dropped unanswered (an unwind nothing
+//! contained) is answered the same way by its [`Owed`] guard, so no exit
+//! strands a single-flight follower.
 //!
 //! Allocation: each worker owns one [`CoalitionWorkspace`] and one
 //! [`FusedBlock`] for its whole lifetime, reused verbatim once grown (and
@@ -149,9 +152,9 @@ fn explain_context<'a>(entry: &'a ModelEntry, x: &'a [f64], seed: u64) -> Explai
     }
 }
 
-/// Runs one explanation end to end through the explainer's `direct()`. Also
-/// used by the engine's anytime/refinement paths, which must be
-/// bit-identical to worker execution.
+/// Runs one explanation end to end through the explainer's `direct()`: a
+/// job whose plan refused, and the engine's inline coarse compute on the
+/// anytime path.
 pub(crate) fn explain_one(
     entry: &ModelEntry,
     explainer: &dyn Explainer,
@@ -164,13 +167,16 @@ pub(crate) fn explain_one(
         .map(|attr| entry.share_names(attr))
 }
 
-/// Runs explainer code — a `plan`, `finish` or `direct`, or the model
-/// under `evaluate` — with its unwind contained: a panic becomes
-/// [`ServeError::Internal`] for the job it took down, and the worker lives
-/// on. An explainer's own error stays [`ServeError::Explain`].
-fn contain<T>(f: impl FnOnce() -> Result<T, XaiError>) -> Result<T, ServeError> {
+/// Runs plug-in code — a `plan`, `finish` or `direct`, the model under
+/// `evaluate`, or the engine's inline coarse compute with its factory —
+/// with its unwind contained: a panic becomes [`ServeError::Internal`] for
+/// the job it took down, and the thread lives on. An explainer's own error
+/// stays [`ServeError::Explain`].
+pub(crate) fn contain<T, E: Into<ServeError>>(
+    f: impl FnOnce() -> Result<T, E>,
+) -> Result<T, ServeError> {
     match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(result) => result.map_err(ServeError::Explain),
+        Ok(result) => result.map_err(Into::into),
         Err(payload) => {
             let what = payload
                 .downcast_ref::<&str>()
@@ -208,7 +214,8 @@ impl<'a> Owed<'a> {
     /// Answers a job its explainer ran for and feeds its service time to
     /// its class estimate. A computed attribution fills the cache first:
     /// workers always run the full budget, so this is a full-grade write
-    /// that upgrades any coarse anytime entry in place.
+    /// that upgrades any coarse anytime entry in place — which is all a
+    /// refinement is for.
     fn computed(
         self,
         result: Result<Attribution, ServeError>,
@@ -257,13 +264,19 @@ impl Drop for Owed<'_> {
 
 /// The one exit of a gathered job: resolves its single-flight entry (the
 /// followers get the answer, or `None` and compute on their own), books
-/// the outcome, settles the in-flight count and replies.
+/// the outcome, settles the in-flight count and replies. A refinement
+/// (no reply) books only `refined_entries` when it computed or
+/// `explain_errors` when it failed: the client counters and latency
+/// histograms count client requests.
 fn deliver(job: Job, outcome: Result<ExplainResponse, ServeError>, ctx: &WorkerContext) {
     let m = &ctx.metrics;
-    match &outcome {
-        Ok(resp) => {
-            let shared = (Arc::clone(&resp.attribution), resp.fidelity);
-            ctx.cache.complete_flight(&job.key, Some(shared));
+    let shared = outcome
+        .as_ref()
+        .ok()
+        .map(|resp| (Arc::clone(&resp.attribution), resp.fidelity));
+    ctx.cache.complete_flight(&job.key, shared);
+    match (&outcome, &job.respond) {
+        (Ok(resp), Some(_)) => {
             m.completed.fetch_add(1, Ordering::Relaxed);
             m.queue_wait.record(resp.queue_wait);
             if !resp.cache_hit {
@@ -271,8 +284,12 @@ fn deliver(job: Job, outcome: Result<ExplainResponse, ServeError>, ctx: &WorkerC
             }
             m.total.record(resp.queue_wait + resp.service_time);
         }
-        Err(e) => {
-            ctx.cache.complete_flight(&job.key, None);
+        (Ok(resp), None) => {
+            if !resp.cache_hit {
+                m.refined_entries.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        (Err(e), _) => {
             let counter = if e.is_reject() {
                 &m.rejected_deadline_expired
             } else {
@@ -282,7 +299,9 @@ fn deliver(job: Job, outcome: Result<ExplainResponse, ServeError>, ctx: &WorkerC
         }
     }
     ctx.in_flight.fetch_sub(1, Ordering::Relaxed);
-    let _ = job.respond.send(outcome);
+    if let Some(respond) = job.respond {
+        let _ = respond.send(outcome);
+    }
 }
 
 fn nanos(d: Duration) -> u64 {
@@ -290,7 +309,8 @@ fn nanos(d: Duration) -> u64 {
 }
 
 /// Drops deadline-expired jobs and answers queue-time cache hits, returning
-/// the jobs that still need computing.
+/// the jobs that still need computing. A coarse entry is a miss: a worker
+/// runs the full budget, so it answers only from a full-grade entry.
 fn prefilter<'a>(group: Vec<Owed<'a>>, ctx: &WorkerContext, now: Instant) -> Vec<Owed<'a>> {
     let mut live = Vec::with_capacity(group.len());
     for job in group {
@@ -307,13 +327,13 @@ fn prefilter<'a>(group: Vec<Owed<'a>>, ctx: &WorkerContext, now: Instant) -> Vec
         }
         // Re-check the cache: an identical request may have been explained
         // while this one sat in the queue.
-        if let Some((attribution, fidelity)) = ctx.cache.get(&job.key) {
-            ctx.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            if matches!(
-                fidelity,
-                Fidelity::Quantized { .. } | Fidelity::CoarseQuantized { .. }
-            ) {
-                ctx.metrics.quantized_hits.fetch_add(1, Ordering::Relaxed);
+        let full = ctx.cache.get(&job.key).filter(|(_, f)| f.grade() == 1);
+        if let Some((attribution, fidelity)) = full {
+            if job.respond.is_some() {
+                ctx.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                if matches!(fidelity, Fidelity::Quantized { .. }) {
+                    ctx.metrics.quantized_hits.fetch_add(1, Ordering::Relaxed);
+                }
             }
             let model_version = job.key.model_version;
             job.answer(Ok(ExplainResponse {
@@ -353,9 +373,10 @@ fn process_model_group(
         return;
     };
     let entry = Arc::clone(&first.entry);
+    let clients = live.iter().filter(|job| job.respond.is_some()).count();
     ctx.metrics
         .cache_misses
-        .fetch_add(live.len() as u64, Ordering::Relaxed);
+        .fetch_add(clients as u64, Ordering::Relaxed);
     let mut pending: Vec<(Owed<'_>, Box<dyn ExplainPlan>)> = Vec::with_capacity(live.len());
     let mut alone = Vec::new();
     block.clear();
@@ -408,7 +429,7 @@ fn flush(
     let now = Instant::now();
     let evaluated = contain(|| {
         block.evaluate(entry.explain_regressor());
-        Ok(())
+        Ok::<_, XaiError>(())
     });
     let results: Vec<Result<Attribution, ServeError>> = match evaluated {
         Ok(()) => {
@@ -458,7 +479,7 @@ fn run_alone(job: Owed<'_>, entry: &ModelEntry, ctx: &WorkerContext, ws: &mut Co
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheKey;
+    use crate::cache::{CacheKey, Flight};
     use crate::request::{ExplainMethod, ExplainRequest};
     use nfv_ml::prelude::*;
 
@@ -496,23 +517,17 @@ mod tests {
             entry,
             key,
             admitted: Instant::now(),
-            respond,
+            respond: Some(respond),
         }
     }
 
     #[test]
     fn a_job_dropped_unanswered_still_answers_and_releases_its_flight() {
-        use crate::cache::{Flight, ShardedCache};
-        let ctx = WorkerContext {
-            cache: Arc::new(ShardedCache::new(16, 0, 1)),
-            metrics: Arc::new(Metrics::new()),
-            max_batch: 16,
-            seed: 0,
-            in_flight: Arc::new(AtomicU64::new(1)),
-        };
+        let ctx = context();
+        ctx.in_flight.store(1, Ordering::Relaxed);
         let mut job = job_for("a", 1, ExplainMethod::Permutation);
         let (respond, reply) = crossbeam::channel::bounded(1);
-        job.respond = respond;
+        job.respond = Some(respond);
         assert!(matches!(ctx.cache.begin_flight(&job.key), Flight::Leader));
         let Flight::Follower(follower) = ctx.cache.begin_flight(&job.key) else {
             panic!("an identical miss follows the leader");
@@ -527,6 +542,97 @@ mod tests {
         assert_eq!(ctx.cache.flights_in_progress(), 0);
         assert_eq!(ctx.in_flight.load(Ordering::Relaxed), 0);
         assert_eq!(ctx.metrics.explain_errors.load(Ordering::Relaxed), 1);
+    }
+
+    fn context() -> WorkerContext {
+        WorkerContext {
+            cache: Arc::new(crate::cache::ShardedCache::new(16, 0, 1)),
+            metrics: Arc::new(Metrics::new()),
+            max_batch: 16,
+            seed: 0,
+            in_flight: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// Serves `jobs` as one gathered model group, the way `worker_loop` does.
+    fn serve(jobs: Vec<Job>, ctx: &WorkerContext) {
+        ctx.in_flight
+            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        let group = jobs.into_iter().map(|job| Owed::new(job, ctx)).collect();
+        let mut ws = CoalitionWorkspace::default();
+        process_model_group(group, ctx, &mut ws, &mut FusedBlock::default());
+    }
+
+    /// A coarse entry planted under `job`'s key, as the anytime path leaves.
+    fn plant_coarse(ctx: &WorkerContext, job: &Job) {
+        let coarse = job.explainer.direct(
+            &explain_context(&job.entry, &job.request.features, 1),
+            &mut CoalitionWorkspace::default(),
+        );
+        ctx.cache
+            .insert_graded(job.key.clone(), Arc::new(coarse.unwrap()), 2);
+        let (_, fidelity) = ctx.cache.get(&job.key).unwrap();
+        assert_eq!(fidelity, Fidelity::Coarse { sample_budget: 2 });
+    }
+
+    #[test]
+    fn a_queued_job_treats_a_coarse_entry_as_a_miss_and_upgrades_it() {
+        let ctx = context();
+        let mut job = job_for("a", 1, ExplainMethod::KernelShap { n_coalitions: 16 });
+        let (respond, reply) = crossbeam::channel::bounded(1);
+        job.respond = Some(respond);
+        let key = job.key.clone();
+        plant_coarse(&ctx, &job);
+        serve(vec![job], &ctx);
+        let resp = reply.try_recv().unwrap().unwrap();
+        assert_eq!(resp.fidelity, Fidelity::Exact);
+        assert!(
+            !resp.cache_hit,
+            "a worker answers from a full-grade entry only"
+        );
+        let (cached, fidelity) = ctx.cache.get(&key).unwrap();
+        assert_eq!(fidelity, Fidelity::Exact, "upgraded in place");
+        assert_eq!(cached, resp.attribution);
+        let stats = ctx.metrics.snapshot();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (1, 0));
+        assert_eq!((stats.completed, stats.refined_entries), (1, 0));
+    }
+
+    #[test]
+    fn a_job_that_answers_nobody_books_only_its_refinement() {
+        let ctx = context();
+        let method = ExplainMethod::KernelShap { n_coalitions: 16 };
+        let mut refine = job_for("a", 1, method);
+        refine.respond = None;
+        let key = refine.key.clone();
+        plant_coarse(&ctx, &refine);
+        // The refinement holds the key's flight: a second refinement joins
+        // nothing, and a client miss follows it.
+        assert!(ctx.cache.lead_flight(&key));
+        assert!(!ctx.cache.lead_flight(&key));
+        let Flight::Follower(follower) = ctx.cache.begin_flight(&key) else {
+            panic!("an identical miss follows the refinement");
+        };
+        serve(vec![refine], &ctx);
+        let (cached, fidelity) = ctx.cache.get(&key).unwrap();
+        assert_eq!(fidelity, Fidelity::Exact, "upgraded in place");
+        let (shared, shared_fidelity) = follower.try_recv().unwrap().unwrap();
+        assert_eq!((shared, shared_fidelity), (cached, Fidelity::Exact));
+        assert_eq!(ctx.cache.flights_in_progress(), 0);
+        assert_eq!(ctx.in_flight.load(Ordering::Relaxed), 0);
+        // A second refinement of the now-full key is a queue-time hit: it
+        // books nothing at all.
+        let mut again = job_for("a", 1, method);
+        again.respond = None;
+        serve(vec![again], &ctx);
+        let m = &ctx.metrics;
+        let stats = m.snapshot();
+        assert_eq!(stats.refined_entries, 1);
+        assert_eq!((stats.completed, stats.explain_errors), (0, 0));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
+        for histogram in [&m.queue_wait, &m.service, &m.total] {
+            assert_eq!(histogram.count(), 0, "latency counts client requests");
+        }
     }
 
     #[test]

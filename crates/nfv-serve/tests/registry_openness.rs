@@ -5,8 +5,9 @@
 //! serves through the same path; capability misses and unknown method
 //! ids surface as typed rejects at admission; the anytime coarsening
 //! divisor is per-(model, method) configuration, not a crate constant;
-//! and a plug-in that panics answers `Internal` without taking its worker
-//! down.
+//! a plug-in that panics answers `Internal` without taking its worker
+//! down; and one whose factory panics leaves no single-flight entry
+//! behind.
 
 use nfv_data::prelude::*;
 use nfv_ml::prelude::*;
@@ -408,5 +409,54 @@ fn a_panicking_plugin_answers_internal_and_the_worker_keeps_serving() {
         panics,
         "{:?}",
         engine.stats()
+    );
+}
+
+/// A plug-in whose factory panics: the factory is plug-in code on the
+/// caller's thread, and it runs before the request takes a single-flight
+/// entry. The first call may unwind or answer `Internal`; either way it
+/// leaves no flight behind, so the identical retry with a 300 ms budget
+/// returns at once instead of waiting out its budget behind a leader that
+/// is gone.
+#[test]
+fn a_panicking_factory_leaves_no_flight_behind() {
+    MethodRegistry::global().register("panics-in-factory", |_cfg| panic!("panicky factory"));
+    let (model, names, bg, synth) = fitted(47);
+    let engine = std::sync::Arc::new(ServeEngine::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    }));
+    engine
+        .registry()
+        .register("m", ServeModel::Gbdt(model), names, bg)
+        .unwrap();
+    let request = ExplainRequest {
+        budget: Duration::from_millis(300),
+        ..req(
+            synth.data.row(2),
+            ExplainMethod::custom("panics-in-factory", 1),
+        )
+    };
+    // How long a call takes to return: by an answer, which must be
+    // `Internal`, or by unwinding its thread. Bounded at 10 s.
+    let returns_after = |request: ExplainRequest| -> Duration {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let engine = std::sync::Arc::clone(&engine);
+        let started = std::time::Instant::now();
+        std::thread::spawn(move || {
+            let _ = tx.send(engine.explain(request));
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(Err(ServeError::Internal(_)))
+            | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {}
+            other => panic!("expected Internal or an unwind, got {other:?}"),
+        }
+        started.elapsed()
+    };
+    returns_after(request.clone());
+    let retry = returns_after(request);
+    assert!(
+        retry < Duration::from_millis(150),
+        "the identical retry took {retry:?} of its 300 ms"
     );
 }
