@@ -60,6 +60,20 @@ for f in crates/nfv-serve/src/*.rs; do
   fi
 done
 
+# One-pool invariant: the serving engine's workers are the system's only
+# explanation pool. The explainer, simulator and data crates run on their
+# caller's thread; a `thread::spawn` / `thread::scope` / `thread::Builder` /
+# `crossbeam::scope` in their src (outside #[cfg(test)]) is a second pool
+# beside it, with its own scheduling and its own panics. nfv-ml's forest
+# fit is the one known exception and is not checked here.
+echo "==> one-pool check (no thread pools in nfv-xai, nfv-sim, nfv-data src)"
+for f in $(find crates/core/src crates/nfv-sim/src crates/nfv-data/src -name '*.rs'); do
+  if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nE 'thread::(spawn|scope|Builder)|crossbeam::scope'; then
+    echo "FAIL: $f runs its own threads; run on the caller's thread (the engine's workers are the one pool)"
+    exit 1
+  fi
+done
+
 # One-router invariant: placement (the ring, the route hash, the spill
 # successor) lives in nfv-serve's `Router`; a second copy of it outside
 # cluster.rs (outside #[cfg(test)]) is a second router that can drift.

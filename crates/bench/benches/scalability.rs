@@ -1,5 +1,4 @@
-//! Criterion bench behind Figure 6: TreeSHAP latency vs ensemble size and
-//! batch explanation throughput vs thread count.
+//! Criterion bench behind Figure 6: TreeSHAP latency vs ensemble size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nfv_data::prelude::*;
@@ -25,28 +24,6 @@ fn bench_scalability(c: &mut Criterion) {
         let x = s.data.row(0).to_vec();
         g.bench_with_input(BenchmarkId::from_parameter(n_trees), &n_trees, |b, _| {
             b.iter(|| forest_shap(&forest, &x, &s.data.names).unwrap())
-        });
-    }
-    g.finish();
-
-    let forest = RandomForest::fit(
-        &s.data,
-        &ForestParams {
-            n_trees: 50,
-            ..ForestParams::default()
-        },
-        0,
-        4,
-    )
-    .unwrap();
-    let instances: Vec<Vec<f64>> = (0..64).map(|i| s.data.row(i).to_vec()).collect();
-    let mut g = c.benchmark_group("batch_explain_64_instances");
-    g.sample_size(10).measurement_time(Duration::from_secs(3));
-    for threads in [1usize, 4] {
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| {
-                explain_batch(&instances, t, |x| forest_shap(&forest, x, &s.data.names)).unwrap()
-            })
         });
     }
     g.finish();

@@ -641,24 +641,14 @@ fn bench_coalition_eval(c: &mut Criterion) {
         })
     });
     // The end-to-end view: KernelSHAP (which routes through the batched
-    // evaluator) with a reusable per-thread workspace and the packed
-    // engine, exactly as a serve worker runs it.
+    // evaluator) against the packed engine, as a lone direct call.
     let cfg = KernelShapConfig {
         n_coalitions: 64,
         ridge: 1e-8,
         seed: 7,
     };
     g.bench_function("kernel_shap_64", |b| {
-        b.iter(|| {
-            kernel_shap_with(
-                &task.packed,
-                &x,
-                &task.background,
-                &task.names,
-                &cfg,
-                &mut ws,
-            )
-        })
+        b.iter(|| kernel_shap(&task.packed, &x, &task.background, &task.names, &cfg))
     });
     g.finish();
 }

@@ -2,9 +2,10 @@
 //! counterfactual operations study, stage-grouped attributions driving
 //! the auto-scaler, ROAR, and the serving frontier.
 
-use crate::{print_table, Fixture, SizedTask};
+use crate::{print_table, served, Fixture, SizedTask};
 use nfv_data::dataset::Dataset;
 use nfv_ml::prelude::*;
+use nfv_serve::prelude::{ExplainMethod, ServeModel};
 use nfv_sim::prelude::*;
 use nfv_xai::prelude::*;
 
@@ -32,7 +33,13 @@ pub fn t4(quick: bool) {
     let instances: Vec<Vec<f64>> = (0..n_explain.min(test.n_rows()))
         .map(|i| test.row(i).to_vec())
         .collect();
-    let attrs = explain_batch(&instances, 4, |x| gbdt_shap(&model, x, &test.names)).expect("batch");
+    let attrs = served(
+        &ServeModel::Gbdt(model.clone()),
+        &test.names,
+        &bg,
+        ExplainMethod::TreeShap,
+        &instances,
+    );
     let shap_global = mean_absolute_attribution(&attrs);
 
     let pfi = permutation_importance(&surface, test, &PermutationConfig::default()).expect("pfi");
@@ -272,8 +279,14 @@ pub fn f10(quick: bool) {
     let instances: Vec<Vec<f64>> = (0..n_explain.min(train.n_rows()))
         .map(|i| train.row(i).to_vec())
         .collect();
-    let attrs =
-        explain_batch(&instances, 4, |x| gbdt_shap(&model, x, &train.names)).expect("batch");
+    let bg = Background::from_dataset(train, 25, 1).expect("background");
+    let attrs = served(
+        &ServeModel::Gbdt(model.clone()),
+        &train.names,
+        &bg,
+        ExplainMethod::TreeShap,
+        &instances,
+    );
     let shap_global = mean_absolute_attribution(&attrs);
     let mut shap_rank: Vec<usize> = (0..train.n_features()).collect();
     shap_rank.sort_by(|&a, &b| shap_global[b].total_cmp(&shap_global[a]));

@@ -1,9 +1,10 @@
 //! Experiments F1–F7: the reconstructed evaluation's figures, printed as
 //! the data series a plot would be drawn from.
 
-use crate::{print_table, time_ms, Fixture, SizedTask};
+use crate::{print_table, served, time_ms, Fixture, SizedTask};
 use nfv_data::prelude::*;
 use nfv_ml::prelude::*;
+use nfv_serve::prelude::{ExplainMethod, ServeModel};
 use nfv_xai::prelude::*;
 
 /// F1 — global feature-importance ranking of the SLA-violation classifier:
@@ -17,12 +18,19 @@ pub fn f1(quick: bool) {
     let model = Gbdt::fit(train, &GbdtParams::default(), 0).expect("fit");
     println!("F1 — global importance for the SLA-violation classifier\n");
 
-    // Mean |SHAP| over explained instances.
+    // Mean |SHAP| over served explanations (TreeSHAP reads no background;
+    // registration needs one).
     let instances: Vec<Vec<f64>> = (0..n_explain.min(train.n_rows()))
         .map(|i| train.row(i).to_vec())
         .collect();
-    let attrs =
-        explain_batch(&instances, 4, |x| gbdt_shap(&model, x, &train.names)).expect("batch");
+    let bg = Background::from_dataset(train, 25, 1).expect("background");
+    let attrs = served(
+        &ServeModel::Gbdt(model.clone()),
+        &train.names,
+        &bg,
+        ExplainMethod::TreeShap,
+        &instances,
+    );
     let shap_global = mean_absolute_attribution(&attrs);
 
     // Permutation importance on the probability surface.
@@ -151,12 +159,10 @@ pub fn f3(quick: bool) {
         .map(|&i| train.row(i).to_vec())
         .collect();
 
-    let shap_attrs =
-        explain_batch(&instances, 4, |x| gbdt_shap(&model, x, &train.names)).expect("batch");
-    let lime_attrs = explain_batch(&instances, 4, |x| {
-        lime(&model, x, &bg, &train.names, &LimeConfig::default()).map(|e| e.attribution)
-    })
-    .expect("batch");
+    let serve_model = ServeModel::Gbdt(model.clone());
+    let explain = |method| served(&serve_model, &train.names, &bg, method, &instances);
+    let shap_attrs = explain(ExplainMethod::TreeShap);
+    let lime_attrs = explain(ExplainMethod::Lime { n_samples: 1000 });
     let pfi = permutation_importance(&model, train, &PermutationConfig::default()).expect("pfi");
     let pfi_order = pfi.ranking();
 
@@ -296,27 +302,19 @@ pub fn f5(quick: bool) {
     let bg = Background::from_dataset(train, 25, 3).expect("background");
     println!("F5 — cross-method agreement and stability\n");
 
+    // Every set is served, so every set explains the GBDT's margin.
     let instances: Vec<Vec<f64>> = (0..n_inst).map(|i| train.row(i * 7).to_vec()).collect();
-    let tree_attrs =
-        explain_batch(&instances, 4, |x| gbdt_shap(&model, x, &train.names)).expect("batch");
-    let kernel_attrs = explain_batch(&instances, 4, |x| {
-        kernel_shap(
-            &surface,
-            x,
-            &bg,
-            &train.names,
-            &KernelShapConfig::for_features(x.len()),
-        )
-    })
-    .expect("batch");
-    let sampling_attrs = explain_batch(&instances, 4, |x| {
-        sampling_shapley(&surface, x, &bg, &train.names, &SamplingConfig::default())
-    })
-    .expect("batch");
-    let lime_attrs = explain_batch(&instances, 4, |x| {
-        lime(&surface, x, &bg, &train.names, &LimeConfig::default()).map(|e| e.attribution)
-    })
-    .expect("batch");
+    let serve_model = ServeModel::Gbdt(model.clone());
+    let explain = |method| served(&serve_model, &train.names, &bg, method, &instances);
+    let tree_attrs = explain(ExplainMethod::TreeShap);
+    let kernel_attrs = explain(ExplainMethod::KernelShap {
+        n_coalitions: 2 * train.n_features() + 512,
+    });
+    let sampling_attrs = explain(ExplainMethod::SamplingShapley {
+        n_permutations: 200,
+        antithetic: true,
+    });
+    let lime_attrs = explain(ExplainMethod::Lime { n_samples: 1000 });
 
     let methods: Vec<(&str, &Vec<Attribution>)> = vec![
         ("TreeSHAP", &tree_attrs),
@@ -507,8 +505,14 @@ pub fn f7(quick: bool) {
         let val_auc = metrics::roc_auc(&train.data.y, &val_proba).expect("auc");
         let dep_auc = metrics::roc_auc(&deployed.data.y, &dep_proba).expect("auc");
         let instances: Vec<Vec<f64>> = (0..n_explain).map(|i| train.data.row(i).to_vec()).collect();
-        let attrs = explain_batch(&instances, 4, |x| gbdt_shap(&model, x, &train.data.names))
-            .expect("batch");
+        let bg = Background::from_dataset(&train.data, 25, 1).expect("background");
+        let attrs = served(
+            &ServeModel::Gbdt(model.clone()),
+            &train.data.names,
+            &bg,
+            ExplainMethod::TreeShap,
+            &instances,
+        );
         let global = mean_absolute_attribution(&attrs);
         let leak_idx = train.data.feature_index("mon_debug_counter").expect("leak");
         let share = global[leak_idx] / global.iter().sum::<f64>().max(1e-12);

@@ -1,6 +1,7 @@
 //! Shared harness for the reconstructed evaluation: experiment setup
-//! (datasets, fitted models), wall-clock helpers, and table formatting used
-//! by both the `repro` binary and the Criterion benches.
+//! (datasets, fitted models), the served attribution sets the figures
+//! aggregate, wall-clock helpers, and table formatting used by both the
+//! `repro` binary and the Criterion benches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,8 +13,9 @@ pub mod tables;
 
 use nfv_data::prelude::*;
 use nfv_ml::prelude::*;
+use nfv_serve::prelude::*;
 use nfv_xai::prelude::*;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Number of feature columns for a secure-web-style chain of `n` VNFs.
 pub fn chain_feature_count(n_vnfs: usize) -> usize {
@@ -98,6 +100,44 @@ impl SizedTask {
     }
 }
 
+/// Explains every instance, in input order, through an in-process
+/// [`Engine`] with the default configuration — the registry, worker
+/// pipeline and cache an operator is served by — from the calling thread.
+/// A figure's attribution set is thereby computed by the code that serves.
+///
+/// Panics on a refused or failed request and on any answer that is not
+/// [`Fidelity::Exact`]: a figure must never aggregate degraded answers.
+pub fn served(
+    model: &ServeModel,
+    names: &[String],
+    background: &Background,
+    method: ExplainMethod,
+    instances: &[Vec<f64>],
+) -> Vec<Attribution> {
+    let engine = Engine::start(ServeConfig::default());
+    engine
+        .registry()
+        .register("figure", model.clone(), names.to_vec(), background.clone())
+        .expect("register");
+    let attrs = instances
+        .iter()
+        .map(|x| {
+            let resp = engine
+                .explain(ExplainRequest {
+                    model_id: "figure".into(),
+                    features: x.clone(),
+                    method,
+                    budget: Duration::from_secs(60),
+                })
+                .expect("served explanation");
+            assert_eq!(resp.fidelity, Fidelity::Exact, "degraded answer");
+            (*resp.attribution).clone()
+        })
+        .collect();
+    engine.shutdown();
+    attrs
+}
+
 /// Times `f` over `reps` repetitions, returning mean milliseconds.
 pub fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     let reps = reps.max(1);
@@ -166,6 +206,38 @@ mod tests {
             t.forest.predict(x).to_bits(),
             "packed engine must match the forest bit-for-bit"
         );
+    }
+
+    #[test]
+    fn served_tree_shap_is_the_library_answer_in_input_order() {
+        let s = friedman1(300, 6, 0.2, 3).unwrap();
+        let params = GbdtParams {
+            n_rounds: 20,
+            ..GbdtParams::default()
+        };
+        let model = Gbdt::fit(&s.data, &params, 0).unwrap();
+        let bg = Background::from_dataset(&s.data, 10, 1).unwrap();
+        let mut instances: Vec<Vec<f64>> = (0..12).map(|i| s.data.row(i).to_vec()).collect();
+        // A repeat is answered from the cache the first ask filled.
+        instances.push(instances[3].clone());
+        let got = served(
+            &ServeModel::Gbdt(model.clone()),
+            &s.data.names,
+            &bg,
+            ExplainMethod::TreeShap,
+            &instances,
+        );
+        let bits = |a: &Attribution| -> Vec<u64> {
+            let tail = [a.base_value, a.prediction];
+            a.values.iter().chain(&tail).map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(got.len(), instances.len());
+        for (a, x) in got.iter().zip(&instances) {
+            let want = gbdt_shap(&model, x, &s.data.names).unwrap();
+            assert_eq!(bits(a), bits(&want));
+            assert_eq!(a.names, want.names);
+        }
+        assert_eq!(bits(&got[12]), bits(&got[3]));
     }
 
     #[test]

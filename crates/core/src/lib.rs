@@ -31,6 +31,11 @@
 //! of one — so a serving layer can batch many requests, across methods,
 //! into single model evaluations without changing a bit of any answer.
 //!
+//! Every function here runs on its caller's thread; the crate has no
+//! thread pool. Explaining a whole set in parallel is the serving layer's
+//! job: `nfv-serve`'s engine fans requests over its workers and fuses the
+//! ones that co-queue (the paper's global figures are computed that way).
+//!
 //! ## Evaluation
 //!
 //! [`eval::fidelity`] (deletion/insertion AUC), [`eval::rank`] (cross-method
@@ -58,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod background;
-pub mod batch;
 pub mod counterfactual;
 pub mod eval;
 pub mod explainer;
@@ -102,7 +106,6 @@ impl std::error::Error for XaiError {}
 /// One-stop imports.
 pub mod prelude {
     pub use crate::background::{Background, CoalitionPlan, CoalitionWorkspace, FusedBlock};
-    pub use crate::batch::{explain_batch, explain_batch_seeded, explain_batch_seeded_ws};
     pub use crate::counterfactual::{
         counterfactual, Counterfactual, CounterfactualConfig, CrossingDirection,
     };
@@ -131,17 +134,16 @@ pub mod prelude {
     pub use crate::pdp::{partial_dependence, PartialDependence};
     pub use crate::permutation::{
         instance_permutation, instance_permutation_finish, instance_permutation_plan,
-        instance_permutation_with, permutation_importance, PermutationConfig,
-        PermutationImportance, PermutationPlan,
+        permutation_importance, PermutationConfig, PermutationImportance, PermutationPlan,
     };
     pub use crate::report::{humanize_feature, render_report, OperatorReport, PredictionKind};
     pub use crate::sage::{sage, SageConfig, SageImportance};
     pub use crate::shapley::{
         ensemble_shap, exact_shapley, exact_shapley_finish, exact_shapley_plan, forest_shap,
-        gbdt_shap, kernel_shap, kernel_shap_finish, kernel_shap_plan, kernel_shap_with,
-        sampling_shapley, sampling_shapley_finish, sampling_shapley_plan, tree_shap, ExactShapPlan,
-        KernelShapConfig, KernelShapPlan, SamplingConfig, SamplingPlan, TreeShapConsts,
-        TreeShapScratch, MAX_EXACT_FEATURES,
+        gbdt_shap, kernel_shap, kernel_shap_finish, kernel_shap_plan, sampling_shapley,
+        sampling_shapley_finish, sampling_shapley_plan, tree_shap, ExactShapPlan, KernelShapConfig,
+        KernelShapPlan, SamplingConfig, SamplingPlan, TreeShapConsts, TreeShapScratch,
+        MAX_EXACT_FEATURES,
     };
     pub use crate::surrogate::{global_surrogate, render_rules, Surrogate};
     pub use crate::XaiError;

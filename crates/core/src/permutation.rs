@@ -178,23 +178,11 @@ pub fn instance_permutation(
     names: &[String],
     base_hint: Option<f64>,
 ) -> Result<Attribution, XaiError> {
-    let mut ws = CoalitionWorkspace::default();
-    instance_permutation_with(model, x, background, names, base_hint, &mut ws)
-}
-
-/// [`instance_permutation`] against a caller-owned workspace.
-pub fn instance_permutation_with(
-    model: &dyn Regressor,
-    x: &[f64],
-    background: &Background,
-    names: &[String],
-    base_hint: Option<f64>,
-    ws: &mut CoalitionWorkspace,
-) -> Result<Attribution, XaiError> {
     let d = check_instance_shapes(x, background)?;
     let base = base_hint.unwrap_or_else(|| background.expected_output(model));
     let mut v = Vec::with_capacity(d + 1);
-    background.coalition_values_into(model, x, d + 1, ablation_membership, ws, &mut v);
+    let mut ws = CoalitionWorkspace::default();
+    background.coalition_values_into(model, x, d + 1, ablation_membership, &mut ws, &mut v);
     ablation_attribution(&v, base, names)
 }
 
@@ -217,7 +205,7 @@ impl PermutationPlan {
 /// Builds a [`PermutationPlan`] for `x`, appending its composite rows to
 /// `block`. The model is only touched when `base_hint` is `None` (one
 /// background sweep for the base value); guards are those of
-/// [`instance_permutation_with`].
+/// [`instance_permutation`].
 pub fn instance_permutation_plan(
     model: &dyn Regressor,
     x: &[f64],
@@ -233,7 +221,7 @@ pub fn instance_permutation_plan(
 }
 
 /// Completes a [`PermutationPlan`] against its evaluated block with the
-/// reduction of [`instance_permutation_with`].
+/// reduction of [`instance_permutation`].
 pub fn instance_permutation_finish(
     plan: &PermutationPlan,
     block: &FusedBlock,
@@ -333,8 +321,7 @@ mod tests {
         let mut block = FusedBlock::default();
         for row in [0usize, 5, 11] {
             let x = s.data.row(row).to_vec();
-            let direct =
-                instance_permutation_with(&model, &x, &bg, &s.data.names, None, &mut ws).unwrap();
+            let direct = instance_permutation(&model, &x, &bg, &s.data.names, None).unwrap();
             block.clear();
             let plan =
                 instance_permutation_plan(&model, &x, &bg, None, &mut ws, &mut block).unwrap();

@@ -201,28 +201,13 @@ fn prepare(
     })
 }
 
-/// Computes KernelSHAP attributions of `model` at `x` (allocates a fresh
-/// evaluation workspace; batch callers should hold one per thread and use
-/// [`kernel_shap_with`]).
+/// Computes KernelSHAP attributions of `model` at `x`.
 pub fn kernel_shap(
     model: &dyn Regressor,
     x: &[f64],
     background: &Background,
     names: &[String],
     cfg: &KernelShapConfig,
-) -> Result<Attribution, XaiError> {
-    kernel_shap_with(model, x, background, names, cfg, &mut Default::default())
-}
-
-/// [`kernel_shap`] with a caller-provided [`CoalitionWorkspace`], so the
-/// composite-row block is reused across many explanations on one thread.
-pub fn kernel_shap_with(
-    model: &dyn Regressor,
-    x: &[f64],
-    background: &Background,
-    names: &[String],
-    cfg: &KernelShapConfig,
-    ws: &mut CoalitionWorkspace,
 ) -> Result<Attribution, XaiError> {
     let p = prepare(model, x, background, cfg, None)?;
     let mut values = Vec::with_capacity(p.coalitions.len());
@@ -231,7 +216,7 @@ pub fn kernel_shap_with(
         x,
         p.coalitions.len(),
         |i, members| members.copy_from_slice(&p.coalitions[i].0),
-        ws,
+        &mut CoalitionWorkspace::default(),
         &mut values,
     );
     solve_weighted(&p, &values, names)
@@ -312,7 +297,7 @@ impl KernelShapPlan {
 /// bit. The model is still consulted for `f(x)` — the single row the plan
 /// cannot defer.
 ///
-/// Guards and error cases are those of [`kernel_shap_with`] (a `d == 1`
+/// Guards and error cases are those of [`kernel_shap`] (a `d == 1`
 /// plan occupies zero rows and resolves fully at finish time).
 pub fn kernel_shap_plan(
     model: &dyn Regressor,
@@ -336,7 +321,7 @@ pub fn kernel_shap_plan(
 
 /// Completes a [`KernelShapPlan`] against its evaluated block: reduces the
 /// plan's prediction rows to coalition values and runs the weighted
-/// regression of [`kernel_shap_with`] on them.
+/// regression of [`kernel_shap`] on them.
 pub fn kernel_shap_finish(
     plan: &KernelShapPlan,
     block: &FusedBlock,
@@ -577,25 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_variant_matches_allocating_path() {
-        let s = friedman1(120, 7, 0.2, 21).unwrap();
-        let bg = Background::from_dataset(&s.data, 9, 2).unwrap();
-        let t = nfv_ml::tree::DecisionTree::fit(&s.data, &Default::default(), 0).unwrap();
-        let cfg = KernelShapConfig {
-            n_coalitions: 48,
-            ridge: 1e-8,
-            seed: 5,
-        };
-        let mut ws = crate::background::CoalitionWorkspace::default();
-        for row in [0usize, 3, 11] {
-            let x = s.data.row(row).to_vec();
-            let plain = kernel_shap(&t, &x, &bg, &names(7), &cfg).unwrap();
-            let with_ws = kernel_shap_with(&t, &x, &bg, &names(7), &cfg, &mut ws).unwrap();
-            assert_eq!(plain, with_ws, "workspace reuse must not change values");
-        }
-    }
-
-    #[test]
     fn planned_kernel_shap_is_bit_identical_to_direct() {
         use crate::background::FusedBlock;
         let s = friedman1(150, 9, 0.2, 13).unwrap();
@@ -622,7 +588,7 @@ mod tests {
                 .collect();
         let direct: Vec<Attribution> = reqs
             .iter()
-            .map(|(x, cfg)| kernel_shap_with(&t, x, &bg, &names(9), cfg, &mut ws).unwrap())
+            .map(|(x, cfg)| kernel_shap(&t, x, &bg, &names(9), cfg).unwrap())
             .collect();
         let plans: Vec<KernelShapPlan> = reqs
             .iter()

@@ -17,6 +17,10 @@
 //! - its own bit-reproducible RNG ([`rng::SimRng`]) so that a seed pins a
 //!   trace forever.
 //!
+//! A run executes on its caller's thread and the crate starts none of its
+//! own; a fleet of independent scenarios is a loop over
+//! [`scenario::Scenario::run_des`], exactly as reproducible as each run.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -39,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod autoscaler;
-pub mod batch;
 pub mod chain;
 pub mod engine;
 pub mod event;
@@ -85,7 +88,6 @@ pub mod prelude {
         run_scaling, EpochObservation, PredictivePolicy, ScalingPolicy, ScalingRun,
         ScalingSimConfig, ThresholdPolicy,
     };
-    pub use crate::batch::run_batch_des;
     pub use crate::chain::{estimate_chain, ChainEstimate, ChainPlacement, ChainSpec};
     pub use crate::engine::{Engine, RunConfig, RunResult};
     pub use crate::faults::{Fault, FaultKind};

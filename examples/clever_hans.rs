@@ -35,8 +35,11 @@ fn main() {
 
     // The audit the paper argues for: global mean-|SHAP| before rollout.
     let sample: Vec<Vec<f64>> = (0..200).map(|i| validation.row(i).to_vec()).collect();
-    let attrs = explain_batch(&sample, 4, |x| gbdt_shap(&model, x, &validation.names))
-        .expect("batch explanation");
+    let attrs = sample
+        .iter()
+        .map(|x| gbdt_shap(&model, x, &validation.names))
+        .collect::<Result<Vec<_>, _>>()
+        .expect("explanation");
     let global = mean_absolute_attribution(&attrs);
 
     println!("\nglobal mean |SHAP| (training distribution):");

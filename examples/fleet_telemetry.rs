@@ -1,4 +1,4 @@
-//! Fleet telemetry pipeline: simulate many scenarios in parallel, ship the
+//! Fleet telemetry pipeline: simulate many scenarios, ship the
 //! telemetry as compact binary traces, and analyze it on the "other side"
 //! — the ingestion path a real monitoring stack would have.
 //!
@@ -36,9 +36,13 @@ fn main() {
         })
         .collect();
 
-    // Simulate across threads (deterministic regardless of thread count).
-    let results = run_batch_des(&jobs, 4).expect("fleet simulation");
-    println!("simulated {} sites in parallel", results.len());
+    // Simulate each site in turn (a seed fully determines every run).
+    let results = jobs
+        .iter()
+        .map(|(sc, cfg)| sc.run_des(cfg))
+        .collect::<Result<Vec<_>, _>>()
+        .expect("fleet simulation");
+    println!("simulated {} sites", results.len());
 
     // Ship each site's telemetry as a binary trace and measure the wire.
     let mut total_binary = 0usize;

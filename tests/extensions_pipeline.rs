@@ -132,7 +132,11 @@ fn sage_and_mean_shap_rank_the_same_top_feature() {
     )
     .unwrap();
     let instances: Vec<Vec<f64>> = (0..80).map(|i| test.row(i).to_vec()).collect();
-    let attrs = explain_batch(&instances, 4, |x| gbdt_shap(&model, x, &test.names)).unwrap();
+    let attrs = instances
+        .iter()
+        .map(|x| gbdt_shap(&model, x, &test.names))
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
     let shap_global = mean_absolute_attribution(&attrs);
     let top_shap = (0..shap_global.len())
         .max_by(|&a, &b| shap_global[a].total_cmp(&shap_global[b]))

@@ -406,44 +406,6 @@ proptest! {
         }
     }
 
-    /// Serving batches are invisible in the output: explaining a set of
-    /// instances through the batch path (any thread count, with or without
-    /// per-thread workspaces) is bit-for-bit the same as explaining each
-    /// alone with its own seed.
-    #[test]
-    fn batched_explanations_match_one_at_a_time(
-        instances in prop::collection::vec(prop::collection::vec(-3.0f64..3.0, 4), 1..8),
-        threads in 1usize..5,
-        seed0 in 0u64..1_000,
-    ) {
-        let bg = Background::from_rows(vec![
-            vec![0.0, 0.5, -0.5, 1.0],
-            vec![1.0, -1.0, 0.0, 0.0],
-            vec![-0.5, 0.0, 1.0, 0.5],
-        ]).unwrap();
-        let model = FnModel::new(4, |v: &[f64]| v[0].sin() + v[1] * v[2] - v[3].abs());
-        let names: Vec<String> = (0..4).map(|i| format!("x{i}")).collect();
-        let seeds: Vec<u64> = (0..instances.len()).map(|i| seed0 + 31 * i as u64).collect();
-        let cfg_for = |seed| KernelShapConfig { n_coalitions: 24, ridge: 1e-8, seed };
-        let batched = explain_batch_seeded(&instances, &seeds, threads, |x, seed| {
-            kernel_shap(&model, x, &bg, &names, &cfg_for(seed))
-        }).unwrap();
-        for (i, x) in instances.iter().enumerate() {
-            let alone = kernel_shap(&model, x, &bg, &names, &cfg_for(seeds[i])).unwrap();
-            prop_assert_eq!(&batched[i], &alone);
-        }
-        // The workspace-carrying pool must agree at every thread count:
-        // scratch reuse is invisible, so results cannot depend on how
-        // instances were sliced across workers.
-        for ws_threads in [1usize, 2, 4] {
-            let pooled = explain_batch_seeded_ws(
-                &instances, &seeds, ws_threads, CoalitionWorkspace::default,
-                |x, seed, ws| kernel_shap_with(&model, x, &bg, &names, &cfg_for(seed), ws),
-            ).unwrap();
-            prop_assert_eq!(&pooled, &batched, "ws pool diverged at {} threads", ws_threads);
-        }
-    }
-
     /// Whatever the operation mix (inserts, lookups, version bumps,
     /// evictions in a tiny cache), a lookup keyed to the current model
     /// version never observes an entry written under a different version.
@@ -488,6 +450,79 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Serving batches are invisible in the output: whatever the engine's
+    /// worker count and however many callers race it (so requests co-queue
+    /// and plan into one fused block), every answer is bit for bit the
+    /// answer a fresh one-worker engine gives that request alone.
+    #[test]
+    fn batched_explanations_match_one_at_a_time(
+        instances in prop::collection::vec(prop::collection::vec(0.0f64..1.0, 5), 1..9),
+        workers in 1usize..5,
+        callers in 1usize..5,
+    ) {
+        use nfv_serve::prelude::*;
+        use std::time::Duration;
+        let s = friedman1(160, 5, 0.1, 3).unwrap();
+        let params = GbdtParams { n_rounds: 12, ..GbdtParams::default() };
+        let model = ServeModel::Gbdt(Gbdt::fit(&s.data, &params, 0).unwrap());
+        let bg = Background::from_dataset(&s.data, 6, 1).unwrap();
+        let methods = [
+            ExplainMethod::KernelShap { n_coalitions: 24 },
+            ExplainMethod::Lime { n_samples: 5 + 2 },
+        ];
+        let start = |workers| {
+            let engine = Engine::start(ServeConfig { workers, ..ServeConfig::default() });
+            engine.registry()
+                .register("m", model.clone(), s.data.names.clone(), bg.clone())
+                .unwrap();
+            engine
+        };
+        let ask = |engine: &Engine, x: &[f64], method| {
+            let resp = engine.explain(ExplainRequest {
+                model_id: "m".into(),
+                features: x.to_vec(),
+                method,
+                budget: Duration::from_secs(60),
+            }).unwrap();
+            assert_eq!(resp.fidelity, Fidelity::Exact);
+            resp.attribution
+        };
+        let bits = |a: &Attribution| -> Vec<u64> {
+            a.values.iter().chain([&a.base_value, &a.prediction]).map(|v| v.to_bits()).collect()
+        };
+
+        // Caller c asks every method for instances c, c + callers, ...
+        let engine = start(workers);
+        let answers: Vec<(usize, ExplainMethod, Vec<u64>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..callers).map(|c| {
+                let (engine, instances, ask, bits) = (&engine, &instances, &ask, &bits);
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    for i in (c..instances.len()).step_by(callers) {
+                        for method in methods {
+                            out.push((i, method, bits(&ask(engine, &instances[i], method))));
+                        }
+                    }
+                    out
+                })
+            }).collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        engine.shutdown();
+        prop_assert_eq!(answers.len(), instances.len() * methods.len());
+        for (i, method, got) in answers {
+            let alone = start(1);
+            let want = bits(&ask(&alone, &instances[i], method));
+            alone.shutdown();
+            prop_assert_eq!(got, want, "instance {} {:?}: {} workers, {} callers",
+                i, method, workers, callers);
         }
     }
 }

@@ -74,7 +74,11 @@ fn tree_shap_global_ranking_matches_known_relevance() {
     let g = Gbdt::fit(&s.data, &GbdtParams::default(), 0).unwrap();
     let names = names_of(&s.data);
     let instances: Vec<Vec<f64>> = (0..300).map(|i| s.data.row(i).to_vec()).collect();
-    let attrs = explain_batch(&instances, 4, |x| gbdt_shap(&g, x, &names)).unwrap();
+    let attrs = instances
+        .iter()
+        .map(|x| gbdt_shap(&g, x, &names))
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
     let global = mean_absolute_attribution(&attrs);
     let min_relevant = s
         .relevant
@@ -96,7 +100,11 @@ fn interaction_task_separates_shapley_from_marginal_views() {
     let g = Gbdt::fit(&s.data, &GbdtParams::default(), 0).unwrap();
     let names = names_of(&s.data);
     let instances: Vec<Vec<f64>> = (0..200).map(|i| s.data.row(i).to_vec()).collect();
-    let attrs = explain_batch(&instances, 4, |x| gbdt_shap(&g, x, &names)).unwrap();
+    let attrs = instances
+        .iter()
+        .map(|x| gbdt_shap(&g, x, &names))
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
     let global = mean_absolute_attribution(&attrs);
     assert!(global[0] > 4.0 * global[2], "{global:?}");
     assert!(global[1] > 4.0 * global[2], "{global:?}");
@@ -129,7 +137,11 @@ fn deletion_fidelity_prefers_shap_over_random_ordering() {
     let preds: Vec<f64> = s.data.rows().map(|r| Regressor::predict(&g, r)).collect();
     idx.sort_by(|&a, &b| preds[b].total_cmp(&preds[a]));
     let instances: Vec<Vec<f64>> = idx[..40].iter().map(|&i| s.data.row(i).to_vec()).collect();
-    let attrs = explain_batch(&instances, 4, |x| gbdt_shap(&g, x, &names)).unwrap();
+    let attrs = instances
+        .iter()
+        .map(|x| gbdt_shap(&g, x, &names))
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
 
     let shap_orders: Vec<Vec<usize>> = attrs.iter().map(|a| a.order_by_magnitude()).collect();
     let random_orders: Vec<Vec<usize>> = (0..instances.len())
@@ -171,7 +183,11 @@ fn clever_hans_is_unmasked_by_global_shap() {
     .unwrap();
     let names = names_of(&leaky.data);
     let instances: Vec<Vec<f64>> = (0..200).map(|i| leaky.data.row(i).to_vec()).collect();
-    let attrs = explain_batch(&instances, 4, |x| gbdt_shap(&model, x, &names)).unwrap();
+    let attrs = instances
+        .iter()
+        .map(|x| gbdt_shap(&model, x, &names))
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
     let global = mean_absolute_attribution(&attrs);
     let leak = leaky.data.feature_index("mon_debug_counter").unwrap();
     let top = (0..global.len())
