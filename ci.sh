@@ -136,6 +136,14 @@ cargo test --release -p nfv-xai -q shapley::tree
 cargo test --release -p nfv-ml -q very_deep_chain
 cargo test --release -p nfv-serve -q --lib refused_at_registration
 
+# The CART split search likewise: its batch gain loop is vectorized only
+# when optimized, so its oracles (the reference builder, the radix sort
+# against sort_unstable) and the pinned model fingerprints run again on
+# the code that ships.
+echo "==> cargo test --release: the split search's oracles and fingerprint pins"
+cargo test --release -p nfv-ml -q --lib builder_matches_the_stable_sort
+cargo test --release -p nfv-ml -q --test fit_fingerprints
+
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

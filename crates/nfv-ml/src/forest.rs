@@ -3,7 +3,7 @@
 
 use crate::model::{Classifier, Regressor};
 use crate::soa::SoaForest;
-use crate::tree::{ColumnRanks, DecisionTree, TreeParams};
+use crate::tree::{ColumnRanks, DecisionTree, SplitScratch, TreeParams};
 use crate::MlError;
 use nfv_data::dataset::{Dataset, Task};
 use rand::rngs::StdRng;
@@ -83,17 +83,21 @@ impl RandomForest {
         let n = data.n_rows();
         let sample_n = ((n as f64) * params.sample_fraction).round().max(1.0) as usize;
 
-        // Every tree sorts the same feature matrix: rank it once.
+        // Every tree sorts the same feature matrix: rank it once. Each
+        // worker keeps one set of split buffers for all its trees.
         let ranks = ColumnRanks::of(data);
-        let fit_one = |t: usize| -> Result<DecisionTree, MlError> {
+        let fit_one = |t: usize, scratch: &mut SplitScratch| -> Result<DecisionTree, MlError> {
             let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
             let idx: Vec<usize> = (0..sample_n).map(|_| rng.gen_range(0..n)).collect();
-            DecisionTree::fit_ranked(data, &ranks, &idx, &tree_params, rng.gen())
+            DecisionTree::fit_ranked(data, &ranks, scratch, &idx, &tree_params, rng.gen())
         };
 
         let threads = threads.max(1).min(params.n_trees);
         let trees: Vec<Result<DecisionTree, MlError>> = if threads == 1 {
-            (0..params.n_trees).map(fit_one).collect()
+            let mut scratch = SplitScratch::default();
+            (0..params.n_trees)
+                .map(|t| fit_one(t, &mut scratch))
+                .collect()
         } else {
             let mut out: Vec<Option<Result<DecisionTree, MlError>>> =
                 (0..params.n_trees).map(|_| None).collect();
@@ -102,8 +106,9 @@ impl RandomForest {
                 for (w, slot) in out.chunks_mut(chunk).enumerate() {
                     let fit_one = &fit_one;
                     s.spawn(move |_| {
+                        let mut scratch = SplitScratch::default();
                         for (off, cell) in slot.iter_mut().enumerate() {
-                            *cell = Some(fit_one(w * chunk + off));
+                            *cell = Some(fit_one(w * chunk + off, &mut scratch));
                         }
                     });
                 }

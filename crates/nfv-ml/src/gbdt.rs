@@ -5,7 +5,7 @@
 use crate::linear::sigmoid;
 use crate::model::{Classifier, Regressor};
 use crate::soa::SoaForest;
-use crate::tree::{ColumnRanks, DecisionTree, TreeParams};
+use crate::tree::{ColumnRanks, DecisionTree, SplitScratch, TreeParams};
 use crate::MlError;
 use nfv_data::dataset::{Dataset, Task};
 use rand::rngs::StdRng;
@@ -93,6 +93,7 @@ impl Gbdt {
         let mut residual_data = data.clone();
         residual_data.task = Task::Regression;
         let ranks = ColumnRanks::of(data);
+        let mut scratch = SplitScratch::default();
         let mut rng = StdRng::seed_from_u64(seed);
         let sub_n = ((n as f64) * params.subsample).round().max(1.0) as usize;
         let mut all_rows: Vec<usize> = (0..n).collect();
@@ -118,6 +119,7 @@ impl Gbdt {
             let tree = DecisionTree::fit_ranked(
                 &residual_data,
                 &ranks,
+                &mut scratch,
                 idx,
                 &params.tree,
                 seed ^ (round as u64).wrapping_mul(0x51_7C_C1),

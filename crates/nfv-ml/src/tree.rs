@@ -80,12 +80,22 @@ fn impurity(task: Task, sum: f64, sum_sq: f64, n: f64) -> f64 {
         return 0.0;
     }
     match task {
-        Task::Regression => (sum_sq / n - (sum / n).powi(2)).max(0.0),
-        Task::BinaryClassification => {
-            let p = sum / n;
-            2.0 * p * (1.0 - p)
-        }
+        Task::Regression => variance(sum, sum_sq, n),
+        Task::BinaryClassification => gini(sum, sum_sq, n),
     }
+}
+
+/// [`impurity`] of a non-empty regression accumulator.
+#[inline(always)]
+fn variance(sum: f64, sum_sq: f64, n: f64) -> f64 {
+    (sum_sq / n - (sum / n).powi(2)).max(0.0)
+}
+
+/// [`impurity`] of a non-empty classification accumulator.
+#[inline(always)]
+fn gini(sum: f64, _sum_sq: f64, n: f64) -> f64 {
+    let p = sum / n;
+    2.0 * p * (1.0 - p)
 }
 
 impl DecisionTree {
@@ -103,16 +113,26 @@ impl DecisionTree {
         params: &TreeParams,
         seed: u64,
     ) -> Result<DecisionTree, MlError> {
-        Self::fit_ranked(data, &ColumnRanks::of(data), idx, params, seed)
+        let ranks = ColumnRanks::of(data);
+        Self::fit_ranked(
+            data,
+            &ranks,
+            &mut SplitScratch::default(),
+            idx,
+            params,
+            seed,
+        )
     }
 
     /// [`DecisionTree::fit_on`] against ranks the caller computed once
-    /// (ensembles fit every tree on the same feature matrix). `ranks` must
-    /// be [`ColumnRanks::of`] a dataset with `data`'s features; targets
-    /// may differ (boosting rewrites them every round).
+    /// (ensembles fit every tree on the same feature matrix) and split
+    /// buffers it keeps across trees. `ranks` must be [`ColumnRanks::of`]
+    /// a dataset with `data`'s features; targets may differ (boosting
+    /// rewrites them every round).
     pub(crate) fn fit_ranked(
         data: &Dataset,
         ranks: &ColumnRanks,
+        scratch: &mut SplitScratch,
         idx: &[usize],
         params: &TreeParams,
         seed: u64,
@@ -135,13 +155,14 @@ impl DecisionTree {
                 )));
             }
         }
+        scratch.size_for(idx.len());
         let mut grower = Grower {
             data,
             ranks,
             params,
             rng: StdRng::seed_from_u64(seed),
             nodes: Vec::new(),
-            keys: Vec::with_capacity(idx.len()),
+            scratch,
         };
         grower.build(&mut idx.to_vec(), 0);
         Ok(DecisionTree {
@@ -224,6 +245,8 @@ impl DecisionTree {
 pub(crate) struct ColumnRanks {
     /// Column-major: `ranks[f * n_rows + row]`.
     ranks: Vec<u32>,
+    /// Per column, the bit width of its largest rank (0: one value).
+    bits: Vec<u32>,
     n_rows: usize,
 }
 
@@ -233,6 +256,7 @@ impl ColumnRanks {
         assert!(n <= u32::MAX as usize, "row ids and ranks are 32-bit");
         let x = data.x_flat();
         let mut ranks = vec![0u32; n * d];
+        let mut bits = vec![0u32; d];
         let mut order: Vec<u32> = Vec::with_capacity(n);
         for (f, column) in ranks.chunks_exact_mut(n.max(1)).enumerate() {
             let value = |row: u32| x[row as usize * d + f];
@@ -246,12 +270,216 @@ impl ColumnRanks {
                 }
                 column[order[w] as usize] = rank;
             }
+            bits[f] = u32::BITS - rank.leading_zeros();
         }
-        ColumnRanks { ranks, n_rows: n }
+        ColumnRanks {
+            ranks,
+            bits,
+            n_rows: n,
+        }
     }
 
     fn column(&self, f: usize) -> &[u32] {
         &self.ranks[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+}
+
+/// Digit width of the radix sort: one pass per 8 rank bits, four at most.
+const RADIX_BITS: u32 = 8;
+
+/// Nodes with fewer rows sort their keys with `sort_unstable`: below this
+/// the radix sort's histograms cost more than the comparisons.
+const RADIX_MIN_KEYS: usize = 96;
+
+/// Orders split keys — `rank << 32 | position`, pushed in position order —
+/// by rank, ties by position. The keys are unique, so this is the one
+/// order `sort_unstable` gives them; a stable LSD radix sort over the rank
+/// half (`rank_bits` wide) reaches it without comparing, because its input
+/// is already in position order and every pass keeps equal digits in
+/// input order. `spare` is the radix sort's second buffer.
+fn sort_keys(keys: &mut Vec<u64>, spare: &mut Vec<u64>, rank_bits: u32) {
+    if keys.len() < RADIX_MIN_KEYS {
+        keys.sort_unstable();
+        return;
+    }
+    const DIGIT: usize = 1 << RADIX_BITS;
+    let passes = rank_bits.div_ceil(RADIX_BITS) as usize;
+    let mut counts = [[0u32; DIGIT]; 4];
+    for &k in keys.iter() {
+        let rank = (k >> 32) as usize;
+        for (p, count) in counts[..passes].iter_mut().enumerate() {
+            count[(rank >> (p as u32 * RADIX_BITS)) % DIGIT] += 1;
+        }
+    }
+    spare.resize(keys.len(), 0);
+    for (p, count) in counts[..passes].iter_mut().enumerate() {
+        let digit = |k: u64| (k >> (32 + p as u32 * RADIX_BITS)) as usize % DIGIT;
+        if count[digit(keys[0])] as usize == keys.len() {
+            continue; // one bucket: the pass would copy the order it has
+        }
+        let mut at = 0u32;
+        for slot in count.iter_mut() {
+            (*slot, at) = (at, at + *slot);
+        }
+        for &k in keys.iter() {
+            let slot = &mut count[digit(k)];
+            spare[*slot as usize] = k;
+            *slot += 1;
+        }
+        std::mem::swap(keys, spare);
+    }
+}
+
+/// Boundaries evaluated per batch: pass 1 records at most this many
+/// before passes 2 and 3 consume them, so the per-boundary arrays stay in
+/// L1 whatever the node's size.
+const BATCH: usize = 256;
+
+/// Split-search buffers, reused by every node of every tree the caller
+/// fits with them: a node's search is over before its children are built.
+#[derive(Default)]
+pub(crate) struct SplitScratch {
+    /// One feature's `rank << 32 | position` keys, sorted.
+    keys: Vec<u64>,
+    /// The radix sort's second buffer.
+    spare: Vec<u64>,
+    /// The node's targets in position order.
+    ys: Vec<f64>,
+    /// Per admissible boundary of the current batch, in scan order: `w`,
+    /// the last sorted position on its left, the two sides' running sums
+    /// there, and its gain.
+    at: Vec<u32>,
+    lsum: Vec<f64>,
+    lsq: Vec<f64>,
+    rsum: Vec<f64>,
+    rsq: Vec<f64>,
+    gain: Vec<f64>,
+}
+
+/// What a node's split search knows before it looks at a feature.
+struct NodeStats {
+    task: Task,
+    /// Row count, as the reference's `n`.
+    n: f64,
+    sum: f64,
+    sum_sq: f64,
+    impurity: f64,
+}
+
+/// The running sums of one scan: the left side's and the right side's
+/// sum and sum of squares.
+struct Running {
+    lsum: f64,
+    lsq: f64,
+    rsum: f64,
+    rsq: f64,
+}
+
+impl Running {
+    /// Moves one target from the right side to the left, with the
+    /// reference's operations in the reference's order.
+    #[inline(always)]
+    fn take(&mut self, yi: f64) {
+        self.lsum += yi;
+        self.lsq += yi * yi;
+        self.rsum -= yi;
+        self.rsq -= yi * yi;
+    }
+}
+
+impl SplitScratch {
+    /// Makes room for a tree over `rows` training rows.
+    fn size_for(&mut self, rows: usize) {
+        for v in [&mut self.lsum, &mut self.lsq, &mut self.rsum, &mut self.rsq] {
+            v.resize(BATCH, 0.0);
+        }
+        self.gain.resize(BATCH, 0.0);
+        self.at.resize(BATCH, 0);
+        self.keys.reserve(rows);
+        self.spare.reserve(rows);
+        self.ys.reserve(rows);
+    }
+
+    /// Scans the sorted keys for the first admissible boundary `w` in
+    /// `lo..hi` whose gain is strictly greater than `top` and every
+    /// earlier candidate's; returns it with its gain.
+    fn best_boundary(
+        &mut self,
+        node: &NodeStats,
+        lo: usize,
+        hi: usize,
+        mut top: f64,
+    ) -> Option<(usize, f64)> {
+        if lo >= hi {
+            return None; // no boundary leaves `min_leaf` rows on both sides
+        }
+        let mut run = Running {
+            lsum: 0.0,
+            lsq: 0.0,
+            rsum: node.sum,
+            rsq: node.sum_sq,
+        };
+        for &k in &self.keys[..lo] {
+            run.take(self.ys[k as u32 as usize]);
+        }
+        let mut won = None;
+        for start in (lo..hi).step_by(BATCH) {
+            let m = self.boundary_sums(&mut run, start, (start + BATCH).min(hi));
+            self.gains(node, m);
+            // Pass 3: the first strictly better gain.
+            for (&gain, &w) in self.gain[..m].iter().zip(&self.at[..m]) {
+                if gain > top {
+                    (top, won) = (gain, Some(w as usize));
+                }
+            }
+        }
+        won.map(|w| (w, top))
+    }
+
+    /// Pass 1: continues the scan over sorted positions `start..end` and
+    /// records the sums at every boundary where the rank changes. Returns
+    /// how many it recorded.
+    fn boundary_sums(&mut self, run: &mut Running, start: usize, end: usize) -> usize {
+        let (keys, ys) = (&self.keys, &self.ys);
+        let mut m = 0;
+        for w in start..end {
+            run.take(ys[keys[w] as u32 as usize]);
+            // Written at every position, kept (m advances) only where the
+            // rank changes: no branch on the data.
+            self.at[m] = w as u32;
+            self.lsum[m] = run.lsum;
+            self.lsq[m] = run.lsq;
+            self.rsum[m] = run.rsum;
+            self.rsq[m] = run.rsq;
+            m += (keys[w] >> 32 != keys[w + 1] >> 32) as usize;
+        }
+        m
+    }
+
+    /// Pass 2: the gains of the first `m` recorded boundaries, with the
+    /// reference's expression. `ln = w + 1` and `rn = n − ln` are integers
+    /// below 2⁵³, so they equal the reference's `+= 1.0` / `-= 1.0`
+    /// counters exactly, and both are ≥ 1: [`impurity`]'s empty-node
+    /// branch never fires at a boundary.
+    fn gains(&mut self, node: &NodeStats, m: usize) {
+        match node.task {
+            Task::Regression => self.gains_with(variance, node, m),
+            Task::BinaryClassification => self.gains_with(gini, node, m),
+        }
+    }
+
+    #[inline(always)]
+    fn gains_with(&mut self, imp: impl Fn(f64, f64, f64) -> f64, node: &NodeStats, m: usize) {
+        let (at, lsum, lsq) = (&self.at[..m], &self.lsum[..m], &self.lsq[..m]);
+        let (rsum, rsq, gain) = (&self.rsum[..m], &self.rsq[..m], &mut self.gain[..m]);
+        let (n, node_impurity) = (node.n, node.impurity);
+        for k in 0..m {
+            let ln = at[k] as f64 + 1.0;
+            let rn = n - ln;
+            gain[k] = node_impurity
+                - (ln / n) * imp(lsum[k], lsq[k], ln)
+                - (rn / n) * imp(rsum[k], rsq[k], rn);
+        }
     }
 }
 
@@ -262,9 +490,7 @@ struct Grower<'a> {
     params: &'a TreeParams,
     rng: StdRng,
     nodes: Vec<TreeNode>,
-    /// Split-search scratch, reused by every node: a node's scan is over
-    /// before its children are built.
-    keys: Vec<u64>,
+    scratch: &'a mut SplitScratch,
 }
 
 impl Grower<'_> {
@@ -285,8 +511,11 @@ impl Grower<'_> {
     fn build(&mut self, idx: &mut [usize], depth: usize) -> u32 {
         let (data, params) = (self.data, self.params);
         let n = idx.len() as f64;
-        let sum: f64 = idx.iter().map(|&i| data.y[i]).sum();
-        let sum_sq: f64 = idx.iter().map(|&i| data.y[i] * data.y[i]).sum();
+        let s = &mut *self.scratch;
+        s.ys.clear();
+        s.ys.extend(idx.iter().map(|&i| data.y[i]));
+        let sum: f64 = s.ys.iter().sum();
+        let sum_sq: f64 = s.ys.iter().map(|&y| y * y).sum();
         let value = sum / n;
         let node_impurity = impurity(data.task, sum, sum_sq, n);
 
@@ -309,52 +538,36 @@ impl Grower<'_> {
             }
         };
 
-        // Find the best split: scan each candidate feature in sorted order,
-        // moving rows from right to left accumulator. The order is by value,
-        // ties by position in `idx`: a key is `rank << 32 | position`, so
-        // keys are unique and an unstable integer sort yields exactly the
-        // order a stable sort of the values would.
+        // Find the best split. Each candidate feature orders the node's
+        // rows by value, ties by position in `idx` (the order a stable
+        // sort of the values gives), and every boundary `w` between two
+        // distinct values with at least `min_leaf` rows on either side
+        // (`w + 1 >= min_leaf`, `len − w − 1 >= min_leaf`) is a candidate.
+        // The first candidate strictly better than the best so far wins.
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
         let min_leaf = params.min_samples_leaf.max(1);
-        let keys = &mut self.keys;
+        let (lo, hi) = (min_leaf - 1, idx.len().saturating_sub(min_leaf));
+        let node = NodeStats {
+            task: data.task,
+            n,
+            sum,
+            sum_sq,
+            impurity: node_impurity,
+        };
+        let s = &mut *self.scratch;
         for &f in &features {
             let column = self.ranks.column(f);
-            keys.clear();
-            keys.extend(
+            s.keys.clear();
+            s.keys.extend(
                 idx.iter()
                     .enumerate()
                     .map(|(pos, &row)| (column[row] as u64) << 32 | pos as u64),
             );
-            keys.sort_unstable();
-            let row_at = |w: usize| idx[keys[w] as u32 as usize];
-            let mut lsum = 0.0;
-            let mut lsq = 0.0;
-            let mut ln = 0.0;
-            let mut rsum = sum;
-            let mut rsq = sum_sq;
-            let mut rn = n;
-            for w in 0..keys.len() - 1 {
-                let yi = data.y[row_at(w)];
-                lsum += yi;
-                lsq += yi * yi;
-                ln += 1.0;
-                rsum -= yi;
-                rsq -= yi * yi;
-                rn -= 1.0;
-                if keys[w] >> 32 == keys[w + 1] >> 32 {
-                    continue; // can't split between equal values
-                }
-                if (ln as usize) < min_leaf || (rn as usize) < min_leaf {
-                    continue;
-                }
-                let gain = node_impurity
-                    - (ln / n) * impurity(data.task, lsum, lsq, ln)
-                    - (rn / n) * impurity(data.task, rsum, rsq, rn);
-                if gain > best.map_or(1e-12, |(_, _, g)| g) {
-                    let xv = data.row(row_at(w))[f];
-                    let xn = data.row(row_at(w + 1))[f];
-                    best = Some((f, 0.5 * (xv + xn), gain));
-                }
+            sort_keys(&mut s.keys, &mut s.spare, self.ranks.bits[f]);
+            let top = best.map_or(1e-12, |(_, _, g)| g);
+            if let Some((w, gain)) = s.best_boundary(&node, lo, hi, top) {
+                let x_at = |w: usize| data.row(idx[s.keys[w] as u32 as usize])[f];
+                best = Some((f, 0.5 * (x_at(w) + x_at(w + 1)), gain));
             }
         }
 
@@ -805,6 +1018,102 @@ mod tests {
                 );
                 let got = DecisionTree::fit(&data, &TreeParams::default(), tree_seed).unwrap();
                 prop_assert_eq!(&got, &want);
+            }
+        }
+    }
+
+    /// The same oracle on nodes large enough for [`sort_keys`]'s radix path
+    /// (the cases above stay mostly below [`RADIX_MIN_KEYS`]).
+    mod radix_keyed_builder_matches_the_stable_sort {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::Rng;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// 500–3 000 bootstrap rows over a smaller table, so positions
+            /// repeat rows and ranks tie; each column is either a few
+            /// levels (the two zeros among them) or continuous (ranks past
+            /// 8 bits: two radix passes); both impurities, with and
+            /// without a per-node feature subset, varied leaf sizes.
+            #[test]
+            fn on_large_tied_bootstrapped_nodes(
+                n in 300usize..1_500,
+                d in 1usize..6,
+                classify in 0u8..2,
+                subset in 0usize..6,
+                boot in 500usize..3_000,
+                min_leaf in 1usize..5,
+                seed in 1u64..u64::MAX,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let levels: Vec<u64> = (0..d).map(|_| rng.gen_range(0..12)).collect();
+                let x: Vec<f64> = (0..n * d)
+                    .map(|i| match levels[i % d] {
+                        l @ 0..=8 => match rng.gen_range(0..l + 3) {
+                            0 => -0.0,
+                            1 => 0.0,
+                            v => (v as f64 - 4.0) * 0.37,
+                        },
+                        _ => rng.gen::<f64>() - 0.5,
+                    })
+                    .collect();
+                let task = if classify == 1 {
+                    Task::BinaryClassification
+                } else {
+                    Task::Regression
+                };
+                let y: Vec<f64> = (0..n)
+                    .map(|_| match task {
+                        Task::BinaryClassification => rng.gen_range(0..2) as f64,
+                        Task::Regression => rng.gen::<f64>(),
+                    })
+                    .collect();
+                let names = (0..d).map(|j| format!("f{j}")).collect();
+                let data = Dataset::new(names, x, y, task).unwrap();
+                let idx: Vec<usize> = (0..boot).map(|_| rng.gen_range(0..n)).collect();
+                let params = TreeParams {
+                    max_depth: 6,
+                    min_samples_split: 2 * min_leaf,
+                    min_samples_leaf: min_leaf,
+                    max_features: (subset > 0).then(|| 1 + (subset - 1) % d),
+                };
+                let tree_seed = rng.gen();
+                let want = reference_fit_on(&data, &idx, &params, tree_seed);
+                let got = DecisionTree::fit_on(&data, &idx, &params, tree_seed).unwrap();
+                prop_assert!(got.nodes[0].cover >= RADIX_MIN_KEYS as f64);
+                prop_assert_eq!(&got, &want);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Keys of every rank width (0–32 bits, one to four passes,
+            /// passes whose digit is the same for every key) come out in
+            /// `sort_unstable`'s order.
+            #[test]
+            fn sort_keys_orders_like_sort_unstable(
+                len in 0usize..700,
+                bits in 0u32..33,
+                spread in 0u32..33,
+                seed in 1u64..u64::MAX,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                // Ranks share their high bits above `spread`.
+                let high = rng.gen::<u64>() as u32 & ((1u64 << bits) - 1) as u32;
+                let low_mask = ((1u64 << spread.min(bits)) - 1) as u32;
+                let mut keys: Vec<u64> = (0..len)
+                    .map(|pos| {
+                        let rank = (high & !low_mask) | (rng.gen::<u64>() as u32 & low_mask);
+                        (rank as u64) << 32 | pos as u64
+                    })
+                    .collect();
+                let mut want = keys.clone();
+                want.sort_unstable();
+                sort_keys(&mut keys, &mut Vec::new(), bits);
+                prop_assert_eq!(keys, want);
             }
         }
     }

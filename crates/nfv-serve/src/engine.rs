@@ -563,6 +563,64 @@ mod tests {
         engine.shutdown();
     }
 
+    /// Pins the output space each method explains for a registered GBDT
+    /// classifier: TreeSHAP walks the trees and answers in log-odds (its
+    /// `base + Σφ` is the margin), while a model-agnostic method sees the
+    /// model's `predict`, which is `sigmoid(margin)`. One model id thus
+    /// answers in two units; unifying them is a deliberate change to this
+    /// test.
+    #[test]
+    fn gbdt_classifier_treeshap_explains_the_margin_and_kernelshap_the_probability() {
+        let synth = interaction_xor(400, 2, 21).unwrap();
+        let model = Gbdt::fit(
+            &synth.data,
+            &GbdtParams {
+                n_rounds: 20,
+                ..Default::default()
+            },
+            0,
+        )
+        .unwrap();
+        let bg = Background::from_dataset(&synth.data, 16, 1).unwrap();
+        let engine = ServeEngine::start(ServeConfig::default());
+        engine
+            .registry()
+            .register(
+                "m",
+                ServeModel::Gbdt(model.clone()),
+                synth.data.names.clone(),
+                bg,
+            )
+            .unwrap();
+        let x = synth.data.row(3).to_vec();
+        let (margin, proba) = (model.margin(&x), model.predict(&x));
+        assert!(
+            (margin - proba).abs() > 0.1,
+            "the two spaces must differ here"
+        );
+        let explain = |method| {
+            let req = ExplainRequest {
+                model_id: "m".into(),
+                features: x.clone(),
+                method,
+                budget: Duration::from_secs(5),
+            };
+            let a = engine.explain(req).unwrap().attribution;
+            a.base_value + a.values.iter().sum::<f64>()
+        };
+        let tree = explain(ExplainMethod::TreeShap);
+        assert!(
+            (tree - margin).abs() < 1e-8,
+            "TreeSHAP {tree} vs margin {margin}"
+        );
+        let kernel = explain(ExplainMethod::KernelShap { n_coalitions: 64 });
+        assert!(
+            (kernel - proba).abs() < 1e-8,
+            "KernelSHAP {kernel} vs predict {proba}"
+        );
+        engine.shutdown();
+    }
+
     #[test]
     fn unknown_model_and_bad_shape_reject() {
         let (engine, rows) = engine_with_gbdt(ServeConfig::default());

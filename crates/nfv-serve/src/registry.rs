@@ -28,7 +28,9 @@ use std::sync::Arc;
 /// is bit-exact (Rust's shortest-float formatting guarantees it).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub enum ServeModel {
-    /// Gradient-boosted trees (explained in margin space).
+    /// Gradient-boosted trees. TreeSHAP explains the margin; a
+    /// model-agnostic method sees `predict`, for a classifier the sigmoid
+    /// of the margin.
     Gbdt(Gbdt),
     /// Bagged random forest.
     Forest(RandomForest),
