@@ -35,6 +35,22 @@ if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'recv_timeout\|sleep'; 
   exit 1
 fi
 
+# Clean-hit invariant: a cache hit is counted, not timed. The body of
+# `Engine::cached` reads no clock, records no latency sample and owns no
+# copy of the request; an `Instant`, an `elapsed(`, a `.record(` or a
+# `.clone()` there puts that cost back on every hit.
+echo "==> clean-hit check (no timer, sample or clone in Engine::cached)"
+f=crates/nfv-serve/src/engine.rs
+body=$(awk '/^    pub fn cached\(/{on=1} on{print} on && /^    }$/{exit}' "$f")
+if [ -z "$body" ]; then
+  echo "FAIL: $f has no Engine::cached to check"
+  exit 1
+fi
+if grep -n 'Instant\|elapsed(\|\.record(\|\.clone()' <<<"$body"; then
+  echo "FAIL: Engine::cached times, samples or clones; a hit is one probe and one relaxed add"
+  exit 1
+fi
+
 # One-routing-signal invariant: a worker plans every job into its block and
 # runs alone the ones whose plan refuses. A `.fusable()` call in the serving
 # crate (outside #[cfg(test)]) is a second routing rule beside the refusal.

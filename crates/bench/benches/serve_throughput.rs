@@ -159,7 +159,7 @@ fn bench_serve(c: &mut Criterion) {
 
     let stats = engine.stats();
     println!(
-        "serve stats: {} served, hit rate {:.3}, mean batch {:.2}, p99 {:.0}us",
+        "serve stats: {} served, hit rate {:.3}, mean batch {:.2}, request p99 {:.0}us",
         stats.completed, stats.cache_hit_rate, stats.mean_batch_size, stats.total_p99_us
     );
     g.finish();

@@ -475,8 +475,8 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
             "rej %",
             "degr %",
             "hit %",
-            "p50 µs",
-            "p99 µs",
+            "req p50 µs",
+            "req p99 µs",
         ],
         &rows,
     );
@@ -486,7 +486,9 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
          on sampling methods now degrades to coarse anytime answers (degr %)\n\
          before rejecting outright, and a full-budget worker job upgrades those\n\
          cache entries in place. A cache smaller than the working set ({distinct}\n\
-         instances) forces recomputation (low hit %), dragging the frontier left."
+         instances) forces recomputation (low hit %), dragging the frontier left.\n\
+         req p50/p99 time the requests a worker answered; a cache hit records no\n\
+         latency in the engine's histograms."
     );
 
     // S2 — the fused frontier: the default engine (coalition fusion
@@ -550,7 +552,7 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
             "fused groups",
             "fill ratio",
             "sf hits",
-            "p99 µs",
+            "req p99 µs",
         ],
         &[vec![
             format!("{:.0}", stats.completed as f64 / elapsed),
@@ -659,8 +661,8 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
             "req/s out",
             "speedup",
             "spills",
-            "p50 µs",
-            "p99 µs",
+            "req p50 µs",
+            "req p99 µs",
         ],
         &rows,
     );

@@ -422,8 +422,13 @@ impl From<Refusal> for ServeError {
 impl Shard for Engine {
     type Error = ServeError;
 
+    /// A hit is answered from the borrowed request; only a miss, which the
+    /// engine's queue must own, clones it.
     fn explain(&self, request: &ExplainRequest) -> Result<ExplainResponse, ServeError> {
-        Engine::explain(self, request.clone())
+        match self.cached(request) {
+            Some(hit) => Ok(hit),
+            None => self.explain_uncached(request.clone()),
+        }
     }
 
     fn register(&self, r: &Registration) -> Result<u64, ServeError> {

@@ -95,6 +95,14 @@ impl Default for FusionPolicy {
     }
 }
 
+/// Why a request has no cache identity under its model (the miss path
+/// turns each into its counted reject).
+enum Unkeyed {
+    /// The feature count the model expects.
+    Width(usize),
+    Unquantizable,
+}
+
 /// The serving engine. Construct with [`Engine::start`], register models,
 /// then call [`Engine::explain`] from any number of threads. Dropping the
 /// engine (or calling [`Engine::shutdown`]) drains and joins the workers.
@@ -153,15 +161,93 @@ impl Engine {
 
     /// Synchronously explains one request.
     ///
-    /// Fast path: a cache hit returns without touching the queue. Miss
-    /// path: admission control (bounded queue + deadline feasibility) may
-    /// reject with a [`RejectReason`]; admitted requests block until a
-    /// worker answers.
+    /// Fast path: a cache hit ([`Engine::cached`]) returns without
+    /// touching the queue. Miss path: admission control (bounded queue +
+    /// deadline feasibility) may reject with a [`RejectReason`]; admitted
+    /// requests block until a worker answers.
     pub fn explain(&self, request: ExplainRequest) -> Result<ExplainResponse, ServeError> {
+        match self.cached(&request) {
+            Some(hit) => Ok(hit),
+            None => self.explain_uncached(request),
+        }
+    }
+
+    /// Answers `request` from the cache, or returns `None`.
+    ///
+    /// Resolves the model, quantizes and folds the key on the stack and
+    /// probes the cache once, all under the registry's read lock (the hit
+    /// takes no reference to the model entry). A hit — hot, cold-tier or
+    /// coarse — is counted with one relaxed add and returned: no clock is
+    /// read, no latency is recorded and nothing of the request is owned. A
+    /// coarse hit asks for its refinement again (an earlier ask may have
+    /// been dropped) once the lock is released, since the ask runs plug-in
+    /// factory code. Anything else counts nothing here:
+    /// [`Engine::explain`]'s miss path resolves, rejects and counts it.
+    pub fn cached(&self, request: &ExplainRequest) -> Option<ExplainResponse> {
+        let (response, refine) = self
+            .registry
+            .with_entry(&request.model_id, |entry| {
+                let mut cells = CellBuf::new();
+                let probe = self.key_ref(entry, request, &mut cells).ok()?;
+                // Method validation is not needed: an entry exists only for
+                // a (version, method) pair that passed it before the fill.
+                let (attribution, fidelity) = self.cache.get_ref(&probe)?;
+                self.metrics.count_fast_hit(&fidelity);
+                let refine = (fidelity.grade() == 0).then(|| (Arc::clone(entry), probe.to_key()));
+                let response = ExplainResponse {
+                    attribution,
+                    model_version: entry.version,
+                    cache_hit: true,
+                    batch_size: 1,
+                    queue_wait: Duration::ZERO,
+                    service_time: Duration::ZERO,
+                    fidelity,
+                };
+                Some((response, refine))
+            })
+            .flatten()?;
+        if let Some((entry, key)) = refine {
+            self.request_refine(entry, key, request);
+        }
+        Some(response)
+    }
+
+    /// The request's cache identity under `entry`, computed once: quantized
+    /// onto the stack with the lookup fingerprint folded in the same pass.
+    fn key_ref<'a>(
+        &self,
+        entry: &ModelEntry,
+        request: &'a ExplainRequest,
+        cells: &'a mut CellBuf,
+    ) -> Result<KeyRef<'a>, Unkeyed> {
+        let d = entry.model.n_features();
+        if request.features.len() != d {
+            return Err(Unkeyed::Width(d));
+        }
+        KeyRef::quantize(
+            &request.model_id,
+            entry.version,
+            request.method,
+            &request.features,
+            self.config.quantization_grid,
+            cells,
+        )
+        .ok_or(Unkeyed::Unquantizable)
+    }
+
+    /// [`Engine::explain`] behind a cache probe that missed: counts the
+    /// request, rejects or admits it, and blocks until a worker answers.
+    /// Its latency clock starts here, so `total_*` cover answers a worker
+    /// delivered.
+    pub(crate) fn explain_uncached(
+        &self,
+        request: ExplainRequest,
+    ) -> Result<ExplainResponse, ServeError> {
         let t0 = Instant::now();
         self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
 
-        // Resolve + validate.
+        // Resolve + validate. An entry that landed since the probe is the
+        // worker's to find: it rechecks the cache before computing.
         let Some(entry) = self.registry.get(&request.model_id) else {
             self.metrics
                 .rejected_unknown_model
@@ -170,71 +256,33 @@ impl Engine {
                 model_id: request.model_id,
             }));
         };
-        let d = entry.model.n_features();
-        if request.features.len() != d {
-            self.metrics
-                .rejected_invalid
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Rejected(RejectReason::InvalidRequest {
-                reason: format!(
-                    "model `{}` expects {d} features, got {}",
-                    request.model_id,
-                    request.features.len()
-                ),
-            }));
-        }
-        // The request's identity, computed once: quantize onto the stack
-        // and fold the lookup fingerprint in the same pass. A hit reads
-        // the cache with it and never owns a key.
         let mut cells = CellBuf::new();
-        let Some(probe) = KeyRef::quantize(
-            &request.model_id,
-            entry.version,
-            request.method,
-            &request.features,
-            self.config.quantization_grid,
-            &mut cells,
-        ) else {
-            // A refused method outranks unquantizable features, as it did
-            // when method validation ran first.
-            self.check_method(&entry, request.method)?;
-            self.metrics
-                .rejected_invalid
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Rejected(RejectReason::InvalidRequest {
-                reason: "features must be finite and within the quantization range".into(),
-            }));
+        let probe = match self.key_ref(&entry, &request, &mut cells) {
+            Ok(probe) => probe,
+            Err(Unkeyed::Width(d)) => {
+                self.metrics
+                    .rejected_invalid
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(ServeError::Rejected(RejectReason::InvalidRequest {
+                    reason: format!(
+                        "model `{}` expects {d} features, got {}",
+                        request.model_id,
+                        request.features.len()
+                    ),
+                }));
+            }
+            Err(Unkeyed::Unquantizable) => {
+                // A refused method outranks unquantizable features, as it
+                // did when method validation ran first.
+                self.check_method(&entry, request.method)?;
+                self.metrics
+                    .rejected_invalid
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(ServeError::Rejected(RejectReason::InvalidRequest {
+                    reason: "features must be finite and within the quantization range".into(),
+                }));
+            }
         };
-
-        // Cache fast path. Cold-tier hits carry their dequantization error
-        // bound in the fidelity; a coarse anytime entry asks for its
-        // refinement again (an earlier ask may have been dropped).
-        // Method validation waits behind the probe: an entry exists only
-        // for a (version, method) pair that passed it before the fill.
-        if let Some((attr, fidelity)) = self.cache.get_ref(&probe) {
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            if matches!(
-                fidelity,
-                Fidelity::Quantized { .. } | Fidelity::CoarseQuantized { .. }
-            ) {
-                self.metrics.quantized_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            let model_version = entry.version;
-            if fidelity.grade() == 0 {
-                self.request_refine(entry, probe.to_key(), request);
-            }
-            self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-            self.metrics.total.record(t0.elapsed());
-            return Ok(ExplainResponse {
-                attribution: attr,
-                model_version,
-                cache_hit: true,
-                batch_size: 1,
-                queue_wait: Duration::ZERO,
-                service_time: Duration::ZERO,
-                fidelity,
-            });
-        }
 
         // A miss: validate the method and resolve it to its explainer, then
         // own the key — the fill keeps it. The validator and the factory
@@ -403,7 +451,7 @@ impl Engine {
             self.cache
                 .complete_flight(&job.key, Some((Arc::clone(&attr), fidelity)));
         }
-        self.request_refine(Arc::clone(&job.entry), job.key.clone(), job.request.clone());
+        self.request_refine(Arc::clone(&job.entry), job.key.clone(), &job.request);
         self.metrics.degraded_served.fetch_add(1, Ordering::Relaxed);
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
         self.metrics.completed.fetch_add(1, Ordering::Relaxed);
@@ -429,7 +477,7 @@ impl Engine {
     /// coarse answer stands and the next coarse hit asks again. The worker
     /// seeds it from the key like any job, so the upgraded bits are those
     /// of a request that never degraded.
-    fn request_refine(&self, entry: Arc<ModelEntry>, key: CacheKey, request: ExplainRequest) {
+    fn request_refine(&self, entry: Arc<ModelEntry>, key: CacheKey, request: &ExplainRequest) {
         let Some(queue) = self.queue.as_ref() else {
             return;
         };
@@ -446,7 +494,7 @@ impl Engine {
         let job = Job {
             request: ExplainRequest {
                 budget: Duration::MAX,
-                ..request
+                ..request.clone()
             },
             entry,
             key,

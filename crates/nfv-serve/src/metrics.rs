@@ -2,6 +2,7 @@
 //! histograms, and an EWMA service-time estimate that admission control
 //! reads on every request.
 
+use crate::request::Fidelity;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -101,13 +102,20 @@ impl LatencyHistogram {
 }
 
 /// All counters the engine maintains. Everything is monotonic; rates are
-/// derived in [`ServeStats`] snapshots.
+/// derived in [`ServeStats`] snapshots, which fold the fast-path hit
+/// counters into `submitted`, `completed` and `cache_hits`.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Requests entering `explain` (before any admission decision).
+    /// Requests entering `explain`'s miss path (before any admission
+    /// decision).
     pub submitted: AtomicU64,
-    /// Requests answered with an attribution.
+    /// Miss-path requests answered with an attribution.
     pub completed: AtomicU64,
+    /// Hits `Engine::cached` answered from the exact tier (full or coarse
+    /// grade): one relaxed add each, no clock read.
+    pub fast_hits: AtomicU64,
+    /// Hits `Engine::cached` answered from the quantized cold tier.
+    pub fast_quantized_hits: AtomicU64,
     /// Rejects: bounded queue was full.
     pub rejected_queue_full: AtomicU64,
     /// Rejects: predicted latency exceeded the budget at admission.
@@ -123,7 +131,8 @@ pub struct Metrics {
     /// Explainer errors surfaced to callers, contained explainer panics
     /// included.
     pub explain_errors: AtomicU64,
-    /// Cache hits (client fast path + worker recheck).
+    /// Cache hits found by a worker's recheck (the fast path counts its
+    /// own in `fast_hits` / `fast_quantized_hits`).
     pub cache_hits: AtomicU64,
     /// Cache misses that went to the explainers.
     pub cache_misses: AtomicU64,
@@ -156,8 +165,8 @@ pub struct Metrics {
     /// Probe admissions: requests the per-class estimate would have
     /// rejected, admitted to resample a possibly-stale EWMA.
     pub probe_admits: AtomicU64,
-    /// Cache hits served from the quantized cold tier (a subset of
-    /// `cache_hits`; each carried a typed max-abs error bound).
+    /// Worker-recheck hits served from the quantized cold tier (a subset
+    /// of `cache_hits`; each carried a typed max-abs error bound).
     pub quantized_hits: AtomicU64,
     /// Requests served a coarse (reduced-budget) anytime attribution
     /// instead of a queue-full rejection.
@@ -174,7 +183,9 @@ pub struct Metrics {
     pub queue_wait: LatencyHistogram,
     /// Explainer compute time per batch group, attributed per request.
     pub service: LatencyHistogram,
-    /// End-to-end latency of completed requests (hit or miss).
+    /// End-to-end latency of requests a worker answered or the miss path
+    /// served itself (single-flight followers, coarse answers); a fast-path
+    /// hit records nothing.
     pub total: LatencyHistogram,
     /// EWMA of per-request service time, stored in fixed-point 1/256-ns
     /// units (admission control's model of how expensive one explanation
@@ -365,6 +376,18 @@ impl Metrics {
             .unwrap_or_else(|| self.ewma_service_ns())
     }
 
+    /// Counts one hit answered by `Engine::cached`: a single relaxed add,
+    /// into the counter of the tier it came from.
+    pub(crate) fn count_fast_hit(&self, fidelity: &Fidelity) {
+        let counter = match fidelity {
+            Fidelity::Quantized { .. } | Fidelity::CoarseQuantized { .. } => {
+                &self.fast_quantized_hits
+            }
+            _ => &self.fast_hits,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records a batch execution of `n` requests.
     pub fn record_batch(&self, n: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
@@ -394,7 +417,9 @@ impl Metrics {
 
     /// Snapshots everything into a serializable report.
     pub fn snapshot(&self) -> ServeStats {
-        let hits = self.cache_hits.load(Ordering::Relaxed);
+        let fast_quantized = self.fast_quantized_hits.load(Ordering::Relaxed);
+        let fast = self.fast_hits.load(Ordering::Relaxed) + fast_quantized;
+        let hits = self.cache_hits.load(Ordering::Relaxed) + fast;
         let misses = self.cache_misses.load(Ordering::Relaxed);
         let lookups = hits + misses;
         let batches = self.batches.load(Ordering::Relaxed);
@@ -403,8 +428,8 @@ impl Metrics {
         let fused_rows = self.fused_rows.load(Ordering::Relaxed);
         let fused_target = self.fused_target_rows.load(Ordering::Relaxed);
         ServeStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
+            submitted: self.submitted.load(Ordering::Relaxed) + fast,
+            completed: self.completed.load(Ordering::Relaxed) + fast,
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             rejected_deadline_unmeetable: self.rejected_deadline_unmeetable.load(Ordering::Relaxed),
             rejected_deadline_expired: self.rejected_deadline_expired.load(Ordering::Relaxed),
@@ -438,7 +463,7 @@ impl Metrics {
             dedup_rows_saved: self.dedup_rows_saved.load(Ordering::Relaxed),
             single_flight_hits: self.single_flight_hits.load(Ordering::Relaxed),
             probe_admits: self.probe_admits.load(Ordering::Relaxed),
-            quantized_hits: self.quantized_hits.load(Ordering::Relaxed),
+            quantized_hits: self.quantized_hits.load(Ordering::Relaxed) + fast_quantized,
             degraded_served: self.degraded_served.load(Ordering::Relaxed),
             refined_entries: self.refined_entries.load(Ordering::Relaxed),
             refine_dropped: self.refine_dropped.load(Ordering::Relaxed),
@@ -461,11 +486,18 @@ impl Metrics {
 
 /// A serializable point-in-time view of the engine's counters and latency
 /// distributions — what an operator dashboard would scrape.
+///
+/// The counters include cache hits answered on the caller's thread
+/// (`Engine::cached`, which `Engine::explain` asks first) and on an
+/// `nfv-net` shard's event loop. The `total_*` latencies cover answers a
+/// worker delivered (and the few the miss path served itself): a hit
+/// records no latency, so its cost is measured from outside, as the
+/// benchmark's `nfv-serve.explain_hit_ns`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeStats {
-    /// Requests entering `explain`.
+    /// Requests entering `explain`, cache hits included.
     pub submitted: u64,
-    /// Requests answered with an attribution.
+    /// Requests answered with an attribution, cache hits included.
     pub completed: u64,
     /// Rejects: queue full.
     pub rejected_queue_full: u64,
@@ -481,9 +513,10 @@ pub struct ServeStats {
     pub rejected_unknown_method: u64,
     /// Explainer errors, contained explainer panics included.
     pub explain_errors: u64,
-    /// Cache hits.
+    /// Cache hits: fast-path hits and those a worker's recheck found.
     pub cache_hits: u64,
-    /// Cache misses.
+    /// Cache misses: client requests a worker computed (the count the
+    /// queue-wait, service and total histograms sample).
     pub cache_misses: u64,
     /// hits / (hits + misses), 0 when no lookups.
     pub cache_hit_rate: f64,
@@ -539,11 +572,12 @@ pub struct ServeStats {
     pub service_p50_us: f64,
     /// Service-time 99th percentile, microseconds.
     pub service_p99_us: f64,
-    /// End-to-end median, microseconds.
+    /// End-to-end median of worker-delivered answers, microseconds.
     pub total_p50_us: f64,
-    /// End-to-end 99th percentile, microseconds.
+    /// End-to-end 99th percentile of worker-delivered answers,
+    /// microseconds.
     pub total_p99_us: f64,
-    /// End-to-end mean, microseconds.
+    /// End-to-end mean of worker-delivered answers, microseconds.
     pub total_mean_us: f64,
 }
 
@@ -555,9 +589,11 @@ impl ServeStats {
     /// the group-weighted mean of per-shard ratios (every shard shares the
     /// same configured row target). Latency rollups are approximations —
     /// the raw histograms are not in the snapshot — chosen to stay honest
-    /// for alerting: medians and means are completed-weighted averages of
-    /// shard medians/means, and the cluster p99 is the *worst* shard p99
-    /// (an upper bound; the true pooled p99 can only be lower).
+    /// for alerting: medians and means are averages of shard medians/means
+    /// weighted by `cache_misses`, the worker-side count the histograms
+    /// sample (not `completed`, which also counts fast-path hits they never
+    /// saw), and the cluster p99 is the *worst* shard p99 (an upper bound;
+    /// the true pooled p99 can only be lower).
     pub fn aggregate(shards: &[ServeStats]) -> ServeStats {
         let mut agg = ServeStats::default();
         let mut fill_weight = 0.0;
@@ -591,7 +627,7 @@ impl ServeStats {
             agg.cache_cold_entries += s.cache_cold_entries;
             agg.cache_hot_bytes += s.cache_hot_bytes;
             agg.cache_cold_bytes += s.cache_cold_bytes;
-            let w = s.completed as f64;
+            let w = s.cache_misses as f64;
             agg.queue_wait_p50_us += s.queue_wait_p50_us * w;
             agg.service_p50_us += s.service_p50_us * w;
             agg.total_p50_us += s.total_p50_us * w;
@@ -616,8 +652,8 @@ impl ServeStats {
         } else {
             0.0
         };
-        if agg.completed > 0 {
-            let w = agg.completed as f64;
+        if agg.cache_misses > 0 {
+            let w = agg.cache_misses as f64;
             agg.queue_wait_p50_us /= w;
             agg.service_p50_us /= w;
             agg.total_p50_us /= w;
@@ -778,6 +814,52 @@ mod tests {
         assert_eq!(m.class_service.get(9), None, "estimate decayed to zero");
         // Rejects for a class the table never saw are harmless.
         m.note_class_admit(424_242);
+    }
+
+    #[test]
+    fn latency_rollup_weights_by_the_requests_the_histograms_sampled() {
+        // A shard that only answered hits: many completions, empty
+        // histograms. Its zero medians must not dilute the other's.
+        let hits_only = ServeStats {
+            submitted: 900,
+            completed: 900,
+            cache_hits: 900,
+            ..ServeStats::default()
+        };
+        let misses_only = ServeStats {
+            submitted: 100,
+            completed: 100,
+            cache_misses: 100,
+            queue_wait_p50_us: 12.0,
+            service_p50_us: 250.0,
+            total_p50_us: 270.0,
+            total_mean_us: 300.0,
+            total_p99_us: 900.0,
+            ..ServeStats::default()
+        };
+        let agg = ServeStats::aggregate(&[hits_only, misses_only.clone()]);
+        assert_eq!(agg.completed, 1000);
+        assert_eq!(agg.queue_wait_p50_us, misses_only.queue_wait_p50_us);
+        assert_eq!(agg.service_p50_us, misses_only.service_p50_us);
+        assert_eq!(agg.total_p50_us, misses_only.total_p50_us);
+        assert_eq!(agg.total_mean_us, misses_only.total_mean_us);
+        assert_eq!(agg.total_p99_us, misses_only.total_p99_us);
+    }
+
+    #[test]
+    fn fast_hits_read_as_submitted_completed_and_cache_hits() {
+        let m = Metrics::new();
+        m.count_fast_hit(&Fidelity::Exact);
+        m.count_fast_hit(&Fidelity::Coarse { sample_budget: 8 });
+        m.count_fast_hit(&Fidelity::Quantized { max_abs_err: 1e-3 });
+        m.cache_misses.fetch_add(1, Ordering::Relaxed);
+        m.submitted.fetch_add(1, Ordering::Relaxed);
+        m.completed.fetch_add(1, Ordering::Relaxed);
+        let snap = m.snapshot();
+        assert_eq!((snap.submitted, snap.completed), (4, 4));
+        assert_eq!((snap.cache_hits, snap.quantized_hits), (3, 1));
+        assert_eq!(snap.cache_hit_rate, 0.75);
+        assert_eq!(m.total.count(), 0, "a fast hit records no latency");
     }
 
     #[test]

@@ -314,6 +314,17 @@ impl ModelRegistry {
         Ok(version)
     }
 
+    /// Runs `f` on `id`'s current entry under the registry's read lock:
+    /// a lookup that takes no reference count. `f` must not register or
+    /// deregister a model: that write would wait on this read forever.
+    pub(crate) fn with_entry<R>(
+        &self,
+        id: &str,
+        f: impl FnOnce(&Arc<ModelEntry>) -> R,
+    ) -> Option<R> {
+        self.models.read().get(id).map(f)
+    }
+
     /// Resolves `id` to its current entry.
     pub fn get(&self, id: &str) -> Option<Arc<ModelEntry>> {
         self.models.read().get(id).cloned()

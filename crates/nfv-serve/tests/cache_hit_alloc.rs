@@ -1,6 +1,7 @@
 //! What a cache hit allocates: nothing in the exact tier, and in the
 //! quantized tier only the attribution it rebuilds. Routing a request
-//! allocates nothing either.
+//! allocates nothing either, and neither does a hit routed through a
+//! cluster of in-process engines.
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! The count is per thread, so the engine's workers and the harness's own
@@ -149,4 +150,42 @@ fn an_engine_hot_hit_allocates_nothing_of_its_own() {
     });
     assert_eq!(made, 0, "no owned key, no string, no vector on a hit");
     engine.shutdown();
+}
+
+#[test]
+fn a_routed_hot_hit_allocates_nothing() {
+    let synth = friedman1(300, 5, 0.1, 13).unwrap();
+    let params = GbdtParams {
+        n_rounds: 10,
+        ..Default::default()
+    };
+    let model = Gbdt::fit(&synth.data, &params, 0).unwrap();
+    let bg = Background::from_dataset(&synth.data, 16, 1).unwrap();
+    let cluster = ServeCluster::start(ClusterConfig {
+        shards: 3,
+        shard: ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    });
+    cluster
+        .register("m", ServeModel::Gbdt(model), synth.data.names.clone(), bg)
+        .unwrap();
+    let request = ExplainRequest {
+        model_id: "m".into(),
+        features: synth.data.row(0).to_vec(),
+        method: ExplainMethod::KernelShap { n_coalitions: 32 },
+        budget: Duration::from_secs(1),
+    };
+    assert!(!cluster.explain(&request).unwrap().cache_hit);
+    let made = allocations(|| {
+        let response = cluster.explain(&request).unwrap();
+        assert!(response.cache_hit && response.fidelity.is_exact());
+        response
+    });
+    assert_eq!(
+        made, 0,
+        "a routed hit borrows the request; it clones nothing"
+    );
+    cluster.shutdown();
 }

@@ -107,7 +107,7 @@ fn main() {
     // 7. Shift-change report.
     let stats = engine.stats();
     println!(
-        "\nshift report: {} submitted, {} completed, {} rejected, hit rate {:.2}, p99 {}us",
+        "\nshift report: {} submitted, {} completed, {} rejected, hit rate {:.2}, request p99 {}us",
         stats.submitted,
         stats.completed,
         stats.rejected_unknown_model
