@@ -4,17 +4,16 @@
 //! every connection through a level-triggered readiness poller
 //! ([`mio::Poll`] over `poll(2)`). Sockets are nonblocking; the loop
 //! accepts, reads, parses frames incrementally out of per-connection
-//! buffers, and flushes batched responses. An explain the cache can
-//! answer is answered on the loop ([`Engine::cached`]: one probe, one
-//! relaxed add). Explain misses are the only work that leaves the loop:
-//! they are handed to a fixed pool of dispatch workers through a
-//! *bounded* queue, so a burst of pipelined requests degrades into typed
-//! [`RejectReason::QueueFull`] responses instead of a thread explosion.
-//! Workers block in `Engine::explain` and return completions over a
-//! channel; the event loop routes each completion back to its
-//! connection's write buffer and coalesces everything queued for a socket
-//! into one flush. Responses therefore leave in *completion* order, not
-//! arrival order — the rid correlates them.
+//! buffers, and flushes batched responses. Explain requests are the only
+//! work that leaves the loop: they are handed to a fixed pool of
+//! dispatch workers through a *bounded* queue, so a burst of pipelined
+//! requests degrades into typed [`RejectReason::QueueFull`] responses
+//! instead of a thread explosion. Workers block in `Engine::explain` and
+//! return completions over a channel; the event loop routes each
+//! completion back to its connection's write buffer and coalesces
+//! everything queued for a socket into one flush. Responses therefore
+//! leave in *completion* order, not arrival order — the rid correlates
+//! them.
 //!
 //! Pipelining is admission-controlled per connection: more than
 //! [`ShardConfig::max_pipeline`] explains in flight on one socket gets a
@@ -63,8 +62,7 @@ pub struct ShardConfig {
     pub serve: ServeConfig,
     /// Frame payload cap (both directions).
     pub max_payload: usize,
-    /// Explain dispatch workers (threads blocking in `Engine::explain` on
-    /// cache misses; the event loop answers hits itself).
+    /// Explain dispatch workers (threads blocking in `Engine::explain`).
     /// `0` auto-sizes to `max(4, available_parallelism)`: measured on a
     /// single core, a small pool wins (fewer context switches per
     /// request); on multi-core hosts a wider pool keeps the engine's
@@ -102,12 +100,16 @@ struct ShardInner {
     waker: Waker,
 }
 
-/// One explain miss handed to the dispatch pool. The connection is
-/// referenced by id so a vanished peer cannot keep a socket alive.
+/// One explain handed to the dispatch pool. Carries only what the worker
+/// needs; the connection is referenced by id so a vanished peer cannot
+/// keep a socket alive.
 struct Job {
     conn_id: usize,
     rid: u64,
-    request: ExplainRequest,
+    model_id: String,
+    features: Vec<f64>,
+    method: ExplainMethod,
+    budget_ns: u64,
 }
 
 /// A finished explain (or an inline control reply) headed back to the
@@ -253,7 +255,7 @@ impl ShardServer {
     }
 
     /// Requests completed (successes and engine errors both count: each
-    /// got its response frame), hits answered on the event loop included.
+    /// got its response frame).
     pub fn completed(&self) -> u64 {
         self.inner.completed.load(Ordering::SeqCst)
     }
@@ -291,7 +293,24 @@ fn worker_loop(jobs: Receiver<Job>, completions: Sender<Completion>, inner: Arc<
         // the explainer stack must not kill the worker or lose the
         // in-flight decrement: catch it and answer `Internal`.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            inner.engine.explain(job.request).map(wire_answer)
+            inner
+                .engine
+                .explain(ExplainRequest {
+                    model_id: job.model_id,
+                    features: job.features,
+                    method: job.method,
+                    budget: Duration::from_nanos(job.budget_ns),
+                })
+                .map(|resp| WireAnswer {
+                    attribution: (*resp.attribution).clone(),
+                    model_version: resp.model_version,
+                    cache_hit: resp.cache_hit,
+                    batch_size: resp.batch_size as u64,
+                    queue_wait_ns: resp.queue_wait.as_nanos() as u64,
+                    service_ns: resp.service_time.as_nanos() as u64,
+                    coarse_budget: resp.fidelity.sample_budget(),
+                    max_abs_err: resp.fidelity.max_abs_err(),
+                })
         }))
         .unwrap_or_else(|_| Err(ServeError::Internal("explain worker panicked".into())));
         guard.done = true;
@@ -303,20 +322,6 @@ fn worker_loop(jobs: Receiver<Job>, completions: Sender<Completion>, inner: Arc<
             }),
         });
         let _ = inner.waker.wake();
-    }
-}
-
-/// An engine response as it crosses the wire.
-fn wire_answer(resp: ExplainResponse) -> WireAnswer {
-    WireAnswer {
-        attribution: (*resp.attribution).clone(),
-        model_version: resp.model_version,
-        cache_hit: resp.cache_hit,
-        batch_size: resp.batch_size as u64,
-        queue_wait_ns: resp.queue_wait.as_nanos() as u64,
-        service_ns: resp.service_time.as_nanos() as u64,
-        coarse_budget: resp.fidelity.sample_budget(),
-        max_abs_err: resp.fidelity.max_abs_err(),
     }
 }
 
@@ -672,30 +677,13 @@ fn handle_message(
                 );
                 return HandleResult::Continue;
             }
-            let request = ExplainRequest {
-                model_id: req.model_id,
-                features: req.features,
-                method: req.method,
-                budget: Duration::from_nanos(req.budget_ns),
-            };
-            // A hit is answered here and counted in `completed` like any
-            // reply, so `DrainOk` stays exact; it never enters `in_flight`.
-            // A coarse hit's refinement ask runs plug-in factory code, so
-            // an unwind is contained as on a dispatch worker.
-            let outcome = match catch_unwind(AssertUnwindSafe(|| inner.engine.cached(&request))) {
-                Ok(None) => None,
-                Ok(Some(resp)) => Some(Ok(wire_answer(resp))),
-                Err(_) => Some(Err(ServeError::Internal("cached explain panicked".into()))),
-            };
-            if let Some(outcome) = outcome {
-                queue_message(conn, &Message::ExplainReply(WireResponse { rid, outcome }));
-                inner.completed.fetch_add(1, Ordering::SeqCst);
-                return HandleResult::Continue;
-            }
             let job = Job {
                 conn_id,
                 rid,
-                request,
+                model_id: req.model_id,
+                features: req.features,
+                method: req.method,
+                budget_ns: req.budget_ns,
             };
             inner.in_flight.fetch_add(1, Ordering::SeqCst);
             conn.in_flight += 1;

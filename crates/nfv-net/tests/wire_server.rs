@@ -15,9 +15,7 @@
 //! - accepted sockets run with `TCP_NODELAY`, so pipelined cached replies
 //!   do not queue behind the client's delayed ACKs;
 //! - a frame of another protocol version closes its connection as a
-//!   protocol error and leaves the shard serving;
-//! - a cached explain is answered on the event loop, not behind a busy
-//!   dispatch pool.
+//!   protocol error and leaves the shard serving.
 
 use bytes::BufMut;
 use nfv_data::prelude::*;
@@ -25,7 +23,7 @@ use nfv_ml::prelude::*;
 use nfv_net::frame::{read_frame, write_frame, MsgType};
 use nfv_net::prelude::*;
 use nfv_serve::prelude::*;
-use nfv_xai::prelude::{Background, MethodRegistry, PermutationExplainer, XaiError};
+use nfv_xai::prelude::{Background, MethodRegistry, XaiError};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -708,96 +706,4 @@ fn pipelined_cached_replies_do_not_wait_on_delayed_acks() {
     conn.drain().unwrap();
     let (_, protocol_errors) = server.join();
     assert_eq!(protocol_errors, 0);
-}
-
-/// A cache hit does not queue behind a busy dispatch pool: with the one
-/// dispatch thread held by a parked request, a warmed key is still
-/// answered at once, from the event loop. The request parks in a plug-in
-/// method's capability validator, which `Engine::explain` runs on the
-/// dispatch thread after the cache miss. Every wait is bounded, so a shard
-/// that queues its hits fails here instead of hanging.
-#[test]
-fn a_cached_explain_is_answered_while_the_dispatch_pool_is_busy() {
-    const PARKED_METHOD: &str = "wire-server-parked-validator";
-    let (entered_tx, entered_rx) = crossbeam::channel::bounded::<()>(1);
-    let (release_tx, release_rx) = crossbeam::channel::bounded::<()>(1);
-    MethodRegistry::global().register_with_validator(
-        PARKED_METHOD,
-        |_cfg| Ok(Box::new(PermutationExplainer)),
-        move |_caps| {
-            let _ = entered_tx.try_send(());
-            release_rx
-                .recv_timeout(Duration::from_secs(30))
-                .map_err(|_| "the test never released the parked request".to_string())
-        },
-    );
-    // Releases the parked request however the test ends.
-    struct Release(crossbeam::channel::Sender<()>);
-    impl Drop for Release {
-        fn drop(&mut self) {
-            let _ = self.0.try_send(());
-        }
-    }
-    let release = Release(release_tx);
-
-    let synth = friedman1(80, 5, 0.1, 9).unwrap();
-    let model = Gbdt::fit(
-        &synth.data,
-        &GbdtParams {
-            n_rounds: 3,
-            ..Default::default()
-        },
-        0,
-    )
-    .unwrap();
-    let (server, addr) = start_server(ShardConfig {
-        dispatch_threads: 1,
-        ..ShardConfig::default()
-    });
-    let conn = ShardConn::connect(&addr, MAX_PAYLOAD, Duration::from_secs(10)).unwrap();
-    conn.register(
-        "m",
-        &ServeModel::Gbdt(model),
-        &synth.data.names,
-        &Background::from_dataset(&synth.data, 8, 1).unwrap(),
-    )
-    .unwrap();
-    let warmed = explain_request("m");
-    let first = conn.explain(&warmed).unwrap();
-    assert!(!first.cache_hit);
-
-    let parked = {
-        let addr = addr.clone();
-        thread::spawn(move || {
-            let conn = ShardConn::connect(&addr, MAX_PAYLOAD, Duration::from_secs(10)).unwrap();
-            conn.explain(&ExplainRequest {
-                method: ExplainMethod::custom(PARKED_METHOD, 0),
-                ..explain_request("m")
-            })
-        })
-    };
-    entered_rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the parked request reached the dispatch thread");
-
-    let hit_conn = ShardConn::connect(&addr, MAX_PAYLOAD, Duration::from_secs(2)).unwrap();
-    let t0 = Instant::now();
-    let hit = hit_conn.explain(&warmed);
-    let waited = t0.elapsed();
-    assert!(!parked.is_finished(), "the parked request is still out");
-    drop(release);
-    let hit = hit.unwrap_or_else(|e| panic!("the hit waited {waited:?} and failed: {e}"));
-    assert!(hit.cache_hit);
-    assert_eq!(hit.attribution, first.attribution);
-
-    let parked = parked
-        .join()
-        .unwrap()
-        .expect("the released request is answered");
-    assert!(!parked.cache_hit);
-    assert_eq!(server.protocol_errors(), 0);
-    // The warm-up, the parked request and the hit.
-    assert_eq!(conn.drain().unwrap(), 3);
-    let (completed, protocol_errors) = server.join();
-    assert_eq!((completed, protocol_errors), (3, 0));
 }

@@ -426,8 +426,8 @@ impl Shard for Engine {
     /// engine's queue must own, clones it.
     fn explain(&self, request: &ExplainRequest) -> Result<ExplainResponse, ServeError> {
         match self.cached(request) {
-            Some(hit) => Ok(hit),
-            None => self.explain_uncached(request.clone()),
+            Ok(hit) => Ok(hit),
+            Err(miss) => self.explain_miss(request.clone(), miss),
         }
     }
 

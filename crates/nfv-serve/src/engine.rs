@@ -95,9 +95,19 @@ impl Default for FusionPolicy {
     }
 }
 
+/// What a cache probe that missed found out, carried on to the miss path
+/// so that it neither resolves the model nor quantizes the key again.
+pub(crate) enum Miss {
+    UnknownModel,
+    /// The request has no cache identity under this entry.
+    Unkeyed(Arc<ModelEntry>, Unkeyed),
+    /// The entry and the owned key the fill will keep.
+    Keyed(Arc<ModelEntry>, CacheKey),
+}
+
 /// Why a request has no cache identity under its model (the miss path
 /// turns each into its counted reject).
-enum Unkeyed {
+pub(crate) enum Unkeyed {
     /// The feature count the model expects.
     Width(usize),
     Unquantizable,
@@ -161,18 +171,19 @@ impl Engine {
 
     /// Synchronously explains one request.
     ///
-    /// Fast path: a cache hit ([`Engine::cached`]) returns without
-    /// touching the queue. Miss path: admission control (bounded queue +
+    /// Fast path: a cache hit is counted and returned without touching
+    /// the queue or reading a clock. Miss path: admission control (bounded queue +
     /// deadline feasibility) may reject with a [`RejectReason`]; admitted
     /// requests block until a worker answers.
     pub fn explain(&self, request: ExplainRequest) -> Result<ExplainResponse, ServeError> {
         match self.cached(&request) {
-            Some(hit) => Ok(hit),
-            None => self.explain_uncached(request),
+            Ok(hit) => Ok(hit),
+            Err(miss) => self.explain_miss(request, miss),
         }
     }
 
-    /// Answers `request` from the cache, or returns `None`.
+    /// Answers `request` from the cache, or hands back what its miss
+    /// carries on with.
     ///
     /// Resolves the model, quantizes and folds the key on the stack and
     /// probes the cache once, all under the registry's read lock (the hit
@@ -181,35 +192,38 @@ impl Engine {
     /// read, no latency is recorded and nothing of the request is owned. A
     /// coarse hit asks for its refinement again (an earlier ask may have
     /// been dropped) once the lock is released, since the ask runs plug-in
-    /// factory code. Anything else counts nothing here:
-    /// [`Engine::explain`]'s miss path resolves, rejects and counts it.
-    pub fn cached(&self, request: &ExplainRequest) -> Option<ExplainResponse> {
-        let (response, refine) = self
-            .registry
-            .with_entry(&request.model_id, |entry| {
-                let mut cells = CellBuf::new();
-                let probe = self.key_ref(entry, request, &mut cells).ok()?;
-                // Method validation is not needed: an entry exists only for
-                // a (version, method) pair that passed it before the fill.
-                let (attribution, fidelity) = self.cache.get_ref(&probe)?;
-                self.metrics.count_fast_hit(&fidelity);
-                let refine = (fidelity.grade() == 0).then(|| (Arc::clone(entry), probe.to_key()));
-                let response = ExplainResponse {
-                    attribution,
-                    model_version: entry.version,
-                    cache_hit: true,
-                    batch_size: 1,
-                    queue_wait: Duration::ZERO,
-                    service_time: Duration::ZERO,
-                    fidelity,
-                };
-                Some((response, refine))
-            })
-            .flatten()?;
+    /// factory code. Anything else counts nothing here and returns the
+    /// resolved entry and owned key (or why there is none) for
+    /// [`Engine::explain_miss`] to reject or admit.
+    pub(crate) fn cached(&self, request: &ExplainRequest) -> Result<ExplainResponse, Miss> {
+        let found = self.registry.with_entry(&request.model_id, |entry| {
+            let mut cells = CellBuf::new();
+            let probe = self
+                .key_ref(entry, request, &mut cells)
+                .map_err(|why| Miss::Unkeyed(Arc::clone(entry), why))?;
+            // Method validation is not needed: an entry exists only for a
+            // (version, method) pair that passed it before the fill.
+            let Some((attribution, fidelity)) = self.cache.get_ref(&probe) else {
+                return Err(Miss::Keyed(Arc::clone(entry), probe.to_key()));
+            };
+            self.metrics.count_fast_hit(&fidelity);
+            let refine = (fidelity.grade() == 0).then(|| (Arc::clone(entry), probe.to_key()));
+            let response = ExplainResponse {
+                attribution,
+                model_version: entry.version,
+                cache_hit: true,
+                batch_size: 1,
+                queue_wait: Duration::ZERO,
+                service_time: Duration::ZERO,
+                fidelity,
+            };
+            Ok((response, refine))
+        });
+        let (response, refine) = found.unwrap_or(Err(Miss::UnknownModel))?;
         if let Some((entry, key)) = refine {
             self.request_refine(entry, key, request);
         }
-        Some(response)
+        Ok(response)
     }
 
     /// The request's cache identity under `entry`, computed once: quantized
@@ -239,27 +253,25 @@ impl Engine {
     /// request, rejects or admits it, and blocks until a worker answers.
     /// Its latency clock starts here, so `total_*` cover answers a worker
     /// delivered.
-    pub(crate) fn explain_uncached(
+    pub(crate) fn explain_miss(
         &self,
         request: ExplainRequest,
+        miss: Miss,
     ) -> Result<ExplainResponse, ServeError> {
         let t0 = Instant::now();
         self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
 
-        // Resolve + validate. An entry that landed since the probe is the
-        // worker's to find: it rechecks the cache before computing.
-        let Some(entry) = self.registry.get(&request.model_id) else {
-            self.metrics
-                .rejected_unknown_model
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Rejected(RejectReason::UnknownModel {
-                model_id: request.model_id,
-            }));
-        };
-        let mut cells = CellBuf::new();
-        let probe = match self.key_ref(&entry, &request, &mut cells) {
-            Ok(probe) => probe,
-            Err(Unkeyed::Width(d)) => {
+        let (entry, key) = match miss {
+            Miss::Keyed(entry, key) => (entry, key),
+            Miss::UnknownModel => {
+                self.metrics
+                    .rejected_unknown_model
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(ServeError::Rejected(RejectReason::UnknownModel {
+                    model_id: request.model_id,
+                }));
+            }
+            Miss::Unkeyed(_, Unkeyed::Width(d)) => {
                 self.metrics
                     .rejected_invalid
                     .fetch_add(1, Ordering::Relaxed);
@@ -271,7 +283,7 @@ impl Engine {
                     ),
                 }));
             }
-            Err(Unkeyed::Unquantizable) => {
+            Miss::Unkeyed(entry, Unkeyed::Unquantizable) => {
                 // A refused method outranks unquantizable features, as it
                 // did when method validation ran first.
                 self.check_method(&entry, request.method)?;
@@ -284,11 +296,11 @@ impl Engine {
             }
         };
 
-        // A miss: validate the method and resolve it to its explainer, then
-        // own the key — the fill keeps it. The validator and the factory
-        // are plug-in code on this thread; they run before the request
-        // takes a single-flight entry, so an unwind out of them leaves none
-        // behind.
+        // A miss: validate the method and resolve it to its explainer (the
+        // probe already owns the key the fill keeps). The validator and the
+        // factory are plug-in code on this thread; they run before the
+        // request takes a single-flight entry, so an unwind out of them
+        // leaves none behind.
         self.check_method(&entry, request.method)?;
         let Some(queue) = self.queue.as_ref() else {
             return Err(ServeError::Rejected(RejectReason::ShuttingDown));
@@ -296,7 +308,6 @@ impl Engine {
         let explainer = entry.explainer(request.method).inspect_err(|_| {
             self.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
         })?;
-        let key = probe.to_key();
 
         // Single-flight: collapse concurrent *identical* misses onto one
         // computation. The first miss becomes the leader and proceeds to

@@ -487,9 +487,10 @@ impl Metrics {
 /// A serializable point-in-time view of the engine's counters and latency
 /// distributions — what an operator dashboard would scrape.
 ///
-/// The counters include cache hits answered on the caller's thread
-/// (`Engine::cached`, which `Engine::explain` asks first) and on an
-/// `nfv-net` shard's event loop. The `total_*` latencies cover answers a
+/// The counters include cache hits answered by the engine's one cache
+/// probe, which every request passes before the queue (on the caller's
+/// thread in process, on a dispatch thread for an `nfv-net` shard's wire
+/// request). The `total_*` latencies cover answers a
 /// worker delivered (and the few the miss path served itself): a hit
 /// records no latency, so its cost is measured from outside, as the
 /// benchmark's `nfv-serve.explain_hit_ns`.
