@@ -25,15 +25,18 @@ for f in crates/nfv-serve/src/worker.rs crates/nfv-serve/src/registry.rs; do
   fi
 done
 
-# No-timer invariant: batches form from backlog, never from a wait. A
-# `recv_timeout` or `sleep` in the gather or the worker loop (outside
-# #[cfg(test)]) puts a timer back on every request's path.
+# No-timer invariant: batches form from backlog, never from a wait, and a
+# single-flight follower parks on its leader's flight instead of waiting
+# out its budget. A `recv_timeout` or `sleep` in the worker loop or the
+# engine's miss path (outside #[cfg(test)]) puts a timer back on every
+# request's path.
 echo "==> no-timer check (no recv_timeout / sleep on the request path)"
-f=crates/nfv-serve/src/worker.rs
-if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'recv_timeout\|sleep'; then
-  echo "FAIL: $f waits on a timer; gather what is queued and go"
-  exit 1
-fi
+for f in crates/nfv-serve/src/worker.rs crates/nfv-serve/src/engine.rs; do
+  if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'recv_timeout\|sleep'; then
+    echo "FAIL: $f waits on a timer; gather what is queued and go, park what follows"
+    exit 1
+  fi
+done
 
 # Clean-hit invariant: a cache hit is counted, not timed. The body of
 # `Engine::cached` reads no clock, records no latency sample and owns no
@@ -70,7 +73,7 @@ done
 # `thread::spawn` in another nfv-serve/src file (outside #[cfg(test)]) is a
 # second loop beside it, with its own panics and its own shutdown; queue the
 # work as a job instead.
-echo "==> one-thread-owner check (threads spawn only in nfv-serve/src/worker.rs)"
+echo "==> one-thread-owner check (threads spawn only in nfv-serve/src/worker.rs and the shard's event loop)"
 for f in crates/nfv-serve/src/*.rs; do
   [ "$f" = crates/nfv-serve/src/worker.rs ] && continue
   if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'thread::Builder\|thread::spawn'; then
@@ -78,6 +81,16 @@ for f in crates/nfv-serve/src/*.rs; do
     exit 1
   fi
 done
+# The shard server's one thread is its event loop: it submits explains into
+# the engine, whose workers answer them. A second `thread::Builder` or any
+# `thread::spawn` in server.rs is a pool beside the workers again.
+f=crates/nfv-net/src/server.rs
+src=$(awk '/#\[cfg\(test\)\]/{exit} {print}' "$f")
+builders=$(grep -c 'thread::Builder' <<<"$src" || true)
+if [ "$builders" -ne 1 ] || grep -n 'thread::spawn' <<<"$src"; then
+  echo "FAIL: $f starts threads besides its event loop ($builders thread::Builder); submit to the engine instead"
+  exit 1
+fi
 
 # One-pool invariant: the serving engine's workers are the system's only
 # explanation pool. The explainer, simulator and data crates run on their

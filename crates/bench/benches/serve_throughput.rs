@@ -535,8 +535,9 @@ fn bench_wire_replay(c: &mut Criterion) {
         });
         // Pipelined arm: the same trace volume over direct shard
         // connections, a whole batch written per socket before the first
-        // response is read — prices the server's dispatch pool and write
-        // batching without the router in the way.
+        // response is read — prices the server's event loop, the engine's
+        // queue under a deep pipeline and write batching without the
+        // router in the way.
         let conns: Vec<ShardConn> = (0..8)
             .map(|i| {
                 ShardConn::connect(

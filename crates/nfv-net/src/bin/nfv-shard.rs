@@ -4,13 +4,12 @@
 //!
 //! ```text
 //! nfv-shard [--addr 127.0.0.1:0] [--workers N] [--queue N] [--seed N]
-//!           [--dispatch N] [--pipeline N]
+//!           [--pipeline N]
 //! ```
 //!
-//! `--workers`/`--queue` size the engine; `--dispatch` sizes the wire
-//! tier's explain-dispatch pool (`0` = auto: `max(4, cores)`) and
-//! `--pipeline` caps explains in flight per connection (excess gets a
-//! typed `PipelineTooDeep` reject).
+//! `--workers`/`--queue` size the engine (its workers are the only threads
+//! beside the event loop) and `--pipeline` caps explains in flight per
+//! connection (excess gets a typed `PipelineTooDeep` reject).
 //!
 //! Prints `nfv-shard listening on <addr>` (with the resolved port) on
 //! stdout once ready — supervisors parse this line — then serves until a
@@ -22,7 +21,7 @@ use std::io::Write;
 fn usage() -> ! {
     eprintln!(
         "usage: nfv-shard [--addr HOST:PORT] [--workers N] [--queue N] [--seed N] \
-         [--dispatch N] [--pipeline N]"
+         [--pipeline N]"
     );
     std::process::exit(2);
 }
@@ -44,10 +43,6 @@ fn main() {
             },
             "--seed" => match value.parse() {
                 Ok(n) => cfg.serve.seed = n,
-                _ => usage(),
-            },
-            "--dispatch" => match value.parse() {
-                Ok(n) => cfg.dispatch_threads = n,
                 _ => usage(),
             },
             "--pipeline" => match value.parse() {

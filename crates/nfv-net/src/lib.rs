@@ -18,10 +18,11 @@
 //!   IEEE-754 bit patterns, so wire answers are **bit-identical** to
 //!   in-process answers.
 //! - [`server`] — the shard: one event-driven readiness loop owning
-//!   accept and all connection I/O, a bounded dispatch pool for explains
-//!   (overflow and over-deep pipelines shed as typed rejects),
-//!   per-connection write batching, and an event-driven drain state
-//!   machine; shipped as the `nfv-shard` binary.
+//!   accept and all connection I/O, which submits each explain straight
+//!   into the engine without waiting on it (engine overflow and
+//!   over-deep pipelines shed as typed rejects), per-connection write
+//!   batching, and an event-driven drain state machine; shipped as the
+//!   `nfv-shard` binary.
 //! - [`client`] — one connection, one reader thread, rid demultiplexing,
 //!   pipelined sends (`explain_many`), fail-fast on connection loss.
 //! - [`router`] — [`NetCluster`]: `nfv_serve`'s one [`Router`] over shard

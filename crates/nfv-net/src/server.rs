@@ -2,15 +2,17 @@
 //!
 //! Concurrency model: a single event-loop thread owns the listener and
 //! every connection through a level-triggered readiness poller
-//! ([`mio::Poll`] over `poll(2)`). Sockets are nonblocking; the loop
+//! ([`mio::Poll`] over `poll(2)`), and it is the server's only thread
+//! besides the engine's workers. Sockets are nonblocking; the loop
 //! accepts, reads, parses frames incrementally out of per-connection
-//! buffers, and flushes batched responses. Explain requests are the only
-//! work that leaves the loop: they are handed to a fixed pool of
-//! dispatch workers through a *bounded* queue, so a burst of pipelined
-//! requests degrades into typed [`RejectReason::QueueFull`] responses
-//! instead of a thread explosion. Workers block in `Engine::explain` and
-//! return completions over a channel; the event loop routes each
-//! completion back to its connection's write buffer and coalesces
+//! buffers, and flushes batched responses. An explain is handed to
+//! [`Engine::submit`] on the loop, which never waits: a cache hit, a
+//! reject or a validator's verdict is answered there and then, an
+//! identical miss parks on the computation in flight, and any other miss
+//! queues for a worker (the engine's admission sheds overload as typed
+//! rejects). The request's [`Reply`] posts the encoded answer to the
+//! loop's completion channel and fires the [`Waker`]; the loop routes
+//! each completion back to its connection's write buffer and coalesces
 //! everything queued for a socket into one flush. Responses therefore
 //! leave in *completion* order, not arrival order — the rid correlates
 //! them.
@@ -28,26 +30,25 @@
 //! (new explains are rejected with `ShuttingDown`), and the loop waits —
 //! event-driven, no busy-wait — for in-flight completions to reach zero.
 //! It then queues `DrainOk { completed }` to every drain requester,
-//! flushes all write buffers, and exits. Worker threads exit when the
-//! job queue disconnects.
+//! flushes all write buffers, and exits.
 //!
 //! Fail-loud: any frame that does not parse — bad magic, another protocol
 //! version, bad checksum, oversized length — increments `protocol_errors`
-//! and closes that connection. The protocol never guesses at resync. A panic inside an
-//! explain worker is caught and answered as `ServeError::Internal`; a
-//! reply guard ensures the completion is delivered even on an unwind, so
-//! a drain can never wedge on a lost decrement.
+//! and closes that connection. The protocol never guesses at resync. A
+//! panic in plug-in code is contained by the engine and answered as
+//! `ServeError::Internal`, and a reply dropped unanswered answers the same
+//! way, so every explain the loop counts in flight completes and a drain
+//! can never wedge on a lost decrement.
 
 use crate::frame::{parse_header, verify_checksum, WireError, HEADER_LEN, MAX_PAYLOAD};
 use crate::msg::{Message, WireAnswer, WireHealth, WireRegister, WireResponse};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{unbounded, Sender};
 use mio::{Events, Interest, Poll, Token, Waker};
 use nfv_serve::prelude::*;
 use nfv_xai::prelude::Background;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -62,17 +63,8 @@ pub struct ShardConfig {
     pub serve: ServeConfig,
     /// Frame payload cap (both directions).
     pub max_payload: usize,
-    /// Explain dispatch workers (threads blocking in `Engine::explain`).
-    /// `0` auto-sizes to `max(4, available_parallelism)`: measured on a
-    /// single core, a small pool wins (fewer context switches per
-    /// request); on multi-core hosts a wider pool keeps the engine's
-    /// micro-batcher fed by concurrent callers.
-    pub dispatch_threads: usize,
-    /// Bounded dispatch queue depth; overflow is a typed `QueueFull`
-    /// reject, never an unbounded backlog.
-    pub dispatch_queue: usize,
     /// Max explains in flight per connection before the server answers
-    /// `PipelineTooDeep` instead of dispatching.
+    /// `PipelineTooDeep` instead of submitting.
     pub max_pipeline: usize,
 }
 
@@ -82,8 +74,6 @@ impl Default for ShardConfig {
             addr: "127.0.0.1:0".into(),
             serve: ServeConfig::default(),
             max_payload: MAX_PAYLOAD,
-            dispatch_threads: 0,
-            dispatch_queue: 256,
             max_pipeline: 64,
         }
     }
@@ -97,52 +87,15 @@ struct ShardInner {
     completed: AtomicU64,
     protocol_errors: AtomicU64,
     max_payload: usize,
-    waker: Waker,
+    waker: Arc<Waker>,
 }
 
-/// One explain handed to the dispatch pool. Carries only what the worker
-/// needs; the connection is referenced by id so a vanished peer cannot
-/// keep a socket alive.
-struct Job {
-    conn_id: usize,
-    rid: u64,
-    model_id: String,
-    features: Vec<f64>,
-    method: ExplainMethod,
-    budget_ns: u64,
-}
-
-/// A finished explain (or an inline control reply) headed back to the
-/// event loop for batching onto its connection.
+/// A finished explain headed back to the event loop for batching onto its
+/// connection. The connection is referenced by id, so a vanished peer
+/// cannot keep a socket alive.
 struct Completion {
     conn_id: usize,
     msg: Message,
-}
-
-/// Delivers the `Internal` completion if the worker unwinds between
-/// taking a job and sending its real completion. Without this, a panic
-/// leaks the in-flight count and `Drain` waits forever.
-struct ReplyGuard<'a> {
-    conn_id: usize,
-    rid: u64,
-    completions: &'a Sender<Completion>,
-    inner: &'a ShardInner,
-    done: bool,
-}
-
-impl Drop for ReplyGuard<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            let _ = self.completions.send(Completion {
-                conn_id: self.conn_id,
-                msg: Message::ExplainReply(WireResponse {
-                    rid: self.rid,
-                    outcome: Err(ServeError::Internal("explain worker panicked".into())),
-                }),
-            });
-            let _ = self.inner.waker.wake();
-        }
-    }
 }
 
 const LISTENER: Token = Token(0);
@@ -160,7 +113,7 @@ struct Conn {
     /// partial write never memmoves the remainder.
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// Explains dispatched on this connection and not yet answered.
+    /// Explains submitted on this connection and not yet answered.
     in_flight: u64,
     /// Whether WRITABLE interest is currently registered.
     wants_write: bool,
@@ -181,8 +134,7 @@ pub struct ShardServer {
 }
 
 impl ShardServer {
-    /// Binds the listener and starts the event loop, dispatch pool, and
-    /// engine.
+    /// Binds the listener and starts the engine and the event loop.
     pub fn start(cfg: ShardConfig) -> Result<ShardServer, WireError> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
@@ -190,7 +142,7 @@ impl ShardServer {
         let poll = Poll::new()?;
         poll.registry()
             .register(&listener, LISTENER, Interest::READABLE)?;
-        let waker = Waker::new(poll.registry(), WAKER)?;
+        let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
         let inner = Arc::new(ShardInner {
             engine: Engine::start(cfg.serve),
             draining: AtomicBool::new(false),
@@ -201,41 +153,11 @@ impl ShardServer {
             max_payload: cfg.max_payload,
             waker,
         });
-
-        let dispatch_threads = if cfg.dispatch_threads == 0 {
-            thread::available_parallelism().map_or(4, |p| p.get().max(4))
-        } else {
-            cfg.dispatch_threads
-        };
-        let (job_tx, job_rx) = bounded::<Job>(cfg.dispatch_queue.max(1));
-        let (done_tx, done_rx) = unbounded::<Completion>();
-        for i in 0..dispatch_threads {
-            let rx = job_rx.clone();
-            let tx = done_tx.clone();
-            let worker_inner = Arc::clone(&inner);
-            thread::Builder::new()
-                .name(format!("nfv-shard-explain-{i}"))
-                .spawn(move || worker_loop(rx, tx, worker_inner))
-                .map_err(|e| WireError::Io(e.to_string()))?;
-        }
-        drop(done_tx); // the loop detects worker death via channel close
-
         let loop_inner = Arc::clone(&inner);
-        let queue_capacity = cfg.dispatch_queue.max(1);
         let max_pipeline = cfg.max_pipeline.max(1) as u64;
         let event_thread = thread::Builder::new()
             .name("nfv-shard-events".into())
-            .spawn(move || {
-                event_loop(
-                    poll,
-                    listener,
-                    loop_inner,
-                    job_tx,
-                    done_rx,
-                    queue_capacity,
-                    max_pipeline,
-                )
-            })
+            .spawn(move || event_loop(poll, listener, loop_inner, max_pipeline))
             .map_err(|e| WireError::Io(e.to_string()))?;
         Ok(ShardServer {
             inner,
@@ -280,49 +202,26 @@ impl ShardServer {
     }
 }
 
-fn worker_loop(jobs: Receiver<Job>, completions: Sender<Completion>, inner: Arc<ShardInner>) {
-    while let Ok(job) = jobs.recv() {
-        let mut guard = ReplyGuard {
-            conn_id: job.conn_id,
-            rid: job.rid,
-            completions: &completions,
-            inner: &inner,
-            done: false,
-        };
-        // `Engine` is panic-tolerant by contract, but an unwind out of
-        // the explainer stack must not kill the worker or lose the
-        // in-flight decrement: catch it and answer `Internal`.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            inner
-                .engine
-                .explain(ExplainRequest {
-                    model_id: job.model_id,
-                    features: job.features,
-                    method: job.method,
-                    budget: Duration::from_nanos(job.budget_ns),
-                })
-                .map(|resp| WireAnswer {
-                    attribution: (*resp.attribution).clone(),
-                    model_version: resp.model_version,
-                    cache_hit: resp.cache_hit,
-                    batch_size: resp.batch_size as u64,
-                    queue_wait_ns: resp.queue_wait.as_nanos() as u64,
-                    service_ns: resp.service_time.as_nanos() as u64,
-                    coarse_budget: resp.fidelity.sample_budget(),
-                    max_abs_err: resp.fidelity.max_abs_err(),
-                })
-        }))
-        .unwrap_or_else(|_| Err(ServeError::Internal("explain worker panicked".into())));
-        guard.done = true;
-        let _ = completions.send(Completion {
-            conn_id: job.conn_id,
-            msg: Message::ExplainReply(WireResponse {
-                rid: job.rid,
-                outcome,
-            }),
+/// The engine's reply to one wire explain: the answer, as its
+/// `ExplainReply`, goes to the event loop's completion channel and the
+/// waker fires. It holds only the channel and the waker, not the shard.
+fn wire_reply(conn_id: usize, rid: u64, done: &Sender<Completion>, waker: &Arc<Waker>) -> Reply {
+    let (done, waker) = (done.clone(), Arc::clone(waker));
+    Reply::new(move |outcome| {
+        let outcome = outcome.map(|resp| WireAnswer {
+            attribution: (*resp.attribution).clone(),
+            model_version: resp.model_version,
+            cache_hit: resp.cache_hit,
+            batch_size: resp.batch_size as u64,
+            queue_wait_ns: resp.queue_wait.as_nanos() as u64,
+            service_ns: resp.service_time.as_nanos() as u64,
+            coarse_budget: resp.fidelity.sample_budget(),
+            max_abs_err: resp.fidelity.max_abs_err(),
         });
-        let _ = inner.waker.wake();
-    }
+        let msg = Message::ExplainReply(WireResponse { rid, outcome });
+        let _ = done.send(Completion { conn_id, msg });
+        let _ = waker.wake();
+    })
 }
 
 /// What message handling decided about the connection's fate.
@@ -334,16 +233,8 @@ enum ConnFate {
     Close,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn event_loop(
-    mut poll: Poll,
-    listener: TcpListener,
-    inner: Arc<ShardInner>,
-    job_tx: Sender<Job>,
-    done_rx: Receiver<Completion>,
-    queue_capacity: usize,
-    max_pipeline: u64,
-) {
+fn event_loop(mut poll: Poll, listener: TcpListener, inner: Arc<ShardInner>, max_pipeline: u64) {
+    let (done_tx, done_rx) = unbounded::<Completion>();
     let mut events = Events::with_capacity(256);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_id = CONN_BASE;
@@ -371,8 +262,7 @@ fn event_loop(
                             id,
                             &mut conns,
                             &inner,
-                            &job_tx,
-                            queue_capacity,
+                            &done_tx,
                             max_pipeline,
                             &mut drain_waiters,
                         )
@@ -402,7 +292,7 @@ fn event_loop(
                 touched.push(done.conn_id);
             }
         }
-        // Event-driven drain: everything dispatched has completed, so
+        // Event-driven drain: everything submitted has completed, so
         // answer every waiter and flip to the flush-and-exit state.
         if !drain_waiters.is_empty() && inner.in_flight.load(Ordering::SeqCst) == 0 {
             let completed = inner.completed.load(Ordering::SeqCst);
@@ -426,8 +316,6 @@ fn event_loop(
             break 'run;
         }
     }
-    // Dropping `job_tx` disconnects the queue; workers exit after the
-    // jobs already in hand.
 }
 
 fn accept_all(
@@ -530,8 +418,7 @@ fn handle_readable(
     id: usize,
     conns: &mut HashMap<usize, Conn>,
     inner: &Arc<ShardInner>,
-    job_tx: &Sender<Job>,
-    queue_capacity: usize,
+    done: &Sender<Completion>,
     max_pipeline: u64,
     drain_waiters: &mut Vec<(usize, u64)>,
 ) -> ConnFate {
@@ -594,7 +481,7 @@ fn handle_readable(
                 break;
             }
         };
-        match handle_message(id, conn, inner, job_tx, queue_capacity, max_pipeline, msg) {
+        match handle_message(id, conn, inner, done, max_pipeline, msg) {
             HandleResult::Continue => {}
             HandleResult::Drain { rid } => {
                 drain_waiters.push((id, rid));
@@ -649,8 +536,7 @@ fn handle_message(
     conn_id: usize,
     conn: &mut Conn,
     inner: &Arc<ShardInner>,
-    job_tx: &Sender<Job>,
-    queue_capacity: usize,
+    done: &Sender<Completion>,
     max_pipeline: u64,
     msg: Message,
 ) -> HandleResult {
@@ -677,40 +563,18 @@ fn handle_message(
                 );
                 return HandleResult::Continue;
             }
-            let job = Job {
-                conn_id,
-                rid,
+            // Counted before the submit, settled when the loop routes the
+            // completion: a hit answers inline, but still through the loop.
+            inner.in_flight.fetch_add(1, Ordering::SeqCst);
+            conn.in_flight += 1;
+            let request = ExplainRequest {
                 model_id: req.model_id,
                 features: req.features,
                 method: req.method,
-                budget_ns: req.budget_ns,
+                budget: Duration::from_nanos(req.budget_ns),
             };
-            inner.in_flight.fetch_add(1, Ordering::SeqCst);
-            conn.in_flight += 1;
-            match job_tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    inner.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    conn.in_flight -= 1;
-                    queue_message(
-                        conn,
-                        &reject(RejectReason::QueueFull {
-                            capacity: queue_capacity,
-                        }),
-                    );
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    inner.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    conn.in_flight -= 1;
-                    queue_message(
-                        conn,
-                        &Message::ExplainReply(WireResponse {
-                            rid,
-                            outcome: Err(ServeError::Internal("dispatch pool gone".into())),
-                        }),
-                    );
-                }
-            }
+            let reply = wire_reply(conn_id, rid, done, &inner.waker);
+            inner.engine.submit(request, reply);
             HandleResult::Continue
         }
         Message::Register(reg) => {

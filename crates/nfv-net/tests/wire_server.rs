@@ -3,8 +3,8 @@
 //!
 //! - registration failures answer with the typed `RegisterErr`, not a
 //!   mislabelled `ExplainReply`;
-//! - a panicking explain worker cannot wedge the drain handshake (the
-//!   in-flight count is settled by a reply guard on unwind);
+//! - a panicking plug-in cannot wedge the drain handshake (the engine
+//!   contains the panic and answers it, so the in-flight count settles);
 //! - a `ShardConn` rpc that races the reader's `fail_all` (pending entry
 //!   inserted after the map was drained) fails fast instead of stalling
 //!   out the full rpc timeout;
@@ -15,7 +15,9 @@
 //! - accepted sockets run with `TCP_NODELAY`, so pipelined cached replies
 //!   do not queue behind the client's delayed ACKs;
 //! - a frame of another protocol version closes its connection as a
-//!   protocol error and leaves the shard serving.
+//!   protocol error and leaves the shard serving;
+//! - a cached explain is answered while misses wait on the engine's only
+//!   worker: the event loop submits it, and nothing queues it behind them.
 
 use bytes::BufMut;
 use nfv_data::prelude::*;
@@ -23,7 +25,10 @@ use nfv_ml::prelude::*;
 use nfv_net::frame::{read_frame, write_frame, MsgType};
 use nfv_net::prelude::*;
 use nfv_serve::prelude::*;
-use nfv_xai::prelude::{Background, MethodRegistry, XaiError};
+use nfv_xai::prelude::{
+    Attribution, Background, CoalitionWorkspace, ExplainContext, ExplainPlan, Explainer,
+    FusedBlock, MethodRegistry, XaiError,
+};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -207,12 +212,12 @@ fn client_register_surfaces_typed_failure() {
     server.join();
 }
 
-/// A worker panic mid-explain must still settle the in-flight count and
-/// answer the request as `Internal`; a subsequent drain completes instead
-/// of busy-waiting forever on the leaked counter. The unwind comes from a
-/// plug-in method whose capability validator panics: `Engine::explain`
-/// runs it on the dispatch thread after the cache miss, before
-/// single-flight, with no lock held.
+/// A panic mid-explain must still settle the in-flight count and answer
+/// the request as `Internal`; a subsequent drain completes instead of
+/// busy-waiting forever on the leaked counter. The unwind comes from a
+/// plug-in method whose capability validator panics: `Engine::submit`
+/// runs it on the event loop after the cache miss, before single-flight,
+/// with no lock held, under the engine's containment.
 #[test]
 fn drain_completes_after_worker_panic() {
     const PANIC_METHOD: &str = "wire-server-panicking-validator";
@@ -368,13 +373,12 @@ fn join_is_not_blocked_by_a_slow_explain() {
 }
 
 /// Two explains written back-to-back in one TCP segment against a server
-/// with `max_pipeline = 1`: the first is dispatched, the second must be
+/// with `max_pipeline = 1`: the first is submitted, the second must be
 /// rejected with the typed `PipelineTooDeep` carrying both numbers.
 #[test]
 fn pipelining_past_the_depth_limit_gets_a_typed_reject() {
     let (server, addr) = start_server(ShardConfig {
         max_pipeline: 1,
-        dispatch_threads: 1,
         ..ShardConfig::default()
     });
     let mut stream = TcpStream::connect(&addr).unwrap();
@@ -529,7 +533,6 @@ fn register_method_configs_tune_the_shard_anytime_divisor() {
             queue_capacity: 1,
             ..ServeConfig::default()
         },
-        dispatch_threads: 8,
         ..ShardConfig::default()
     });
     let conn = ShardConn::connect(&addr, MAX_PAYLOAD, Duration::from_secs(30)).unwrap();
@@ -704,6 +707,159 @@ fn pipelined_cached_replies_do_not_wait_on_delayed_acks() {
         rounds[100]
     );
     conn.drain().unwrap();
+    let (_, protocol_errors) = server.join();
+    assert_eq!(protocol_errors, 0);
+}
+
+/// A plug-in whose explanation holds its worker until the test releases
+/// it, after saying that it does.
+struct Plug {
+    entered: crossbeam::channel::Sender<()>,
+    release: crossbeam::channel::Receiver<()>,
+}
+
+impl Explainer for Plug {
+    fn tag(&self) -> &'static str {
+        "plug"
+    }
+    fn plan(
+        &self,
+        _ctx: &ExplainContext<'_>,
+        _ws: &mut CoalitionWorkspace,
+        _block: &mut FusedBlock,
+    ) -> Result<Box<dyn ExplainPlan>, XaiError> {
+        Err(XaiError::Input("plug runs alone".into()))
+    }
+    fn direct(
+        &self,
+        ctx: &ExplainContext<'_>,
+        _ws: &mut CoalitionWorkspace,
+    ) -> Result<Attribution, XaiError> {
+        let _ = self.entered.send(());
+        let _ = self.release.recv();
+        let base = ctx.base_value();
+        Ok(Attribution {
+            names: ctx.names.into(),
+            values: vec![0.0; ctx.x.len()],
+            base_value: base,
+            prediction: base,
+            method: "plug".into(),
+        })
+    }
+}
+
+/// A warmed key's hit is not queued behind misses. The engine's only
+/// worker is held by a plug, and more distinct misses than `max(4, cores)`
+/// (a size a pool of threads blocking on the engine would have) are
+/// pipelined behind it on one connection; the warmed key sent after them
+/// is answered first, while the worker is still held.
+#[test]
+fn a_wire_hit_is_not_queued_behind_misses() {
+    const PLUG: &str = "wire-server-plug";
+    let (entered_tx, entered) = crossbeam::channel::bounded(1);
+    let (release, release_rx) = crossbeam::channel::bounded::<()>(1);
+    MethodRegistry::global().register(PLUG, move |_cfg| {
+        Ok(Box::new(Plug {
+            entered: entered_tx.clone(),
+            release: release_rx.clone(),
+        }))
+    });
+    let synth = friedman1(160, 5, 0.1, 11).unwrap();
+    let model = Gbdt::fit(
+        &synth.data,
+        &GbdtParams {
+            n_rounds: 8,
+            ..Default::default()
+        },
+        0,
+    )
+    .unwrap();
+    let (server, addr) = start_server(ShardConfig {
+        serve: ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        ..ShardConfig::default()
+    });
+    let conn = ShardConn::connect(&addr, MAX_PAYLOAD, Duration::from_secs(30)).unwrap();
+    conn.register(
+        "m",
+        &ServeModel::Gbdt(model),
+        &synth.data.names,
+        &Background::from_dataset(&synth.data, 16, 1).unwrap(),
+    )
+    .unwrap();
+    let at = |row: usize, method| ExplainRequest {
+        model_id: "m".into(),
+        features: synth.data.row(row).to_vec(),
+        method,
+        budget: Duration::from_secs(30),
+    };
+    assert!(
+        !conn
+            .explain(&at(0, ExplainMethod::TreeShap))
+            .unwrap()
+            .cache_hit
+    );
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let mut send = |rid: u64, request: ExplainRequest| {
+        let msg = Message::Explain(WireRequest {
+            rid,
+            model_id: request.model_id,
+            features: request.features,
+            method: request.method,
+            budget_ns: request.budget.as_nanos() as u64,
+        });
+        write_frame(&mut stream, msg.msg_type(), &msg.encode_payload()).unwrap();
+    };
+    send(1, at(1, ExplainMethod::custom(PLUG, 1)));
+    entered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the worker reaches the plug");
+    let misses = thread::available_parallelism().map_or(4, |n| n.get().max(4)) + 2;
+    for i in 0..misses {
+        send(100 + i as u64, at(10 + i, ExplainMethod::TreeShap));
+    }
+    send(2, at(0, ExplainMethod::TreeShap));
+    let mut reader = stream.try_clone().unwrap();
+    let next_reply = |reader: &mut TcpStream| match read_frame(reader, MAX_PAYLOAD) {
+        Ok((t, payload)) => match Message::decode_payload(t, payload).unwrap() {
+            Message::ExplainReply(reply) => Some(reply),
+            other => panic!("expected ExplainReply, got {:?}", other.msg_type()),
+        },
+        Err(_) => None,
+    };
+    reader
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let first = next_reply(&mut reader);
+    // Release the worker before asserting, so a failure does not hang.
+    release.send(()).unwrap();
+    let first = first.expect("the hit is answered while the worker is held");
+    assert_eq!(first.rid, 2, "the first reply answers the warmed key");
+    assert!(first.outcome.unwrap().cache_hit);
+
+    reader.set_read_timeout(None).unwrap();
+    let mut rest: Vec<u64> = (0..=misses)
+        .map(|_| {
+            let reply = next_reply(&mut reader).expect("a reply");
+            assert!(
+                reply.outcome.is_ok(),
+                "rid {}: {:?}",
+                reply.rid,
+                reply.outcome
+            );
+            reply.rid
+        })
+        .collect();
+    rest.sort_unstable();
+    let expected: Vec<u64> = std::iter::once(1)
+        .chain((0..misses as u64).map(|i| 100 + i))
+        .collect();
+    assert_eq!(rest, expected);
+    // The warm-up, the plug, the misses and the hit.
+    assert_eq!(conn.drain().unwrap(), misses as u64 + 3);
     let (_, protocol_errors) = server.join();
     assert_eq!(protocol_errors, 0);
 }

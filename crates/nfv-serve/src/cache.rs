@@ -50,13 +50,13 @@
 //! result upgrades a coarse entry in place, a coarse result never
 //! overwrites a full one.
 //!
-//! The cache also hosts **single-flight fill** ([`ShardedCache::begin_flight`]):
-//! concurrent identical misses elect one leader to compute while followers
-//! wait on the leader's result, so N simultaneous copies of a question cost
+//! The cache also hosts **single-flight fill**: concurrent identical misses
+//! elect one leader to compute while the others park on its flight and are
+//! answered with its result, so N simultaneous copies of a question cost
 //! one model evaluation instead of N.
 
+use crate::queue::Job;
 use crate::request::{fnv1a_bytes, fnv1a_words, ExplainMethod, Fidelity, Fnv1a, LookupFold};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use nfv_xai::prelude::Attribution;
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
@@ -816,38 +816,11 @@ impl MetaIntern {
     }
 }
 
-/// Outcome of [`ShardedCache::begin_flight`] for one cache miss.
-pub enum Flight {
-    /// No identical computation is in flight: this caller computes the
-    /// explanation and **must** eventually call
-    /// [`ShardedCache::complete_flight`] (with `None` on failure) so
-    /// followers are released.
-    Leader,
-    /// An identical computation is already running; wait on the receiver
-    /// for the leader's result (`None` = the leader failed or aborted —
-    /// fall back to computing normally). The fidelity rides along so a
-    /// coarse anytime leader never releases followers with an unmarked
-    /// answer.
-    Follower(Receiver<Option<(Arc<Attribution>, Fidelity)>>),
-}
-
-// Manual impl: the vendored channel handles don't implement `Debug`.
-impl std::fmt::Debug for Flight {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Flight::Leader => "Flight::Leader",
-            Flight::Follower(_) => "Flight::Follower",
-        })
-    }
-}
-
-/// What a flight's leader hands its followers (`None` = it failed).
-type FlightResult = Option<(Arc<Attribution>, Fidelity)>;
-
-/// The waiters of one in-flight fill, with the key they wait for.
+/// One in-flight fill: the key being computed and the identical jobs
+/// parked on it, which its completion answers.
 struct FlightEntry {
     key: CacheKey,
-    waiters: Vec<Sender<FlightResult>>,
+    followers: Vec<Job>,
 }
 
 /// The concurrent cache: `n_shards` independent two-tier shards, each
@@ -890,62 +863,71 @@ impl ShardedCache {
         }
     }
 
-    /// Registers interest in computing `key` after a cache miss. The first
-    /// caller becomes the [`Flight::Leader`]; concurrent callers become
-    /// [`Flight::Follower`]s holding a receiver for the leader's result.
-    ///
-    /// The leader (whoever ends up computing the key — the worker calls
-    /// [`ShardedCache::complete_flight`] unconditionally after every job)
-    /// releases the followers. A leader that aborts before enqueueing must
-    /// call `complete_flight(key, None)` itself.
-    pub fn begin_flight(&self, key: &CacheKey) -> Flight {
-        match self.in_flight.lock().entry(key.fp) {
-            Entry::Occupied(mut flight) if flight.get().key == *key => {
-                let (tx, rx) = bounded(1);
-                flight.get_mut().waiters.push(tx);
-                Flight::Follower(rx)
+    /// Single-flight for a cache miss: when an identical computation is
+    /// in flight, `job` parks on it as a follower and `None` is returned;
+    /// otherwise `job`'s key is registered as being computed and the job
+    /// comes back to its caller, who leads: whoever settles it ends the
+    /// flight with [`ShardedCache::complete_flight`] (an answer) or
+    /// [`ShardedCache::pass_flight`] (none). Another key's flight on the
+    /// same fingerprint leaves the job leading unregistered.
+    pub(crate) fn join_flight(&self, job: Job) -> Option<Job> {
+        match self.in_flight.lock().entry(job.key.fp) {
+            Entry::Occupied(mut flight) if flight.get().key == job.key => {
+                flight.get_mut().followers.push(job);
+                None
             }
-            // Another key's flight holds this fingerprint: compute alone
-            // (unregistered, so this key's `complete_flight` is a no-op).
-            Entry::Occupied(_) => Flight::Leader,
+            Entry::Occupied(_) => Some(job),
             Entry::Vacant(slot) => {
                 slot.insert(FlightEntry {
-                    key: key.clone(),
-                    waiters: Vec::new(),
+                    key: job.key.clone(),
+                    followers: Vec::new(),
                 });
-                Flight::Leader
+                Some(job)
             }
         }
     }
 
     /// Takes `key`'s flight for a computation nobody waits on (an anytime
     /// refinement): `false`, joining nothing, when the key is already
-    /// being computed. Like [`ShardedCache::begin_flight`], another key's
+    /// being computed. Like [`ShardedCache::join_flight`], another key's
     /// flight on this fingerprint leaves the computation unregistered.
-    pub fn lead_flight(&self, key: &CacheKey) -> bool {
+    pub(crate) fn lead_flight(&self, key: &CacheKey) -> bool {
         match self.in_flight.lock().entry(key.fp) {
             Entry::Occupied(flight) => flight.get().key != *key,
             Entry::Vacant(slot) => {
                 slot.insert(FlightEntry {
                     key: key.clone(),
-                    waiters: Vec::new(),
+                    followers: Vec::new(),
                 });
                 true
             }
         }
     }
 
-    /// Resolves an in-flight fill: removes `key` from the flight table and
-    /// sends `result` to every waiting follower (`None` = compute failed;
-    /// followers fall back to their own computation). A no-op when no
-    /// flight is registered, so workers may call it unconditionally.
-    pub fn complete_flight(&self, key: &CacheKey, result: Option<(Arc<Attribution>, Fidelity)>) {
-        let flight = match self.in_flight.lock().entry(key.fp) {
-            Entry::Occupied(flight) if flight.get().key == *key => flight.remove(),
-            _ => return,
-        };
-        for tx in flight.waiters {
-            let _ = tx.send(result.clone());
+    /// Ends `key`'s flight, whose leader has an answer, and hands back the
+    /// followers it answers. Empty when no flight is registered, so a
+    /// worker may call it after every job.
+    pub(crate) fn complete_flight(&self, key: &CacheKey) -> Vec<Job> {
+        match self.in_flight.lock().entry(key.fp) {
+            Entry::Occupied(flight) if flight.get().key == *key => flight.remove().followers,
+            _ => Vec::new(),
+        }
+    }
+
+    /// Passes `key`'s flight, whose leader ends without an answer, to its
+    /// first parked follower, which is returned to be computed; the others
+    /// stay parked behind it. With no follower the flight ends.
+    pub(crate) fn pass_flight(&self, key: &CacheKey) -> Option<Job> {
+        match self.in_flight.lock().entry(key.fp) {
+            Entry::Occupied(mut flight) if flight.get().key == *key => {
+                if flight.get().followers.is_empty() {
+                    flight.remove();
+                    None
+                } else {
+                    Some(flight.get_mut().followers.remove(0))
+                }
+            }
+            _ => None,
         }
     }
 
@@ -955,7 +937,7 @@ impl ShardedCache {
     }
 }
 
-// Manual impl: the flight table's channel senders aren't `Debug`.
+// Manual impl: the parked jobs' replies aren't `Debug`.
 impl std::fmt::Debug for ShardedCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCache")
@@ -1282,13 +1264,13 @@ mod tests {
         assert!(c.get(&impostor).is_none(), "exactness rests on the key");
         assert!(c.get(&stored).is_some());
         // Nor does it join the stored key's single-flight.
-        assert!(matches!(c.begin_flight(&stored), Flight::Leader));
-        assert!(matches!(c.begin_flight(&impostor), Flight::Leader));
+        assert!(c.join_flight(job(&stored)).is_some());
+        assert!(c.join_flight(job(&impostor)).is_some(), "it leads alone");
         assert!(c.lead_flight(&impostor), "nor does a refinement");
         assert!(!c.lead_flight(&stored), "a refinement joins no flight");
-        c.complete_flight(&impostor, None);
+        assert!(c.complete_flight(&impostor).is_empty());
         assert_eq!(c.flights_in_progress(), 1, "the real flight is untouched");
-        c.complete_flight(&stored, None);
+        assert!(c.complete_flight(&stored).is_empty());
         assert_eq!(c.flights_in_progress(), 0);
         // Inserting it takes the slot over; the old key now misses.
         c.insert(impostor.clone(), attr(20.0));
@@ -1477,36 +1459,43 @@ mod tests {
         );
     }
 
+    /// A job asking for `key`, answered nowhere.
+    fn job(key: &CacheKey) -> Job {
+        let mut job = crate::queue::job_for("m", key.model_version, ExplainMethod::TreeShap).0;
+        job.key = key.clone();
+        job
+    }
+
     #[test]
-    fn single_flight_elects_one_leader_and_releases_followers() {
+    fn single_flight_elects_one_leader_and_parks_followers() {
         let c = ShardedCache::new(16, 0, 2);
         let k = key(1, 4.0);
-        assert!(matches!(c.begin_flight(&k), Flight::Leader));
-        let followers: Vec<_> = (0..3)
-            .map(|_| match c.begin_flight(&k) {
-                Flight::Follower(rx) => rx,
-                Flight::Leader => panic!("second caller must not lead"),
-            })
-            .collect();
-        assert_eq!(c.flights_in_progress(), 1);
-        c.complete_flight(&k, Some((attr(42.0), Fidelity::Exact)));
-        for rx in followers {
-            let (got, fid) = rx.recv().unwrap().expect("leader succeeded");
-            assert_eq!(got.prediction, 42.0);
-            assert!(fid.is_exact());
+        assert!(c.join_flight(job(&k)).is_some(), "the first miss leads");
+        for _ in 0..3 {
+            assert!(c.join_flight(job(&k)).is_none(), "identical misses park");
         }
+        assert_eq!(c.flights_in_progress(), 1);
+        assert_eq!(c.complete_flight(&k).len(), 3, "an answer takes them all");
         assert_eq!(c.flights_in_progress(), 0);
         // The key is free again: a new leader can be elected.
-        assert!(matches!(c.begin_flight(&k), Flight::Leader));
-        // Aborting releases followers with None.
-        let rx = match c.begin_flight(&k) {
-            Flight::Follower(rx) => rx,
-            Flight::Leader => panic!(),
-        };
-        c.complete_flight(&k, None);
-        assert!(rx.recv().unwrap().is_none(), "abort = None to followers");
-        // Completing an unregistered key is a harmless no-op.
-        c.complete_flight(&key(1, 99.0), None);
+        assert!(c.join_flight(job(&k)).is_some());
+        // A flight that ends without an answer passes to its followers in
+        // arrival order, each holding it in turn, until none is left.
+        for secs in [1, 2] {
+            let mut follower = job(&k);
+            follower.request.budget = std::time::Duration::from_secs(secs);
+            assert!(c.join_flight(follower).is_none());
+        }
+        for secs in [1, 2] {
+            let next = c.pass_flight(&k).expect("a follower takes the flight");
+            assert_eq!(next.request.budget.as_secs(), secs);
+            assert_eq!(c.flights_in_progress(), 1);
+        }
+        assert!(c.pass_flight(&k).is_none());
+        assert_eq!(c.flights_in_progress(), 0);
+        // Ending an unregistered key is a harmless no-op.
+        assert!(c.complete_flight(&key(1, 99.0)).is_empty());
+        assert!(c.pass_flight(&key(1, 99.0)).is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! queue + worker pool. [`crate::cluster`] composes N of these into a
 //! shared-nothing sharded cluster; a network frontend would wrap either.
 
-use crate::cache::{self, CacheKey, CacheUsage, CellBuf, KeyRef, ShardedCache};
+use crate::cache::{CacheKey, CacheUsage, CellBuf, KeyRef, ShardedCache};
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::{Metrics, ServeStats};
 use crate::queue::{Job, JobQueue};
@@ -113,9 +113,44 @@ pub(crate) enum Unkeyed {
     Unquantizable,
 }
 
+/// The outcome of one request submitted with [`Engine::submit`].
+pub type Outcome = Result<ExplainResponse, ServeError>;
+
+/// Where one submitted request's outcome goes: a one-shot sink, answered
+/// exactly once by whichever thread settles the request — the submitter
+/// (a hit, a reject, an anytime coarse answer) or a worker. The sink must
+/// not block. A reply dropped unanswered answers [`ServeError::Internal`],
+/// so no caller waits on a request that was lost.
+pub struct Reply(Option<Box<dyn FnOnce(Outcome) + Send>>);
+
+impl Reply {
+    /// A reply that hands the outcome to `sink`.
+    pub fn new(sink: impl FnOnce(Outcome) + Send + 'static) -> Reply {
+        Reply(Some(Box::new(sink)))
+    }
+
+    /// Answers the request.
+    pub fn send(mut self, outcome: Outcome) {
+        if let Some(sink) = self.0.take() {
+            sink(outcome);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(sink) = self.0.take() {
+            sink(Err(ServeError::Internal(
+                "the request was dropped unanswered".into(),
+            )));
+        }
+    }
+}
+
 /// The serving engine. Construct with [`Engine::start`], register models,
-/// then call [`Engine::explain`] from any number of threads. Dropping the
-/// engine (or calling [`Engine::shutdown`]) drains and joins the workers.
+/// then call [`Engine::explain`] or [`Engine::submit`] from any number of
+/// threads. Dropping the engine (or calling [`Engine::shutdown`]) drains
+/// and joins the workers.
 pub struct Engine {
     registry: Arc<ModelRegistry>,
     cache: Arc<ShardedCache>,
@@ -145,10 +180,12 @@ impl Engine {
             cache: Arc::clone(&cache),
             metrics: Arc::clone(&metrics),
             max_batch: config.max_batch,
+            workers: config.workers,
             seed: config.seed,
             in_flight: queue.in_flight_handle(),
+            passed: Default::default(),
         });
-        let workers = worker::spawn_workers(config.workers, queue.receiver(), ctx);
+        let workers = worker::spawn_workers(queue.receiver(), ctx);
         Engine {
             registry,
             cache,
@@ -169,7 +206,8 @@ impl Engine {
         &self.config
     }
 
-    /// Synchronously explains one request.
+    /// Synchronously explains one request: [`Engine::submit`]'s path, then
+    /// one wait for its reply.
     ///
     /// Fast path: a cache hit is counted and returned without touching
     /// the queue or reading a clock. Miss path: admission control (bounded queue +
@@ -182,6 +220,20 @@ impl Engine {
         }
     }
 
+    /// Explains `request` without waiting: the outcome goes to `reply`,
+    /// exactly once. The calling thread never waits on a computation and
+    /// runs no explainer factory. It answers a cache hit, a reject or a
+    /// plug-in validator's verdict itself; it parks an identical miss on
+    /// the computation already in flight; and it queues any other miss for
+    /// a worker. The one computation it may run is the anytime coarse
+    /// answer, when the queue is full (see [`ServeConfig::anytime`]).
+    pub fn submit(&self, request: ExplainRequest, reply: Reply) {
+        match self.cached(&request) {
+            Ok(hit) => reply.send(Ok(hit)),
+            Err(miss) => self.submit_miss(request, miss, reply),
+        }
+    }
+
     /// Answers `request` from the cache, or hands back what its miss
     /// carries on with.
     ///
@@ -191,10 +243,9 @@ impl Engine {
     /// coarse — is counted with one relaxed add and returned: no clock is
     /// read, no latency is recorded and nothing of the request is owned. A
     /// coarse hit asks for its refinement again (an earlier ask may have
-    /// been dropped) once the lock is released, since the ask runs plug-in
-    /// factory code. Anything else counts nothing here and returns the
-    /// resolved entry and owned key (or why there is none) for
-    /// [`Engine::explain_miss`] to reject or admit.
+    /// been dropped) once the lock is released. Anything else counts
+    /// nothing here and returns the resolved entry and owned key (or why
+    /// there is none) for the miss path to reject or admit.
     pub(crate) fn cached(&self, request: &ExplainRequest) -> Result<ExplainResponse, Miss> {
         let found = self.registry.with_entry(&request.model_id, |entry| {
             let mut cells = CellBuf::new();
@@ -249,174 +300,186 @@ impl Engine {
         .ok_or(Unkeyed::Unquantizable)
     }
 
-    /// [`Engine::explain`] behind a cache probe that missed: counts the
-    /// request, rejects or admits it, and blocks until a worker answers.
-    /// Its latency clock starts here, so `total_*` cover answers a worker
-    /// delivered.
+    /// [`Engine::explain`] behind a cache probe that missed: the miss path
+    /// of [`Engine::submit`], then one wait for the reply.
     pub(crate) fn explain_miss(
         &self,
         request: ExplainRequest,
         miss: Miss,
     ) -> Result<ExplainResponse, ServeError> {
-        let t0 = Instant::now();
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        self.submit_miss(
+            request,
+            miss,
+            Reply::new(move |outcome| {
+                let _ = tx.send(outcome);
+            }),
+        );
+        rx.recv()
+            .expect("a reply answers, if only by being dropped")
+    }
+
+    /// [`Engine::submit`] behind a cache probe that missed: counts the
+    /// request, rejects it or starts it on its way. Its latency clock
+    /// starts here, so `total_*` cover answers a worker delivered.
+    fn submit_miss(&self, request: ExplainRequest, miss: Miss, reply: Reply) {
+        let admitted = Instant::now();
         self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-
-        let (entry, key) = match miss {
-            Miss::Keyed(entry, key) => (entry, key),
-            Miss::UnknownModel => {
-                self.metrics
-                    .rejected_unknown_model
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Rejected(RejectReason::UnknownModel {
-                    model_id: request.model_id,
-                }));
-            }
-            Miss::Unkeyed(_, Unkeyed::Width(d)) => {
-                self.metrics
-                    .rejected_invalid
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Rejected(RejectReason::InvalidRequest {
-                    reason: format!(
-                        "model `{}` expects {d} features, got {}",
-                        request.model_id,
-                        request.features.len()
-                    ),
-                }));
-            }
-            Miss::Unkeyed(entry, Unkeyed::Unquantizable) => {
-                // A refused method outranks unquantizable features, as it
-                // did when method validation ran first.
-                self.check_method(&entry, request.method)?;
-                self.metrics
-                    .rejected_invalid
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Rejected(RejectReason::InvalidRequest {
-                    reason: "features must be finite and within the quantization range".into(),
-                }));
-            }
+        let (entry, key) = match self.accept(&request, miss) {
+            Ok(accepted) => accepted,
+            Err(e) => return reply.send(Err(e)),
         };
-
-        // A miss: validate the method and resolve it to its explainer (the
-        // probe already owns the key the fill keeps). The validator and the
-        // factory are plug-in code on this thread; they run before the
-        // request takes a single-flight entry, so an unwind out of them
-        // leaves none behind.
-        self.check_method(&entry, request.method)?;
-        let Some(queue) = self.queue.as_ref() else {
-            return Err(ServeError::Rejected(RejectReason::ShuttingDown));
-        };
-        let explainer = entry.explainer(request.method).inspect_err(|_| {
-            self.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
-        })?;
-
-        // Single-flight: collapse concurrent *identical* misses onto one
-        // computation. The first miss becomes the leader and proceeds to
-        // admission; followers park on a channel and receive the leader's
-        // attribution the moment it lands in the cache — one model
-        // evaluation instead of N. A follower whose leader fails or whose
-        // budget runs out falls through and computes normally.
-        let leads_flight = match self.cache.begin_flight(&key) {
-            cache::Flight::Leader => true,
-            cache::Flight::Follower(rx) => {
-                let remaining = request.budget.saturating_sub(t0.elapsed());
-                if let Ok(Some((attr, fidelity))) = rx.recv_timeout(remaining) {
-                    self.metrics
-                        .single_flight_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.total.record(t0.elapsed());
-                    return Ok(ExplainResponse {
-                        attribution: attr,
-                        model_version: key.model_version,
-                        cache_hit: true,
-                        batch_size: 1,
-                        queue_wait: Duration::ZERO,
-                        service_time: Duration::ZERO,
-                        fidelity,
-                    });
-                }
-                false
-            }
-        };
-
-        // Admission + enqueue.
-        let (respond_tx, respond_rx) = crossbeam::channel::bounded(1);
         let job = Job {
             request,
             entry,
             key,
-            explainer,
-            admitted: t0,
-            respond: Some(respond_tx),
+            admitted,
+            respond: Some(reply),
         };
-        if let Err((reason, job)) = queue.admit(job, &self.metrics) {
-            // Queue-full pressure on a sampling method: degrade before
-            // rejecting.
-            if matches!(reason, RejectReason::QueueFull { .. }) && self.config.anytime {
-                if let Some(outcome) = self.serve_anytime(&job, leads_flight, t0) {
-                    return outcome;
-                }
-            }
-            // An admitted leader's flight is resolved by the worker; a
-            // rejected leader must release its followers itself (they fall
-            // through and try on their own).
-            if leads_flight {
-                self.cache.complete_flight(&job.key, None);
-            }
-            match &reason {
-                RejectReason::QueueFull { .. } => {
-                    self.metrics
-                        .rejected_queue_full
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                RejectReason::DeadlineUnmeetable { .. } => {
-                    self.metrics
-                        .rejected_deadline_unmeetable
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-            return Err(ServeError::Rejected(reason));
+        // Single-flight: an identical miss already in flight takes this one
+        // as a follower, which its leader's completion answers.
+        if let Some(job) = self.cache.join_flight(job) {
+            self.lead(job);
         }
+    }
 
-        // Block until a worker answers (the sync in-process client).
-        match respond_rx.recv() {
-            Ok(outcome) => outcome,
-            Err(_) => Err(ServeError::Internal(
-                "worker dropped the response channel".into(),
-            )),
+    /// The entry and owned key a miss is computed under, or its counted
+    /// reject. The probe already resolved both, so nothing is resolved or
+    /// quantized again; the method's plug-in validator runs here, on the
+    /// caller's thread, under the worker's containment.
+    fn accept(
+        &self,
+        request: &ExplainRequest,
+        miss: Miss,
+    ) -> Result<(Arc<ModelEntry>, CacheKey), ServeError> {
+        let invalid = |reason: String| {
+            self.metrics
+                .rejected_invalid
+                .fetch_add(1, Ordering::Relaxed);
+            ServeError::Rejected(RejectReason::InvalidRequest { reason })
+        };
+        match miss {
+            Miss::Keyed(entry, key) => {
+                self.check_method(&entry, request.method)?;
+                Ok((entry, key))
+            }
+            Miss::UnknownModel => {
+                self.metrics
+                    .rejected_unknown_model
+                    .fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::Rejected(RejectReason::UnknownModel {
+                    model_id: request.model_id.clone(),
+                }))
+            }
+            Miss::Unkeyed(_, Unkeyed::Width(d)) => Err(invalid(format!(
+                "model `{}` expects {d} features, got {}",
+                request.model_id,
+                request.features.len()
+            ))),
+            Miss::Unkeyed(entry, Unkeyed::Unquantizable) => {
+                // A refused method outranks unquantizable features, as it
+                // did when method validation ran first.
+                self.check_method(&entry, request.method)?;
+                Err(invalid(
+                    "features must be finite and within the quantization range".into(),
+                ))
+            }
         }
     }
 
     /// Rejects a method the registry does not know or whose validator
-    /// refuses this model, counting the reject by its kind.
+    /// refuses this model, counting the reject by its kind. The validator
+    /// is plug-in code: a panic in it answers [`ServeError::Internal`] and
+    /// counts as an explain error.
     fn check_method(&self, entry: &ModelEntry, method: ExplainMethod) -> Result<(), ServeError> {
-        entry.supports(method).inspect_err(|e| {
+        worker::contain(|| entry.supports(method)).inspect_err(|e| {
             let counter = match e {
                 ServeError::Rejected(RejectReason::UnknownMethod { .. }) => {
                     &self.metrics.rejected_unknown_method
                 }
-                _ => &self.metrics.rejected_invalid,
+                ServeError::Rejected(_) => &self.metrics.rejected_invalid,
+                _ => &self.metrics.explain_errors,
             };
             counter.fetch_add(1, Ordering::Relaxed);
         })
     }
 
-    /// The anytime path for a queue-full rejection: compute the coarsened
-    /// method inline on the caller's thread (≈⅛ of the full budget), cache
-    /// it **under the original key** with a coarse grade, release any
-    /// single-flight followers with the marked answer, and queue the
-    /// full-budget refinement. The coarse factory and explainer run under
-    /// the worker's containment: a panic answers [`ServeError::Internal`]
-    /// (an explain error) and releases the flight. `None` when the method
-    /// has no coarse variant or the coarse compute returns an error — the
-    /// caller falls back to the original rejection.
-    fn serve_anytime(
-        &self,
-        job: &Job,
-        leads_flight: bool,
-        t0: Instant,
-    ) -> Option<Result<ExplainResponse, ServeError>> {
+    /// The admission queue. Only [`Engine::shutdown`] empties its slot, and
+    /// it takes the engine, so no `&self` call sees it empty.
+    fn queue(&self) -> &JobQueue {
+        self.queue.as_ref().expect("the queue lives until shutdown")
+    }
+
+    /// Admits a job that leads its key's flight. A queue-full sampling
+    /// request is degraded to an inline coarse answer; any other refusal
+    /// answers the reject. A leader that is not queued hands its flight to
+    /// its first parked follower, which is admitted in turn.
+    fn lead(&self, job: Job) {
+        let mut next = Some(job);
+        while let Some(job) = next {
+            next = match self.queue().admit(job, &self.metrics) {
+                Ok(()) => None,
+                Err((reason, job)) => self.refuse(reason, *job),
+            };
+        }
+    }
+
+    /// A leader admission refused: the anytime coarse answer when the queue
+    /// is full and the method degrades, else the counted reject (or
+    /// `Internal` when the coarse compute panicked). Returns the follower
+    /// that takes over a flight left without an answer.
+    fn refuse(&self, reason: RejectReason, job: Job) -> Option<Job> {
+        let degrade = matches!(reason, RejectReason::QueueFull { .. }) && self.config.anytime;
+        let outcome = match degrade.then(|| self.coarse(&job)).flatten() {
+            Some(Ok(resp)) => {
+                // Cached **under the original key** with a coarse grade,
+                // shared with any single-flight followers, and refined in
+                // the queue.
+                let (attr, fidelity) = (&resp.attribution, resp.fidelity);
+                let grade = fidelity.sample_budget();
+                self.cache
+                    .insert_graded(job.key.clone(), Arc::clone(attr), grade);
+                worker::share_flight(&self.cache, &self.metrics, &job.key, attr, fidelity);
+                self.request_refine(Arc::clone(&job.entry), job.key.clone(), &job.request);
+                self.metrics.degraded_served.fetch_add(1, Ordering::Relaxed);
+                self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+                self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+                self.metrics.service.record(resp.service_time);
+                self.metrics.total.record(job.admitted.elapsed());
+                job.answer(Ok(resp));
+                return None;
+            }
+            Some(Err(panic)) => {
+                self.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
+                Err(panic)
+            }
+            None => {
+                let counter = match reason {
+                    RejectReason::QueueFull { .. } => Some(&self.metrics.rejected_queue_full),
+                    RejectReason::DeadlineUnmeetable { .. } => {
+                        Some(&self.metrics.rejected_deadline_unmeetable)
+                    }
+                    _ => None,
+                };
+                if let Some(counter) = counter {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(ServeError::Rejected(reason))
+            }
+        };
+        let next = self.cache.pass_flight(&job.key);
+        job.answer(outcome);
+        next
+    }
+
+    /// The anytime answer to a queue-full request: the coarsened method
+    /// computed inline on the caller's thread (≈⅛ of the full budget),
+    /// marked [`Fidelity::Coarse`]. The coarse factory and explainer
+    /// run under the worker's containment: a panic is
+    /// [`ServeError::Internal`]. `None` when the method has no coarse
+    /// variant or the coarse compute returns an error — the caller falls
+    /// back to the original rejection.
+    fn coarse(&self, job: &Job) -> Option<Outcome> {
         // The coarsening divisor is per-(model, method) service-class
         // configuration (default ÷ 8): a latency-critical class can be
         // configured to degrade harder, an accuracy-critical one gentler
@@ -443,40 +506,19 @@ impl Engine {
             let x = &job.request.features;
             worker::explain_one(&job.entry, &*explainer, x, seed, &mut ws).map_err(ServeError::from)
         });
-        let attr = match coarse {
-            Ok(attr) => Arc::new(attr),
-            Err(panic @ ServeError::Internal(_)) => {
-                if leads_flight {
-                    self.cache.complete_flight(&job.key, None);
-                }
-                self.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
-                return Some(Err(panic));
-            }
-            Err(_) => return None,
-        };
-        let service = t_run.elapsed();
-        let fidelity = Fidelity::Coarse { sample_budget };
-        self.cache
-            .insert_graded(job.key.clone(), Arc::clone(&attr), sample_budget);
-        if leads_flight {
-            self.cache
-                .complete_flight(&job.key, Some((Arc::clone(&attr), fidelity)));
+        match coarse {
+            Ok(attr) => Some(Ok(ExplainResponse {
+                attribution: Arc::new(attr),
+                model_version: job.key.model_version,
+                cache_hit: false,
+                batch_size: 1,
+                queue_wait: Duration::ZERO,
+                service_time: t_run.elapsed(),
+                fidelity: Fidelity::Coarse { sample_budget },
+            })),
+            Err(panic @ ServeError::Internal(_)) => Some(Err(panic)),
+            Err(_) => None,
         }
-        self.request_refine(Arc::clone(&job.entry), job.key.clone(), &job.request);
-        self.metrics.degraded_served.fetch_add(1, Ordering::Relaxed);
-        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-        self.metrics.service.record(service);
-        self.metrics.total.record(t0.elapsed());
-        Some(Ok(ExplainResponse {
-            attribution: attr,
-            model_version: job.key.model_version,
-            cache_hit: false,
-            batch_size: 1,
-            queue_wait: Duration::ZERO,
-            service_time: service,
-            fidelity,
-        }))
     }
 
     /// Queues the full-budget upgrade of `key`'s coarse entry as an
@@ -484,20 +526,13 @@ impl Engine {
     /// feasibility check (nobody waits on it), one queue slot. It holds the
     /// key's single-flight entry, so a key has at most one refinement in
     /// flight and an identical client miss follows it to the full answer.
-    /// A full or closed queue drops it (counted in `refine_dropped`): the
-    /// coarse answer stands and the next coarse hit asks again. The worker
-    /// seeds it from the key like any job, so the upgraded bits are those
-    /// of a request that never degraded.
+    /// The worker resolves its explainer, so no plug-in code runs here. A
+    /// full queue drops it (counted in `refine_dropped`): the coarse answer
+    /// stands, the next coarse hit asks again, and a follower that parked
+    /// on it meanwhile is admitted in its place. The worker seeds it from
+    /// the key like any job, so the upgraded bits are those of a request
+    /// that never degraded.
     fn request_refine(&self, entry: Arc<ModelEntry>, key: CacheKey, request: &ExplainRequest) {
-        let Some(queue) = self.queue.as_ref() else {
-            return;
-        };
-        // The factory is plug-in code: it runs before the flight is taken.
-        let Ok(explainer) = entry.explainer(request.method) else {
-            // The coarse answer stands; a full-path miss surfaces the error.
-            self.metrics.explain_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
         // A refinement or a client miss already computes this key.
         if !self.cache.lead_flight(&key) {
             return;
@@ -509,13 +544,14 @@ impl Engine {
             },
             entry,
             key,
-            explainer,
             admitted: Instant::now(),
             respond: None,
         };
-        if let Err((_, job)) = queue.try_send(job) {
-            self.cache.complete_flight(&job.key, None);
+        if let Err((_, job)) = self.queue().try_send(job) {
             self.metrics.refine_dropped.fetch_add(1, Ordering::Relaxed);
+            if let Some(next) = self.cache.pass_flight(&job.key) {
+                self.lead(next);
+            }
         }
     }
 

@@ -112,8 +112,8 @@ pub enum ServeError {
     Rejected(RejectReason),
     /// The underlying explainer failed.
     Explain(XaiError),
-    /// Engine-internal failure (an explainer panicked, a response channel
-    /// broke).
+    /// Engine-internal failure (plug-in code panicked, a request's reply
+    /// was dropped unanswered).
     Internal(String),
     /// The cluster router refused the operation itself (membership or a
     /// diverged registration history) — no shard was asked.

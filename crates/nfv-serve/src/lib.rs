@@ -33,8 +33,11 @@
 //!   stacked never changes its bits, and steady-state serving does not
 //!   allocate on the hot path,
 //! - **single-flight cache fills**: concurrent identical misses elect one
-//!   leader to compute; followers wait for its result instead of
-//!   duplicating the evaluation,
+//!   leader to compute; followers park on its flight and are answered
+//!   with its result instead of duplicating the evaluation,
+//! - **a miss path that never waits**: [`Engine::submit`] answers a hit
+//!   or a reject at once and hands a miss to the workers with a [`Reply`]
+//!   sink; [`Engine::explain`] is the same path plus one wait,
 //! - **metrics**: queue wait, batch size, cache hit rate, p50/p99, and
 //!   per-(model-version, method) service-time EWMAs feeding admission
 //!   control, all serializable for scraping — per shard and rolled up
@@ -94,7 +97,7 @@ pub mod registry;
 pub mod request;
 mod worker;
 
-pub use engine::{Engine, FusionPolicy, ServeConfig};
+pub use engine::{Engine, FusionPolicy, Reply, ServeConfig};
 
 /// Pre-split name of [`Engine`], kept as the primary public alias.
 pub use engine::Engine as ServeEngine;
@@ -111,5 +114,5 @@ pub mod prelude {
     pub use crate::request::{
         ExplainMethod, ExplainRequest, ExplainResponse, Fidelity, DEFAULT_ANYTIME_DIVISOR,
     };
-    pub use crate::{Engine, FusionPolicy, ServeConfig, ServeEngine};
+    pub use crate::{Engine, FusionPolicy, Reply, ServeConfig, ServeEngine};
 }

@@ -128,8 +128,8 @@ pub struct Metrics {
     pub rejected_invalid: AtomicU64,
     /// Rejects: method id no registered method answers to.
     pub rejected_unknown_method: AtomicU64,
-    /// Explainer errors surfaced to callers, contained explainer panics
-    /// included.
+    /// Explainer errors surfaced to callers, contained panics of plug-in
+    /// code (validator, factory, explainer) included.
     pub explain_errors: AtomicU64,
     /// Cache hits found by a worker's recheck (the fast path counts its
     /// own in `fast_hits` / `fast_quantized_hits`).
@@ -183,9 +183,9 @@ pub struct Metrics {
     pub queue_wait: LatencyHistogram,
     /// Explainer compute time per batch group, attributed per request.
     pub service: LatencyHistogram,
-    /// End-to-end latency of requests a worker answered or the miss path
-    /// served itself (single-flight followers, coarse answers); a fast-path
-    /// hit records nothing.
+    /// End-to-end latency of requests a worker answered, single-flight
+    /// followers included, or the miss path served itself (coarse
+    /// answers); a fast-path hit records nothing.
     pub total: LatencyHistogram,
     /// EWMA of per-request service time, stored in fixed-point 1/256-ns
     /// units (admission control's model of how expensive one explanation
@@ -489,7 +489,7 @@ impl Metrics {
 ///
 /// The counters include cache hits answered by the engine's one cache
 /// probe, which every request passes before the queue (on the caller's
-/// thread in process, on a dispatch thread for an `nfv-net` shard's wire
+/// thread in process, on the event loop for an `nfv-net` shard's wire
 /// request). The `total_*` latencies cover answers a
 /// worker delivered (and the few the miss path served itself): a hit
 /// records no latency, so its cost is measured from outside, as the
@@ -512,7 +512,8 @@ pub struct ServeStats {
     pub rejected_invalid: u64,
     /// Rejects: method id no registered method answers to.
     pub rejected_unknown_method: u64,
-    /// Explainer errors, contained explainer panics included.
+    /// Explainer errors, contained panics of plug-in code (validator,
+    /// factory, explainer) included.
     pub explain_errors: u64,
     /// Cache hits: fast-path hits and those a worker's recheck found.
     pub cache_hits: u64,

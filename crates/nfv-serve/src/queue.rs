@@ -2,17 +2,18 @@
 //! reject-don't-block semantics and a deadline-feasibility check.
 
 use crate::cache::CacheKey;
-use crate::error::{RejectReason, ServeError};
+use crate::engine::{Outcome, Reply};
+use crate::error::RejectReason;
 use crate::metrics::Metrics;
 use crate::registry::ModelEntry;
-use crate::request::{service_class_key, ExplainRequest, ExplainResponse};
+use crate::request::{service_class_key, ExplainRequest};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use nfv_xai::prelude::Explainer;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One admitted unit of work travelling from client thread to worker.
+/// One accepted unit of work: queued for a worker, or parked on the
+/// single-flight entry of an identical request in flight.
 pub struct Job {
     /// The original request.
     pub request: ExplainRequest,
@@ -21,15 +22,21 @@ pub struct Job {
     pub entry: Arc<ModelEntry>,
     /// Cache identity (also the seed source).
     pub key: CacheKey,
-    /// The request's method, resolved against `entry` once, at admission;
-    /// the worker plans it into its block or runs it alone.
-    pub explainer: Box<dyn Explainer>,
     /// When the job was admitted (queue-wait measurement + deadline base).
     pub admitted: Instant,
-    /// Where the worker sends the outcome; capacity 1, never blocks.
-    /// `None` for an anytime refinement, which answers nobody: the worker
-    /// only writes its full-grade entry over the coarse one.
-    pub respond: Option<Sender<Result<ExplainResponse, ServeError>>>,
+    /// Where the outcome goes. `None` for an anytime refinement, which
+    /// answers nobody: the worker only writes its full-grade entry over
+    /// the coarse one.
+    pub respond: Option<Reply>,
+}
+
+impl Job {
+    /// Hands `outcome` to whoever waits on this job.
+    pub fn answer(self, outcome: Outcome) {
+        if let Some(reply) = self.respond {
+            reply.send(outcome);
+        }
+    }
 }
 
 /// Consecutive deadline-unmeetable rejects of one service class before
@@ -160,12 +167,58 @@ impl JobQueue {
     }
 }
 
+/// A job on a one-feature linear model (`"a"`, input 0.5, a 1 s budget),
+/// for the crate's unit tests, and the receiver its answer arrives on.
+#[cfg(test)]
+pub(crate) fn job_for(
+    model_id: &str,
+    version: u64,
+    method: crate::request::ExplainMethod,
+) -> (Job, Receiver<Outcome>) {
+    use nfv_ml::prelude::LinearRegression;
+    use nfv_xai::prelude::{Background, FeatureGroups};
+    let data = nfv_data::dataset::Dataset::new(
+        vec!["a".into()],
+        vec![0.0, 1.0],
+        vec![0.0, 1.0],
+        nfv_data::dataset::Task::Regression,
+    )
+    .unwrap();
+    let model = LinearRegression::fit(&data, 1e-6).unwrap();
+    let entry = Arc::new(crate::registry::ModelEntry {
+        model: crate::registry::ServeModel::Linear(model),
+        version,
+        feature_names: ["a".to_string()].into(),
+        background: Background::from_rows(vec![vec![0.0]]).unwrap(),
+        packed: None,
+        expected_output: 0.0,
+        groups: FeatureGroups::new(vec!["all".into()], vec![0]).unwrap(),
+        trees: None,
+    });
+    let request = ExplainRequest {
+        model_id: model_id.into(),
+        features: vec![0.5],
+        method,
+        budget: std::time::Duration::from_secs(1),
+    };
+    let key = CacheKey::build(model_id, version, method, &request.features, 1e-6).unwrap();
+    let (tx, rx) = channel::bounded(1);
+    let job = Job {
+        request,
+        entry,
+        key,
+        admitted: Instant::now(),
+        respond: Some(Reply::new(move |outcome| {
+            let _ = tx.send(outcome);
+        })),
+    };
+    (job, rx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::ExplainMethod;
-    use nfv_ml::prelude::*;
-    use nfv_xai::prelude::*;
     use std::time::Duration;
 
     fn test_job(budget: Duration) -> Job {
@@ -173,43 +226,9 @@ mod tests {
     }
 
     fn test_job_with(method: ExplainMethod, budget: Duration) -> Job {
-        let data = nfv_data::dataset::Dataset::new(
-            vec!["a".into()],
-            vec![0.0, 1.0],
-            vec![0.0, 1.0],
-            nfv_data::dataset::Task::Regression,
-        )
-        .unwrap();
-        let model = LinearRegression::fit(&data, 1e-6).unwrap();
-        let bg = Background::from_rows(vec![vec![0.0]]).unwrap();
-        let entry = Arc::new(crate::registry::ModelEntry {
-            model: crate::registry::ServeModel::Linear(model),
-            version: 1,
-            feature_names: ["a".to_string()].into(),
-            background: bg,
-            packed: None,
-            expected_output: 0.0,
-            groups: FeatureGroups::new(vec!["all".into()], vec![0]).unwrap(),
-            trees: None,
-        });
-        let request = ExplainRequest {
-            model_id: "m".into(),
-            features: vec![0.5],
-            method,
-            budget,
-        };
-        let key = CacheKey::build("m", 1, request.method, &request.features, 1e-6).unwrap();
-        let (respond, _keep) = channel::bounded(1);
-        // Leak the receiver handle so sends would succeed if attempted.
-        std::mem::forget(_keep);
-        Job {
-            explainer: entry.explainer(request.method).expect("method resolves"),
-            request,
-            entry,
-            key,
-            admitted: Instant::now(),
-            respond: Some(respond),
-        }
+        let mut job = job_for("m", 1, method).0;
+        job.request.budget = budget;
+        job
     }
 
     #[test]

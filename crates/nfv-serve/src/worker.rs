@@ -1,7 +1,9 @@
 //! Worker threads: take what is queued, plan it into one shared block, run
-//! the explainers, fill the cache, and answer the waiting clients. These
-//! are the serving crate's only threads: an anytime refinement is a queued
-//! job like any other, one that answers nobody.
+//! the explainers, fill the cache, and answer the waiting clients and the
+//! identical requests parked on their flights. These are the serving
+//! crate's only threads, and the only ones that wait on or run a
+//! computation (the anytime coarse answer aside): an anytime refinement is
+//! a queued job like any other, one that answers nobody.
 //!
 //! One pipeline. A worker takes the backlog it finds (never waiting for
 //! companions) and splits it by model. Every live job of a model group —
@@ -12,9 +14,10 @@
 //! enumeration past the workspace chunk, a malformed request) runs alone
 //! through `direct()` on the worker's workspace. That refusal is the only
 //! routing signal: a job's method resolves to a `Box<dyn Explainer>` once,
-//! at admission (via [`crate::registry::ModelEntry::explainer`]), and no
-//! per-method `match` exists here, so a method added to the registry is
-//! served and fused with no scheduler change.
+//! on the worker that plans it (via
+//! [`crate::registry::ModelEntry::explainer`], the plug-in factory, under
+//! [`contain`]), and no per-method `match` exists here, so a method added
+//! to the registry is served and fused with no scheduler change.
 //!
 //! Determinism: stochastic explainers get a seed derived from the request's
 //! *content* (cache key hash mixed with the engine seed), never from
@@ -25,8 +28,10 @@
 //!
 //! Exits: every gathered job leaves through [`deliver`] exactly once — a
 //! deadline drop, a queue-time hit, a computed answer or an error — which
-//! resolves its single-flight entry, settles the in-flight count and
-//! replies (a refinement has nobody to reply to). A panic in explainer
+//! settles its single-flight entry, the in-flight count and its reply (a
+//! refinement has nobody to reply to). An answer goes to every follower
+//! parked on the flight; without one, the flight passes to its first
+//! follower, which the next worker cycle computes. A panic in explainer
 //! code is contained and answers the jobs it took down with
 //! [`ServeError::Internal`]; a job dropped unanswered (an unwind nothing
 //! contained) is answered the same way by its [`Owed`] guard, so no exit
@@ -39,7 +44,8 @@
 //! [`crate::registry::ModelEntry::explain_regressor`] (the packed SoA
 //! engine for tree ensembles).
 
-use crate::cache::ShardedCache;
+use crate::cache::{CacheKey, ShardedCache};
+use crate::engine::Outcome;
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::Metrics;
 use crate::queue::Job;
@@ -47,6 +53,7 @@ use crate::registry::ModelEntry;
 use crate::request::{request_seed, service_class_key, ExplainResponse, Fidelity};
 use crossbeam::channel::Receiver;
 use nfv_xai::prelude::*;
+use parking_lot::Mutex;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,17 +69,22 @@ pub struct WorkerContext {
     pub metrics: Arc<Metrics>,
     /// Largest number of jobs one worker takes per cycle.
     pub max_batch: usize,
+    /// Workers sharing the queue; a worker takes its share of the backlog.
+    pub workers: usize,
     /// Engine seed mixed into every per-request explainer seed.
     pub seed: u64,
     /// Dequeued-but-unanswered job count, shared with admission control
     /// (see [`crate::queue::JobQueue::in_flight_handle`]).
     pub in_flight: Arc<AtomicU64>,
+    /// Followers handed a flight whose leader ended without an answer;
+    /// the next worker cycle computes them before it takes from the queue.
+    pub passed: Mutex<Vec<Job>>,
 }
 
-/// Spawns `n` worker threads consuming `rx`. Threads exit when every
-/// sender is dropped and the queue drains.
-pub fn spawn_workers(n: usize, rx: Receiver<Job>, ctx: Arc<WorkerContext>) -> Vec<JoinHandle<()>> {
-    (0..n.max(1))
+/// Spawns `ctx.workers` worker threads consuming `rx`. Threads exit when
+/// every sender is dropped and the queue drains.
+pub fn spawn_workers(rx: Receiver<Job>, ctx: Arc<WorkerContext>) -> Vec<JoinHandle<()>> {
+    (0..ctx.workers.max(1))
         .map(|i| {
             let rx = rx.clone();
             let ctx = Arc::clone(&ctx);
@@ -90,8 +102,19 @@ fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerContext>) {
     // results independent of which worker got the job.
     let mut ws = CoalitionWorkspace::default();
     let mut block = FusedBlock::default();
-    while let Ok(first) = rx.recv() {
-        let batch = gather(&rx, first, ctx.max_batch);
+    loop {
+        let passed = std::mem::take(&mut *ctx.passed.lock());
+        let batch = if !passed.is_empty() {
+            passed
+        } else if let Ok(first) = rx.recv() {
+            gather(
+                &rx,
+                first,
+                ctx.max_batch.min(share(rx.len() + 1, ctx.workers)),
+            )
+        } else {
+            break;
+        };
         // Everything gathered is now invisible to the channel length;
         // count it as in-flight until `deliver` answers it, so admission
         // keeps seeing the work.
@@ -118,6 +141,15 @@ fn gather(rx: &Receiver<Job>, first: Job, max_batch: usize) -> Vec<Job> {
     let mut jobs = vec![first];
     rx.try_recv_many(max_batch.saturating_sub(1), &mut jobs);
     jobs
+}
+
+/// A worker's share of a backlog of `queued` jobs: an equal part per
+/// worker, rounded up. A worker that took the whole backlog would answer
+/// every job of it only after the slowest; leaving the rest to the next
+/// free worker keeps a deep backlog (a pipelined wire connection holds 16)
+/// from turning into one long batch while another worker idles.
+fn share(queued: usize, workers: usize) -> usize {
+    queued.div_ceil(workers.max(1))
 }
 
 /// Splits a gathered batch by model identity — same model id and version,
@@ -205,7 +237,7 @@ impl<'a> Owed<'a> {
         }
     }
 
-    fn answer(mut self, outcome: Result<ExplainResponse, ServeError>) {
+    fn answer(mut self, outcome: Outcome) {
         if let Some(job) = self.job.take() {
             deliver(job, outcome, self.ctx);
         }
@@ -262,19 +294,23 @@ impl Drop for Owed<'_> {
     }
 }
 
-/// The one exit of a gathered job: resolves its single-flight entry (the
-/// followers get the answer, or `None` and compute on their own), books
-/// the outcome, settles the in-flight count and replies. A refinement
-/// (no reply) books only `refined_entries` when it computed or
+/// The one exit of a gathered job: settles its single-flight entry (an
+/// answer goes to every parked follower; without one, the flight passes to
+/// the first follower, queued for the next worker cycle), books the
+/// outcome, settles the in-flight count and replies. A refinement (no
+/// reply) books only `refined_entries` when it computed or
 /// `explain_errors` when it failed: the client counters and latency
 /// histograms count client requests.
-fn deliver(job: Job, outcome: Result<ExplainResponse, ServeError>, ctx: &WorkerContext) {
+fn deliver(job: Job, outcome: Outcome, ctx: &WorkerContext) {
     let m = &ctx.metrics;
-    let shared = outcome
-        .as_ref()
-        .ok()
-        .map(|resp| (Arc::clone(&resp.attribution), resp.fidelity));
-    ctx.cache.complete_flight(&job.key, shared);
+    match &outcome {
+        Ok(resp) => share_flight(&ctx.cache, m, &job.key, &resp.attribution, resp.fidelity),
+        Err(_) => {
+            if let Some(next) = ctx.cache.pass_flight(&job.key) {
+                ctx.passed.lock().push(next);
+            }
+        }
+    }
     match (&outcome, &job.respond) {
         (Ok(resp), Some(_)) => {
             m.completed.fetch_add(1, Ordering::Relaxed);
@@ -299,8 +335,34 @@ fn deliver(job: Job, outcome: Result<ExplainResponse, ServeError>, ctx: &WorkerC
         }
     }
     ctx.in_flight.fetch_sub(1, Ordering::Relaxed);
-    if let Some(respond) = job.respond {
-        let _ = respond.send(outcome);
+    job.answer(outcome);
+}
+
+/// Ends `key`'s flight with its leader's answer and answers every follower
+/// parked on it: a single-flight hit, timed from the follower's own
+/// admission. A follower is answered whenever its leader's answer lands,
+/// past its own budget too — no timer runs for it, and the answer costs
+/// nothing more.
+pub(crate) fn share_flight(
+    cache: &ShardedCache,
+    m: &Metrics,
+    key: &CacheKey,
+    attribution: &Arc<Attribution>,
+    fidelity: Fidelity,
+) {
+    for follower in cache.complete_flight(key) {
+        m.single_flight_hits.fetch_add(1, Ordering::Relaxed);
+        m.completed.fetch_add(1, Ordering::Relaxed);
+        m.total.record(follower.admitted.elapsed());
+        follower.answer(Ok(ExplainResponse {
+            attribution: Arc::clone(attribution),
+            model_version: key.model_version,
+            cache_hit: true,
+            batch_size: 1,
+            queue_wait: Duration::ZERO,
+            service_time: Duration::ZERO,
+            fidelity,
+        }));
     }
 }
 
@@ -381,14 +443,23 @@ fn process_model_group(
     let mut alone = Vec::new();
     block.clear();
     for job in live {
+        // The method's factory is plug-in code: an error or a panic in it
+        // answers this job alone.
+        let explainer = match contain(|| entry.explainer(job.request.method)) {
+            Ok(explainer) => explainer,
+            Err(e) => {
+                job.answer(Err(e));
+                continue;
+            }
+        };
         let seed = request_seed(ctx.seed, job.key.stable_hash());
         let planned = contain(|| {
             let ectx = explain_context(&entry, &job.request.features, seed);
-            job.explainer.plan(&ectx, ws, block)
+            explainer.plan(&ectx, ws, block)
         });
         match planned {
             Ok(plan) => pending.push((job, plan)),
-            Err(ServeError::Explain(_)) => alone.push(job),
+            Err(ServeError::Explain(_)) => alone.push((job, explainer)),
             Err(panic) => {
                 // The panicking plan may have left rows behind. The plans
                 // before it own intact row ranges and rows are evaluated
@@ -404,8 +475,8 @@ fn process_model_group(
         }
     }
     flush(&mut pending, block, &entry, ctx);
-    for job in alone {
-        run_alone(job, &entry, ctx, ws);
+    for (job, explainer) in alone {
+        run_alone(job, &*explainer, &entry, ctx, ws);
     }
 }
 
@@ -465,10 +536,16 @@ fn flush(
 
 /// Explains a job whose plan refused through its explainer's `direct()` on
 /// the worker's workspace: alone, `batch_size` 1, timed alone.
-fn run_alone(job: Owed<'_>, entry: &ModelEntry, ctx: &WorkerContext, ws: &mut CoalitionWorkspace) {
+fn run_alone(
+    job: Owed<'_>,
+    explainer: &dyn Explainer,
+    entry: &ModelEntry,
+    ctx: &WorkerContext,
+    ws: &mut CoalitionWorkspace,
+) {
     let now = Instant::now();
     let seed = request_seed(ctx.seed, job.key.stable_hash());
-    let result = contain(|| explain_one(entry, &*job.explainer, &job.request.features, seed, ws));
+    let result = contain(|| explain_one(entry, explainer, &job.request.features, seed, ws));
     if matches!(result, Err(ServeError::Internal(_))) {
         // The unwind may have left the workspace mid-write.
         *ws = CoalitionWorkspace::default();
@@ -479,69 +556,42 @@ fn run_alone(job: Owed<'_>, entry: &ModelEntry, ctx: &WorkerContext, ws: &mut Co
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheKey, Flight};
-    use crate::request::{ExplainMethod, ExplainRequest};
-    use nfv_ml::prelude::*;
+    use crate::queue;
+    use crate::request::ExplainMethod;
 
+    /// A job of `method` on model `model_id` v`version`; its answer is dropped.
     fn job_for(model_id: &str, version: u64, method: ExplainMethod) -> Job {
-        let data = nfv_data::dataset::Dataset::new(
-            vec!["a".into()],
-            vec![0.0, 1.0],
-            vec![0.0, 1.0],
-            nfv_data::dataset::Task::Regression,
-        )
-        .unwrap();
-        let model = LinearRegression::fit(&data, 1e-6).unwrap();
-        let entry = Arc::new(crate::registry::ModelEntry {
-            model: crate::registry::ServeModel::Linear(model),
-            version,
-            feature_names: ["a".to_string()].into(),
-            background: Background::from_rows(vec![vec![0.0]]).unwrap(),
-            packed: None,
-            expected_output: 0.0,
-            groups: FeatureGroups::new(vec!["all".into()], vec![0]).unwrap(),
-            trees: None,
-        });
-        let request = ExplainRequest {
-            model_id: model_id.into(),
-            features: vec![0.5],
-            method,
-            budget: Duration::from_secs(1),
-        };
-        let key = CacheKey::build(model_id, version, method, &request.features, 1e-6).unwrap();
-        let (respond, rx) = crossbeam::channel::bounded(1);
-        std::mem::forget(rx);
-        Job {
-            request,
-            explainer: entry.explainer(method).expect("method resolves"),
-            entry,
-            key,
-            admitted: Instant::now(),
-            respond: Some(respond),
-        }
+        queue::job_for(model_id, version, method).0
     }
 
     #[test]
-    fn a_job_dropped_unanswered_still_answers_and_releases_its_flight() {
+    fn a_job_dropped_unanswered_still_answers_and_passes_its_flight() {
         let ctx = context();
         ctx.in_flight.store(1, Ordering::Relaxed);
-        let mut job = job_for("a", 1, ExplainMethod::Permutation);
-        let (respond, reply) = crossbeam::channel::bounded(1);
-        job.respond = Some(respond);
-        assert!(matches!(ctx.cache.begin_flight(&job.key), Flight::Leader));
-        let Flight::Follower(follower) = ctx.cache.begin_flight(&job.key) else {
-            panic!("an identical miss follows the leader");
-        };
+        let (job, reply) = queue::job_for("a", 1, ExplainMethod::Permutation);
+        let job = ctx.cache.join_flight(job).expect("the first miss leads");
+        let (follower, follower_reply) = queue::job_for("a", 1, ExplainMethod::Permutation);
+        assert!(
+            ctx.cache.join_flight(follower).is_none(),
+            "an identical miss parks on the leader's flight"
+        );
         // What an unwind through the worker does to a job it holds.
         drop(Owed::new(job, &ctx));
         assert!(matches!(reply.try_recv(), Ok(Err(ServeError::Internal(_)))));
+        let passed = std::mem::take(&mut *ctx.passed.lock());
+        assert_eq!(passed.len(), 1, "the follower is handed to the next cycle");
         assert!(
-            matches!(follower.try_recv(), Ok(None)),
-            "the follower is released to compute on its own"
+            follower_reply.try_recv().is_err(),
+            "and is not answered yet"
         );
-        assert_eq!(ctx.cache.flights_in_progress(), 0);
+        assert_eq!(ctx.cache.flights_in_progress(), 1, "it holds the flight");
         assert_eq!(ctx.in_flight.load(Ordering::Relaxed), 0);
         assert_eq!(ctx.metrics.explain_errors.load(Ordering::Relaxed), 1);
+        // The next cycle computes it and ends the flight.
+        serve(passed, &ctx);
+        let resp = follower_reply.try_recv().unwrap().unwrap();
+        assert!(!resp.cache_hit);
+        assert_eq!(ctx.cache.flights_in_progress(), 0);
     }
 
     fn context() -> WorkerContext {
@@ -549,8 +599,10 @@ mod tests {
             cache: Arc::new(crate::cache::ShardedCache::new(16, 0, 1)),
             metrics: Arc::new(Metrics::new()),
             max_batch: 16,
+            workers: 1,
             seed: 0,
             in_flight: Arc::new(AtomicU64::new(0)),
+            passed: Default::default(),
         }
     }
 
@@ -565,7 +617,8 @@ mod tests {
 
     /// A coarse entry planted under `job`'s key, as the anytime path leaves.
     fn plant_coarse(ctx: &WorkerContext, job: &Job) {
-        let coarse = job.explainer.direct(
+        let explainer = job.entry.explainer(job.request.method).unwrap();
+        let coarse = explainer.direct(
             &explain_context(&job.entry, &job.request.features, 1),
             &mut CoalitionWorkspace::default(),
         );
@@ -578,9 +631,7 @@ mod tests {
     #[test]
     fn a_queued_job_treats_a_coarse_entry_as_a_miss_and_upgrades_it() {
         let ctx = context();
-        let mut job = job_for("a", 1, ExplainMethod::KernelShap { n_coalitions: 16 });
-        let (respond, reply) = crossbeam::channel::bounded(1);
-        job.respond = Some(respond);
+        let (job, reply) = queue::job_for("a", 1, ExplainMethod::KernelShap { n_coalitions: 16 });
         let key = job.key.clone();
         plant_coarse(&ctx, &job);
         serve(vec![job], &ctx);
@@ -607,17 +658,19 @@ mod tests {
         let key = refine.key.clone();
         plant_coarse(&ctx, &refine);
         // The refinement holds the key's flight: a second refinement joins
-        // nothing, and a client miss follows it.
+        // nothing, and a client miss parks on it.
         assert!(ctx.cache.lead_flight(&key));
         assert!(!ctx.cache.lead_flight(&key));
-        let Flight::Follower(follower) = ctx.cache.begin_flight(&key) else {
-            panic!("an identical miss follows the refinement");
-        };
+        let (follower, follower_reply) = queue::job_for("a", 1, method);
+        assert!(ctx.cache.join_flight(follower).is_none());
         serve(vec![refine], &ctx);
         let (cached, fidelity) = ctx.cache.get(&key).unwrap();
         assert_eq!(fidelity, Fidelity::Exact, "upgraded in place");
-        let (shared, shared_fidelity) = follower.try_recv().unwrap().unwrap();
-        assert_eq!((shared, shared_fidelity), (cached, Fidelity::Exact));
+        let shared = follower_reply.try_recv().unwrap().unwrap();
+        assert_eq!(
+            (shared.attribution, shared.fidelity),
+            (cached, Fidelity::Exact)
+        );
         assert_eq!(ctx.cache.flights_in_progress(), 0);
         assert_eq!(ctx.in_flight.load(Ordering::Relaxed), 0);
         // A second refinement of the now-full key is a queue-time hit: it
@@ -628,11 +681,15 @@ mod tests {
         let m = &ctx.metrics;
         let stats = m.snapshot();
         assert_eq!(stats.refined_entries, 1);
-        assert_eq!((stats.completed, stats.explain_errors), (0, 0));
+        assert_eq!(stats.explain_errors, 0);
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
-        for histogram in [&m.queue_wait, &m.service, &m.total] {
+        for histogram in [&m.queue_wait, &m.service] {
             assert_eq!(histogram.count(), 0, "latency counts client requests");
         }
+        // The parked client is the only request answered: a single-flight
+        // hit, timed from its own admission.
+        assert_eq!((stats.completed, stats.single_flight_hits), (1, 1));
+        assert_eq!(m.total.count(), 1);
     }
 
     #[test]
@@ -650,6 +707,15 @@ mod tests {
         assert_eq!(groups[0].len(), 3, "methods fuse within a model group");
         assert_eq!(groups[1][0].request.model_id, "b");
         assert_eq!(groups[2][0].key.model_version, 2);
+    }
+
+    #[test]
+    fn a_worker_takes_an_equal_share_of_the_backlog_rounded_up() {
+        assert_eq!(share(16, 2), 8);
+        assert_eq!(share(3, 2), 2);
+        assert_eq!(share(1, 2), 1);
+        assert_eq!(share(20, 1), 20, "a lone worker takes it all");
+        assert_eq!(share(5, 0), 5);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! ids surface as typed rejects at admission; the anytime coarsening
 //! divisor is per-(model, method) configuration, not a crate constant;
 //! a plug-in that panics answers `Internal` without taking its worker
-//! down; and one whose factory panics leaves no single-flight entry
-//! behind.
+//! down; one whose factory panics leaves no single-flight entry behind;
+//! and one whose validator panics answers `Internal` in process.
 
 use nfv_data::prelude::*;
 use nfv_ml::prelude::*;
@@ -412,12 +412,11 @@ fn a_panicking_plugin_answers_internal_and_the_worker_keeps_serving() {
     );
 }
 
-/// A plug-in whose factory panics: the factory is plug-in code on the
-/// caller's thread, and it runs before the request takes a single-flight
-/// entry. The first call may unwind or answer `Internal`; either way it
-/// leaves no flight behind, so the identical retry with a 300 ms budget
-/// returns at once instead of waiting out its budget behind a leader that
-/// is gone.
+/// A plug-in whose factory panics: the factory is plug-in code, run on the
+/// worker that plans the request, under its containment. The first call
+/// may unwind or answer `Internal`; either way it leaves no flight behind,
+/// so the identical retry with a 300 ms budget returns at once instead of
+/// waiting out its budget behind a leader that is gone.
 #[test]
 fn a_panicking_factory_leaves_no_flight_behind() {
     MethodRegistry::global().register("panics-in-factory", |_cfg| panic!("panicky factory"));
@@ -459,4 +458,36 @@ fn a_panicking_factory_leaves_no_flight_behind() {
         retry < Duration::from_millis(150),
         "the identical retry took {retry:?} of its 300 ms"
     );
+}
+
+/// A plug-in whose capability validator panics: an in-process explain
+/// answers `Internal` instead of unwinding into its caller, counts as an
+/// explain error, and the engine serves the next request.
+#[test]
+fn a_panicking_validator_answers_internal_in_process() {
+    MethodRegistry::global().register_with_validator(
+        "panics-in-validator",
+        |_cfg| Err(XaiError::Input("never instantiated".into())),
+        |_caps| panic!("injected validator panic"),
+    );
+    let (model, names, bg, synth) = fitted(53);
+    let engine = ServeEngine::start(ServeConfig::default());
+    engine
+        .registry()
+        .register("m", ServeModel::Gbdt(model), names, bg)
+        .unwrap();
+    let row = synth.data.row(3);
+    let err = engine
+        .explain(req(row, ExplainMethod::custom("panics-in-validator", 1)))
+        .unwrap_err();
+    assert!(
+        matches!(err, ServeError::Internal(ref m) if m.contains("panicked")),
+        "expected Internal, got {err:?}"
+    );
+    let stats = engine.stats();
+    assert_eq!(stats.explain_errors, 1, "{stats:?}");
+    assert_eq!(stats.rejected_invalid, 0, "{stats:?}");
+    let tree = engine.explain(req(row, ExplainMethod::TreeShap)).unwrap();
+    assert!(tree.attribution.efficiency_gap().abs() < 1e-8);
+    engine.shutdown();
 }
