@@ -57,6 +57,30 @@ if grep -n 'Instant\|elapsed(\|\.record(\|\.clone()' <<<"$body"; then
   exit 1
 fi
 
+# One-lock-per-key invariant: a key's flight lives in the cache shard that
+# holds its entry, behind the same mutex, so `ShardedCache::join` decides
+# hit, park or lead in one step and `fill` writes the entry and releases the
+# parked followers in another. A cache lookup in worker.rs (outside
+# #[cfg(test)]) is a queue-time recheck, a second place that decides; a
+# flight map (or a parked `Job`) on `ShardedCache` itself is a global flight
+# table beside the shards, with a lock of its own.
+echo "==> one-lock-per-key check (no cache lookup in worker.rs, no flight map on ShardedCache)"
+f=crates/nfv-serve/src/worker.rs
+if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nE 'cache\.get\(|get_ref\('; then
+  echo "FAIL: $f looks the cache up; a queued job leads its key's flight, and the join already decided"
+  exit 1
+fi
+f=crates/nfv-serve/src/cache.rs
+body=$(awk '/^pub struct ShardedCache \{/{on=1} on{print} on && /^\}$/{exit}' "$f")
+if [ -z "$body" ]; then
+  echo "FAIL: $f has no ShardedCache to check"
+  exit 1
+fi
+if grep -niE 'flight|FpMap|Job' <<<"$body"; then
+  echo "FAIL: ShardedCache keeps a flight map of its own; a key's flight lives in its TierShard"
+  exit 1
+fi
+
 # One-routing-signal invariant: a worker plans every job into its block and
 # runs alone the ones whose plan refuses. A `.fusable()` call in the serving
 # crate (outside #[cfg(test)]) is a second routing rule beside the refusal.

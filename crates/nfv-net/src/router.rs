@@ -1,7 +1,9 @@
 //! The wire cluster: `nfv_serve`'s one [`Router`] over shard processes, so
 //! a request routes to the same shard, and gets the same bits, whether
 //! shards are threads or processes. Only the wire-specific parts live
-//! here: [`Shard`] for a [`ShardConn`], dialling, and [`NetError`].
+//! here: [`Shard`] for a [`ShardConn`], dialling, and [`NetError`]. A
+//! shard process keeps anytime on: a full shard answers a sampling
+//! request `Fidelity::Coarse` itself, where an in-process one spills it.
 //!
 //! [`Router`]: nfv_serve::cluster::Router
 

@@ -11,11 +11,11 @@
 //! identical miss parks on the computation in flight, and any other miss
 //! queues for a worker (the engine's admission sheds overload as typed
 //! rejects). The request's [`Reply`] posts the encoded answer to the
-//! loop's completion channel and fires the [`Waker`]; the loop routes
-//! each completion back to its connection's write buffer and coalesces
-//! everything queued for a socket into one flush. Responses therefore
-//! leave in *completion* order, not arrival order — the rid correlates
-//! them.
+//! loop's completion channel and, off the loop, fires the [`Waker`]; the
+//! loop routes each completion back to its connection's write buffer and
+//! coalesces everything queued for a socket into one flush. Responses
+//! therefore leave in *completion* order, not arrival order — the rid
+//! correlates them.
 //!
 //! Pipelining is admission-controlled per connection: more than
 //! [`ShardConfig::max_pipeline`] explains in flight on one socket gets a
@@ -51,7 +51,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 /// Shard server configuration.
@@ -61,8 +61,6 @@ pub struct ShardConfig {
     pub addr: String,
     /// Engine configuration for this shard.
     pub serve: ServeConfig,
-    /// Frame payload cap (both directions).
-    pub max_payload: usize,
     /// Max explains in flight per connection before the server answers
     /// `PipelineTooDeep` instead of submitting.
     pub max_pipeline: usize,
@@ -73,7 +71,6 @@ impl Default for ShardConfig {
         ShardConfig {
             addr: "127.0.0.1:0".into(),
             serve: ServeConfig::default(),
-            max_payload: MAX_PAYLOAD,
             max_pipeline: 64,
         }
     }
@@ -86,7 +83,6 @@ struct ShardInner {
     in_flight: AtomicU64,
     completed: AtomicU64,
     protocol_errors: AtomicU64,
-    max_payload: usize,
     waker: Arc<Waker>,
 }
 
@@ -150,7 +146,6 @@ impl ShardServer {
             in_flight: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
-            max_payload: cfg.max_payload,
             waker,
         });
         let loop_inner = Arc::clone(&inner);
@@ -202,11 +197,18 @@ impl ShardServer {
     }
 }
 
+/// Where the engine's replies to wire explains go. A reply settled on
+/// `loop_thread` is routed by its drain of `done` in the same iteration.
+struct Outbox {
+    done: Sender<Completion>,
+    waker: Arc<Waker>,
+    loop_thread: ThreadId,
+}
+
 /// The engine's reply to one wire explain: the answer, as its
-/// `ExplainReply`, goes to the event loop's completion channel and the
-/// waker fires. It holds only the channel and the waker, not the shard.
-fn wire_reply(conn_id: usize, rid: u64, done: &Sender<Completion>, waker: &Arc<Waker>) -> Reply {
-    let (done, waker) = (done.clone(), Arc::clone(waker));
+/// `ExplainReply`, goes to the outbox. It holds the outbox, not the shard.
+fn wire_reply(conn_id: usize, rid: u64, outbox: &Arc<Outbox>) -> Reply {
+    let outbox = Arc::clone(outbox);
     Reply::new(move |outcome| {
         let outcome = outcome.map(|resp| WireAnswer {
             attribution: (*resp.attribution).clone(),
@@ -219,8 +221,10 @@ fn wire_reply(conn_id: usize, rid: u64, done: &Sender<Completion>, waker: &Arc<W
             max_abs_err: resp.fidelity.max_abs_err(),
         });
         let msg = Message::ExplainReply(WireResponse { rid, outcome });
-        let _ = done.send(Completion { conn_id, msg });
-        let _ = waker.wake();
+        let _ = outbox.done.send(Completion { conn_id, msg });
+        if thread::current().id() != outbox.loop_thread {
+            let _ = outbox.waker.wake();
+        }
     })
 }
 
@@ -234,7 +238,12 @@ enum ConnFate {
 }
 
 fn event_loop(mut poll: Poll, listener: TcpListener, inner: Arc<ShardInner>, max_pipeline: u64) {
-    let (done_tx, done_rx) = unbounded::<Completion>();
+    let (done, done_rx) = unbounded::<Completion>();
+    let outbox = Arc::new(Outbox {
+        done,
+        waker: Arc::clone(&inner.waker),
+        loop_thread: thread::current().id(),
+    });
     let mut events = Events::with_capacity(256);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_id = CONN_BASE;
@@ -262,7 +271,7 @@ fn event_loop(mut poll: Poll, listener: TcpListener, inner: Arc<ShardInner>, max
                             id,
                             &mut conns,
                             &inner,
-                            &done_tx,
+                            &outbox,
                             max_pipeline,
                             &mut drain_waiters,
                         )
@@ -418,7 +427,7 @@ fn handle_readable(
     id: usize,
     conns: &mut HashMap<usize, Conn>,
     inner: &Arc<ShardInner>,
-    done: &Sender<Completion>,
+    outbox: &Arc<Outbox>,
     max_pipeline: u64,
     drain_waiters: &mut Vec<(usize, u64)>,
 ) -> ConnFate {
@@ -453,7 +462,7 @@ fn handle_readable(
             break;
         }
         let header: [u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("checked length");
-        let (t, len) = match parse_header(&header, inner.max_payload) {
+        let (t, len) = match parse_header(&header, MAX_PAYLOAD) {
             Ok(hl) => hl,
             Err(_) => {
                 fate = ConnFate::Protocol;
@@ -481,7 +490,7 @@ fn handle_readable(
                 break;
             }
         };
-        match handle_message(id, conn, inner, done, max_pipeline, msg) {
+        match handle_message(id, conn, inner, outbox, max_pipeline, msg) {
             HandleResult::Continue => {}
             HandleResult::Drain { rid } => {
                 drain_waiters.push((id, rid));
@@ -536,7 +545,7 @@ fn handle_message(
     conn_id: usize,
     conn: &mut Conn,
     inner: &Arc<ShardInner>,
-    done: &Sender<Completion>,
+    outbox: &Arc<Outbox>,
     max_pipeline: u64,
     msg: Message,
 ) -> HandleResult {
@@ -573,7 +582,7 @@ fn handle_message(
                 method: req.method,
                 budget: Duration::from_nanos(req.budget_ns),
             };
-            let reply = wire_reply(conn_id, rid, done, &inner.waker);
+            let reply = wire_reply(conn_id, rid, outbox);
             inner.engine.submit(request, reply);
             HandleResult::Continue
         }
@@ -641,5 +650,41 @@ fn handle_register(inner: &ShardInner, reg: WireRegister) -> Message {
             Message::RegisterOk { rid, version }
         }
         Err(e) => fail(format!("register: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Whether the waker fired, on a poll that does not wait.
+    fn woken(poll: &mut Poll, events: &mut Events) -> bool {
+        poll.poll(events, Some(Duration::ZERO)).unwrap();
+        events.iter().any(|event| event.token() == WAKER)
+    }
+
+    #[test]
+    fn a_reply_on_the_loop_thread_wakes_nothing_and_one_from_a_worker_does() {
+        let mut poll = Poll::new().unwrap();
+        let mut events = Events::with_capacity(4);
+        let (done, done_rx) = unbounded();
+        let outbox = Arc::new(Outbox {
+            done,
+            waker: Arc::new(Waker::new(poll.registry(), WAKER).unwrap()),
+            loop_thread: thread::current().id(),
+        });
+        let answer = || Err(ServeError::Internal("test".into()));
+        wire_reply(CONN_BASE, 1, &outbox).send(answer());
+        assert!(!woken(&mut poll, &mut events), "the loop routes its own");
+        let reply = wire_reply(CONN_BASE, 2, &outbox);
+        thread::spawn(move || reply.send(answer())).join().unwrap();
+        assert!(woken(&mut poll, &mut events), "a worker's answer wakes it");
+        let rids: Vec<u64> = std::iter::from_fn(|| done_rx.try_recv().ok())
+            .map(|c| match c.msg {
+                Message::ExplainReply(r) => r.rid,
+                _ => unreachable!("only explain replies are posted"),
+            })
+            .collect();
+        assert_eq!(rids, [1, 2], "both reach the completion channel");
     }
 }

@@ -36,10 +36,10 @@
 //! A key is hashed **once**: [`CacheKey::build`] folds a 128-bit lookup
 //! fingerprint in the pass that quantizes the input, and the key carries
 //! it. The fingerprint's high half picks the shard; its low half indexes
-//! the hot map, the cold map and the single-flight table through a
-//! pass-through hasher. The hot tier and the flight table keep the full
-//! key beside the entry and compare it on a fingerprint match, so an exact
-//! answer never rests on the hash. A lookup needs only borrowed parts
+//! the shard's hot map, cold map and flight map through a pass-through
+//! hasher. The hot tier and the flights keep the full key beside the entry
+//! and compare it on a fingerprint match, so an exact answer never rests
+//! on the hash. A lookup needs only borrowed parts
 //! (`KeyRef`): the serving hit path quantizes onto its stack and
 //! allocates nothing. The fingerprint is process-local;
 //! [`CacheKey::stable_hash`] (FNV-1a, frozen) remains the cross-process
@@ -53,12 +53,16 @@
 //! The cache also hosts **single-flight fill**: concurrent identical misses
 //! elect one leader to compute while the others park on its flight and are
 //! answered with its result, so N simultaneous copies of a question cost
-//! one model evaluation instead of N.
+//! one model evaluation instead of N. A key's flight lives in the shard
+//! beside its entry, behind the same mutex: a miss's join (hit, park or
+//! lead) and its fill (entry and followers) each take one lock.
 
 use crate::queue::Job;
-use crate::request::{fnv1a_bytes, fnv1a_words, ExplainMethod, Fidelity, Fnv1a, LookupFold};
+use crate::request::{
+    fnv1a_bytes, fnv1a_words, ExplainMethod, ExplainResponse, Fidelity, Fnv1a, LookupFold,
+};
 use nfv_xai::prelude::Attribution;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -67,8 +71,8 @@ use std::sync::Arc;
 /// Cache identity of one explanation: model, version, method (with
 /// budget), and the quantized input — plus the 128-bit *lookup
 /// fingerprint* folded from exactly those parts while the key was built.
-/// Shard selection, both tiers' maps and the single-flight table read the
-/// carried fingerprint; nothing hashes a key a second time.
+/// Shard selection, both tiers' maps and the flight map read the carried
+/// fingerprint; nothing hashes a key a second time.
 ///
 /// The public fields are the identity: build keys with
 /// [`CacheKey::build`] and treat them as read-only (a field edited
@@ -685,11 +689,18 @@ impl CacheUsage {
     }
 }
 
-/// One shard: a hot exact LRU and a cold quantized LRU behind one mutex.
-#[derive(Debug)]
+/// One shard: a hot exact LRU, a cold quantized LRU and the flights of
+/// the keys it owns, behind one mutex.
 struct TierShard {
     hot: LruShard<HotEntry>,
     cold: LruShard<ColdEntry>,
+    flights: FpMap<Flight>,
+}
+
+/// A key being computed and the identical jobs parked on it.
+struct Flight {
+    key: CacheKey,
+    followers: Vec<Job>,
 }
 
 impl TierShard {
@@ -699,6 +710,21 @@ impl TierShard {
         match self.hot.peek(key.fp) {
             Some(e) if e.key.key_ref().same_request(key) => Some((e.coarse_budget == 0) as u8),
             _ => self.cold.peek(key.fp).map(|e| (e.coarse_budget == 0) as u8),
+        }
+    }
+
+    /// The flight `key` parks on, if it has one. Otherwise `key` takes its
+    /// fingerprint's flight (unless another key's holds it) and leads.
+    fn flight(&mut self, key: &CacheKey) -> Option<&mut Flight> {
+        match self.flights.entry(key.fp) {
+            Entry::Occupied(flight) => (flight.get().key == *key).then(|| flight.into_mut()),
+            Entry::Vacant(slot) => {
+                slot.insert(Flight {
+                    key: key.clone(),
+                    followers: Vec::new(),
+                });
+                None
+            }
         }
     }
 
@@ -816,24 +842,25 @@ impl MetaIntern {
     }
 }
 
-/// One in-flight fill: the key being computed and the identical jobs
-/// parked on it, which its completion answers.
-struct FlightEntry {
-    key: CacheKey,
-    followers: Vec<Job>,
-}
-
-/// The concurrent cache: `n_shards` independent two-tier shards, each
-/// behind its own mutex, selected by the key's fingerprint. Lock hold
-/// times are a map probe plus two list splices (plus one dequantization
-/// pass on cold hits). A side table tracks in-flight fills for
-/// single-flight deduplication of concurrent identical misses.
+/// The concurrent cache: `n_shards` independent shards, each behind its
+/// own mutex, selected by the key's fingerprint. Lock hold times are a map
+/// probe plus two list splices (plus one dequantization pass on cold hits).
 pub struct ShardedCache {
     shards: Vec<Mutex<TierShard>>,
     intern: MetaIntern,
-    /// Keys being computed right now → waiting followers. Small (bounded
-    /// by in-flight requests), so one mutex suffices.
-    in_flight: Mutex<FpMap<FlightEntry>>,
+    /// Shard locks taken (tests count a miss's).
+    #[cfg(test)]
+    pub(crate) locks: std::sync::atomic::AtomicU64,
+}
+
+/// What [`ShardedCache::join`] decided for a miss.
+pub(crate) enum Joined {
+    /// Filled since the caller's probe: the job and the entry's answer.
+    Hit(Job, Arc<Attribution>, Fidelity),
+    /// Parked on an identical computation in flight.
+    Parked,
+    /// The job leads: its `fill` or `pass_flight` ends the flight.
+    Lead(Job),
 }
 
 impl ShardedCache {
@@ -855,85 +882,76 @@ impl ShardedCache {
                     Mutex::new(TierShard {
                         hot: LruShard::new(slice(capacity, i)),
                         cold: LruShard::new(slice(cold_capacity, i)),
+                        flights: FpMap::default(),
                     })
                 })
                 .collect(),
             intern: MetaIntern::default(),
-            in_flight: Mutex::new(FpMap::default()),
+            #[cfg(test)]
+            locks: Default::default(),
         }
     }
 
-    /// Single-flight for a cache miss: when an identical computation is
-    /// in flight, `job` parks on it as a follower and `None` is returned;
-    /// otherwise `job`'s key is registered as being computed and the job
-    /// comes back to its caller, who leads: whoever settles it ends the
-    /// flight with [`ShardedCache::complete_flight`] (an answer) or
-    /// [`ShardedCache::pass_flight`] (none). Another key's flight on the
-    /// same fingerprint leaves the job leading unregistered.
-    pub(crate) fn join_flight(&self, job: Job) -> Option<Job> {
-        match self.in_flight.lock().entry(job.key.fp) {
-            Entry::Occupied(mut flight) if flight.get().key == job.key => {
-                flight.get_mut().followers.push(job);
-                None
+    /// A miss's one step into the cache, under the key's shard lock: an
+    /// entry filled since the probe answers it (any grade, like the probe),
+    /// an identical computation in flight parks it, or it leads.
+    pub(crate) fn join(&self, job: Job) -> Joined {
+        let mut shard = self.lock(job.key.fp);
+        if let Some((attribution, fidelity)) = shard.get(&job.key.key_ref()) {
+            return Joined::Hit(job, attribution, fidelity);
+        }
+        match shard.flight(&job.key) {
+            Some(flight) => {
+                flight.followers.push(job);
+                Joined::Parked
             }
-            Entry::Occupied(_) => Some(job),
-            Entry::Vacant(slot) => {
-                slot.insert(FlightEntry {
-                    key: job.key.clone(),
-                    followers: Vec::new(),
-                });
-                Some(job)
-            }
+            None => Joined::Lead(job),
         }
     }
 
-    /// Takes `key`'s flight for a computation nobody waits on (an anytime
-    /// refinement): `false`, joining nothing, when the key is already
-    /// being computed. Like [`ShardedCache::join_flight`], another key's
-    /// flight on this fingerprint leaves the computation unregistered.
-    pub(crate) fn lead_flight(&self, key: &CacheKey) -> bool {
-        match self.in_flight.lock().entry(key.fp) {
-            Entry::Occupied(flight) => flight.get().key != *key,
-            Entry::Vacant(slot) => {
-                slot.insert(FlightEntry {
-                    key: key.clone(),
-                    followers: Vec::new(),
-                });
-                true
+    /// Inserts a leader's answer at its grade and hands back its parked
+    /// followers, under one lock. Monotone: coarse never overwrites full, in
+    /// either tier; full upgrades coarse in place. A full fill ends the
+    /// flight; a coarse one keeps it for the refinement.
+    pub(crate) fn fill(&self, key: CacheKey, answer: &ExplainResponse) -> Vec<Job> {
+        let coarse_budget = answer.fidelity.sample_budget();
+        let mut shard = self.lock(key.fp);
+        let mut followers = Vec::new();
+        if let Some(flight) = shard.flights.get_mut(&key.fp).filter(|f| f.key == key) {
+            followers = std::mem::take(&mut flight.followers);
+            if coarse_budget == 0 {
+                shard.flights.remove(&key.fp);
             }
         }
+        let attribution = Arc::clone(&answer.attribution);
+        shard.insert(key, attribution, coarse_budget, &self.intern);
+        followers
     }
 
-    /// Ends `key`'s flight, whose leader has an answer, and hands back the
-    /// followers it answers. Empty when no flight is registered, so a
-    /// worker may call it after every job.
-    pub(crate) fn complete_flight(&self, key: &CacheKey) -> Vec<Job> {
-        match self.in_flight.lock().entry(key.fp) {
-            Entry::Occupied(flight) if flight.get().key == *key => flight.remove().followers,
-            _ => Vec::new(),
-        }
+    /// Takes `key`'s flight for a coarse hit's refinement: `false` when the
+    /// key has a full-grade entry or a flight. Another key's flight on the
+    /// fingerprint leaves the refinement unregistered.
+    pub(crate) fn lead_refinement(&self, key: &CacheKey) -> bool {
+        let mut shard = self.lock(key.fp);
+        shard.grade_of(&key.key_ref()) != Some(1) && shard.flight(key).is_none()
     }
 
     /// Passes `key`'s flight, whose leader ends without an answer, to its
     /// first parked follower, which is returned to be computed; the others
     /// stay parked behind it. With no follower the flight ends.
     pub(crate) fn pass_flight(&self, key: &CacheKey) -> Option<Job> {
-        match self.in_flight.lock().entry(key.fp) {
-            Entry::Occupied(mut flight) if flight.get().key == *key => {
-                if flight.get().followers.is_empty() {
-                    flight.remove();
-                    None
-                } else {
-                    Some(flight.get_mut().followers.remove(0))
-                }
-            }
-            _ => None,
+        let mut shard = self.lock(key.fp);
+        let flight = shard.flights.get_mut(&key.fp).filter(|f| f.key == *key)?;
+        if flight.followers.is_empty() {
+            shard.flights.remove(&key.fp);
+            return None;
         }
+        Some(flight.followers.remove(0))
     }
 
     /// Keys currently being computed (test/introspection hook).
     pub fn flights_in_progress(&self) -> usize {
-        self.in_flight.lock().len()
+        self.shards.iter().map(|s| s.lock().flights.len()).sum()
     }
 }
 
@@ -949,11 +967,14 @@ impl std::fmt::Debug for ShardedCache {
 }
 
 impl ShardedCache {
-    /// The shard owning `fp`, from the fingerprint's high half (the maps
-    /// inside a shard index by the low half, so the two choices are
-    /// independent).
-    fn shard(&self, fp: u128) -> &Mutex<TierShard> {
-        &self.shards[self.shard_index(fp)]
+    /// Locks the shard owning `fp`, picked by the fingerprint's high half
+    /// (the maps inside a shard index by the low half, so the two choices
+    /// are independent).
+    fn lock(&self, fp: u128) -> MutexGuard<'_, TierShard> {
+        #[cfg(test)]
+        self.locks
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.shards[self.shard_index(fp)].lock()
     }
 
     fn shard_index(&self, fp: u128) -> usize {
@@ -969,22 +990,12 @@ impl ShardedCache {
 
     /// [`ShardedCache::get`] by borrowed parts.
     pub(crate) fn get_ref(&self, key: &KeyRef<'_>) -> Option<(Arc<Attribution>, Fidelity)> {
-        self.shard(key.fp).lock().get(key)
+        self.lock(key.fp).get(key)
     }
 
     /// Inserts (or refreshes) `key` with a full-budget result.
     pub fn insert(&self, key: CacheKey, value: Arc<Attribution>) {
-        self.insert_graded(key, value, 0);
-    }
-
-    /// Inserts `key` with an explicit sampling-budget grade
-    /// (`coarse_budget == 0` = full budget). Monotone: a coarse result
-    /// never overwrites a full-budget entry, in either tier; a full-budget
-    /// result upgrades a coarse entry in place (same key).
-    pub fn insert_graded(&self, key: CacheKey, value: Arc<Attribution>, coarse_budget: u64) {
-        self.shard(key.fp)
-            .lock()
-            .insert(key, value, coarse_budget, &self.intern);
+        self.lock(key.fp).insert(key, value, 0, &self.intern);
     }
 
     /// Eagerly drops every entry belonging to `model_id` (all versions,
@@ -1060,6 +1071,12 @@ mod tests {
             prediction: v,
             method: "test".into(),
         })
+    }
+
+    /// A leader's answer of `attr` at `coarse_budget` (0 = full budget).
+    fn answer(attr: Arc<Attribution>, coarse_budget: u64) -> ExplainResponse {
+        let fidelity = Fidelity::from_parts(coarse_budget, 0.0);
+        ExplainResponse::hit(attr, 1, fidelity)
     }
 
     fn key(version: u64, x: f64) -> CacheKey {
@@ -1264,18 +1281,22 @@ mod tests {
         assert!(c.get(&impostor).is_none(), "exactness rests on the key");
         assert!(c.get(&stored).is_some());
         // Nor does it join the stored key's single-flight.
-        assert!(c.join_flight(job(&stored)).is_some());
-        assert!(c.join_flight(job(&impostor)).is_some(), "it leads alone");
-        assert!(c.lead_flight(&impostor), "nor does a refinement");
-        assert!(!c.lead_flight(&stored), "a refinement joins no flight");
-        assert!(c.complete_flight(&impostor).is_empty());
+        let flying = key(1, 7.0);
+        let impostor = key(1, 8.0).with_fingerprint(flying.fingerprint());
+        assert!(matches!(c.join(job(&flying)), Joined::Lead(_)));
+        assert!(
+            matches!(c.join(job(&impostor)), Joined::Lead(_)),
+            "it leads alone"
+        );
+        assert!(c.lead_refinement(&impostor), "nor does a refinement");
+        assert!(!c.lead_refinement(&flying), "a refinement joins no flight");
+        assert!(c.fill(impostor.clone(), &answer(attr(20.0), 0)).is_empty());
         assert_eq!(c.flights_in_progress(), 1, "the real flight is untouched");
-        assert!(c.complete_flight(&stored).is_empty());
+        assert!(c.pass_flight(&flying).is_none());
         assert_eq!(c.flights_in_progress(), 0);
-        // Inserting it takes the slot over; the old key now misses.
-        c.insert(impostor.clone(), attr(20.0));
+        // The impostor's fill took the slot over; the old key now misses.
         assert_eq!(c.get(&impostor).unwrap().0.prediction, 20.0);
-        assert!(c.get(&stored).is_none());
+        assert!(c.get(&flying).is_none());
     }
 
     #[test]
@@ -1395,7 +1416,7 @@ mod tests {
     fn coarse_entries_upgrade_monotonically() {
         let c = ShardedCache::new(4, 8, 1);
         let k = key(1, 1.0);
-        c.insert_graded(k.clone(), attr(0.9), 64); // coarse anytime answer
+        c.fill(k.clone(), &answer(attr(0.9), 64)); // coarse anytime answer
         let (_, fid) = c.get(&k).unwrap();
         assert_eq!(fid, Fidelity::Coarse { sample_budget: 64 });
         // Full-budget refinement upgrades in place…
@@ -1404,7 +1425,7 @@ mod tests {
         assert!(fid.is_exact());
         assert_eq!(got.prediction, 1.0);
         // …and a late coarse result can never downgrade it back.
-        c.insert_graded(k.clone(), attr(0.9), 64);
+        c.fill(k.clone(), &answer(attr(0.9), 64));
         let (got, fid) = c.get(&k).unwrap();
         assert!(fid.is_exact(), "coarse must not overwrite full");
         assert_eq!(got.prediction, 1.0);
@@ -1414,7 +1435,7 @@ mod tests {
     fn coarse_grade_survives_demotion_and_blocks_stale_writes() {
         let c = ShardedCache::new(1, 8, 1);
         let k = key(1, 1.0);
-        c.insert_graded(k.clone(), attr(0.9), 64);
+        c.fill(k.clone(), &answer(attr(0.9), 64));
         c.insert(key(1, 2.0), attr(0.5)); // demote the coarse entry
         let (_, fid) = c.get(&k).unwrap();
         assert_eq!(
@@ -1431,7 +1452,7 @@ mod tests {
         assert!(fid.is_exact());
         // A cold full entry also blocks coarse overwrites.
         c.insert(key(1, 3.0), attr(0.7)); // demote k's full entry to cold
-        c.insert_graded(k.clone(), attr(0.9), 64);
+        c.fill(k.clone(), &answer(attr(0.9), 64));
         let (_, fid) = c.get(&k).unwrap();
         assert_eq!(fid.grade(), 1, "cold full entry blocks coarse overwrite");
     }
@@ -1470,21 +1491,31 @@ mod tests {
     fn single_flight_elects_one_leader_and_parks_followers() {
         let c = ShardedCache::new(16, 0, 2);
         let k = key(1, 4.0);
-        assert!(c.join_flight(job(&k)).is_some(), "the first miss leads");
+        assert!(
+            matches!(c.join(job(&k)), Joined::Lead(_)),
+            "the first miss leads"
+        );
         for _ in 0..3 {
-            assert!(c.join_flight(job(&k)).is_none(), "identical misses park");
+            assert!(
+                matches!(c.join(job(&k)), Joined::Parked),
+                "identical misses park"
+            );
         }
         assert_eq!(c.flights_in_progress(), 1);
-        assert_eq!(c.complete_flight(&k).len(), 3, "an answer takes them all");
+        assert_eq!(
+            c.fill(k.clone(), &answer(attr(4.0), 0)).len(),
+            3,
+            "an answer takes them all"
+        );
         assert_eq!(c.flights_in_progress(), 0);
-        // The key is free again: a new leader can be elected.
-        assert!(c.join_flight(job(&k)).is_some());
         // A flight that ends without an answer passes to its followers in
         // arrival order, each holding it in turn, until none is left.
+        let k = key(1, 5.0);
+        assert!(matches!(c.join(job(&k)), Joined::Lead(_)));
         for secs in [1, 2] {
             let mut follower = job(&k);
             follower.request.budget = std::time::Duration::from_secs(secs);
-            assert!(c.join_flight(follower).is_none());
+            assert!(matches!(c.join(follower), Joined::Parked));
         }
         for secs in [1, 2] {
             let next = c.pass_flight(&k).expect("a follower takes the flight");
@@ -1493,9 +1524,53 @@ mod tests {
         }
         assert!(c.pass_flight(&k).is_none());
         assert_eq!(c.flights_in_progress(), 0);
+        // The key is free again: a new leader can be elected.
+        assert!(matches!(c.join(job(&k)), Joined::Lead(_)));
         // Ending an unregistered key is a harmless no-op.
-        assert!(c.complete_flight(&key(1, 99.0)).is_empty());
-        assert!(c.pass_flight(&key(1, 99.0)).is_none());
+        assert!(c.fill(key(1, 99.0), &answer(attr(99.0), 0)).is_empty());
+        assert!(c.pass_flight(&key(1, 98.0)).is_none());
+    }
+
+    #[test]
+    fn a_join_on_a_key_filled_after_the_probe_returns_the_hit() {
+        let c = ShardedCache::new(16, 0, 2);
+        let k = key(1, 4.0);
+        // The caller's probe misses; the key is filled before it joins.
+        assert!(c.get(&k).is_none());
+        c.insert(k.clone(), attr(4.0));
+        match c.join(job(&k)) {
+            Joined::Hit(_, attribution, fidelity) => {
+                assert_eq!(attribution.prediction, 4.0);
+                assert!(fidelity.is_exact());
+            }
+            _ => panic!("a filled key is answered, not led or parked"),
+        }
+        assert_eq!(c.flights_in_progress(), 0, "and takes no flight");
+    }
+
+    #[test]
+    fn a_coarse_fill_keeps_its_flight_for_the_refinement() {
+        let c = ShardedCache::new(16, 0, 2);
+        let k = key(1, 4.0);
+        assert!(matches!(c.join(job(&k)), Joined::Lead(_)));
+        assert!(matches!(c.join(job(&k)), Joined::Parked));
+        // The coarse answer releases the follower and keeps the flight.
+        assert_eq!(c.fill(k.clone(), &answer(attr(0.9), 64)).len(), 1);
+        assert_eq!(c.flights_in_progress(), 1);
+        assert!(!c.lead_refinement(&k), "the refinement holds it already");
+        // A miss now finds the coarse entry, as the probe would.
+        match c.join(job(&k)) {
+            Joined::Hit(_, _, fidelity) => {
+                assert_eq!(fidelity, Fidelity::Coarse { sample_budget: 64 })
+            }
+            _ => panic!("a coarse entry answers a join"),
+        }
+        // The refinement's full fill upgrades the entry and ends the flight.
+        assert!(c.fill(k.clone(), &answer(attr(1.0), 0)).is_empty());
+        assert_eq!(c.flights_in_progress(), 0);
+        assert!(c.get(&k).unwrap().1.is_exact());
+        assert!(!c.lead_refinement(&k), "a full key is refined no more");
+        assert_eq!(c.flights_in_progress(), 0);
     }
 
     #[test]

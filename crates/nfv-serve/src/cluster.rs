@@ -2,7 +2,9 @@
 //!
 //! [`Router`] is generic over a [`Shard`] and owns every cluster policy, so
 //! the in-process [`ServeCluster`] (`Router<Engine>`) and the `nfv-net`
-//! wire cluster (`Router<ShardConn>`) cannot drift apart. Routing keys on
+//! wire cluster (`Router<ShardConn>`) share one code — but a full shard of
+//! the first spills ([`Router::start`] turns anytime off) where one of the
+//! second answers a sampling request `Fidelity::Coarse`. Routing keys on
 //! the request's cache key *minus the model version*, so private per-shard
 //! caches need no invalidation protocol and a re-registered model keeps
 //! its traffic in place. Every shard has the same seed and one history,

@@ -2,7 +2,7 @@
 //! queue + worker pool. [`crate::cluster`] composes N of these into a
 //! shared-nothing sharded cluster; a network frontend would wrap either.
 
-use crate::cache::{CacheKey, CacheUsage, CellBuf, KeyRef, ShardedCache};
+use crate::cache::{CacheKey, CacheUsage, CellBuf, Joined, KeyRef, ShardedCache};
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::{Metrics, ServeStats};
 use crate::queue::{Job, JobQueue};
@@ -51,9 +51,10 @@ pub struct ServeConfig {
     /// coarse → full, never back). It needs room in the same queue as
     /// client requests (a full queue drops it; the next coarse hit asks
     /// again). Deterministic methods and `DeadlineUnmeetable` still
-    /// reject. [`crate::cluster::ServeCluster`]
-    /// turns this off on its shards: its spill-to-neighbor policy needs a
-    /// full shard to surface `QueueFull` honestly.
+    /// reject. [`crate::cluster::ServeCluster`] turns this off on its
+    /// shards: its spill-to-neighbor policy needs a full shard to surface
+    /// `QueueFull` honestly; an `nfv-net` shard keeps it on, so the wire
+    /// cluster degrades where the in-process one spills.
     pub anytime: bool,
 }
 
@@ -210,9 +211,9 @@ impl Engine {
     /// one wait for its reply.
     ///
     /// Fast path: a cache hit is counted and returned without touching
-    /// the queue or reading a clock. Miss path: admission control (bounded queue +
-    /// deadline feasibility) may reject with a [`RejectReason`]; admitted
-    /// requests block until a worker answers.
+    /// the queue or reading a clock. Miss path: admission control (bounded
+    /// queue + deadline feasibility) may reject with a [`RejectReason`];
+    /// admitted requests block until a worker answers.
     pub fn explain(&self, request: ExplainRequest) -> Result<ExplainResponse, ServeError> {
         match self.cached(&request) {
             Ok(hit) => Ok(hit),
@@ -221,12 +222,14 @@ impl Engine {
     }
 
     /// Explains `request` without waiting: the outcome goes to `reply`,
-    /// exactly once. The calling thread never waits on a computation and
-    /// runs no explainer factory. It answers a cache hit, a reject or a
-    /// plug-in validator's verdict itself; it parks an identical miss on
-    /// the computation already in flight; and it queues any other miss for
-    /// a worker. The one computation it may run is the anytime coarse
-    /// answer, when the queue is full (see [`ServeConfig::anytime`]).
+    /// exactly once. The calling thread never waits on a computation. It
+    /// answers a cache hit, a reject or a plug-in validator's verdict
+    /// itself; it parks an identical miss on the computation already in
+    /// flight; and it queues any other miss for a worker. The one
+    /// computation it may run is the anytime coarse answer, when the queue
+    /// is full (see [`ServeConfig::anytime`]): it resolves the coarse
+    /// method's explainer factory and runs the explainer (on an `nfv-net`
+    /// shard, on the event loop).
     pub fn submit(&self, request: ExplainRequest, reply: Reply) {
         match self.cached(&request) {
             Ok(hit) => reply.send(Ok(hit)),
@@ -259,20 +262,14 @@ impl Engine {
             };
             self.metrics.count_fast_hit(&fidelity);
             let refine = (fidelity.grade() == 0).then(|| (Arc::clone(entry), probe.to_key()));
-            let response = ExplainResponse {
-                attribution,
-                model_version: entry.version,
-                cache_hit: true,
-                batch_size: 1,
-                queue_wait: Duration::ZERO,
-                service_time: Duration::ZERO,
-                fidelity,
-            };
-            Ok((response, refine))
+            Ok((
+                ExplainResponse::hit(attribution, entry.version, fidelity),
+                refine,
+            ))
         });
         let (response, refine) = found.unwrap_or(Err(Miss::UnknownModel))?;
-        if let Some((entry, key)) = refine {
-            self.request_refine(entry, key, request);
+        if let Some((entry, key)) = refine.filter(|(_, key)| self.cache.lead_refinement(key)) {
+            self.queue_refine(entry, key, request);
         }
         Ok(response)
     }
@@ -336,10 +333,19 @@ impl Engine {
             admitted,
             respond: Some(reply),
         };
-        // Single-flight: an identical miss already in flight takes this one
-        // as a follower, which its leader's completion answers.
-        if let Some(job) = self.cache.join_flight(job) {
-            self.lead(job);
+        match self.cache.join(job) {
+            Joined::Hit(job, attribution, fidelity) => {
+                // Filled since the probe: counted like the probe's hits.
+                self.metrics.submitted.fetch_sub(1, Ordering::Relaxed);
+                self.metrics.count_fast_hit(&fidelity);
+                if fidelity.grade() == 0 && self.cache.lead_refinement(&job.key) {
+                    self.queue_refine(Arc::clone(&job.entry), job.key.clone(), &job.request);
+                }
+                let version = job.key.model_version;
+                job.answer(Ok(ExplainResponse::hit(attribution, version, fidelity)));
+            }
+            Joined::Parked => {}
+            Joined::Lead(job) => self.lead(job),
         }
     }
 
@@ -432,15 +438,12 @@ impl Engine {
         let degrade = matches!(reason, RejectReason::QueueFull { .. }) && self.config.anytime;
         let outcome = match degrade.then(|| self.coarse(&job)).flatten() {
             Some(Ok(resp)) => {
-                // Cached **under the original key** with a coarse grade,
-                // shared with any single-flight followers, and refined in
-                // the queue.
-                let (attr, fidelity) = (&resp.attribution, resp.fidelity);
-                let grade = fidelity.sample_budget();
-                self.cache
-                    .insert_graded(job.key.clone(), Arc::clone(attr), grade);
-                worker::share_flight(&self.cache, &self.metrics, &job.key, attr, fidelity);
-                self.request_refine(Arc::clone(&job.entry), job.key.clone(), &job.request);
+                // Cached **under the original key** with a coarse grade and
+                // shared with any single-flight followers; the flight stays
+                // with the refinement queued next.
+                let followers = self.cache.fill(job.key.clone(), &resp);
+                worker::share_flight(followers, &self.metrics, &resp);
+                self.queue_refine(Arc::clone(&job.entry), job.key.clone(), &job.request);
                 self.metrics.degraded_served.fetch_add(1, Ordering::Relaxed);
                 self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
                 self.metrics.completed.fetch_add(1, Ordering::Relaxed);
@@ -524,7 +527,8 @@ impl Engine {
     /// Queues the full-budget upgrade of `key`'s coarse entry as an
     /// ordinary worker job that answers nobody: no deadline, no
     /// feasibility check (nobody waits on it), one queue slot. It holds the
-    /// key's single-flight entry, so a key has at most one refinement in
+    /// key's single-flight entry (kept by the coarse fill, or taken by a
+    /// coarse hit's re-ask), so a key has at most one refinement in
     /// flight and an identical client miss follows it to the full answer.
     /// The worker resolves its explainer, so no plug-in code runs here. A
     /// full queue drops it (counted in `refine_dropped`): the coarse answer
@@ -532,11 +536,7 @@ impl Engine {
     /// on it meanwhile is admitted in its place. The worker seeds it from
     /// the key like any job, so the upgraded bits are those of a request
     /// that never degraded.
-    fn request_refine(&self, entry: Arc<ModelEntry>, key: CacheKey, request: &ExplainRequest) {
-        // A refinement or a client miss already computes this key.
-        if !self.cache.lead_flight(&key) {
-            return;
-        }
+    fn queue_refine(&self, entry: Arc<ModelEntry>, key: CacheKey, request: &ExplainRequest) {
         let job = Job {
             request: ExplainRequest {
                 budget: Duration::MAX,
@@ -870,6 +870,25 @@ mod tests {
             0,
             "seeds and routes are not a hit's business"
         );
+    }
+
+    #[test]
+    fn a_cold_miss_locks_its_cache_shard_three_times() {
+        use std::sync::atomic::Ordering;
+        let (engine, rows) = engine_with_gbdt(ServeConfig::default());
+        let locks = || engine.cache.locks.load(Ordering::Relaxed);
+        let req = || ExplainRequest {
+            model_id: "m".into(),
+            features: rows[3].clone(),
+            method: ExplainMethod::TreeShap,
+            budget: Duration::from_secs(5),
+        };
+        let before = locks();
+        assert!(!engine.explain(req()).unwrap().cache_hit);
+        assert_eq!(locks() - before, 3, "the probe, the join and the fill");
+        let before = locks();
+        assert!(engine.explain(req()).unwrap().cache_hit);
+        assert_eq!(locks() - before, 1, "a hit is the probe alone");
     }
 
     #[test]

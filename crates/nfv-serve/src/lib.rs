@@ -37,7 +37,8 @@
 //!   with its result instead of duplicating the evaluation,
 //! - **a miss path that never waits**: [`Engine::submit`] answers a hit
 //!   or a reject at once and hands a miss to the workers with a [`Reply`]
-//!   sink; [`Engine::explain`] is the same path plus one wait,
+//!   sink; [`Engine::explain`] is the same path plus one wait. Only the
+//!   anytime coarse answer (its factory and explainer) runs there,
 //! - **metrics**: queue wait, batch size, cache hit rate, p50/p99, and
 //!   per-(model-version, method) service-time EWMAs feeding admission
 //!   control, all serializable for scraping — per shard and rolled up
@@ -46,8 +47,8 @@
 //!   content-keyed consistent-hash placement, ordered registration
 //!   fan-out, spill-once to the next ring shard, join/leave — with N
 //!   in-process engines as [`cluster::ServeCluster`] (the `nfv-net` wire
-//!   cluster is the same router over connections). Shards share nothing
-//!   at runtime; the router is the only cross-shard component.
+//!   cluster is the same router over connections, with anytime on). Shards
+//!   share nothing at runtime; the router is the only cross-shard component.
 //!
 //! Stochastic explainers are seeded from request *content* (never arrival
 //! order), so results are bit-for-bit reproducible across runs, thread

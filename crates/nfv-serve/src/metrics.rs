@@ -107,14 +107,16 @@ impl LatencyHistogram {
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Requests entering `explain`'s miss path (before any admission
-    /// decision).
+    /// decision). One whose join finds its key filled since the probe is
+    /// taken back out and counted as a hit.
     pub submitted: AtomicU64,
     /// Miss-path requests answered with an attribution.
     pub completed: AtomicU64,
-    /// Hits `Engine::cached` answered from the exact tier (full or coarse
-    /// grade): one relaxed add each, no clock read.
+    /// Hits answered from the exact tier (full or coarse grade) on the
+    /// submitting thread — by `Engine::cached`'s probe, or by a miss's join
+    /// that found the key filled since: one relaxed add each, no clock read.
     pub fast_hits: AtomicU64,
-    /// Hits `Engine::cached` answered from the quantized cold tier.
+    /// Hits answered from the quantized cold tier, likewise.
     pub fast_quantized_hits: AtomicU64,
     /// Rejects: bounded queue was full.
     pub rejected_queue_full: AtomicU64,
@@ -131,14 +133,11 @@ pub struct Metrics {
     /// Explainer errors surfaced to callers, contained panics of plug-in
     /// code (validator, factory, explainer) included.
     pub explain_errors: AtomicU64,
-    /// Cache hits found by a worker's recheck (the fast path counts its
-    /// own in `fast_hits` / `fast_quantized_hits`).
-    pub cache_hits: AtomicU64,
     /// Cache misses that went to the explainers.
     pub cache_misses: AtomicU64,
     /// Batches workers took off the queue (one per gather, size ≥ 1).
     pub batches: AtomicU64,
-    /// Jobs those batches held (queue-time hits and expiries included).
+    /// Jobs those batches held (expiries included).
     pub batched_requests: AtomicU64,
     /// Largest batch observed.
     pub max_batch: AtomicU64,
@@ -165,9 +164,6 @@ pub struct Metrics {
     /// Probe admissions: requests the per-class estimate would have
     /// rejected, admitted to resample a possibly-stale EWMA.
     pub probe_admits: AtomicU64,
-    /// Worker-recheck hits served from the quantized cold tier (a subset
-    /// of `cache_hits`; each carried a typed max-abs error bound).
-    pub quantized_hits: AtomicU64,
     /// Requests served a coarse (reduced-budget) anytime attribution
     /// instead of a queue-full rejection.
     pub degraded_served: AtomicU64,
@@ -418,8 +414,7 @@ impl Metrics {
     /// Snapshots everything into a serializable report.
     pub fn snapshot(&self) -> ServeStats {
         let fast_quantized = self.fast_quantized_hits.load(Ordering::Relaxed);
-        let fast = self.fast_hits.load(Ordering::Relaxed) + fast_quantized;
-        let hits = self.cache_hits.load(Ordering::Relaxed) + fast;
+        let hits = self.fast_hits.load(Ordering::Relaxed) + fast_quantized;
         let misses = self.cache_misses.load(Ordering::Relaxed);
         let lookups = hits + misses;
         let batches = self.batches.load(Ordering::Relaxed);
@@ -428,8 +423,8 @@ impl Metrics {
         let fused_rows = self.fused_rows.load(Ordering::Relaxed);
         let fused_target = self.fused_target_rows.load(Ordering::Relaxed);
         ServeStats {
-            submitted: self.submitted.load(Ordering::Relaxed) + fast,
-            completed: self.completed.load(Ordering::Relaxed) + fast,
+            submitted: self.submitted.load(Ordering::Relaxed) + hits,
+            completed: self.completed.load(Ordering::Relaxed) + hits,
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             rejected_deadline_unmeetable: self.rejected_deadline_unmeetable.load(Ordering::Relaxed),
             rejected_deadline_expired: self.rejected_deadline_expired.load(Ordering::Relaxed),
@@ -463,7 +458,7 @@ impl Metrics {
             dedup_rows_saved: self.dedup_rows_saved.load(Ordering::Relaxed),
             single_flight_hits: self.single_flight_hits.load(Ordering::Relaxed),
             probe_admits: self.probe_admits.load(Ordering::Relaxed),
-            quantized_hits: self.quantized_hits.load(Ordering::Relaxed) + fast_quantized,
+            quantized_hits: fast_quantized,
             degraded_served: self.degraded_served.load(Ordering::Relaxed),
             refined_entries: self.refined_entries.load(Ordering::Relaxed),
             refine_dropped: self.refine_dropped.load(Ordering::Relaxed),
@@ -515,7 +510,8 @@ pub struct ServeStats {
     /// Explainer errors, contained panics of plug-in code (validator,
     /// factory, explainer) included.
     pub explain_errors: u64,
-    /// Cache hits: fast-path hits and those a worker's recheck found.
+    /// Cache hits, all answered on the submitting thread: by the probe, or
+    /// by a miss's join that found the key filled since.
     pub cache_hits: u64,
     /// Cache misses: client requests a worker computed (the count the
     /// queue-wait, service and total histograms sample).
@@ -524,7 +520,7 @@ pub struct ServeStats {
     pub cache_hit_rate: f64,
     /// Batches workers took off the queue (one per gather).
     pub batches: u64,
-    /// Jobs those batches held (queue-time hits and expiries included).
+    /// Jobs those batches held (expiries included).
     pub batched_requests: u64,
     /// batched_requests / batches.
     pub mean_batch_size: f64,
@@ -779,8 +775,8 @@ mod tests {
     #[test]
     fn stats_serialize_to_json() {
         let m = Metrics::new();
-        m.submitted.fetch_add(3, Ordering::Relaxed);
-        m.cache_hits.fetch_add(1, Ordering::Relaxed);
+        m.submitted.fetch_add(2, Ordering::Relaxed);
+        m.count_fast_hit(&Fidelity::Exact);
         m.cache_misses.fetch_add(1, Ordering::Relaxed);
         m.record_batch(4);
         let snap = m.snapshot();

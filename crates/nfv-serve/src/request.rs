@@ -366,6 +366,21 @@ pub struct ExplainResponse {
     pub fidelity: Fidelity,
 }
 
+impl ExplainResponse {
+    /// An answer from a cache entry or a single-flight leader.
+    pub(crate) fn hit(attribution: Arc<Attribution>, version: u64, fidelity: Fidelity) -> Self {
+        ExplainResponse {
+            attribution,
+            model_version: version,
+            cache_hit: true,
+            batch_size: 1,
+            queue_wait: Duration::ZERO,
+            service_time: Duration::ZERO,
+            fidelity,
+        }
+    }
+}
+
 /// Incremental FNV-1a over explicit little-endian words: a stable,
 /// dependency-free content hash. [`CacheKey::stable_hash`], per-request
 /// seeds and ring routing derive from it, so its value must be identical

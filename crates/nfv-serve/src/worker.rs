@@ -27,15 +27,17 @@
 //! request therefore has the same bits however it was batched.
 //!
 //! Exits: every gathered job leaves through [`deliver`] exactly once — a
-//! deadline drop, a queue-time hit, a computed answer or an error — which
-//! settles its single-flight entry, the in-flight count and its reply (a
-//! refinement has nobody to reply to). An answer goes to every follower
-//! parked on the flight; without one, the flight passes to its first
-//! follower, which the next worker cycle computes. A panic in explainer
-//! code is contained and answers the jobs it took down with
-//! [`ServeError::Internal`]; a job dropped unanswered (an unwind nothing
-//! contained) is answered the same way by its [`Owed`] guard, so no exit
-//! strands a single-flight follower.
+//! deadline drop, a computed answer or an error — which settles its
+//! single-flight entry, the in-flight count and its reply (a refinement has
+//! nobody to reply to). A computed answer fills the cache and goes to every
+//! follower parked on the flight, in one step of the cache; without one,
+//! the flight passes to its first follower, which the next worker cycle
+//! computes. A worker does not look the cache up: a queued job leads its
+//! key's flight, so no identical request is answered or computed beside
+//! it. A panic in explainer code is contained and answers the jobs it took
+//! down with [`ServeError::Internal`]; a job dropped unanswered (an unwind
+//! nothing contained) is answered the same way by its [`Owed`] guard, so no
+//! exit strands a single-flight follower.
 //!
 //! Allocation: each worker owns one [`CoalitionWorkspace`] and one
 //! [`FusedBlock`] for its whole lifetime, reused verbatim once grown (and
@@ -44,7 +46,7 @@
 //! [`crate::registry::ModelEntry::explain_regressor`] (the packed SoA
 //! engine for tree ensembles).
 
-use crate::cache::{CacheKey, ShardedCache};
+use crate::cache::ShardedCache;
 use crate::engine::Outcome;
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::Metrics;
@@ -244,10 +246,7 @@ impl<'a> Owed<'a> {
     }
 
     /// Answers a job its explainer ran for and feeds its service time to
-    /// its class estimate. A computed attribution fills the cache first:
-    /// workers always run the full budget, so this is a full-grade write
-    /// that upgrades any coarse anytime entry in place — which is all a
-    /// refinement is for.
+    /// its class estimate; [`deliver`] fills the cache with the answer.
     fn computed(
         self,
         result: Result<Attribution, ServeError>,
@@ -259,18 +258,14 @@ impl<'a> Owed<'a> {
         self.ctx
             .metrics
             .observe_service_class_ns(class, nanos(service));
-        let outcome = result.map(|attr| {
-            let attr = Arc::new(attr);
-            self.ctx.cache.insert(self.key.clone(), Arc::clone(&attr));
-            ExplainResponse {
-                attribution: attr,
-                model_version: self.key.model_version,
-                cache_hit: false,
-                batch_size,
-                queue_wait: now.duration_since(self.admitted),
-                service_time: service,
-                fidelity: Fidelity::Exact,
-            }
+        let outcome = result.map(|attr| ExplainResponse {
+            attribution: Arc::new(attr),
+            model_version: self.key.model_version,
+            cache_hit: false,
+            batch_size,
+            queue_wait: now.duration_since(self.admitted),
+            service_time: service,
+            fidelity: Fidelity::Exact,
         });
         self.answer(outcome);
     }
@@ -295,16 +290,18 @@ impl Drop for Owed<'_> {
 }
 
 /// The one exit of a gathered job: settles its single-flight entry (an
-/// answer goes to every parked follower; without one, the flight passes to
-/// the first follower, queued for the next worker cycle), books the
-/// outcome, settles the in-flight count and replies. A refinement (no
-/// reply) books only `refined_entries` when it computed or
+/// answer fills the cache and goes to every parked follower; without one,
+/// the flight passes to the first follower, queued for the next worker
+/// cycle), books the outcome, settles the in-flight count and replies. A
+/// refinement (no reply) books only `refined_entries` when it computed or
 /// `explain_errors` when it failed: the client counters and latency
 /// histograms count client requests.
 fn deliver(job: Job, outcome: Outcome, ctx: &WorkerContext) {
     let m = &ctx.metrics;
     match &outcome {
-        Ok(resp) => share_flight(&ctx.cache, m, &job.key, &resp.attribution, resp.fidelity),
+        // A worker runs the full budget: its fill upgrades a coarse entry
+        // in place, which is all a refinement is for.
+        Ok(resp) => share_flight(ctx.cache.fill(job.key.clone(), resp), m, resp),
         Err(_) => {
             if let Some(next) = ctx.cache.pass_flight(&job.key) {
                 ctx.passed.lock().push(next);
@@ -315,15 +312,11 @@ fn deliver(job: Job, outcome: Outcome, ctx: &WorkerContext) {
         (Ok(resp), Some(_)) => {
             m.completed.fetch_add(1, Ordering::Relaxed);
             m.queue_wait.record(resp.queue_wait);
-            if !resp.cache_hit {
-                m.service.record(resp.service_time);
-            }
+            m.service.record(resp.service_time);
             m.total.record(resp.queue_wait + resp.service_time);
         }
-        (Ok(resp), None) => {
-            if !resp.cache_hit {
-                m.refined_entries.fetch_add(1, Ordering::Relaxed);
-            }
+        (Ok(_), None) => {
+            m.refined_entries.fetch_add(1, Ordering::Relaxed);
         }
         (Err(e), _) => {
             let counter = if e.is_reject() {
@@ -338,31 +331,21 @@ fn deliver(job: Job, outcome: Outcome, ctx: &WorkerContext) {
     job.answer(outcome);
 }
 
-/// Ends `key`'s flight with its leader's answer and answers every follower
-/// parked on it: a single-flight hit, timed from the follower's own
-/// admission. A follower is answered whenever its leader's answer lands,
-/// past its own budget too — no timer runs for it, and the answer costs
-/// nothing more.
-pub(crate) fn share_flight(
-    cache: &ShardedCache,
-    m: &Metrics,
-    key: &CacheKey,
-    attribution: &Arc<Attribution>,
-    fidelity: Fidelity,
-) {
-    for follower in cache.complete_flight(key) {
+/// Answers the followers a fill released with their leader's `answer`: a
+/// single-flight hit, timed from the follower's own admission. A follower
+/// is answered whenever its leader's answer lands, past its own budget too
+/// — no timer runs for it, and the answer costs nothing more.
+pub(crate) fn share_flight(followers: Vec<Job>, m: &Metrics, answer: &ExplainResponse) {
+    for follower in followers {
         m.single_flight_hits.fetch_add(1, Ordering::Relaxed);
         m.completed.fetch_add(1, Ordering::Relaxed);
         m.total.record(follower.admitted.elapsed());
-        follower.answer(Ok(ExplainResponse {
-            attribution: Arc::clone(attribution),
-            model_version: key.model_version,
-            cache_hit: true,
-            batch_size: 1,
-            queue_wait: Duration::ZERO,
-            service_time: Duration::ZERO,
-            fidelity,
-        }));
+        let attribution = Arc::clone(&answer.attribution);
+        follower.answer(Ok(ExplainResponse::hit(
+            attribution,
+            answer.model_version,
+            answer.fidelity,
+        )));
     }
 }
 
@@ -370,14 +353,12 @@ fn nanos(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Drops deadline-expired jobs and answers queue-time cache hits, returning
-/// the jobs that still need computing. A coarse entry is a miss: a worker
-/// runs the full budget, so it answers only from a full-grade entry.
-fn prefilter<'a>(group: Vec<Owed<'a>>, ctx: &WorkerContext, now: Instant) -> Vec<Owed<'a>> {
+/// Drops the jobs whose budget burned away in the queue, returning the rest:
+/// answering late is worse than answering "no" (the caller's deadline
+/// passed).
+fn drop_expired<'a>(group: Vec<Owed<'a>>, now: Instant) -> Vec<Owed<'a>> {
     let mut live = Vec::with_capacity(group.len());
     for job in group {
-        // Drop requests whose budget burned away in the queue: answering
-        // late is worse than answering "no" (the caller's deadline passed).
         let waited = now.duration_since(job.admitted);
         let budget = job.request.budget;
         if waited > budget {
@@ -385,31 +366,9 @@ fn prefilter<'a>(group: Vec<Owed<'a>>, ctx: &WorkerContext, now: Instant) -> Vec
                 waited_us: nanos(waited) / 1_000,
                 budget_us: nanos(budget) / 1_000,
             })));
-            continue;
+        } else {
+            live.push(job);
         }
-        // Re-check the cache: an identical request may have been explained
-        // while this one sat in the queue.
-        let full = ctx.cache.get(&job.key).filter(|(_, f)| f.grade() == 1);
-        if let Some((attribution, fidelity)) = full {
-            if job.respond.is_some() {
-                ctx.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                if matches!(fidelity, Fidelity::Quantized { .. }) {
-                    ctx.metrics.quantized_hits.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let model_version = job.key.model_version;
-            job.answer(Ok(ExplainResponse {
-                attribution,
-                model_version,
-                cache_hit: true,
-                batch_size: 1,
-                queue_wait: waited,
-                service_time: Duration::ZERO,
-                fidelity,
-            }));
-            continue;
-        }
-        live.push(job);
     }
     live
 }
@@ -430,7 +389,7 @@ fn process_model_group(
     ws: &mut CoalitionWorkspace,
     block: &mut FusedBlock,
 ) {
-    let live = prefilter(group, ctx, Instant::now());
+    let live = drop_expired(group, Instant::now());
     let Some(first) = live.first() else {
         return;
     };
@@ -556,6 +515,7 @@ fn run_alone(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Joined;
     use crate::queue;
     use crate::request::ExplainMethod;
 
@@ -569,10 +529,12 @@ mod tests {
         let ctx = context();
         ctx.in_flight.store(1, Ordering::Relaxed);
         let (job, reply) = queue::job_for("a", 1, ExplainMethod::Permutation);
-        let job = ctx.cache.join_flight(job).expect("the first miss leads");
+        let Joined::Lead(job) = ctx.cache.join(job) else {
+            panic!("the first miss leads");
+        };
         let (follower, follower_reply) = queue::job_for("a", 1, ExplainMethod::Permutation);
         assert!(
-            ctx.cache.join_flight(follower).is_none(),
+            matches!(ctx.cache.join(follower), Joined::Parked),
             "an identical miss parks on the leader's flight"
         );
         // What an unwind through the worker does to a job it holds.
@@ -622,8 +584,13 @@ mod tests {
             &explain_context(&job.entry, &job.request.features, 1),
             &mut CoalitionWorkspace::default(),
         );
-        ctx.cache
-            .insert_graded(job.key.clone(), Arc::new(coarse.unwrap()), 2);
+        let sample_budget = 2;
+        let coarse = ExplainResponse::hit(
+            Arc::new(coarse.unwrap()),
+            1,
+            Fidelity::Coarse { sample_budget },
+        );
+        ctx.cache.fill(job.key.clone(), &coarse);
         let (_, fidelity) = ctx.cache.get(&job.key).unwrap();
         assert_eq!(fidelity, Fidelity::Coarse { sample_budget: 2 });
     }
@@ -658,14 +625,16 @@ mod tests {
         let key = refine.key.clone();
         plant_coarse(&ctx, &refine);
         // The refinement holds the key's flight: a second refinement joins
-        // nothing, and a client miss parks on it.
-        assert!(ctx.cache.lead_flight(&key));
-        assert!(!ctx.cache.lead_flight(&key));
+        // nothing. Once the coarse entry ages out, a client miss parks on
+        // the refinement's flight (while it stands, a join answers it).
+        assert!(ctx.cache.lead_refinement(&key));
+        assert!(!ctx.cache.lead_refinement(&key));
+        ctx.cache.invalidate_model("a");
         let (follower, follower_reply) = queue::job_for("a", 1, method);
-        assert!(ctx.cache.join_flight(follower).is_none());
+        assert!(matches!(ctx.cache.join(follower), Joined::Parked));
         serve(vec![refine], &ctx);
         let (cached, fidelity) = ctx.cache.get(&key).unwrap();
-        assert_eq!(fidelity, Fidelity::Exact, "upgraded in place");
+        assert_eq!(fidelity, Fidelity::Exact, "the refinement's full entry");
         let shared = follower_reply.try_recv().unwrap().unwrap();
         assert_eq!(
             (shared.attribution, shared.fidelity),
@@ -673,11 +642,9 @@ mod tests {
         );
         assert_eq!(ctx.cache.flights_in_progress(), 0);
         assert_eq!(ctx.in_flight.load(Ordering::Relaxed), 0);
-        // A second refinement of the now-full key is a queue-time hit: it
-        // books nothing at all.
-        let mut again = job_for("a", 1, method);
-        again.respond = None;
-        serve(vec![again], &ctx);
+        // The now-full key leads no second refinement.
+        assert!(!ctx.cache.lead_refinement(&key));
+        assert_eq!(ctx.cache.flights_in_progress(), 0);
         let m = &ctx.metrics;
         let stats = m.snapshot();
         assert_eq!(stats.refined_entries, 1);
