@@ -60,14 +60,18 @@ fi
 # One-lock-per-key invariant: a key's flight lives in the cache shard that
 # holds its entry, behind the same mutex, so `ShardedCache::join` decides
 # hit, park or lead in one step and `fill` writes the entry and releases the
-# parked followers in another. A cache lookup in worker.rs (outside
-# #[cfg(test)]) is a queue-time recheck, a second place that decides; a
-# flight map (or a parked `Job`) on `ShardedCache` itself is a global flight
-# table beside the shards, with a lock of its own.
-echo "==> one-lock-per-key check (no cache lookup in worker.rs, no flight map on ShardedCache)"
+# parked followers in another. worker.rs (outside #[cfg(test)]) calls the
+# cache for those two ends of a flight, `fill` and `pass_flight`, and for
+# nothing else: any other call, whatever its name, is a lookup (a queue-time
+# recheck, a second place that decides). A flight map (or a parked `Job`) on
+# `ShardedCache` itself is a global flight table beside the shards, with a
+# lock of its own.
+echo "==> one-lock-per-key check (worker.rs only fills and passes flights, no flight map on ShardedCache)"
 f=crates/nfv-serve/src/worker.rs
-if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nE 'cache\.get\(|get_ref\('; then
-  echo "FAIL: $f looks the cache up; a queued job leads its key's flight, and the join already decided"
+if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" \
+  | grep -noE 'cache\s*\.\s*[A-Za-z_][A-Za-z0-9_]*\s*(::\s*<[^>]*>\s*)?\(|ShardedCache\s*::\s*[a-z_]+|get_ref\(' \
+  | grep -vE 'cache\s*\.\s*(fill|pass_flight)\s*\(' ; then
+  echo "FAIL: $f calls the cache beyond fill / pass_flight; a queued job leads its key's flight, and the join already decided"
   exit 1
 fi
 f=crates/nfv-serve/src/cache.rs

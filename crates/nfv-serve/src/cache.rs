@@ -1039,22 +1039,6 @@ impl ShardedCache {
         }
         total
     }
-
-    /// Estimated heap bytes across both tiers (see [`CacheUsage`]).
-    pub fn bytes_used(&self) -> usize {
-        self.usage().bytes()
-    }
-
-    /// Exact-tier capacity: the per-shard slices sum to the value passed
-    /// to [`ShardedCache::new`].
-    pub fn hot_capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().hot.capacity).sum()
-    }
-
-    /// Quantized-tier capacity (0 = tier disabled).
-    pub fn cold_capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().cold.capacity).sum()
-    }
 }
 
 #[cfg(test)]
@@ -1237,12 +1221,16 @@ mod tests {
             (0, 0, 4),
         ] {
             let c = ShardedCache::new(cap, cold, shards);
+            let sum = |tier: fn(&TierShard) -> usize| -> usize {
+                c.shards.iter().map(|s| tier(&s.lock())).sum()
+            };
+            let hot = sum(|s| s.hot.capacity);
+            assert_eq!(hot, cap.max(1), "hot cap={cap} shards={shards}");
             assert_eq!(
-                c.hot_capacity(),
-                cap.max(1),
-                "hot cap={cap} shards={shards}"
+                sum(|s| s.cold.capacity),
+                cold,
+                "cold cap={cold} shards={shards}"
             );
-            assert_eq!(c.cold_capacity(), cold, "cold cap={cold} shards={shards}");
         }
     }
 
@@ -1280,23 +1268,26 @@ mod tests {
         assert_ne!(impostor, stored);
         assert!(c.get(&impostor).is_none(), "exactness rests on the key");
         assert!(c.get(&stored).is_some());
-        // Nor does it join the stored key's single-flight.
+        // Nor does a key claiming another's fingerprint join that key's
+        // single-flight (a join on the stored key is a hit, so the flight
+        // runs on a key of its own).
         let flying = key(1, 7.0);
-        let impostor = key(1, 8.0).with_fingerprint(flying.fingerprint());
+        let flight_impostor = key(1, 8.0).with_fingerprint(flying.fingerprint());
         assert!(matches!(c.join(job(&flying)), Joined::Lead(_)));
         assert!(
-            matches!(c.join(job(&impostor)), Joined::Lead(_)),
+            matches!(c.join(job(&flight_impostor)), Joined::Lead(_)),
             "it leads alone"
         );
-        assert!(c.lead_refinement(&impostor), "nor does a refinement");
+        assert!(c.lead_refinement(&flight_impostor), "nor does a refinement");
         assert!(!c.lead_refinement(&flying), "a refinement joins no flight");
-        assert!(c.fill(impostor.clone(), &answer(attr(20.0), 0)).is_empty());
+        assert!(c.fill(flight_impostor, &answer(attr(30.0), 0)).is_empty());
         assert_eq!(c.flights_in_progress(), 1, "the real flight is untouched");
         assert!(c.pass_flight(&flying).is_none());
         assert_eq!(c.flights_in_progress(), 0);
-        // The impostor's fill took the slot over; the old key now misses.
+        // Filling the impostor takes the slot over; the old key now misses.
+        assert!(c.fill(impostor.clone(), &answer(attr(20.0), 0)).is_empty());
         assert_eq!(c.get(&impostor).unwrap().0.prediction, 20.0);
-        assert!(c.get(&flying).is_none());
+        assert!(c.get(&stored).is_none());
     }
 
     #[test]

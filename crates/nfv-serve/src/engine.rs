@@ -243,12 +243,10 @@ impl Engine {
     /// Resolves the model, quantizes and folds the key on the stack and
     /// probes the cache once, all under the registry's read lock (the hit
     /// takes no reference to the model entry). A hit — hot, cold-tier or
-    /// coarse — is counted with one relaxed add and returned: no clock is
-    /// read, no latency is recorded and nothing of the request is owned. A
-    /// coarse hit asks for its refinement again (an earlier ask may have
-    /// been dropped) once the lock is released. Anything else counts
-    /// nothing here and returns the resolved entry and owned key (or why
-    /// there is none) for the miss path to reject or admit.
+    /// coarse — is answered by [`Engine::hit`] once the lock is released:
+    /// no clock is read and nothing of a full hit is owned. Anything else
+    /// counts nothing here and returns the resolved entry and owned key (or
+    /// why there is none) for the miss path to reject or admit.
     pub(crate) fn cached(&self, request: &ExplainRequest) -> Result<ExplainResponse, Miss> {
         let found = self.registry.with_entry(&request.model_id, |entry| {
             let mut cells = CellBuf::new();
@@ -260,18 +258,32 @@ impl Engine {
             let Some((attribution, fidelity)) = self.cache.get_ref(&probe) else {
                 return Err(Miss::Keyed(Arc::clone(entry), probe.to_key()));
             };
-            self.metrics.count_fast_hit(&fidelity);
-            let refine = (fidelity.grade() == 0).then(|| (Arc::clone(entry), probe.to_key()));
+            // Only a coarse hit owns its entry and key, for the refinement.
+            let owned = (fidelity.grade() == 0).then(|| (Arc::clone(entry), probe.to_key()));
             Ok((
                 ExplainResponse::hit(attribution, entry.version, fidelity),
-                refine,
+                owned,
             ))
         });
-        let (response, refine) = found.unwrap_or(Err(Miss::UnknownModel))?;
+        let (hit, owned) = found.unwrap_or(Err(Miss::UnknownModel))?;
+        Ok(self.hit(request, hit, owned))
+    }
+
+    /// Answers a hit, the probe's or a join's: counts it with one relaxed
+    /// add and asks a coarse hit's refinement again (an earlier ask may
+    /// have been dropped) under `owned`, the entry and key the hit owns.
+    fn hit(
+        &self,
+        request: &ExplainRequest,
+        hit: ExplainResponse,
+        owned: Option<(Arc<ModelEntry>, CacheKey)>,
+    ) -> ExplainResponse {
+        self.metrics.count_fast_hit(&hit.fidelity);
+        let refine = owned.filter(|_| hit.fidelity.grade() == 0);
         if let Some((entry, key)) = refine.filter(|(_, key)| self.cache.lead_refinement(key)) {
             self.queue_refine(entry, key, request);
         }
-        Ok(response)
+        hit
     }
 
     /// The request's cache identity under `entry`, computed once: quantized
@@ -316,15 +328,18 @@ impl Engine {
             .expect("a reply answers, if only by being dropped")
     }
 
-    /// [`Engine::submit`] behind a cache probe that missed: counts the
-    /// request, rejects it or starts it on its way. Its latency clock
-    /// starts here, so `total_*` cover answers a worker delivered.
+    /// [`Engine::submit`] behind a cache probe that missed: rejects it, or
+    /// joins it to the cache, which answers a key filled since the probe.
+    /// Its latency clock starts here, so `total_*` cover answers a worker
+    /// delivered.
     fn submit_miss(&self, request: ExplainRequest, miss: Miss, reply: Reply) {
         let admitted = Instant::now();
-        self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
         let (entry, key) = match self.accept(&request, miss) {
             Ok(accepted) => accepted,
-            Err(e) => return reply.send(Err(e)),
+            Err(e) => {
+                self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+                return reply.send(Err(e));
+            }
         };
         let job = Job {
             request,
@@ -335,17 +350,17 @@ impl Engine {
         };
         match self.cache.join(job) {
             Joined::Hit(job, attribution, fidelity) => {
-                // Filled since the probe: counted like the probe's hits.
-                self.metrics.submitted.fetch_sub(1, Ordering::Relaxed);
-                self.metrics.count_fast_hit(&fidelity);
-                if fidelity.grade() == 0 && self.cache.lead_refinement(&job.key) {
-                    self.queue_refine(Arc::clone(&job.entry), job.key.clone(), &job.request);
-                }
-                let version = job.key.model_version;
-                job.answer(Ok(ExplainResponse::hit(attribution, version, fidelity)));
+                let hit = ExplainResponse::hit(attribution, job.key.model_version, fidelity);
+                let owned = Some((Arc::clone(&job.entry), job.key.clone()));
+                let response = self.hit(&job.request, hit, owned);
+                job.answer(Ok(response));
             }
-            Joined::Parked => {}
-            Joined::Lead(job) => self.lead(job),
+            joined => {
+                self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+                if let Joined::Lead(job) = joined {
+                    self.lead(job);
+                }
+            }
         }
     }
 
@@ -889,6 +904,33 @@ mod tests {
         let before = locks();
         assert!(engine.explain(req()).unwrap().cache_hit);
         assert_eq!(locks() - before, 1, "a hit is the probe alone");
+    }
+
+    #[test]
+    fn a_key_filled_after_the_probe_is_answered_by_the_join_as_a_hit() {
+        let (engine, rows) = engine_with_gbdt(ServeConfig::default());
+        let req = ExplainRequest {
+            model_id: "m".into(),
+            features: rows[4].clone(),
+            method: ExplainMethod::TreeShap,
+            budget: Duration::from_secs(5),
+        };
+        let Err(miss @ super::Miss::Keyed(..)) = engine.cached(&req) else {
+            panic!("a cold key misses the probe");
+        };
+        // Another request fills the key between this one's probe and join.
+        let filled = engine.explain(req.clone()).unwrap();
+        assert!(!filled.cache_hit);
+        let before = engine.stats();
+        let resp = engine.explain_miss(req, miss).unwrap();
+        assert!(resp.cache_hit, "the join found the entry");
+        assert!(std::ptr::eq(&*resp.attribution, &*filled.attribution));
+        assert_eq!(engine.cache.flights_in_progress(), 0, "and led no flight");
+        // Counted once, as a hit.
+        let after = engine.stats();
+        assert_eq!(after.cache_hits - before.cache_hits, 1);
+        assert_eq!(after.submitted - before.submitted, 1);
+        assert_eq!(after.completed - before.completed, 1);
     }
 
     #[test]

@@ -106,9 +106,8 @@ impl LatencyHistogram {
 /// counters into `submitted`, `completed` and `cache_hits`.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Requests entering `explain`'s miss path (before any admission
-    /// decision). One whose join finds its key filled since the probe is
-    /// taken back out and counted as a hit.
+    /// Miss-path requests rejected, parked or led. One whose join finds its
+    /// key filled since the probe is not one of them: it counts as a hit.
     pub submitted: AtomicU64,
     /// Miss-path requests answered with an attribution.
     pub completed: AtomicU64,
