@@ -85,6 +85,32 @@ if grep -niE 'flight|FpMap|Job' <<<"$body"; then
   exit 1
 fi
 
+# One-owner-per-connection-fact invariant: a `ShardConn`'s pending map is
+# its liveness (`None` once the stream has died), so a call parks on a
+# live connection or fails at once under one lock. An `AtomicBool` in
+# client.rs (outside #[cfg(test)]) is a second copy of that fact, with an
+# ordering protocol to keep the two in step, and a `hook` is a seam for
+# forcing the race between them. The shard's in-flight count and drain
+# state are the event loop's own: only `completed`, `protocol_errors` and
+# `stop` are read from other threads, so `struct ShardInner` naming
+# `in_flight` or `draining` is loop state shared again.
+echo "==> one-owner-per-connection-fact check (no liveness flag or hook in client.rs, no loop state in ShardInner)"
+f=crates/nfv-net/src/client.rs
+if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -niE 'AtomicBool|hook'; then
+  echo "FAIL: $f keeps connection state beside its pending map; the map is the one owner"
+  exit 1
+fi
+f=crates/nfv-net/src/server.rs
+body=$(awk '/^struct ShardInner \{/{on=1} on{print} on && /^\}$/{exit}' "$f")
+if [ -z "$body" ]; then
+  echo "FAIL: $f has no ShardInner to check"
+  exit 1
+fi
+if grep -nE 'in_flight|draining' <<<"$body"; then
+  echo "FAIL: ShardInner shares loop state; the event loop owns its in-flight count and drain"
+  exit 1
+fi
+
 # One-routing-signal invariant: a worker plans every job into its block and
 # runs alone the ones whose plan refuses. A `.fusable()` call in the serving
 # crate (outside #[cfg(test)]) is a second routing rule beside the refusal.

@@ -881,7 +881,6 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
         // client pool for seconds at a time.
         let wire = NetClusterConfig {
             rpc_timeout: Duration::from_secs(120),
-            ..Default::default()
         }
         .connect(&addrs)
         .expect("connect");

@@ -302,7 +302,9 @@ pub fn f5(quick: bool) {
     let bg = Background::from_dataset(train, 25, 3).expect("background");
     println!("F5 — cross-method agreement and stability\n");
 
-    // Every set is served, so every set explains the GBDT's margin.
+    // Every set is served. TreeSHAP explains the GBDT's margin (log-odds);
+    // the model-agnostic methods explain its probability (`predict`, the
+    // surface `ProbaSurface` gives the stability runs below).
     let instances: Vec<Vec<f64>> = (0..n_inst).map(|i| train.row(i * 7).to_vec()).collect();
     let serve_model = ServeModel::Gbdt(model.clone());
     let explain = |method| served(&serve_model, &train.names, &bg, method, &instances);

@@ -20,7 +20,7 @@
 //! (a shard closes that connection as a protocol error).
 
 use bytes::{Buf, Bytes};
-use nfv_sim::wire;
+use nfv_sim::wire::{self, CodecError};
 use std::fmt;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 
@@ -157,9 +157,15 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Maps the string errors of the shared [`wire`] helpers into [`WireError`].
-pub(crate) fn truncated(e: String) -> WireError {
-    WireError::Truncated(e)
+/// The one map from the shared [`wire`] readers' errors: a short buffer
+/// is `Truncated`, an invalid or over-cap value `Decode`.
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> WireError {
+        match e {
+            CodecError::Short(m) => WireError::Truncated(m),
+            CodecError::Invalid(m) => WireError::Decode(m),
+        }
+    }
 }
 
 /// Validates a frame header in wire order — magic, version, type, then
@@ -219,11 +225,11 @@ pub fn encode_frame(t: MsgType, payload: &[u8]) -> Vec<u8> {
 /// Decodes one frame from an in-memory buffer, advancing past it. The
 /// in-memory twin of [`read_frame`], shared with the codec proptests.
 pub fn decode_frame(data: &mut Bytes, cap: usize) -> Result<(MsgType, Bytes), WireError> {
-    wire::ensure(data, HEADER_LEN, "frame header").map_err(truncated)?;
+    wire::ensure(data, HEADER_LEN, "frame header")?;
     let mut header = [0u8; HEADER_LEN];
     data.copy_to_slice(&mut header);
     let (t, len) = parse_header(&header, cap)?;
-    wire::ensure(data, len + 8, "frame payload + checksum").map_err(truncated)?;
+    wire::ensure(data, len + 8, "frame payload + checksum")?;
     let payload = data.slice(0..len);
     data.advance(len);
     let mut tail = [0u8; 8];

@@ -21,17 +21,18 @@
 //!   accept and all connection I/O, which submits each explain straight
 //!   into the engine without waiting on it (engine overflow and
 //!   over-deep pipelines shed as typed rejects), per-connection write
-//!   batching, and an event-driven drain state machine; shipped as the
-//!   `nfv-shard` binary.
+//!   batching, and an event-driven drain whose state only the loop
+//!   touches; shipped as the `nfv-shard` binary.
 //! - [`client`] — one connection, one reader thread, rid demultiplexing,
-//!   pipelined sends (`explain_many`), fail-fast on connection loss.
+//!   pipelined sends (`explain_many`), fail-fast on connection loss: the
+//!   map of parked calls is the connection's liveness, one lock for both.
 //! - [`router`] — [`NetCluster`]: `nfv_serve`'s one [`Router`] over shard
 //!   connections. Placement, ordered registration fan-out with a replay
 //!   log for joiners, graceful join/leave with bounded remap, spill-once
 //!   (a transport fault spills like a queue-full reject) and the stats
 //!   rollup are the in-process cluster's code, not a copy of it; this
 //!   crate adds the `Shard` impl for [`ShardConn`], dialling and
-//!   [`NetError`].
+//!   [`NetError`], the one error type of a shard call and of the cluster.
 //!
 //! Determinism contract: a request's answer depends only on its content
 //! (model, method, features, budget) and the shard seed — never on which
@@ -56,7 +57,7 @@ pub mod server;
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::client::{ShardCallError, ShardConn};
+    pub use crate::client::ShardConn;
     pub use crate::frame::{MsgType, WireError, MAX_PAYLOAD, VERSION};
     pub use crate::msg::{Message, WireHealth, WireRegister, WireRequest, WireResponse};
     pub use crate::router::{NetCluster, NetClusterConfig, NetError};

@@ -14,7 +14,7 @@
 //! the shard rebuilds summary statistics with `Background::from_rows`, the
 //! same constructor the in-process path uses.
 
-use crate::frame::{truncated, MsgType, WireError};
+use crate::frame::{MsgType, WireError};
 use bytes::{BufMut, Bytes, BytesMut};
 use nfv_serve::prelude::{ExplainMethod, Refusal, RejectReason, ServeError};
 use nfv_sim::wire;
@@ -175,8 +175,8 @@ fn put_method(buf: &mut BytesMut, m: ExplainMethod) {
 }
 
 fn get_method(buf: &mut Bytes) -> Result<ExplainMethod, WireError> {
-    let id = wire::get_u64(buf, "method id").map_err(truncated)?;
-    let budget = wire::get_u64(buf, "method budget").map_err(truncated)?;
+    let id = wire::get_u64(buf, "method id")?;
+    let budget = wire::get_u64(buf, "method budget")?;
     Ok(ExplainMethod::from_parts(id, budget))
 }
 
@@ -185,23 +185,11 @@ fn put_string(buf: &mut BytesMut, s: &str) {
 }
 
 fn get_string(buf: &mut Bytes, cap: usize, what: &str) -> Result<String, WireError> {
-    wire::get_str(buf, cap, what).map_err(|e| {
-        if e.contains("cap") {
-            WireError::Decode(e)
-        } else {
-            WireError::Truncated(e)
-        }
-    })
+    Ok(wire::get_str(buf, cap, what)?)
 }
 
 fn get_vec_f64(buf: &mut Bytes, what: &str) -> Result<Vec<f64>, WireError> {
-    wire::get_f64s(buf, MAX_VEC, what).map_err(|e| {
-        if e.contains("cap") {
-            WireError::Decode(e)
-        } else {
-            WireError::Truncated(e)
-        }
-    })
+    Ok(wire::get_f64s(buf, MAX_VEC, what)?)
 }
 
 fn put_serve_error(buf: &mut BytesMut, e: &ServeError) {
@@ -290,21 +278,21 @@ fn put_serve_error(buf: &mut BytesMut, e: &ServeError) {
 }
 
 fn get_serve_error(buf: &mut Bytes) -> Result<ServeError, WireError> {
-    let kind = wire::get_u8(buf, "error kind").map_err(truncated)?;
+    let kind = wire::get_u8(buf, "error kind")?;
     Ok(match kind {
         1 => {
-            let tag = wire::get_u8(buf, "reject tag").map_err(truncated)?;
+            let tag = wire::get_u8(buf, "reject tag")?;
             let reason = match tag {
                 1 => RejectReason::QueueFull {
-                    capacity: wire::get_u64(buf, "capacity").map_err(truncated)? as usize,
+                    capacity: wire::get_u64(buf, "capacity")? as usize,
                 },
                 2 => RejectReason::DeadlineUnmeetable {
-                    estimated_us: wire::get_u64(buf, "estimated_us").map_err(truncated)?,
-                    budget_us: wire::get_u64(buf, "budget_us").map_err(truncated)?,
+                    estimated_us: wire::get_u64(buf, "estimated_us")?,
+                    budget_us: wire::get_u64(buf, "budget_us")?,
                 },
                 3 => RejectReason::DeadlineExpired {
-                    waited_us: wire::get_u64(buf, "waited_us").map_err(truncated)?,
-                    budget_us: wire::get_u64(buf, "budget_us").map_err(truncated)?,
+                    waited_us: wire::get_u64(buf, "waited_us")?,
+                    budget_us: wire::get_u64(buf, "budget_us")?,
                 },
                 4 => RejectReason::UnknownModel {
                     model_id: get_string(buf, MAX_STR, "model_id")?,
@@ -314,8 +302,8 @@ fn get_serve_error(buf: &mut Bytes) -> Result<ServeError, WireError> {
                 },
                 6 => RejectReason::ShuttingDown,
                 7 => RejectReason::PipelineTooDeep {
-                    depth: wire::get_u64(buf, "depth").map_err(truncated)?,
-                    limit: wire::get_u64(buf, "limit").map_err(truncated)?,
+                    depth: wire::get_u64(buf, "depth")?,
+                    limit: wire::get_u64(buf, "limit")?,
                 },
                 8 => RejectReason::UnknownMethod {
                     method: get_string(buf, MAX_STR, "method")?,
@@ -325,7 +313,7 @@ fn get_serve_error(buf: &mut Bytes) -> Result<ServeError, WireError> {
             ServeError::Rejected(reason)
         }
         2 => {
-            let tag = wire::get_u8(buf, "xai tag").map_err(truncated)?;
+            let tag = wire::get_u8(buf, "xai tag")?;
             let msg = get_string(buf, MAX_STR, "xai message")?;
             ServeError::Explain(match tag {
                 1 => XaiError::Input(msg),
@@ -336,16 +324,16 @@ fn get_serve_error(buf: &mut Bytes) -> Result<ServeError, WireError> {
         }
         3 => ServeError::Internal(get_string(buf, MAX_STR, "internal message")?),
         4 => {
-            let tag = wire::get_u8(buf, "refusal tag").map_err(truncated)?;
+            let tag = wire::get_u8(buf, "refusal tag")?;
             ServeError::Refused(match tag {
                 1 => Refusal::NoShards,
-                2 => Refusal::UnknownShard(wire::get_u32(buf, "shard").map_err(truncated)?),
+                2 => Refusal::UnknownShard(wire::get_u32(buf, "shard")?),
                 3 => Refusal::LastShard,
                 4 => Refusal::VersionMismatch {
-                    shard: wire::get_u32(buf, "shard").map_err(truncated)?,
+                    shard: wire::get_u32(buf, "shard")?,
                     model_id: get_string(buf, MAX_STR, "model_id")?,
-                    assigned: wire::get_u64(buf, "assigned").map_err(truncated)?,
-                    expected: wire::get_u64(buf, "expected").map_err(truncated)?,
+                    assigned: wire::get_u64(buf, "assigned")?,
+                    expected: wire::get_u64(buf, "expected")?,
                 },
                 other => return Err(WireError::Decode(format!("unknown refusal tag {other}"))),
             })
@@ -366,7 +354,7 @@ fn put_attribution(buf: &mut BytesMut, a: &Attribution) {
 }
 
 fn get_attribution(buf: &mut Bytes) -> Result<Attribution, WireError> {
-    let n_names = wire::get_u32(buf, "attribution names").map_err(truncated)? as usize;
+    let n_names = wire::get_u32(buf, "attribution names")? as usize;
     if n_names > MAX_VEC {
         return Err(WireError::Decode(format!(
             "attribution claims {n_names} names, cap {MAX_VEC}"
@@ -377,8 +365,8 @@ fn get_attribution(buf: &mut Bytes) -> Result<Attribution, WireError> {
         names.push(get_string(buf, MAX_STR, "attribution name")?);
     }
     let values = get_vec_f64(buf, "attribution values")?;
-    let base_value = wire::get_f64(buf, "base_value").map_err(truncated)?;
-    let prediction = wire::get_f64(buf, "prediction").map_err(truncated)?;
+    let base_value = wire::get_f64(buf, "base_value")?;
+    let prediction = wire::get_f64(buf, "prediction")?;
     let method = get_string(buf, MAX_STR, "attribution method")?;
     Ok(Attribution {
         names: names.into(),
@@ -500,34 +488,27 @@ impl Message {
     /// after a well-formed body is a decode error: a frame is exactly one
     /// message.
     pub fn decode_payload(t: MsgType, mut buf: Bytes) -> Result<Message, WireError> {
-        let rid = wire::get_u64(&mut buf, "rid").map_err(truncated)?;
+        let rid = wire::get_u64(&mut buf, "rid")?;
         let msg = match t {
             MsgType::ExplainRequest => Message::Explain(WireRequest {
                 rid,
                 model_id: get_string(&mut buf, MAX_STR, "model_id")?,
                 features: get_vec_f64(&mut buf, "features")?,
                 method: get_method(&mut buf)?,
-                budget_ns: wire::get_u64(&mut buf, "budget_ns").map_err(truncated)?,
+                budget_ns: wire::get_u64(&mut buf, "budget_ns")?,
             }),
             MsgType::ExplainResponse => {
-                let ok = wire::get_u8(&mut buf, "outcome tag").map_err(truncated)?;
+                let ok = wire::get_u8(&mut buf, "outcome tag")?;
                 let outcome = match ok {
                     1 => {
                         let attribution = get_attribution(&mut buf)?;
-                        let model_version =
-                            wire::get_u64(&mut buf, "model_version").map_err(truncated)?;
-                        let cache_hit =
-                            wire::get_u8(&mut buf, "cache_hit").map_err(truncated)? != 0;
-                        let batch_size =
-                            wire::get_u64(&mut buf, "batch_size").map_err(truncated)?;
-                        let queue_wait_ns =
-                            wire::get_u64(&mut buf, "queue_wait_ns").map_err(truncated)?;
-                        let service_ns =
-                            wire::get_u64(&mut buf, "service_ns").map_err(truncated)?;
-                        let coarse_budget =
-                            wire::get_u64(&mut buf, "coarse_budget").map_err(truncated)?;
-                        let max_abs_err =
-                            wire::get_f64(&mut buf, "max_abs_err").map_err(truncated)?;
+                        let model_version = wire::get_u64(&mut buf, "model_version")?;
+                        let cache_hit = wire::get_u8(&mut buf, "cache_hit")? != 0;
+                        let batch_size = wire::get_u64(&mut buf, "batch_size")?;
+                        let queue_wait_ns = wire::get_u64(&mut buf, "queue_wait_ns")?;
+                        let service_ns = wire::get_u64(&mut buf, "service_ns")?;
+                        let coarse_budget = wire::get_u64(&mut buf, "coarse_budget")?;
+                        let max_abs_err = wire::get_f64(&mut buf, "max_abs_err")?;
                         Ok(WireAnswer {
                             attribution,
                             model_version,
@@ -547,7 +528,7 @@ impl Message {
             MsgType::RegisterModel => {
                 let model_id = get_string(&mut buf, MAX_STR, "model_id")?;
                 let model_json = get_string(&mut buf, MAX_MODEL_JSON, "model_json")?;
-                let n_names = wire::get_u32(&mut buf, "feature_names").map_err(truncated)? as usize;
+                let n_names = wire::get_u32(&mut buf, "feature_names")? as usize;
                 if n_names > MAX_VEC {
                     return Err(WireError::Decode(format!(
                         "register claims {n_names} feature names, cap {MAX_VEC}"
@@ -557,8 +538,7 @@ impl Message {
                 for _ in 0..n_names {
                     feature_names.push(get_string(&mut buf, MAX_STR, "feature name")?);
                 }
-                let n_rows =
-                    wire::get_u32(&mut buf, "background rows").map_err(truncated)? as usize;
+                let n_rows = wire::get_u32(&mut buf, "background rows")? as usize;
                 if n_rows > MAX_ROWS {
                     return Err(WireError::Decode(format!(
                         "register claims {n_rows} background rows, cap {MAX_ROWS}"
@@ -568,7 +548,7 @@ impl Message {
                 for _ in 0..n_rows {
                     background_rows.push(get_vec_f64(&mut buf, "background row")?);
                 }
-                let n = wire::get_u32(&mut buf, "method configs").map_err(truncated)? as usize;
+                let n = wire::get_u32(&mut buf, "method configs")? as usize;
                 if n > MAX_METHOD_CONFIGS {
                     return Err(WireError::Decode(format!(
                         "register claims {n} method configs, cap {MAX_METHOD_CONFIGS}"
@@ -577,8 +557,7 @@ impl Message {
                 let mut method_configs = Vec::with_capacity(n);
                 for _ in 0..n {
                     let name = get_string(&mut buf, MAX_STR, "method config name")?;
-                    let divisor =
-                        wire::get_u64(&mut buf, "method config divisor").map_err(truncated)?;
+                    let divisor = wire::get_u64(&mut buf, "method config divisor")?;
                     method_configs.push((name, divisor));
                 }
                 Message::Register(WireRegister {
@@ -592,21 +571,21 @@ impl Message {
             }
             MsgType::RegisterOk => Message::RegisterOk {
                 rid,
-                version: wire::get_u64(&mut buf, "version").map_err(truncated)?,
+                version: wire::get_u64(&mut buf, "version")?,
             },
             MsgType::Health => Message::Health { rid },
             MsgType::HealthOk => Message::HealthOk(WireHealth {
                 rid,
-                draining: wire::get_u8(&mut buf, "draining").map_err(truncated)? != 0,
-                queue_len: wire::get_u64(&mut buf, "queue_len").map_err(truncated)?,
-                cache_len: wire::get_u64(&mut buf, "cache_len").map_err(truncated)?,
-                protocol_errors: wire::get_u64(&mut buf, "protocol_errors").map_err(truncated)?,
+                draining: wire::get_u8(&mut buf, "draining")? != 0,
+                queue_len: wire::get_u64(&mut buf, "queue_len")?,
+                cache_len: wire::get_u64(&mut buf, "cache_len")?,
+                protocol_errors: wire::get_u64(&mut buf, "protocol_errors")?,
                 stats_json: get_string(&mut buf, MAX_STR, "stats_json")?,
             }),
             MsgType::Drain => Message::Drain { rid },
             MsgType::DrainOk => Message::DrainOk {
                 rid,
-                completed: wire::get_u64(&mut buf, "completed").map_err(truncated)?,
+                completed: wire::get_u64(&mut buf, "completed")?,
             },
             MsgType::RegisterErr => Message::RegisterErr {
                 rid,
@@ -890,6 +869,13 @@ mod tests {
             method_configs: Vec::new(),
         });
         let mut payload = bare.encode_payload();
+        // A model id that is not UTF-8 is as invalid: every byte is there.
+        let mut not_utf8 = payload.clone();
+        not_utf8[8 + 4] = 0xff; // the first byte of "sla", after rid and length
+        assert!(matches!(
+            decode(MsgType::RegisterModel, not_utf8),
+            Err(WireError::Decode(_))
+        ));
         // Claim a hostile config count with no entries behind it.
         let count = payload.len() - 4;
         payload[count..].copy_from_slice(&u32::MAX.to_le_bytes());

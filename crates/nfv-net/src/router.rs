@@ -7,7 +7,7 @@
 //!
 //! [`Router`]: nfv_serve::cluster::Router
 
-use crate::client::{ShardCallError, ShardConn};
+use crate::client::ShardConn;
 use crate::frame::{WireError, MAX_PAYLOAD};
 use nfv_serve::cluster::{ErrorClass, Registration, Shard};
 use nfv_serve::prelude::*;
@@ -22,16 +22,12 @@ pub type NetCluster = Router<ShardConn>;
 pub struct NetClusterConfig {
     /// Per-RPC response timeout.
     pub rpc_timeout: Duration,
-    /// Input quantization grid — must match the shards' `ServeConfig` so
-    /// router-side hashes agree with shard-side cache keys.
-    pub quantization_grid: f64,
 }
 
 impl Default for NetClusterConfig {
     fn default() -> Self {
         NetClusterConfig {
             rpc_timeout: Duration::from_secs(30),
-            quantization_grid: 1e-6,
         }
     }
 }
@@ -39,20 +35,26 @@ impl Default for NetClusterConfig {
 impl NetClusterConfig {
     /// Dials one shard, e.g. for [`Router::join`].
     pub fn dial(&self, addr: &str) -> Result<ShardConn, NetError> {
-        ShardConn::connect(addr, MAX_PAYLOAD, self.rpc_timeout).map_err(NetError::Wire)
+        Ok(ShardConn::connect(addr, MAX_PAYLOAD, self.rpc_timeout)?)
     }
 
-    /// Dials every address; shard ids are assigned in argument order.
+    /// Dials every address; shard ids are assigned in argument order. The
+    /// router hashes on the engine's default quantization grid, the one
+    /// every `nfv-shard` serves with, so a key routes to the shard that
+    /// caches it.
     pub fn connect(&self, addrs: &[String]) -> Result<NetCluster, NetError> {
         let shards: Result<Vec<_>, _> = addrs.iter().map(|a| self.dial(a)).collect();
-        Router::new(shards?, self.quantization_grid)
+        Router::new(shards?, ServeConfig::default().quantization_grid)
     }
 }
 
-/// Errors surfaced by the wire cluster.
+/// What a wire call can fail with: a [`ShardConn`] call returns `Wire` (a
+/// transport fault, reroutable) or `Serve` (the shard engine's verdict,
+/// authoritative); the cluster adds `Refused`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetError {
-    /// Transport-level failure after any spill retry was spent.
+    /// Transport-level failure; through the cluster, after any spill
+    /// retry was spent.
     Wire(WireError),
     /// The serving engine's own verdict (rejects, explainer errors).
     Serve(ServeError),
@@ -72,12 +74,9 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-impl From<ShardCallError> for NetError {
-    fn from(e: ShardCallError) -> NetError {
-        match e {
-            ShardCallError::Wire(w) => NetError::Wire(w),
-            ShardCallError::Serve(s) => NetError::Serve(s),
-        }
+impl From<WireError> for NetError {
+    fn from(e: WireError) -> NetError {
+        NetError::Wire(e)
     }
 }
 
@@ -93,12 +92,12 @@ impl Shard for ShardConn {
     type Error = NetError;
 
     fn explain(&self, request: &ExplainRequest) -> Result<ExplainResponse, NetError> {
-        Ok(ShardConn::explain(self, request)?)
+        ShardConn::explain(self, request)
     }
 
     fn register(&self, r: &Registration) -> Result<u64, NetError> {
         let (id, model, names) = (&r.model_id, &r.model, &r.feature_names);
-        Ok(ShardConn::register(self, id, model, names, &r.background)?)
+        ShardConn::register(self, id, model, names, &r.background)
     }
 
     fn stats(&self) -> Option<ServeStats> {
@@ -107,8 +106,8 @@ impl Shard for ShardConn {
 
     fn drain(&self) -> Result<u64, NetError> {
         match ShardConn::drain(self) {
-            Err(ShardCallError::Wire(WireError::ConnectionLost(_))) => Ok(0),
-            outcome => Ok(outcome?),
+            Err(NetError::Wire(WireError::ConnectionLost(_))) => Ok(0),
+            outcome => outcome,
         }
     }
 

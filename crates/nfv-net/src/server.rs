@@ -26,11 +26,14 @@
 //! rare control traffic and ordering relative to explains is already
 //! only rid-correlated.
 //!
-//! Draining: on [`crate::frame::MsgType::Drain`] the shard flips its `draining` flag
-//! (new explains are rejected with `ShuttingDown`), and the loop waits —
-//! event-driven, no busy-wait — for in-flight completions to reach zero.
-//! It then queues `DrainOk { completed }` to every drain requester,
-//! flushes all write buffers, and exits.
+//! Draining: on [`crate::frame::MsgType::Drain`] the loop records the
+//! requester (while one waits, new explains are rejected with
+//! `ShuttingDown`), and waits — event-driven, no busy-wait — for its
+//! in-flight completions to reach zero. It then queues
+//! `DrainOk { completed }` to every drain requester, flushes all write
+//! buffers, and exits. The in-flight count and the drain's progress are
+//! the loop's own state (`LoopState`), not shared atomics: no other
+//! thread reads them.
 //!
 //! Fail-loud: any frame that does not parse — bad magic, another protocol
 //! version, bad checksum, oversized length — increments `protocol_errors`
@@ -76,14 +79,33 @@ impl Default for ShardConfig {
     }
 }
 
+/// What the event loop shares with other threads: the handle's readers
+/// and `stop`. What only the loop touches is `LoopState`.
 struct ShardInner {
     engine: Engine,
-    draining: AtomicBool,
     stop: AtomicBool,
-    in_flight: AtomicU64,
     completed: AtomicU64,
     protocol_errors: AtomicU64,
     waker: Arc<Waker>,
+}
+
+/// The event loop's own state: no other thread reads or writes it.
+#[derive(Default)]
+struct LoopState {
+    /// Explains submitted and not yet routed back.
+    in_flight: u64,
+    /// Connections that asked for a drain, and the rid to answer under.
+    drain_waiters: Vec<(usize, u64)>,
+    /// Set once DrainOk frames are queued; the loop then exits as soon as
+    /// every write buffer is flushed.
+    finishing: bool,
+}
+
+impl LoopState {
+    /// A drain was asked for: new explains are rejected `ShuttingDown`.
+    fn draining(&self) -> bool {
+        self.finishing || !self.drain_waiters.is_empty()
+    }
 }
 
 /// A finished explain headed back to the event loop for batching onto its
@@ -141,9 +163,7 @@ impl ShardServer {
         let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
         let inner = Arc::new(ShardInner {
             engine: Engine::start(cfg.serve),
-            draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             waker,
@@ -247,11 +267,7 @@ fn event_loop(mut poll: Poll, listener: TcpListener, inner: Arc<ShardInner>, max
     let mut events = Events::with_capacity(256);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_id = CONN_BASE;
-    // Connections that asked for a drain and the rid to answer under.
-    let mut drain_waiters: Vec<(usize, u64)> = Vec::new();
-    // Set once DrainOk frames are queued; the loop then exits as soon as
-    // every write buffer is flushed.
-    let mut finishing = false;
+    let mut state = LoopState::default();
 
     'run: loop {
         if poll.poll(&mut events, None).is_err() {
@@ -267,14 +283,7 @@ fn event_loop(mut poll: Poll, listener: TcpListener, inner: Arc<ShardInner>, max
                 WAKER => inner.waker.drain(),
                 Token(id) => {
                     let fate = if event.is_readable() {
-                        handle_readable(
-                            id,
-                            &mut conns,
-                            &inner,
-                            &outbox,
-                            max_pipeline,
-                            &mut drain_waiters,
-                        )
+                        handle_readable(id, &mut conns, &inner, &outbox, max_pipeline, &mut state)
                     } else {
                         ConnFate::Keep
                     };
@@ -294,7 +303,7 @@ fn event_loop(mut poll: Poll, listener: TcpListener, inner: Arc<ShardInner>, max
         // accounting — the work happened, the peer just left.
         while let Ok(done) = done_rx.try_recv() {
             inner.completed.fetch_add(1, Ordering::SeqCst);
-            inner.in_flight.fetch_sub(1, Ordering::SeqCst);
+            state.in_flight -= 1;
             if let Some(conn) = conns.get_mut(&done.conn_id) {
                 conn.in_flight = conn.in_flight.saturating_sub(1);
                 queue_message(conn, &done.msg);
@@ -303,15 +312,15 @@ fn event_loop(mut poll: Poll, listener: TcpListener, inner: Arc<ShardInner>, max
         }
         // Event-driven drain: everything submitted has completed, so
         // answer every waiter and flip to the flush-and-exit state.
-        if !drain_waiters.is_empty() && inner.in_flight.load(Ordering::SeqCst) == 0 {
+        if !state.drain_waiters.is_empty() && state.in_flight == 0 {
             let completed = inner.completed.load(Ordering::SeqCst);
-            for (id, rid) in drain_waiters.drain(..) {
+            for (id, rid) in state.drain_waiters.drain(..) {
                 if let Some(conn) = conns.get_mut(&id) {
                     queue_message(conn, &Message::DrainOk { rid, completed });
                     touched.push(id);
                 }
             }
-            finishing = true;
+            state.finishing = true;
         }
         touched.sort_unstable();
         touched.dedup();
@@ -320,7 +329,7 @@ fn event_loop(mut poll: Poll, listener: TcpListener, inner: Arc<ShardInner>, max
                 close_conn(id, &mut poll, &mut conns);
             }
         }
-        if finishing && conns.values().all(|c| c.pending_write() == 0) {
+        if state.finishing && conns.values().all(|c| c.pending_write() == 0) {
             inner.stop.store(true, Ordering::SeqCst);
             break 'run;
         }
@@ -429,7 +438,7 @@ fn handle_readable(
     inner: &Arc<ShardInner>,
     outbox: &Arc<Outbox>,
     max_pipeline: u64,
-    drain_waiters: &mut Vec<(usize, u64)>,
+    state: &mut LoopState,
 ) -> ConnFate {
     let Some(conn) = conns.get_mut(&id) else {
         return ConnFate::Keep;
@@ -483,23 +492,11 @@ fn handle_readable(
             break;
         }
         let payload = take_payload(&mut conn.read_buf, &mut consumed, len);
-        let msg = match Message::decode_payload(t, payload) {
-            Ok(m) => m,
-            Err(_) => {
-                fate = ConnFate::Protocol;
-                break;
-            }
-        };
-        match handle_message(id, conn, inner, outbox, max_pipeline, msg) {
-            HandleResult::Continue => {}
-            HandleResult::Drain { rid } => {
-                drain_waiters.push((id, rid));
-                inner.draining.store(true, Ordering::SeqCst);
-            }
-            HandleResult::Protocol => {
-                fate = ConnFate::Protocol;
-                break;
-            }
+        let handled = Message::decode_payload(t, payload)
+            .map(|msg| handle_message(id, conn, inner, outbox, max_pipeline, state, msg));
+        if !matches!(handled, Ok(ConnFate::Keep)) {
+            fate = ConnFate::Protocol;
+            break;
         }
     }
     if consumed > 0 {
@@ -535,20 +532,17 @@ fn take_payload(read_buf: &mut Vec<u8>, consumed: &mut usize, len: usize) -> byt
     payload
 }
 
-enum HandleResult {
-    Continue,
-    Drain { rid: u64 },
-    Protocol,
-}
-
+/// Handles one decoded message: `Protocol` when the peer sent a
+/// response type, `Keep` otherwise.
 fn handle_message(
     conn_id: usize,
     conn: &mut Conn,
     inner: &Arc<ShardInner>,
     outbox: &Arc<Outbox>,
     max_pipeline: u64,
+    state: &mut LoopState,
     msg: Message,
-) -> HandleResult {
+) -> ConnFate {
     match msg {
         Message::Explain(req) => {
             let rid = req.rid;
@@ -558,9 +552,9 @@ fn handle_message(
                     outcome: Err(ServeError::Rejected(reason)),
                 })
             };
-            if inner.draining.load(Ordering::SeqCst) {
+            if state.draining() {
                 queue_message(conn, &reject(RejectReason::ShuttingDown));
-                return HandleResult::Continue;
+                return ConnFate::Keep;
             }
             if conn.in_flight >= max_pipeline {
                 queue_message(
@@ -570,11 +564,11 @@ fn handle_message(
                         limit: max_pipeline,
                     }),
                 );
-                return HandleResult::Continue;
+                return ConnFate::Keep;
             }
             // Counted before the submit, settled when the loop routes the
             // completion: a hit answers inline, but still through the loop.
-            inner.in_flight.fetch_add(1, Ordering::SeqCst);
+            state.in_flight += 1;
             conn.in_flight += 1;
             let request = ExplainRequest {
                 model_id: req.model_id,
@@ -584,36 +578,31 @@ fn handle_message(
             };
             let reply = wire_reply(conn_id, rid, outbox);
             inner.engine.submit(request, reply);
-            HandleResult::Continue
         }
-        Message::Register(reg) => {
-            let reply = handle_register(inner, reg);
-            queue_message(conn, &reply);
-            HandleResult::Continue
-        }
+        Message::Register(reg) => queue_message(conn, &handle_register(inner, reg)),
         Message::Health { rid } => {
             let stats_json =
                 serde_json::to_string(&inner.engine.stats()).unwrap_or_else(|_| "{}".into());
             let reply = Message::HealthOk(WireHealth {
                 rid,
-                draining: inner.draining.load(Ordering::SeqCst),
+                draining: state.draining(),
                 queue_len: inner.engine.queue_len() as u64,
                 cache_len: inner.engine.cache_len() as u64,
                 protocol_errors: inner.protocol_errors.load(Ordering::Relaxed),
                 stats_json,
             });
             queue_message(conn, &reply);
-            HandleResult::Continue
         }
-        Message::Drain { rid } => HandleResult::Drain { rid },
+        Message::Drain { rid } => state.drain_waiters.push((conn_id, rid)),
         // Server-bound traffic only; a response type here is a
         // protocol error.
         Message::ExplainReply(_)
         | Message::RegisterOk { .. }
         | Message::RegisterErr { .. }
         | Message::HealthOk(_)
-        | Message::DrainOk { .. } => HandleResult::Protocol,
+        | Message::DrainOk { .. } => return ConnFate::Protocol,
     }
+    ConnFate::Keep
 }
 
 fn handle_register(inner: &ShardInner, reg: WireRegister) -> Message {

@@ -5,9 +5,9 @@
 //!   mislabelled `ExplainReply`;
 //! - a panicking plug-in cannot wedge the drain handshake (the engine
 //!   contains the panic and answers it, so the in-flight count settles);
-//! - a `ShardConn` rpc that races the reader's `fail_all` (pending entry
-//!   inserted after the map was drained) fails fast instead of stalling
-//!   out the full rpc timeout;
+//! - a `ShardConn` call made after its stream died fails fast (the
+//!   reader's `fail_all` took the pending map, so there is nowhere to
+//!   park) instead of stalling out the full rpc timeout;
 //! - `NetCluster::join` is not blocked by a slow in-flight explain (the
 //!   members lock is not held across RPCs);
 //! - pipelining deeper than the server's per-connection limit gets the
@@ -31,7 +31,7 @@ use nfv_xai::prelude::{
 };
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -179,7 +179,7 @@ fn register_failure_replies_with_typed_register_err() {
     server.join();
 }
 
-/// A registration failure reaches the client as `ShardCallError::Serve`.
+/// A registration failure reaches the client as `NetError::Serve`.
 #[test]
 fn client_register_surfaces_typed_failure() {
     let (server, addr) = start_server(ShardConfig::default());
@@ -205,7 +205,7 @@ fn client_register_surfaces_typed_failure() {
         )
         .unwrap_err();
     assert!(
-        matches!(err, ShardCallError::Serve(_)),
+        matches!(err, NetError::Serve(_)),
         "expected a serve-side registration failure, got {err:?}"
     );
     server.stop();
@@ -254,7 +254,7 @@ fn drain_completes_after_worker_panic() {
     assert!(
         matches!(
             err,
-            ShardCallError::Serve(ServeError::Internal(ref m)) if m.contains("panicked")
+            NetError::Serve(ServeError::Internal(ref m)) if m.contains("panicked")
         ),
         "expected the panic to answer as Internal, got {err:?}"
     );
@@ -273,49 +273,35 @@ fn drain_completes_after_worker_panic() {
     server.join();
 }
 
-/// Kill the connection inside the window between the rpc's liveness check
-/// and its pending-map insert: the reader's `fail_all` has already
-/// drained the map, so nothing will ever complete the entry. The call
-/// must fail fast, not sit out the full rpc timeout.
+/// Once the stream has died, a call fails at once: the reader's
+/// `fail_all` took the connection's pending map, so the call finds no map
+/// to park in and never sits out the rpc timeout.
 #[test]
 fn rpc_inserted_after_fail_all_fails_fast() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let server_side: Arc<Mutex<Option<TcpStream>>> = Arc::new(Mutex::new(None));
-    {
-        let server_side = Arc::clone(&server_side);
-        thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            *server_side.lock().unwrap() = Some(stream);
-        });
-    }
+    let server_side = thread::spawn(move || listener.accept().unwrap().0);
     let rpc_timeout = Duration::from_secs(10);
-    let conn = Arc::new(ShardConn::connect(&addr, MAX_PAYLOAD, rpc_timeout).unwrap());
-    // Wait for the accept side to hold the socket.
-    while server_side.lock().unwrap().is_none() {
-        thread::sleep(Duration::from_millis(1));
+    let conn = ShardConn::connect(&addr, MAX_PAYLOAD, rpc_timeout).unwrap();
+    // Close the server side: the reader reads EOF and runs `fail_all`.
+    drop(server_side.join().unwrap());
+    let lost = |err: &NetError| matches!(err, NetError::Wire(WireError::ConnectionLost(_)));
+    // A call made before the reader has seen the close parks, and
+    // `fail_all` fails it; wait for the first ConnectionLost.
+    let t0 = Instant::now();
+    while !lost(&conn.explain(&explain_request("m")).unwrap_err()) {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "the close never reached the connection"
+        );
     }
-    let hook_conn = Arc::clone(&conn);
-    conn.set_rpc_race_hook(Box::new(move || {
-        // Drop the server side: the reader sees EOF and runs `fail_all`
-        // (alive := false, pending map drained) while this rpc is parked
-        // between its liveness check and its insert.
-        drop(server_side.lock().unwrap().take());
-        let t0 = Instant::now();
-        while hook_conn.is_alive() && t0.elapsed() < Duration::from_secs(5) {
-            thread::sleep(Duration::from_millis(1));
-        }
-        assert!(!hook_conn.is_alive(), "reader never noticed the close");
-        // `fail_all` stores the flag before draining; give the drain
-        // itself a beat to finish so the insert truly lands afterwards.
-        thread::sleep(Duration::from_millis(20));
-    }));
+    assert!(!conn.is_alive(), "a failed stream leaves no pending map");
 
     let t0 = Instant::now();
     let err = conn.explain(&explain_request("m")).unwrap_err();
     let elapsed = t0.elapsed();
     assert!(
-        matches!(err, ShardCallError::Wire(WireError::ConnectionLost(_))),
+        lost(&err),
         "expected a fail-fast ConnectionLost, got {err:?}"
     );
     assert!(
@@ -345,7 +331,6 @@ fn join_is_not_blocked_by_a_slow_explain() {
 
     let cfg = NetClusterConfig {
         rpc_timeout: Duration::from_secs(3),
-        ..NetClusterConfig::default()
     };
     let cluster = Arc::new(cfg.connect(std::slice::from_ref(&stall_addr)).unwrap());
     let slow = {
@@ -469,7 +454,7 @@ fn unknown_method_over_the_wire_gets_a_typed_reject() {
         })
         .unwrap_err();
     match err {
-        ShardCallError::Serve(ServeError::Rejected(RejectReason::UnknownMethod { ref method })) => {
+        NetError::Serve(ServeError::Rejected(RejectReason::UnknownMethod { ref method })) => {
             assert!(
                 method.starts_with('#'),
                 "the shard knows no name for the id: {method}"

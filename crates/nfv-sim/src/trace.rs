@@ -43,10 +43,10 @@ fn put_histogram(buf: &mut BytesMut, h: &LatencyHistogram) {
     buf.put_u16_le(u16::MAX);
 }
 
-/// Shared truncation check: the [`wire::ensure`] helper with the error
-/// mapped into this codec's [`SimError::Config`].
+/// Shared truncation check: the [`wire::ensure`] helper with its
+/// [`wire::CodecError`] mapped into this codec's [`SimError::Config`].
 fn need(buf: &Bytes, n: usize, what: &str) -> Result<(), SimError> {
-    wire::ensure(buf, n, what).map_err(SimError::Config)
+    wire::ensure(buf, n, what).map_err(|e| SimError::Config(e.to_string()))
 }
 
 fn get_histogram(buf: &mut Bytes) -> Result<LatencyHistogram, SimError> {

@@ -7,10 +7,30 @@
 //! length-prefixed string/float-slice codecs, and the FNV-1a checksum used
 //! to detect corrupted frames.
 //!
-//! All errors are plain `String` messages; callers wrap them in their own
-//! error enums (`SimError::Config`, `WireError::Truncated`, …).
+//! A read fails with a [`CodecError`]: too few bytes, or bytes that hold
+//! no valid value. Callers map it into their own error enums
+//! (`SimError::Config`; `WireError::Truncated` / `WireError::Decode`).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::fmt;
+
+/// Why a bounded read failed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CodecError {
+    /// Fewer bytes remain than the field needs.
+    Short(String),
+    /// The bytes are there, but the value is not: over its cap, or a
+    /// string that is not UTF-8.
+    Invalid(String),
+}
+
+impl fmt::Display for CodecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CodecError::Short(m) | CodecError::Invalid(m) => f.write_str(m),
+        }
+    }
+}
 
 /// FNV-1a 64-bit over raw bytes: the frame checksum. Stable across runs
 /// and platforms (unlike `DefaultHasher`), dependency-free, and fast
@@ -24,38 +44,38 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fails with a truncation message unless `n` bytes remain in `buf`.
-pub fn ensure(buf: &impl Buf, n: usize, what: &str) -> Result<(), String> {
+/// Fails with [`CodecError::Short`] unless `n` bytes remain in `buf`.
+pub fn ensure(buf: &impl Buf, n: usize, what: &str) -> Result<(), CodecError> {
     if buf.remaining() < n {
-        Err(format!(
+        Err(CodecError::Short(format!(
             "truncated {what}: need {n} bytes, have {}",
             buf.remaining()
-        ))
+        )))
     } else {
         Ok(())
     }
 }
 
 /// Bounds-checked `u8` read.
-pub fn get_u8(buf: &mut Bytes, what: &str) -> Result<u8, String> {
+pub fn get_u8(buf: &mut Bytes, what: &str) -> Result<u8, CodecError> {
     ensure(buf, 1, what)?;
     Ok(Buf::get_u8(buf))
 }
 
 /// Bounds-checked little-endian `u16` read.
-pub fn get_u16(buf: &mut Bytes, what: &str) -> Result<u16, String> {
+pub fn get_u16(buf: &mut Bytes, what: &str) -> Result<u16, CodecError> {
     ensure(buf, 2, what)?;
     Ok(buf.get_u16_le())
 }
 
 /// Bounds-checked little-endian `u32` read.
-pub fn get_u32(buf: &mut Bytes, what: &str) -> Result<u32, String> {
+pub fn get_u32(buf: &mut Bytes, what: &str) -> Result<u32, CodecError> {
     ensure(buf, 4, what)?;
     Ok(buf.get_u32_le())
 }
 
 /// Bounds-checked little-endian `u64` read.
-pub fn get_u64(buf: &mut Bytes, what: &str) -> Result<u64, String> {
+pub fn get_u64(buf: &mut Bytes, what: &str) -> Result<u64, CodecError> {
     ensure(buf, 8, what)?;
     Ok(buf.get_u64_le())
 }
@@ -63,7 +83,7 @@ pub fn get_u64(buf: &mut Bytes, what: &str) -> Result<u64, String> {
 /// Bounds-checked `f64` read. The encoding is the IEEE-754 bit pattern in
 /// little-endian order, so values — including NaN payloads and signed
 /// zeros — round-trip bit-exactly.
-pub fn get_f64(buf: &mut Bytes, what: &str) -> Result<f64, String> {
+pub fn get_f64(buf: &mut Bytes, what: &str) -> Result<f64, CodecError> {
     ensure(buf, 8, what)?;
     Ok(f64::from_bits(buf.get_u64_le()))
 }
@@ -77,15 +97,16 @@ pub fn put_str(buf: &mut BytesMut, s: &str) {
 /// Reads a `u32`-length-prefixed UTF-8 string of at most `max_len` bytes.
 /// The length is validated against both the cap and the remaining buffer
 /// *before* any allocation, so a hostile prefix cannot trigger OOM.
-pub fn get_str(buf: &mut Bytes, max_len: usize, what: &str) -> Result<String, String> {
+pub fn get_str(buf: &mut Bytes, max_len: usize, what: &str) -> Result<String, CodecError> {
     let len = get_u32(buf, what)? as usize;
     if len > max_len {
-        return Err(format!("{what}: string length {len} exceeds cap {max_len}"));
+        let over = format!("{what}: string length {len} exceeds cap {max_len}");
+        return Err(CodecError::Invalid(over));
     }
     ensure(buf, len, what)?;
     let mut raw = vec![0u8; len];
     buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| format!("{what}: invalid UTF-8"))
+    String::from_utf8(raw).map_err(|_| CodecError::Invalid(format!("{what}: invalid UTF-8")))
 }
 
 /// Appends a `u32`-count-prefixed slice of `f64` bit patterns.
@@ -98,10 +119,12 @@ pub fn put_f64s(buf: &mut BytesMut, values: &[f64]) {
 
 /// Reads a `u32`-count-prefixed `f64` vector of at most `max_len` values,
 /// validating the count against the remaining bytes before allocating.
-pub fn get_f64s(buf: &mut Bytes, max_len: usize, what: &str) -> Result<Vec<f64>, String> {
+pub fn get_f64s(buf: &mut Bytes, max_len: usize, what: &str) -> Result<Vec<f64>, CodecError> {
     let n = get_u32(buf, what)? as usize;
     if n > max_len {
-        return Err(format!("{what}: {n} values exceed cap {max_len}"));
+        return Err(CodecError::Invalid(format!(
+            "{what}: {n} values exceed cap {max_len}"
+        )));
     }
     ensure(buf, n * 8, what)?;
     let mut out = Vec::with_capacity(n);
@@ -132,7 +155,10 @@ mod tests {
         let mut buf = BytesMut::new();
         put_str(&mut buf, "too long for the cap");
         let mut b = buf.freeze();
-        assert!(get_str(&mut b, 4, "tag").unwrap_err().contains("cap"));
+        assert!(matches!(
+            get_str(&mut b, 4, "tag"),
+            Err(CodecError::Invalid(_))
+        ));
     }
 
     #[test]
@@ -159,9 +185,10 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u32_le(u32::MAX);
         let mut b = buf.freeze();
-        assert!(get_str(&mut b, usize::MAX, "s")
-            .unwrap_err()
-            .contains("truncated"));
+        assert!(matches!(
+            get_str(&mut b, usize::MAX, "s"),
+            Err(CodecError::Short(_))
+        ));
     }
 
     #[test]
