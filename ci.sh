@@ -122,6 +122,29 @@ for f in crates/nfv-serve/src/*.rs; do
   fi
 done
 
+# One-enumeration invariant: exact, grouped and interaction Shapley are
+# one `2^k` coalition table (`shapley::exact::Enumeration`) with one guard,
+# one plan and one chunked run. A second `check_stackable(` call in
+# crates/core/src (outside #[cfg(test)] and comments) is a second
+# enumeration planning on its own; a `fn fusable` anywhere but the trait
+# default and TreeSHAP is a method that has stopped planning.
+echo "==> one-enumeration check (one check_stackable call; only TreeSHAP overrides fusable)"
+calls=0
+owners=""
+for f in $(find crates/core/src -name '*.rs'); do
+  src=$(awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -v '^[[:space:]]*//')
+  n=$(grep 'check_stackable(' <<<"$src" | grep -vc 'fn check_stackable(' || true)
+  calls=$((calls + n))
+  owners="$owners$(awk '/^(pub )?trait |^impl /{owner=$0} /fn fusable/{print owner}' <<<"$src")"$'\n'
+done
+owners=$(grep -v '^$' <<<"$owners" | sort)
+expected=$(printf '%s\n' 'impl Explainer for TreeShapExplainer {' 'pub trait Explainer: Send + Sync {' | sort)
+if [ "$calls" -ne 1 ] || [ "$owners" != "$expected" ]; then
+  echo "FAIL: $calls check_stackable call(s) in crates/core/src (want 1); fusable defined by:"
+  echo "$owners"
+  exit 1
+fi
+
 # One-thread-owner invariant: the worker pool is the serving crate's only
 # compute loop, and `worker.rs` owns its threads. A `thread::Builder` or
 # `thread::spawn` in another nfv-serve/src file (outside #[cfg(test)]) is a

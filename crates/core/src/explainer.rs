@@ -22,32 +22,27 @@
 //!
 //! LIME is fusable too: its Gaussian perturbations are rows like any
 //! composite, so it plans them into the block and fits its surrogate at
-//! finish. Non-fusable methods (TreeSHAP walks tree structure and
-//! evaluates no rows; `interactions` enumerates its `2^d` coalitions
-//! through the chunked [`Background::coalition_values_into`] and has no
-//! plan/finish split; PDP/counterfactual produce non-attribution
-//! artifacts and stay free functions) refuse in [`Explainer::plan`] and
-//! implement [`Explainer::direct`]; a scheduler serves a request whose plan
-//! refuses through `direct()`, alone.
+//! finish. TreeSHAP is the one built-in that does not plan: it walks tree
+//! structure and evaluates no rows, so it refuses in [`Explainer::plan`]
+//! and implements [`Explainer::direct`]; a scheduler serves a request
+//! whose plan refuses through `direct()`, alone. (PDP and counterfactuals
+//! produce non-attribution artifacts and stay free functions.)
 //!
 //! [`Explainer::direct`] *is* that pipeline for one request: the default
 //! implementation plans into the workspace's own block, evaluates it and
-//! finishes. Only the two enumerating methods override it — exact and
-//! grouped Shapley stack `2^d × n_bg` rows, so alone they run their free
-//! functions, which are the same three steps chunk by chunk
-//! ([`Background::coalition_values_into`]) and keep memory bounded.
+//! finishes. Only the exact enumerations override it —
+//! [`crate::shapley::Enumeration`] serves exact, grouped and interaction
+//! Shapley from one `2^k`-coalition table, and alone it runs the same
+//! three steps chunk by chunk ([`Background::coalition_values_into`]) so
+//! memory stays bounded; its plan refuses past the workspace chunk.
 
 use crate::background::{Background, CoalitionWorkspace, FusedBlock};
 use crate::explanation::Attribution;
-use crate::grouped::{
-    grouped_shapley, grouped_shapley_finish, grouped_shapley_plan, FeatureGroups, GroupedShapPlan,
-};
 use crate::lime::{lime_finish, lime_plan, LimeConfig, LimePlan};
 use crate::permutation::{instance_permutation_finish, instance_permutation_plan, PermutationPlan};
 use crate::shapley::{
-    exact_shapley, exact_shapley_finish, exact_shapley_plan, kernel_shap_finish, kernel_shap_plan,
-    sampling_shapley_finish, sampling_shapley_plan, ExactShapPlan, KernelShapConfig,
-    KernelShapPlan, SamplingConfig, SamplingPlan,
+    kernel_shap_finish, kernel_shap_plan, sampling_shapley_finish, sampling_shapley_plan,
+    KernelShapConfig, KernelShapPlan, SamplingConfig, SamplingPlan,
 };
 use crate::XaiError;
 use nfv_ml::model::Regressor;
@@ -113,26 +108,6 @@ impl ExplainPlan for SamplingPlan {
     }
 }
 
-impl ExplainPlan for ExactShapPlan {
-    fn n_rows(&self) -> usize {
-        ExactShapPlan::n_rows(self)
-    }
-    fn finish(&self, block: &FusedBlock, names: &[String]) -> Result<Attribution, XaiError> {
-        exact_shapley_finish(self, block, names)
-    }
-}
-
-impl ExplainPlan for GroupedShapPlan {
-    fn n_rows(&self) -> usize {
-        GroupedShapPlan::n_rows(self)
-    }
-    fn finish(&self, block: &FusedBlock, _names: &[String]) -> Result<Attribution, XaiError> {
-        // Grouped attributions are labeled by the plan's group names, not
-        // the model's feature names.
-        grouped_shapley_finish(self, block)
-    }
-}
-
 impl ExplainPlan for PermutationPlan {
     fn n_rows(&self) -> usize {
         PermutationPlan::n_rows(self)
@@ -172,9 +147,9 @@ pub trait Explainer: Send + Sync {
     /// Reserves this request's composite rows in `block` and returns the
     /// deferred finish half. Non-fusable methods return an error. A plan
     /// that refuses appends nothing, and a scheduler serves that request
-    /// through [`Explainer::direct`] instead: the exact and grouped
-    /// enumerations refuse past the workspace chunk, which `direct()`
-    /// evaluates chunk by chunk.
+    /// through [`Explainer::direct`] instead: the exact enumerations
+    /// refuse past the workspace chunk, which `direct()` evaluates chunk
+    /// by chunk.
     fn plan(
         &self,
         ctx: &ExplainContext<'_>,
@@ -287,66 +262,6 @@ impl Explainer for SamplingShapleyExplainer {
     }
 }
 
-/// Exact (full-enumeration) Shapley behind the [`Explainer`] trait.
-/// Deterministic — the context seed is ignored.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExactShapleyExplainer;
-
-impl Explainer for ExactShapleyExplainer {
-    fn tag(&self) -> &'static str {
-        "exact-shapley"
-    }
-    fn plan(
-        &self,
-        ctx: &ExplainContext<'_>,
-        ws: &mut CoalitionWorkspace,
-        block: &mut FusedBlock,
-    ) -> Result<Box<dyn ExplainPlan>, XaiError> {
-        exact_shapley_plan(ctx.x, ctx.background, ws, block)
-            .map(|p| Box::new(p) as Box<dyn ExplainPlan>)
-    }
-    /// Chunked: alone, `2^d × n_bg` rows must not be stacked at once.
-    fn direct(
-        &self,
-        ctx: &ExplainContext<'_>,
-        _ws: &mut CoalitionWorkspace,
-    ) -> Result<Attribution, XaiError> {
-        exact_shapley(ctx.model, ctx.x, ctx.background, ctx.names)
-    }
-}
-
-/// Grouped (Owen-style) Shapley behind the [`Explainer`] trait. Carries
-/// its feature grouping; the produced attribution is per-*group*, so it
-/// ignores the context's feature names. Deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupedShapleyExplainer {
-    /// The feature partition to attribute over.
-    pub groups: FeatureGroups,
-}
-
-impl Explainer for GroupedShapleyExplainer {
-    fn tag(&self) -> &'static str {
-        "grouped-shapley"
-    }
-    fn plan(
-        &self,
-        ctx: &ExplainContext<'_>,
-        ws: &mut CoalitionWorkspace,
-        block: &mut FusedBlock,
-    ) -> Result<Box<dyn ExplainPlan>, XaiError> {
-        grouped_shapley_plan(ctx.x, ctx.background, &self.groups, ws, block)
-            .map(|p| Box::new(p) as Box<dyn ExplainPlan>)
-    }
-    /// Chunked: alone, `2^G × n_bg` rows must not be stacked at once.
-    fn direct(
-        &self,
-        ctx: &ExplainContext<'_>,
-        _ws: &mut CoalitionWorkspace,
-    ) -> Result<Attribution, XaiError> {
-        grouped_shapley(ctx.model, ctx.x, ctx.background, &self.groups)
-    }
-}
-
 /// Per-instance permutation (single-feature ablation) behind the
 /// [`Explainer`] trait. Deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -398,8 +313,11 @@ impl Explainer for LimeExplainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grouped::FeatureGroups;
+    use crate::shapley::Enumeration;
     use nfv_data::prelude::*;
     use nfv_ml::prelude::*;
+    use std::sync::Arc;
 
     struct Fixture {
         model: Gbdt,
@@ -441,14 +359,17 @@ mod tests {
                 n_permutations: 6,
                 antithetic: true,
             }),
-            Box::new(ExactShapleyExplainer),
-            Box::new(GroupedShapleyExplainer {
-                groups: FeatureGroups::new(vec!["a".into(), "b".into()], vec![0, 0, 0, 1, 1])
-                    .unwrap(),
-            }),
+            Box::new(Enumeration::Features),
+            Box::new(grouped()),
+            Box::new(Enumeration::Interactions),
             Box::new(PermutationExplainer),
             Box::new(LimeExplainer { n_samples: 64 }),
         ]
+    }
+
+    fn grouped() -> Enumeration {
+        let groups = FeatureGroups::new(vec!["a".into(), "b".into()], vec![0, 0, 0, 1, 1]).unwrap();
+        Enumeration::Groups(Arc::new(groups))
     }
 
     // Exercises the trait's default `direct` under an explainer that
@@ -486,9 +407,13 @@ mod tests {
         let mut block = FusedBlock::default();
         let all = explainers();
         let fusable: Vec<&Box<dyn Explainer>> = all.iter().filter(|e| e.fusable()).collect();
-        assert_eq!(fusable.len(), 6, "the Shapley family, permutation and LIME");
+        assert_eq!(
+            fusable.len(),
+            7,
+            "the Shapley family, interactions, permutation and LIME"
+        );
 
-        // All six methods plan into ONE shared block, one evaluation.
+        // All seven methods plan into ONE shared block, one evaluation.
         let plans: Vec<Box<dyn ExplainPlan>> = fusable
             .iter()
             .map(|e| e.plan(&ctx(&f), &mut ws, &mut block).unwrap())
@@ -517,31 +442,25 @@ mod tests {
 
     #[test]
     fn chunked_overrides_match_the_default_direct_bitwise() {
-        // The two enumerating methods answer alone through their chunked
-        // free functions; the single-block default must give the same bits.
+        // The exact enumerations answer alone chunk by chunk; the
+        // single-block default must give the same bits.
         let f = fixture();
         let mut ws = CoalitionWorkspace::default();
-        let same = |a: Attribution, b: Attribution| {
-            assert_eq!(a.method, b.method);
-            assert_eq!(a.base_value.to_bits(), b.base_value.to_bits());
-            assert_eq!(a.prediction.to_bits(), b.prediction.to_bits());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a.values), bits(&b.values), "{}", a.method);
-        };
-        let exact = ExactShapleyExplainer;
-        same(
-            DefaultDirect(exact).direct(&ctx(&f), &mut ws).unwrap(),
-            exact.direct(&ctx(&f), &mut ws).unwrap(),
-        );
-        let grouped = GroupedShapleyExplainer {
-            groups: FeatureGroups::new(vec!["a".into(), "b".into()], vec![0, 0, 0, 1, 1]).unwrap(),
-        };
-        same(
-            DefaultDirect(grouped.clone())
-                .direct(&ctx(&f), &mut ws)
-                .unwrap(),
-            grouped.direct(&ctx(&f), &mut ws).unwrap(),
-        );
+        for e in [Enumeration::Features, grouped(), Enumeration::Interactions] {
+            same_bits(
+                DefaultDirect(e.clone()).direct(&ctx(&f), &mut ws).unwrap(),
+                e.direct(&ctx(&f), &mut ws).unwrap(),
+            );
+        }
+    }
+
+    fn same_bits(a: Attribution, b: Attribution) {
+        assert_eq!(a.method, b.method);
+        assert_eq!(a.names, b.names);
+        assert_eq!(a.base_value.to_bits(), b.base_value.to_bits());
+        assert_eq!(a.prediction.to_bits(), b.prediction.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.values), bits(&b.values), "{}", a.method);
     }
 
     #[test]
@@ -569,23 +488,20 @@ mod tests {
     }
 
     #[test]
-    fn non_fusable_methods_refuse_to_plan_but_serve_directly() {
-        use crate::methods::{InteractionsExplainer, TreeModel, TreeShapExplainer};
+    fn tree_shap_alone_refuses_to_plan_but_serves_directly() {
+        use crate::methods::{TreeModel, TreeShapExplainer};
         let f = fixture();
         let mut ws = CoalitionWorkspace::default();
         let mut block = FusedBlock::default();
         let tree = TreeShapExplainer {
-            trees: TreeModel::gbdt(std::sync::Arc::new(f.model.clone())),
+            trees: Arc::new(TreeModel::gbdt(Arc::new(f.model.clone()))),
         };
-        let non_fusable: [(&dyn Explainer, usize); 2] = [(&tree, 5), (&InteractionsExplainer, 25)];
-        for (e, len) in non_fusable {
-            assert!(!e.fusable(), "{}", e.tag());
-            assert!(e.plan(&ctx(&f), &mut ws, &mut block).is_err());
-            assert!(block.is_empty(), "failed plan must not leave rows behind");
-            let attr = e.direct(&ctx(&f), &mut ws).unwrap();
-            assert_eq!(attr.method, e.tag());
-            assert_eq!(attr.len(), len);
-        }
+        assert!(!tree.fusable());
+        assert!(tree.plan(&ctx(&f), &mut ws, &mut block).is_err());
+        assert!(block.is_empty(), "failed plan must not leave rows behind");
+        let attr = tree.direct(&ctx(&f), &mut ws).unwrap();
+        assert_eq!(attr.method, tree.tag());
+        assert_eq!(attr.len(), 5);
     }
 
     #[test]
@@ -593,10 +509,7 @@ mod tests {
         let f = fixture();
         let mut ws = CoalitionWorkspace::default();
         let mut block = FusedBlock::default();
-        let e = GroupedShapleyExplainer {
-            groups: FeatureGroups::new(vec!["a".into(), "b".into()], vec![0, 0, 0, 1, 1]).unwrap(),
-        };
-        let plan = e.plan(&ctx(&f), &mut ws, &mut block).unwrap();
+        let plan = grouped().plan(&ctx(&f), &mut ws, &mut block).unwrap();
         block.evaluate(&f.model);
         let attr = plan.finish(&block, &f.names).unwrap();
         assert_eq!(*attr.names, ["a".to_string(), "b".to_string()]);

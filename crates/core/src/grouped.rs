@@ -7,11 +7,14 @@
 //! answers that directly, is exact for any model, and needs only `2^G`
 //! coalition values for `G` groups (G = chain length + 1, tiny).
 
-use crate::background::{Background, CoalitionPlan, CoalitionWorkspace, FusedBlock};
+use crate::background::{Background, CoalitionWorkspace, FusedBlock};
+use crate::explainer::ExplainPlan;
 use crate::explanation::Attribution;
+use crate::shapley::exact::{Enumeration, EnumerationPlan};
 use crate::XaiError;
 use nfv_ml::model::Regressor;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Largest group count accepted by [`grouped_shapley`] — the method
 /// enumerates `2^G` coalitions, so this bounds a single explanation at
@@ -92,50 +95,9 @@ impl FeatureGroups {
     }
 }
 
-/// Guards; returns the group count `G` (the method enumerates `2^G`
-/// coalitions, coalition index == group mask).
-fn prepare(x: &[f64], background: &Background, groups: &FeatureGroups) -> Result<usize, XaiError> {
-    let d = x.len();
-    if d == 0 {
-        return Err(XaiError::Input("empty instance".into()));
-    }
-    if background.n_features() != d || groups.assignment.len() != d {
-        return Err(XaiError::Input(format!(
-            "shape mismatch: x {d}, background {}, assignment {}",
-            background.n_features(),
-            groups.assignment.len()
-        )));
-    }
-    let g = groups.len();
-    if g > MAX_GROUPS {
-        return Err(XaiError::Budget(format!(
-            "grouped Shapley enumerates 2^G coalitions; G = {g} is too large"
-        )));
-    }
-    Ok(g)
-}
-
-/// Membership of group mask `mask`: features of in-coalition groups come
-/// from `x`.
-fn group_membership(groups: &FeatureGroups) -> impl Fn(usize, &mut [bool]) + '_ {
-    |mask, members| {
-        for (j, m) in members.iter_mut().enumerate() {
-            *m = (mask >> groups.assignment[j]) & 1 == 1;
-        }
-    }
-}
-
-/// Reduces the group-coalition table `v` (all `2^G` masks) to per-group
-/// attributions.
-fn reduce(v: &[f64], group_names: &[String]) -> Attribution {
-    Attribution {
-        names: group_names.into(),
-        values: crate::shapley::exact::phi_from_mask_values(v, group_names.len()),
-        base_value: v[0],
-        prediction: v[v.len() - 1],
-        method: "grouped-shapley".into(),
-    }
-}
+/// The plan half of grouped Shapley ([`grouped_shapley_plan`]): the
+/// exact enumeration's plan, over group coalitions.
+pub type GroupedShapPlan = EnumerationPlan;
 
 /// Exact Shapley values over feature groups (Owen values with the trivial
 /// within-group allocation — the group total is reported, not split),
@@ -147,33 +109,8 @@ pub fn grouped_shapley(
     background: &Background,
     groups: &FeatureGroups,
 ) -> Result<Attribution, XaiError> {
-    let g = prepare(x, background, groups)?;
-    let mut v = Vec::with_capacity(1usize << g);
-    background.coalition_values_into(
-        model,
-        x,
-        1usize << g,
-        group_membership(groups),
-        &mut CoalitionWorkspace::default(),
-        &mut v,
-    );
-    Ok(reduce(&v, &groups.names))
-}
-
-/// The plan half of grouped Shapley for cross-request fusion: all `2^G`
-/// group-coalition composites stacked into the shared block, not yet
-/// evaluated; [`grouped_shapley_finish`] reduces them.
-#[derive(Debug, Clone)]
-pub struct GroupedShapPlan {
-    plan: CoalitionPlan,
-    group_names: Vec<String>,
-}
-
-impl GroupedShapPlan {
-    /// Composite rows this plan occupies in its block.
-    pub fn n_rows(&self) -> usize {
-        self.plan.n_rows()
-    }
+    let mut ws = CoalitionWorkspace::default();
+    Enumeration::Groups(Arc::new(groups.clone())).explain(model, x, background, &[], &mut ws)
 }
 
 /// Builds a [`GroupedShapPlan`] for `x`, appending its composite rows to
@@ -188,13 +125,7 @@ pub fn grouped_shapley_plan(
     ws: &mut CoalitionWorkspace,
     block: &mut FusedBlock,
 ) -> Result<GroupedShapPlan, XaiError> {
-    let g = prepare(x, background, groups)?;
-    background.check_stackable("grouped Shapley", 1usize << g)?;
-    let plan = background.plan_coalitions(x, 1usize << g, group_membership(groups), ws, block);
-    Ok(GroupedShapPlan {
-        plan,
-        group_names: groups.names.clone(),
-    })
+    Enumeration::Groups(Arc::new(groups.clone())).stack(x, background, ws, block)
 }
 
 /// Completes a [`GroupedShapPlan`] against its evaluated block with the
@@ -203,9 +134,7 @@ pub fn grouped_shapley_finish(
     plan: &GroupedShapPlan,
     block: &FusedBlock,
 ) -> Result<Attribution, XaiError> {
-    let mut v = Vec::with_capacity(plan.plan.n_coalitions());
-    plan.plan.values_into(block, &mut v);
-    Ok(reduce(&v, &plan.group_names))
+    plan.finish(block, &[])
 }
 
 #[cfg(test)]
@@ -301,27 +230,5 @@ mod tests {
         assert!(grouped_shapley(&model, &[], &bg, &groups).is_err());
         let wrong = FeatureGroups::new(vec!["a".into()], vec![0]).unwrap();
         assert!(grouped_shapley(&model, &[1.0, 2.0], &bg, &wrong).is_err());
-    }
-
-    #[test]
-    fn a_plan_past_the_chunk_is_refused_with_nothing_stacked() {
-        // 12 singleton groups → 4 096 group coalitions: one background row
-        // stacks the chunk exactly, two would stack 8 192 rows.
-        let d = 12;
-        let groups = FeatureGroups::new(names(d), (0..d).collect()).unwrap();
-        let x = vec![1.0; d];
-        let one = Background::from_rows(vec![vec![0.0; d]]).unwrap();
-        let two = Background::from_rows(vec![vec![0.0; d], vec![0.5; d]]).unwrap();
-        let mut ws = CoalitionWorkspace::default();
-        let mut block = FusedBlock::default();
-        let plan = grouped_shapley_plan(&x, &one, &groups, &mut ws, &mut block).unwrap();
-        assert_eq!(plan.n_rows(), 4096);
-        block.clear();
-        let err = grouped_shapley_plan(&x, &two, &groups, &mut ws, &mut block).unwrap_err();
-        assert!(matches!(err, XaiError::Budget(_)), "{err:?}");
-        assert!(block.is_empty(), "a refused plan appends nothing");
-        let model = FnModel::new(d, |x: &[f64]| x.iter().sum());
-        let g = grouped_shapley(&model, &x, &two, &groups).unwrap();
-        assert!(g.efficiency_gap().abs() < 1e-9);
     }
 }

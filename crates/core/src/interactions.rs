@@ -4,11 +4,13 @@
 //! throttle — the "higher-order explanation" the survey literature calls
 //! for beyond first-order heatmaps.
 //!
-//! Exact computation enumerates `2^d` coalition values, so it is bounded
-//! to small `d` like exact Shapley; the NFV use is stage-level (pass the
-//! grouped value function when d is large).
+//! Exact computation enumerates `2^d` coalition values — exact Shapley's
+//! table, read with a second reduction — so it is bounded to small `d`
+//! like exact Shapley; the NFV use is stage-level (pass the grouped value
+//! function when d is large).
 
 use crate::background::{Background, CoalitionWorkspace};
+use crate::shapley::exact::Enumeration;
 use crate::XaiError;
 use nfv_ml::model::Regressor;
 use serde::{Deserialize, Serialize};
@@ -83,48 +85,29 @@ impl InteractionMatrix {
 /// `w₂(s) = s!(d−s−2)!/(d−1)!`; the reported `Φ_{ij} = Φ_{ji} = Φ*_{ij}/2`
 /// (the pair total split evenly), and main effects are
 /// `Φ_{ii} = φ_i − Σ_{j≠i} Φ_{ij}` so rows sum to the Shapley values.
+/// The coalition table and φ are exact Shapley's
+/// ([`crate::shapley::Enumeration::Interactions`]), evaluated chunk by
+/// chunk.
 pub fn interaction_values(
     model: &dyn Regressor,
     x: &[f64],
     background: &Background,
     names: &[String],
 ) -> Result<InteractionMatrix, XaiError> {
-    let d = x.len();
-    if d < 2 {
-        return Err(XaiError::Input(
-            "interactions need at least two features".into(),
-        ));
-    }
-    if d > MAX_INTERACTION_FEATURES {
-        return Err(XaiError::Budget(format!(
-            "exact interactions limited to {MAX_INTERACTION_FEATURES} features, got {d}"
-        )));
-    }
-    if background.n_features() != d || names.len() != d {
-        return Err(XaiError::Input(format!(
-            "shape mismatch: x {d}, background {}, names {}",
-            background.n_features(),
-            names.len()
-        )));
-    }
-
-    // All coalition values once, block-evaluated (mask == coalition index).
-    let n_masks = 1usize << d;
-    let mut v = Vec::with_capacity(n_masks);
     let mut ws = CoalitionWorkspace::default();
-    background.coalition_values_into(
-        model,
-        x,
-        n_masks,
-        |mask, members| {
-            for (j, m) in members.iter_mut().enumerate() {
-                *m = (mask >> j) & 1 == 1;
-            }
-        },
-        &mut ws,
-        &mut v,
-    );
+    let flat = Enumeration::Interactions.explain(model, x, background, names, &mut ws)?;
+    Ok(InteractionMatrix {
+        names: names.to_vec(),
+        values: flat.values,
+        base_value: flat.base_value,
+        prediction: flat.prediction,
+    })
+}
 
+/// Reduces a full `2^d` coalition table `v` and its Shapley values `phi`
+/// to the row-major `d×d` interaction matrix of [`interaction_values`].
+pub(crate) fn interaction_matrix(v: &[f64], phi: &[f64]) -> Vec<f64> {
+    let d = phi.len();
     let mut fact = vec![1.0f64; d + 1];
     for i in 1..=d {
         fact[i] = fact[i - 1] * i as f64;
@@ -133,39 +116,28 @@ pub fn interaction_values(
     // (Grabisch–Roubens interaction index; the ½ appears only when the
     // pair total is split onto the two symmetric matrix entries below).
     let w2 = |s: usize| fact[s] * fact[d - s - 2] / fact[d - 1];
-    // Ordinary Shapley for the diagonal completion.
-    let w1 = |s: usize| fact[s] * fact[d - s - 1] / fact[d];
 
-    let mut phi = vec![0.0; d];
     let mut inter = vec![0.0; d * d];
     for (mask, &v_s) in v.iter().enumerate() {
         let s = mask.count_ones() as usize;
-        if s < d {
-            let w = w1(s);
-            for (i, p) in phi.iter_mut().enumerate() {
-                if (mask >> i) & 1 == 0 {
-                    *p += w * (v[mask | (1 << i)] - v_s);
-                }
-            }
+        if s > d - 2 {
+            continue;
         }
-        if s <= d - 2 {
-            let w = w2(s);
-            for i in 0..d {
-                if (mask >> i) & 1 == 1 {
+        let w = w2(s);
+        for i in 0..d {
+            if (mask >> i) & 1 == 1 {
+                continue;
+            }
+            for j in (i + 1)..d {
+                if (mask >> j) & 1 == 1 {
                     continue;
                 }
-                for j in (i + 1)..d {
-                    if (mask >> j) & 1 == 1 {
-                        continue;
-                    }
-                    let delta =
-                        v[mask | (1 << i) | (1 << j)] - v[mask | (1 << i)] - v[mask | (1 << j)]
-                            + v_s;
-                    let contribution = w * delta;
-                    // Split evenly onto both symmetric entries.
-                    inter[i * d + j] += contribution / 2.0;
-                    inter[j * d + i] += contribution / 2.0;
-                }
+                let delta =
+                    v[mask | (1 << i) | (1 << j)] - v[mask | (1 << i)] - v[mask | (1 << j)] + v_s;
+                let contribution = w * delta;
+                // Split evenly onto both symmetric entries.
+                inter[i * d + j] += contribution / 2.0;
+                inter[j * d + i] += contribution / 2.0;
             }
         }
     }
@@ -174,12 +146,23 @@ pub fn interaction_values(
         let off: f64 = (0..d).filter(|&j| j != i).map(|j| inter[i * d + j]).sum();
         inter[i * d + i] = phi[i] - off;
     }
-    Ok(InteractionMatrix {
-        names: names.to_vec(),
-        values: inter,
-        base_value: v[0],
-        prediction: v[n_masks - 1],
-    })
+    inter
+}
+
+/// The names of the flattened matrix's entries: `names[i]` on the
+/// diagonal, `"a×b"` off it.
+pub(crate) fn pair_names(names: &[String]) -> Vec<String> {
+    let mut out = Vec::with_capacity(names.len() * names.len());
+    for (i, a) in names.iter().enumerate() {
+        for (j, b) in names.iter().enumerate() {
+            out.push(if i == j {
+                a.clone()
+            } else {
+                format!("{a}×{b}")
+            });
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -242,6 +225,29 @@ mod tests {
         // Total conservation too.
         let total: f64 = from_matrix.iter().sum();
         assert!((total - (m.prediction - m.base_value)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_phi_behind_the_diagonal_is_exact_shapleys_bit_for_bit() {
+        // Φ_ii = φ_i − Σ_{j≠i} Φ_ij: with the off-diagonal sum taken in the
+        // matrix's own order, each diagonal entry must be exact Shapley's
+        // φ_i minus it, to the bit — the interaction table's φ is exact's.
+        let bg = Background::from_rows(vec![
+            vec![0.5, -1.0, 2.0, 0.0, 1.5],
+            vec![1.0, 1.0, -1.0, 1.0, -0.25],
+            vec![0.0, 0.3, 0.7, -0.5, 2.0],
+        ])
+        .unwrap();
+        let model = FnModel::new(5, |x: &[f64]| {
+            x[0] * x[1] + (x[2] - x[3]).powi(2) + 0.5 * x[0] * x[4].sin()
+        });
+        let x = [1.2, -0.7, 0.4, 1.9, 0.3];
+        let m = interaction_values(&model, &x, &bg, &names(5)).unwrap();
+        let phi = exact_shapley(&model, &x, &bg, &names(5)).unwrap().values;
+        for (i, p) in phi.iter().enumerate() {
+            let off: f64 = (0..5).filter(|&j| j != i).map(|j| m.get(i, j)).sum();
+            assert_eq!(m.get(i, i).to_bits(), (p - off).to_bits(), "row {i}");
+        }
     }
 
     #[test]

@@ -23,13 +23,16 @@
 //! | SAGE | [`sage`] | global | `O(P · R · d · |B|)` calls |
 //!
 //! The local attribution methods are additionally unified behind the
-//! object-safe [`explainer::Explainer`] trait: fusable methods (the
-//! Shapley family, per-instance permutation and LIME) split into a *plan*
-//! half that stacks model-input rows into a shared [`background::FusedBlock`]
-//! and a *finish* half that reduces the evaluated block. That pipeline is
-//! the only way those methods are computed — alone it runs with a group
-//! of one — so a serving layer can batch many requests, across methods,
-//! into single model evaluations without changing a bit of any answer.
+//! object-safe [`explainer::Explainer`] trait: every one but TreeSHAP (the
+//! sampled and exact Shapley family, interactions, per-instance
+//! permutation and LIME) splits into a *plan* half that stacks
+//! model-input rows into a shared [`background::FusedBlock`] and a
+//! *finish* half that reduces the evaluated block. That pipeline is the
+//! only way those methods are computed — alone it runs with a group of
+//! one — so a serving layer can batch many requests, across methods, into
+//! single model evaluations without changing a bit of any answer. Exact,
+//! grouped and interaction Shapley are one explainer,
+//! [`shapley::Enumeration`]: one `2^k`-coalition table, reduced two ways.
 //!
 //! Every function here runs on its caller's thread; the crate has no
 //! thread pool. Explaining a whole set in parallel is the serving layer's
@@ -115,8 +118,8 @@ pub mod prelude {
         FidelitySummary, RoarCurve, Stability, StabilityConfig,
     };
     pub use crate::explainer::{
-        ExactShapleyExplainer, ExplainContext, ExplainPlan, Explainer, GroupedShapleyExplainer,
-        KernelShapExplainer, LimeExplainer, PermutationExplainer, SamplingShapleyExplainer,
+        ExplainContext, ExplainPlan, Explainer, KernelShapExplainer, LimeExplainer,
+        PermutationExplainer, SamplingShapleyExplainer,
     };
     pub use crate::explanation::{mean_absolute_attribution, Attribution};
     pub use crate::grouped::{
@@ -128,8 +131,8 @@ pub mod prelude {
     };
     pub use crate::lime::{lime, lime_finish, lime_plan, LimeConfig, LimeExplanation, LimePlan};
     pub use crate::methods::{
-        method_id, InteractionsExplainer, MethodConfig, MethodDescriptor, MethodRegistry,
-        ModelCaps, TreeModel, TreeShapExplainer,
+        method_id, MethodConfig, MethodDescriptor, MethodRegistry, ModelCaps, TreeModel,
+        TreeShapExplainer,
     };
     pub use crate::pdp::{partial_dependence, PartialDependence};
     pub use crate::permutation::{
@@ -141,9 +144,9 @@ pub mod prelude {
     pub use crate::shapley::{
         ensemble_shap, exact_shapley, exact_shapley_finish, exact_shapley_plan, forest_shap,
         gbdt_shap, kernel_shap, kernel_shap_finish, kernel_shap_plan, sampling_shapley,
-        sampling_shapley_finish, sampling_shapley_plan, tree_shap, ExactShapPlan, KernelShapConfig,
-        KernelShapPlan, SamplingConfig, SamplingPlan, TreeShapConsts, TreeShapScratch,
-        MAX_EXACT_FEATURES,
+        sampling_shapley_finish, sampling_shapley_plan, tree_shap, Enumeration, EnumerationPlan,
+        ExactShapPlan, KernelShapConfig, KernelShapPlan, SamplingConfig, SamplingPlan,
+        TreeShapConsts, TreeShapScratch, MAX_EXACT_FEATURES,
     };
     pub use crate::surrogate::{global_surrogate, render_rules, Surrogate};
     pub use crate::XaiError;

@@ -61,13 +61,14 @@
 
 use crate::background::{CoalitionWorkspace, FusedBlock};
 use crate::explainer::{
-    ExactShapleyExplainer, ExplainContext, ExplainPlan, Explainer, GroupedShapleyExplainer,
-    KernelShapExplainer, LimeExplainer, PermutationExplainer, SamplingShapleyExplainer,
+    ExplainContext, ExplainPlan, Explainer, KernelShapExplainer, LimeExplainer,
+    PermutationExplainer, SamplingShapleyExplainer,
 };
 use crate::explanation::Attribution;
 use crate::grouped::{FeatureGroups, MAX_GROUPS};
-use crate::interactions::{interaction_values, MAX_INTERACTION_FEATURES};
-use crate::shapley::{ensemble_shap, TreeShapConsts, MAX_EXACT_FEATURES};
+use crate::interactions::MAX_INTERACTION_FEATURES;
+use crate::shapley::exact::check_players;
+use crate::shapley::{ensemble_shap, Enumeration, TreeShapConsts, MAX_EXACT_FEATURES};
 use crate::XaiError;
 use nfv_ml::forest::RandomForest;
 use nfv_ml::gbdt::Gbdt;
@@ -135,8 +136,9 @@ impl TreeModel {
 /// Everything a method factory may need to build an [`Explainer`] for one
 /// (model, method, service class) combination.
 ///
-/// Built by the serving layer per resolution; factories read only the
-/// fields they care about and must error (not panic) on missing ones.
+/// Built by the serving layer per resolution — reference counts on the
+/// model entry's state, no copies; factories read only the fields they
+/// care about and must error (not panic) on missing ones.
 #[derive(Clone, Default)]
 pub struct MethodConfig {
     /// The method's opaque budget word (e.g. coalition count for
@@ -145,11 +147,12 @@ pub struct MethodConfig {
     pub budget: u64,
     /// Feature count of the model being explained.
     pub n_features: usize,
-    /// Feature grouping, for group-valued methods (Owen/grouped Shapley).
-    pub groups: Option<FeatureGroups>,
-    /// The tree structure, when the model is a tree ensemble. TreeSHAP
-    /// requires it; other methods ignore it.
-    pub trees: Option<TreeModel>,
+    /// Feature grouping, for group-valued methods (Owen/grouped Shapley),
+    /// shared with the model entry that derived it.
+    pub groups: Option<Arc<FeatureGroups>>,
+    /// The tree structure, when the model is a tree ensemble, shared with
+    /// the model entry. TreeSHAP requires it; other methods ignore it.
+    pub trees: Option<Arc<TreeModel>>,
 }
 
 /// What a model can support, for per-method capability validation.
@@ -333,7 +336,7 @@ impl Default for MethodRegistry {
 #[derive(Clone)]
 pub struct TreeShapExplainer {
     /// The tree ensemble to walk.
-    pub trees: TreeModel,
+    pub trees: Arc<TreeModel>,
 }
 
 impl Explainer for TreeShapExplainer {
@@ -367,71 +370,12 @@ impl Explainer for TreeShapExplainer {
     }
 }
 
-/// Exact pairwise Shapley interaction values behind the [`Explainer`]
-/// trait — the first method added through the open registry rather than
-/// the legacy enum.
-///
-/// The `d×d` [`crate::interactions::InteractionMatrix`] is flattened
-/// row-major into a `d²`-entry [`Attribution`]: entry `(i, j)` is named
-/// `names[i]` on the diagonal and `"a×b"` off it. Because each row sums
-/// to the ordinary Shapley value φ_i, the flattened values still satisfy
-/// efficiency exactly (`Σ = f(x) − E[f]`), so the serving layer's
-/// quantized cache tier and report machinery work unchanged.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InteractionsExplainer;
-
-impl Explainer for InteractionsExplainer {
-    fn tag(&self) -> &'static str {
-        "interactions"
-    }
-    fn fusable(&self) -> bool {
-        false
-    }
-    fn plan(
-        &self,
-        _ctx: &ExplainContext<'_>,
-        _ws: &mut CoalitionWorkspace,
-        _block: &mut FusedBlock,
-    ) -> Result<Box<dyn ExplainPlan>, XaiError> {
-        Err(XaiError::Input(
-            "interactions produce a d×d matrix; they do not plan into a fused block".into(),
-        ))
-    }
-    fn direct(
-        &self,
-        ctx: &ExplainContext<'_>,
-        _ws: &mut CoalitionWorkspace,
-    ) -> Result<Attribution, XaiError> {
-        let m = interaction_values(ctx.model, ctx.x, ctx.background, ctx.names)?;
-        let d = m.len();
-        let mut names = Vec::with_capacity(d * d);
-        let mut values = Vec::with_capacity(d * d);
-        for i in 0..d {
-            for j in 0..d {
-                if i == j {
-                    names.push(ctx.names[i].clone());
-                } else {
-                    names.push(format!("{}×{}", ctx.names[i], ctx.names[j]));
-                }
-                values.push(m.get(i, j));
-            }
-        }
-        Ok(Attribution {
-            names: names.into(),
-            values,
-            base_value: m.base_value,
-            prediction: m.prediction,
-            method: "interactions".into(),
-        })
-    }
-}
-
 fn register_builtins(reg: &MethodRegistry) {
     reg.register_with_validator(
         "tree-shap",
         |cfg| match &cfg.trees {
             Some(trees) => Ok(Box::new(TreeShapExplainer {
-                trees: trees.clone(),
+                trees: Arc::clone(trees),
             })),
             None => Err(XaiError::Input("tree-shap requires a tree model".into())),
         },
@@ -465,57 +409,39 @@ fn register_builtins(reg: &MethodRegistry) {
     });
     reg.register_with_validator(
         "exact-shapley",
-        |_cfg| Ok(Box::new(ExactShapleyExplainer)),
+        |_cfg| Ok(Box::new(Enumeration::Features)),
         |caps| {
-            if caps.n_features <= MAX_EXACT_FEATURES {
-                Ok(())
-            } else {
-                Err(format!(
-                    "exact-shapley limited to {MAX_EXACT_FEATURES} features, got {}",
-                    caps.n_features
-                ))
-            }
+            check_players(
+                "exact-shapley",
+                "features",
+                caps.n_features,
+                1,
+                MAX_EXACT_FEATURES,
+            )
         },
     );
     reg.register_with_validator(
         "grouped-shapley",
         |cfg| match &cfg.groups {
-            Some(groups) => Ok(Box::new(GroupedShapleyExplainer {
-                groups: groups.clone(),
-            })),
+            Some(groups) => Ok(Box::new(Enumeration::Groups(Arc::clone(groups)))),
             None => Err(XaiError::Input(
                 "grouped-shapley requires feature groups".into(),
             )),
         },
-        |caps| {
-            if caps.n_groups <= MAX_GROUPS {
-                Ok(())
-            } else {
-                Err(format!(
-                    "grouped-shapley limited to {MAX_GROUPS} groups, got {}",
-                    caps.n_groups
-                ))
-            }
-        },
+        |caps| check_players("grouped-shapley", "groups", caps.n_groups, 1, MAX_GROUPS),
     );
     reg.register("permutation", |_cfg| Ok(Box::new(PermutationExplainer)));
     reg.register_with_validator(
         "interactions",
-        |_cfg| Ok(Box::new(InteractionsExplainer)),
+        |_cfg| Ok(Box::new(Enumeration::Interactions)),
         |caps| {
-            if caps.n_features < 2 {
-                Err(format!(
-                    "interactions need at least 2 features, got {}",
-                    caps.n_features
-                ))
-            } else if caps.n_features > MAX_INTERACTION_FEATURES {
-                Err(format!(
-                    "interactions limited to {MAX_INTERACTION_FEATURES} features, got {}",
-                    caps.n_features
-                ))
-            } else {
-                Ok(())
-            }
+            check_players(
+                "interactions",
+                "features",
+                caps.n_features,
+                2,
+                MAX_INTERACTION_FEATURES,
+            )
         },
     );
 }
@@ -653,7 +579,7 @@ mod tests {
             seed: 7,
         };
         let mut ws = CoalitionWorkspace::default();
-        let attr = InteractionsExplainer.direct(&ctx, &mut ws).unwrap();
+        let attr = Enumeration::Interactions.direct(&ctx, &mut ws).unwrap();
         assert_eq!(attr.values.len(), d * d);
         assert_eq!(attr.names.len(), d * d);
         assert_eq!(attr.method, "interactions");
@@ -663,7 +589,8 @@ mod tests {
             attr.efficiency_gap()
         );
         // Matches the raw matrix entry-for-entry.
-        let m = interaction_values(&model, &x, &background, &synth.data.names).unwrap();
+        let m = crate::interactions::interaction_values(&model, &x, &background, &synth.data.names)
+            .unwrap();
         for i in 0..d {
             for j in 0..d {
                 assert_eq!(attr.values[i * d + j], m.get(i, j));
@@ -691,7 +618,7 @@ mod tests {
         let expect = crate::shapley::gbdt_shap(&model, &x, &synth.data.names).unwrap();
         let model = Arc::new(model);
         let explainer = TreeShapExplainer {
-            trees: TreeModel::gbdt(Arc::clone(&model)),
+            trees: Arc::new(TreeModel::gbdt(Arc::clone(&model))),
         };
         let ctx = ExplainContext {
             model: model.as_ref(),
@@ -714,8 +641,8 @@ mod tests {
     #[test]
     fn registration_is_last_wins_and_names_sorted() {
         let reg = MethodRegistry::new();
-        reg.register("alpha", |_| Ok(Box::new(InteractionsExplainer)));
-        reg.register("beta", |_| Ok(Box::new(InteractionsExplainer)));
+        reg.register("alpha", |_| Ok(Box::new(Enumeration::Interactions)));
+        reg.register("beta", |_| Ok(Box::new(Enumeration::Interactions)));
         reg.register("alpha", |_| Ok(Box::new(PermutationExplainer)));
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.names(), vec!["alpha".to_string(), "beta".to_string()]);

@@ -8,6 +8,7 @@ pub mod tree;
 
 pub use exact::MAX_EXACT_FEATURES;
 pub use exact::{exact_shapley, exact_shapley_finish, exact_shapley_plan, ExactShapPlan};
+pub use exact::{Enumeration, EnumerationPlan};
 pub use kernel::{kernel_shap, kernel_shap_plan, KernelShapConfig};
 pub use kernel::{kernel_shap_finish, KernelShapPlan};
 pub use sampling::{sampling_shapley, sampling_shapley_finish, sampling_shapley_plan};

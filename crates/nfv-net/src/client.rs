@@ -11,7 +11,8 @@
 //! under one lock. The reader's read or decode error, or a caller's write
 //! error, takes the map and fails *every* parked call at once — callers
 //! never stall out a timeout waiting on a corpse — and the router
-//! reroutes.
+//! reroutes. Dropping a `ShardConn` shuts its socket down, which ends the
+//! reader the same way.
 
 use crate::frame::{read_frame, write_frame, WireError};
 use crate::msg::{Message, WireHealth, WireRegister, WireRequest, WireResponse};
@@ -20,7 +21,7 @@ use nfv_serve::prelude::*;
 use nfv_xai::prelude::Background;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -257,6 +258,16 @@ impl ShardConn {
                 other.msg_type()
             )))),
         }
+    }
+}
+
+impl Drop for ShardConn {
+    /// Shuts the socket down both ways, so the reader's read ends: it fails
+    /// whatever is still parked and exits, and its clone of the socket
+    /// closes with it. Without this the reader and the socket would live
+    /// until the peer closes.
+    fn drop(&mut self) {
+        let _ = self.writer.get_mut().shutdown(Shutdown::Both);
     }
 }
 

@@ -17,7 +17,9 @@
 //! - a frame of another protocol version closes its connection as a
 //!   protocol error and leaves the shard serving;
 //! - a cached explain is answered while misses wait on the engine's only
-//!   worker: the event loop submits it, and nothing queues it behind them.
+//!   worker: the event loop submits it, and nothing queues it behind them;
+//! - a dropped `ShardConn` leaves no reader thread or open socket behind,
+//!   though its peer never closes.
 
 use bytes::BufMut;
 use nfv_data::prelude::*;
@@ -308,6 +310,67 @@ fn rpc_inserted_after_fail_all_fails_fast() {
         elapsed < rpc_timeout / 2,
         "rpc stalled {elapsed:?} against a dead connection (timeout {rpc_timeout:?})"
     );
+}
+
+/// Live threads of this process named `nfv-net-reader` (read from
+/// `/proc/self/task/*/comm`).
+fn reader_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == "nfv-net-reader")
+        .count()
+}
+
+/// A dropped `ShardConn` takes its reader thread and socket with it, even
+/// when the peer never closes: the drop shuts the socket down, the
+/// reader's read ends, and the thread exits. The peer here keeps every
+/// accepted socket open. Sibling tests in this binary dial connections of
+/// their own, so the count runs in a child process that runs only this
+/// test.
+#[test]
+fn a_dropped_shard_conn_leaves_no_reader_thread() {
+    const CHILD: &str = "NFV_NET_DROPPED_CONN_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let status = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "a_dropped_shard_conn_leaves_no_reader_thread",
+                "--test-threads=1",
+            ])
+            .env(CHILD, "1")
+            .status()
+            .unwrap();
+        assert!(status.success(), "the child check failed: {status}");
+        return;
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let mut accepted = Vec::new();
+    for _ in 0..4 {
+        let conn = ShardConn::connect(&addr, MAX_PAYLOAD, Duration::from_secs(10)).unwrap();
+        accepted.push(listener.accept().unwrap().0);
+        let t0 = Instant::now();
+        while reader_threads() == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "no reader started");
+            thread::sleep(Duration::from_millis(1));
+        }
+        drop(conn);
+        let t0 = Instant::now();
+        while reader_threads() > 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "a dropped connection's reader still runs ({} alive)",
+                reader_threads()
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+    // Each peer sees the close: the socket went with the connection.
+    for mut peer in accepted {
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(peer.read(&mut [0u8; 1]).unwrap(), 0, "peer sees EOF");
+    }
 }
 
 /// A shard that sits on an explain for the full rpc timeout must not

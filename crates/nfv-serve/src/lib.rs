@@ -29,9 +29,9 @@
 //!   lone request included — into its persistent shared block, evaluates
 //!   the block with one `predict_block` call against the registry's packed
 //!   SoA tree engine and finishes each plan; a request whose plan refuses
-//!   (TreeSHAP, `interactions`) runs alone. Where a request's rows were
-//!   stacked never changes its bits, and steady-state serving does not
-//!   allocate on the hot path,
+//!   (TreeSHAP, an exact enumeration past the workspace chunk) runs alone.
+//!   Where a request's rows were stacked never changes its bits, and
+//!   steady-state serving does not allocate on the hot path,
 //! - **single-flight cache fills**: concurrent identical misses elect one
 //!   leader to compute; followers park on its flight and are answered
 //!   with its result instead of duplicating the evaluation,

@@ -192,7 +192,7 @@ pub(crate) fn job_for(
         background: Background::from_rows(vec![vec![0.0]]).unwrap(),
         packed: None,
         expected_output: 0.0,
-        groups: FeatureGroups::new(vec!["all".into()], vec![0]).unwrap(),
+        groups: Arc::new(FeatureGroups::new(vec!["all".into()], vec![0]).unwrap()),
         trees: None,
     });
     let request = ExplainRequest {

@@ -99,15 +99,17 @@ pub struct ModelEntry {
     /// Feature grouping for the grouped (Owen) Shapley method, derived
     /// from the feature names at registration: the standard per-stage NFV
     /// grouping when the names follow the telemetry schema, else a single
-    /// group holding every feature.
-    pub groups: FeatureGroups,
+    /// group holding every feature. Shared, not copied, with every
+    /// explainer resolved against this entry.
+    pub groups: Arc<FeatureGroups>,
     /// The tree structure behind an `Arc`, for structure-walking methods
     /// (TreeSHAP), with the constants its kernel needs per model — the
     /// ensemble's cover-weighted base value, per-tree scale, and depth.
     /// `None` for non-tree models. Built once at registration so
-    /// per-request method resolution clones an `Arc`, not an ensemble, and
-    /// no request re-walks the trees for their expected values.
-    pub trees: Option<TreeModel>,
+    /// per-request method resolution clones an `Arc`, not an ensemble or
+    /// its constants, and no request re-walks the trees for their expected
+    /// values.
+    pub trees: Option<Arc<TreeModel>>,
 }
 
 impl ModelEntry {
@@ -147,12 +149,13 @@ impl ModelEntry {
 
     /// The [`MethodConfig`] handed to a method factory for one resolution
     /// against this model. Every field a built-in or plug-in factory may
-    /// want is populated; factories read what they need.
+    /// want is populated, by reference count; factories read what they
+    /// need.
     fn method_config(&self, method: ExplainMethod) -> MethodConfig {
         MethodConfig {
             budget: method.budget_word(),
             n_features: self.model.n_features(),
-            groups: Some(self.groups.clone()),
+            groups: Some(Arc::clone(&self.groups)),
             trees: self.trees.clone(),
         }
     }
@@ -267,8 +270,8 @@ impl ModelRegistry {
         // which say whether TreeSHAP's recursion can walk the ensemble: one
         // it cannot is refused here, not at its first tree-shap request.
         let trees = match &model {
-            ServeModel::Gbdt(m) => Some(TreeModel::gbdt(Arc::new(m.clone()))),
-            ServeModel::Forest(m) => Some(TreeModel::forest(Arc::new(m.clone()))),
+            ServeModel::Gbdt(m) => Some(Arc::new(TreeModel::gbdt(Arc::new(m.clone())))),
+            ServeModel::Forest(m) => Some(Arc::new(TreeModel::forest(Arc::new(m.clone())))),
             ServeModel::Linear(_) | ServeModel::Mlp(_) => None,
         };
         if let Some(Err(e)) = trees.as_ref().map(|t| t.consts().check()) {
@@ -307,7 +310,7 @@ impl ModelRegistry {
             background,
             packed,
             expected_output,
-            groups,
+            groups: Arc::new(groups),
             trees,
         });
         self.models.write().insert(id.to_string(), entry);
@@ -619,7 +622,7 @@ mod tests {
             (ExplainMethod::ExactShapley, "exact-shapley", true),
             (ExplainMethod::GroupedShapley, "grouped-shapley", true),
             (ExplainMethod::Permutation, "permutation", true),
-            (ExplainMethod::Interactions, "interactions", false),
+            (ExplainMethod::Interactions, "interactions", true),
         ] {
             let e = entry.explainer(method).unwrap();
             assert_eq!(e.tag(), tag);

@@ -10,7 +10,7 @@
 //! methods and budgets mixed, a group of one included — plans into the
 //! worker's [`FusedBlock`] through its own [`Explainer::plan`]; the block is
 //! evaluated by one `predict_block` call and each plan is finished. A job
-//! whose plan refuses (TreeSHAP, `interactions`, an exact or grouped
+//! whose plan refuses (TreeSHAP, an exact, grouped or interaction
 //! enumeration past the workspace chunk, a malformed request) runs alone
 //! through `direct()` on the worker's workspace. That refusal is the only
 //! routing signal: a job's method resolves to a `Box<dyn Explainer>` once,

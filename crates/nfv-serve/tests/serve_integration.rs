@@ -174,9 +174,9 @@ fn a_backlog_and_one_at_a_time_agree_bitwise() {
         engine
     });
     let [stacked, alone] = &engines;
-    // The six fusable methods and the two whose plan refuses, mixed: one
-    // backlog on the first engine, so the eight fusable requests share one
-    // block and the two refused ones run alone beside it; one request at a
+    // The seven fusable methods and TreeSHAP, whose plan refuses, mixed:
+    // one backlog on the first engine, so the nine fusable requests share
+    // one block and the refused one runs alone beside it; one request at a
     // time on the second, so each runs the pipeline on its own. Seeds
     // derive from request content, so the execution shape must not matter.
     let methods = [
@@ -192,8 +192,7 @@ fn a_backlog_and_one_at_a_time_agree_bitwise() {
         ExplainMethod::TreeShap,
         ExplainMethod::Interactions,
     ];
-    let refused =
-        |m: ExplainMethod| matches!(m, ExplainMethod::TreeShap | ExplainMethod::Interactions);
+    let refused = |m: ExplainMethod| matches!(m, ExplainMethod::TreeShap);
     let jobs: Vec<ExplainRequest> = (0..10)
         .map(|i| ExplainRequest {
             method: methods[i % methods.len()],
@@ -208,7 +207,7 @@ fn a_backlog_and_one_at_a_time_agree_bitwise() {
     let stats = stacked.stats();
     assert_eq!(
         (stats.fused_groups, stats.fused_requests),
-        (1, 8),
+        (1, 9),
         "the backlog fuses into one group: {stats:?}"
     );
     assert!(stats.fused_fill_ratio > 0.0, "{stats:?}");
@@ -216,7 +215,7 @@ fn a_backlog_and_one_at_a_time_agree_bitwise() {
         if refused(job.method) {
             assert_eq!(s.batch_size, 1, "request {i} ran alone");
         } else {
-            assert_eq!(s.batch_size, 8, "request {i} rode the shared block");
+            assert_eq!(s.batch_size, 9, "request {i} rode the shared block");
         }
         let a = alone.explain(job).unwrap();
         assert_eq!(a.batch_size, 1);
