@@ -183,16 +183,38 @@ for f in $(find crates/core/src crates/nfv-sim/src crates/nfv-data/src -name '*.
   fi
 done
 
-# One-router invariant: placement (the ring, the route hash, the spill
-# successor) lives in nfv-serve's `Router`; a second copy of it outside
-# cluster.rs (outside #[cfg(test)]) is a second router that can drift.
+# One-router invariant: placement (the route hash, the home shard and its
+# spill successor) lives in nfv-serve's `Router`; a second copy of it
+# outside cluster.rs (outside #[cfg(test)]) is a second router that can
+# drift.
 echo "==> one-router check (no placement outside nfv-serve/src/cluster.rs)"
 for f in $(find crates/*/src -name '*.rs' ! -path crates/nfv-serve/src/cluster.rs); do
-  if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'HashRing::\|next_shard(\|route_hash('; then
+  if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'HashRing::\|next_shard(\|\<placement(\|route_hash('; then
     echo "FAIL: $f routes requests itself; use nfv_serve::cluster::Router"
     exit 1
   fi
 done
+
+# Fixed-membership invariant: a cluster is the shards it starts with, ids
+# `0..n`, placed by one multiply. A `fn join` / `fn leave` or a `HashRing`
+# in cluster.rs (outside #[cfg(test)]) is elastic membership back; a `log`
+# or an `RwLock` in `struct Router` is the history a joiner replays or the
+# member snapshot every explain would read.
+echo "==> fixed-membership check (no join / leave / ring in cluster.rs, no log or RwLock in Router)"
+f=crates/nfv-serve/src/cluster.rs
+if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nE 'fn (join|leave)\b|HashRing'; then
+  echo "FAIL: $f changes membership; a cluster is the shards it starts with"
+  exit 1
+fi
+body=$(awk '/^pub struct Router<S: Shard> \{/{on=1} on{print} on && /^\}$/{exit}' "$f")
+if [ -z "$body" ]; then
+  echo "FAIL: $f has no Router to check"
+  exit 1
+fi
+if grep -nwE 'log|RwLock' <<<"$body"; then
+  echo "FAIL: Router keeps a registration log or a member snapshot; its shards are a fixed list"
+  exit 1
+fi
 
 # One-layout invariant: each wire message has one encoding per protocol
 # version, and stats JSON has one shape. A `#[serde(default)]` (which the

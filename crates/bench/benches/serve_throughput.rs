@@ -392,7 +392,7 @@ fn bench_fused_replay(c: &mut Criterion) {
 /// every variant replays the identical key space.
 const MIXED_TRACE_TOTAL: usize = 128;
 
-/// One epoch of the mixed-method cluster trace: `clients` threads share
+/// One epoch of the mixed-method trace: `clients` threads share
 /// 128 uncached requests cycling kernel / sampling / permutation / grouped
 /// Shapley (exact is omitted — it is rejected at d=14). Every request
 /// lands in a distinct grid cell, so this measures computation + routing,
@@ -436,56 +436,12 @@ where
     })
 }
 
-/// Sharded vs single-engine serving on the uncached mixed trace — the
-/// shared-nothing cluster's scaling figure (§S3). Same per-shard config
-/// either way; the 4-shard run adds only the consistent-hash router.
-fn bench_cluster_replay(c: &mut Criterion) {
-    let task = SizedTask::new(14, 1);
-    let shard = ServeConfig {
-        workers: 2,
-        queue_capacity: 512,
-        max_batch: 16,
-        cache_capacity: 8192,
-        cache_shards: 8,
-        quantization_grid: 1e-6,
-        seed: 1,
-        ..ServeConfig::default()
-    };
-    let mut g = c.benchmark_group("cluster_replay_d14");
-    g.sample_size(10).measurement_time(Duration::from_secs(3));
-
-    let mut cell = 0u64;
-    for shards in [1usize, 4] {
-        let cluster = ServeCluster::start(ClusterConfig { shards, shard });
-        cluster
-            .register(
-                "forest",
-                ServeModel::Forest(task.forest.clone()),
-                task.names.clone(),
-                task.background.clone(),
-            )
-            .unwrap();
-        g.bench_function(format!("shards_{shards}_replay_32_clients"), |b| {
-            b.iter(|| {
-                cell += 1;
-                replay_mixed_trace(&|r| cluster.explain(&r), &task, cell, 32);
-            })
-        });
-        let stats = cluster.stats();
-        println!(
-            "cluster[{}] stats: {} served, {} spills, hit rate {:.3}",
-            shards, stats.cluster.completed, stats.spills, stats.cluster.cache_hit_rate
-        );
-        cluster.shutdown();
-    }
-    g.finish();
-}
-
-/// The same mixed trace through `nfv-net`: a [`NetCluster`] router over
-/// real shard servers on loopback TCP (in-process here, so the figure
-/// isolates wire cost — framing, checksum, rid demux, one socket hop —
-/// from process-scheduling noise). Informational: compared against
-/// `cluster_replay_d14` it prices the binary protocol per request.
+/// The mixed trace through `nfv-net`: a [`NetCluster`] router over real
+/// shard servers on loopback TCP (in-process here, so the figure isolates
+/// wire cost — framing, checksum, rid demux, one socket hop — from
+/// process-scheduling noise). Informational: set beside the in-process
+/// cluster sweep of `repro -- serve` (§S3) it prices the binary protocol
+/// per request.
 fn bench_wire_replay(c: &mut Criterion) {
     let task = SizedTask::new(14, 1);
     let shard = ServeConfig {
@@ -659,7 +615,6 @@ criterion_group!(
     bench_serve,
     bench_cache_capacity,
     bench_fused_replay,
-    bench_cluster_replay,
     bench_wire_replay,
     bench_coalition_eval
 );

@@ -338,6 +338,15 @@ pub fn f10(quick: bool) {
     println!("\nLower curve/AUC = the ranking found the information the task needs.");
 }
 
+/// Requests each shard completed, in id order: `a / b / …`.
+fn served_per_shard(stats: &nfv_serve::prelude::ClusterStats) -> String {
+    let served = stats.per_shard.iter().map(|(_, s)| match s {
+        Some(s) => s.completed.to_string(),
+        None => "-".into(),
+    });
+    served.collect::<Vec<_>>().join(" / ")
+}
+
 /// S1 — the serving frontier: workers × cache size × arrival rate through
 /// the `nfv-serve` engine, reporting throughput, rejection share, cache
 /// hit rate, and tail latency per configuration.
@@ -571,7 +580,7 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
     );
 
     // S3 — shared-nothing cluster scaling: the same uncached mixed-method
-    // trace against 1 … `max_shards` consistent-hash shards, one worker
+    // trace against 1 … `max_shards` hash-placed shards, one worker
     // per shard. Attributions are bit-identical at every shard count
     // (content-derived seeds); only where the work runs changes.
     println!("\nS3 — shared-nothing cluster scaling ({clients} clients, uncached mixed trace)\n");
@@ -653,6 +662,7 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
             stats.spills.to_string(),
             format!("{:.0}", stats.cluster.total_p50_us),
             format!("{:.0}", stats.cluster.total_p99_us),
+            served_per_shard(&stats),
         ]);
     }
     print_table(
@@ -663,6 +673,7 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
             "spills",
             "req p50 µs",
             "req p99 µs",
+            "served per shard",
         ],
         &rows,
     );
@@ -790,7 +801,7 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
     }
 
     // S4 — the identical mixed trace through `nfv-net`: shard servers on
-    // loopback TCP behind the consistent-hash router, next to an
+    // loopback TCP behind the one router, next to an
     // in-process cluster at the same shard count. The delta prices the
     // wire protocol — framing, FNV checksum, rid demux, one socket hop —
     // per request. 32 client threads keep the shards saturated so the
@@ -929,7 +940,7 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
          (encode + checksum + loopback hop + rid demux), so its share shrinks as\n\
          explainer work grows and as shards absorb requests in parallel. Zero\n\
          net errors means no frame was ever rejected; spills would mark\n\
-         queue-full retries routed to a ring successor."
+         queue-full retries routed to the next shard."
     );
 }
 

@@ -106,6 +106,26 @@ impl fmt::Display for XaiError {
 
 impl std::error::Error for XaiError {}
 
+/// The most f64s one sampling plan may stage (rows × features): 2^27, a
+/// GiB. A budget past it is refused with [`XaiError::Budget`] before
+/// anything is allocated — a failed allocation aborts the process, and no
+/// caller can catch that. Every budget the figures, tests and workloads
+/// use stays far below it.
+pub const MAX_PLAN_VALUES: usize = 1 << 27;
+
+/// Refuses a `method` plan of `rows` rows of `d` features past
+/// [`MAX_PLAN_VALUES`]. `rows` is computed saturating by the caller, so a
+/// budget word near `u64::MAX` cannot wrap under the cap.
+pub(crate) fn check_plan_values(method: &str, rows: usize, d: usize) -> Result<(), XaiError> {
+    let values = rows.saturating_mul(d);
+    if values > MAX_PLAN_VALUES {
+        return Err(XaiError::Budget(format!(
+            "{method} would stage {values} values, more than the {MAX_PLAN_VALUES} one plan may"
+        )));
+    }
+    Ok(())
+}
+
 /// One-stop imports.
 pub mod prelude {
     pub use crate::background::{Background, CoalitionPlan, CoalitionWorkspace, FusedBlock};

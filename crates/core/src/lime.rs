@@ -15,7 +15,7 @@
 
 use crate::background::{Background, FusedBlock};
 use crate::explanation::Attribution;
-use crate::XaiError;
+use crate::{check_plan_values, XaiError};
 use nfv_ml::linalg::{weighted_ridge, Matrix};
 use nfv_ml::model::Regressor;
 use rand::rngs::StdRng;
@@ -142,6 +142,7 @@ pub fn lime_plan(
             d + 2
         )));
     }
+    check_plan_values("lime", cfg.n_samples, d)?;
 
     // Perturbation + distance scale; a constant feature scales by 1.
     let stds: Vec<f64> = background
@@ -283,6 +284,22 @@ mod tests {
 
     fn names(d: usize) -> Vec<String> {
         (0..d).map(|i| format!("x{i}")).collect()
+    }
+
+    /// A sample count past `MAX_PLAN_VALUES / d` is refused before the
+    /// weights or the block are allocated.
+    #[test]
+    fn a_plan_past_the_value_cap_is_refused() {
+        let model = FnModel::new(5, |x: &[f64]| x.iter().sum());
+        let bg = Background::from_rows(vec![vec![0.0; 5]; 4]).unwrap();
+        for n_samples in [1usize << 40, usize::MAX] {
+            let cfg = LimeConfig {
+                n_samples,
+                ..LimeConfig::default()
+            };
+            let err = lime(&model, &[1.0; 5], &bg, &names(5), &cfg).unwrap_err();
+            assert!(matches!(err, XaiError::Budget(_)), "{err:?}");
+        }
     }
 
     /// `lime` as it was before the plan/finish split, verbatim: one scalar

@@ -10,7 +10,7 @@
 
 use crate::background::{Background, CoalitionPlan, CoalitionWorkspace, FusedBlock};
 use crate::explanation::Attribution;
-use crate::XaiError;
+use crate::{check_plan_values, XaiError};
 use nfv_ml::linalg::{weighted_ridge, Matrix};
 use nfv_ml::model::Regressor;
 use rand::rngs::StdRng;
@@ -184,6 +184,17 @@ fn prepare(
         if cfg.n_coalitions == 0 {
             return Err(XaiError::Budget("n_coalitions must be positive".into()));
         }
+        // Never more than the 2^d − 2 proper coalitions are selected.
+        let proper = if d < usize::BITS as usize {
+            (1usize << d) - 2
+        } else {
+            usize::MAX
+        };
+        let rows = cfg
+            .n_coalitions
+            .min(proper)
+            .saturating_mul(background.len());
+        check_plan_values("kernel-shap", rows, d)?;
         coalitions = select_coalitions(d, cfg);
         if coalitions.is_empty() {
             return Err(XaiError::Budget(format!(
@@ -372,6 +383,32 @@ mod tests {
 
     fn names(d: usize) -> Vec<String> {
         (0..d).map(|i| format!("x{i}")).collect()
+    }
+
+    /// A budget that would stage more than `MAX_PLAN_VALUES` is refused
+    /// before any coalition is chosen: at d = 30 a huge budget would
+    /// otherwise enumerate ~2^30 coalitions, and at d = 80 `2^d` itself
+    /// does not fit a word. The default budget still plans at d = 30.
+    #[test]
+    fn a_plan_past_the_value_cap_is_refused_before_selection() {
+        for d in [30usize, 80] {
+            let model = FnModel::new(d, |x: &[f64]| x.iter().sum());
+            let bg = Background::from_rows(vec![vec![0.0; d]; 4]).unwrap();
+            let x = vec![1.0; d];
+            for n_coalitions in [1usize << 40, usize::MAX] {
+                let cfg = KernelShapConfig {
+                    n_coalitions,
+                    ridge: 0.0,
+                    seed: 0,
+                };
+                let err = kernel_shap(&model, &x, &bg, &names(d), &cfg).unwrap_err();
+                assert!(matches!(err, XaiError::Budget(_)), "d={d}: {err:?}");
+            }
+        }
+        let model = FnModel::new(30, |x: &[f64]| x.iter().sum());
+        let bg = Background::from_rows(vec![vec![0.0; 30]; 4]).unwrap();
+        let cfg = KernelShapConfig::for_features(30);
+        assert!(kernel_shap(&model, &[1.0; 30], &bg, &names(30), &cfg).is_ok());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::background::{Background, FusedBlock};
 use crate::explanation::Attribution;
-use crate::XaiError;
+use crate::{check_plan_values, XaiError};
 use nfv_ml::model::Regressor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -103,12 +103,15 @@ pub fn sampling_shapley_plan(
     if cfg.n_permutations == 0 {
         return Err(XaiError::Budget("n_permutations must be positive".into()));
     }
+    let walks = cfg
+        .n_permutations
+        .saturating_mul(1 + usize::from(cfg.antithetic));
+    check_plan_values("sampling-shapley", walks.saturating_mul(d + 1), d)?;
     let first_row = block.n_rows();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut perm: Vec<usize> = (0..d).collect();
     let mut composite = vec![0.0; d];
-    let mut orders: Vec<Vec<usize>> =
-        Vec::with_capacity(cfg.n_permutations * if cfg.antithetic { 2 } else { 1 });
+    let mut orders: Vec<Vec<usize>> = Vec::with_capacity(walks);
     let mut plan_walk = |order: &[usize], b: &[f64], block: &mut FusedBlock| {
         composite.copy_from_slice(b);
         block.push_row(&composite);
@@ -195,6 +198,24 @@ mod tests {
 
     fn names(d: usize) -> Vec<String> {
         (0..d).map(|i| format!("x{i}")).collect()
+    }
+
+    /// A permutation count whose walks would stage more than
+    /// `MAX_PLAN_VALUES` is refused before anything is allocated, with a
+    /// count near `usize::MAX` saturating rather than wrapping.
+    #[test]
+    fn a_plan_past_the_value_cap_is_refused() {
+        let model = FnModel::new(5, |x: &[f64]| x.iter().sum());
+        let bg = Background::from_rows(vec![vec![0.0; 5]; 4]).unwrap();
+        for (n_permutations, antithetic) in [(1usize << 40, false), (usize::MAX, true)] {
+            let cfg = SamplingConfig {
+                n_permutations,
+                antithetic,
+                seed: 0,
+            };
+            let err = sampling_shapley(&model, &[1.0; 5], &bg, &names(5), &cfg).unwrap_err();
+            assert!(matches!(err, XaiError::Budget(_)), "{err:?}");
+        }
     }
 
     #[test]

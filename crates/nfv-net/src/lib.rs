@@ -26,13 +26,13 @@
 //! - [`client`] — one connection, one reader thread, rid demultiplexing,
 //!   pipelined sends (`explain_many`), fail-fast on connection loss: the
 //!   map of parked calls is the connection's liveness, one lock for both.
-//! - [`router`] — [`NetCluster`]: `nfv_serve`'s one [`Router`] over shard
-//!   connections. Placement, ordered registration fan-out with a replay
-//!   log for joiners, graceful join/leave with bounded remap, spill-once
-//!   (a transport fault spills like a queue-full reject) and the stats
-//!   rollup are the in-process cluster's code, not a copy of it; this
-//!   crate adds the `Shard` impl for [`ShardConn`], dialling and
-//!   [`NetError`], the one error type of a shard call and of the cluster.
+//! - [`router`] — [`NetCluster`]: `nfv_serve`'s one [`Router`] over a
+//!   fixed list of shard connections. Placement, ordered registration
+//!   fan-out, spill-once (a transport fault spills like a queue-full
+//!   reject) and the stats rollup are the in-process cluster's code, not
+//!   a copy of it; this crate adds the `Shard` impl for [`ShardConn`],
+//!   dialling and [`NetError`], the one error type of a shard call and of
+//!   the cluster.
 //!
 //! Determinism contract: a request's answer depends only on its content
 //! (model, method, features, budget) and the shard seed — never on which

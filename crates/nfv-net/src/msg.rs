@@ -255,11 +255,6 @@ fn put_serve_error(buf: &mut BytesMut, e: &ServeError) {
             buf.put_u8(4);
             match r {
                 Refusal::NoShards => buf.put_u8(1),
-                Refusal::UnknownShard(id) => {
-                    buf.put_u8(2);
-                    buf.put_u32_le(*id);
-                }
-                Refusal::LastShard => buf.put_u8(3),
                 Refusal::VersionMismatch {
                     shard,
                     model_id,
@@ -327,8 +322,6 @@ fn get_serve_error(buf: &mut Bytes) -> Result<ServeError, WireError> {
             let tag = wire::get_u8(buf, "refusal tag")?;
             ServeError::Refused(match tag {
                 1 => Refusal::NoShards,
-                2 => Refusal::UnknownShard(wire::get_u32(buf, "shard")?),
-                3 => Refusal::LastShard,
                 4 => Refusal::VersionMismatch {
                     shard: wire::get_u32(buf, "shard")?,
                     model_id: get_string(buf, MAX_STR, "model_id")?,
@@ -743,8 +736,6 @@ mod tests {
             ServeError::Explain(XaiError::Numeric("singular".into())),
             ServeError::Internal("worker died".into()),
             ServeError::Refused(Refusal::NoShards),
-            ServeError::Refused(Refusal::UnknownShard(7)),
-            ServeError::Refused(Refusal::LastShard),
             ServeError::Refused(Refusal::VersionMismatch {
                 shard: 2,
                 model_id: "sla".into(),

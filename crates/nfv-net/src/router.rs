@@ -1,9 +1,12 @@
 //! The wire cluster: `nfv_serve`'s one [`Router`] over shard processes, so
 //! a request routes to the same shard, and gets the same bits, whether
 //! shards are threads or processes. Only the wire-specific parts live
-//! here: [`Shard`] for a [`ShardConn`], dialling, and [`NetError`]. A
-//! shard process keeps anytime on: a full shard answers a sampling
-//! request `Fidelity::Coarse` itself, where an in-process one spills it.
+//! here: [`Shard`] for a [`ShardConn`], dialling, and [`NetError`]. The
+//! cluster is the addresses it was connected to; a shard process that
+//! dies stays a member, and the keys it is home to spill to the next
+//! shard. A shard process keeps anytime on: a full shard answers a
+//! sampling request `Fidelity::Coarse` itself, where an in-process one
+//! spills it.
 //!
 //! [`Router`]: nfv_serve::cluster::Router
 
@@ -33,8 +36,7 @@ impl Default for NetClusterConfig {
 }
 
 impl NetClusterConfig {
-    /// Dials one shard, e.g. for [`Router::join`].
-    pub fn dial(&self, addr: &str) -> Result<ShardConn, NetError> {
+    fn dial(&self, addr: &str) -> Result<ShardConn, NetError> {
         Ok(ShardConn::connect(addr, MAX_PAYLOAD, self.rpc_timeout)?)
     }
 

@@ -8,8 +8,6 @@
 //! - a `ShardConn` call made after its stream died fails fast (the
 //!   reader's `fail_all` took the pending map, so there is nowhere to
 //!   park) instead of stalling out the full rpc timeout;
-//! - `NetCluster::join` is not blocked by a slow in-flight explain (the
-//!   members lock is not held across RPCs);
 //! - pipelining deeper than the server's per-connection limit gets the
 //!   typed `PipelineTooDeep` reject while shallower pipelines complete;
 //! - accepted sockets run with `TCP_NODELAY`, so pipelined cached replies
@@ -33,7 +31,6 @@ use nfv_xai::prelude::{
 };
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -371,53 +368,6 @@ fn a_dropped_shard_conn_leaves_no_reader_thread() {
         peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         assert_eq!(peer.read(&mut [0u8; 1]).unwrap(), 0, "peer sees EOF");
     }
-}
-
-/// A shard that sits on an explain for the full rpc timeout must not
-/// block membership changes: `join` only needs the members lock briefly,
-/// never across a member's RPC.
-#[test]
-fn join_is_not_blocked_by_a_slow_explain() {
-    // A fake shard that accepts and reads but never answers.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let stall_addr = listener.local_addr().unwrap().to_string();
-    thread::spawn(move || {
-        let mut held = Vec::new();
-        while let Ok((mut stream, _)) = listener.accept() {
-            let sink = thread::spawn(move || {
-                let mut buf = [0u8; 4096];
-                while matches!(stream.read(&mut buf), Ok(n) if n > 0) {}
-            });
-            held.push(sink);
-        }
-    });
-
-    let cfg = NetClusterConfig {
-        rpc_timeout: Duration::from_secs(3),
-    };
-    let cluster = Arc::new(cfg.connect(std::slice::from_ref(&stall_addr)).unwrap());
-    let slow = {
-        let cluster = Arc::clone(&cluster);
-        thread::spawn(move || cluster.explain(&explain_request("m")))
-    };
-    // Let the explain get in flight against the stalling shard.
-    thread::sleep(Duration::from_millis(300));
-
-    let (server, shard_addr) = start_server(ShardConfig::default());
-    let t0 = Instant::now();
-    let id = cluster.join(cfg.dial(&shard_addr).unwrap()).unwrap();
-    let join_elapsed = t0.elapsed();
-    assert!(
-        join_elapsed < Duration::from_millis(1500),
-        "join waited {join_elapsed:?} behind a slow explain"
-    );
-    assert!(cluster.shard_ids().contains(&id));
-
-    // The stalled explain eventually times out on its own terms.
-    let res = slow.join().unwrap();
-    assert!(res.is_err(), "the stalling shard cannot have answered");
-    server.stop();
-    server.join();
 }
 
 /// Two explains written back-to-back in one TCP segment against a server

@@ -44,8 +44,8 @@
 //!   control, all serializable for scraping — per shard and rolled up
 //!   cluster-wide,
 //! - a **[`cluster`] module**: the one router, generic over a shard —
-//!   content-keyed consistent-hash placement, ordered registration
-//!   fan-out, spill-once to the next ring shard, join/leave — with N
+//!   a fixed list of shards, content-keyed multiply-shift placement,
+//!   ordered registration fan-out, spill-once to the next shard — with N
 //!   in-process engines as [`cluster::ServeCluster`] (the `nfv-net` wire
 //!   cluster is the same router over connections, with anytime on). Shards
 //!   share nothing at runtime; the router is the only cross-shard component.
@@ -107,7 +107,7 @@ pub use engine::Engine as ServeEngine;
 pub mod prelude {
     pub use crate::cache::CacheUsage;
     pub use crate::cluster::{
-        route_hash, ClusterConfig, ClusterStats, HashRing, Refusal, Router, ServeCluster,
+        placement, route_hash, ClusterConfig, ClusterStats, Refusal, Router, ServeCluster,
     };
     pub use crate::error::{RejectReason, ServeError};
     pub use crate::metrics::ServeStats;

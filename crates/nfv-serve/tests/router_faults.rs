@@ -2,19 +2,18 @@
 //!
 //! A [`Fake`]'s answer is a pure function of the request, and each call
 //! (explain or register) takes the next step of that shard's script —
-//! answer, `QueueFull`, transport fault, an engine verdict, park on a
-//! channel, or assign a given version. Every policy of the one router is
-//! driven from here: spill-once, fault counting, the version refusal,
-//! membership under parked calls, and a seeded storm that replays.
+//! answer, `QueueFull`, transport fault, an engine verdict, or assign a
+//! given version. Every policy of the one router is
+//! driven from here: spill-once, fault counting, the version refusal, and
+//! a seeded storm that replays.
 
 use nfv_ml::prelude::LinearRegression;
 use nfv_serve::cluster::{ErrorClass, Registration, Shard};
 use nfv_serve::prelude::*;
 use nfv_xai::prelude::{Attribution, Background};
 use nfv_xai::XaiError;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -35,11 +34,6 @@ enum Step {
     QueueFull,
     Fault,
     Verdict(ServeError),
-    /// Signal `entered`, then block until `release` fires.
-    Park {
-        entered: Sender<()>,
-        release: Receiver<()>,
-    },
     /// A register assigns this version instead of its own next one.
     Version(u64),
 }
@@ -53,9 +47,6 @@ struct Fake {
     all_calls: CallCounter,
     answered: AtomicU64,
     next_version: AtomicU64,
-    models: Mutex<HashMap<String, u64>>,
-    /// Set by `drain`: like a stopped server, every later call faults.
-    drained: AtomicBool,
 }
 
 impl Fake {
@@ -66,8 +57,6 @@ impl Fake {
             all_calls: Arc::clone(all_calls),
             answered: AtomicU64::new(0),
             next_version: AtomicU64::new(0),
-            models: Mutex::new(HashMap::new()),
-            drained: AtomicBool::new(false),
         }
     }
 
@@ -75,26 +64,11 @@ impl Fake {
         self.script.lock().unwrap().push_back(step);
     }
 
-    /// Takes the next scripted step (parking runs here); `None` = answer.
+    /// Takes the next scripted step; `None` = answer.
     fn step(&self) -> Option<Step> {
         self.calls.fetch_add(1, Ordering::SeqCst);
         self.all_calls.fetch_add(1, Ordering::SeqCst);
-        if self.drained.load(Ordering::SeqCst) {
-            return Some(Step::Fault);
-        }
-        let step = self.script.lock().unwrap().pop_front();
-        match step {
-            Some(Step::Park { entered, release }) => {
-                entered.send(()).unwrap();
-                release.recv().unwrap();
-                None
-            }
-            step => step,
-        }
-    }
-
-    fn version_of(&self, model_id: &str) -> Option<u64> {
-        self.models.lock().unwrap().get(model_id).copied()
+        self.script.lock().unwrap().pop_front()
     }
 }
 
@@ -133,20 +107,16 @@ impl Shard for Fake {
             ))),
             Some(Step::Fault) => Err(FakeError::Fault),
             Some(Step::Verdict(e)) => Err(FakeError::Serve(e)),
-            Some(Step::Park { .. }) => unreachable!("parking resolves in step()"),
         }
     }
 
-    fn register(&self, registration: &Registration) -> Result<u64, FakeError> {
+    fn register(&self, _registration: &Registration) -> Result<u64, FakeError> {
         let own = self.next_version.fetch_add(1, Ordering::SeqCst) + 1;
-        let version = match self.step() {
-            Some(Step::Version(k)) => k,
-            Some(Step::Fault) => return Err(FakeError::Fault),
-            _ => own,
-        };
-        let model_id = registration.model_id.clone();
-        self.models.lock().unwrap().insert(model_id, version);
-        Ok(version)
+        match self.step() {
+            Some(Step::Version(k)) => Ok(k),
+            Some(Step::Fault) => Err(FakeError::Fault),
+            _ => Ok(own),
+        }
     }
 
     fn stats(&self) -> Option<ServeStats> {
@@ -157,7 +127,6 @@ impl Shard for Fake {
     }
 
     fn drain(&self) -> Result<u64, FakeError> {
-        self.drained.store(true, Ordering::SeqCst);
         Ok(self.answered.load(Ordering::SeqCst))
     }
 
@@ -182,6 +151,11 @@ fn fake(router: &Router<Fake>, id: u32) -> Arc<Fake> {
     router.shard(id).unwrap()
 }
 
+/// The router's shard ids, `0..n`.
+fn shard_ids(router: &Router<Fake>) -> Vec<u32> {
+    (0..).take_while(|&id| router.shard(id).is_some()).collect()
+}
+
 fn register(router: &Router<Fake>, model_id: &str) -> Result<u64, FakeError> {
     let model = ServeModel::Linear(LinearRegression {
         coefficients: vec![1.0, 2.0],
@@ -202,7 +176,7 @@ fn request(k: u64) -> ExplainRequest {
 
 /// Per-shard call counts, in id order.
 fn calls_by_shard(router: &Router<Fake>) -> Vec<u64> {
-    let ids = router.shard_ids();
+    let ids = shard_ids(router);
     ids.iter()
         .map(|&id| fake(router, id).calls.load(Ordering::SeqCst))
         .collect()
@@ -214,7 +188,7 @@ fn home_of(router: &Router<Fake>, request: &ExplainRequest) -> u32 {
     let before = calls_by_shard(router);
     router.explain(request).unwrap();
     let after = calls_by_shard(router);
-    let ids = router.shard_ids();
+    let ids = shard_ids(router);
     let called: Vec<u32> = (0..ids.len())
         .filter(|&i| after[i] != before[i])
         .map(|i| ids[i])
@@ -259,7 +233,7 @@ fn home_and_successor_faulting_fail_after_exactly_two_calls() {
     let (router, calls) = cluster(3);
     let req = request(3);
     let home = home_of(&router, &req);
-    for id in router.shard_ids() {
+    for id in shard_ids(&router) {
         fake(&router, id).push(Step::Fault);
     }
     calls.store(0, Ordering::SeqCst);
@@ -267,8 +241,7 @@ fn home_and_successor_faulting_fail_after_exactly_two_calls() {
     assert_eq!(calls.load(Ordering::SeqCst), 2);
     let stats = router.stats();
     assert_eq!((stats.spills, stats.faults), (1, 2));
-    let untouched = router
-        .shard_ids()
+    let untouched = shard_ids(&router)
         .into_iter()
         .filter(|&id| id != home && fake(&router, id).script.lock().unwrap().len() == 1)
         .count();
@@ -316,23 +289,6 @@ fn a_shard_assigning_another_version_is_refused_by_name() {
             expected: 1,
         }))
     );
-
-    // A joiner whose replay disagrees with the log is refused too, by the
-    // id it would have had, and never joins the ring.
-    let (router, calls) = cluster(2);
-    assert_eq!(register(&router, "m"), Ok(1));
-    let joiner = Fake::new(&calls);
-    joiner.push(Step::Version(7));
-    assert_eq!(
-        router.join(joiner),
-        Err(FakeError::Refused(Refusal::VersionMismatch {
-            shard: 2,
-            model_id: "m".into(),
-            assigned: 7,
-            expected: 1,
-        }))
-    );
-    assert_eq!(router.shard_ids(), vec![0, 1]);
 }
 
 #[test]
@@ -340,83 +296,6 @@ fn a_member_faulting_on_register_fails_the_registration() {
     let (router, _) = cluster(2);
     fake(&router, 1).push(Step::Fault);
     assert_eq!(register(&router, "m"), Err(FakeError::Fault));
-}
-
-fn parked() -> (Step, Receiver<()>, Sender<()>) {
-    let (entered_tx, entered_rx) = channel();
-    let (release_tx, release_rx) = channel();
-    let step = Step::Park {
-        entered: entered_tx,
-        release: release_rx,
-    };
-    (step, entered_rx, release_tx)
-}
-
-#[test]
-fn join_and_leave_complete_while_an_explain_is_parked() {
-    let (router, calls) = cluster(3);
-    let req = request(5);
-    let home = home_of(&router, &req);
-    let (step, entered, release) = parked();
-    fake(&router, home).push(step);
-    std::thread::scope(|s| {
-        let explain = s.spawn(|| router.explain(&req));
-        entered.recv().unwrap();
-        // The parked shard itself leaves, and a new one joins, while the
-        // explain still sits inside it.
-        assert!(router.leave(home).is_ok());
-        let joined = router.join(Fake::new(&calls)).unwrap();
-        assert!(!router.shard_ids().contains(&home));
-        assert!(router.shard_ids().contains(&joined));
-        release.send(()).unwrap();
-        let resp = explain.join().unwrap().unwrap();
-        assert_eq!(resp.attribution, answer(&req).attribution);
-    });
-}
-
-/// Shard 2 leaves (and, drained, faults from then on) while a register
-/// is parked on shard 1, before the fan-out reaches it: the register
-/// skips the departed shard instead of failing, so the log keeps the
-/// model and a later joiner stays on the cluster's history.
-#[test]
-fn leave_completes_while_a_register_is_parked_and_join_waits_for_it() {
-    let (router, calls) = cluster(3);
-    let (step, entered, release) = parked();
-    fake(&router, 1).push(step);
-    let leaving = fake(&router, 2);
-    std::thread::scope(|s| {
-        let registering = s.spawn(|| register(&router, "m"));
-        entered.recv().unwrap();
-        assert_eq!(router.leave(2), Ok(0));
-        let join = s.spawn(|| router.join(Fake::new(&calls)));
-        assert!(
-            !join.is_finished(),
-            "join ran while a register held the log"
-        );
-        release.send(()).unwrap();
-        let version = registering.join().unwrap().unwrap();
-        let joined = join.join().unwrap().unwrap();
-        // The fan-out did reach the drained shard, which faulted.
-        assert_eq!(leaving.calls.load(Ordering::SeqCst), 1);
-        assert_eq!(leaving.version_of("m"), None);
-        // The joiner replayed the registration it waited for, and the
-        // next registration finds every member on one version.
-        assert_eq!(fake(&router, joined).version_of("m"), Some(version));
-        let next = register(&router, "m2").unwrap();
-        for id in router.shard_ids() {
-            assert_eq!(fake(&router, id).version_of("m2"), Some(next));
-        }
-    });
-}
-
-#[test]
-fn leave_refuses_unknown_ids_and_the_last_shard() {
-    let (router, _) = cluster(2);
-    let refused = |r| Err(FakeError::Refused(r));
-    assert_eq!(router.leave(7), refused(Refusal::UnknownShard(7)));
-    assert_eq!(router.leave(0), Ok(0));
-    assert_eq!(router.leave(1), refused(Refusal::LastShard));
-    assert_eq!(router.shard_ids(), vec![1]);
 }
 
 /// splitmix64: the storm's only source of choices.
@@ -445,9 +324,6 @@ struct StormCounters {
     verdicts: u64,
     spills: u64,
     faults: u64,
-    joins: u64,
-    leaves: u64,
-    members: Vec<u32>,
 }
 
 fn storm(seed: u64) -> StormCounters {
@@ -455,67 +331,40 @@ fn storm(seed: u64) -> StormCounters {
     register(&router, "m").unwrap();
     let mut rng = Rng(seed);
     let mut c = StormCounters::default();
-    let mut shard_answers = 0;
     for _ in 0..1_500 {
-        match rng.below(20) {
-            0 => {
-                router.join(Fake::new(&calls)).unwrap();
-                c.joins += 1;
+        for id in shard_ids(&router) {
+            let step = match rng.below(12) {
+                0 => Step::Fault,
+                1 => Step::QueueFull,
+                2 => Step::Verdict(ServeError::Rejected(RejectReason::ShuttingDown)),
+                _ => continue,
+            };
+            fake(&router, id).push(step);
+        }
+        let req = request(rng.below(64));
+        calls.store(0, Ordering::SeqCst);
+        let outcome = router.explain(&req);
+        let made = calls.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&made), "{made} shard calls");
+        match outcome {
+            Ok(resp) => {
+                assert_eq!(resp.attribution, answer(&req).attribution);
+                c.answered += 1;
             }
-            1 => {
-                let ids = router.shard_ids();
-                let id = ids[rng.below(ids.len() as u64) as usize];
-                let answered_there = fake(&router, id).answered.load(Ordering::SeqCst);
-                match router.leave(id) {
-                    Ok(drained) => {
-                        assert_eq!(drained, answered_there);
-                        shard_answers += drained;
-                        c.leaves += 1;
-                    }
-                    Err(e) => {
-                        assert_eq!(ids.len(), 1);
-                        assert_eq!(e, FakeError::Refused(Refusal::LastShard));
-                    }
-                }
+            Err(FakeError::Fault) => c.faulted += 1,
+            Err(FakeError::Serve(ServeError::Rejected(RejectReason::QueueFull { .. }))) => {
+                c.queue_full += 1
             }
-            _ => {
-                for id in router.shard_ids() {
-                    let step = match rng.below(12) {
-                        0 => Step::Fault,
-                        1 => Step::QueueFull,
-                        2 => Step::Verdict(ServeError::Rejected(RejectReason::ShuttingDown)),
-                        _ => continue,
-                    };
-                    fake(&router, id).push(step);
-                }
-                let req = request(rng.below(64));
-                calls.store(0, Ordering::SeqCst);
-                let outcome = router.explain(&req);
-                let made = calls.load(Ordering::SeqCst);
-                assert!((1..=2).contains(&made), "{made} shard calls");
-                match outcome {
-                    Ok(resp) => {
-                        assert_eq!(resp.attribution, answer(&req).attribution);
-                        c.answered += 1;
-                    }
-                    Err(FakeError::Fault) => c.faulted += 1,
-                    Err(FakeError::Serve(ServeError::Rejected(RejectReason::QueueFull {
-                        ..
-                    }))) => c.queue_full += 1,
-                    Err(FakeError::Serve(_)) => c.verdicts += 1,
-                    Err(e) => panic!("explain was refused: {e:?}"),
-                }
-            }
+            Err(FakeError::Serve(_)) => c.verdicts += 1,
+            Err(e) => panic!("explain was refused: {e:?}"),
         }
     }
     // Every answer came from exactly one shard call: none lost, none
-    // duplicated across the shards that served, left or stayed.
+    // duplicated across shards.
     let stats = router.stats();
-    shard_answers += stats.cluster.completed;
-    assert_eq!(shard_answers, c.answered);
+    assert_eq!(stats.cluster.completed, c.answered);
     c.spills = stats.spills;
     c.faults = stats.faults;
-    c.members = router.shard_ids();
     c
 }
 
@@ -524,7 +373,7 @@ fn a_seeded_storm_keeps_every_policy_and_replays_exactly() {
     for seed in [1, 2, 3] {
         let first = storm(seed);
         assert!(first.answered > 0 && first.faulted + first.queue_full > 0);
-        assert!(first.spills > 0 && first.joins > 0 && first.leaves > 0);
+        assert!(first.spills > 0);
         assert_eq!(first, storm(seed), "seed {seed} did not replay");
     }
 }
